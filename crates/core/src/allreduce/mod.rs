@@ -6,8 +6,8 @@
 //!
 //! | algorithm | schedule | intended regime |
 //! |---|---|---|
-//! | [`Algorithm::Auto`] | adaptive (§5.3 selector) | the default: picks one of the below per call |
-//! | [`Algorithm::SsarRecDbl`] | recursive doubling on sparse streams | small data, latency-bound (§5.3.1) |
+//! | [`Algorithm::Auto`] | adaptive (§5.3 selector); agrees on `k` inside recursive doubling's own frames | the default: picks one of the below per call, at no extra round where the pick is recursive doubling |
+//! | [`Algorithm::SsarRecDbl`] | recursive doubling on sparse streams, every frame ending in the 8-byte agreement word | small data, latency-bound (§5.3.1) |
 //! | [`Algorithm::SsarSplitAllgather`] | dimension split + sparse allgather | large sparse data (§5.3.2) |
 //! | [`Algorithm::DsarSplitAllgather`] | dimension split + dense (optionally quantized) allgather | dense final result (§5.3.3, §6) |
 //! | [`Algorithm::DenseRecDbl`] | recursive doubling on dense vectors | baseline |
@@ -57,7 +57,11 @@ pub enum Algorithm {
     /// Adaptive selection (the §5.3 selector): the communicator estimates
     /// the expected fill-in for the observed workload and picks the
     /// cheapest concrete schedule under its transport's cost model. This
-    /// is the default of the [`crate::Communicator`] builder API.
+    /// is the default of the [`crate::Communicator`] builder API. Ranks
+    /// agree on the workload size inside recursive doubling's own frames,
+    /// so a call that resolves to that schedule spends no round on
+    /// agreement (`CommStats::auto_fused`); any other pays one pass of
+    /// 8-byte frames first (`CommStats::auto_fallback`).
     Auto,
     /// Sparse recursive doubling (`SSAR_Recursive_double`).
     SsarRecDbl,
@@ -197,65 +201,77 @@ impl Default for AllreduceConfig {
     }
 }
 
-/// Resolves [`Algorithm::Auto`] for this call: ranks agree on the maximum
-/// per-rank non-zero count with one tiny (8-byte) allgather — local Top-k
-/// streams can have slightly different sizes under error feedback, and a
-/// per-rank choice could diverge and deadlock the schedule — then run the
-/// workload through the §5.3 selector. With a non-trivial
-/// [`AllreduceConfig::topology`], the topology-aware selector also prices
-/// the two-level hierarchical schedule and may pick it.
+/// What [`resolve_auto`]'s pass settled.
+enum AutoPass<V: Scalar> {
+    /// Every rank was eager: the pass was `SSAR_Recursive_double` itself
+    /// and this is the allreduce result — `Auto` cost no round of its own.
+    Reduced(SparseStream<V>),
+    /// Some rank was not: the pass agreed on `k` only, and this is the
+    /// schedule the selector picks for it, still to be run.
+    Resolved(Algorithm),
+}
+
+/// Resolves [`Algorithm::Auto`] for this call. Ranks must agree on the
+/// maximum per-rank non-zero count before selecting — local Top-k streams
+/// can have slightly different sizes under error feedback, and a per-rank
+/// choice could diverge and deadlock the schedule — and the agreement
+/// rides recursive doubling's own frames
+/// ([`ssar_rec_dbl::rec_dbl_agree_pooled`]): a rank whose own `k` selects
+/// `SSAR_Recursive_double` (flat regime, preset selector, no δ-switch
+/// escape hatch) enters the pass *eager*, reducing as it agrees. If every
+/// rank did, the pass already produced the result and no round was spent
+/// on agreement; otherwise its frames were bare 8-byte words, the agreed
+/// `k` goes through the §5.3 selector and the caller dispatches the
+/// concrete schedule. With a non-trivial [`AllreduceConfig::topology`],
+/// the topology-aware selector also prices the two-level hierarchical
+/// schedule and may pick it. Returns the outcome and the agreed `k`.
 fn resolve_auto<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
     pool: &mut BufferPool,
     allow_hierarchical: bool,
-) -> Result<(Algorithm, usize), CollError> {
-    let _span = obs::span(obs::Category::Agreement, "auto-resolve");
+) -> Result<(AutoPass<V>, usize), CollError> {
+    // Covers only passes that fall back: a pass that completes the
+    // reduction shows up as its collective span instead.
+    let mut span = obs::span(obs::Category::Agreement, "auto-resolve");
     let p = ep.size();
     let n = input.dim();
-    let mut k = input.stored_len().max(1) as u64;
-    if p > 1 {
-        let op_id = ep.next_op_id();
-        let blocks = allgather_bytes(ep, op_id, Bytes::from(k.to_le_bytes().to_vec()), pool)?;
-        for block in blocks {
-            let bytes: [u8; 8] = block
-                .as_ref()
-                .try_into()
-                .map_err(|_| CollError::Invalid("malformed k-agreement block".into()))?;
-            k = k.max(u64::from_le_bytes(bytes));
+    let topo = match cfg.topology.as_ref().filter(|_| allow_hierarchical) {
+        // A mismatched topology is a configuration error, not a hint
+        // to drop: silently running flat would defeat the knob (the
+        // same mismatch errors on an explicit Hierarchical request).
+        Some(topo) if topo.size() != p => {
+            return Err(CollError::Invalid(format!(
+                "topology covers {} ranks but the communicator has {p}",
+                topo.size()
+            )));
         }
+        topo => topo.filter(|topo| !topo.is_trivial()),
+    };
+    let eager = topo.is_none()
+        && cfg.calibration.is_none()
+        && !cfg.adaptive
+        && crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost())
+            == Algorithm::SsarRecDbl;
+    let (reduced, k_agreed) = ssar_rec_dbl::rec_dbl_agree_pooled(ep, input, eager, cfg, pool)?;
+    if let Some(result) = reduced {
+        span.cancel();
+        ep.stats_mut().auto_fused += 1;
+        return Ok((AutoPass::Reduced(result), k_agreed));
     }
-    let k_agreed = k as usize;
-    if allow_hierarchical {
-        if let Some(topo) = cfg.topology.as_ref() {
-            // A mismatched topology is a configuration error, not a hint
-            // to drop: silently running flat would defeat the knob (the
-            // same mismatch errors on an explicit Hierarchical request).
-            if topo.size() != p {
-                return Err(CollError::Invalid(format!(
-                    "topology covers {} ranks but the communicator has {p}",
-                    topo.size()
-                )));
-            }
-            if !topo.is_trivial() {
-                let tcm = crate::hierarchical::effective_topology_cost(ep, cfg)?;
-                let algo =
-                    crate::selector::select_algorithm_with_topology::<V>(topo, n, k_agreed, &tcm);
-                return Ok((algo, k_agreed));
-            }
-        }
-    }
-    // Calibrated path (flat regimes only): pick by measurement, then
-    // agree — per-rank measurement noise must not split the schedule.
-    if let Some(cal) = cfg.calibration.as_ref() {
-        let pick = cal.select::<V>(p, n, k_agreed);
-        return Ok((agree_algorithm(ep, pick, pool)?, k_agreed));
-    }
-    Ok((
-        crate::selector::select_algorithm::<V>(p, n, k_agreed, ep.cost()),
-        k_agreed,
-    ))
+    ep.stats_mut().auto_fallback += 1;
+    let algo = if let Some(topo) = topo {
+        let tcm = crate::hierarchical::effective_topology_cost(ep, cfg)?;
+        crate::selector::select_algorithm_with_topology::<V>(topo, n, k_agreed, &tcm)
+    } else if let Some(cal) = cfg.calibration.as_ref() {
+        // Calibrated path (flat regimes only): pick by measurement, then
+        // agree — per-rank measurement noise must not split the schedule.
+        agree_algorithm(ep, cal.select::<V>(p, n, k_agreed), pool)?
+    } else {
+        crate::selector::select_algorithm::<V>(p, n, k_agreed, ep.cost())
+    };
+    Ok((AutoPass::Resolved(algo), k_agreed))
 }
 
 /// Cluster-wide agreement on a calibrated pick: every rank proposes the
@@ -310,34 +326,84 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
     let (algo, k) = if algo.is_auto() {
-        resolve_auto::<T, V>(ep, input, cfg, pool, true)?
+        // The pass may turn out to have been the collective: measure it
+        // as one from its first frame, and drop the measurement if it
+        // only agreed.
+        let mut fused = Measurement::start(ep, Algorithm::SsarRecDbl, 0);
+        match resolve_auto::<T, V>(ep, input, cfg, pool, true) {
+            Ok((AutoPass::Reduced(out), k)) => {
+                let result = Ok(out);
+                fused.finish(ep, k, input, cfg, &result);
+                return result;
+            }
+            Ok((AutoPass::Resolved(algo), k)) => {
+                fused.span.cancel();
+                (algo, k)
+            }
+            Err(e) => {
+                fused.span.cancel();
+                return Err(e);
+            }
+        }
     } else {
         (algo, input.stored_len().max(1))
     };
-    let mut span = obs::span_with(obs::Category::Collective, algo.name(), k as u64);
-    // Per-collective wait marks: the per-peer deltas accumulated during
-    // this schedule decide which peer arrived last (straggler blame).
-    let marks = obs::telemetry::peer_wait_marks();
-    let start = ep.clock();
+    let run = Measurement::start(ep, algo, k);
     let result = if algo == Algorithm::Hierarchical {
         crate::hierarchical::hierarchical_allreduce_pooled(ep, input, cfg, pool)
     } else {
         dispatch_flat_concrete(ep, input, algo, cfg, pool)
     };
-    let elapsed = ep.clock() - start;
-    if let Ok(out) = result.as_ref() {
-        obs::metrics::global().record(algo.name(), ep.backend_name(), k, elapsed);
+    run.finish(ep, k, input, cfg, &result);
+    result
+}
+
+/// One collective's measurement, opened before its first frame: the
+/// `collective` span, the transport-clock start, and the per-peer wait
+/// marks whose deltas decide which peer arrived last (straggler blame).
+struct Measurement {
+    algo: Algorithm,
+    span: obs::SpanGuard,
+    marks: Vec<(u32, u64)>,
+    start: f64,
+}
+
+impl Measurement {
+    fn start<T: Transport>(ep: &T, algo: Algorithm, k: usize) -> Measurement {
+        Measurement {
+            algo,
+            span: obs::span_with(obs::Category::Collective, algo.name(), k as u64),
+            marks: obs::telemetry::peer_wait_marks(),
+            start: ep.clock(),
+        }
+    }
+
+    /// Closes the measurement over `result`: a success lands in the
+    /// latency registry, the calibrator and the telemetry collector; a
+    /// failure records nothing.
+    fn finish<T: Transport, V: Scalar>(
+        mut self,
+        ep: &T,
+        k: usize,
+        input: &SparseStream<V>,
+        cfg: &AllreduceConfig,
+        result: &Result<SparseStream<V>, CollError>,
+    ) {
+        let Ok(out) = result else {
+            self.span.cancel();
+            return;
+        };
+        self.span.set_arg(k as u64);
+        let elapsed = ep.clock() - self.start;
+        obs::metrics::global().record(self.algo.name(), ep.backend_name(), k, elapsed);
         if let Some(cal) = cfg.calibration.as_ref() {
-            cal.record::<V>(algo, ep.size(), input.dim(), k, elapsed);
+            cal.record::<V>(self.algo, ep.size(), input.dim(), k, elapsed);
         }
         if obs::telemetry::enabled() {
-            obs::telemetry::note_worst_peer(&marks);
+            obs::telemetry::note_worst_peer(&self.marks);
             obs::telemetry::record_density(input.dim(), input.nnz(), out.nnz(), out.is_dense());
         }
-    } else {
-        span.cancel();
     }
-    result
 }
 
 /// Flat-only dispatcher: like [`dispatch`] but never enters the
@@ -355,7 +421,10 @@ pub(crate) fn dispatch_flat<T: Transport, V: Scalar>(
 ) -> Result<SparseStream<V>, CollError> {
     let algo = match algo {
         Algorithm::Auto | Algorithm::Hierarchical => {
-            resolve_auto::<T, V>(ep, input, cfg, pool, false)?.0
+            match resolve_auto::<T, V>(ep, input, cfg, pool, false)?.0 {
+                AutoPass::Reduced(out) => return Ok(out),
+                AutoPass::Resolved(algo) => algo,
+            }
         }
         concrete => concrete,
     };

@@ -11,10 +11,17 @@
 //! standing in for regimes that have no measurements yet.
 //!
 //! Cross-rank determinism: measured durations differ across ranks, so a
-//! locally-measured pick could diverge and deadlock the schedule. The
-//! `Auto` path therefore runs one extra 1-byte agreement round on
-//! calibrated picks (see `allreduce::resolve_auto`) — every rank
-//! proposes its pick, the minimum candidate index wins everywhere.
+//! locally-measured pick could diverge and deadlock the schedule. A
+//! calibrating session therefore never enters `Auto`'s agreement pass
+//! eager — its frames are the bare 8-byte k words, never a reduction
+//! the measurements had no say in — and runs one extra 1-byte agreement
+//! round on the calibrated pick (see `allreduce::resolve_auto`): every
+//! rank proposes its pick, the minimum candidate index wins everywhere.
+//!
+//! Exploration stays inside the workload's regime
+//! (`selector::flat_candidates`: the sparse schedules below δ, DSAR and
+//! the dense baselines past it) because every explored candidate is run
+//! for real; the preset selector prices all eight and is not so bound.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -231,8 +238,8 @@ impl ObservedCostModel {
             .map(|(m, _)| *m)
     }
 
-    /// Measurement-first §5.3 selection among the workload's candidate
-    /// regime (same candidate set as [`crate::select_algorithm`]):
+    /// Measurement-first §5.3 selection among the candidates of the
+    /// workload's regime (`E[K]` against δ):
     ///
     /// 1. *warm-up*: while any candidate has fewer than
     ///    `warmup_samples` measurements in this size class, return the

@@ -111,6 +111,59 @@ impl BufferPool {
     }
 }
 
+/// Encodes one frame into a pooled buffer and sends it, blocking (full α
+/// charge) or non-blocking — the `encode-send` span and flow arrow every
+/// stream frame shares.
+fn send_encoded<T: Transport>(
+    ep: &mut T,
+    dst: usize,
+    t: u64,
+    blocking: bool,
+    pool: &mut BufferPool,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), CollError> {
+    let mut span = obs::span(obs::Category::Phase, "encode-send");
+    if obs::enabled() {
+        span.set_flow(
+            obs::flow_id(t, ep.rank() as u64, dst as u64),
+            obs::FlowDir::Out,
+        );
+    }
+    let mut buf = pool.acquire();
+    encode(&mut buf);
+    let payload = Bytes::from(buf);
+    span.set_arg(payload.len() as u64);
+    if blocking {
+        ep.send(dst, t, payload)?;
+    } else {
+        ep.isend(dst, t, payload)?;
+    }
+    Ok(())
+}
+
+/// Receives one frame from `src` and decodes it, recycling the frame
+/// buffer — the `recv-decode` counterpart of [`send_encoded`].
+fn recv_decoded<T: Transport, R>(
+    ep: &mut T,
+    src: usize,
+    t: u64,
+    pool: &mut BufferPool,
+    decode: impl FnOnce(&[u8]) -> Result<R, CollError>,
+) -> Result<R, CollError> {
+    let mut span = obs::span(obs::Category::Phase, "recv-decode");
+    if obs::enabled() {
+        span.set_flow(
+            obs::flow_id(t, src as u64, ep.rank() as u64),
+            obs::FlowDir::In,
+        );
+    }
+    let payload = recv_tracked(ep, src, t)?;
+    span.set_arg(payload.len() as u64);
+    let decoded = decode(&payload)?;
+    pool.recycle(payload);
+    Ok(decoded)
+}
+
 /// Encodes `stream` into a pooled buffer and sends it, blocking (full α
 /// charge) or non-blocking.
 pub(crate) fn send_stream<T: Transport, V: Scalar>(
@@ -121,23 +174,7 @@ pub(crate) fn send_stream<T: Transport, V: Scalar>(
     blocking: bool,
     pool: &mut BufferPool,
 ) -> Result<(), CollError> {
-    let mut span = obs::span(obs::Category::Phase, "encode-send");
-    if obs::enabled() {
-        span.set_flow(
-            obs::flow_id(t, ep.rank() as u64, dst as u64),
-            obs::FlowDir::Out,
-        );
-    }
-    let mut buf = pool.acquire();
-    stream.encode_into(&mut buf);
-    let payload = Bytes::from(buf);
-    span.set_arg(payload.len() as u64);
-    if blocking {
-        ep.send(dst, t, payload)?;
-    } else {
-        ep.isend(dst, t, payload)?;
-    }
-    Ok(())
+    send_encoded(ep, dst, t, blocking, pool, |buf| stream.encode_into(buf))
 }
 
 /// Encodes the index range of `stream` straight onto the wire — for
@@ -152,32 +189,16 @@ pub(crate) fn send_stream_range<T: Transport, V: Scalar>(
     blocking: bool,
     pool: &mut BufferPool,
 ) -> Result<(), CollError> {
-    let mut span = obs::span(obs::Category::Phase, "encode-send");
-    if obs::enabled() {
-        span.set_flow(
-            obs::flow_id(t, ep.rank() as u64, dst as u64),
-            obs::FlowDir::Out,
-        );
-    }
-    let mut buf = pool.acquire();
-    match stream.sparse_view() {
-        Some(view) => {
-            SparseStream::encode_sparse_slice_into(
+    send_encoded(ep, dst, t, blocking, pool, |buf| {
+        match stream.sparse_view() {
+            Some(view) => SparseStream::encode_sparse_slice_into(
                 stream.dim(),
                 view.range(range.lo, range.hi),
-                &mut buf,
-            );
+                buf,
+            ),
+            None => stream.restrict(range.lo, range.hi).encode_into(buf),
         }
-        None => stream.restrict(range.lo, range.hi).encode_into(&mut buf),
-    }
-    let payload = Bytes::from(buf);
-    span.set_arg(payload.len() as u64);
-    if blocking {
-        ep.send(dst, t, payload)?;
-    } else {
-        ep.isend(dst, t, payload)?;
-    }
-    Ok(())
+    })
 }
 
 /// Receives and decodes a stream from `src`, recycling the frame buffer.
@@ -187,18 +208,7 @@ pub(crate) fn recv_stream<T: Transport, V: Scalar>(
     t: u64,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
-    let mut span = obs::span(obs::Category::Phase, "recv-decode");
-    if obs::enabled() {
-        span.set_flow(
-            obs::flow_id(t, src as u64, ep.rank() as u64),
-            obs::FlowDir::In,
-        );
-    }
-    let payload = recv_tracked(ep, src, t)?;
-    span.set_arg(payload.len() as u64);
-    let stream = SparseStream::decode(&payload)?;
-    pool.recycle(payload);
-    Ok(stream)
+    recv_decoded(ep, src, t, pool, |bytes| Ok(SparseStream::decode(bytes)?))
 }
 
 /// `ep.recv` with blocked-on-peer wait attribution: when telemetry is
@@ -231,58 +241,62 @@ pub(crate) fn exchange_stream<T: Transport, V: Scalar>(
     recv_stream(ep, peer, t, pool)
 }
 
-/// Simultaneous stream exchange with `peer` that piggybacks an 8-byte
-/// union-size bound ahead of the encoded frame — the carrier of the
-/// adaptive collectives' δ-switch state. Both sides combine the two
-/// bounds with the same symmetric rule, so exchange partners can never
-/// disagree on the projected union (and therefore on the switch), while
-/// the self-describing wire frame keeps mixed sparse/dense rounds
-/// decodable regardless of what the peer chose to send.
-pub(crate) fn exchange_stream_with_bound<T: Transport, V: Scalar>(
+/// Sends a frame ending in one 8-byte control word, with `stream`
+/// encoded ahead of it when attached — the carrier of everything the
+/// recursive-doubling schedules agree on in-collective (the δ-switch
+/// state of the adaptive schedule, the k/eager word of the `Auto` pass).
+/// The word rides free on a data frame; a detached frame is the bare
+/// 8 bytes.
+pub(crate) fn send_stream_with_word<T: Transport, V: Scalar>(
     ep: &mut T,
-    peer: usize,
+    dst: usize,
     t: u64,
-    stream: &SparseStream<V>,
-    bound: u64,
+    stream: Option<&SparseStream<V>>,
+    word: u64,
     pool: &mut BufferPool,
-) -> Result<(SparseStream<V>, u64), CollError> {
-    {
-        let mut span = obs::span(obs::Category::Phase, "encode-send");
-        if obs::enabled() {
-            span.set_flow(
-                obs::flow_id(t, ep.rank() as u64, peer as u64),
-                obs::FlowDir::Out,
-            );
+) -> Result<(), CollError> {
+    send_encoded(ep, dst, t, true, pool, |buf| {
+        // The word rides as a trailer: `encode_into` clears the buffer, so
+        // a prefix would be wiped (and prepending after the encode would
+        // shift the whole frame).
+        if let Some(stream) = stream {
+            stream.encode_into(buf);
         }
-        let mut buf = pool.acquire();
-        // The word rides as an 8-byte trailer: `encode_into` clears the
-        // buffer, so a prefix would be wiped (and prepending after the
-        // encode would shift the whole frame).
-        stream.encode_into(&mut buf);
-        buf.extend_from_slice(&bound.to_le_bytes());
-        let payload = Bytes::from(buf);
-        span.set_arg(payload.len() as u64);
-        ep.send(peer, t, payload)?;
-    }
-    let mut span = obs::span(obs::Category::Phase, "recv-decode");
-    if obs::enabled() {
-        span.set_flow(
-            obs::flow_id(t, peer as u64, ep.rank() as u64),
-            obs::FlowDir::In,
-        );
-    }
-    let payload = recv_tracked(ep, peer, t)?;
-    span.set_arg(payload.len() as u64);
-    if payload.len() < 8 {
-        return Err(CollError::Invalid(
-            "adaptive frame missing its union bound".into(),
-        ));
-    }
-    let split = payload.len() - 8;
-    let their_bound = u64::from_le_bytes(payload[split..].try_into().expect("checked length"));
-    let theirs = SparseStream::decode(&payload[..split])?;
-    pool.recycle(payload);
-    Ok((theirs, their_bound))
+        buf.extend_from_slice(&word.to_le_bytes());
+    })
+}
+
+/// Receives a [`send_stream_with_word`] frame: the stream (when one was
+/// attached) and the control word. Both are peer-controlled bytes; what
+/// the word means, and whether a stream had to be there, is the caller's
+/// check.
+pub(crate) fn recv_stream_with_word<T: Transport, V: Scalar>(
+    ep: &mut T,
+    src: usize,
+    t: u64,
+    pool: &mut BufferPool,
+) -> Result<(Option<SparseStream<V>>, u64), CollError> {
+    recv_decoded(ep, src, t, pool, decode_stream_with_word)
+}
+
+/// Splits a [`send_stream_with_word`] frame into its optional stream and
+/// its trailing word.
+pub(crate) fn decode_stream_with_word<V: Scalar>(
+    frame: &[u8],
+) -> Result<(Option<SparseStream<V>>, u64), CollError> {
+    let Some(split) = frame.len().checked_sub(8) else {
+        return Err(CollError::Invalid(format!(
+            "frame of {} bytes is too short for its 8-byte control word",
+            frame.len()
+        )));
+    };
+    let word = u64::from_le_bytes(frame[split..].try_into().expect("checked length"));
+    let stream = if split == 0 {
+        None
+    } else {
+        Some(SparseStream::decode(&frame[..split])?)
+    };
+    Ok((stream, word))
 }
 
 /// Adds `other` into `acc`, charging the endpoint for the reduction work.

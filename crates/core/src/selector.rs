@@ -5,9 +5,11 @@
 //! processes" (§5.3, citing Thakur & Gropp). SparCML adds the sparsity
 //! dimension: the right choice depends on `P`, `N`, `k`, and the expected
 //! reduced size `K`. The selector estimates `E[K]` under the uniform model
-//! (Appendix B), decides between the static (SSAR) and dynamic (DSAR)
-//! regimes against the δ threshold, and then picks the cheapest schedule
-//! by its analytic expected cost.
+//! (Appendix B), prices every flat schedule by its analytic expected cost
+//! — communication envelope plus the reduction work the virtual clock
+//! charges — and takes the cheapest. The δ threshold is not a gate in
+//! front of the sweep: just past it a sparse schedule can still beat
+//! DSAR, and just before it DSAR can beat the dense baselines.
 
 use sparcml_net::{CostModel, Topology, TopologyCostModel};
 use sparcml_stream::{delta_raw, Scalar};
@@ -59,9 +61,15 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             let compute = c.gamma * (k + n);
             lerp(bounds::dsar_split_ag(w, c)) + compute
         }
-        Algorithm::DenseRecDbl => bounds::dense_rec_dbl(w, c).lower + c.gamma * log2p * n,
-        Algorithm::DenseRabenseifner => bounds::dense_rabenseifner(w, c).lower + c.gamma * n,
-        Algorithm::DenseRing => bounds::dense_ring(w, c).lower + c.gamma * n,
+        // The dense baselines pay γ·k to densify their input before the
+        // first frame, then their reduction work: log2(P) full-vector
+        // merges for recursive doubling, the (P−1)/P·N elements a
+        // reduce-scatter touches for the other two.
+        Algorithm::DenseRecDbl => bounds::dense_rec_dbl(w, c).lower + c.gamma * (k + log2p * n),
+        Algorithm::DenseRabenseifner => {
+            bounds::dense_rabenseifner(w, c).lower + c.gamma * (k + (p - 1.0) / p * n)
+        }
+        Algorithm::DenseRing => bounds::dense_ring(w, c).lower + c.gamma * (k + (p - 1.0) / p * n),
         Algorithm::SparseRing => {
             // Ring on sparse partitions: 2(P−1) messages of ≈ E[K]/P pairs.
             2.0 * (p - 1.0) * (c.alpha + ek / p * c.beta * w.pair_bytes()) + c.gamma * 2.0 * ek
@@ -78,12 +86,12 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
     }
 }
 
-/// The candidate set the §5.3 sweep chooses among for this workload's
-/// regime: the *dynamic* instances (`E[K] ≥ δ`) compare DSAR against the
-/// dense baselines, the *static* ones compare the sparse schedules. The
-/// measurement-calibrated selector ([`crate::ObservedCostModel`]) explores
-/// exactly this set, so preset-based and calibrated Auto always pick from
-/// the same candidates.
+/// The candidates the measurement-calibrated selector
+/// ([`crate::ObservedCostModel`]) explores for this workload's regime:
+/// the *dynamic* instances (`E[K] ≥ δ`) try DSAR and the dense baselines,
+/// the *static* ones the sparse schedules. Exploration runs every
+/// candidate for real, so it stays inside the regime; the preset selector
+/// ([`select_algorithm`]) only prices, and prices all eight.
 pub(crate) fn flat_candidates<V: Scalar>(p: usize, n: usize, k: usize) -> &'static [Algorithm] {
     let ek = expected_union_size(n, p, k.min(n));
     let delta = delta_raw::<V>(n) as f64;
@@ -105,13 +113,9 @@ pub(crate) fn flat_candidates<V: Scalar>(p: usize, n: usize, k: usize) -> &'stat
 }
 
 /// Picks an allreduce algorithm for a `P`-rank reduction of `N`-dim
-/// vectors with `k` non-zeros per rank.
-///
-/// Decision structure (mirroring §5.3):
-/// 1. estimate `E[K]`;
-/// 2. if `E[K] ≥ δ`, the instance is *dynamic* (DSAR) — compare DSAR
-///    against the dense baselines only;
-/// 3. otherwise the instance is *static* — compare the sparse schedules.
+/// vectors with `k` non-zeros per rank: estimates `E[K]`, prices every
+/// member of [`Algorithm::ALL`] by its expected cost and returns the
+/// cheapest (ties go to the earlier member).
 pub fn select_algorithm<V: Scalar>(p: usize, n: usize, k: usize, cost: &CostModel) -> Algorithm {
     let w = Workload {
         p,
@@ -120,15 +124,13 @@ pub fn select_algorithm<V: Scalar>(p: usize, n: usize, k: usize, cost: &CostMode
         value_bytes: V::BYTES,
     };
     let ek = expected_union_size(n, p, k.min(n));
-    let candidates = flat_candidates::<V>(p, n, k);
-    *candidates
-        .iter()
-        .min_by(|a, b| {
-            expected_cost(**a, &w, cost, ek)
-                .partial_cmp(&expected_cost(**b, &w, cost, ek))
-                .expect("costs are finite")
-        })
-        .expect("candidate list non-empty")
+    // Priced once each: this runs on every `Auto` call.
+    Algorithm::ALL
+        .map(|algo| (expected_cost(algo, &w, cost, ek), algo))
+        .into_iter()
+        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("costs are finite"))
+        .expect("Algorithm::ALL is not empty")
+        .1
 }
 
 impl Algorithm {
@@ -151,27 +153,24 @@ impl Algorithm {
     }
 }
 
-/// Virtual-time cost of the Auto path's per-call k-agreement: one
-/// 8-byte-payload allgather (recursive doubling at power-of-two `P`,
-/// ring otherwise). Latency-bound workloads pay this on top of the
-/// resolved schedule — pin a concrete [`Algorithm`] to avoid it.
-fn auto_agreement_cost(p: usize, c: &CostModel) -> f64 {
-    if p <= 1 {
+/// Virtual-time cost of the Auto path's k-agreement when it resolves to
+/// `pick`. Recursive doubling's own frames carry the agreement, so that
+/// pick costs no round; any other pays one pass of bare 8-byte frames —
+/// `⌊log2 P⌋` rounds, plus the fold and unfold hops off powers of two —
+/// before the schedule starts.
+fn auto_agreement_cost(pick: Algorithm, p: usize, c: &CostModel) -> f64 {
+    if p <= 1 || pick == Algorithm::SsarRecDbl {
         return 0.0;
     }
-    let rounds = if p.is_power_of_two() {
-        (p as f64).log2()
-    } else {
-        (p - 1) as f64
-    };
-    // 8 bytes of k plus the block-group framing per round.
-    rounds * (c.alpha + 24.0 * c.beta)
+    let rounds = p.ilog2() + if p.is_power_of_two() { 0 } else { 2 };
+    rounds as f64 * (c.alpha + 8.0 * c.beta)
 }
 
 /// Estimated completion time of `algo` (exposed for reporting/EXPERIMENTS)
 /// under the uniform-support fill-in model of Appendix B.
-/// [`Algorithm::Auto`] is priced as its resolved concrete choice *plus*
-/// the k-agreement round the communicator runs before dispatching.
+/// [`Algorithm::Auto`] is priced as its resolved concrete choice plus
+/// what its k-agreement costs that choice: nothing when it resolves to
+/// recursive doubling, one pass of 8-byte frames otherwise.
 pub fn estimate_time<V: Scalar>(
     algo: Algorithm,
     p: usize,
@@ -179,20 +178,33 @@ pub fn estimate_time<V: Scalar>(
     k: usize,
     cost: &CostModel,
 ) -> f64 {
+    let ek = expected_union_size(n, p, k.min(n));
+    estimate_at_union::<V>(algo, p, n, k, ek, cost)
+}
+
+/// `algo`'s expected cost at union size `ek`; [`Algorithm::Auto`] as its
+/// resolved pick plus that pick's agreement cost.
+fn estimate_at_union<V: Scalar>(
+    algo: Algorithm,
+    p: usize,
+    n: usize,
+    k: usize,
+    ek: f64,
+    cost: &CostModel,
+) -> f64 {
+    let pick = algo.resolve_for::<V>(p, n, k, cost);
     let agreement = if algo.is_auto() {
-        auto_agreement_cost(p, cost)
+        auto_agreement_cost(pick, p, cost)
     } else {
         0.0
     };
-    let algo = algo.resolve_for::<V>(p, n, k, cost);
     let w = Workload {
         p,
         n,
         k,
         value_bytes: V::BYTES,
     };
-    let ek = expected_union_size(n, p, k.min(n));
-    agreement + expected_cost(algo, &w, cost, ek)
+    agreement + expected_cost(pick, &w, cost, ek)
 }
 
 /// Expected completion time of the two-level hierarchical schedule on a
@@ -202,9 +214,9 @@ pub fn estimate_time<V: Scalar>(
 /// 1. *intra reduce* — binomial tree over the largest node (`⌈log2 g⌉`
 ///    rounds on intra links; payloads grow toward the node's expected
 ///    union `E[K_g]`, merge work `≈ g·k` at the leader's critical path);
-/// 2. *leader allreduce* — the cheapest flat schedule for `nodes` ranks
-///    with `E[K_g]`-sized streams on inter links (the same §5.3 sweep,
-///    applied recursively);
+/// 2. *leader allreduce* — flat `Auto` among `nodes` ranks with
+///    `E[K_g]`-sized streams on inter links (the same §5.3 sweep, applied
+///    recursively, with what its agreement costs the pick);
 /// 3. *intra broadcast* — `⌈log2 g⌉` rounds carrying the global result of
 ///    expected size `E[K]`.
 pub fn estimate_hierarchical_time<V: Scalar>(
@@ -230,8 +242,7 @@ pub fn estimate_hierarchical_time<V: Scalar>(
     // (2) Leader-level flat allreduce, selected recursively.
     let kg = ek_group.round() as usize;
     let t_leaders = if nodes > 1 {
-        let best = select_algorithm::<V>(nodes, n, kg.max(1), &tcm.inter);
-        estimate_time::<V>(best, nodes, n, kg.max(1), &tcm.inter)
+        estimate_time::<V>(Algorithm::Auto, nodes, n, kg.max(1), &tcm.inter)
     } else {
         0.0
     };
@@ -276,19 +287,8 @@ pub fn estimate_time_with_union<V: Scalar>(
     ek: f64,
     cost: &CostModel,
 ) -> f64 {
-    let agreement = if algo.is_auto() {
-        auto_agreement_cost(p, cost)
-    } else {
-        0.0
-    };
-    let algo = algo.resolve_for::<V>(p, n, k, cost);
-    let w = Workload {
-        p,
-        n,
-        k,
-        value_bytes: V::BYTES,
-    };
-    agreement + expected_cost(algo, &w, cost, ek.clamp(k as f64, (p * k).min(n) as f64))
+    let ek = ek.clamp(k as f64, (p * k).min(n) as f64);
+    estimate_at_union::<V>(algo, p, n, k, ek, cost)
 }
 
 #[cfg(test)]
@@ -323,17 +323,62 @@ mod tests {
     }
 
     #[test]
-    fn auto_estimate_includes_agreement_overhead() {
-        // Pricing the default path: Auto = resolved schedule + the
-        // k-agreement allgather, so it must strictly exceed the pinned
-        // estimate whenever P > 1.
+    fn auto_estimate_charges_agreement_only_off_recursive_doubling() {
         let cost = CostModel::gige();
-        let (p, n, k) = (8usize, 1 << 20, 1 << 6);
-        let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &cost);
-        let t_auto = estimate_time::<f32>(Algorithm::Auto, p, n, k, &cost);
-        let t_pinned = estimate_time::<f32>(resolved, p, n, k, &cost);
-        assert!(t_auto > t_pinned, "auto {t_auto} vs pinned {t_pinned}");
-        assert!((t_auto - t_pinned - 3.0 * cost.alpha).abs() < 1e-3 * cost.alpha + 1e-6);
+        let word = cost.alpha + 8.0 * cost.beta;
+        let gap = |p: usize, n: usize, k: usize| {
+            let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &cost);
+            let t_auto = estimate_time::<f32>(Algorithm::Auto, p, n, k, &cost);
+            (
+                resolved,
+                t_auto - estimate_time::<f32>(resolved, p, n, k, &cost),
+            )
+        };
+        // Recursive doubling's frames carry the agreement: Auto is priced
+        // exactly as the pinned schedule, at any P.
+        for p in [2, 6, 8] {
+            let (resolved, extra) = gap(p, 1 << 20, 1 << 6);
+            assert_eq!(resolved, Algorithm::SsarRecDbl, "P={p}");
+            assert_eq!(extra, 0.0, "P={p}");
+        }
+        // Any other pick pays one pass of 8-byte frames first: log2(P)
+        // rounds, plus the fold and unfold hops off powers of two.
+        for (p, rounds) in [(8, 3.0), (6, 4.0), (12, 5.0)] {
+            let (resolved, extra) = gap(p, 1 << 20, 1 << 17);
+            assert_ne!(resolved, Algorithm::SsarRecDbl, "P={p}");
+            assert!(
+                (extra - rounds * word).abs() < 1e-9 * word,
+                "P={p}: {extra} vs {rounds} x {word}"
+            );
+        }
+    }
+
+    #[test]
+    fn selection_does_not_gate_on_delta() {
+        // P=8, N=2^20 on Aries, either side of E[K] = δ. Just past it the
+        // sparse split still beats DSAR; further on DSAR beats the dense
+        // baselines, which pay γ·k to densify their input.
+        let cost = CostModel::aries();
+        let pick = |k| select_algorithm::<f32>(8, 1 << 20, k, &cost);
+        assert_eq!(pick(100_000), Algorithm::SsarSplitAllgather);
+        assert_eq!(pick(300_000), Algorithm::DsarSplitAllgather);
+    }
+
+    #[test]
+    fn dense_prices_track_the_virtual_clock() {
+        // Measured on the virtual cluster at P=8, N=2^20, Aries:
+        // Rabenseifner = 1660.5 µs + 1 ns·k, ring = 1672.5 µs + 1 ns·k.
+        let cost = CostModel::aries();
+        for (algo, base_us) in [
+            (Algorithm::DenseRabenseifner, 1660.5),
+            (Algorithm::DenseRing, 1672.5),
+        ] {
+            for k in [100usize, 300_000] {
+                let t_us = estimate_time::<f32>(algo, 8, 1 << 20, k, &cost) * 1e6;
+                let clock_us = base_us + k as f64 * 1e-3;
+                assert!((t_us - clock_us).abs() < 0.1, "{algo:?} k={k}: {t_us}");
+            }
+        }
     }
 
     #[test]

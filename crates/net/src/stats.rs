@@ -80,6 +80,12 @@ comm_stats_fields! {
     /// Adaptive collectives whose δ-switch fired at least once (the
     /// projected end-of-collective union crossed δ mid-schedule).
     adaptive_densified,
+    /// `Algorithm::Auto` calls whose agreement pass was the collective:
+    /// every rank picked recursive doubling, so no round went to agreement.
+    auto_fused,
+    /// `Algorithm::Auto` calls whose pass only agreed on `k` (8-byte
+    /// frames) and then dispatched the selected schedule.
+    auto_fallback,
 }
 
 impl CommStats {
@@ -154,6 +160,8 @@ mod tests {
             read_batch_frames: 7,
             switch_rounds: 9,
             adaptive_densified: 5,
+            auto_fused: 11,
+            auto_fallback: 13,
         }
     }
 
@@ -195,7 +203,7 @@ mod tests {
     #[test]
     fn field_count_matches_fields_len() {
         assert_eq!(CommStats::FIELD_COUNT, sample().fields().len());
-        assert_eq!(CommStats::FIELD_COUNT, 13);
+        assert_eq!(CommStats::FIELD_COUNT, 15);
     }
 
     #[test]
@@ -217,8 +225,10 @@ mod tests {
         assert!(text.contains("read_batch_frames 7\n"));
         assert!(text.contains("switch_rounds 9\n"));
         assert!(text.contains("adaptive_densified 5\n"));
+        assert!(text.contains("auto_fused 11\n"));
+        assert!(text.contains("auto_fallback 13\n"));
         assert!(text.contains("pool_reuse_rate 0.7500\n"));
-        assert_eq!(text.lines().count(), 14);
+        assert_eq!(text.lines().count(), 16);
     }
 
     #[test]

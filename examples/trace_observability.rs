@@ -53,8 +53,10 @@ fn main() {
         let mut comm = Communicator::new(tp.detach());
         let rank = comm.rank();
 
-        // Direct collectives: Auto + a pinned schedule, so the trace
-        // carries both agreement and per-round phase spans.
+        // Direct collectives. Auto at this sparsity resolves to recursive
+        // doubling, so its agreement rides the schedule's own frames and
+        // the trace shows one `SSAR_Recursive_double` collective span per
+        // call with per-round phase spans, and no agreement span.
         let input = random_sparse::<f32>(DIM, NNZ, 42 + rank as u64);
         for _ in 0..3 {
             comm.allreduce(&input)
@@ -62,6 +64,13 @@ fn main() {
                 .and_then(|h| h.wait())
                 .expect("allreduce");
         }
+        // A half-dense input resolves elsewhere: that pass only agrees on
+        // k, and shows up as an `auto-resolve` agreement span ahead of
+        // the picked schedule's collective span.
+        comm.allreduce(&random_sparse::<f32>(DIM, DIM / 2, 77 + rank as u64))
+            .launch()
+            .and_then(|h| h.wait())
+            .expect("dense-ish allreduce");
 
         // One non-blocking collective: the transport hops to a
         // `sparcml-nb-{rank}` helper thread, which must appear as its
@@ -136,8 +145,9 @@ fn main() {
     let expect_pids: BTreeSet<usize> = (0..WORLD).collect();
     assert_eq!(pids, expect_pids, "spans from every rank");
     for required in [
-        "auto-resolve", // Auto's agreement span
-        "encode-send",  // per-round collective phases
+        "SSAR_Recursive_double", // Auto passes that were the collective
+        "auto-resolve",          // ...and the one that fell back
+        "encode-send",           // per-round collective phases
         "recv-decode",
         "merge",
         "agree-batch", // engine lifecycle

@@ -7,11 +7,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use sparcml::core::reference::reference_sum;
-use sparcml::core::{hierarchical_allreduce, ssar_recursive_double, Algorithm, Communicator};
+use sparcml::core::{
+    hierarchical_allreduce, select_algorithm, ssar_recursive_double, Algorithm, Communicator,
+};
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
 use sparcml::net::{
     run_cluster, run_tcp_loopback_cluster, run_thread_cluster, CommError, CommStats, CostModel,
-    Topology, Transport, TransportConfig,
+    Topology, TopologyCostModel, Transport, TransportConfig,
 };
 use sparcml::stream::{random_sparse, SparseStream, XorShift64};
 use sparcml_core::AllreduceConfig;
@@ -583,6 +585,162 @@ fn engine_submits_onto_split_communicators() {
         for (g, e) in world_out.to_dense_vec().iter().zip(world_expect.iter()) {
             assert!((g - e).abs() < 1e-4, "world after engine, rank {rank}");
         }
+    }
+}
+
+// --- Auto's in-schedule agreement on nested transports ---------------------
+
+/// `ins[rank]` with `nnz` non-zeros per rank (dense when `None`).
+fn auto_inputs(p: usize, dim: usize, nnz: Option<usize>) -> Vec<SparseStream<f32>> {
+    (0..p)
+        .map(|r| {
+            let mut s = random_sparse(dim, nnz.unwrap_or(dim / 2), 9850 + r as u64);
+            if nnz.is_none() {
+                s.densify();
+            }
+            s
+        })
+        .collect()
+}
+
+#[test]
+fn auto_on_a_subgroup_is_bitwise_the_pinned_pick() {
+    // P = 7 split by parity: a power-of-two group and one that folds.
+    // Auto's agreement pass runs over the `GroupTransport`; it must give
+    // the pinned pick's bits whether the pass was the collective (small
+    // k) or only agreed (large k, dense).
+    let p = 7;
+    let dim = 1 << 13;
+    let cost = CostModel::aries();
+    for nnz in [Some(1), Some(64), Some(5_000), None] {
+        let ins = auto_inputs(p, dim, nnz);
+        let outs = run_cluster(p, cost, |ep| {
+            let comm = Communicator::new(ep.detach());
+            let world_rank = comm.rank();
+            let mut sub = comm.split((world_rank % 2) as u64).unwrap();
+            let k = ins[world_rank].stored_len().max(1);
+            let pick = select_algorithm::<f32>(sub.size(), dim, k, sub.cost());
+            let before = sub.stats_snapshot();
+            let auto = sub
+                .allreduce(&ins[world_rank])
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap();
+            let stats = sub.stats_snapshot().since(&before);
+            let pinned = sub
+                .allreduce(&ins[world_rank])
+                .algorithm(pick)
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap();
+            *ep = sub.into_parent().into_transport();
+            (pick, auto, pinned, stats.auto_fused, stats.auto_fallback)
+        });
+        for (rank, (pick, auto, pinned, fused, fallback)) in outs.into_iter().enumerate() {
+            assert_eq!(auto, pinned, "rank {rank} nnz={nnz:?} pick {pick:?}");
+            let rec_dbl = pick == Algorithm::SsarRecDbl;
+            assert_eq!((fused, fallback), (rec_dbl as u64, !rec_dbl as u64));
+        }
+    }
+}
+
+#[test]
+fn hierarchical_auto_leader_stage_is_bitwise_the_pinned_leader_pick() {
+    // 2×4: the two leaders run flat Auto on the node sums. With sparse
+    // node sums that is recursive doubling and the leaders' pass is
+    // their whole exchange; with dense inputs it falls back.
+    let p = 8;
+    let dim = 1 << 12;
+    let topo = Topology::uniform(2, 4).unwrap();
+    let cost = CostModel::aries();
+    for (nnz, leader_pick) in [
+        (Some(8), Algorithm::SsarRecDbl),
+        (None, select_algorithm::<f32>(2, dim, dim, &cost)),
+    ] {
+        assert_eq!(leader_pick == Algorithm::SsarRecDbl, nnz.is_some());
+        let ins = auto_inputs(p, dim, nnz);
+        let run = |leader: Algorithm| {
+            run_cluster(p, cost, |ep| {
+                let mut comm = Communicator::new(ep.detach());
+                let out = comm
+                    .allreduce(&ins[comm.rank()])
+                    .algorithm(Algorithm::Hierarchical)
+                    .topology(topo.clone())
+                    .topology_cost(TopologyCostModel::uniform(cost))
+                    .leader_algorithm(leader)
+                    .launch()
+                    .and_then(|h| h.wait())
+                    .unwrap();
+                let stats = comm.stats_snapshot();
+                *ep = comm.into_transport();
+                (out, stats.auto_fused, stats.auto_fallback, stats.msgs_sent)
+            })
+        };
+        let auto = run(Algorithm::Auto);
+        let pinned = run(leader_pick);
+        let rec_dbl = leader_pick == Algorithm::SsarRecDbl;
+        for (rank, (a, b)) in auto.iter().zip(&pinned).enumerate() {
+            assert_eq!(a.0, b.0, "rank {rank} nnz={nnz:?}");
+            let passes = topo.is_leader(rank) as u64;
+            assert_eq!(
+                (a.1, a.2),
+                (passes * rec_dbl as u64, passes * !rec_dbl as u64),
+                "rank {rank} nnz={nnz:?}"
+            );
+            if rec_dbl {
+                assert_eq!(a.3, b.3, "the leaders' agreement cost no message");
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_fused_bucket_auto_is_bitwise_the_pinned_pick() {
+    // Six small layers fuse into one bucket; the bucket's Auto resolves
+    // to recursive doubling, so the engine's collective is the pass.
+    let p = 4;
+    let layers = 6;
+    let dim = 2048;
+    let ins: Vec<Vec<SparseStream<f32>>> = (0..p)
+        .map(|r| {
+            (0..layers)
+                .map(|l| random_sparse(dim, 12, 9870 + (r * layers + l) as u64))
+                .collect()
+        })
+        .collect();
+    let run = |algorithm: Algorithm| {
+        run_thread_cluster(p, |tp| {
+            let mut comm = Communicator::new(tp.detach());
+            let mut engine = comm.engine(EngineConfig {
+                algorithm,
+                ..EngineConfig::default()
+            });
+            let refs: Vec<&SparseStream<f32>> = ins[engine.rank()].iter().collect();
+            let outs: Vec<SparseStream<f32>> = engine
+                .submit_allreduce_group(&refs)
+                .into_iter()
+                .map(|t| t.wait().unwrap())
+                .collect();
+            let stats = engine.stats();
+            engine.finish_into(&mut comm).unwrap();
+            *tp = comm.into_transport();
+            (outs, stats)
+        })
+    };
+    let auto = run(Algorithm::Auto);
+    let pinned = run(Algorithm::SsarRecDbl);
+    for (rank, ((a, a_stats), (b, b_stats))) in auto.iter().zip(&pinned).enumerate() {
+        assert_eq!(a, b, "rank {rank}");
+        assert_eq!(a_stats.buckets, 1, "the group fused");
+        assert_eq!(
+            (a_stats.comm.auto_fused, a_stats.comm.auto_fallback),
+            (a_stats.chunks.max(1), 0),
+            "rank {rank}: every chunk's pass was its collective"
+        );
+        assert_eq!(
+            a_stats.comm.msgs_sent, b_stats.comm.msgs_sent,
+            "rank {rank}: Auto sent no message the pinned schedule does not"
+        );
     }
 }
 

@@ -11,7 +11,7 @@ use sparcml::core::{
 };
 use sparcml::net::CostModel;
 use sparcml::quant::QsgdConfig;
-use sparcml::stream::{random_sparse, Scalar, SparseStream};
+use sparcml::stream::{random_sparse, uniform_indices, Scalar, SparseStream, XorShift64};
 
 /// Runs one allreduce program on every rank of both backends and checks
 /// each against the reference sum — the transport-parity harness.
@@ -268,6 +268,106 @@ fn auto_round_trips_through_select_algorithm() {
             "P={p} N={n} k={k} chose {expected:?}"
         );
     }
+}
+
+#[test]
+fn auto_straddling_the_rec_dbl_boundary_falls_back_to_the_reference() {
+    // Half the ranks hold k=100 (their own pick: recursive doubling, so
+    // they enter the pass eager and attach their streams), half hold
+    // k=2e5 (not eager). The bit dies somewhere along the way — in round
+    // 0 when the halves interleave, in the last round (or the fold hop)
+    // when they are the low and high ranks — every rank learns k = 2e5,
+    // and the fallback schedule returns the exact sum everywhere.
+    let cost = CostModel::aries();
+    let dim = 1 << 20;
+    for p in [8usize, 6] {
+        for interleaved in [true, false] {
+            let small = |rank: usize| {
+                if interleaved {
+                    rank.is_multiple_of(2)
+                } else {
+                    rank < p / 2
+                }
+            };
+            let ins: Vec<SparseStream<f32>> = (0..p)
+                .map(|rank| {
+                    let k = if small(rank) { 100 } else { 200_000 };
+                    let mut rng = XorShift64::new(31 + rank as u64);
+                    let idx = uniform_indices(dim, k, &mut rng);
+                    // Small integers: every schedule's f32 sum is exact.
+                    let pairs: Vec<(u32, f32)> =
+                        idx.into_iter().map(|i| (i, (1 + i % 5) as f32)).collect();
+                    SparseStream::from_pairs(dim, &pairs).unwrap()
+                })
+                .collect();
+            assert_eq!(
+                select_algorithm::<f32>(p, dim, 100, &cost),
+                Algorithm::SsarRecDbl
+            );
+            let agreed = select_algorithm::<f32>(p, dim, 200_000, &cost);
+            assert_ne!(agreed, Algorithm::SsarRecDbl);
+            let expect = reference_sum(&ins);
+            let outs = run_communicators(p, cost, |comm| {
+                let out = comm
+                    .allreduce(&ins[comm.rank()])
+                    .launch()
+                    .and_then(|h| h.wait())
+                    .unwrap();
+                let stats = comm.stats_snapshot();
+                (out, stats.auto_fused, stats.auto_fallback)
+            });
+            for (rank, (out, fused, fallback)) in outs.into_iter().enumerate() {
+                assert_eq!(
+                    out.to_dense_vec(),
+                    expect,
+                    "P={p} interleaved={interleaved} rank {rank}"
+                );
+                assert_eq!((fused, fallback), (0, 1), "rank {rank}");
+            }
+        }
+    }
+}
+
+#[test]
+fn auto_costs_no_round_where_recursive_doubling_is_the_pick() {
+    // The paper's latency-bound regime on Aries at P=8, k=100: Auto sends
+    // log2(P) = 3 messages per rank — the schedule's own, nothing for
+    // agreement — and finishes within the three 8-byte words of the
+    // pinned schedule's time.
+    let cost = CostModel::aries();
+    let (p, dim, k) = (8usize, 1 << 20, 100);
+    let ins: Vec<SparseStream<f32>> = (0..p)
+        .map(|r| random_sparse(dim, k, 61 + r as u64))
+        .collect();
+    let run = |algo: Algorithm| {
+        run_communicators(p, cost, |comm| {
+            comm.allreduce(&ins[comm.rank()])
+                .algorithm(algo)
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap();
+            (comm.clock(), comm.stats_snapshot())
+        })
+    };
+    let auto = run(Algorithm::Auto);
+    let pinned = run(Algorithm::SsarRecDbl);
+    for ((t_auto, stats), (t_pinned, _)) in auto.iter().zip(&pinned) {
+        assert_eq!(stats.msgs_sent, 3);
+        assert_eq!((stats.auto_fused, stats.auto_fallback), (1, 0));
+        assert!(
+            (t_auto - t_pinned).abs() <= 3.0 * 8.0 * cost.beta,
+            "auto {t_auto} vs pinned {t_pinned}"
+        );
+    }
+    // And the report shows it.
+    let report = run_communicators(2, cost, |comm| {
+        comm.allreduce(&ins[comm.rank()])
+            .launch()
+            .and_then(|h| h.wait())
+            .unwrap();
+        comm.stats_report()
+    });
+    assert!(report[0].contains("auto_fused 1\n") && report[0].contains("auto_fallback 0\n"));
 }
 
 #[test]

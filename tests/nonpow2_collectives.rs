@@ -1,6 +1,7 @@
 //! Non-power-of-two rank counts: the §A fold/unfold pre/post steps and
 //! the ring fallbacks across every algorithm, plus selector behaviour, at
-//! P = 3, 5, 6, 7 and 12 — all checked against `reference::reference_sum`.
+//! P = 3, 5, 6, 7 and 12 — all checked against `reference::reference_sum` —
+//! and `Auto`'s in-schedule agreement across P = 2..9, 12, 16.
 
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{run_communicators, select_algorithm, Algorithm};
@@ -48,6 +49,72 @@ fn auto_handles_non_power_of_two_ranks() {
         // A denser workload pushes the selector into the dynamic branch.
         check_against_reference(Algorithm::Auto, p, 512, 200);
     }
+}
+
+#[test]
+fn auto_is_bitwise_the_pinned_pick_whether_or_not_its_pass_was_the_collective() {
+    // Auto agrees on k inside recursive doubling's own frames. Where the
+    // pick is recursive doubling the pass is the collective (`auto_fused`);
+    // elsewhere it falls back to the pick (`auto_fallback`). Either way
+    // the result is, bit for bit, what pinning the pick gives — blocking
+    // or `.nonblocking()`.
+    let cost = CostModel::aries();
+    let dim = 1 << 14;
+    let (mut fused_cells, mut fallback_cells) = (0, 0);
+    for p in [2usize, 3, 4, 5, 6, 7, 8, 9, 12, 16] {
+        // k = 0, 1, 64, 1e4 non-zeros per rank, and a dense input.
+        for nnz in [Some(0), Some(1), Some(64), Some(10_000), None] {
+            let ins: Vec<SparseStream<f32>> = (0..p)
+                .map(|r| match nnz {
+                    Some(nnz) => random_sparse(dim, nnz, 4400 + r as u64),
+                    None => {
+                        let mut dense = random_sparse(dim, dim / 2, 4400 + r as u64);
+                        dense.densify();
+                        dense
+                    }
+                })
+                .collect();
+            let pick = select_algorithm::<f32>(p, dim, ins[0].stored_len().max(1), &cost);
+            let run = |algo: Algorithm, nonblocking: bool| {
+                run_communicators(p, cost, |comm| {
+                    let mut call = comm.allreduce(&ins[comm.rank()]).algorithm(algo);
+                    if nonblocking {
+                        call = call.nonblocking();
+                    }
+                    let out = call.launch().and_then(|handle| handle.wait()).unwrap();
+                    let stats = comm.stats_snapshot();
+                    (out, stats.auto_fused, stats.auto_fallback)
+                })
+            };
+            let pinned = run(pick, false);
+            let expect = reference_sum(&ins);
+            for (out, fused, fallback) in &pinned {
+                assert_eq!((*fused, *fallback), (0, 0), "a pinned call is not Auto");
+                for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
+                    assert!((g - e).abs() < 1e-2, "{pick:?} P={p} nnz={nnz:?}");
+                }
+            }
+            let outcome = if pick == Algorithm::SsarRecDbl {
+                fused_cells += 1;
+                (1, 0)
+            } else {
+                fallback_cells += 1;
+                (0, 1)
+            };
+            for nonblocking in [false, true] {
+                let auto = run(Algorithm::Auto, nonblocking);
+                for (rank, (a, b)) in auto.iter().zip(&pinned).enumerate() {
+                    let what = format!("P={p} nnz={nnz:?} rank {rank} pick {pick:?}");
+                    assert_eq!(a.0, b.0, "{what}");
+                    assert_eq!((a.1, a.2), outcome, "{what}");
+                }
+            }
+        }
+    }
+    assert!(
+        fused_cells >= 10 && fallback_cells >= 10,
+        "the grid must exercise both outcomes: {fused_cells} fused, {fallback_cells} fallback"
+    );
 }
 
 #[test]

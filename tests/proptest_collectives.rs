@@ -7,10 +7,14 @@
 //! case generator (seeded `XorShift64`, fixed case counts) — same
 //! coverage intent, reproducible failures by construction.
 
+use std::time::Duration;
+
 use sparcml::core::reference::reference_sum;
-use sparcml::core::{max_communicator_time, run_communicators, Algorithm};
-use sparcml::net::CostModel;
-use sparcml::stream::{SparseStream, XorShift64};
+use sparcml::core::{
+    max_communicator_time, run_communicators, select_algorithm, Algorithm, CollError, Communicator,
+};
+use sparcml::net::{run_thread_cluster, CostModel, TagBlock, Transport};
+use sparcml::stream::{random_sparse, SparseStream, XorShift64};
 
 /// Generates one randomized cluster input: `(dim, per-rank pair lists)`
 /// with 2..7 ranks, 32..256 dims, up to dim/2 (index, value) pairs each.
@@ -296,4 +300,163 @@ fn slower_network_is_never_faster() {
             "k = {k}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Peer bytes on recursive doubling's agreement frames
+// ---------------------------------------------------------------------
+
+/// Top bit of the agreement word that ends every recursive-doubling
+/// frame: "every rank of my subcube picked recursive doubling".
+const EAGER_BIT: u64 = 1 << 63;
+/// The schedule's sub-tags inside its op's tag block (`core::op::subtag`).
+const SUBTAG_FOLD: u64 = 1;
+const SUBTAG_UNFOLD: u64 = 2;
+const SUBTAG_ROUND: u64 = 16;
+
+/// A frame as recursive doubling sends it: the stream (when attached)
+/// followed by the 8-byte word.
+fn agreement_frame(stream: Option<&SparseStream<f32>>, word: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    if let Some(stream) = stream {
+        stream.encode_into(&mut buf);
+    }
+    buf.extend_from_slice(&word.to_le_bytes());
+    buf
+}
+
+/// One honest rank (the last) runs `algo` on `input` over the in-process
+/// transport; rank 0 is a villain that answers with `frame` under
+/// `subtag` of the collective's tag block; any rank between idles.
+/// Returns what the honest rank's collective returned. The honest rank's
+/// receives give up after 50 ms, so a frame that sends it down a path
+/// the villain never joins ends in a typed transport error.
+fn against_villain(
+    p: usize,
+    input: &SparseStream<f32>,
+    algo: Algorithm,
+    subtag: u64,
+    frame: &[u8],
+) -> Result<SparseStream<f32>, CollError> {
+    let honest = p - 1;
+    let mut outs = run_thread_cluster(p, |tp| {
+        if tp.rank() == honest {
+            tp.set_recv_deadline(Duration::from_millis(50));
+            let mut comm = Communicator::new(tp.detach());
+            let out = comm
+                .allreduce(input)
+                .algorithm(algo)
+                .launch()
+                .and_then(|h| h.wait());
+            *tp = comm.into_transport();
+            return Some(out);
+        }
+        if tp.rank() == 0 {
+            // The op id the honest rank's collective draws.
+            let block = TagBlock::for_op(tp.next_op_id());
+            tp.send(honest, block.tag(subtag), frame.to_vec().into())
+                .unwrap();
+            // Stay up until the honest rank's first frame is in (round 0
+            // at P=2, its fold at P=3), so its send never meets a closed
+            // peer.
+            let first = if p == 2 { SUBTAG_ROUND } else { SUBTAG_FOLD };
+            tp.recv(honest, block.tag(first)).unwrap();
+        }
+        None
+    });
+    outs.pop().flatten().expect("the honest rank reports")
+}
+
+#[test]
+fn malformed_agreement_frames_are_typed_errors_on_the_receiver() {
+    let dim = 1 << 12;
+    let input = random_sparse::<f32>(dim, 32, 11);
+    let wrong_dim = random_sparse::<f32>(dim / 2, 32, 12);
+    let eager = |k: u64| k | EAGER_BIT;
+    // P=2: the villain is the honest rank's round-0 partner.
+    for algo in [Algorithm::Auto, Algorithm::SsarRecDbl] {
+        let valid = agreement_frame(Some(&input), eager(32));
+        let out = against_villain(2, &input, algo, SUBTAG_ROUND, &valid).unwrap();
+        assert_eq!(out.nnz(), 32, "input + input keeps the support");
+        for (what, frame) in [
+            ("shorter than its word", vec![0xff; 5]),
+            ("bit set, no stream", agreement_frame(None, eager(32))),
+            (
+                "stream of the wrong dim",
+                agreement_frame(Some(&wrong_dim), eager(32)),
+            ),
+            (
+                "k above dim",
+                agreement_frame(Some(&input), eager(dim as u64 + 1)),
+            ),
+        ] {
+            match against_villain(2, &input, algo, SUBTAG_ROUND, &frame) {
+                Err(CollError::Invalid(_)) => {}
+                other => panic!("{algo:?}, {what}: {other:?}"),
+            }
+        }
+    }
+    // A pinned rank whose partner declines gets an error, not a hang.
+    match against_villain(
+        2,
+        &input,
+        Algorithm::SsarRecDbl,
+        SUBTAG_ROUND,
+        &agreement_frame(None, 32),
+    ) {
+        Err(CollError::Invalid(_)) => {}
+        other => panic!("declined pinned schedule: {other:?}"),
+    }
+    // P=3: the honest rank parks with the villain. Its own k rules
+    // recursive doubling out, so it folds in a cleared bit — an unfold
+    // frame that sets the bit again contradicts it.
+    let big = random_sparse::<f32>(dim, dim / 2, 13);
+    let cost = run_thread_cluster(1, |tp| *tp.cost())[0];
+    assert_ne!(
+        select_algorithm::<f32>(3, dim, dim / 2, &cost),
+        Algorithm::SsarRecDbl
+    );
+    let lie = agreement_frame(Some(&big), eager(dim as u64 / 2));
+    match against_villain(3, &big, Algorithm::Auto, SUBTAG_UNFOLD, &lie) {
+        Err(CollError::Invalid(_)) => {}
+        other => panic!("bit restored after the partner cleared it: {other:?}"),
+    }
+}
+
+#[test]
+fn mutated_agreement_frames_never_panic_or_hang_the_receiver() {
+    let dim = 1 << 10;
+    let input = random_sparse::<f32>(dim, 24, 21);
+    let mut dense = input.clone();
+    dense.densify();
+    let valid = [
+        agreement_frame(Some(&input), 24 | EAGER_BIT),
+        agreement_frame(Some(&dense), dim as u64 | EAGER_BIT),
+        agreement_frame(None, 300),
+    ];
+    let mut rng = XorShift64::new(0xa9ee);
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..96 {
+        let mut frame = valid[case % valid.len()].clone();
+        match rng.next_below(4) {
+            0 => frame.truncate(rng.next_below(frame.len() as u64 + 1) as usize),
+            1 => frame.extend((0..rng.next_below(9)).map(|_| rng.next_u64() as u8)),
+            _ => {}
+        }
+        for _ in 0..rng.next_below(4) {
+            if !frame.is_empty() {
+                let at = rng.next_below(frame.len() as u64) as usize;
+                frame[at] ^= 1 << rng.next_below(8);
+            }
+        }
+        match against_villain(2, &input, Algorithm::Auto, SUBTAG_ROUND, &frame) {
+            // A mutation can land on a value byte and still be a frame.
+            // A cleared bit sends the honest rank into a fallback the
+            // villain never joins, which ends in a typed transport error.
+            Ok(_) | Err(CollError::Comm(_)) => accepted += 1,
+            Err(CollError::Invalid(_)) | Err(CollError::Stream(_)) => rejected += 1,
+            Err(other) => panic!("case {case}: {other:?}"),
+        }
+    }
+    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
 }

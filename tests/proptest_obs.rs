@@ -197,6 +197,54 @@ fn recorded_span_intervals_nest_and_export_structurally_valid_json() {
     }
 }
 
+#[test]
+fn a_trace_says_whether_auto_cost_a_round() {
+    // A pass that completes the reduction is the `SSAR_Recursive_double`
+    // collective span, annotated with the agreed (maximum) k, and leaves
+    // no agreement span; a pass that falls back is one `auto-resolve`
+    // agreement span followed by the picked schedule's collective span.
+    use sparcml::core::{run_communicators, select_algorithm, Algorithm};
+    use sparcml::net::CostModel;
+    use sparcml::stream::random_sparse;
+
+    let _serial = recorder_lock();
+    let (p, dim) = (4usize, 1 << 14);
+    let cost = CostModel::aries();
+    for (base_nnz, fused) in [(16usize, true), (6000, false)] {
+        let agreed_k = base_nnz + p - 1;
+        let pick = select_algorithm::<f32>(p, dim, agreed_k, &cost);
+        assert_eq!(pick == Algorithm::SsarRecDbl, fused);
+        Recorder::install(RecorderConfig::default());
+        run_communicators(p, cost, |comm| {
+            let rank = comm.rank();
+            let input = random_sparse::<f32>(dim, base_nnz + rank, 70 + rank as u64);
+            comm.allreduce(&input)
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap();
+        });
+        let threads = Recorder::uninstall();
+        let spans: Vec<_> = threads.iter().flat_map(|t| t.spans.iter()).collect();
+        let named = |cat: Category, name: &str| {
+            spans
+                .iter()
+                .filter(|s| s.cat == cat && s.name == name)
+                .map(|s| s.arg)
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(
+            named(Category::Collective, pick.name()),
+            vec![agreed_k as u64; p],
+            "one collective span per rank, carrying the agreed k"
+        );
+        assert_eq!(
+            named(Category::Agreement, "auto-resolve").len(),
+            if fused { 0 } else { p },
+            "auto-resolve spans cover exactly the passes that fall back"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Telemetry frame codec (cluster telemetry plane)
 // ---------------------------------------------------------------------
