@@ -25,7 +25,7 @@
 use std::time::{Duration, Instant};
 
 use sparcml_core::{Algorithm, Communicator, Transport};
-use sparcml_net::{run_tcp_loopback_cluster, CostModel, TransportConfig};
+use sparcml_net::{run_reactor_loopback_cluster, CostModel, TransportConfig};
 use sparcml_stream::random_sparse;
 
 const DIM: usize = 1 << 20;
@@ -39,7 +39,7 @@ struct Measured {
 
 fn bench(p: usize, k: usize, algo: Algorithm) -> Measured {
     let config = TransportConfig::default().with_recv_timeout(Duration::from_secs(120));
-    let per_rank = run_tcp_loopback_cluster(p, CostModel::loopback_tcp(), config, |tp| {
+    let per_rank = run_reactor_loopback_cluster(p, CostModel::loopback_tcp(), config, |tp| {
         let mut comm = Communicator::new(tp.detach());
         let input = random_sparse::<f32>(DIM, k, (9000 + comm.rank()) as u64);
         let mut walls = Vec::with_capacity(TRIALS);

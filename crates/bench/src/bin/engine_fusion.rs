@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use sparcml_core::{Algorithm, Communicator, Transport};
 use sparcml_engine::{CommunicatorEngineExt, EngineConfig};
-use sparcml_net::{run_tcp_loopback_cluster, CommStats, CostModel, TransportConfig};
+use sparcml_net::{run_reactor_loopback_cluster, CommStats, CostModel, TransportConfig};
 use sparcml_stream::{random_sparse, SparseStream};
 
 const P: usize = 4;
@@ -68,7 +68,7 @@ fn collect(per_rank: Vec<Vec<(f64, CommStats)>>) -> Measured {
 
 fn bench_per_layer(layers: usize, k: usize) -> Measured {
     let config = TransportConfig::default().with_recv_timeout(Duration::from_secs(60));
-    let per_rank = run_tcp_loopback_cluster(P, CostModel::loopback_tcp(), config, |tp| {
+    let per_rank = run_reactor_loopback_cluster(P, CostModel::loopback_tcp(), config, |tp| {
         let mut comm = Communicator::new(tp.detach());
         let inputs = grads(comm.rank(), layers, k);
         let mut out = Vec::with_capacity(TRIALS);
@@ -94,7 +94,7 @@ fn bench_per_layer(layers: usize, k: usize) -> Measured {
 
 fn bench_engine(layers: usize, k: usize) -> Measured {
     let config = TransportConfig::default().with_recv_timeout(Duration::from_secs(60));
-    let per_rank = run_tcp_loopback_cluster(P, CostModel::loopback_tcp(), config, |tp| {
+    let per_rank = run_reactor_loopback_cluster(P, CostModel::loopback_tcp(), config, |tp| {
         let mut comm = Communicator::new(tp.detach());
         let mut engine = comm.engine::<f32>(EngineConfig {
             algorithm: Algorithm::SsarRecDbl,

@@ -28,7 +28,7 @@ use sparcml_core::{
     Algorithm, Communicator, Transport,
 };
 use sparcml_net::{
-    run_tcp_loopback_cluster, CostModel, Topology, TopologyCostModel, TransportConfig,
+    run_reactor_loopback_cluster, CostModel, Topology, TopologyCostModel, TransportConfig,
 };
 use sparcml_stream::random_sparse;
 
@@ -42,7 +42,7 @@ fn bench_config(hierarchical: bool, k: usize, topo: &Topology) -> f64 {
     let config = TransportConfig::default().with_recv_timeout(Duration::from_secs(60));
     let topo = topo.clone();
     let per_rank: Vec<Vec<f64>> =
-        run_tcp_loopback_cluster(P, CostModel::loopback_tcp(), config, move |tp| {
+        run_reactor_loopback_cluster(P, CostModel::loopback_tcp(), config, move |tp| {
             let mut comm = Communicator::new(tp.detach());
             let input = random_sparse::<f32>(DIM, k, 8800 + comm.rank() as u64);
             let mut times = Vec::with_capacity(TRIALS);

@@ -6,11 +6,9 @@
 //! 1. **What does the instrumentation cost?** The span macros compile to
 //!    one relaxed atomic load when no recorder is installed; this
 //!    measures that path directly (ns per `span()` call, disabled vs
-//!    enabled) and end-to-end on the BENCH_reactor grid point the
-//!    acceptance bar names — reactor transport, P = 8, k = 1e3,
-//!    N = 2^20 — with the recorder uninstalled vs installed. The
-//!    uninstalled time is comparable against the pre-instrumentation
-//!    BENCH_reactor.json figure for the same point.
+//!    enabled) and end-to-end on the point the acceptance bar names —
+//!    socket transport, P = 8, k = 1e3, N = 2^20 — with the recorder
+//!    uninstalled vs installed.
 //!
 //! 2. **Does calibration converge?** Replays the mis-pick scenario of
 //!    `tests/calibrated_auto.rs` on the virtual-time cluster — the

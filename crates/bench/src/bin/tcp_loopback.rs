@@ -1,7 +1,7 @@
 //! Loopback TCP allreduce micro-benchmark: real sockets, wall-clock time.
 //!
 //! Measures the dense baseline against the sparse (SSAR) schedules over
-//! the `TcpTransport` at the BENCH_tcp.json grid — k ∈ {1e3, 1e5},
+//! the `ReactorTransport` at the BENCH_tcp.json grid — k ∈ {1e3, 1e5},
 //! P ∈ {4, 8}, N = 2^20 f32 — and prints a JSON document with the
 //! per-configuration median wall times. Ranks are OS threads in this
 //! process, but every message crosses the kernel TCP stack, so this is
@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use sparcml_core::{Algorithm, Communicator, Transport};
-use sparcml_net::{run_tcp_loopback_cluster, CostModel, TransportConfig};
+use sparcml_net::{run_reactor_loopback_cluster, CostModel, TransportConfig};
 use sparcml_stream::random_sparse;
 
 const DIM: usize = 1 << 20;
@@ -31,7 +31,7 @@ const ALGOS: [Algorithm; 4] = [
 fn bench_config(algo: Algorithm, p: usize, k: usize) -> f64 {
     let config = TransportConfig::default().with_recv_timeout(Duration::from_secs(60));
     let per_rank: Vec<Vec<f64>> =
-        run_tcp_loopback_cluster(p, CostModel::loopback_tcp(), config, |tp| {
+        run_reactor_loopback_cluster(p, CostModel::loopback_tcp(), config, |tp| {
             let mut comm = Communicator::new(tp.detach());
             let input = random_sparse::<f32>(DIM, k, 4200 + comm.rank() as u64);
             let mut times = Vec::with_capacity(TRIALS);
@@ -62,7 +62,7 @@ fn bench_config(algo: Algorithm, p: usize, k: usize) -> f64 {
 fn main() {
     println!("{{");
     println!(
-        "  \"description\": \"Loopback TCP allreduce wall times (median of {TRIALS} trials, max across ranks per trial): dense baselines vs the sparse SSAR schedules on TcpTransport. Ranks are threads in one process; every message crosses the kernel TCP stack. N = {DIM} f32.\","
+        "  \"description\": \"Loopback TCP allreduce wall times (median of {TRIALS} trials, max across ranks per trial): dense baselines vs the sparse SSAR schedules on ReactorTransport. Ranks are threads in one process; every message crosses the kernel TCP stack. N = {DIM} f32.\","
     );
     println!("  \"harness\": \"cargo run --release -p sparcml-bench --bin tcp_loopback\",");
     println!("  \"allreduce_wall_us\": {{");

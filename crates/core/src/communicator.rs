@@ -31,9 +31,9 @@
 //! merge, §7).
 
 use sparcml_net::{
-    run_cluster, run_reactor_loopback_cluster, run_tcp_loopback_cluster, run_thread_cluster,
-    CommStats, CostModel, Endpoint, GroupTransport, ReactorTransport, TcpTransport,
-    ThreadTransport, Topology, TopologyCostModel, Transport, TransportConfig,
+    run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CommStats, CostModel, Endpoint,
+    GroupTransport, ReactorTransport, ThreadTransport, Topology, TopologyCostModel, Transport,
+    TransportConfig,
 };
 use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
@@ -983,52 +983,14 @@ where
     })
 }
 
-/// Runs `f` once per rank over a `size`-rank loopback **TCP** cluster —
-/// real sockets, one OS thread per rank in this process — each rank
-/// wrapped in a `Communicator<TcpTransport>`. The in-process sibling of
-/// the multi-process path (`sparcml_net::launcher::run_tcp_cluster` +
-/// `Communicator::new(TcpTransport::from_env()?)`), with the
+/// Runs `f` once per rank over a `size`-rank loopback **socket** cluster
+/// — real TCP connections, one OS thread plus one event loop per rank in
+/// this process — each rank wrapped in a
+/// `Communicator<ReactorTransport>`. The in-process sibling of the
+/// multi-process path (`sparcml_net::launcher::run_socket_cluster` +
+/// `Communicator::new(ReactorTransport::from_env()?)`), with the
 /// [`CostModel::loopback_tcp`] planning hint so [`Algorithm::Auto`]'s
 /// k-agreement and selection run over the real wire.
-pub fn run_tcp_communicators<R, F>(size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Communicator<TcpTransport>) -> R + Sync,
-{
-    run_tcp_communicators_with(
-        size,
-        CostModel::loopback_tcp(),
-        TransportConfig::default(),
-        f,
-    )
-}
-
-/// [`run_tcp_communicators`] with an explicit planning hint and transport
-/// configuration (watchdog/connect deadlines, frame limit).
-pub fn run_tcp_communicators_with<R, F>(
-    size: usize,
-    cost_hint: CostModel,
-    config: TransportConfig,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Communicator<TcpTransport>) -> R + Sync,
-{
-    run_tcp_loopback_cluster(size, cost_hint, config, |tp| {
-        let mut comm = Communicator::new(tp.detach());
-        let out = f(&mut comm);
-        *tp = comm.into_transport();
-        out
-    })
-}
-
-/// Runs `f` once per rank over a `size`-rank loopback cluster on the
-/// **reactor** transport — same real sockets and wire protocol as
-/// [`run_tcp_communicators`], but each rank is served by a single
-/// readiness-driven event loop instead of per-peer I/O threads. Rank
-/// programs are interchangeable between the two: this is what the
-/// transport parity suites rely on.
 pub fn run_reactor_communicators<R, F>(size: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -1043,8 +1005,7 @@ where
 }
 
 /// [`run_reactor_communicators`] with an explicit planning hint and
-/// transport configuration (watchdog/connect deadlines, frame limit,
-/// event-loop batching).
+/// transport configuration (watchdog/connect deadlines, frame limit).
 pub fn run_reactor_communicators_with<R, F>(
     size: usize,
     cost_hint: CostModel,

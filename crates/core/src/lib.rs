@@ -78,9 +78,9 @@ pub use allreduce::{
 };
 pub use communicator::{
     max_communicator_time, run_communicators, run_reactor_communicators,
-    run_reactor_communicators_with, run_tcp_communicators, run_tcp_communicators_with,
-    run_thread_communicators, Allgather, AllgatherSum, Allreduce, Broadcast, CollectiveHandle,
-    Communicator, DenseAllgather, Reduce, ReduceScatter, ENV_CALIBRATE,
+    run_reactor_communicators_with, run_thread_communicators, Allgather, AllgatherSum, Allreduce,
+    Broadcast, CollectiveHandle, Communicator, DenseAllgather, Reduce, ReduceScatter,
+    ENV_CALIBRATE,
 };
 pub use error::CollError;
 pub use hierarchical::hierarchical_allreduce;
@@ -99,6 +99,6 @@ pub use telemetry::TELEMETRY_CONTROL_BASE;
 // Re-exported so downstream code can name transports and topology types
 // without depending on sparcml-net directly.
 pub use sparcml_net::{
-    Endpoint, GroupTransport, ReactorTransport, SocketTransport, TcpTransport, ThreadTransport,
-    Topology, TopologyCostModel, Transport, TransportBackend, TransportConfig,
+    Endpoint, GroupTransport, ReactorTransport, ThreadTransport, Topology, TopologyCostModel,
+    Transport, TransportConfig,
 };

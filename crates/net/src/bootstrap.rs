@@ -1,13 +1,11 @@
-//! Rendezvous + mesh bootstrap shared by the socket transports.
+//! Rendezvous + mesh bootstrap of the socket transport.
 //!
-//! [`crate::TcpTransport`] and [`crate::ReactorTransport`] speak the same
-//! bootstrap protocol — rank 0 collects validated hello frames and
-//! broadcasts the address table, then the full mesh is built
-//! deterministically (dial lower ranks, accept higher ones, ID frames
-//! resolving accept-order races). This module owns that protocol once:
+//! Rank 0 collects validated hello frames and broadcasts the address
+//! table, then the full mesh is built deterministically (dial lower
+//! ranks, accept higher ones, ID frames resolving accept-order races).
 //! [`establish_mesh`] runs both phases and hands back one connected
-//! `TcpStream` per peer, leaving only the I/O engine (threads vs. an
-//! event loop) to the transport.
+//! `TcpStream` per peer; [`crate::ReactorTransport`] registers them with
+//! its event loop.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -22,7 +20,7 @@ use crate::error::CommError;
 pub const TCP_PROTOCOL_VERSION: u16 = 2;
 
 /// `"SPCM"` — first bytes of every handshake frame.
-pub(crate) const MAGIC: u32 = 0x5350_434d;
+const MAGIC: u32 = 0x5350_434d;
 
 /// Back-off between dial attempts while a listener is still coming up.
 const DIAL_RETRY: Duration = Duration::from_millis(10);
@@ -69,12 +67,7 @@ fn read_exact_vec(stream: &mut TcpStream, n: usize) -> io::Result<Vec<u8>> {
 }
 
 /// Peer → root: `[magic][version][world: u32][rank: u32][addr_len: u16][addr]`.
-pub(crate) fn write_hello(
-    stream: &mut TcpStream,
-    rank: usize,
-    world: usize,
-    addr: &str,
-) -> io::Result<()> {
+fn write_hello(stream: &mut TcpStream, rank: usize, world: usize, addr: &str) -> io::Result<()> {
     let addr = addr.as_bytes();
     let mut buf = Vec::with_capacity(16 + addr.len());
     buf.extend_from_slice(&MAGIC.to_le_bytes());
@@ -189,7 +182,7 @@ impl RootRendezvous {
     }
 }
 
-pub(crate) fn dial_with_retry(addr: &str, deadline: Instant) -> Result<TcpStream, CommError> {
+fn dial_with_retry(addr: &str, deadline: Instant) -> Result<TcpStream, CommError> {
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => return Ok(stream),
@@ -205,7 +198,7 @@ pub(crate) fn dial_with_retry(addr: &str, deadline: Instant) -> Result<TcpStream
     }
 }
 
-pub(crate) fn accept_with_deadline(
+fn accept_with_deadline(
     listener: &TcpListener,
     deadline: Instant,
     waiting_for: &str,
@@ -301,10 +294,6 @@ fn peer_fetch_addrs(
 /// Runs the full bootstrap — rendezvous (phase 1) and deterministic mesh
 /// construction (phase 2) — and returns one connected, blocking,
 /// `TCP_NODELAY` stream per peer (`None` at this rank's own index).
-///
-/// What the transport does with the streams next (spawn per-peer threads,
-/// or register them with one event loop) is the only thing the two socket
-/// transports do differently.
 pub(crate) fn establish_mesh(
     rank: usize,
     world: usize,
@@ -359,57 +348,61 @@ pub(crate) fn establish_mesh(
     Ok(streams)
 }
 
-/// Runs `f` once per rank of an in-process loopback cluster over real
-/// sockets, with `make` constructing each rank's transport from its
-/// [`RootRendezvous`] role. Shared chassis of
-/// [`crate::run_tcp_loopback_cluster`] and
-/// [`crate::run_reactor_loopback_cluster`]: rank 0's rendezvous listener
-/// is pre-bound (no bind/re-bind race on ephemeral ports), every rank
-/// runs on its own OS thread, and results come back in rank order.
-pub(crate) fn run_loopback_cluster_with<T, R, M, F>(size: usize, make: M, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    M: Fn(usize, RootRendezvous) -> Result<T, CommError> + Sync,
-    F: Fn(&mut T) -> R + Sync,
-{
-    assert!(size > 0, "cluster needs at least one rank");
-    let root_listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback rendezvous");
-    let root_addr = root_listener
-        .local_addr()
-        .expect("rendezvous local addr")
-        .to_string();
-    let mut root_listener = Some(root_listener);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let make = &make;
-        let handles: Vec<_> = (0..size)
-            .map(|rank| {
-                let root = match root_listener.take() {
-                    Some(listener) => RootRendezvous::Listener(listener),
-                    None => RootRendezvous::Dial(root_addr.clone()),
-                };
-                scope.spawn(move || {
-                    let mut tp = make(rank, root)
-                        .unwrap_or_else(|e| panic!("rank {rank} rendezvous failed: {e}"));
-                    (rank, f(&mut tp))
-                })
-            })
-            .collect();
-        let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
-        let mut panicked: Option<usize> = None;
-        for (i, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok((rank, out)) => results[rank] = Some(out),
-                Err(_) => panicked = panicked.or(Some(i)),
-            }
-        }
-        if let Some(rank) = panicked {
-            panic!("rank {rank} panicked inside the loopback cluster");
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("all ranks returned"))
-            .collect()
-    })
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick_config() -> TransportConfig {
+        TransportConfig::default().with_connect_timeout(Duration::from_secs(5))
+    }
+
+    /// Runs rank 0's side of a 2-rank rendezvous against `intruder`, a
+    /// stray client that dials the root and says whatever it likes.
+    fn root_rendezvous_against(
+        intruder: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> CommError {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let intruder = std::thread::spawn(move || {
+            let mut s = dial_with_retry(&addr, Instant::now() + Duration::from_secs(5)).unwrap();
+            intruder(&mut s);
+            // Hold the socket open so the root reads the full hello.
+            std::thread::sleep(Duration::from_millis(200));
+        });
+        let err = establish_mesh(0, 2, RootRendezvous::Listener(listener), &quick_config())
+            .expect_err("rendezvous must fail");
+        intruder.join().unwrap();
+        err
+    }
+
+    #[test]
+    fn rendezvous_rejects_wrong_version() {
+        // A stray client speaking a different protocol version must fail
+        // rank 0's rendezvous with a typed HandshakeMismatch.
+        let err = root_rendezvous_against(|s| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&MAGIC.to_le_bytes());
+            buf.extend_from_slice(&(TCP_PROTOCOL_VERSION + 1).to_le_bytes());
+            buf.extend_from_slice(&2u32.to_le_bytes());
+            buf.extend_from_slice(&1u32.to_le_bytes());
+            buf.extend_from_slice(&0u16.to_le_bytes());
+            let _ = s.write_all(&buf);
+        });
+        assert!(
+            matches!(err, CommError::HandshakeMismatch { ref detail } if detail.contains("version")),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn rendezvous_rejects_wrong_world_size() {
+        let err = root_rendezvous_against(|s| {
+            // Claims a 3-rank cluster against a 2-rank rendezvous.
+            let _ = write_hello(s, 1, 3, "127.0.0.1:1");
+        });
+        assert!(
+            matches!(err, CommError::HandshakeMismatch { ref detail } if detail.contains("size")),
+            "got {err:?}"
+        );
+    }
 }

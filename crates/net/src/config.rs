@@ -1,13 +1,12 @@
 //! Timeout and resource limits shared by the real transports.
 //!
 //! The virtual-time [`crate::Endpoint`] never waits on a wall clock, but
-//! the real backends ([`crate::ThreadTransport`], [`crate::TcpTransport`],
+//! the real backends ([`crate::ThreadTransport`],
 //! [`crate::ReactorTransport`]) must decide how long to wait for a peer
 //! before concluding it is lost. [`TransportConfig`] centralizes those
 //! knobs so every real transport fails loudly on the same schedule — a
 //! dead peer turns into a typed error instead of hanging a collective
-//! (and any CI run) forever — plus the reactor's event-loop batching
-//! limits.
+//! (and any CI run) forever.
 
 use std::time::Duration;
 
@@ -23,13 +22,6 @@ pub const DEFAULT_MAX_FRAME_LEN: usize = 1 << 30;
 /// drive a giant allocation. See [`TransportConfig::for_server`].
 pub const SERVER_MAX_FRAME_LEN: usize = 1 << 26;
 
-/// Default `max_events` — readiness events drained per `epoll_wait`.
-pub const DEFAULT_MAX_EVENTS: usize = 64;
-
-/// Default `write_batch_frames` — outbox frames drained per writable peer
-/// per loop iteration before the reactor moves on to the next peer.
-pub const DEFAULT_WRITE_BATCH_FRAMES: usize = 16;
-
 /// Tunable limits for real (wall-clock) transports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportConfig {
@@ -44,16 +36,6 @@ pub struct TransportConfig {
     /// larger declarations are treated as protocol corruption rather than
     /// honored with a giant allocation. Default 1 GiB.
     pub max_frame_len: usize,
-    /// How many readiness events one `epoll_wait` call may return to the
-    /// reactor event loop ([`crate::ReactorTransport`]). Larger values
-    /// amortize wakeups under fan-in at the price of per-loop latency;
-    /// ignored by the thread-per-peer transports. Default 64.
-    pub max_events: usize,
-    /// How many queued frames the reactor drains from one peer's outbox
-    /// per writability event before round-robining to the next peer —
-    /// bounds per-peer burst so one chatty peer cannot starve the loop.
-    /// Ignored by the thread-per-peer transports. Default 16.
-    pub write_batch_frames: usize,
 }
 
 impl Default for TransportConfig {
@@ -62,8 +44,6 @@ impl Default for TransportConfig {
             recv_timeout: Duration::from_secs(30),
             connect_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            max_events: DEFAULT_MAX_EVENTS,
-            write_batch_frames: DEFAULT_WRITE_BATCH_FRAMES,
         }
     }
 }
@@ -84,20 +64,6 @@ impl TransportConfig {
     /// Builder-style override of the per-frame payload cap.
     pub fn with_max_frame_len(mut self, max_frame_len: usize) -> Self {
         self.max_frame_len = max_frame_len;
-        self
-    }
-
-    /// Builder-style override of the reactor's per-wait event budget
-    /// (clamped to at least 1).
-    pub fn with_max_events(mut self, max_events: usize) -> Self {
-        self.max_events = max_events.max(1);
-        self
-    }
-
-    /// Builder-style override of the reactor's per-peer write batch
-    /// (clamped to at least 1).
-    pub fn with_write_batch_frames(mut self, write_batch_frames: usize) -> Self {
-        self.write_batch_frames = write_batch_frames.max(1);
         self
     }
 
@@ -125,10 +91,7 @@ impl TransportConfig {
     ///
     /// * `SPARCML_RECV_TIMEOUT_MS` — receive watchdog in milliseconds;
     /// * `SPARCML_CONNECT_TIMEOUT_MS` — bootstrap deadline in milliseconds;
-    /// * `SPARCML_MAX_FRAME_LEN` — per-frame payload cap in bytes;
-    /// * `SPARCML_MAX_EVENTS` — reactor events per `epoll_wait` (min 1);
-    /// * `SPARCML_WRITE_BATCH_FRAMES` — reactor frames per peer per
-    ///   writability event (min 1).
+    /// * `SPARCML_MAX_FRAME_LEN` — per-frame payload cap in bytes.
     ///
     /// Unset variables keep their defaults; a variable that is set but
     /// not a valid non-negative integer is a **loud** typed
@@ -144,12 +107,6 @@ impl TransportConfig {
         }
         if let Some(bytes) = env_usize("SPARCML_MAX_FRAME_LEN")? {
             cfg.max_frame_len = bytes;
-        }
-        if let Some(n) = env_usize("SPARCML_MAX_EVENTS")? {
-            cfg.max_events = n.max(1);
-        }
-        if let Some(n) = env_usize("SPARCML_WRITE_BATCH_FRAMES")? {
-            cfg.write_batch_frames = n.max(1);
         }
         Ok(cfg)
     }
@@ -182,8 +139,6 @@ mod tests {
         assert_eq!(cfg.recv_timeout, Duration::from_secs(30));
         assert!(cfg.connect_timeout < cfg.recv_timeout);
         assert_eq!(cfg.max_frame_len, 1 << 30);
-        assert_eq!(cfg.max_events, DEFAULT_MAX_EVENTS);
-        assert_eq!(cfg.write_batch_frames, DEFAULT_WRITE_BATCH_FRAMES);
     }
 
     #[test]
@@ -191,23 +146,10 @@ mod tests {
         let cfg = TransportConfig::default()
             .with_recv_timeout(Duration::from_millis(50))
             .with_connect_timeout(Duration::from_millis(75))
-            .with_max_frame_len(4096)
-            .with_max_events(8)
-            .with_write_batch_frames(4);
+            .with_max_frame_len(4096);
         assert_eq!(cfg.recv_timeout, Duration::from_millis(50));
         assert_eq!(cfg.connect_timeout, Duration::from_millis(75));
         assert_eq!(cfg.max_frame_len, 4096);
-        assert_eq!(cfg.max_events, 8);
-        assert_eq!(cfg.write_batch_frames, 4);
-    }
-
-    #[test]
-    fn batching_knobs_clamp_to_one() {
-        let cfg = TransportConfig::default()
-            .with_max_events(0)
-            .with_write_batch_frames(0);
-        assert_eq!(cfg.max_events, 1);
-        assert_eq!(cfg.write_batch_frames, 1);
     }
 
     #[test]
@@ -223,8 +165,8 @@ mod tests {
     fn malformed_env_override_is_loud() {
         // Env vars are process-global; pick one no other test sets and
         // restore it afterwards.
-        let var = "SPARCML_WRITE_BATCH_FRAMES";
-        std::env::set_var(var, "sixteen");
+        let var = "SPARCML_MAX_FRAME_LEN";
+        std::env::set_var(var, "a gigabyte");
         let err = TransportConfig::from_env().unwrap_err();
         std::env::remove_var(var);
         assert!(

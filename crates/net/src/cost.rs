@@ -57,7 +57,7 @@ impl CostModel {
         }
     }
 
-    /// Kernel loopback TCP (the `TcpTransport` test/bench deployment):
+    /// Kernel loopback TCP (the `ReactorTransport` test/bench deployment):
     /// ~15 µs per message through the full socket stack, ~5 GB/s
     /// effective single-stream bandwidth. This is the default *planning
     /// hint* the adaptive selector uses for loopback TCP clusters — the

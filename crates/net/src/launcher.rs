@@ -1,13 +1,13 @@
 //! Multi-process cluster launcher: the stand-in for `mpirun`.
 //!
-//! [`run_tcp_cluster`] turns one test (or example `main`) into a real
+//! [`run_socket_cluster`] turns one test (or example `main`) into a real
 //! multi-process job: the parent re-executes the current binary once per
 //! rank with the `SPARCML_RANK` / `SPARCML_WORLD` / `SPARCML_ROOT_ADDR`
 //! bootstrap variables set, each child rendezvouses into a
-//! [`TcpTransport`] over loopback ([`TcpTransport::from_env`]), runs the
-//! caller's rank program, and reports its result back over stdout. The
-//! parent enforces a hard wall-clock deadline — a deadlocked cluster
-//! fails the build instead of stalling it.
+//! [`ReactorTransport`] over loopback ([`ReactorTransport::from_env`]),
+//! runs the caller's rank program, and reports its result back over
+//! stdout. The parent enforces a hard wall-clock deadline — a deadlocked
+//! cluster fails the build instead of stalling it.
 //!
 //! The same function is both the orchestrator and the worker: it checks
 //! the environment to see which role this process plays, so the call
@@ -15,12 +15,12 @@
 //! pattern):
 //!
 //! ```no_run
-//! use sparcml_net::launcher::{run_tcp_cluster, LaunchOptions};
+//! use sparcml_net::launcher::{run_socket_cluster, LaunchOptions};
 //! use sparcml_net::Transport;
 //!
-//! // Inside a test named `my_tcp_test` in an integration-test binary:
+//! // Inside a test named `my_socket_test` in an integration-test binary:
 //! let opts = LaunchOptions::for_test();
-//! let Some(results) = run_tcp_cluster("my_tcp_test", 4, &opts, |tp| {
+//! let Some(results) = run_socket_cluster("my_socket_test", 4, &opts, |tp| {
 //!     format!("rank {} of {}", tp.rank(), tp.size())
 //! }) else {
 //!     return; // this process was a worker rank; the parent asserts
@@ -30,7 +30,7 @@
 //!
 //! For manual multi-machine runs skip the launcher entirely: export the
 //! three `SPARCML_*` variables on each machine by hand and call
-//! [`TcpTransport::from_env`] directly.
+//! [`ReactorTransport::from_env`] directly.
 
 use std::io::Read;
 use std::net::TcpListener;
@@ -40,9 +40,8 @@ use std::time::{Duration, Instant};
 
 use sparcml_obs as obs;
 
-use crate::backend::{SocketTransport, TransportBackend, ENV_TRANSPORT};
-use crate::error::CommError;
-use crate::tcp::{TcpTransport, ENV_RANK, ENV_ROOT_ADDR, ENV_WORLD};
+use crate::bootstrap::{ENV_RANK, ENV_ROOT_ADDR, ENV_WORLD};
+use crate::reactor::ReactorTransport;
 use crate::topology::{Topology, ENV_NODE, ENV_NODES};
 
 /// Job-name guard: a worker only runs the closure of the job it was
@@ -69,12 +68,6 @@ pub struct LaunchOptions {
     /// caller is a plain binary/example whose `main` re-enters the
     /// launcher on its own.
     pub test_harness: bool,
-    /// Socket backend for the ranks, exported as `SPARCML_TRANSPORT` so
-    /// [`run_socket_cluster`] workers (which bootstrap via
-    /// [`SocketTransport::from_env`]) pick it up. `None` exports nothing:
-    /// the ranks then follow whatever `SPARCML_TRANSPORT` is already set
-    /// in the environment, defaulting to TCP.
-    pub transport: Option<TransportBackend>,
     /// Node placement to pin on the cluster: every rank gets
     /// `SPARCML_NODES` (the full per-rank node map) and `SPARCML_NODE`
     /// (its own node id) in its environment, so rank programs can rebuild
@@ -109,7 +102,6 @@ impl Default for LaunchOptions {
             recv_timeout: None,
             connect_timeout: None,
             test_harness: false,
-            transport: None,
             topology: None,
             env: Vec::new(),
             trace_dir: None,
@@ -144,13 +136,6 @@ impl LaunchOptions {
     /// Builder-style node placement (see [`LaunchOptions::topology`]).
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = Some(topology);
-        self
-    }
-
-    /// Builder-style socket-backend selection (see
-    /// [`LaunchOptions::transport`]).
-    pub fn with_transport(mut self, transport: TransportBackend) -> Self {
-        self.transport = Some(transport);
         self
     }
 
@@ -197,44 +182,11 @@ impl RankOutcome {
 }
 
 /// Runs `f` once per rank across `world` real OS processes over loopback
-/// TCP and returns the per-rank results, indexed by rank.
+/// sockets and returns the per-rank results, indexed by rank.
 ///
 /// Returns `None` in worker processes (the parent does the asserting) and
 /// panics in the parent if any rank failed, timed out, or reported no
 /// result — with the failing ranks' stderr in the message.
-pub fn run_tcp_cluster<F>(
-    job: &str,
-    world: usize,
-    opts: &LaunchOptions,
-    f: F,
-) -> Option<Vec<String>>
-where
-    F: FnOnce(&mut TcpTransport) -> String,
-{
-    let outcomes = run_tcp_cluster_outcomes(job, world, opts, f)?;
-    Some(require_success("tcp", job, &outcomes))
-}
-
-/// [`run_tcp_cluster`] without the success policy: returns every rank's
-/// [`RankOutcome`] so callers can assert on deliberate failures (e.g. a
-/// killed peer making the survivors error out).
-pub fn run_tcp_cluster_outcomes<F>(
-    job: &str,
-    world: usize,
-    opts: &LaunchOptions,
-    f: F,
-) -> Option<Vec<RankOutcome>>
-where
-    F: FnOnce(&mut TcpTransport) -> String,
-{
-    run_cluster_outcomes_with(job, world, opts, TcpTransport::from_env, f)
-}
-
-/// [`run_tcp_cluster`] on the backend-dispatched [`SocketTransport`]: the
-/// worker bootstraps via [`SocketTransport::from_env`], so which socket
-/// transport it runs on follows [`LaunchOptions::transport`] (or the
-/// `SPARCML_TRANSPORT` already in the environment). The rank program is
-/// written once and serves both backends.
 pub fn run_socket_cluster<F>(
     job: &str,
     world: usize,
@@ -242,13 +194,15 @@ pub fn run_socket_cluster<F>(
     f: F,
 ) -> Option<Vec<String>>
 where
-    F: FnOnce(&mut SocketTransport) -> String,
+    F: FnOnce(&mut ReactorTransport) -> String,
 {
     let outcomes = run_socket_cluster_outcomes(job, world, opts, f)?;
-    Some(require_success("socket", job, &outcomes))
+    Some(require_success(job, &outcomes))
 }
 
-/// [`run_socket_cluster`] without the success policy.
+/// [`run_socket_cluster`] without the success policy: returns every
+/// rank's [`RankOutcome`] so callers can assert on deliberate failures
+/// (e.g. a killed peer making the survivors error out).
 pub fn run_socket_cluster_outcomes<F>(
     job: &str,
     world: usize,
@@ -256,23 +210,7 @@ pub fn run_socket_cluster_outcomes<F>(
     f: F,
 ) -> Option<Vec<RankOutcome>>
 where
-    F: FnOnce(&mut SocketTransport) -> String,
-{
-    run_cluster_outcomes_with(job, world, opts, SocketTransport::from_env, f)
-}
-
-/// Shared worker/orchestrator skeleton: `connect` is how a worker process
-/// joins the cluster from its environment.
-fn run_cluster_outcomes_with<T, C, F>(
-    job: &str,
-    world: usize,
-    opts: &LaunchOptions,
-    connect: C,
-    f: F,
-) -> Option<Vec<RankOutcome>>
-where
-    C: FnOnce() -> Result<T, CommError>,
-    F: FnOnce(&mut T) -> String,
+    F: FnOnce(&mut ReactorTransport) -> String,
 {
     assert!(world > 0, "cluster needs at least one rank");
     if let Ok(rank) = std::env::var(ENV_RANK) {
@@ -286,8 +224,8 @@ where
         // already in the environment), record spans for this rank's
         // whole lifetime and flush them after orderly teardown.
         obs::install_from_env();
-        let mut tp =
-            connect().unwrap_or_else(|e| panic!("rank {rank} failed to join the cluster: {e}"));
+        let mut tp = ReactorTransport::from_env()
+            .unwrap_or_else(|e| panic!("rank {rank} failed to join the cluster: {e}"));
         let out = f(&mut tp);
         drop(tp); // orderly teardown: drain queued frames, FIN, join I/O
         if let Ok(r) = rank.parse::<usize>() {
@@ -306,7 +244,7 @@ where
 
 /// Parent-side success policy: unwraps every rank's result or panics
 /// with the failing ranks' output.
-fn require_success(kind: &str, job: &str, outcomes: &[RankOutcome]) -> Vec<String> {
+fn require_success(job: &str, outcomes: &[RankOutcome]) -> Vec<String> {
     let mut results = Vec::with_capacity(outcomes.len());
     let mut failures = String::new();
     for o in outcomes {
@@ -328,7 +266,7 @@ fn require_success(kind: &str, job: &str, outcomes: &[RankOutcome]) -> Vec<Strin
         }
     }
     if !failures.is_empty() {
-        panic!("{kind} cluster job '{job}' failed:{failures}");
+        panic!("socket cluster job '{job}' failed:{failures}");
     }
     results
 }
@@ -368,9 +306,6 @@ fn orchestrate(job: &str, world: usize, opts: &LaunchOptions) -> Vec<RankOutcome
             }
             if let Some(t) = opts.connect_timeout {
                 cmd.env("SPARCML_CONNECT_TIMEOUT_MS", t.as_millis().to_string());
-            }
-            if let Some(backend) = opts.transport {
-                cmd.env(ENV_TRANSPORT, backend.as_str());
             }
             if let Some(topo) = &opts.topology {
                 assert_eq!(
@@ -566,7 +501,7 @@ mod tests {
         // (filtered to exactly this test), so it exercises the real
         // subprocess bootstrap path.
         let opts = LaunchOptions::for_test().with_timeout(Duration::from_secs(60));
-        let Some(results) = run_tcp_cluster(
+        let Some(results) = run_socket_cluster(
             "launcher::tests::launcher_round_trip_across_processes",
             3,
             &opts,

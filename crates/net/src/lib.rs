@@ -5,23 +5,24 @@
 //! The paper runs on MPI over Cray Aries / InfiniBand / Gigabit Ethernet.
 //! This crate abstracts that stack behind the [`Transport`] trait — the
 //! thin communication layer every collective is written against — with
-//! two in-process implementors:
+//! three implementors (plus [`GroupTransport`], a subgroup view over any
+//! of them):
 //!
 //! * [`Endpoint`]: one thread per rank, real point-to-point byte messages
 //!   over channels, and a per-rank *virtual clock* advanced by the
 //!   α–β(–γ) cost model of §5.2. Collectives execute their genuine
 //!   communication schedules while completion times remain deterministic
 //!   and network-parameterized.
-//! * [`ThreadTransport`]: the same wire protocol on real concurrent OS
-//!   threads with wall-clock time — proving the transport seam for future
-//!   multi-backend scale-out.
-//! * [`TcpTransport`]: real sockets — a rendezvous bootstrap, a full mesh
-//!   of persistent connections, length-prefixed frames carrying the
-//!   wire-v2 slabs, and typed failures (timeouts, disconnects, handshake
-//!   mismatches). Runs collectives across OS *processes*, launched either
-//!   by [`launcher::run_tcp_cluster`] or manually via the
+//! * [`ThreadTransport`]: the same matching rules on real concurrent OS
+//!   threads with wall-clock time.
+//! * [`ReactorTransport`]: real sockets — a rendezvous bootstrap, a full
+//!   mesh of persistent connections, length-prefixed frames carrying the
+//!   wire-v2 slabs, typed failures (timeouts, disconnects, handshake
+//!   mismatches), and one epoll event loop per rank. Runs collectives
+//!   across OS *processes*, launched either by
+//!   [`launcher::run_socket_cluster`] or manually via the
 //!   `SPARCML_RANK`/`SPARCML_WORLD`/`SPARCML_ROOT_ADDR` environment
-//!   bootstrap.
+//!   bootstrap. Linux only (epoll); the other two are portable.
 //!
 //! ```
 //! use sparcml_net::{run_cluster, CostModel, Transport};
@@ -37,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-mod backend;
 mod bootstrap;
 mod cluster;
 mod config;
@@ -52,33 +52,23 @@ mod pool;
 mod reactor;
 mod stats;
 mod tags;
-mod tcp;
 mod thread_transport;
 mod topology;
 mod transport;
 
-pub use backend::{SocketTransport, TransportBackend, ENV_TRANSPORT};
+pub use bootstrap::TCP_PROTOCOL_VERSION;
 pub use cluster::{max_virtual_time, run_cluster, run_cluster_with_hint};
-pub use config::{
-    TransportConfig, DEFAULT_MAX_EVENTS, DEFAULT_MAX_FRAME_LEN, DEFAULT_WRITE_BATCH_FRAMES,
-    SERVER_MAX_FRAME_LEN,
-};
+pub use config::{TransportConfig, DEFAULT_MAX_FRAME_LEN, SERVER_MAX_FRAME_LEN};
 pub use cost::{CostModel, TopologyCostModel, ENV_COST_MODEL, ENV_COST_MODEL_INTRA};
 pub use endpoint::{standalone_endpoint, Endpoint, WireMsg};
 pub use error::CommError;
 pub use group::GroupTransport;
-pub use launcher::{
-    run_socket_cluster, run_socket_cluster_outcomes, run_tcp_cluster, run_tcp_cluster_outcomes,
-    LaunchOptions, RankOutcome,
-};
+pub use launcher::{run_socket_cluster, run_socket_cluster_outcomes, LaunchOptions, RankOutcome};
 pub use reactor::{run_reactor_loopback_cluster, standalone_reactor_transport, ReactorTransport};
 pub use stats::CommStats;
 pub use tags::{
     is_group_op, GroupTagSpace, TagBlock, TagBlockAllocator, GROUP_REGION_BIT, MAX_GROUP_DEPTH,
     TAG_BLOCK_BITS,
-};
-pub use tcp::{
-    run_tcp_loopback_cluster, standalone_tcp_transport, TcpTransport, TCP_PROTOCOL_VERSION,
 };
 pub use thread_transport::{run_thread_cluster, standalone_thread_transport, ThreadTransport};
 pub use topology::{Topology, ENV_NODE, ENV_NODES, ENV_TOPOLOGY};

@@ -1,13 +1,11 @@
-//! The tag-matched delivery front-end shared by the socket transports.
+//! The tag-matched delivery front-end of the socket transport.
 //!
-//! Both [`crate::TcpTransport`] (per-peer reader threads) and
-//! [`crate::ReactorTransport`] (one readiness-driven event loop) end in
-//! the same place: I/O code feeds completed frames and close notices into
-//! a single channel, and the transport's owning thread matches them
-//! against `(source, tag)` receive requests with ThreadTransport-identical
-//! semantics. [`Mailbox`] is that shared front-end — one implementation of
-//! the matching, buffering, watchdog, and failure rules, so the two
-//! transports cannot drift apart.
+//! [`crate::ReactorTransport`]'s event loop feeds completed frames and
+//! close notices into a single channel, and the transport's owning thread
+//! matches them against `(source, tag)` receive requests with
+//! ThreadTransport-identical semantics. [`Mailbox`] is that front-end:
+//! the matching, buffering, watchdog, and failure rules, kept apart from
+//! the socket I/O.
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
@@ -69,7 +67,7 @@ impl Mailbox {
         }
     }
 
-    /// A sender handle for I/O code (reader threads, the reactor loop).
+    /// A sender handle for the event loop.
     pub(crate) fn sender(&self) -> Sender<Event> {
         self.loopback.clone()
     }

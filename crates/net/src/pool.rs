@@ -1,5 +1,5 @@
-//! Shared pool of receive/send frame allocations, used by both socket
-//! transports ([`crate::TcpTransport`], [`crate::ReactorTransport`]).
+//! Pool of receive/send frame allocations of the socket transport
+//! ([`crate::ReactorTransport`]).
 
 use std::sync::{Arc, Mutex};
 

@@ -81,8 +81,8 @@ impl ThreadTransport {
     }
 
     /// [`ThreadTransport::connect`] with an explicit planning hint and
-    /// watchdog configuration (the same [`TransportConfig`] the TCP
-    /// backend takes, so both real transports time out on one schedule).
+    /// watchdog configuration (the same [`TransportConfig`] the socket
+    /// transport takes, so both real transports time out on one schedule).
     pub fn connect_with_config(
         size: usize,
         cost_hint: CostModel,
@@ -341,78 +341,8 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn exchange_between_real_threads() {
-        let results = run_thread_cluster(4, |tp| {
-            let peer = tp.rank() ^ 1;
-            let got = tp
-                .exchange(peer, 7, Bytes::from(vec![tp.rank() as u8]))
-                .unwrap();
-            got[0] as usize
-        });
-        assert_eq!(results, vec![1, 0, 3, 2]);
-    }
-
-    #[test]
-    fn out_of_order_matching_by_tag() {
-        let results = run_thread_cluster(2, |tp| {
-            if tp.rank() == 0 {
-                tp.send(1, 10, Bytes::from_static(b"ten")).unwrap();
-                tp.send(1, 20, Bytes::from_static(b"twenty")).unwrap();
-                Vec::new()
-            } else {
-                let a = tp.recv(0, 20).unwrap();
-                let b = tp.recv(0, 10).unwrap();
-                vec![a, b]
-            }
-        });
-        assert_eq!(results[1][0].as_ref(), b"twenty");
-        assert_eq!(results[1][1].as_ref(), b"ten");
-    }
-
-    #[test]
-    fn stats_and_clock_behave() {
-        let stats = run_thread_cluster(2, |tp| {
-            let peer = 1 - tp.rank();
-            tp.send(peer, 1, Bytes::from(vec![0u8; 16])).unwrap();
-            let _ = tp.recv(peer, 1).unwrap();
-            tp.charge_seconds(1.0);
-            assert!(tp.clock() >= 1.0, "charged seconds must show in the clock");
-            tp.compute(10);
-            tp.stats().clone()
-        });
-        for s in stats {
-            assert_eq!(s.msgs_sent, 1);
-            assert_eq!(s.bytes_sent, 16);
-            assert_eq!(s.compute_elements, 10);
-        }
-    }
-
-    #[test]
-    fn invalid_rank_is_rejected() {
-        let results = run_thread_cluster(2, |tp| {
-            matches!(
-                tp.send(9, 0, Bytes::new()),
-                Err(CommError::InvalidRank { rank: 9, size: 2 })
-            )
-        });
-        assert!(results.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn recv_watchdog_reports_lost_peer() {
-        // Peers hold sender clones to each other, so a dead rank can
-        // never disconnect our inbox; the watchdog must turn that
-        // would-be deadlock into an error.
-        let mut tps = ThreadTransport::connect(2);
-        let mut t0 = tps.remove(0);
-        t0.set_recv_deadline(Duration::from_millis(50));
-        let err = t0.recv(1, 7).unwrap_err();
-        assert!(
-            matches!(err, CommError::Timeout { peer: 1, .. }),
-            "got {err:?}"
-        );
-    }
+    // The `Transport` contract itself is checked on this transport by the
+    // workspace's `tests/transport_contract.rs`.
 
     #[test]
     fn connect_with_config_sets_watchdog() {
@@ -426,16 +356,5 @@ mod tests {
             "got {err:?}"
         );
         assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn detach_leaves_placeholder() {
-        let results = run_thread_cluster(2, |tp| {
-            let real = tp.detach();
-            let placeholder = (tp.rank(), tp.size());
-            *tp = real;
-            (placeholder, tp.rank())
-        });
-        assert_eq!(results[1], ((0, 1), 1));
     }
 }

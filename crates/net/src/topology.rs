@@ -13,7 +13,7 @@
 //!   [`Topology::from_node_ids`];
 //! * from the environment — [`Topology::from_env`] reads
 //!   `SPARCML_TOPOLOGY` (`"2x4"`: 2 nodes × 4 ranks) or `SPARCML_NODES`
-//!   (`"0,0,0,0,1,1,1,1"`: per-rank node ids), which the TCP launcher
+//!   (`"0,0,0,0,1,1,1,1"`: per-rank node ids), which the socket launcher
 //!   exports for every rank next to the `SPARCML_RANK` bootstrap;
 //! * inferred — [`Topology::detect`] falls back to a single node when the
 //!   environment says nothing, the right default for loopback clusters

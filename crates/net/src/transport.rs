@@ -3,17 +3,21 @@
 //! SpComm3D-style thin communication layer: collectives see only this
 //! trait — matched point-to-point byte messages, a clock, a work-charging
 //! hook and an op-id source — so the schedule logic is fully decoupled
-//! from *how* bytes move and *what* the clock means. Two implementors
-//! ship in this crate:
+//! from *how* bytes move and *what* the clock means. Three implementors
+//! ship in this crate, plus [`crate::GroupTransport`], a subgroup view
+//! over any of them:
 //!
 //! * [`crate::Endpoint`] — the virtual-time transport: real messages over
 //!   channels, deterministic completion times from the α–β(–γ) cost model;
 //! * [`crate::ThreadTransport`] — a real in-process transport: one OS
-//!   thread per rank, wall-clock time, no cost modelling.
+//!   thread per rank, wall-clock time, no cost modelling;
+//! * [`crate::ReactorTransport`] — the socket transport: a full TCP mesh
+//!   across OS processes, one epoll event loop per rank (Linux only).
 //!
-//! Downstream backends (MPI, RDMA, sockets) only need to implement this
-//! trait to run every collective, the adaptive selector, and the training
-//! workloads unchanged.
+//! Downstream backends (MPI, RDMA) only need to implement this trait to
+//! run every collective, the adaptive selector, and the training
+//! workloads unchanged. The contract below is checked once, on all three,
+//! by `tests/transport_contract.rs`.
 
 use bytes::Bytes;
 
@@ -69,7 +73,7 @@ pub trait Transport {
         0
     }
 
-    /// Short static name of the transport backend (`"tcp"`, `"reactor"`,
+    /// Short static name of the transport backend (`"reactor"`,
     /// `"thread"`, `"endpoint"`), used to key latency histograms so
     /// measurements over different backends never mix. Group views
     /// report their base transport's backend.

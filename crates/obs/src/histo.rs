@@ -168,7 +168,7 @@ impl LatencyHisto {
 
 /// Key of one histogram in a [`LatencyRegistry`]: a static label (the
 /// algorithm's paper-legend name), the transport backend the samples
-/// ran over (`"tcp"`, `"reactor"`, `"thread"`, ...), and a size class
+/// ran over (`"reactor"`, `"thread"`, `"endpoint"`, ...), and a size class
 /// (`floor(log2 k)`).
 pub type HistoKey = (&'static str, &'static str, u8);
 
@@ -176,7 +176,7 @@ pub type HistoKey = (&'static str, &'static str, u8);
 ///
 /// The size class is `floor(log2 k)` of the per-rank element count, so
 /// measurements only ever mix with calls of comparable volume; the
-/// backend dimension keeps tcp and reactor latencies in separate series
+/// backend dimension keeps thread and reactor latencies in separate series
 /// so calibration comparisons never mix transports.
 #[derive(Debug, Default)]
 pub struct LatencyRegistry {

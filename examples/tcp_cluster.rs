@@ -8,7 +8,8 @@
 //! cargo run --release --example tcp_cluster -- 6     # 6 ranks
 //! ```
 //!
-//! Or launch ranks by hand (e.g. across machines) with the environment
+//! Or launch ranks by hand (e.g. across machines; Linux only, the
+//! transport's event loop is epoll) with the environment
 //! bootstrap — rank 0's address is the rendezvous point:
 //!
 //! ```console
@@ -20,12 +21,12 @@
 //!     cargo run --release --example tcp_cluster
 //! ```
 
-use sparcml::net::{run_tcp_cluster, LaunchOptions, TcpTransport};
+use sparcml::net::{run_socket_cluster, LaunchOptions};
 use sparcml::stream::random_sparse;
-use sparcml::{Communicator, Transport};
+use sparcml::{Communicator, ReactorTransport, Transport};
 
 /// The per-rank program: one adaptive sparse allreduce.
-fn rank_program(tp: &mut TcpTransport) -> String {
+fn rank_program(tp: &mut ReactorTransport) -> String {
     let mut comm = Communicator::new(tp.detach());
     let (rank, size) = (comm.rank(), comm.size());
     let grad = random_sparse::<f32>(1 << 20, 4096, 1234 + rank as u64);
@@ -57,7 +58,7 @@ fn main() {
     // Manual launch: the bootstrap env is set but no launcher job marker —
     // this process *is* one rank of a hand-assembled cluster.
     if std::env::var("SPARCML_RANK").is_ok() && std::env::var("SPARCML_JOB").is_err() {
-        let mut tp = TcpTransport::from_env().expect("join cluster from SPARCML_* env");
+        let mut tp = ReactorTransport::from_env().expect("join cluster from SPARCML_* env");
         println!("{}", rank_program(&mut tp));
         return;
     }
@@ -68,7 +69,7 @@ fn main() {
         .nth(1)
         .map(|a| a.parse().expect("world size must be an integer"))
         .unwrap_or(4);
-    let Some(reports) = run_tcp_cluster(
+    let Some(reports) = run_socket_cluster(
         "tcp_cluster_example",
         world,
         &LaunchOptions::default(),

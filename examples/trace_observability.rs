@@ -1,7 +1,7 @@
 //! End-to-end observability demo (and the CI acceptance check for it):
-//! a 4-process cluster on the reactor backend runs instrumented
-//! collectives — blocking, non-blocking, and an engine batch — under
-//! `SPARCML_TRACE` + `SPARCML_TELEMETRY`. Each rank flushes
+//! a 4-process socket cluster runs instrumented collectives — blocking,
+//! non-blocking, and an engine batch — under `SPARCML_TRACE` +
+//! `SPARCML_TELEMETRY`. Each rank flushes
 //! `trace-rank{r}.json` and `telemetry-rank{r}.json` on orderly
 //! shutdown, the launcher merges the traces into one Chrome trace — and
 //! this binary then re-opens the merged file and asserts it is valid
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use sparcml::core::{Algorithm, Communicator};
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
-use sparcml::net::{run_socket_cluster, LaunchOptions, Transport, TransportBackend};
+use sparcml::net::{run_socket_cluster, LaunchOptions, Transport};
 use sparcml::obs;
 use sparcml::stream::random_sparse;
 
@@ -45,7 +45,6 @@ fn main() {
     let dir = trace_dir();
     let opts = LaunchOptions::default()
         .with_timeout(Duration::from_secs(120))
-        .with_transport(TransportBackend::Reactor)
         .with_trace_dir(&dir)
         .with_telemetry_dir(&dir);
 

@@ -3,9 +3,9 @@
 //! The documented entry point is the [`Communicator`] session: one object
 //! per rank whose collectives are fluent builders, running over any
 //! [`Transport`] backend ([`Endpoint`] virtual-time, [`ThreadTransport`]
-//! real threads, [`TcpTransport`] real sockets across OS processes via
-//! the `sparcml_net::launcher` or the `SPARCML_*` env bootstrap), with
-//! `Algorithm::Auto` — the paper's §5.3 adaptive
+//! real threads, [`ReactorTransport`] real sockets across OS processes —
+//! Linux only — via the `sparcml_net::launcher` or the `SPARCML_*` env
+//! bootstrap), with `Algorithm::Auto` — the paper's §5.3 adaptive
 //! selector — as the default schedule. Sparse payloads use a
 //! structure-of-arrays layout (index slab + value slab) with a bulk slab
 //! wire codec and pooled message buffers; see the README's architecture
@@ -27,10 +27,9 @@ pub use sparcml_stream as stream;
 pub use sparcml_trainsim as trainsim;
 
 pub use sparcml_core::{
-    max_communicator_time, run_communicators, run_reactor_communicators, run_tcp_communicators,
-    run_thread_communicators, Algorithm, CollectiveHandle, Communicator, Endpoint, GroupTransport,
-    ReactorTransport, SocketTransport, TcpTransport, ThreadTransport, Topology, TopologyCostModel,
-    Transport, TransportBackend, TransportConfig,
+    max_communicator_time, run_communicators, run_reactor_communicators, run_thread_communicators,
+    Algorithm, CollectiveHandle, Communicator, Endpoint, GroupTransport, ReactorTransport,
+    ThreadTransport, Topology, TopologyCostModel, Transport, TransportConfig,
 };
 pub use sparcml_engine::{CommunicatorEngineExt, Engine, EngineConfig, FusionPolicy, Ticket};
 pub use sparcml_serve::{

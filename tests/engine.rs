@@ -1,14 +1,15 @@
 //! Progress-engine integration suite: concurrent collectives, fusion
 //! correctness, tag-block isolation, chunking, and priority scheduling —
-//! over the virtual-time, thread, and loopback-TCP transports.
+//! over the virtual-time, thread, and loopback-socket transports.
 
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{
-    run_communicators, run_tcp_communicators, run_thread_communicators, Algorithm, Communicator,
+    run_communicators, run_reactor_communicators, run_thread_communicators, Algorithm, Communicator,
 };
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig, FusionPolicy};
 use sparcml::net::{
-    run_tcp_loopback_cluster, run_thread_cluster, CostModel, TagBlock, Transport, TransportConfig,
+    run_reactor_loopback_cluster, run_thread_cluster, CostModel, TagBlock, Transport,
+    TransportConfig,
 };
 use sparcml::stream::SparseStream;
 
@@ -227,9 +228,9 @@ fn interleaved_allreduce_allgather_over_thread_transport() {
 }
 
 #[test]
-fn interleaved_allreduce_allgather_over_tcp_transport() {
+fn interleaved_allreduce_allgather_over_socket_transport() {
     let (p, dim, nnz) = (4, 2048, 64);
-    let outs = run_tcp_communicators(p, |comm| interleaved_program(comm, dim, nnz));
+    let outs = run_reactor_communicators(p, |comm| interleaved_program(comm, dim, nnz));
     check_interleaved(outs, p, dim, nnz);
 }
 
@@ -262,8 +263,8 @@ fn tag_blocks_isolate_traffic_on_thread_transport() {
 }
 
 #[test]
-fn tag_blocks_isolate_traffic_on_tcp_transport() {
-    let oks = run_tcp_loopback_cluster(
+fn tag_blocks_isolate_traffic_on_socket_transport() {
+    let oks = run_reactor_loopback_cluster(
         2,
         CostModel::loopback_tcp(),
         TransportConfig::default(),

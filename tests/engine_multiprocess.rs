@@ -1,11 +1,11 @@
-//! Progress engine over `Communicator<TcpTransport>` across real OS
+//! Progress engine over `Communicator<ReactorTransport>` across real OS
 //! processes: the multi-process acceptance test for the engine subsystem
 //! (fused per-layer gradients over 4 genuinely separate processes on
 //! loopback, results element-exact and message counts below the
-//! sequential path). Runs in the `tcp-multiprocess` CI job under its
+//! sequential path). Runs in the `socket-multiprocess` CI job under its
 //! hard wall-clock cap.
 //!
-//! Pattern (see `tests/tcp_multiprocess.rs`): the `job` string passed to
+//! Pattern (see `tests/socket_multiprocess.rs`): the `job` string passed to
 //! the launcher must equal the test function's name; worker processes
 //! bail out through the `else { return }` arm.
 
@@ -14,7 +14,7 @@ use std::time::Duration;
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{Algorithm, Communicator};
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
-use sparcml::net::{run_tcp_cluster, LaunchOptions, Transport};
+use sparcml::net::{run_socket_cluster, LaunchOptions, Transport};
 use sparcml::stream::SparseStream;
 
 const WORLD: usize = 4;
@@ -54,7 +54,7 @@ fn fingerprint(layers: &[Vec<f32>]) -> String {
 #[test]
 fn engine_fused_collectives_across_processes() {
     let opts = LaunchOptions::for_test().with_timeout(Duration::from_secs(120));
-    let Some(results) = run_tcp_cluster(
+    let Some(results) = run_socket_cluster(
         "engine_fused_collectives_across_processes",
         WORLD,
         &opts,

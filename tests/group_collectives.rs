@@ -12,7 +12,7 @@ use sparcml::core::{
 };
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
 use sparcml::net::{
-    run_cluster, run_tcp_loopback_cluster, run_thread_cluster, CommError, CommStats, CostModel,
+    run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CommError, CommStats, CostModel,
     Topology, TopologyCostModel, Transport, TransportConfig,
 };
 use sparcml::stream::{random_sparse, SparseStream, XorShift64};
@@ -106,13 +106,13 @@ fn split_works_on_thread_transport() {
 }
 
 #[test]
-fn split_works_on_tcp_transport() {
+fn split_works_on_socket_transport() {
     let p = 6;
     let dim = 2048;
     let ins: Vec<SparseStream<f32>> = (0..p)
         .map(|r| random_sparse(dim, 64, 9200 + r as u64))
         .collect();
-    let outs = run_tcp_loopback_cluster(
+    let outs = run_reactor_loopback_cluster(
         p,
         CostModel::loopback_tcp(),
         TransportConfig::default(),

@@ -1,29 +1,31 @@
-//! ReactorTransport integration suite: the full transport-parity matrix
-//! of `tcp_transport.rs` on the readiness-driven event-loop backend.
+//! Collectives over sockets, in-process: loopback [`ReactorTransport`]
+//! clusters.
 //!
-//! Every rank is an OS thread with its own single-threaded reactor, and
-//! the messages cross the real TCP stack — same rendezvous, same framing,
-//! same mailbox semantics as the thread-per-peer transport. Four parts:
+//! Every rank is an OS thread with its own event loop, and the messages
+//! cross the real TCP stack (rendezvous, full mesh, framed slabs). Four
+//! parts:
 //!
 //! * the **transport-parity matrix** — all allreduce algorithms (plus
 //!   Auto's k-agreement, allgathers, rooted, quantized and non-blocking
 //!   paths) for pow2 and non-pow2 rank counts, checked against the
-//!   sequential reference and bitwise against the virtual-time and TCP
-//!   transports on integer inputs;
+//!   sequential reference and bitwise against the virtual-time transport
+//!   on integer inputs;
 //! * **socket edge cases** — short reads reassembled across wakeups,
 //!   peers closing mid-frame, oversized frame declarations, and
-//!   malformed wire-v2 payloads;
-//! * a **P = 64 loopback smoke test** that also asserts the thread-count
-//!   win: one event loop per rank instead of a thread pair per peer;
-//! * the **progress engine** running fused gradient buckets over the
-//!   reactor.
+//!   malformed wire-v2 payloads arriving over a real socket;
+//! * a **P = 64 loopback smoke test** that also asserts the thread count:
+//!   one event loop per rank, whatever P is;
+//! * the **progress engine** running fused gradient buckets over sockets.
+//!
+//! (The point-to-point `Transport` contract is `transport_contract.rs`;
+//! ranks as separate OS processes are `socket_multiprocess.rs`.)
 
 use std::time::Duration;
 
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{
-    run_communicators, run_reactor_communicators, run_reactor_communicators_with,
-    run_tcp_communicators, Algorithm, Communicator,
+    run_communicators, run_reactor_communicators, run_reactor_communicators_with, Algorithm,
+    Communicator,
 };
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
 use sparcml::net::{
@@ -41,9 +43,9 @@ fn quick_config() -> TransportConfig {
         .with_connect_timeout(Duration::from_secs(20))
 }
 
-/// Runs one allreduce program over the loopback reactor cluster and
+/// Runs one allreduce program over the loopback socket cluster and
 /// checks every rank against the sequential reference.
-fn check_algo_over_reactor<V: Scalar>(algo: Algorithm, p: usize, dim: usize, nnz: usize, tol: f64) {
+fn check_algo<V: Scalar>(algo: Algorithm, p: usize, dim: usize, nnz: usize, tol: f64) {
     let ins: Vec<SparseStream<V>> = (0..p)
         .map(|r| random_sparse(dim, nnz, 7100 + r as u64))
         .collect();
@@ -68,27 +70,27 @@ fn check_algo_over_reactor<V: Scalar>(algo: Algorithm, p: usize, dim: usize, nnz
 }
 
 #[test]
-fn all_algorithms_match_reference_over_reactor() {
-    // The parity matrix of the TCP suite, on the event-loop backend:
-    // pow2 and non-pow2 rank counts.
+fn all_algorithms_match_reference() {
+    // The parity matrix of the Endpoint/ThreadTransport suite, over
+    // sockets: pow2 and non-pow2 rank counts.
     for &p in &[3usize, 4, 5, 8] {
         for algo in Algorithm::ALL {
-            check_algo_over_reactor::<f32>(algo, p, 2048, 64, 1e-3);
+            check_algo::<f32>(algo, p, 2048, 64, 1e-3);
         }
     }
 }
 
 #[test]
-fn auto_and_f64_match_reference_over_reactor() {
+fn auto_and_f64_match_reference() {
     for &p in &[3usize, 4, 5, 8] {
-        check_algo_over_reactor::<f32>(Algorithm::Auto, p, 2048, 96, 1e-3);
+        check_algo::<f32>(Algorithm::Auto, p, 2048, 96, 1e-3);
     }
-    check_algo_over_reactor::<f64>(Algorithm::SsarRecDbl, 5, 1024, 48, 1e-9);
-    check_algo_over_reactor::<f64>(Algorithm::Auto, 4, 1024, 48, 1e-9);
+    check_algo::<f64>(Algorithm::SsarRecDbl, 5, 1024, 48, 1e-9);
+    check_algo::<f64>(Algorithm::Auto, 4, 1024, 48, 1e-9);
 }
 
 #[test]
-fn auto_k_agreement_with_skewed_nnz_over_reactor() {
+fn auto_k_agreement_with_skewed_nnz() {
     // Ranks contribute *different* nonzero counts: the Auto path must
     // agree on one k over the real wire (a per-rank choice could pick
     // different schedules and deadlock).
@@ -112,7 +114,7 @@ fn auto_k_agreement_with_skewed_nnz_over_reactor() {
 }
 
 #[test]
-fn allgather_variants_over_reactor() {
+fn allgather_variants() {
     let p = 5;
     let dim = 1024;
     let outs = run_reactor_communicators(p, |comm| {
@@ -155,7 +157,7 @@ fn allgather_variants_over_reactor() {
 }
 
 #[test]
-fn rooted_collectives_over_reactor() {
+fn rooted_collectives() {
     let p = 5;
     let dim = 2048;
     let root = 2;
@@ -185,6 +187,8 @@ fn rooted_collectives_over_reactor() {
         for (g, e) in bcast.to_dense_vec().iter().zip(expect.iter()) {
             assert!((g - e).abs() < 1e-4, "broadcast rank {rank}");
         }
+        // The scattered partition must agree with the reference on its
+        // support (each rank owns one dimension slice).
         for (i, v) in scattered.to_dense_vec().iter().enumerate() {
             if *v != 0.0 {
                 assert!((v - expect[i]).abs() < 1e-4, "reduce_scatter rank {rank}");
@@ -194,7 +198,7 @@ fn rooted_collectives_over_reactor() {
 }
 
 #[test]
-fn quantized_and_nonblocking_over_reactor() {
+fn quantized_and_nonblocking() {
     // DSAR + QSGD rides the same frames, and a non-blocking launch moves
     // the whole ReactorTransport (sockets, loop thread handle) onto a
     // helper thread and back.
@@ -229,10 +233,10 @@ fn quantized_and_nonblocking_over_reactor() {
 }
 
 #[test]
-fn reactor_matches_virtual_time_and_tcp_bitwise_for_integer_values() {
+fn matches_virtual_time_transport_bitwise_for_integer_values() {
     // Integer-valued inputs make every summation order exact, so the
-    // reactor run must agree bit for bit with both the virtual-time
-    // Endpoint run and the thread-per-peer TCP run.
+    // socket run must agree with the virtual-time Endpoint run bit for
+    // bit.
     let p = 4;
     let dim = 1024;
     let mk = |rank: usize| {
@@ -253,13 +257,6 @@ fn reactor_matches_virtual_time_and_tcp_bitwise_for_integer_values() {
                 .and_then(|h| h.wait())
                 .unwrap()
         });
-        let tcp_outs = run_tcp_communicators(p, |comm| {
-            comm.allreduce(&mk(comm.rank()))
-                .algorithm(algo)
-                .launch()
-                .and_then(|h| h.wait())
-                .unwrap()
-        });
         let reactor_outs = run_reactor_communicators(p, |comm| {
             comm.allreduce(&mk(comm.rank()))
                 .algorithm(algo)
@@ -267,8 +264,7 @@ fn reactor_matches_virtual_time_and_tcp_bitwise_for_integer_values() {
                 .and_then(|h| h.wait())
                 .unwrap()
         });
-        assert_eq!(virtual_outs, reactor_outs, "{algo:?} vs virtual time");
-        assert_eq!(tcp_outs, reactor_outs, "{algo:?} vs thread-per-peer TCP");
+        assert_eq!(virtual_outs, reactor_outs, "{algo:?}");
     }
 }
 
@@ -285,7 +281,7 @@ fn frame_header(len: usize, tag: u64) -> Vec<u8> {
 }
 
 #[test]
-fn short_reads_reassemble_into_whole_frames_on_reactor() {
+fn short_reads_reassemble_into_whole_frames() {
     // The payload dribbles in over many small raw writes with pauses;
     // the loop's incremental reassembly must carry the partial frame
     // across wakeups and deliver exactly one message.
@@ -313,7 +309,7 @@ fn short_reads_reassemble_into_whole_frames_on_reactor() {
 }
 
 #[test]
-fn peer_closing_mid_frame_is_a_typed_disconnect_on_reactor() {
+fn peer_closing_mid_frame_is_a_typed_disconnect() {
     let results = run_reactor_loopback_cluster(2, CostModel::zero(), quick_config(), |tp| {
         if tp.rank() == 1 {
             // Declare 100 payload bytes, deliver only 10, then vanish.
@@ -339,7 +335,7 @@ fn peer_closing_mid_frame_is_a_typed_disconnect_on_reactor() {
 }
 
 #[test]
-fn oversized_frame_declaration_is_rejected_on_reactor() {
+fn oversized_frame_declaration_is_rejected() {
     // A corrupt (or hostile) length prefix must not be honored with a
     // giant allocation: the connection is dropped with a typed error.
     let config = quick_config();
@@ -370,16 +366,17 @@ fn oversized_frame_declaration_is_rejected_on_reactor() {
 }
 
 #[test]
-fn malformed_wire_v2_frames_surface_typed_stream_errors_on_reactor() {
-    // Frames arrive intact but their wire-v2 payload is bad: the typed
-    // StreamErrors must surface, exactly as on the other transports.
+fn malformed_wire_v2_frames_surface_typed_stream_errors() {
+    // Frames arrive intact over TCP but their wire-v2 payload is bad: the
+    // existing typed StreamErrors must surface, exactly as in-process.
     let results = run_reactor_loopback_cluster(2, CostModel::zero(), quick_config(), |tp| {
         if tp.rank() == 1 {
             let good = random_sparse::<f32>(256, 16, 42).encode();
             // (a) truncated: drop the tail of a valid frame.
             tp.send(0, 1, good.slice(0..good.len() - 5)).unwrap();
             // (b) unsorted indices: swap the first two u32 entries of the
-            // index slab (the sparse header is 20 bytes).
+            // index slab (the sparse header is 20 bytes: magic, version,
+            // width, repr tag, dim u64, nnz u64).
             let mut bad = good.to_vec();
             for i in 0..4 {
                 bad.swap(20 + i, 24 + i);
@@ -408,7 +405,7 @@ fn malformed_wire_v2_frames_surface_typed_stream_errors_on_reactor() {
 }
 
 #[test]
-fn communicator_survives_collective_error_and_reports_it_on_reactor() {
+fn communicator_survives_collective_error_and_reports_it() {
     // A collective over a vanished peer must error (not hang), and the
     // error must be a communication error.
     let config = quick_config().with_recv_timeout(Duration::from_secs(2));
@@ -438,6 +435,7 @@ fn communicator_survives_collective_error_and_reports_it_on_reactor() {
 
 #[test]
 fn wrong_rank_fails_reactor_rendezvous() {
+    // Sanity on the typed bootstrap errors without any env mutation.
     let err = ReactorTransport::rendezvous(
         3,
         2,
@@ -464,10 +462,9 @@ fn process_threads() -> Option<usize> {
 
 #[test]
 fn p64_loopback_smoke_with_bounded_threads() {
-    // 64 ranks in one process. On the thread-per-peer transport this mesh
-    // would need 64·2·63 ≈ 8000 I/O threads; the reactor needs one loop
-    // thread per rank. Run a real allreduce for parity and assert the
-    // thread count stays in the event-loop regime.
+    // 64 ranks in one process: a thread pair per peer connection would be
+    // 64·2·63 ≈ 8000 I/O threads; the transport needs one loop thread per
+    // rank. Run a real allreduce and assert the thread count stays there.
     let p = 64;
     let dim = 2048;
     let nnz = 32;
@@ -495,8 +492,7 @@ fn p64_loopback_smoke_with_bounded_threads() {
     for (rank, (got, threads)) in outs.iter().enumerate() {
         assert_eq!(got, &expect, "rank {rank} result");
         if let Some(threads) = threads {
-            // 64 rank threads + 64 loop threads + main + slack. The
-            // thread-per-peer design would sit at ~8000 here.
+            // 64 rank threads + 64 loop threads + main + slack.
             assert!(
                 *threads <= 3 * p + 16,
                 "rank {rank} saw {threads} threads — not event-loop scale"
@@ -506,7 +502,7 @@ fn p64_loopback_smoke_with_bounded_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Progress engine over the reactor
+// Progress engine over sockets
 // ---------------------------------------------------------------------------
 
 /// Deterministic integer-valued input for `(rank, layer)` (identical to
@@ -525,11 +521,11 @@ fn integer_stream(rank: usize, layer: usize, dim: usize, nnz: usize) -> SparseSt
 }
 
 #[test]
-fn engine_fused_group_over_reactor_is_exact() {
+fn engine_fused_group_is_exact() {
     // The progress engine's fused-bucket path (background thread owning
     // the transport, priority-scheduled concurrent collectives) on top of
-    // the reactor: detach/reattach and tag-block isolation must compose
-    // with the event loop.
+    // the socket transport: detach/reattach and tag-block isolation must
+    // compose with the event loop.
     let (p, layers, dim, nnz) = (4, 16, 1024, 48);
     let expect: Vec<Vec<f32>> = (0..layers)
         .map(|l| {
@@ -562,7 +558,7 @@ fn engine_fused_group_over_reactor_is_exact() {
             assert_eq!(
                 out.to_dense_vec(),
                 expect[l],
-                "fused layer {l} must be element-exact over the reactor"
+                "fused layer {l} must be element-exact over sockets"
             );
         }
     }

@@ -1,11 +1,12 @@
-//! TcpTransport integration suite, part 2: real OS processes.
+//! Collectives over sockets across real OS processes.
 //!
 //! Every test here re-executes this test binary once per rank through
-//! `sparcml::net::run_tcp_cluster` (the launcher sets the
+//! `sparcml::net::run_socket_cluster` (the launcher sets the
 //! `SPARCML_RANK`/`SPARCML_WORLD`/`SPARCML_ROOT_ADDR` bootstrap and the
 //! `--exact` libtest filter, so each child process runs exactly the test
-//! that spawned it and becomes one rank). This is the acceptance harness
-//! for the paper-shaped claim: `Communicator<TcpTransport>` completes all
+//! that spawned it and becomes one rank, joining through
+//! `ReactorTransport::from_env`). This is the acceptance harness for the
+//! paper-shaped claim: `Communicator<ReactorTransport>` completes all
 //! allreduce algorithms, allgather, and the rooted collectives across
 //! ≥ 4 genuinely separate processes over loopback — and a killed peer
 //! makes every surviving rank fail loudly instead of hanging.
@@ -18,7 +19,7 @@ use std::time::Duration;
 
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{Algorithm, Communicator};
-use sparcml::net::{run_tcp_cluster, run_tcp_cluster_outcomes, LaunchOptions, Transport};
+use sparcml::net::{run_socket_cluster, run_socket_cluster_outcomes, LaunchOptions, Transport};
 use sparcml::stream::{random_sparse, SparseStream};
 
 /// Deterministic integer-valued input for `rank`: every summation order
@@ -49,15 +50,16 @@ fn opts() -> LaunchOptions {
 }
 
 #[test]
-fn tcp_all_allreduce_algorithms_across_processes() {
+fn all_allreduce_algorithms_across_processes() {
     let world = 4;
     let dim = 2048;
     let nnz = 96;
-    let Some(results) = run_tcp_cluster(
-        "tcp_all_allreduce_algorithms_across_processes",
+    let Some(results) = run_socket_cluster(
+        "all_allreduce_algorithms_across_processes",
         world,
         &opts(),
         |tp| {
+            assert_eq!(tp.backend_name(), "reactor");
             let mut comm = Communicator::new(tp.detach());
             let input = integer_stream(comm.rank(), dim, nnz);
             let mut parts = Vec::new();
@@ -95,12 +97,14 @@ fn tcp_all_allreduce_algorithms_across_processes() {
 }
 
 #[test]
-fn tcp_allgather_and_rooted_across_processes() {
-    // Non-pow2 world exercises the fold/ring paths across processes.
+fn allgather_rooted_and_nonblocking_across_processes() {
+    // Non-pow2 world exercises the fold/ring paths; the non-blocking
+    // launch moves the whole transport (loop thread included) onto a
+    // helper thread and back — across real processes.
     let world = 5;
     let dim = 1024;
-    let Some(results) = run_tcp_cluster(
-        "tcp_allgather_and_rooted_across_processes",
+    let Some(results) = run_socket_cluster(
+        "allgather_rooted_and_nonblocking_across_processes",
         world,
         &opts(),
         |tp| {
@@ -144,6 +148,17 @@ fn tcp_allgather_and_rooted_across_processes() {
                     "reduce_scatter rank {rank} coord {i}"
                 );
             }
+
+            let mut handle = comm
+                .allreduce(&ins[rank])
+                .algorithm(Algorithm::SsarSplitAllgather)
+                .nonblocking()
+                .launch()
+                .unwrap();
+            handle.compute(10_000); // overlapped local work
+            let overlapped = handle.wait().unwrap();
+            assert_eq!(overlapped.to_dense_vec(), expect, "nonblocking rank {rank}");
+
             *tp = comm.into_transport();
             fingerprint(&bcast.to_dense_vec())
         },
@@ -158,17 +173,14 @@ fn tcp_allgather_and_rooted_across_processes() {
 }
 
 #[test]
-fn tcp_auto_agrees_on_k_across_processes() {
+fn auto_agrees_on_k_across_processes() {
     // Ranks contribute different nonzero counts; Algorithm::Auto must
     // agree on one k (and hence one schedule) over the real wire, on
     // every rank, and produce the reference sum.
     let world = 4;
     let dim = 4096;
-    let Some(results) = run_tcp_cluster(
-        "tcp_auto_agrees_on_k_across_processes",
-        world,
-        &opts(),
-        |tp| {
+    let Some(results) =
+        run_socket_cluster("auto_agrees_on_k_across_processes", world, &opts(), |tp| {
             let mut comm = Communicator::new(tp.detach());
             let rank = comm.rank();
             let input = integer_stream(rank, dim, 24 + 48 * rank);
@@ -186,8 +198,8 @@ fn tcp_auto_agrees_on_k_across_processes() {
                 .unwrap();
             *tp = comm.into_transport();
             format!("{}:{}", resolved.name(), fingerprint(&out.to_dense_vec()))
-        },
-    ) else {
+        })
+    else {
         return;
     };
     let ins: Vec<SparseStream<f32>> = (0..world)
@@ -202,39 +214,47 @@ fn tcp_auto_agrees_on_k_across_processes() {
 }
 
 #[test]
-fn tcp_nonblocking_overlap_across_processes() {
+fn multiple_collectives_one_session_across_processes() {
+    // Back-to-back collectives on one communicator session: tags must
+    // isolate them across processes exactly as in-process.
     let world = 4;
-    let dim = 2048;
-    let Some(results) = run_tcp_cluster(
-        "tcp_nonblocking_overlap_across_processes",
+    let dim = 1024;
+    let Some(results) = run_socket_cluster(
+        "multiple_collectives_one_session_across_processes",
         world,
         &opts(),
         |tp| {
             let mut comm = Communicator::new(tp.detach());
-            let input = integer_stream(comm.rank(), dim, 64);
-            let mut handle = comm
-                .allreduce(&input)
-                .algorithm(Algorithm::SsarSplitAllgather)
-                .nonblocking()
+            let rank = comm.rank();
+            let a = integer_stream(rank, dim, 32);
+            let b = random_sparse::<f32>(dim, 16, 7000 + rank as u64);
+            let first = comm
+                .allreduce(&a)
+                .algorithm(Algorithm::SparseRing)
                 .launch()
+                .and_then(|h| h.wait())
                 .unwrap();
-            handle.compute(10_000); // overlapped local work
-            let out = handle.wait().unwrap();
+            let second = comm
+                .allreduce(&b)
+                .algorithm(Algorithm::SsarSplitAllgather)
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap();
             *tp = comm.into_transport();
-            fingerprint(&out.to_dense_vec())
+            format!("{}+{}", fingerprint(&first.to_dense_vec()), second.nnz())
         },
     ) else {
         return;
     };
-    let ins: Vec<SparseStream<f32>> = (0..world).map(|r| integer_stream(r, dim, 64)).collect();
+    let ins: Vec<SparseStream<f32>> = (0..world).map(|r| integer_stream(r, dim, 32)).collect();
     let expect = fingerprint(&reference_sum(&ins));
-    for got in &results {
-        assert_eq!(got, &expect);
+    for (rank, line) in results.iter().enumerate() {
+        assert!(line.starts_with(&expect), "rank {rank}: {line}");
     }
 }
 
 #[test]
-fn tcp_killed_peer_fails_survivors_within_timeout() {
+fn killed_peer_fails_survivors_within_timeout() {
     // Rank 2 dies right after the mesh is up; every survivor's collective
     // must error out well within the watchdog budget — never hang. The
     // launcher's hard deadline would catch a hang, but the point is that
@@ -244,8 +264,8 @@ fn tcp_killed_peer_fails_survivors_within_timeout() {
         .with_timeout(Duration::from_secs(60))
         .with_recv_timeout(Duration::from_secs(3));
     let started = std::time::Instant::now();
-    let Some(outcomes) = run_tcp_cluster_outcomes(
-        "tcp_killed_peer_fails_survivors_within_timeout",
+    let Some(outcomes) = run_socket_cluster_outcomes(
+        "killed_peer_fails_survivors_within_timeout",
         world,
         &opts,
         |tp| {
@@ -297,47 +317,7 @@ fn tcp_killed_peer_fails_survivors_within_timeout() {
 }
 
 #[test]
-fn tcp_multiple_collectives_one_session_across_processes() {
-    // Back-to-back collectives on one communicator session: tags must
-    // isolate them across processes exactly as in-process.
-    let world = 4;
-    let dim = 1024;
-    let Some(results) = run_tcp_cluster(
-        "tcp_multiple_collectives_one_session_across_processes",
-        world,
-        &opts(),
-        |tp| {
-            let mut comm = Communicator::new(tp.detach());
-            let rank = comm.rank();
-            let a = integer_stream(rank, dim, 32);
-            let b = random_sparse::<f32>(dim, 16, 7000 + rank as u64);
-            let first = comm
-                .allreduce(&a)
-                .algorithm(Algorithm::SparseRing)
-                .launch()
-                .and_then(|h| h.wait())
-                .unwrap();
-            let second = comm
-                .allreduce(&b)
-                .algorithm(Algorithm::SsarSplitAllgather)
-                .launch()
-                .and_then(|h| h.wait())
-                .unwrap();
-            *tp = comm.into_transport();
-            format!("{}+{}", fingerprint(&first.to_dense_vec()), second.nnz())
-        },
-    ) else {
-        return;
-    };
-    let ins: Vec<SparseStream<f32>> = (0..world).map(|r| integer_stream(r, dim, 32)).collect();
-    let expect = fingerprint(&reference_sum(&ins));
-    for (rank, line) in results.iter().enumerate() {
-        assert!(line.starts_with(&expect), "rank {rank}: {line}");
-    }
-}
-
-#[test]
-fn tcp_engine_density_guard_splits_buckets_across_processes() {
+fn engine_density_guard_splits_buckets_across_processes() {
     // The k = 1e4 fusion-loss shape from BENCH_engine.json: before the
     // density-aware FusionPolicy these four 65_536-dim/10_000-nnz jobs
     // fused into ONE bandwidth-bound bucket. The guard (projected fused
@@ -350,8 +330,8 @@ fn tcp_engine_density_guard_splits_buckets_across_processes() {
     let layers = 4;
     let dim = 1 << 16;
     let nnz = 10_000;
-    let Some(results) = run_tcp_cluster(
-        "tcp_engine_density_guard_splits_buckets_across_processes",
+    let Some(results) = run_socket_cluster(
+        "engine_density_guard_splits_buckets_across_processes",
         world,
         &opts(),
         |tp| {
@@ -400,7 +380,7 @@ fn tcp_engine_density_guard_splits_buckets_across_processes() {
 }
 
 #[test]
-fn tcp_hierarchical_2x4_with_engine_on_subgroup_across_processes() {
+fn hierarchical_2x4_with_engine_on_subgroup_across_processes() {
     // 8 real OS processes pinned to a 2×4 topology (the launcher exports
     // SPARCML_NODES/SPARCML_NODE to every rank). Exercises, across real
     // sockets and processes:
@@ -420,8 +400,8 @@ fn tcp_hierarchical_2x4_with_engine_on_subgroup_across_processes() {
     let opts = LaunchOptions::for_test()
         .with_timeout(Duration::from_secs(120))
         .with_topology(topo.clone());
-    let Some(results) = run_tcp_cluster(
-        "tcp_hierarchical_2x4_with_engine_on_subgroup_across_processes",
+    let Some(results) = run_socket_cluster(
+        "hierarchical_2x4_with_engine_on_subgroup_across_processes",
         world,
         &opts,
         |tp| {
@@ -429,7 +409,6 @@ fn tcp_hierarchical_2x4_with_engine_on_subgroup_across_processes() {
             let rank = comm.rank();
             let input = integer_stream(rank, dim, nnz);
 
-            // (1) Hierarchical with env-derived topology.
             let hier = comm
                 .allreduce(&input)
                 .algorithm(Algorithm::Hierarchical)
@@ -437,7 +416,6 @@ fn tcp_hierarchical_2x4_with_engine_on_subgroup_across_processes() {
                 .and_then(|h| h.wait())
                 .unwrap();
 
-            // (2) Engine on the node subgroup.
             let env_topo = Topology::from_env(world)
                 .expect("launcher exports a valid topology")
                 .expect("SPARCML_NODES must be set for this job");
@@ -451,7 +429,6 @@ fn tcp_hierarchical_2x4_with_engine_on_subgroup_across_processes() {
             engine.finish_into(&mut sub).unwrap();
             let mut comm = sub.into_parent();
 
-            // (3) Flat world collective after dissolving the group.
             let flat = comm
                 .allreduce(&input)
                 .algorithm(Algorithm::SsarRecDbl)

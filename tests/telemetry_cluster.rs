@@ -1,17 +1,17 @@
 //! Cluster telemetry plane, end to end: an injected straggler must be
 //! named by `Communicator::cluster_report()` on every rank — in-process
-//! over threads and across real OS processes on both socket backends —
-//! and the launcher-side telemetry directory must reconstruct the same
+//! over threads and across real OS processes over sockets — and the
+//! launcher-side telemetry directory must reconstruct the same
 //! verdict for the orchestrator (what `sparcml-doctor` ingests).
 //!
-//! Multi-process pattern as in `tcp_multiprocess.rs`: the `job` string
+//! Multi-process pattern as in `socket_multiprocess.rs`: the `job` string
 //! must equal the test function's name, worker processes exit through
 //! the `else { return }` arm, and the parent asserts.
 
 use std::time::Duration;
 
 use sparcml::core::{Algorithm, Communicator};
-use sparcml::net::{run_socket_cluster, LaunchOptions, Transport, TransportBackend};
+use sparcml::net::{run_socket_cluster, LaunchOptions, Transport};
 use sparcml::obs;
 use sparcml::stream::SparseStream;
 
@@ -28,7 +28,7 @@ fn input_for(rank: usize, dim: usize) -> SparseStream<f32> {
 }
 
 /// The straggling rank program: `ROUNDS` recursive-doubling allreduces
-/// (a fixed algorithm keeps the schedule identical on every backend),
+/// (a fixed algorithm keeps the schedule identical on every transport),
 /// with `STRAGGLER` sleeping before each one, then a cluster report.
 fn straggle_and_report<T: Transport + Send + 'static>(
     comm: &mut Communicator<T>,
@@ -79,14 +79,14 @@ fn injected_straggler_named_on_thread_cluster() {
     }
 }
 
-/// Shared body of the two multi-process variants below.
-fn straggler_across_processes(job: &str, backend: TransportBackend) {
+#[test]
+fn telemetry_straggler_named_across_processes() {
+    let job = "telemetry_straggler_named_across_processes";
     let world = 4;
     let dir = std::env::temp_dir().join(format!("sparcml-{job}"));
     let _ = std::fs::remove_dir_all(&dir);
     let opts = LaunchOptions::for_test()
         .with_timeout(Duration::from_secs(120))
-        .with_transport(backend)
         .with_telemetry_dir(&dir);
     let Some(results) = run_socket_cluster(job, world, &opts, |tp| {
         let mut comm = Communicator::new(tp.detach());
@@ -108,22 +108,6 @@ fn straggler_across_processes(job: &str, backend: TransportBackend) {
     assert_eq!(report.ranks(), vec![0, 1, 2, 3]);
     assert_names_straggler(&report, "orchestrator");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn telemetry_straggler_named_across_tcp_processes() {
-    straggler_across_processes(
-        "telemetry_straggler_named_across_tcp_processes",
-        TransportBackend::Tcp,
-    );
-}
-
-#[test]
-fn telemetry_straggler_named_across_reactor_processes() {
-    straggler_across_processes(
-        "telemetry_straggler_named_across_reactor_processes",
-        TransportBackend::Reactor,
-    );
 }
 
 #[test]
