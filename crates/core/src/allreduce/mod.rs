@@ -14,7 +14,6 @@
 //! | [`Algorithm::DenseRabenseifner`] | recursive halving + doubling | large dense data baseline [44] |
 //! | [`Algorithm::DenseRing`] | ring reduce-scatter + allgather | bandwidth-bound dense baseline |
 //! | [`Algorithm::SparseRing`] | ring schedule on sparse partitions | the "sparse counterpart" of Fig. 3 |
-//! | [`Algorithm::AdaptiveSwitch`] | recursive doubling with the in-collective δ-switch | mixed/unknown density: starts sparse, densifies the remaining rounds once the projected union crosses δ |
 //! | [`Algorithm::Hierarchical`] | intra-node reduce → leader-level flat allreduce → intra-node broadcast | multi-node clusters with fast intra-node links (needs a [`AllreduceConfig::topology`]) |
 
 mod dense;
@@ -31,13 +30,13 @@ pub use dsar_split_ag::dsar_split_allgather;
 pub(crate) use dsar_split_ag::dsar_split_allgather_pooled;
 pub use sparse_ring::sparse_ring;
 pub(crate) use sparse_ring::sparse_ring_pooled;
-pub use ssar_rec_dbl::{ssar_adaptive_switch, ssar_recursive_double};
-pub(crate) use ssar_rec_dbl::{ssar_adaptive_switch_pooled, ssar_recursive_double_pooled};
+pub use ssar_rec_dbl::ssar_recursive_double;
+pub(crate) use ssar_rec_dbl::ssar_recursive_double_pooled;
 // The split phase of SSAR_Split_allgather doubles as the crate's
 // reduce-scatter building block (see `rooted::sparse_reduce_scatter`).
 pub(crate) use ssar_split_ag::split_reduce_partition;
-pub use ssar_split_ag::{ssar_split_allgather, ssar_split_allgather_adaptive};
-pub(crate) use ssar_split_ag::{ssar_split_allgather_adaptive_pooled, ssar_split_allgather_pooled};
+pub use ssar_split_ag::ssar_split_allgather;
+pub(crate) use ssar_split_ag::ssar_split_allgather_pooled;
 
 use std::sync::Arc;
 
@@ -77,14 +76,6 @@ pub enum Algorithm {
     DenseRing,
     /// Sparse ring (ring schedule on sparse partitions).
     SparseRing,
-    /// Recursive doubling with the in-collective δ-switch: every merge
-    /// round tracks the running union size and, once the projected
-    /// end-of-collective union crosses the paper's raw δ, the remaining
-    /// rounds run on the dense representation
-    /// ([`crate::ssar_adaptive_switch`]). The repr decisions are
-    /// rank-agreed by construction — the union size and switch state are
-    /// piggybacked on every frame header.
-    AdaptiveSwitch,
     /// Two-level topology-aware schedule: intra-node sparse reduce to each
     /// node's leader, a flat sparse allreduce among the leaders (chosen
     /// recursively — [`AllreduceConfig::hier_leader_algorithm`]), then an
@@ -99,8 +90,9 @@ impl Algorithm {
     /// All concrete *flat* algorithms, for sweeps ([`Algorithm::Auto`]
     /// resolves to one of these, or to [`Algorithm::Hierarchical`] when a
     /// non-trivial topology is configured; `Hierarchical` is excluded here
-    /// because it needs a topology to mean anything).
-    pub const ALL: [Algorithm; 8] = [
+    /// because it needs a topology to mean anything). The order is
+    /// wire-visible: calibrated sessions agree on a pick by its index here.
+    pub const ALL: [Algorithm; 7] = [
         Algorithm::SsarRecDbl,
         Algorithm::SsarSplitAllgather,
         Algorithm::DsarSplitAllgather,
@@ -108,9 +100,6 @@ impl Algorithm {
         Algorithm::DenseRabenseifner,
         Algorithm::DenseRing,
         Algorithm::SparseRing,
-        // Appended last so the 1-byte agreement indices of the original
-        // seven stay stable across mixed-version clusters.
-        Algorithm::AdaptiveSwitch,
     ];
 
     /// Short human-readable name matching the paper's figure legends.
@@ -124,7 +113,6 @@ impl Algorithm {
             Algorithm::DenseRabenseifner => "Dense_Rabenseifner",
             Algorithm::DenseRing => "Dense_Ring",
             Algorithm::SparseRing => "Sparse_Ring",
-            Algorithm::AdaptiveSwitch => "Adaptive_switch",
             Algorithm::Hierarchical => "Hierarchical",
         }
     }
@@ -174,15 +162,6 @@ pub struct AllreduceConfig {
     /// Usually installed session-wide via
     /// [`crate::Communicator::enable_calibration`] rather than per call.
     pub calibration: Option<Arc<ObservedCostModel>>,
-    /// Escape hatch routing the classic sparse schedules through their
-    /// δ-switching variants: with this set, an explicit
-    /// [`Algorithm::SsarRecDbl`] request runs
-    /// [`crate::ssar_adaptive_switch`] and
-    /// [`Algorithm::SsarSplitAllgather`] runs
-    /// [`crate::ssar_split_allgather_adaptive`] — same schedules, but the
-    /// representation may switch dense mid-collective once the projected
-    /// union crosses δ.
-    pub adaptive: bool,
 }
 
 impl Default for AllreduceConfig {
@@ -196,7 +175,6 @@ impl Default for AllreduceConfig {
             topology_cost: None,
             hier_leader_algorithm: Algorithm::Auto,
             calibration: None,
-            adaptive: false,
         }
     }
 }
@@ -217,14 +195,14 @@ enum AutoPass<V: Scalar> {
 /// choice could diverge and deadlock the schedule — and the agreement
 /// rides recursive doubling's own frames
 /// ([`ssar_rec_dbl::rec_dbl_agree_pooled`]): a rank whose own `k` selects
-/// `SSAR_Recursive_double` (flat regime, preset selector, no δ-switch
-/// escape hatch) enters the pass *eager*, reducing as it agrees. If every
-/// rank did, the pass already produced the result and no round was spent
-/// on agreement; otherwise its frames were bare 8-byte words, the agreed
-/// `k` goes through the §5.3 selector and the caller dispatches the
-/// concrete schedule. With a non-trivial [`AllreduceConfig::topology`],
-/// the topology-aware selector also prices the two-level hierarchical
-/// schedule and may pick it. Returns the outcome and the agreed `k`.
+/// `SSAR_Recursive_double` (flat regime, preset selector) enters the pass
+/// *eager*, reducing as it agrees. If every rank did, the pass already
+/// produced the result and no round was spent on agreement; otherwise its
+/// frames were bare 8-byte words, the agreed `k` goes through the §5.3
+/// selector and the caller dispatches the concrete schedule. With a
+/// non-trivial [`AllreduceConfig::topology`], the topology-aware selector
+/// also prices the two-level hierarchical schedule and may pick it.
+/// Returns the outcome and the agreed `k`.
 fn resolve_auto<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
@@ -251,7 +229,6 @@ fn resolve_auto<T: Transport, V: Scalar>(
     };
     let eager = topo.is_none()
         && cfg.calibration.is_none()
-        && !cfg.adaptive
         && crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost())
             == Algorithm::SsarRecDbl;
     let (reduced, k_agreed) = ssar_rec_dbl::rec_dbl_agree_pooled(ep, input, eager, cfg, pool)?;
@@ -445,13 +422,8 @@ fn dispatch_flat_concrete<T: Transport, V: Scalar>(
         Algorithm::Auto | Algorithm::Hierarchical => {
             unreachable!("flat resolution yields a concrete flat algorithm")
         }
-        Algorithm::SsarRecDbl if cfg.adaptive => ssar_adaptive_switch_pooled(ep, input, cfg, pool),
         Algorithm::SsarRecDbl => ssar_recursive_double_pooled(ep, input, cfg, pool),
-        Algorithm::SsarSplitAllgather if cfg.adaptive => {
-            ssar_split_allgather_adaptive_pooled(ep, input, cfg, pool)
-        }
         Algorithm::SsarSplitAllgather => ssar_split_allgather_pooled(ep, input, cfg, pool),
-        Algorithm::AdaptiveSwitch => ssar_adaptive_switch_pooled(ep, input, cfg, pool),
         Algorithm::DsarSplitAllgather => dsar_split_allgather_pooled(ep, input, cfg, pool),
         Algorithm::DenseRecDbl => dense_recursive_double_pooled(ep, input, cfg, pool),
         Algorithm::DenseRabenseifner => dense_rabenseifner_pooled(ep, input, cfg, pool),

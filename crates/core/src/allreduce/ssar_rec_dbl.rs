@@ -15,13 +15,12 @@
 //! run this schedule *as* its k-agreement instead of in front of it.
 
 use sparcml_net::Transport;
-use sparcml_stream::{delta_raw, project_union_bound, DensityPolicy, Scalar, SparseStream};
+use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
 
 use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
 use crate::op::{
-    add_charged, fold_to_pow2, pow2_below, recv_stream_with_word, send_stream_with_word, subtag,
-    tag, unfold_result, BufferPool, FoldRole,
+    add_charged, pow2_below, recv_stream_with_word, send_stream_with_word, subtag, tag, BufferPool,
 };
 
 /// Sparse recursive-doubling allreduce. Handles any `P ≥ 1` via the §A
@@ -201,6 +200,9 @@ pub(crate) fn rec_dbl_agree_pooled<T: Transport, V: Scalar>(
     for t in 0..p2.trailing_zeros() as u64 {
         let peer = rank ^ (1 << t);
         let round = tag(op_id, subtag::ROUND + t);
+        if acc.as_ref().is_some_and(SparseStream::is_dense) {
+            ep.stats_mut().switch_rounds += 1;
+        }
         send_stream_with_word(ep, peer, round, acc.as_ref(), mine.word(), pool)?;
         let frame = recv_stream_with_word(ep, peer, round, pool)?;
         mine.absorb(ep, &mut acc, frame, dim, &cfg.policy)?;
@@ -216,129 +218,6 @@ pub(crate) fn rec_dbl_agree_pooled<T: Transport, V: Scalar>(
         )?;
     }
     Ok((acc, mine.k as usize))
-}
-
-/// Header word piggybacked on every adaptive frame: the sender's union
-/// size in the low 63 bits, its δ-switch state in the top bit.
-const SWITCHED_BIT: u64 = 1 << 63;
-
-/// `SSAR_Recursive_double` with the in-collective δ-switch
-/// ([`crate::Algorithm::AdaptiveSwitch`]): instead of committing to the
-/// sparse representation for the whole schedule, every merge round
-/// tracks the *running union size* and piggybacks it (plus the switch
-/// state) on the frame header. Partners that merge the same two sparse
-/// operands hold identical stored sets afterwards, so the realized
-/// union is pairwise-agreed and — by induction over the recursive-
-/// doubling subcubes — uniform within every subcube. The per-round
-/// growth rate of that union projects the end-of-collective union
-/// ([`project_union_bound`]); once the projection crosses the paper's
-/// raw δ threshold, the *remaining* rounds run on the dense
-/// representation, capping each later frame at `N·isize` bytes instead
-/// of letting fill-in push sparse frames past it.
-///
-/// Every repr decision is a symmetric function of exchanged state (the
-/// switch state ORs across partners, the union update uses only the two
-/// exchanged words and the shared merge result), the wire frames are
-/// self-describing (v2 carries a repr tag), and the final round's
-/// projection is exact (`remaining = 0`), so after the last round every
-/// active rank holds the identical switch state — the output repr is
-/// rank-agreed without a closing agreement round (parked ranks receive
-/// it over the self-describing unfold frame).
-pub fn ssar_adaptive_switch<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    ssar_adaptive_switch_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`ssar_adaptive_switch`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool).
-pub(crate) fn ssar_adaptive_switch_pooled<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let p = ep.size();
-    if p == 1 {
-        return Ok(input.clone());
-    }
-    let dim = input.dim();
-    let delta = delta_raw::<V>(dim);
-    let op_id = ep.next_op_id();
-    let role = fold_to_pow2(ep, op_id, input, &cfg.policy, pool)?;
-    // Merges inside the adaptive schedule never densify on their own —
-    // the δ-switch below owns every repr transition, keeping "dense ⇔
-    // switched" an invariant the agreement argument relies on.
-    let merge_policy = DensityPolicy::never_densify();
-    let result = match role {
-        FoldRole::Active(mut acc) => {
-            let p2 = pow2_below(p);
-            let rounds = p2.trailing_zeros() as usize;
-            let rank = ep.rank();
-            let mut union = acc.stored_len().min(dim);
-            let mut switched = false;
-            // Pre-round check: an input already past δ (including an acc
-            // the fold step densified) switches before round 0.
-            if union > delta {
-                switched = true;
-                ep.stats_mut().adaptive_densified += 1;
-            }
-            if switched && !acc.is_dense() {
-                ep.compute(acc.stored_len());
-                acc.densify();
-            }
-            for t in 0..rounds {
-                let peer = rank ^ (1 << t);
-                if switched {
-                    ep.stats_mut().switch_rounds += 1;
-                }
-                let word = union as u64 | if switched { SWITCHED_BIT } else { 0 };
-                let round = tag(op_id, subtag::ROUND + t as u64);
-                send_stream_with_word(ep, peer, round, Some(&acc), word, pool)?;
-                let (theirs, their_word) = recv_stream_with_word(ep, peer, round, pool)?;
-                let theirs = theirs
-                    .ok_or_else(|| CollError::Invalid("adaptive frame carries no stream".into()))?;
-                let their_union = (their_word & !SWITCHED_BIT) as usize;
-                let their_switched = their_word & SWITCHED_BIT != 0;
-                add_charged(ep, &mut acc, &theirs, &merge_policy)?;
-                // `before` must be symmetric so both partners project the
-                // same growth rate; the union after the merge covers at
-                // least the larger of the two halves.
-                let before = union.max(their_union);
-                let bound_sum = union.saturating_add(their_union).min(dim);
-                let mut now_switched = switched || their_switched;
-                union = if now_switched || acc.is_dense() {
-                    // A dense operand hides the realized union; fall back
-                    // to the additive fill-in bound (still symmetric).
-                    bound_sum
-                } else {
-                    // Both operands were sparse: the merged stored set is
-                    // identical on both partners, so its size is agreed.
-                    acc.stored_len().min(bound_sum)
-                };
-                let remaining = rounds - t - 1;
-                if !now_switched && project_union_bound(before, union, remaining, dim) > delta {
-                    now_switched = true;
-                }
-                if now_switched && !switched {
-                    switched = true;
-                    ep.stats_mut().adaptive_densified += 1;
-                    if !acc.is_dense() {
-                        ep.compute(acc.stored_len());
-                        acc.densify();
-                    }
-                }
-            }
-            // No closing normalization: the last round's projection is
-            // exact (`remaining = 0` returns the realized union), so
-            // `switched` ⇔ `union > δ` ⇔ dense, agreed on every rank.
-            unfold_result(ep, op_id, Some(acc), pool)?
-        }
-        FoldRole::Parked => unfold_result::<_, V>(ep, op_id, None, pool)?,
-    };
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -399,97 +278,6 @@ mod tests {
         for out in outs {
             assert!(out.is_dense(), "result should have switched to dense");
             assert!(out.to_dense_vec().iter().all(|&v| v == 1.0));
-        }
-    }
-
-    fn check_adaptive(p: usize, dim: usize, nnz: usize) {
-        let ins = inputs(p, dim, nnz);
-        let expect = reference_sum(&ins);
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_adaptive_switch(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
-        });
-        for out in outs {
-            let got = out.to_dense_vec();
-            for (g, e) in got.iter().zip(expect.iter()) {
-                assert!((g - e).abs() < 1e-4, "{g} vs {e} (P={p})");
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_matches_reference() {
-        check_adaptive(8, 4096, 64);
-        check_adaptive(6, 2048, 32);
-        check_adaptive(3, 512, 16);
-        check_adaptive(1, 128, 8);
-    }
-
-    #[test]
-    fn adaptive_switches_midway_on_disjoint_fill_in() {
-        // Rank pairs (2b, 2b+1) share a 129-wide block; blocks are
-        // disjoint. Round 0 merges identical supports (no growth → no
-        // switch), round 1 merges disjoint blocks: rate 2 projects
-        // 4·129 = 516 > δ = 512 — the switch fires mid-collective and
-        // round 2 runs dense.
-        let p = 8;
-        let dim = 1024;
-        let k = 129u32;
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let lo = (ep.rank() as u32 / 2) * k;
-            let pairs: Vec<(u32, f32)> = (lo..lo + k).map(|i| (i, 1.0f32)).collect();
-            let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            let out = ssar_adaptive_switch(ep, &input, &AllreduceConfig::default()).unwrap();
-            let stats = ep.stats().snapshot();
-            (out, stats.adaptive_densified, stats.switch_rounds)
-        });
-        for (out, densified, rounds) in outs {
-            assert!(out.is_dense(), "agreed final repr must be dense");
-            let got = out.to_dense_vec();
-            for (i, v) in got.iter().enumerate() {
-                let expect = if (i as u32) < 4 * k { 2.0 } else { 0.0 };
-                assert_eq!(*v, expect, "index {i}");
-            }
-            assert_eq!(densified, 1, "the switch fires exactly once");
-            assert_eq!(rounds, 1, "only the final round runs dense");
-        }
-    }
-
-    #[test]
-    fn adaptive_never_switches_below_delta() {
-        // Tiny overlapping supports: even the disjoint-worst-case bound
-        // P·k = 64 stays far below δ = 2048.
-        let p = 8;
-        let dim = 4096;
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let input = SparseStream::from_pairs(dim, &[(7, 1.0f32), (9, 2.0)]).unwrap();
-            let out = ssar_adaptive_switch(ep, &input, &AllreduceConfig::default()).unwrap();
-            let stats = ep.stats().snapshot();
-            (out, stats.adaptive_densified, stats.switch_rounds)
-        });
-        for (out, densified, rounds) in outs {
-            assert!(out.is_sparse(), "no fill-in, result stays sparse");
-            assert_eq!(out.nnz(), 2);
-            assert_eq!(densified, 0);
-            assert_eq!(rounds, 0);
-        }
-    }
-
-    #[test]
-    fn adaptive_switches_at_round_zero_for_dense_inputs() {
-        // k = 150 already past δ = 128: the pre-round check fires and
-        // every round runs dense.
-        let p = 4;
-        let dim = 256;
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let pairs: Vec<(u32, f32)> = (0..150).map(|i| (i, 1.0f32)).collect();
-            let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            let out = ssar_adaptive_switch(ep, &input, &AllreduceConfig::default()).unwrap();
-            let stats = ep.stats().snapshot();
-            (out, stats.switch_rounds)
-        });
-        for (out, rounds) in outs {
-            assert!(out.is_dense());
-            assert_eq!(rounds, 2, "both rounds of P=4 must run dense");
         }
     }
 

@@ -13,7 +13,7 @@
 //! `2·(P−1)/P·k·βs` and `P·k·βs`.
 
 use sparcml_net::Transport;
-use sparcml_stream::{delta_raw, partition_range, Repr, Scalar, SparseStream};
+use sparcml_stream::{partition_range, Scalar, SparseStream};
 
 use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
@@ -108,87 +108,6 @@ pub(crate) fn ssar_split_allgather_pooled<T: Transport, V: Scalar>(
     Ok(result)
 }
 
-/// `SSAR_Split_allgather` with the in-collective δ-switch
-/// ([`crate::Algorithm::AdaptiveSwitch`] escape hatch for the split
-/// schedule): instead of forcing every partition result back to the
-/// sparse representation for the allgather, each owner ships its
-/// partition in whatever representation the reduce produced — a
-/// policy-densified partition goes out as a dense *range slice*
-/// (`range.len()·isize` bytes, never the quadratic sparse fill-in
-/// encoding). The v2 wire frames are self-describing, so receivers
-/// decode mixed blocks without negotiation, and since the allgather
-/// hands every rank the identical block set, the final assembly
-/// decision — go dense when any block is dense or the summed block nnz
-/// crosses the paper's raw δ — is rank-agreed for free.
-pub fn ssar_split_allgather_adaptive<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    ssar_split_allgather_adaptive_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`ssar_split_allgather_adaptive`] routing its frames through a
-/// caller-owned pool (the communicator's persistent session pool).
-pub(crate) fn ssar_split_allgather_adaptive_pooled<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let p = ep.size();
-    if p == 1 {
-        return Ok(input.clone());
-    }
-    let dim = input.dim();
-    let op_id = ep.next_op_id();
-    let mine = split_reduce_partition(ep, input, cfg, op_id, pool)?;
-    let my_range = partition_range(dim, p, ep.rank());
-    let mut buf = pool.acquire();
-    if let Repr::Dense(values) = mine.repr() {
-        // Fill-in densified this partition: ship just its range slice
-        // densely instead of paying the sparsify scan + index slabs.
-        SparseStream::encode_dense_slice_into(
-            &values[my_range.lo as usize..my_range.hi as usize],
-            &mut buf,
-        );
-        ep.stats_mut().switch_rounds += 1;
-    } else {
-        mine.encode_into(&mut buf);
-    }
-    let blocks = allgather_bytes(ep, op_id, bytes::Bytes::from(buf), pool)?;
-    let parts: Vec<SparseStream<V>> = blocks
-        .iter()
-        .map(|b| SparseStream::decode(b))
-        .collect::<Result<_, _>>()?;
-    // Every rank decodes the identical block set, so this classification
-    // — and with it the output representation — is agreed everywhere.
-    let any_dense = parts.iter().any(|part| part.is_dense());
-    let nnz_total: usize = parts.iter().map(SparseStream::stored_len).sum();
-    if any_dense || nnz_total > delta_raw::<V>(dim) {
-        let mut values = vec![V::zero(); dim];
-        for (r, part) in parts.iter().enumerate() {
-            // Dense blocks are range slices (their dim is the range
-            // length, written at the owner's offset); sparse blocks keep
-            // the full logical dimension and absolute indices.
-            let offset = if part.is_dense() {
-                partition_range(dim, p, r).lo as usize
-            } else {
-                0
-            };
-            part.write_to_dense(&mut values, offset);
-        }
-        ep.stats_mut().adaptive_densified += 1;
-        ep.compute(dim);
-        Ok(SparseStream::from_dense(values))
-    } else {
-        // Partitions arrive indexed by rank == increasing index ranges.
-        let result = SparseStream::concat_disjoint(&parts)?;
-        ep.compute(result.stored_len());
-        Ok(result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,58 +161,11 @@ mod tests {
         }
     }
 
-    fn check_adaptive(p: usize, dim: usize, nnz: usize) {
-        let ins: Vec<SparseStream<f32>> = (0..p)
-            .map(|r| random_sparse(dim, nnz, 7 + r as u64))
-            .collect();
-        let expect = reference_sum(&ins);
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_split_allgather_adaptive(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
-        });
-        for out in outs {
-            let got = out.to_dense_vec();
-            for (g, e) in got.iter().zip(expect.iter()) {
-                assert!((g - e).abs() < 1e-4, "{g} vs {e} (P={p})");
-            }
-        }
-    }
-
     #[test]
-    fn adaptive_matches_reference() {
-        check_adaptive(8, 4096, 64);
-        check_adaptive(5, 1000, 40);
-        check_adaptive(1, 128, 8);
-    }
-
-    #[test]
-    fn adaptive_densifies_when_summed_nnz_crosses_delta() {
-        // Disjoint supports aligned to the partitions: every block stays
-        // sparse, but Σnnz = 1024 > δ = 512 — assembly goes dense.
-        let p = 8;
-        let dim = 1024;
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let lo = (ep.rank() * 128) as u32;
-            let pairs: Vec<(u32, f32)> = (lo..lo + 128).map(|i| (i, 1.0f32)).collect();
-            let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            let out =
-                ssar_split_allgather_adaptive(ep, &input, &AllreduceConfig::default()).unwrap();
-            let stats = ep.stats().snapshot();
-            (out, stats.adaptive_densified, stats.switch_rounds)
-        });
-        for (out, densified, dense_sends) in outs {
-            assert!(out.is_dense(), "agreed final repr must be dense");
-            assert!(out.to_dense_vec().iter().all(|&v| v == 1.0));
-            assert_eq!(densified, 1);
-            assert_eq!(dense_sends, 0, "every partition block stayed sparse");
-        }
-    }
-
-    #[test]
-    fn adaptive_ships_densified_partition_as_range_slice() {
+    fn densified_partition_is_sparsified_for_the_allgather() {
         // Rank 0's partition fills in past δ during the reduce (300 + 300
-        // stored > 512), so its owner ships a dense range slice; rank 1's
-        // partition is empty and stays sparse. Mixed blocks must still
-        // assemble to the exact sum on both ranks.
+        // stored > 512) and goes dense; its owner converts it back for
+        // the concatenating allgather. Rank 1's partition is empty.
         let p = 2;
         let dim = 1024;
         let supports = [(0u32, 300u32), (200, 500)];
@@ -301,20 +173,13 @@ mod tests {
             let (lo, hi) = supports[ep.rank()];
             let pairs: Vec<(u32, f32)> = (lo..hi).map(|i| (i, 1.0f32)).collect();
             let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            let out =
-                ssar_split_allgather_adaptive(ep, &input, &AllreduceConfig::default()).unwrap();
-            let stats = ep.stats().snapshot();
-            (
-                ep.rank(),
-                out,
-                stats.adaptive_densified,
-                stats.switch_rounds,
-            )
+            let out = ssar_split_allgather(ep, &input, &AllreduceConfig::default()).unwrap();
+            (out, ep.stats().snapshot().adaptive_densified)
         });
-        for (rank, out, densified, dense_sends) in outs {
-            assert!(out.is_dense());
-            let got = out.to_dense_vec();
-            for (i, v) in got.iter().enumerate() {
+        for (rank, (out, densified)) in outs.into_iter().enumerate() {
+            assert!(out.is_sparse());
+            assert_eq!(out.nnz(), 500);
+            for (i, v) in out.to_dense_vec().iter().enumerate() {
                 let expect = match i {
                     0..=199 => 1.0,
                     200..=299 => 2.0,
@@ -323,29 +188,8 @@ mod tests {
                 };
                 assert_eq!(*v, expect, "index {i}");
             }
-            assert_eq!(densified, 1);
-            let expect_dense_sends = if rank == 0 { 1 } else { 0 };
-            assert_eq!(dense_sends, expect_dense_sends, "rank {rank}");
-        }
-    }
-
-    #[test]
-    fn adaptive_stays_sparse_below_delta() {
-        let p = 4;
-        let dim = 4096;
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let input = SparseStream::from_pairs(dim, &[(7, 1.0f32), (4000, 2.0)]).unwrap();
-            let out =
-                ssar_split_allgather_adaptive(ep, &input, &AllreduceConfig::default()).unwrap();
-            let stats = ep.stats().snapshot();
-            (out, stats.adaptive_densified, stats.switch_rounds)
-        });
-        for (out, densified, dense_sends) in outs {
-            assert!(out.is_sparse());
-            assert_eq!(out.get(7), 4.0);
-            assert_eq!(out.get(4000), 8.0);
-            assert_eq!(densified, 0);
-            assert_eq!(dense_sends, 0);
+            let expect_densified = if rank == 0 { 1 } else { 0 };
+            assert_eq!(densified, expect_densified, "rank {rank}");
         }
     }
 

@@ -223,12 +223,6 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     /// calibrates.
     pub fn stats_report(&self) -> String {
         let mut out = self.stats_snapshot().render_text();
-        // Active SPARCML_* overrides ride along so a pasted report shows
-        // the knobs the process ran under. (The fusion override belongs
-        // to the engine crate; core only echoes the raw value.)
-        if let Ok(raw) = std::env::var("SPARCML_FUSION_MAX_DENSITY") {
-            out.push_str(&format!("env SPARCML_FUSION_MAX_DENSITY {raw}\n"));
-        }
         let latency = obs::metrics::global().render_text();
         if !latency.is_empty() {
             out.push('\n');
@@ -662,16 +656,6 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Allreduce<'a, T, V> {
     /// non-blocking isends (§5.3.2 latency mitigation).
     pub fn blocking_split_sends(mut self, blocking: bool) -> Self {
         self.cfg.blocking_split_sends = blocking;
-        self
-    }
-
-    /// Routes the classic sparse schedules through their in-collective
-    /// δ-switching variants ([`AllreduceConfig::adaptive`]): an explicit
-    /// [`Algorithm::SsarRecDbl`]/[`Algorithm::SsarSplitAllgather`]
-    /// request keeps its schedule but may switch representation dense
-    /// mid-collective once the projected union crosses δ.
-    pub fn adaptive(mut self) -> Self {
-        self.cfg.adaptive = true;
         self
     }
 

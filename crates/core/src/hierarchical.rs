@@ -107,7 +107,6 @@ pub(crate) fn hierarchical_allreduce_pooled<T: Transport, V: Scalar>(
         // from the session's; calibrating on them would pollute the
         // whole-cluster fit. The outer dispatch still times the composite.
         calibration: None,
-        adaptive: cfg.adaptive,
     };
 
     // The topology validated the groups, so the subgroup constructors

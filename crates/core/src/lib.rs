@@ -73,8 +73,7 @@ pub mod theory;
 pub use allgather::{dense_allgather, sparse_allgather, sparse_allgather_sum};
 pub use allreduce::{
     dense_rabenseifner, dense_recursive_double, dense_ring, dsar_split_allgather, sparse_ring,
-    ssar_adaptive_switch, ssar_recursive_double, ssar_split_allgather,
-    ssar_split_allgather_adaptive, Algorithm, AllreduceConfig,
+    ssar_recursive_double, ssar_split_allgather, Algorithm, AllreduceConfig,
 };
 pub use communicator::{
     max_communicator_time, run_communicators, run_reactor_communicators,

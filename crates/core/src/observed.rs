@@ -21,7 +21,7 @@
 //! Exploration stays inside the workload's regime
 //! (`selector::flat_candidates`: the sparse schedules below δ, DSAR and
 //! the dense baselines past it) because every explored candidate is run
-//! for real; the preset selector prices all eight and is not so bound.
+//! for real; the preset selector prices all seven and is not so bound.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

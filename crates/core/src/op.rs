@@ -242,11 +242,10 @@ pub(crate) fn exchange_stream<T: Transport, V: Scalar>(
 }
 
 /// Sends a frame ending in one 8-byte control word, with `stream`
-/// encoded ahead of it when attached — the carrier of everything the
-/// recursive-doubling schedules agree on in-collective (the δ-switch
-/// state of the adaptive schedule, the k/eager word of the `Auto` pass).
-/// The word rides free on a data frame; a detached frame is the bare
-/// 8 bytes.
+/// encoded ahead of it when attached — the carrier of what the sparse
+/// recursive-doubling schedule agrees on in-collective (the k/eager word
+/// of the `Auto` pass). The word rides free on a data frame; a detached
+/// frame is the bare 8 bytes.
 pub(crate) fn send_stream_with_word<T: Transport, V: Scalar>(
     ep: &mut T,
     dst: usize,
@@ -299,7 +298,9 @@ pub(crate) fn decode_stream_with_word<V: Scalar>(
     Ok((stream, word))
 }
 
-/// Adds `other` into `acc`, charging the endpoint for the reduction work.
+/// Adds `other` into `acc`, charging the endpoint for the reduction work
+/// and counting the δ-switch (`CommStats::adaptive_densified`) when this
+/// merge is the one that turns `acc` dense.
 pub(crate) fn add_charged<T: Transport, V: Scalar>(
     ep: &mut T,
     acc: &mut SparseStream<V>,
@@ -314,6 +315,9 @@ pub(crate) fn add_charged<T: Transport, V: Scalar>(
     }
     span.set_arg(stats.elements_processed as u64);
     ep.compute(stats.elements_processed);
+    if stats.switched_to_dense {
+        ep.stats_mut().adaptive_densified += 1;
+    }
     Ok(())
 }
 

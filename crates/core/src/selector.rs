@@ -74,15 +74,6 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             // Ring on sparse partitions: 2(P−1) messages of ≈ E[K]/P pairs.
             2.0 * (p - 1.0) * (c.alpha + ek / p * c.beta * w.pair_bytes()) + c.gamma * 2.0 * ek
         }
-        Algorithm::AdaptiveSwitch => {
-            // The δ-switch tracks whichever representation the observed
-            // fill-in favours, so its cost approaches the better of the
-            // two recursive-doubling commitments; the 8-byte union-bound
-            // header piggybacked per round is the only overhead.
-            let sparse = expected_cost(Algorithm::SsarRecDbl, w, c, ek);
-            let dense = expected_cost(Algorithm::DenseRecDbl, w, c, ek);
-            sparse.min(dense) + log2p * 8.0 * c.beta
-        }
     }
 }
 
@@ -91,7 +82,7 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
 /// the *dynamic* instances (`E[K] ≥ δ`) try DSAR and the dense baselines,
 /// the *static* ones the sparse schedules. Exploration runs every
 /// candidate for real, so it stays inside the regime; the preset selector
-/// ([`select_algorithm`]) only prices, and prices all eight.
+/// ([`select_algorithm`]) only prices, and prices all seven.
 pub(crate) fn flat_candidates<V: Scalar>(p: usize, n: usize, k: usize) -> &'static [Algorithm] {
     let ek = expected_union_size(n, p, k.min(n));
     let delta = delta_raw::<V>(n) as f64;
@@ -107,7 +98,6 @@ pub(crate) fn flat_candidates<V: Scalar>(p: usize, n: usize, k: usize) -> &'stat
             Algorithm::SsarRecDbl,
             Algorithm::SsarSplitAllgather,
             Algorithm::SparseRing,
-            Algorithm::AdaptiveSwitch,
         ]
     }
 }

@@ -452,12 +452,8 @@ fn progress_loop<T: Transport + Send + 'static, V: Scalar>(
     let mut stopping = false;
     // Set on the first collective failure: the transport may hold stale
     // in-flight frames, so every later job fails fast instead of risking
-    // a mis-matched schedule. A malformed `SPARCML_FUSION_MAX_DENSITY`
-    // poisons the engine from the start — every ticket then reports the
-    // configuration error instead of the engine silently ignoring the
-    // override.
-    let mut cfg = cfg;
-    let mut poison: Option<CollError> = cfg.fusion.apply_env().err();
+    // a mis-matched schedule.
+    let mut poison: Option<CollError> = None;
 
     let sink = StatsSink {
         stats: &stats,

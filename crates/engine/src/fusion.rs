@@ -11,13 +11,6 @@
 //! elementwise max over the batch's counts and feeds the planner only
 //! the agreed values.
 
-use sparcml_core::CollError;
-
-/// Environment variable overriding [`FusionPolicy::max_density`] at
-/// engine start (parsed loudly — a malformed value poisons the engine
-/// rather than being silently ignored).
-pub const ENV_FUSION_MAX_DENSITY: &str = "SPARCML_FUSION_MAX_DENSITY";
-
 /// Knobs controlling how the engine buckets and splits collective jobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionPolicy {
@@ -37,8 +30,7 @@ pub struct FusionPolicy {
     /// dimension, clamped to 1 — stays at or below this. Dense-ish jobs
     /// are bandwidth-bound, and fusing them only serializes one huge
     /// transfer where unfused jobs could pipeline; singleton buckets are
-    /// always allowed. Overridable at engine start via
-    /// [`ENV_FUSION_MAX_DENSITY`].
+    /// always allowed.
     pub max_density: f64,
 }
 
@@ -60,33 +52,6 @@ impl FusionPolicy {
         FusionPolicy {
             enabled: false,
             ..FusionPolicy::default()
-        }
-    }
-
-    /// Applies the [`ENV_FUSION_MAX_DENSITY`] override, if present. A
-    /// value that does not parse as a float in `(0, 1]` is a loud
-    /// configuration error — the engine poisons itself on it instead of
-    /// running with a typo'd knob silently at the default.
-    pub fn apply_env(&mut self) -> Result<(), CollError> {
-        match std::env::var(ENV_FUSION_MAX_DENSITY) {
-            Ok(raw) => self.set_max_density_str(&raw),
-            Err(_) => Ok(()),
-        }
-    }
-
-    /// Parses a [`ENV_FUSION_MAX_DENSITY`] payload and installs it as
-    /// [`FusionPolicy::max_density`]. Split from [`FusionPolicy::apply_env`]
-    /// so the validation is testable without mutating process-global
-    /// environment state.
-    pub fn set_max_density_str(&mut self, raw: &str) -> Result<(), CollError> {
-        match raw.trim().parse::<f64>() {
-            Ok(v) if v > 0.0 && v <= 1.0 => {
-                self.max_density = v;
-                Ok(())
-            }
-            _ => Err(CollError::Invalid(format!(
-                "{ENV_FUSION_MAX_DENSITY}={raw:?} is not a float in (0, 1]"
-            ))),
         }
     }
 }
@@ -260,28 +225,5 @@ mod tests {
         let batch = vec![ar_nnz(1 << 10, 1 << 10)];
         let buckets = plan_buckets(&batch, &FusionPolicy::default(), 8.0);
         assert_eq!(buckets, vec![vec![0]]);
-    }
-
-    #[test]
-    fn max_density_override_parses_loudly() {
-        // String-based so no process-global env is mutated (other tests
-        // spawn engines concurrently, which read the real variable).
-        let mut policy = FusionPolicy::default();
-        policy.set_max_density_str("0.25").unwrap();
-        assert_eq!(policy.max_density, 0.25);
-        policy.set_max_density_str(" 1.0\n").unwrap();
-        assert_eq!(policy.max_density, 1.0);
-        for bad in ["1.5", "0", "-0.3", "banana", ""] {
-            let err = policy.set_max_density_str(bad).unwrap_err();
-            assert!(
-                err.to_string().contains(ENV_FUSION_MAX_DENSITY),
-                "error must name the knob: {err}"
-            );
-        }
-        assert_eq!(policy.max_density, 1.0, "failed parses leave the knob");
-        // An absent variable is not an error and leaves the default.
-        let mut fresh = FusionPolicy::default();
-        fresh.apply_env().unwrap();
-        assert_eq!(fresh.max_density, FusionPolicy::default().max_density);
     }
 }

@@ -65,6 +65,6 @@ pub mod queue;
 mod ticket;
 
 pub use engine::{CommunicatorEngineExt, Engine, EngineConfig, EngineStats};
-pub use fusion::{FusionPolicy, ENV_FUSION_MAX_DENSITY};
+pub use fusion::FusionPolicy;
 pub use queue::{QueueFull, SubmissionQueue};
 pub use ticket::Ticket;

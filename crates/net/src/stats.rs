@@ -55,7 +55,8 @@ comm_stats_fields! {
     compute_elements,
     /// Collective sub-operations started on this session — one per tag
     /// block drawn from the op-id counter (`Transport::next_op_id`).
-    /// Adaptive collectives count their agreement round separately.
+    /// An `Algorithm::Auto` call whose pass only agreed draws one for the
+    /// pass and one for the schedule it then runs; a fused one draws one.
     collectives,
     /// Message-buffer acquisitions from the session's persistent
     /// `BufferPool` (filled in by `Communicator::stats_snapshot`; raw
@@ -74,11 +75,15 @@ comm_stats_fields! {
     /// `read_batch_frames / wakeups` approximates frames amortized per
     /// wakeup.
     read_batch_frames,
-    /// Merge rounds an adaptive collective executed in the dense
-    /// representation after its in-collective δ-switch fired.
+    /// Sparse recursive-doubling rounds whose outgoing frame carried a
+    /// dense accumulator: the rounds that ran after the δ-switch (or on
+    /// an input that was dense to begin with).
     switch_rounds,
-    /// Adaptive collectives whose δ-switch fired at least once (the
-    /// projected end-of-collective union crossed δ mid-schedule).
+    /// Merges that turned their accumulator from sparse to dense — the
+    /// §5.1 rule `|H1|+|H2| > δ` firing, counted on every schedule that
+    /// reduces streams. An accumulator flips at most once, so for a
+    /// schedule with one accumulator per rank this is the number of
+    /// collectives whose δ-switch fired.
     adaptive_densified,
     /// `Algorithm::Auto` calls whose agreement pass was the collective:
     /// every rank picked recursive doubling, so no round went to agreement.

@@ -260,9 +260,9 @@ fn render_report(report: &ClusterReport, trace: &TraceSummary, delta: f64) -> St
                     let _ = writeln!(
                         out,
                         "  WARNING rank {}: avg message {:.0} KiB — fused collectives look \
-                         bandwidth-bound; lower FusionPolicy::max_density (env \
-                         SPARCML_FUSION_MAX_DENSITY) so the engine's density guard stops \
-                         fusing these buckets, or shrink max_chunk_elements",
+                         bandwidth-bound; lower FusionPolicy::max_density so the engine's \
+                         density guard stops fusing these buckets, or shrink \
+                         max_chunk_elements",
                         f.rank,
                         avg / 1024.0
                     );
@@ -481,7 +481,6 @@ mod tests {
         );
         assert!(text.contains("WARNING"), "{text}");
         assert!(text.contains("FusionPolicy::max_density"), "{text}");
-        assert!(text.contains("SPARCML_FUSION_MAX_DENSITY"), "{text}");
     }
 
     #[test]

@@ -63,5 +63,5 @@ pub use scalar::Scalar;
 pub use soa::{SparseVec, SparseView};
 pub use stream::{Repr, SparseStream};
 pub use sum::{reduce_streams, SumStats};
-pub use threshold::{delta_raw, project_union_bound, DensityPolicy, INDEX_BYTES};
+pub use threshold::{delta_raw, DensityPolicy, INDEX_BYTES};
 pub use wire::WIRE_VERSION;

@@ -417,25 +417,6 @@ impl<V: Scalar> SparseStream<V> {
         })
     }
 
-    /// Copies this stream's stored entries into `out` beginning at
-    /// `offset` — the dense-assembly primitive of the adaptive
-    /// collectives: a sparse block scatters its `(index, value)` pairs, a
-    /// dense block is one bulk copy. Slots of `out` outside this stream's
-    /// support are left untouched, so disjoint blocks can be assembled
-    /// into one dense vector in any order.
-    pub fn write_to_dense(&self, out: &mut [V], offset: usize) {
-        match &self.repr {
-            Repr::Sparse(sv) => {
-                for (&i, &v) in sv.indices().iter().zip(sv.values()) {
-                    out[offset + i as usize] = v;
-                }
-            }
-            Repr::Dense(values) => {
-                out[offset..offset + values.len()].copy_from_slice(values);
-            }
-        }
-    }
-
     /// Consumes the stream returning its sparse payload when sparse.
     pub fn into_sparse(self) -> Option<SparseVec<V>> {
         match self.repr {
@@ -578,20 +559,6 @@ mod tests {
         assert_eq!(joined.nnz(), 5);
         assert_eq!(joined.get(99), 5.0);
         joined.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn write_to_dense_scatters_and_copies() {
-        let mut out = vec![0.0f32; 10];
-        let sparse = s(4, &[(1, 2.0), (3, 4.0)]);
-        sparse.write_to_dense(&mut out, 4);
-        assert_eq!(out[5], 2.0);
-        assert_eq!(out[7], 4.0);
-        let mut dense = s(3, &[(0, 7.0), (2, 9.0)]);
-        dense.densify();
-        dense.write_to_dense(&mut out, 0);
-        assert_eq!(&out[..3], &[7.0, 0.0, 9.0]);
-        assert_eq!(out[5], 2.0, "untouched slots survive");
     }
 
     #[test]

@@ -51,43 +51,13 @@ impl DensityPolicy {
         if self.factor.is_infinite() {
             return usize::MAX;
         }
-        let raw = dim * V::BYTES / (INDEX_BYTES + V::BYTES);
-        ((raw as f64) * self.factor) as usize
+        ((delta_raw::<V>(dim) as f64) * self.factor) as usize
     }
 }
 
 /// The paper's raw volume-equality threshold `δ = N·isize/(c+isize)`.
 pub fn delta_raw<V: Scalar>(dim: usize) -> usize {
     dim * V::BYTES / (INDEX_BYTES + V::BYTES)
-}
-
-/// Geometric end-of-collective union projection for the in-collective
-/// δ-switch: given the union-size bound `before` a merge round, the bound
-/// `after` it, and the number of `remaining` rounds, extrapolate the
-/// per-round nnz growth rate `after / before` over the remaining rounds
-/// (clamped to `dim`). A collective switches its remaining rounds to the
-/// dense representation once this projection crosses [`delta_raw`].
-pub fn project_union_bound(before: usize, after: usize, remaining: usize, dim: usize) -> usize {
-    if after >= dim {
-        return dim;
-    }
-    if remaining == 0 || after == 0 {
-        return after;
-    }
-    // `before == 0` with `after > 0` means the union appeared from
-    // nothing this round; treat the growth as doubling, the recursive-
-    // doubling worst case (disjoint supports).
-    let rate = if before == 0 {
-        2.0
-    } else {
-        (after as f64 / before as f64).max(1.0)
-    };
-    let projected = after as f64 * rate.powi(remaining as i32);
-    if projected >= dim as f64 {
-        dim
-    } else {
-        projected as usize
-    }
 }
 
 #[cfg(test)]
@@ -115,28 +85,5 @@ mod tests {
     #[test]
     fn never_densify_is_unbounded() {
         assert_eq!(DensityPolicy::never_densify().delta::<f32>(8), usize::MAX);
-    }
-
-    #[test]
-    fn projection_extrapolates_growth_rate() {
-        // 100 → 200 this round, 2 rounds left: 200·2² = 800.
-        assert_eq!(project_union_bound(100, 200, 2, 100_000), 800);
-        // Last round: the projection is the bound itself.
-        assert_eq!(project_union_bound(100, 150, 0, 100_000), 150);
-        // No growth: the union stays put.
-        assert_eq!(project_union_bound(100, 100, 3, 100_000), 100);
-    }
-
-    #[test]
-    fn projection_clamps_to_dim() {
-        assert_eq!(project_union_bound(100, 900, 5, 1_000), 1_000);
-        assert_eq!(project_union_bound(0, 1_000, 0, 1_000), 1_000);
-    }
-
-    #[test]
-    fn projection_handles_empty_unions() {
-        assert_eq!(project_union_bound(0, 0, 4, 1_000), 0);
-        // Appeared-from-nothing unions double per remaining round.
-        assert_eq!(project_union_bound(0, 10, 2, 1_000), 40);
     }
 }

@@ -14,7 +14,7 @@ use sparcml::core::{
     max_communicator_time, run_communicators, select_algorithm, Algorithm, CollError, Communicator,
 };
 use sparcml::net::{run_thread_cluster, CostModel, TagBlock, Transport};
-use sparcml::stream::{random_sparse, SparseStream, XorShift64};
+use sparcml::stream::{random_sparse, DensityPolicy, SparseStream, XorShift64};
 
 /// Generates one randomized cluster input: `(dim, per-rank pair lists)`
 /// with 2..7 ranks, 32..256 dims, up to dim/2 (index, value) pairs each.
@@ -131,25 +131,29 @@ fn ranks_agree_bitwise() {
     }
 }
 
+/// The three density bands of the δ-switch properties, as the most
+/// entries a rank may draw out of `len` indices: merges never reach δ,
+/// the switch fires part-way, it fires at the first merges.
+fn band_max_k(case: usize, len: usize) -> usize {
+    match case % 3 {
+        0 => len / 16,
+        1 => len / 2,
+        _ => len,
+    }
+    .max(1)
+}
+
 #[test]
-fn adaptive_switch_is_bitwise_exact_on_integer_inputs() {
+fn ssar_rec_dbl_is_bitwise_exact_on_integer_inputs() {
     // Integer-valued f32 sums are exact under any association, so
-    // whatever merge order the δ-switch schedule ends up taking — and
-    // whichever round it densifies in — its result must equal the
-    // reference sum *bitwise* at every rank.
+    // whatever merge order the schedule takes — and whichever merge
+    // densifies — its result must equal the reference sum *bitwise* at
+    // every rank.
     let mut rng = XorShift64::new(0xAD_A971);
     for p in [3usize, 4, 5, 8] {
         for case in 0..8 {
             let dim = 64 + rng.next_below(448) as usize;
-            // Sweep density regimes: sparse inputs never switch, dense
-            // ones switch immediately, and the band in between exercises
-            // mid-collective switches.
-            let max_k = match case % 3 {
-                0 => dim / 16,
-                1 => dim / 2,
-                _ => dim,
-            }
-            .max(1);
+            let max_k = band_max_k(case, dim);
             let ins: Vec<SparseStream<f32>> = (0..p)
                 .map(|_| {
                     let nnz = 1 + rng.next_below(max_k as u64) as usize;
@@ -166,7 +170,7 @@ fn adaptive_switch_is_bitwise_exact_on_integer_inputs() {
             let expect = reference_sum(&ins);
             let outs = run_communicators(p, CostModel::zero(), |comm| {
                 comm.allreduce(&ins[comm.rank()])
-                    .algorithm(Algorithm::AdaptiveSwitch)
+                    .algorithm(Algorithm::SsarRecDbl)
                     .launch()
                     .and_then(|handle| handle.wait())
                     .unwrap()
@@ -186,30 +190,30 @@ fn adaptive_switch_is_bitwise_exact_on_integer_inputs() {
 }
 
 #[test]
-fn adaptive_switch_engineered_rounds_are_bitwise_exact() {
-    // Three constructions pin *when* the δ-switch fires, checked via the
-    // `adaptive_densified` counter: never (tiny inputs), at round 0
-    // (inputs already past δ before any exchange), and mid-way (disjoint
-    // pair-blocks whose projected union only crosses δ after a round of
-    // zero growth followed by a doubling round).
-    let check = |p: usize, ins: Vec<SparseStream<f32>>, expect_switch: bool| {
+fn ssar_rec_dbl_engineered_switch_points_are_bitwise_exact() {
+    // Four constructions pin *when* the δ-switch fires, read off the
+    // counters: `adaptive_densified` says whether a merge flipped the
+    // accumulator, `switch_rounds` how many round frames left dense
+    // afterwards.
+    let check = |p: usize, ins: Vec<SparseStream<f32>>, densified: u64, dense_rounds: u64| {
         let expect = reference_sum(&ins);
         let outs = run_communicators(p, CostModel::zero(), |comm| {
             let out = comm
                 .allreduce(&ins[comm.rank()])
-                .algorithm(Algorithm::AdaptiveSwitch)
+                .algorithm(Algorithm::SsarRecDbl)
                 .launch()
                 .and_then(|handle| handle.wait())
                 .unwrap()
                 .to_dense_vec();
-            (out, comm.stats_snapshot().adaptive_densified)
+            let stats = comm.stats_snapshot();
+            (out, stats.adaptive_densified, stats.switch_rounds)
         });
-        for (rank, (out, densified)) in outs.iter().enumerate() {
+        for (rank, (out, got_densified, got_rounds)) in outs.iter().enumerate() {
             assert_eq!(
-                *densified > 0,
-                expect_switch,
-                "rank {rank}: switch fired = {densified}, expected {expect_switch}"
+                *got_densified, densified,
+                "rank {rank}: merges that flipped"
             );
+            assert_eq!(*got_rounds, dense_rounds, "rank {rank}: dense round frames");
             for (i, (g, e)) in out.iter().zip(&expect).enumerate() {
                 assert_eq!(g.to_bits(), e.to_bits(), "rank {rank} coord {i}");
             }
@@ -221,10 +225,21 @@ fn adaptive_switch_engineered_rounds_are_bitwise_exact() {
         (0..8)
             .map(|_| SparseStream::from_pairs(4096, &[(7, 1.0f32), (9, 2.0)]).unwrap())
             .collect(),
-        false,
+        0,
+        0,
     );
-    // Round 0: 150 nnz per rank against δ = 128 — past δ before any
-    // exchange, so the pre-round check densifies immediately.
+    // Dense from the start: no merge flips anything, and both round
+    // frames of P=4 carry a dense accumulator.
+    check(
+        4,
+        (0..4)
+            .map(|r| SparseStream::from_dense(vec![(r + 1) as f32; 256]))
+            .collect(),
+        0,
+        2,
+    );
+    // First merge: 150 nnz per rank against δ = 128 — 150+150 crosses it
+    // in round 0, so the one remaining round of P=4 runs dense.
     check(
         4,
         (0..4)
@@ -233,11 +248,13 @@ fn adaptive_switch_engineered_rounds_are_bitwise_exact() {
                 SparseStream::from_pairs(256, &pairs).unwrap()
             })
             .collect(),
-        true,
+        1,
+        1,
     );
-    // Mid-way: rank pairs (2b, 2b+1) share a disjoint 129-index block,
-    // so round 0 merges without union growth; round 1's doubling rate
-    // projects 516 > δ = 512 and flips the remaining rounds dense.
+    // Last merge: rank pairs (2b, 2b+1) share a disjoint 129-index block.
+    // Round 0 merges without growth (129+129 ≤ δ = 512), round 1 doubles
+    // to 258, and round 2's 258+258 > 512 flips the accumulator after
+    // the last frame left sparse.
     check(
         8,
         (0..8)
@@ -249,7 +266,75 @@ fn adaptive_switch_engineered_rounds_are_bitwise_exact() {
                 SparseStream::from_pairs(1024, &pairs).unwrap()
             })
             .collect(),
-        true,
+        1,
+        0,
+    );
+}
+
+#[test]
+fn delta_switch_never_costs_bytes_on_disjoint_supports() {
+    // The reason the per-merge rule is the switch that stays. It compares
+    // the fill-in bound |H1|+|H2| against δ; on disjoint supports the
+    // bound is the merged size, so a round goes dense exactly when its
+    // sparse frame would be the larger one, and the default policy never
+    // sends more than never switching at all. (On overlapping supports
+    // the bound overshoots and a dense frame can cost up to 2× the sparse
+    // one it replaced — that is §5.1's trade, not a defect.)
+    let mut rng = XorShift64::new(0xDE17A);
+    let mut saved = 0;
+    for p in [2usize, 4, 8] {
+        for case in 0..18 {
+            // Rank r fills a prefix of its own block between random cuts.
+            let dim = 64 + rng.next_below(448) as usize;
+            let mut cuts: Vec<usize> = (1..p)
+                .map(|_| rng.next_below(dim as u64) as usize)
+                .collect();
+            cuts.extend([0, dim]);
+            cuts.sort_unstable();
+            let ins: Vec<SparseStream<f32>> = cuts
+                .windows(2)
+                .map(|block| {
+                    let len = block[1] - block[0];
+                    // The upper half of the band, so the dense cases fire.
+                    let hi = band_max_k(case, len);
+                    let nnz = (hi - rng.next_below(hi as u64 / 2 + 1) as usize).min(len);
+                    let pairs: Vec<(u32, f32)> = (block[0]..block[0] + nnz)
+                        .map(|idx| (idx as u32, rng.next_below(16) as f32 - 8.0))
+                        .collect();
+                    SparseStream::from_pairs(dim, &pairs).unwrap()
+                })
+                .collect();
+            let run = |policy: DensityPolicy| {
+                run_communicators(p, CostModel::zero(), |comm| {
+                    let out = comm
+                        .allreduce(&ins[comm.rank()])
+                        .algorithm(Algorithm::SsarRecDbl)
+                        .policy(policy)
+                        .launch()
+                        .and_then(|handle| handle.wait())
+                        .unwrap()
+                        .to_dense_vec();
+                    (out, comm.stats_snapshot().bytes_sent)
+                })
+            };
+            let switching = run(DensityPolicy::default());
+            let sparse_only = run(DensityPolicy::never_densify());
+            for (rank, ((a, a_bytes), (b, b_bytes))) in
+                switching.iter().zip(&sparse_only).enumerate()
+            {
+                assert!(
+                    a_bytes <= b_bytes,
+                    "p {p} case {case} rank {rank}: {a_bytes} B switching vs {b_bytes} B sparse"
+                );
+                saved += b_bytes - a_bytes;
+                let bitwise_equal = a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+                assert!(bitwise_equal, "p {p} case {case} rank {rank}");
+            }
+        }
+    }
+    assert!(
+        saved > 0,
+        "no case switched: the property was checked on nothing"
     );
 }
 
