@@ -1,7 +1,7 @@
 //! Shared utilities for the SparCML benchmark harness.
 //!
 //! Every binary in `src/bin` regenerates one table or figure of the paper
-//! (see DESIGN.md §5 for the index) and prints a plain-text table. Most
+//! (its file name says which) and prints a plain-text table. Most
 //! binaries accept `--scale <f>` to shrink problem dimensions for quick
 //! runs (default scales are chosen to finish in seconds; `--full` restores
 //! paper-sized dimensions where feasible).

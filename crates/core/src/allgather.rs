@@ -15,16 +15,7 @@ use crate::op::{allgather_bytes, BufferPool};
 /// Gathers every rank's sparse stream to every rank (streams returned in
 /// rank order). Latency `log2(P)·α` for power-of-two `P` (recursive
 /// doubling), `(P−1)·α` otherwise (ring).
-pub fn sparse_allgather<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-) -> Result<Vec<SparseStream<V>>, CollError> {
-    sparse_allgather_pooled(ep, input, &mut BufferPool::new())
-}
-
-/// [`sparse_allgather`] routing its frames through a caller-owned pool
-/// (the communicator's persistent session pool).
-pub(crate) fn sparse_allgather_pooled<T: Transport, V: Scalar>(
+pub(crate) fn sparse_allgather<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     pool: &mut BufferPool,
@@ -42,21 +33,12 @@ pub(crate) fn sparse_allgather_pooled<T: Transport, V: Scalar>(
 /// Gathers and sums sparse streams whose supports are disjoint: the result
 /// is the element-wise sum, assembled by merge (correct — though no longer
 /// a pure concatenation — even if supports do overlap).
-pub fn sparse_allgather_sum<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-) -> Result<SparseStream<V>, CollError> {
-    sparse_allgather_sum_pooled(ep, input, &mut BufferPool::new())
-}
-
-/// [`sparse_allgather_sum`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool).
-pub(crate) fn sparse_allgather_sum_pooled<T: Transport, V: Scalar>(
+pub(crate) fn sparse_allgather_sum<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
-    let parts = sparse_allgather_pooled(ep, input, pool)?;
+    let parts = sparse_allgather(ep, input, pool)?;
     // Try the cheap disjoint concatenation first; fall back to merge.
     match SparseStream::concat_disjoint(&parts) {
         Ok(out) => {
@@ -75,16 +57,7 @@ pub(crate) fn sparse_allgather_sum_pooled<T: Transport, V: Scalar>(
 /// Dense allgather: every rank contributes a dense block (e.g. its slice
 /// of the model); all blocks are returned in rank order. This is the dense
 /// baseline the SCD experiment compares against (§8.2).
-pub fn dense_allgather<T: Transport, V: Scalar>(
-    ep: &mut T,
-    block: &[V],
-) -> Result<Vec<Vec<V>>, CollError> {
-    dense_allgather_pooled(ep, block, &mut BufferPool::new())
-}
-
-/// [`dense_allgather`] routing its frames through a caller-owned pool
-/// (the communicator's persistent session pool).
-pub(crate) fn dense_allgather_pooled<T: Transport, V: Scalar>(
+pub(crate) fn dense_allgather<T: Transport, V: Scalar>(
     ep: &mut T,
     block: &[V],
     pool: &mut BufferPool,
@@ -115,7 +88,7 @@ mod tests {
         let ins: Vec<SparseStream<f32>> =
             (0..p).map(|r| random_sparse(1024, 16, r as u64)).collect();
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            sparse_allgather(ep, &ins[ep.rank()]).unwrap()
+            sparse_allgather(ep, &ins[ep.rank()], &mut BufferPool::new()).unwrap()
         });
         for got in outs {
             assert_eq!(got.len(), p);
@@ -133,7 +106,7 @@ mod tests {
             let lo = (ep.rank() * 16) as u32;
             let pairs: Vec<(u32, f32)> = (lo..lo + 16).map(|i| (i, i as f32)).collect();
             let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            sparse_allgather_sum(ep, &input).unwrap()
+            sparse_allgather_sum(ep, &input, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             // 64 explicit pairs (index 0 carries an explicit 0.0).
@@ -149,7 +122,7 @@ mod tests {
         let p = 4;
         let outs = run_cluster(p, CostModel::zero(), |ep| {
             let input = SparseStream::from_pairs(32, &[(3, 1.0f32), (9, 1.0)]).unwrap();
-            sparse_allgather_sum(ep, &input).unwrap()
+            sparse_allgather_sum(ep, &input, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             assert_eq!(out.get(3), p as f32);
@@ -162,7 +135,7 @@ mod tests {
         let p = 4;
         let outs = run_cluster(p, CostModel::zero(), |ep| {
             let block = vec![ep.rank() as f32; 8];
-            dense_allgather(ep, &block).unwrap()
+            dense_allgather(ep, &block, &mut BufferPool::new()).unwrap()
         });
         for got in outs {
             for (r, block) in got.iter().enumerate() {
@@ -181,7 +154,7 @@ mod tests {
         };
         let t = max_virtual_time(8, cost, |ep| {
             let input = SparseStream::<f32>::zeros(64);
-            sparse_allgather(ep, &input).unwrap();
+            sparse_allgather(ep, &input, &mut BufferPool::new()).unwrap();
         });
         assert!((t - 3.0).abs() < 1e-9, "t = {t}");
     }

@@ -35,17 +35,7 @@ fn decode_block<V: Scalar>(bytes: &[u8], expect_len: usize) -> Result<Vec<V>, Co
 
 /// Dense recursive-doubling allreduce: `log2(P)` rounds, each exchanging
 /// the full vector. `T = log2(P)·(α + N·βd)` plus reduction time.
-pub fn dense_recursive_double<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    dense_recursive_double_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`dense_recursive_double`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool).
-pub(crate) fn dense_recursive_double_pooled<T: Transport, V: Scalar>(
+pub(crate) fn dense_recursive_double<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -82,17 +72,7 @@ pub(crate) fn dense_recursive_double_pooled<T: Transport, V: Scalar>(
 /// Rabenseifner's allreduce \[44\]: recursive-halving reduce-scatter followed
 /// by recursive-doubling allgather. `T = 2·log2(P)·α + 2·(P−1)/P·N·βd`,
 /// bandwidth-optimal for large dense vectors (§5.3.2).
-pub fn dense_rabenseifner<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    dense_rabenseifner_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`dense_rabenseifner`] routing its frames through a caller-owned pool
-/// (the communicator's persistent session pool).
-pub(crate) fn dense_rabenseifner_pooled<T: Transport, V: Scalar>(
+pub(crate) fn dense_rabenseifner<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -179,17 +159,7 @@ pub(crate) fn dense_rabenseifner_pooled<T: Transport, V: Scalar>(
 /// latency-heavy at scale — "on a fast network and relatively small number
 /// of nodes, the ring-based algorithm is faster th\[a\]n all other
 /// algorithms, but does not give any speedup at high number of nodes" (§8.1).
-pub fn dense_ring<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    dense_ring_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`dense_ring`] routing its frames through a caller-owned pool (the
-/// communicator's persistent session pool).
-pub(crate) fn dense_ring_pooled<T: Transport, V: Scalar>(
+pub(crate) fn dense_ring<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -264,15 +234,17 @@ mod tests {
         &mut Endpoint,
         &SparseStream<f32>,
         &AllreduceConfig,
+        &mut BufferPool,
     ) -> Result<SparseStream<f32>, CollError>;
 
     fn check(algo: DenseAlgo, p: usize, dim: usize) {
+        let cfg = AllreduceConfig::default();
         let ins: Vec<SparseStream<f32>> = (0..p)
             .map(|r| random_sparse(dim, dim / 8, 900 + r as u64))
             .collect();
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            algo(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
+            algo(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             let got = out.to_dense_vec();
@@ -321,6 +293,7 @@ mod tests {
 
     #[test]
     fn rabenseifner_latency_is_2log2p_alpha() {
+        let cfg = AllreduceConfig::default();
         let cost = CostModel {
             alpha: 1.0,
             beta: 0.0,
@@ -330,13 +303,14 @@ mod tests {
         let p = 8;
         let t = max_virtual_time(p, cost, |ep| {
             let input = SparseStream::from_dense(vec![0.0f32; 64]);
-            dense_rabenseifner(ep, &input, &AllreduceConfig::default()).unwrap();
+            dense_rabenseifner(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
         assert!((t - 6.0).abs() < 1e-9, "t = {t}, expected 2·log2(8) = 6");
     }
 
     #[test]
     fn rabenseifner_bandwidth_beats_rec_dbl_for_large_n() {
+        let cfg = AllreduceConfig::default();
         let cost = CostModel {
             alpha: 0.0,
             beta: 1e-6,
@@ -347,10 +321,10 @@ mod tests {
         let dim = 1 << 14;
         let input = SparseStream::from_dense(vec![1.0f32; dim]);
         let t_rab = max_virtual_time(p, cost, |ep| {
-            dense_rabenseifner(ep, &input, &AllreduceConfig::default()).unwrap();
+            dense_rabenseifner(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
         let t_rd = max_virtual_time(p, cost, |ep| {
-            dense_recursive_double(ep, &input, &AllreduceConfig::default()).unwrap();
+            dense_recursive_double(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
         // 2·(P−1)/P·N vs log2(P)·N: ratio ≈ 1.75/3.
         assert!(t_rab < t_rd, "rabenseifner {t_rab} vs rec_dbl {t_rd}");
@@ -358,6 +332,7 @@ mod tests {
 
     #[test]
     fn ring_latency_grows_linearly() {
+        let cfg = AllreduceConfig::default();
         let cost = CostModel {
             alpha: 1.0,
             beta: 0.0,
@@ -366,7 +341,7 @@ mod tests {
         };
         let input = SparseStream::from_dense(vec![0.0f32; 64]);
         let t8 = max_virtual_time(8, cost, |ep| {
-            dense_ring(ep, &input, &AllreduceConfig::default()).unwrap();
+            dense_ring(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
         assert!((t8 - 14.0).abs() < 1e-9, "2·(P−1)·α = 14, got {t8}");
     }

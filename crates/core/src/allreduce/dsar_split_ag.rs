@@ -23,17 +23,7 @@ use crate::op::{allgather_bytes, recv_stream, send_stream_range, subtag, tag, Bu
 
 /// Sparse split + dense (optionally quantized) allgather allreduce.
 /// Always returns a dense stream. Works for any `P ≥ 1`.
-pub fn dsar_split_allgather<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    dsar_split_allgather_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`dsar_split_allgather`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool).
-pub(crate) fn dsar_split_allgather_pooled<T: Transport, V: Scalar>(
+pub(crate) fn dsar_split_allgather<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -151,12 +141,13 @@ mod tests {
     use sparcml_stream::random_sparse;
 
     fn check(p: usize, dim: usize, nnz: usize) {
+        let cfg = AllreduceConfig::default();
         let ins: Vec<SparseStream<f32>> = (0..p)
             .map(|r| random_sparse(dim, nnz, 31 + r as u64))
             .collect();
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            dsar_split_allgather(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
+            dsar_split_allgather(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             assert!(out.is_dense());
@@ -194,7 +185,7 @@ mod tests {
             ..Default::default()
         };
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            dsar_split_allgather(ep, &ins[ep.rank()], &cfg).unwrap()
+            dsar_split_allgather(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         // Max error per entry is bounded by bucket_scale / levels; verify a
         // loose global bound relative to the max summed magnitude.
@@ -219,7 +210,7 @@ mod tests {
             ..Default::default()
         };
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            dsar_split_allgather(ep, &ins[ep.rank()], &cfg).unwrap()
+            dsar_split_allgather(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in &outs[1..] {
             assert_eq!(out, &outs[0]);
@@ -238,7 +229,7 @@ mod tests {
                 ..Default::default()
             };
             let stats = run_cluster(p, CostModel::zero(), |ep| {
-                dsar_split_allgather(ep, &ins[ep.rank()], &cfg).unwrap();
+                dsar_split_allgather(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
                 ep.stats().bytes_sent
             });
             stats.iter().sum::<u64>()
@@ -252,6 +243,7 @@ mod tests {
 
     #[test]
     fn dsar_beats_ssar_when_result_is_dense() {
+        let cfg = AllreduceConfig::default();
         // Dense fill-in: disjoint supports covering everything.
         let p = 8;
         let dim = 1 << 14;
@@ -264,10 +256,10 @@ mod tests {
             SparseStream::from_pairs(dim, &pairs).unwrap()
         };
         let t_dsar = max_virtual_time(p, cost, |ep| {
-            dsar_split_allgather(ep, &mk(ep.rank()), &AllreduceConfig::default()).unwrap();
+            dsar_split_allgather(ep, &mk(ep.rank()), &cfg, &mut BufferPool::new()).unwrap();
         });
         let t_ssar = max_virtual_time(p, cost, |ep| {
-            ssar_split_allgather(ep, &mk(ep.rank()), &AllreduceConfig::default()).unwrap();
+            ssar_split_allgather(ep, &mk(ep.rank()), &cfg, &mut BufferPool::new()).unwrap();
         });
         assert!(
             t_dsar < t_ssar,
@@ -277,9 +269,10 @@ mod tests {
 
     #[test]
     fn single_rank_returns_dense_copy() {
+        let cfg = AllreduceConfig::default();
         let input = random_sparse::<f32>(256, 16, 5);
         let outs = run_cluster(1, CostModel::zero(), |ep| {
-            dsar_split_allgather(ep, &input, &AllreduceConfig::default()).unwrap()
+            dsar_split_allgather(ep, &input, &cfg, &mut BufferPool::new()).unwrap()
         });
         assert!(outs[0].is_dense());
         assert_eq!(outs[0].to_dense_vec(), input.to_dense_vec());

@@ -22,21 +22,13 @@ mod sparse_ring;
 mod ssar_rec_dbl;
 mod ssar_split_ag;
 
-pub use dense::{dense_rabenseifner, dense_recursive_double, dense_ring};
-pub(crate) use dense::{
-    dense_rabenseifner_pooled, dense_recursive_double_pooled, dense_ring_pooled,
-};
-pub use dsar_split_ag::dsar_split_allgather;
-pub(crate) use dsar_split_ag::dsar_split_allgather_pooled;
-pub use sparse_ring::sparse_ring;
-pub(crate) use sparse_ring::sparse_ring_pooled;
-pub use ssar_rec_dbl::ssar_recursive_double;
-pub(crate) use ssar_rec_dbl::ssar_recursive_double_pooled;
+pub(crate) use dense::{dense_rabenseifner, dense_recursive_double, dense_ring};
+pub(crate) use dsar_split_ag::dsar_split_allgather;
+pub(crate) use sparse_ring::sparse_ring;
+pub(crate) use ssar_rec_dbl::ssar_recursive_double;
 // The split phase of SSAR_Split_allgather doubles as the crate's
 // reduce-scatter building block (see `rooted::sparse_reduce_scatter`).
-pub(crate) use ssar_split_ag::split_reduce_partition;
-pub use ssar_split_ag::ssar_split_allgather;
-pub(crate) use ssar_split_ag::ssar_split_allgather_pooled;
+pub(crate) use ssar_split_ag::{split_reduce_partition, ssar_split_allgather};
 
 use std::sync::Arc;
 
@@ -194,7 +186,7 @@ enum AutoPass<V: Scalar> {
 /// can have slightly different sizes under error feedback, and a per-rank
 /// choice could diverge and deadlock the schedule — and the agreement
 /// rides recursive doubling's own frames
-/// ([`ssar_rec_dbl::rec_dbl_agree_pooled`]): a rank whose own `k` selects
+/// ([`ssar_rec_dbl::rec_dbl_agree`]): a rank whose own `k` selects
 /// `SSAR_Recursive_double` (flat regime, preset selector) enters the pass
 /// *eager*, reducing as it agrees. If every rank did, the pass already
 /// produced the result and no round was spent on agreement; otherwise its
@@ -231,7 +223,7 @@ fn resolve_auto<T: Transport, V: Scalar>(
         && cfg.calibration.is_none()
         && crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost())
             == Algorithm::SsarRecDbl;
-    let (reduced, k_agreed) = ssar_rec_dbl::rec_dbl_agree_pooled(ep, input, eager, cfg, pool)?;
+    let (reduced, k_agreed) = ssar_rec_dbl::rec_dbl_agree(ep, input, eager, cfg, pool)?;
     if let Some(result) = reduced {
         span.cancel();
         ep.stats_mut().auto_fused += 1;
@@ -327,7 +319,7 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
     };
     let run = Measurement::start(ep, algo, k);
     let result = if algo == Algorithm::Hierarchical {
-        crate::hierarchical::hierarchical_allreduce_pooled(ep, input, cfg, pool)
+        crate::hierarchical::hierarchical_allreduce(ep, input, cfg, pool)
     } else {
         dispatch_flat_concrete(ep, input, algo, cfg, pool)
     };
@@ -422,12 +414,12 @@ fn dispatch_flat_concrete<T: Transport, V: Scalar>(
         Algorithm::Auto | Algorithm::Hierarchical => {
             unreachable!("flat resolution yields a concrete flat algorithm")
         }
-        Algorithm::SsarRecDbl => ssar_recursive_double_pooled(ep, input, cfg, pool),
-        Algorithm::SsarSplitAllgather => ssar_split_allgather_pooled(ep, input, cfg, pool),
-        Algorithm::DsarSplitAllgather => dsar_split_allgather_pooled(ep, input, cfg, pool),
-        Algorithm::DenseRecDbl => dense_recursive_double_pooled(ep, input, cfg, pool),
-        Algorithm::DenseRabenseifner => dense_rabenseifner_pooled(ep, input, cfg, pool),
-        Algorithm::DenseRing => dense_ring_pooled(ep, input, cfg, pool),
-        Algorithm::SparseRing => sparse_ring_pooled(ep, input, cfg, pool),
+        Algorithm::SsarRecDbl => ssar_recursive_double(ep, input, cfg, pool),
+        Algorithm::SsarSplitAllgather => ssar_split_allgather(ep, input, cfg, pool),
+        Algorithm::DsarSplitAllgather => dsar_split_allgather(ep, input, cfg, pool),
+        Algorithm::DenseRecDbl => dense_recursive_double(ep, input, cfg, pool),
+        Algorithm::DenseRabenseifner => dense_rabenseifner(ep, input, cfg, pool),
+        Algorithm::DenseRing => dense_ring(ep, input, cfg, pool),
+        Algorithm::SparseRing => sparse_ring(ep, input, cfg, pool),
     }
 }

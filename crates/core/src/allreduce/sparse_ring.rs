@@ -14,17 +14,7 @@ use crate::error::CollError;
 use crate::op::{add_charged, recv_stream, send_stream, subtag, tag, BufferPool};
 
 /// Sparse ring allreduce. Works for any `P ≥ 1`.
-pub fn sparse_ring<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    sparse_ring_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`sparse_ring`] routing its frames through a caller-owned pool (the
-/// communicator's persistent session pool).
-pub(crate) fn sparse_ring_pooled<T: Transport, V: Scalar>(
+pub(crate) fn sparse_ring<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -87,12 +77,13 @@ mod tests {
     use sparcml_stream::random_sparse;
 
     fn check(p: usize, dim: usize, nnz: usize) {
+        let cfg = AllreduceConfig::default();
         let ins: Vec<SparseStream<f32>> = (0..p)
             .map(|r| random_sparse(dim, nnz, 55 + r as u64))
             .collect();
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            sparse_ring(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
+            sparse_ring(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             let got = out.to_dense_vec();
@@ -112,6 +103,7 @@ mod tests {
 
     #[test]
     fn sparse_ring_cheaper_than_dense_ring_at_low_density() {
+        let cfg = AllreduceConfig::default();
         let cost = CostModel {
             alpha: 0.0,
             beta: 1e-6,
@@ -123,10 +115,10 @@ mod tests {
         let ins: Vec<SparseStream<f32>> =
             (0..p).map(|r| random_sparse(dim, 64, r as u64)).collect();
         let t_sparse = max_virtual_time(p, cost, |ep| {
-            sparse_ring(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap();
+            sparse_ring(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
         });
         let t_dense = max_virtual_time(p, cost, |ep| {
-            dense_ring(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap();
+            dense_ring(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
         });
         assert!(
             t_sparse * 4.0 < t_dense,

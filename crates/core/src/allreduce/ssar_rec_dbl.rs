@@ -11,7 +11,7 @@
 //! `(P−1)·k·βs` (disjoint supports).
 //!
 //! Every frame of the schedule ends in one 8-byte *agreement word* (see
-//! [`rec_dbl_agree_pooled`]), which is what lets [`crate::Algorithm::Auto`]
+//! [`rec_dbl_agree`]), which is what lets [`crate::Algorithm::Auto`]
 //! run this schedule *as* its k-agreement instead of in front of it.
 
 use sparcml_net::Transport;
@@ -24,35 +24,23 @@ use crate::op::{
 };
 
 /// Sparse recursive-doubling allreduce. Handles any `P ≥ 1` via the §A
-/// fold-to-power-of-two pre/post steps.
-pub fn ssar_recursive_double<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    ssar_recursive_double_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`ssar_recursive_double`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool). The pinned schedule
-/// is the always-attach case of [`rec_dbl_agree_pooled`]: this rank is
-/// eager whatever the selector would say, so when every rank pinned it the
-/// bit never clears and the pass is the whole collective.
-pub(crate) fn ssar_recursive_double_pooled<T: Transport, V: Scalar>(
+/// fold-to-power-of-two pre/post steps. The pinned schedule is the
+/// always-attach case of [`rec_dbl_agree`]: this rank is eager whatever
+/// the selector would say, so when every rank pinned it the bit never
+/// clears and the pass is the whole collective.
+pub(crate) fn ssar_recursive_double<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
-    rec_dbl_agree_pooled(ep, input, true, cfg, pool)?
-        .0
-        .ok_or_else(|| {
-            CollError::Invalid(
-                "a peer declined SSAR_Recursive_double mid-schedule \
-                 (ranks must request the same algorithm)"
-                    .into(),
-            )
-        })
+    rec_dbl_agree(ep, input, true, cfg, pool)?.0.ok_or_else(|| {
+        CollError::Invalid(
+            "a peer declined SSAR_Recursive_double mid-schedule \
+             (ranks must request the same algorithm)"
+                .into(),
+        )
+    })
 }
 
 /// Top bit of the agreement word: every rank of the sender's subcube was
@@ -149,7 +137,7 @@ impl Agreement {
 /// Bit clear: no stream, and the returned `k` is the agreed maximum the
 /// caller dispatches a concrete schedule on — `⌊log2 P⌋` control rounds
 /// (+2 off powers of two) of 8 bytes each.
-pub(crate) fn rec_dbl_agree_pooled<T: Transport, V: Scalar>(
+pub(crate) fn rec_dbl_agree<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     eager: bool,
@@ -235,10 +223,11 @@ mod tests {
     }
 
     fn check(p: usize, dim: usize, nnz: usize) {
+        let cfg = AllreduceConfig::default();
         let ins = inputs(p, dim, nnz);
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_recursive_double(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
+            ssar_recursive_double(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             let got = out.to_dense_vec();
@@ -266,6 +255,7 @@ mod tests {
 
     #[test]
     fn densifies_on_fill_in() {
+        let cfg = AllreduceConfig::default();
         // Disjoint supports: K = P·k = 8·128 = 1024 > δ = 512 for dim 1024.
         let p = 8;
         let dim = 1024;
@@ -273,7 +263,7 @@ mod tests {
             let lo = (ep.rank() * 128) as u32;
             let pairs: Vec<(u32, f32)> = (lo..lo + 128).map(|i| (i, 1.0f32)).collect();
             let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            ssar_recursive_double(ep, &input, &AllreduceConfig::default()).unwrap()
+            ssar_recursive_double(ep, &input, &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             assert!(out.is_dense(), "result should have switched to dense");
@@ -387,7 +377,7 @@ mod tests {
                     return None;
                 }
                 let cfg = AllreduceConfig::default();
-                Some(rec_dbl_agree_pooled(
+                Some(rec_dbl_agree(
                     ep,
                     &input,
                     false,
@@ -411,7 +401,7 @@ mod tests {
                 let input = random_sparse::<f32>(1024, 8 + ep.rank(), ep.rank() as u64);
                 let eager = ep.rank().is_multiple_of(2);
                 let cfg = AllreduceConfig::default();
-                rec_dbl_agree_pooled(ep, &input, eager, &cfg, &mut BufferPool::new()).unwrap()
+                rec_dbl_agree(ep, &input, eager, &cfg, &mut BufferPool::new()).unwrap()
             });
             for (result, k) in outs {
                 assert!(result.is_none(), "P={p}");
@@ -422,6 +412,7 @@ mod tests {
 
     #[test]
     fn latency_matches_log2p_alpha() {
+        let cfg = AllreduceConfig::default();
         // Zero-byte inputs isolate the latency term: log2(P)·α.
         let cost = CostModel {
             alpha: 1.0,
@@ -432,7 +423,7 @@ mod tests {
         let p = 8;
         let t = sparcml_net::max_virtual_time(p, cost, |ep| {
             let input = SparseStream::<f32>::zeros(1024);
-            ssar_recursive_double(ep, &input, &AllreduceConfig::default()).unwrap();
+            ssar_recursive_double(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
         // 3 rounds, each α (send) — recv arrival is also α-aligned, so the
         // total equals log2(8) · α = 3... plus the final round's arrival

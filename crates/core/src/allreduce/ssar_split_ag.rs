@@ -66,17 +66,7 @@ pub(crate) fn split_reduce_partition<T: Transport, V: Scalar>(
 }
 
 /// Sparse split + sparse allgather allreduce. Works for any `P ≥ 1`.
-pub fn ssar_split_allgather<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    ssar_split_allgather_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`ssar_split_allgather`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool).
-pub(crate) fn ssar_split_allgather_pooled<T: Transport, V: Scalar>(
+pub(crate) fn ssar_split_allgather<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -116,12 +106,13 @@ mod tests {
     use sparcml_stream::random_sparse;
 
     fn check(p: usize, dim: usize, nnz: usize) {
+        let cfg = AllreduceConfig::default();
         let ins: Vec<SparseStream<f32>> = (0..p)
             .map(|r| random_sparse(dim, nnz, 7 + r as u64))
             .collect();
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_split_allgather(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
+            ssar_split_allgather(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             let got = out.to_dense_vec();
@@ -144,13 +135,14 @@ mod tests {
 
     #[test]
     fn correct_overlapping_supports() {
+        let cfg = AllreduceConfig::default();
         // All ranks share the same support: K = k.
         let p = 8;
         let dim = 1 << 14;
         let base = random_sparse::<f32>(dim, 100, 42);
         let expect = reference_sum(&vec![base.clone(); p]);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_split_allgather(ep, &base, &AllreduceConfig::default()).unwrap()
+            ssar_split_allgather(ep, &base, &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             assert_eq!(out.nnz(), 100);
@@ -163,6 +155,7 @@ mod tests {
 
     #[test]
     fn densified_partition_is_sparsified_for_the_allgather() {
+        let cfg = AllreduceConfig::default();
         // Rank 0's partition fills in past δ during the reduce (300 + 300
         // stored > 512) and goes dense; its owner converts it back for
         // the concatenating allgather. Rank 1's partition is empty.
@@ -173,7 +166,7 @@ mod tests {
             let (lo, hi) = supports[ep.rank()];
             let pairs: Vec<(u32, f32)> = (lo..hi).map(|i| (i, 1.0f32)).collect();
             let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            let out = ssar_split_allgather(ep, &input, &AllreduceConfig::default()).unwrap();
+            let out = ssar_split_allgather(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
             (out, ep.stats().snapshot().adaptive_densified)
         });
         for (rank, (out, densified)) in outs.into_iter().enumerate() {
@@ -195,6 +188,7 @@ mod tests {
 
     #[test]
     fn latency_matches_l2() {
+        let cfg = AllreduceConfig::default();
         // Empty inputs isolate latency: (P−1)α for the split (blocking
         // sends) + log2(P)α for the allgather.
         let cost = CostModel {
@@ -206,7 +200,7 @@ mod tests {
         let p = 8;
         let t = max_virtual_time(p, cost, |ep| {
             let input = SparseStream::<f32>::zeros(1 << 16);
-            ssar_split_allgather(ep, &input, &AllreduceConfig::default()).unwrap();
+            ssar_split_allgather(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
         let l2 = (p - 1) as f64 + (p as f64).log2();
         assert!((t - l2).abs() < 1e-9, "t = {t}, L2 = {l2}");
@@ -229,12 +223,13 @@ mod tests {
             blocking_split_sends: false,
             ..Default::default()
         };
-        let t_b = max_virtual_time(p, cost, |ep| {
-            ssar_split_allgather(ep, &SparseStream::<f32>::zeros(1 << 16), &blocking).unwrap();
-        });
-        let t_nb = max_virtual_time(p, cost, |ep| {
-            ssar_split_allgather(ep, &SparseStream::<f32>::zeros(1 << 16), &nonblocking).unwrap();
-        });
+        let zeros = SparseStream::<f32>::zeros(1 << 16);
+        let time = |cfg: &AllreduceConfig| {
+            max_virtual_time(p, cost, |ep| {
+                ssar_split_allgather(ep, &zeros, cfg, &mut BufferPool::new()).unwrap();
+            })
+        };
+        let (t_b, t_nb) = (time(&blocking), time(&nonblocking));
         assert!(t_nb < t_b, "nonblocking {t_nb} should beat blocking {t_b}");
     }
 }

@@ -2,9 +2,9 @@
 //! collective.
 //!
 //! A [`Communicator`] owns one [`Transport`] session (rank, peers, clock)
-//! and exposes each collective as a method returning a fluent builder.
-//! One builder chain replaces the seed's parallel blocking /
-//! non-blocking / rooted free functions:
+//! and exposes each collective as a method returning a fluent builder —
+//! the only way to run one; blocking, non-blocking and rooted calls are
+//! the same chain:
 //!
 //! ```
 //! use sparcml_core::{run_communicators, Algorithm};
@@ -25,10 +25,10 @@
 //!
 //! Every `launch()` returns a [`CollectiveHandle`]. Blocking launches
 //! resolve eagerly and `wait()` just hands the value over; after
-//! `.nonblocking()` the transport moves to a helper thread, `compute()`
-//! accounts overlapped work, and `wait()` reinstalls the transport into
-//! the communicator before returning the result (ideal-overlap clock
-//! merge, §7).
+//! `.nonblocking()` the transport and the session's buffer pool move to
+//! a helper thread, `compute()` accounts overlapped work, and `wait()`
+//! reinstalls both into the communicator before returning the result
+//! (ideal-overlap clock merge, §7).
 
 use sparcml_net::{
     run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CommStats, CostModel, Endpoint,
@@ -38,20 +38,16 @@ use sparcml_net::{
 use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
 use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use crate::allgather::{
-    dense_allgather_pooled, sparse_allgather_pooled, sparse_allgather_sum_pooled,
-};
+use crate::allgather::{dense_allgather, sparse_allgather, sparse_allgather_sum};
 use crate::allreduce::{dispatch, Algorithm, AllreduceConfig};
 use crate::error::CollError;
 use crate::nonblocking::Request;
 use crate::observed::ObservedCostModel;
 use crate::op::BufferPool;
-use crate::rooted::{
-    allreduce_via_reduce_bcast_pooled, sparse_broadcast_pooled, sparse_reduce_pooled,
-    sparse_reduce_scatter_pooled,
-};
+use crate::rooted::{sparse_broadcast, sparse_reduce, sparse_reduce_scatter};
 use crate::telemetry::TelemetryExchange;
 
 /// Environment variable that, when set to `1`/`true`, starts every
@@ -73,12 +69,11 @@ pub struct Communicator<T: Transport = Endpoint> {
     /// it would return local-only results. Every later `launch()` fails
     /// loudly instead.
     transport_lost: bool,
-    /// Persistent message-buffer pool shared by every *blocking*
-    /// collective this session launches, so encode/receive buffers
-    /// survive from one call to the next instead of being re-allocated
-    /// per collective (non-blocking launches use a private per-call pool:
-    /// the session pool cannot follow the transport onto the helper
-    /// thread and stay here at once). Reuse is observable via
+    /// Persistent message-buffer pool shared by every collective this
+    /// session launches, so encode/receive buffers survive from one call
+    /// to the next instead of being re-allocated per collective. A
+    /// non-blocking launch sends it to the helper thread with the
+    /// transport and `wait()` brings both back. Reuse is observable via
     /// [`Communicator::stats_snapshot`].
     pool: BufferPool,
     /// Session-wide measurement calibration: when set, every collective
@@ -144,36 +139,65 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     fn ensure_attached(&self) -> Result<(), CollError> {
         if self.transport_lost {
             return Err(CollError::Invalid(
-                "communicator lost its transport: a non-blocking collective panicked;                  rebuild the session with Communicator::new"
+                "communicator lost its transport: a non-blocking collective panicked; \
+                 rebuild the session with Communicator::new"
                     .into(),
             ));
         }
         Ok(())
     }
 
-    /// Shared blocking-launch path: runs `op` on the owned transport and
-    /// the session's persistent buffer pool, wrapping the result in an
-    /// already-resolved handle.
-    fn launch_blocking<R, F>(&mut self, op: F) -> Result<CollectiveHandle<'_, T, R>, CollError>
+    /// The one launch path behind every builder: runs `op` on the
+    /// session's transport and persistent buffer pool. Blocking, it runs
+    /// here on the borrowed `input` and the handle is already resolved;
+    /// non-blocking, transport and pool move to a helper thread with an
+    /// owned copy of `input`, and the handle reinstalls both on `wait()`
+    /// (or drop).
+    fn launch<'a, I, R, F>(
+        &'a mut self,
+        nonblocking: bool,
+        input: &I,
+        op: F,
+    ) -> Result<CollectiveHandle<'a, T, R>, CollError>
     where
+        I: ToOwned + ?Sized,
+        I::Owned: Send + 'static,
         R: Send + 'static,
-        F: FnOnce(&mut T, &mut BufferPool) -> Result<R, CollError>,
+        F: FnOnce(&mut T, &I, &mut BufferPool) -> Result<R, CollError> + Send + 'static,
     {
         self.ensure_attached()?;
-        let out = op(&mut self.transport, &mut self.pool)?;
-        Ok(CollectiveHandle::ready(self, out))
+        let state = if nonblocking {
+            let input = input.to_owned();
+            HandleState::InFlight(Some(Request::spawn(
+                self.transport.detach(),
+                std::mem::take(&mut self.pool),
+                move |tp, pool| op(tp, input.borrow(), pool),
+            )))
+        } else {
+            HandleState::Ready(Some(op(&mut self.transport, input, &mut self.pool)?))
+        };
+        Ok(CollectiveHandle { comm: self, state })
     }
 
-    /// Shared non-blocking-launch path: detaches the transport onto a
-    /// helper thread; the handle reinstalls it on `wait()` (or drop).
-    fn launch_spawned<R, F>(&mut self, op: F) -> Result<CollectiveHandle<'_, T, R>, CollError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut T) -> Result<R, CollError> + Send + 'static,
-    {
-        self.ensure_attached()?;
-        let req = Request::spawn(self.transport.detach(), op);
-        Ok(CollectiveHandle::in_flight(self, req))
+    /// Takes back what a joined non-blocking helper returned. A helper
+    /// that panicked took transport and pool with it: poison the session
+    /// so later collectives fail loudly instead of running on the
+    /// placeholder.
+    fn reinstall<R>(
+        &mut self,
+        joined: Result<(T, BufferPool, Result<R, CollError>), CollError>,
+    ) -> Result<R, CollError> {
+        match joined {
+            Ok((transport, pool, result)) => {
+                self.transport = transport;
+                self.pool = pool;
+                result
+            }
+            Err(e) => {
+                self.transport_lost = true;
+                Err(e)
+            }
+        }
     }
 
     /// This rank's id in `[0, size)`.
@@ -364,7 +388,6 @@ impl<T: Transport + Send + 'static> Communicator<T> {
             input,
             algorithm: Algorithm::Auto,
             cfg: AllreduceConfig::default(),
-            via_reduce_broadcast: false,
             nonblocking: false,
         }
     }
@@ -507,20 +530,6 @@ pub struct CollectiveHandle<'a, T: Transport + Send + 'static, R: Send + 'static
 }
 
 impl<T: Transport + Send + 'static, R: Send + 'static> CollectiveHandle<'_, T, R> {
-    fn ready(comm: &mut Communicator<T>, value: R) -> CollectiveHandle<'_, T, R> {
-        CollectiveHandle {
-            comm,
-            state: HandleState::Ready(Some(value)),
-        }
-    }
-
-    fn in_flight(comm: &mut Communicator<T>, req: Request<T, R>) -> CollectiveHandle<'_, T, R> {
-        CollectiveHandle {
-            comm,
-            state: HandleState::InFlight(Some(req)),
-        }
-    }
-
     /// Whether the collective is still running on a helper thread.
     pub fn is_nonblocking(&self) -> bool {
         matches!(self.state, HandleState::InFlight(_))
@@ -554,19 +563,7 @@ impl<T: Transport + Send + 'static, R: Send + 'static> CollectiveHandle<'_, T, R
             HandleState::Ready(slot) => Ok(slot.take().expect("blocking handle waited on twice")),
             HandleState::InFlight(slot) => {
                 let req = slot.take().expect("in-flight handle waited on twice");
-                match req.finish() {
-                    Ok((transport, result)) => {
-                        self.comm.transport = transport;
-                        result
-                    }
-                    Err(e) => {
-                        // The helper thread panicked and the transport is
-                        // gone: poison the session so later collectives
-                        // fail loudly instead of running on the placeholder.
-                        self.comm.transport_lost = true;
-                        Err(e)
-                    }
-                }
+                self.comm.reinstall(req.finish())
             }
         }
     }
@@ -576,10 +573,7 @@ impl<T: Transport + Send + 'static, R: Send + 'static> Drop for CollectiveHandle
     fn drop(&mut self) {
         if let HandleState::InFlight(slot) = &mut self.state {
             if let Some(req) = slot.take() {
-                match req.finish() {
-                    Ok((transport, _discarded)) => self.comm.transport = transport,
-                    Err(_) => self.comm.transport_lost = true,
-                }
+                let _discarded = self.comm.reinstall(req.finish());
             }
         }
     }
@@ -594,7 +588,6 @@ pub struct Allreduce<'a, T: Transport + Send + 'static, V: Scalar> {
     input: &'a SparseStream<V>,
     algorithm: Algorithm,
     cfg: AllreduceConfig,
-    via_reduce_broadcast: bool,
     nonblocking: bool,
 }
 
@@ -659,14 +652,6 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Allreduce<'a, T, V> {
         self
     }
 
-    /// Routes through the rooted composition `reduce + broadcast` instead
-    /// of a one-shot schedule (the classic trade-off point of §5.3; the
-    /// `algorithm` setting is ignored on this route).
-    pub fn via_reduce_broadcast(mut self) -> Self {
-        self.via_reduce_broadcast = true;
-        self
-    }
-
     /// Runs the collective on a helper thread; the returned handle
     /// overlaps local compute and reinstalls the transport on `wait()`.
     pub fn nonblocking(mut self) -> Self {
@@ -676,30 +661,14 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Allreduce<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let Allreduce {
-            comm,
-            input,
-            algorithm,
-            mut cfg,
-            via_reduce_broadcast,
-            nonblocking,
-        } = self;
+        let (algorithm, mut cfg) = (self.algorithm, self.cfg);
         if cfg.calibration.is_none() {
-            cfg.calibration = comm.calibration.clone();
+            cfg.calibration = self.comm.calibration.clone();
         }
-        let run = move |tp: &mut T, input: &SparseStream<V>, pool: &mut BufferPool| {
-            if via_reduce_broadcast {
-                allreduce_via_reduce_bcast_pooled(tp, input, &cfg, pool)
-            } else {
+        self.comm
+            .launch(self.nonblocking, self.input, move |tp, input, pool| {
                 dispatch(tp, input, algorithm, &cfg, pool)
-            }
-        };
-        if nonblocking {
-            let input = input.clone();
-            comm.launch_spawned(move |tp| run(tp, &input, &mut BufferPool::new()))
-        } else {
-            comm.launch_blocking(|tp, pool| run(tp, input, pool))
-        }
+            })
     }
 }
 
@@ -730,21 +699,11 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Reduce<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let Reduce {
-            comm,
-            input,
-            root,
-            cfg,
-            nonblocking,
-        } = self;
-        if nonblocking {
-            let input = input.clone();
-            comm.launch_spawned(move |tp| {
-                sparse_reduce_pooled(tp, &input, root, &cfg, &mut BufferPool::new())
+        let (root, cfg) = (self.root, self.cfg);
+        self.comm
+            .launch(self.nonblocking, self.input, move |tp, input, pool| {
+                sparse_reduce(tp, input, root, &cfg, pool)
             })
-        } else {
-            comm.launch_blocking(|tp, pool| sparse_reduce_pooled(tp, input, root, &cfg, pool))
-        }
     }
 }
 
@@ -767,20 +726,11 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Broadcast<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let Broadcast {
-            comm,
-            input,
-            root,
-            nonblocking,
-        } = self;
-        if nonblocking {
-            let input = input.clone();
-            comm.launch_spawned(move |tp| {
-                sparse_broadcast_pooled(tp, &input, root, &mut BufferPool::new())
+        let root = self.root;
+        self.comm
+            .launch(self.nonblocking, self.input, move |tp, input, pool| {
+                sparse_broadcast(tp, input, root, pool)
             })
-        } else {
-            comm.launch_blocking(|tp, pool| sparse_broadcast_pooled(tp, input, root, pool))
-        }
     }
 }
 
@@ -810,20 +760,11 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> ReduceScatter<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let ReduceScatter {
-            comm,
-            input,
-            cfg,
-            nonblocking,
-        } = self;
-        if nonblocking {
-            let input = input.clone();
-            comm.launch_spawned(move |tp| {
-                sparse_reduce_scatter_pooled(tp, &input, &cfg, &mut BufferPool::new())
+        let cfg = self.cfg;
+        self.comm
+            .launch(self.nonblocking, self.input, move |tp, input, pool| {
+                sparse_reduce_scatter(tp, input, &cfg, pool)
             })
-        } else {
-            comm.launch_blocking(|tp, pool| sparse_reduce_scatter_pooled(tp, input, &cfg, pool))
-        }
     }
 }
 
@@ -846,19 +787,8 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Allgather<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, Vec<SparseStream<V>>>, CollError> {
-        let Allgather {
-            comm,
-            input,
-            nonblocking,
-        } = self;
-        if nonblocking {
-            let input = input.clone();
-            comm.launch_spawned(move |tp| {
-                sparse_allgather_pooled(tp, &input, &mut BufferPool::new())
-            })
-        } else {
-            comm.launch_blocking(|tp, pool| sparse_allgather_pooled(tp, input, pool))
-        }
+        self.comm
+            .launch(self.nonblocking, self.input, sparse_allgather)
     }
 }
 
@@ -881,19 +811,8 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> AllgatherSum<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let AllgatherSum {
-            comm,
-            input,
-            nonblocking,
-        } = self;
-        if nonblocking {
-            let input = input.clone();
-            comm.launch_spawned(move |tp| {
-                sparse_allgather_sum_pooled(tp, &input, &mut BufferPool::new())
-            })
-        } else {
-            comm.launch_blocking(|tp, pool| sparse_allgather_sum_pooled(tp, input, pool))
-        }
+        self.comm
+            .launch(self.nonblocking, self.input, sparse_allgather_sum)
     }
 }
 
@@ -916,21 +835,8 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> DenseAllgather<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, Vec<Vec<V>>>, CollError> {
-        let DenseAllgather {
-            comm,
-            block,
-            nonblocking,
-        } = self;
-        if nonblocking {
-            let block = block.to_vec();
-            let req = Request::spawn(comm.transport.detach(), move |tp| {
-                dense_allgather_pooled(tp, &block, &mut BufferPool::new())
-            });
-            Ok(CollectiveHandle::in_flight(comm, req))
-        } else {
-            let out = dense_allgather_pooled(&mut comm.transport, block, &mut comm.pool)?;
-            Ok(CollectiveHandle::ready(comm, out))
-        }
+        self.comm
+            .launch(self.nonblocking, self.block, dense_allgather)
     }
 }
 
@@ -1123,42 +1029,47 @@ mod tests {
     }
 
     #[test]
-    fn via_reduce_broadcast_route_matches_reference() {
-        let p = 8;
-        let ins: Vec<SparseStream<f32>> = (0..p)
-            .map(|r| random_sparse(2048, 64, 90 + r as u64))
-            .collect();
-        let expect = reference_sum(&ins);
-        let outs = run_communicators(p, CostModel::zero(), |comm| {
-            comm.allreduce(&ins[comm.rank()])
-                .via_reduce_broadcast()
-                .launch()
-                .and_then(|h| h.wait())
-                .unwrap()
-        });
-        for out in outs {
-            for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
-                assert!((g - e).abs() < 1e-4);
+    fn poisoned_session_fails_every_entry_point() {
+        let mut comm = Communicator::new(sparcml_net::standalone_thread_transport());
+        let err = comm
+            .launch(true, &(), |_tp, _: &(), _pool| -> Result<(), CollError> {
+                panic!("helper thread dies")
+            })
+            .and_then(|h| h.wait())
+            .unwrap_err();
+        assert!(matches!(err, CollError::WorkerPanicked { .. }), "{err}");
+
+        // Transport and pool are gone with the helper thread: every entry
+        // point must fail with the typed error, not run on the P=1
+        // placeholder and report a local-only success.
+        fn assert_lost(what: &str, err: Option<CollError>) {
+            match err {
+                Some(CollError::Invalid(msg)) => {
+                    assert!(msg.contains("lost its transport"), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected the lost-transport error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn panicked_nonblocking_collective_poisons_the_session() {
-        let outs = run_communicators(1, CostModel::zero(), |comm| {
-            let handle = comm
-                .launch_spawned::<SparseStream<f32>, _>(|_tp| panic!("helper thread dies"))
-                .unwrap();
-            let err = handle.wait().unwrap_err();
-            // The transport is gone with the helper thread: later
-            // collectives must fail loudly, not run on the placeholder.
-            let zero = SparseStream::<f32>::zeros(8);
-            let poisoned = comm.allreduce(&zero).launch().is_err();
-            (err.to_string(), poisoned)
-        });
-        let (msg, poisoned) = &outs[0];
-        assert!(msg.contains("panicked"), "unexpected error: {msg}");
-        assert!(poisoned, "session must be poisoned after a lost transport");
+        macro_rules! both_modes {
+            ($what:literal, $builder:expr) => {
+                assert_lost($what, $builder.launch().err());
+                assert_lost(
+                    concat!($what, " nonblocking"),
+                    $builder.nonblocking().launch().err(),
+                );
+            };
+        }
+        let x = SparseStream::<f32>::zeros(8);
+        let block = [1.0f32; 4];
+        both_modes!("allreduce", comm.allreduce(&x));
+        both_modes!("reduce", comm.reduce(&x, 0));
+        both_modes!("broadcast", comm.broadcast(&x, 0));
+        both_modes!("reduce_scatter", comm.reduce_scatter(&x));
+        both_modes!("allgather", comm.allgather(&x));
+        both_modes!("allgather_sum", comm.allgather_sum(&x));
+        both_modes!("allgather_dense", comm.allgather_dense(&block));
+        assert_lost("cluster_report", comm.cluster_report().err());
+        assert_lost("split", comm.split(0).err());
     }
 
     #[test]

@@ -32,24 +32,14 @@ use sparcml_stream::{Scalar, SparseStream};
 use crate::allreduce::{dispatch, dispatch_flat, Algorithm, AllreduceConfig};
 use crate::error::CollError;
 use crate::op::BufferPool;
-use crate::rooted::{sparse_broadcast_pooled, sparse_reduce_pooled};
+use crate::rooted::{sparse_broadcast, sparse_reduce};
 
 /// Two-level hierarchical allreduce. Resolves the node placement from
 /// [`AllreduceConfig::topology`], falling back to the
 /// `SPARCML_TOPOLOGY`/`SPARCML_NODES` environment and finally to a single
 /// loopback node (under which the schedule degenerates to the flat
 /// adaptive path).
-pub fn hierarchical_allreduce<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    hierarchical_allreduce_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`hierarchical_allreduce`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool).
-pub(crate) fn hierarchical_allreduce_pooled<T: Transport, V: Scalar>(
+pub(crate) fn hierarchical_allreduce<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -137,7 +127,7 @@ pub(crate) fn hierarchical_allreduce_pooled<T: Transport, V: Scalar>(
         bail_on_err!(
             node,
             ep,
-            sparse_reduce_pooled(&mut node, input, 0, &flat_cfg, pool)
+            sparse_reduce(&mut node, input, 0, &flat_cfg, pool)
         )
     };
 
@@ -165,11 +155,7 @@ pub(crate) fn hierarchical_allreduce_pooled<T: Transport, V: Scalar>(
     // (3) Intra-node broadcast of the global sum from the leader.
     let out = {
         let _leg = obs::span(obs::Category::Phase, "hier-broadcast");
-        bail_on_err!(
-            node,
-            ep,
-            sparse_broadcast_pooled(&mut node, &at_leader, 0, pool)
-        )
+        bail_on_err!(node, ep, sparse_broadcast(&mut node, &at_leader, 0, pool))
     };
     *ep = node.into_parent();
     Ok(out)
@@ -193,6 +179,7 @@ pub(crate) fn effective_topology_cost<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allreduce::ssar_recursive_double;
     use crate::reference::reference_sum;
     use sparcml_net::{run_cluster, CostModel};
     use sparcml_stream::random_sparse;
@@ -213,7 +200,7 @@ mod tests {
         let expect = reference_sum(&ins);
         let cfg = cfg_with(Topology::uniform(2, 4).unwrap());
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            hierarchical_allreduce(ep, &ins[ep.rank()], &cfg).unwrap()
+            hierarchical_allreduce(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
@@ -234,7 +221,7 @@ mod tests {
         let expect = reference_sum(&ins);
         let cfg = cfg_with(topo);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            hierarchical_allreduce(ep, &ins[ep.rank()], &cfg).unwrap()
+            hierarchical_allreduce(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
@@ -253,7 +240,7 @@ mod tests {
         for topo in [Topology::single_node(p), Topology::uniform(p, 1).unwrap()] {
             let cfg = cfg_with(topo);
             let outs = run_cluster(p, CostModel::zero(), |ep| {
-                hierarchical_allreduce(ep, &ins[ep.rank()], &cfg).unwrap()
+                hierarchical_allreduce(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
             });
             for out in outs {
                 for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
@@ -285,7 +272,7 @@ mod tests {
                 ..Default::default()
             };
             let outs = run_cluster(p, CostModel::zero(), |ep| {
-                hierarchical_allreduce(ep, &ins[ep.rank()], &cfg).unwrap()
+                hierarchical_allreduce(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
             });
             for out in outs {
                 let got = out.to_dense_vec();
@@ -301,13 +288,14 @@ mod tests {
         let cfg = cfg_with(Topology::uniform(2, 4).unwrap());
         let outs = run_cluster(2, CostModel::zero(), |ep| {
             let input = SparseStream::<f32>::zeros(64);
-            hierarchical_allreduce(ep, &input, &cfg).is_err()
+            hierarchical_allreduce(ep, &input, &cfg, &mut BufferPool::new()).is_err()
         });
         assert!(outs.iter().all(|&e| e));
     }
 
     #[test]
     fn world_collective_still_works_after_hierarchical() {
+        let plain = AllreduceConfig::default();
         // The base op-id counter must stay rank-invariant through the
         // group phases: a flat collective issued right after must match.
         let p = 8;
@@ -317,13 +305,10 @@ mod tests {
         let expect = reference_sum(&ins);
         let cfg = cfg_with(Topology::uniform(2, 4).unwrap());
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let h = hierarchical_allreduce(ep, &ins[ep.rank()], &cfg).unwrap();
-            let f = crate::allreduce::ssar_recursive_double(
-                ep,
-                &ins[ep.rank()],
-                &AllreduceConfig::default(),
-            )
-            .unwrap();
+            let h =
+                hierarchical_allreduce(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
+            let f =
+                ssar_recursive_double(ep, &ins[ep.rank()], &plain, &mut BufferPool::new()).unwrap();
             (h, f)
         });
         for (h, f) in outs {

@@ -46,12 +46,11 @@
 //! assert_eq!(results[0].get(999_999), 2.0);
 //! ```
 //!
-//! Internally every collective routes its O(P) message frames through a
-//! per-call [`BufferPool`], so encode and receive buffers are reused
-//! across the rounds of one collective instead of allocated per message.
-//!
-//! The 0.1 free-function shims (`allreduce`, `iallreduce`) were removed
-//! in 0.3 after one deprecation release; use the [`Communicator`] builders.
+//! The builders are the only way to run a collective: each schedule is
+//! one crate-private function, and every launch — blocking or
+//! non-blocking — routes its O(P) message frames through the session's
+//! own [`BufferPool`], so encode and receive buffers survive from one
+//! call to the next instead of being allocated per message.
 
 #![warn(missing_docs)]
 
@@ -70,11 +69,7 @@ mod selector;
 mod telemetry;
 pub mod theory;
 
-pub use allgather::{dense_allgather, sparse_allgather, sparse_allgather_sum};
-pub use allreduce::{
-    dense_rabenseifner, dense_recursive_double, dense_ring, dsar_split_allgather, sparse_ring,
-    ssar_recursive_double, ssar_split_allgather, Algorithm, AllreduceConfig,
-};
+pub use allreduce::{Algorithm, AllreduceConfig};
 pub use communicator::{
     max_communicator_time, run_communicators, run_reactor_communicators,
     run_reactor_communicators_with, run_thread_communicators, Allgather, AllgatherSum, Allreduce,
@@ -82,14 +77,9 @@ pub use communicator::{
     ENV_CALIBRATE,
 };
 pub use error::CollError;
-pub use hierarchical::hierarchical_allreduce;
-pub use nonblocking::Request;
 pub use observed::{CalibrationConfig, ObservedCostModel};
 pub use op::BufferPool;
-pub use rooted::{
-    allreduce_via_reduce_bcast, my_partition, sparse_broadcast, sparse_reduce,
-    sparse_reduce_scatter,
-};
+pub use rooted::my_partition;
 pub use selector::{
     estimate_hierarchical_time, estimate_time, estimate_time_with_union, select_algorithm,
     select_algorithm_with_topology,

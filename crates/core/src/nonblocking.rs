@@ -9,9 +9,10 @@
 //! against a fork-point clock, and when the request completes the clocks
 //! merge as `max(communication, computation)` — ideal overlap.
 //!
-//! The [`crate::Communicator`] builder API wraps this machinery behind
-//! `.nonblocking().launch()`; [`Request`] remains public for callers that
-//! manage transports directly.
+//! [`Request`] is the crate-private machinery behind the
+//! [`crate::Communicator`] builders' `.nonblocking().launch()`; the
+//! session's buffer pool rides to the helper thread with the transport
+//! and comes back with it.
 
 use std::thread::JoinHandle;
 
@@ -19,11 +20,17 @@ use sparcml_net::Transport;
 use sparcml_obs as obs;
 
 use crate::error::CollError;
+use crate::op::BufferPool;
 
 /// Handle to an in-flight non-blocking collective on transport `T`
 /// resolving to a value of type `R`.
-pub struct Request<T, R> {
-    handle: JoinHandle<(T, Result<R, CollError>, obs::telemetry::LocalTelemetry)>,
+pub(crate) struct Request<T, R> {
+    handle: JoinHandle<(
+        T,
+        BufferPool,
+        Result<R, CollError>,
+        obs::telemetry::LocalTelemetry,
+    )>,
     /// Helper-thread name (`sparcml-nb-{rank}`), reported by
     /// [`CollError::WorkerPanicked`] if the thread dies.
     thread_name: String,
@@ -34,10 +41,10 @@ pub struct Request<T, R> {
 
 impl<T: Transport + Send + 'static, R: Send + 'static> Request<T, R> {
     /// Launches `op` on a named helper thread (`sparcml-nb-{rank}`)
-    /// owning the transport.
-    pub fn spawn<F>(transport: T, op: F) -> Self
+    /// owning the session: the transport and its buffer pool.
+    pub(crate) fn spawn<F>(mut transport: T, mut pool: BufferPool, op: F) -> Self
     where
-        F: FnOnce(&mut T) -> Result<R, CollError> + Send + 'static,
+        F: FnOnce(&mut T, &mut BufferPool) -> Result<R, CollError> + Send + 'static,
     {
         let thread_name = format!("sparcml-nb-{}", transport.rank());
         let fork_clock = transport.clock();
@@ -46,12 +53,11 @@ impl<T: Transport + Send + 'static, R: Send + 'static> Request<T, R> {
             .name(thread_name.clone())
             .spawn(move || {
                 obs::register_thread();
-                let mut transport = transport;
-                let out = op(&mut transport);
+                let out = op(&mut transport, &mut pool);
                 // Telemetry collection is thread-local; hand this
                 // thread's samples back so the caller can adopt them
                 // into the launching rank's view.
-                (transport, out, obs::telemetry::snapshot_local())
+                (transport, pool, out, obs::telemetry::snapshot_local())
             })
             .expect("spawn non-blocking collective helper thread");
         Request {
@@ -65,46 +71,40 @@ impl<T: Transport + Send + 'static, R: Send + 'static> Request<T, R> {
 
     /// Accounts local computation of `elements` element-ops performed
     /// *while the collective is in flight* (overlapped).
-    pub fn compute(&mut self, elements: usize) {
+    pub(crate) fn compute(&mut self, elements: usize) {
         self.overlapped_seconds += self.gamma * elements as f64;
     }
 
     /// Accounts `seconds` of overlapped local wall work.
-    pub fn charge_seconds(&mut self, seconds: f64) {
+    pub(crate) fn charge_seconds(&mut self, seconds: f64) {
         self.overlapped_seconds += seconds;
     }
 
     /// Blocks until the collective finishes and returns the transport
     /// (with its clock advanced to `max(comm_done, fork +
-    /// overlapped_compute)`) together with the collective's outcome — the
-    /// transport survives even when the collective itself failed. A
+    /// overlapped_compute)`) and the pool together with the collective's
+    /// outcome — both survive even when the collective itself failed. A
     /// panicked helper thread surfaces as the typed
-    /// [`CollError::WorkerPanicked`] (the transport is lost with it).
-    pub fn finish(self) -> Result<(T, Result<R, CollError>), CollError> {
-        let (mut transport, result, telemetry) = self
+    /// [`CollError::WorkerPanicked`] (transport and pool are lost with
+    /// it).
+    pub(crate) fn finish(self) -> Result<(T, BufferPool, Result<R, CollError>), CollError> {
+        let (mut transport, pool, result, telemetry) = self
             .handle
             .join()
             .map_err(|payload| CollError::worker_panicked(&self.thread_name, payload.as_ref()))?;
         obs::telemetry::adopt(&telemetry);
         transport.advance_clock_to(self.fork_clock + self.overlapped_seconds);
-        Ok((transport, result))
-    }
-
-    /// Blocks until the collective finishes; returns the transport and the
-    /// collective's result.
-    pub fn wait(self) -> Result<(T, R), CollError> {
-        let (transport, result) = self.finish()?;
-        result.map(|r| (transport, r))
+        Ok((transport, pool, result))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allreduce::{dispatch, Algorithm, AllreduceConfig};
+    use crate::allreduce::Algorithm;
     use crate::communicator::{run_communicators, Communicator};
     use crate::reference::reference_sum;
-    use sparcml_net::{run_cluster, CostModel, Endpoint};
+    use sparcml_net::{CostModel, Endpoint};
     use sparcml_stream::{random_sparse, SparseStream};
 
     #[test]
@@ -178,54 +178,16 @@ mod tests {
     }
 
     #[test]
-    fn raw_request_hand_off_still_works() {
-        // Direct transport hand-off via Request::spawn, for callers that
-        // manage transports themselves instead of using a Communicator.
-        let p = 4;
-        let ins: Vec<SparseStream<f32>> = (0..p)
-            .map(|r| random_sparse(1024, 32, 900 + r as u64))
-            .collect();
-        let expect = reference_sum(&ins);
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let input = ins[Endpoint::rank(ep)].clone();
-            let req = Request::spawn(Transport::detach(ep), move |t| {
-                dispatch(
-                    t,
-                    &input,
-                    Algorithm::SsarRecDbl,
-                    &AllreduceConfig::default(),
-                    &mut crate::op::BufferPool::new(),
-                )
-            });
-            let (ep_back, result) = req.wait().unwrap();
-            *ep = ep_back;
-            result
-        });
-        for out in outs {
-            for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
-                assert!((g - e).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn request_spawn_runs_on_thread_transport_too() {
-        use sparcml_net::run_thread_cluster;
-        let p = 2;
-        let outs = run_thread_cluster(p, |tp| {
-            let input = random_sparse::<f32>(512, 16, tp.rank() as u64);
-            let req = Request::spawn(tp.detach(), move |t| {
-                dispatch(
-                    t,
-                    &input,
-                    Algorithm::SsarRecDbl,
-                    &AllreduceConfig::default(),
-                    &mut crate::op::BufferPool::new(),
-                )
-            });
-            let (tp_back, result) = req.wait().unwrap();
-            *tp = tp_back;
-            result.nnz()
+    fn nonblocking_runs_on_thread_transport_too() {
+        let outs = crate::communicator::run_thread_communicators(2, |comm| {
+            let input = random_sparse::<f32>(512, 16, comm.rank() as u64);
+            comm.allreduce(&input)
+                .algorithm(Algorithm::SsarRecDbl)
+                .nonblocking()
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap()
+                .nnz()
         });
         assert_eq!(outs[0], outs[1]);
     }
@@ -236,7 +198,8 @@ mod tests {
         let tp = standalone_thread_transport();
         let req = Request::spawn(
             tp,
-            |t: &mut sparcml_net::ThreadTransport| -> Result<(), _> {
+            BufferPool::new(),
+            |t: &mut sparcml_net::ThreadTransport, _pool: &mut BufferPool| -> Result<(), _> {
                 // Both checks fold into the panic payload: a wrong thread name
                 // changes the message and fails the equality below.
                 assert_eq!(

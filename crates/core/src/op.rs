@@ -36,11 +36,13 @@ const MAX_POOLED: usize = 16;
 /// A pool of reusable encode/receive byte buffers.
 ///
 /// Every collective routes the O(P) message frames of its schedule
-/// through a caller-provided pool. The [`crate::Communicator`] passes its
-/// *persistent session pool*, so the steady state of a training loop
-/// allocates nothing per message — buffers survive from one collective
-/// call to the next (`CommStats::reuse_rate` approaches 1). The free
-/// functions fall back to a fresh per-call pool. Either way:
+/// through the pool its caller hands it, and the only caller is the
+/// [`crate::Communicator`], which passes its *persistent session pool* —
+/// to a non-blocking launch's helper thread too — so the steady state of
+/// a training loop allocates nothing per message: buffers survive from
+/// one collective call to the next (`CommStats::reuse_rate` approaches
+/// 1).
+///
 ///
 /// 1. [`BufferPool::acquire`] hands out a cleared `Vec<u8>` (retaining the
 ///    capacity of whatever frame previously used it);

@@ -16,18 +16,7 @@ use crate::op::{add_charged, pow2_below, recv_stream, send_stream, subtag, tag, 
 
 /// Binomial-tree sparse reduce: the element-wise sum of all inputs lands
 /// at `root`; other ranks receive an empty stream of the same dimension.
-pub fn sparse_reduce<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    root: usize,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    sparse_reduce_pooled(ep, input, root, cfg, &mut BufferPool::new())
-}
-
-/// [`sparse_reduce`] routing its frames through a caller-owned pool (the
-/// communicator's persistent session pool).
-pub(crate) fn sparse_reduce_pooled<T: Transport, V: Scalar>(
+pub(crate) fn sparse_reduce<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     root: usize,
@@ -80,17 +69,7 @@ pub(crate) fn sparse_reduce_pooled<T: Transport, V: Scalar>(
 
 /// Binomial-tree broadcast of a sparse stream from `root`. Non-root ranks
 /// pass their (ignored) `input` only to convey the dimension.
-pub fn sparse_broadcast<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    root: usize,
-) -> Result<SparseStream<V>, CollError> {
-    sparse_broadcast_pooled(ep, input, root, &mut BufferPool::new())
-}
-
-/// [`sparse_broadcast`] routing its frames through a caller-owned pool
-/// (the communicator's persistent session pool).
-pub(crate) fn sparse_broadcast_pooled<T: Transport, V: Scalar>(
+pub(crate) fn sparse_broadcast<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     root: usize,
@@ -154,17 +133,7 @@ pub(crate) fn sparse_broadcast_pooled<T: Transport, V: Scalar>(
 /// `partition_range(dim, P, i)`, logical dimension preserved). This is
 /// exactly the split phase of `SSAR_Split_allgather` exposed as a
 /// first-class collective.
-pub fn sparse_reduce_scatter<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    sparse_reduce_scatter_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`sparse_reduce_scatter`] routing its frames through a caller-owned
-/// pool (the communicator's persistent session pool).
-pub(crate) fn sparse_reduce_scatter_pooled<T: Transport, V: Scalar>(
+pub(crate) fn sparse_reduce_scatter<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
@@ -176,28 +145,6 @@ pub(crate) fn sparse_reduce_scatter_pooled<T: Transport, V: Scalar>(
     }
     let op_id = ep.next_op_id();
     crate::allreduce::split_reduce_partition(ep, input, cfg, op_id, pool)
-}
-
-/// Allreduce composed as reduce + broadcast, for comparison with the
-/// one-shot schedules (a classic trade-off the paper mentions in §5.3).
-pub fn allreduce_via_reduce_bcast<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-) -> Result<SparseStream<V>, CollError> {
-    allreduce_via_reduce_bcast_pooled(ep, input, cfg, &mut BufferPool::new())
-}
-
-/// [`allreduce_via_reduce_bcast`] routing its frames through a
-/// caller-owned pool (the communicator's persistent session pool).
-pub(crate) fn allreduce_via_reduce_bcast_pooled<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let reduced = sparse_reduce_pooled(ep, input, 0, cfg, pool)?;
-    sparse_broadcast_pooled(ep, &reduced, 0, pool)
 }
 
 /// Convenience: the partition owned by this rank for a given dimension.
@@ -221,12 +168,13 @@ mod tests {
 
     #[test]
     fn reduce_lands_sum_at_root_only() {
+        let cfg = AllreduceConfig::default();
         for p in [2usize, 4, 5, 8] {
             for root in [0usize, p - 1] {
                 let ins = inputs(p, 1024, 32);
                 let expect = reference_sum(&ins);
                 let outs = run_cluster(p, CostModel::zero(), |ep| {
-                    sparse_reduce(ep, &ins[ep.rank()], root, &AllreduceConfig::default()).unwrap()
+                    sparse_reduce(ep, &ins[ep.rank()], root, &cfg, &mut BufferPool::new()).unwrap()
                 });
                 for (g, e) in outs[root].to_dense_vec().iter().zip(&expect) {
                     assert!((g - e).abs() < 1e-4, "P={p} root={root}");
@@ -251,7 +199,7 @@ mod tests {
                 } else {
                     SparseStream::zeros(2048)
                 };
-                sparse_broadcast(ep, &input, root).unwrap()
+                sparse_broadcast(ep, &input, root, &mut BufferPool::new()).unwrap()
             });
             for (r, out) in outs.iter().enumerate() {
                 assert_eq!(out, &payload, "P={p} rank={r}");
@@ -261,13 +209,14 @@ mod tests {
 
     #[test]
     fn reduce_scatter_partitions_the_sum() {
+        let cfg = AllreduceConfig::default();
         let p = 4;
         let dim = 1000;
         let ins = inputs(p, dim, 100);
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
             let mine =
-                sparse_reduce_scatter(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap();
+                sparse_reduce_scatter(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
             (ep.rank(), mine)
         });
         for (rank, mine) in outs {
@@ -285,22 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_bcast_matches_allreduce() {
-        let p = 8;
-        let ins = inputs(p, 4096, 64);
-        let expect = reference_sum(&ins);
-        let outs = run_cluster(p, CostModel::zero(), |ep| {
-            allreduce_via_reduce_bcast(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
-        });
-        for out in outs {
-            for (g, e) in out.to_dense_vec().iter().zip(&expect) {
-                assert!((g - e).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_bcast_latency_is_2log2p() {
+    fn reduce_then_broadcast_latency_is_2log2p() {
         let cost = CostModel {
             alpha: 1.0,
             beta: 0.0,
@@ -310,7 +244,9 @@ mod tests {
         let p = 8;
         let t = max_virtual_time(p, cost, |ep| {
             let input = SparseStream::<f32>::zeros(256);
-            allreduce_via_reduce_bcast(ep, &input, &AllreduceConfig::default()).unwrap();
+            let pool = &mut BufferPool::new();
+            let reduced = sparse_reduce(ep, &input, 0, &AllreduceConfig::default(), pool).unwrap();
+            sparse_broadcast(ep, &reduced, 0, pool).unwrap();
         });
         // Binomial reduce log2(P)·α + binomial bcast log2(P)·α.
         assert!((t - 6.0).abs() < 1e-9, "t = {t}");
@@ -318,9 +254,10 @@ mod tests {
 
     #[test]
     fn invalid_root_rejected() {
+        let cfg = AllreduceConfig::default();
         let outs = run_cluster(2, CostModel::zero(), |ep| {
             let input = SparseStream::<f32>::zeros(16);
-            sparse_reduce(ep, &input, 7, &AllreduceConfig::default()).is_err()
+            sparse_reduce(ep, &input, 7, &cfg, &mut BufferPool::new()).is_err()
         });
         assert!(outs.iter().all(|&e| e));
     }

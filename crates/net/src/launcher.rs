@@ -44,11 +44,11 @@ use crate::bootstrap::{ENV_RANK, ENV_ROOT_ADDR, ENV_WORLD};
 use crate::reactor::ReactorTransport;
 use crate::topology::{Topology, ENV_NODE, ENV_NODES};
 
-/// Job-name guard: a worker only runs the closure of the job it was
+/// Job-name guard: a child only runs the closure of the job it was
 /// spawned for (defense in depth next to the `--exact` test filter).
 const ENV_JOB: &str = "SPARCML_JOB";
 
-/// Marker prefixing a worker's result line on stdout.
+/// Marker prefixing a child's result line on stdout.
 const RESULT_MARKER: &str = "SPARCML_RESULT:";
 
 /// How the parent launches and supervises rank subprocesses.
@@ -213,33 +213,67 @@ where
     F: FnOnce(&mut ReactorTransport) -> String,
 {
     assert!(world > 0, "cluster needs at least one rank");
-    if let Ok(rank) = std::env::var(ENV_RANK) {
-        // Worker role: run the rank program and report over stdout.
-        match std::env::var(ENV_JOB) {
-            Ok(j) if j == job => {}
-            // Spawned for a different job — not ours to run.
-            _ => return None,
-        }
-        // Tracing: if the parent exported SPARCML_TRACE (or it was
-        // already in the environment), record spans for this rank's
-        // whole lifetime and flush them after orderly teardown.
-        obs::install_from_env();
-        let mut tp = ReactorTransport::from_env()
-            .unwrap_or_else(|e| panic!("rank {rank} failed to join the cluster: {e}"));
-        let out = f(&mut tp);
-        drop(tp); // orderly teardown: drain queued frames, FIN, join I/O
-        if let Ok(r) = rank.parse::<usize>() {
-            if let Err(e) = obs::flush_trace_for_rank(r) {
-                eprintln!("rank {r}: failed to write span trace: {e}");
+    // Reserved by the parent on the first child's environment; a worker
+    // never asks.
+    let mut root_addr = None;
+    let outcomes = run_child_processes(
+        job,
+        world,
+        ENV_RANK,
+        |rank| {
+            let root_addr = root_addr.get_or_insert_with(reserve_loopback_addr);
+            let mut env = vec![
+                (ENV_WORLD.to_string(), world.to_string()),
+                (ENV_ROOT_ADDR.to_string(), root_addr.clone()),
+            ];
+            let mut set = |k: &str, v: String| env.push((k.to_string(), v));
+            if let Some(t) = opts.recv_timeout {
+                set("SPARCML_RECV_TIMEOUT_MS", t.as_millis().to_string());
             }
-            if let Err(e) = obs::flush_telemetry_for_rank(r, world) {
-                eprintln!("rank {r}: failed to write telemetry frame: {e}");
+            if let Some(t) = opts.connect_timeout {
+                set("SPARCML_CONNECT_TIMEOUT_MS", t.as_millis().to_string());
             }
-        }
-        println!("{RESULT_MARKER}{rank}:{}", to_hex(&out));
-        return None;
-    }
-    Some(orchestrate(job, world, opts))
+            if let Some(topo) = &opts.topology {
+                assert_eq!(
+                    topo.size(),
+                    world,
+                    "launch topology must cover exactly the cluster's ranks"
+                );
+                let nodes: Vec<String> = (0..world).map(|r| topo.node_of(r).to_string()).collect();
+                set(ENV_NODES, nodes.join(","));
+                set(ENV_NODE, topo.node_of(rank).to_string());
+            }
+            if let Some(dir) = &opts.trace_dir {
+                set(obs::ENV_TRACE, dir.display().to_string());
+            }
+            if let Some(dir) = &opts.telemetry_dir {
+                set(obs::ENV_TELEMETRY, dir.display().to_string());
+            }
+            env.extend(opts.env.iter().cloned());
+            env
+        },
+        opts.timeout,
+        opts.test_harness,
+        |rank| {
+            // Tracing: if the parent exported SPARCML_TRACE (or it was
+            // already in the environment), record spans for this rank's
+            // whole lifetime and flush them after orderly teardown.
+            obs::install_from_env();
+            let mut tp = ReactorTransport::from_env()
+                .unwrap_or_else(|e| panic!("rank {rank} failed to join the cluster: {e}"));
+            let out = f(&mut tp);
+            drop(tp); // orderly teardown: drain queued frames, FIN, join I/O
+            if let Err(e) = obs::flush_trace_for_rank(rank) {
+                eprintln!("rank {rank}: failed to write span trace: {e}");
+            }
+            if let Err(e) = obs::flush_telemetry_for_rank(rank, world) {
+                eprintln!("rank {rank}: failed to write telemetry frame: {e}");
+            }
+            out
+        },
+    )?;
+    report_observability(opts, world);
+    Some(outcomes)
 }
 
 /// Parent-side success policy: unwraps every rank's result or panics
@@ -271,16 +305,49 @@ fn require_success(job: &str, outcomes: &[RankOutcome]) -> Vec<String> {
     results
 }
 
-/// Parent role: spawn one subprocess per rank, supervise with a hard
-/// deadline, and collect outcomes.
-fn orchestrate(job: &str, world: usize, opts: &LaunchOptions) -> Vec<RankOutcome> {
-    let root_addr = reserve_loopback_addr();
+/// The multi-process chassis under [`run_socket_cluster_outcomes`] and
+/// `sparcml-serve`'s client launcher. One call is the parent or a child,
+/// told apart by whether `index_var` is set in the environment.
+///
+/// The parent re-executes the current binary `children` times — child `i`
+/// gets `SPARCML_JOB = job`, `index_var = i` and the pairs `env(i)`, plus
+/// the libtest filter flags (`<job> --exact --nocapture`) under
+/// `test_harness` — drains both pipes of each, kills whatever is still
+/// running at `timeout`, and returns every child's outcome indexed by
+/// child (`RankOutcome::rank` is the child index).
+///
+/// A child runs `f(i)` when it was spawned for this `job` (a child of
+/// another job skips it), reports the returned string to the parent over
+/// stdout, and gets `None`.
+pub fn run_child_processes<E, F>(
+    job: &str,
+    children: usize,
+    index_var: &str,
+    mut env: E,
+    timeout: Duration,
+    test_harness: bool,
+    f: F,
+) -> Option<Vec<RankOutcome>>
+where
+    E: FnMut(usize) -> Vec<(String, String)>,
+    F: FnOnce(usize) -> String,
+{
+    if let Ok(index) = std::env::var(index_var) {
+        match std::env::var(ENV_JOB) {
+            Ok(j) if j == job => {}
+            // Spawned for a different job — not ours to run.
+            _ => return None,
+        }
+        let index: usize = index
+            .parse()
+            .unwrap_or_else(|_| panic!("{index_var} must hold a child index, got {index:?}"));
+        let out = f(index);
+        println!("{RESULT_MARKER}{index}:{}", to_hex(&out));
+        return None;
+    }
+
     let exe = std::env::current_exe().expect("current executable path");
-    let deadline = Instant::now() + opts.timeout;
-    // An explicit trace_dir wins; otherwise honor a SPARCML_TRACE the
-    // children will inherit from this process's environment anyway.
-    let trace_dir = opts.trace_dir.clone().or_else(obs::trace_env_dir);
-    let telemetry_dir = opts.telemetry_dir.clone().or_else(obs::telemetry_env_dir);
+    let deadline = Instant::now() + timeout;
 
     struct Running {
         child: Child,
@@ -289,46 +356,20 @@ fn orchestrate(job: &str, world: usize, opts: &LaunchOptions) -> Vec<RankOutcome
         timed_out: bool,
     }
 
-    let mut running: Vec<Running> = (0..world)
-        .map(|rank| {
+    let mut running: Vec<Running> = (0..children)
+        .map(|index| {
             let mut cmd = Command::new(&exe);
-            if opts.test_harness {
+            if test_harness {
                 cmd.arg(job).arg("--exact").arg("--nocapture");
             }
             cmd.env(ENV_JOB, job)
-                .env(ENV_RANK, rank.to_string())
-                .env(ENV_WORLD, world.to_string())
-                .env(ENV_ROOT_ADDR, &root_addr)
+                .env(index_var, index.to_string())
+                .envs(env(index))
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped());
-            if let Some(t) = opts.recv_timeout {
-                cmd.env("SPARCML_RECV_TIMEOUT_MS", t.as_millis().to_string());
-            }
-            if let Some(t) = opts.connect_timeout {
-                cmd.env("SPARCML_CONNECT_TIMEOUT_MS", t.as_millis().to_string());
-            }
-            if let Some(topo) = &opts.topology {
-                assert_eq!(
-                    topo.size(),
-                    world,
-                    "launch topology must cover exactly the cluster's ranks"
-                );
-                let nodes: Vec<String> = (0..world).map(|r| topo.node_of(r).to_string()).collect();
-                cmd.env(ENV_NODES, nodes.join(","));
-                cmd.env(ENV_NODE, topo.node_of(rank).to_string());
-            }
-            if let Some(dir) = &opts.trace_dir {
-                cmd.env(obs::ENV_TRACE, dir);
-            }
-            if let Some(dir) = &opts.telemetry_dir {
-                cmd.env(obs::ENV_TELEMETRY, dir);
-            }
-            for (k, v) in &opts.env {
-                cmd.env(k, v);
-            }
             let mut child = cmd
                 .spawn()
-                .unwrap_or_else(|e| panic!("spawning rank {rank}: {e}"));
+                .unwrap_or_else(|e| panic!("spawning child {index}: {e}"));
             // Drain both pipes concurrently so a chatty child can never
             // block on a full pipe while the parent is polling.
             let stdout = drain(child.stdout.take().expect("piped stdout"));
@@ -365,7 +406,7 @@ fn orchestrate(job: &str, world: usize, opts: &LaunchOptions) -> Vec<RankOutcome
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    let outcomes: Vec<RankOutcome> = running
+    let outcomes = running
         .into_iter()
         .enumerate()
         .map(|(rank, mut r)| {
@@ -382,9 +423,17 @@ fn orchestrate(job: &str, world: usize, opts: &LaunchOptions) -> Vec<RankOutcome
             }
         })
         .collect();
-    if let Some(dir) = trace_dir {
-        // Best-effort: merge whatever per-rank traces the children wrote
-        // (crashed ranks simply have no file). Never fails the job.
+    Some(outcomes)
+}
+
+/// Parent side, after the job: merges the per-rank span traces and prints
+/// the cluster-telemetry summary. Best-effort — never fails the job.
+fn report_observability(opts: &LaunchOptions, world: usize) {
+    // An explicit directory wins; otherwise honor the SPARCML_TRACE /
+    // SPARCML_TELEMETRY the children inherited from this process's
+    // environment anyway.
+    if let Some(dir) = opts.trace_dir.clone().or_else(obs::trace_env_dir) {
+        // Crashed ranks simply have no file.
         match obs::merge_traces(&dir, world) {
             Ok((path, included)) => {
                 eprintln!(
@@ -395,9 +444,8 @@ fn orchestrate(job: &str, world: usize, opts: &LaunchOptions) -> Vec<RankOutcome
             Err(e) => eprintln!("failed to merge span traces in {}: {e}", dir.display()),
         }
     }
-    if let Some(dir) = telemetry_dir {
-        // Best-effort: assemble the launcher's cluster view from the
-        // per-rank telemetry frames. Never fails the job.
+    if let Some(dir) = opts.telemetry_dir.clone().or_else(obs::telemetry_env_dir) {
+        // The launcher's cluster view, from the per-rank telemetry frames.
         match obs::load_telemetry_dir(&dir, world) {
             Ok(report) if !report.frames.is_empty() => {
                 eprintln!(
@@ -411,7 +459,6 @@ fn orchestrate(job: &str, world: usize, opts: &LaunchOptions) -> Vec<RankOutcome
             Err(e) => eprintln!("failed to load cluster telemetry in {}: {e}", dir.display()),
         }
     }
-    outcomes
 }
 
 fn drain<R: Read + Send + 'static>(mut pipe: R) -> std::thread::JoinHandle<String> {

@@ -24,19 +24,15 @@
 //! };
 //! ```
 
-use std::io::Read;
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Job-name guard so a child only runs the closure it was spawned for.
-const ENV_JOB: &str = "SPARCML_SERVE_JOB";
+use sparcml_net::launcher::run_child_processes;
+
 /// The child's client index (presence selects the worker role).
 const ENV_CLIENT: &str = "SPARCML_SERVE_CLIENT";
 /// Comma-separated shard addresses.
 const ENV_ADDRS: &str = "SPARCML_SERVE_ADDRS";
-/// Marker prefixing a client's result line on stdout.
-const RESULT_MARKER: &str = "SPARCML_SERVE_RESULT:";
 
 /// How the parent launches and supervises client subprocesses.
 #[derive(Debug, Clone)]
@@ -78,30 +74,9 @@ impl ClientLaunchOptions {
     }
 }
 
-/// What became of one client subprocess.
-#[derive(Debug, Clone)]
-pub struct ClientOutcome {
-    /// The client index this child ran as.
-    pub client: usize,
-    /// Process exit code (`None` when killed by a signal — including the
-    /// parent's deadline kill).
-    pub exit_code: Option<i32>,
-    /// The client program's return value, if it got far enough to report.
-    pub result: Option<String>,
-    /// Everything the child wrote to stdout.
-    pub stdout: String,
-    /// Everything the child wrote to stderr (panics live here).
-    pub stderr: String,
-    /// Whether the parent killed this child at the deadline.
-    pub timed_out: bool,
-}
-
-impl ClientOutcome {
-    /// A client succeeded iff it exited 0 in time and reported a result.
-    pub fn ok(&self) -> bool {
-        self.exit_code == Some(0) && self.result.is_some() && !self.timed_out
-    }
-}
+/// What became of one client subprocess: the net-layer launcher's
+/// outcome record, whose `rank` field is the client index here.
+pub use sparcml_net::launcher::RankOutcome as ClientOutcome;
 
 /// True when this process is a client child of [`run_serve_clients`].
 /// Parent-side setup (starting the server, reserving ports) should be
@@ -129,184 +104,27 @@ where
     F: FnOnce(usize, &[SocketAddr]) -> String,
 {
     assert!(clients > 0, "a client job needs at least one client");
-    if let Ok(client) = std::env::var(ENV_CLIENT) {
-        // Worker role: run the client program and report over stdout.
-        match std::env::var(ENV_JOB) {
-            Ok(j) if j == job => {}
-            // Spawned for a different job — not ours to run.
-            _ => return None,
-        }
-        let client: usize = client.parse().expect("client index");
-        let addrs: Vec<SocketAddr> = std::env::var(ENV_ADDRS)
-            .expect("shard address list")
-            .split(',')
-            .map(|a| a.parse().expect("shard address"))
-            .collect();
-        let out = f(client, &addrs);
-        println!("{RESULT_MARKER}{client}:{}", to_hex(&out));
-        return None;
-    }
-    Some(orchestrate(job, clients, addrs, opts))
-}
-
-fn orchestrate(
-    job: &str,
-    clients: usize,
-    addrs: &[SocketAddr],
-    opts: &ClientLaunchOptions,
-) -> Vec<ClientOutcome> {
-    assert!(!addrs.is_empty(), "parent must pass the server's addresses");
-    let addr_list = addrs
-        .iter()
-        .map(|a| a.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let exe = std::env::current_exe().expect("current executable path");
-    let deadline = Instant::now() + opts.timeout;
-
-    struct Running {
-        child: Child,
-        stdout: std::thread::JoinHandle<String>,
-        stderr: std::thread::JoinHandle<String>,
-        timed_out: bool,
-    }
-
-    let mut running: Vec<Running> = (0..clients)
-        .map(|client| {
-            let mut cmd = Command::new(&exe);
-            if opts.test_harness {
-                cmd.arg(job).arg("--exact").arg("--nocapture");
-            }
-            cmd.env(ENV_JOB, job)
-                .env(ENV_CLIENT, client.to_string())
-                .env(ENV_ADDRS, &addr_list)
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            for (k, v) in &opts.env {
-                cmd.env(k, v);
-            }
-            let mut child = cmd
-                .spawn()
-                .unwrap_or_else(|e| panic!("spawning client {client}: {e}"));
-            // Drain both pipes concurrently so a chatty child can never
-            // block on a full pipe while the parent is polling.
-            let stdout = drain(child.stdout.take().expect("piped stdout"));
-            let stderr = drain(child.stderr.take().expect("piped stderr"));
-            Running {
-                child,
-                stdout,
-                stderr,
-                timed_out: false,
-            }
-        })
-        .collect();
-
-    loop {
-        let mut alive = 0;
-        for r in running.iter_mut() {
-            if r.child.try_wait().expect("try_wait").is_none() {
-                alive += 1;
-            }
-        }
-        if alive == 0 {
-            break;
-        }
-        if Instant::now() >= deadline {
-            for r in running.iter_mut() {
-                if r.child.try_wait().expect("try_wait").is_none() {
-                    r.timed_out = true;
-                    let _ = r.child.kill();
-                }
-            }
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    running
-        .into_iter()
-        .enumerate()
-        .map(|(client, mut r)| {
-            let status = r.child.wait().expect("wait after exit/kill");
-            let stdout = r.stdout.join().unwrap_or_default();
-            let stderr = r.stderr.join().unwrap_or_default();
-            ClientOutcome {
-                client,
-                exit_code: status.code(),
-                result: parse_result(&stdout, client),
-                stdout,
-                stderr,
-                timed_out: r.timed_out,
-            }
-        })
-        .collect()
-}
-
-fn drain<R: Read + Send + 'static>(mut pipe: R) -> std::thread::JoinHandle<String> {
-    std::thread::spawn(move || {
-        let mut out = String::new();
-        let _ = pipe.read_to_string(&mut out);
-        out
-    })
-}
-
-fn parse_result(stdout: &str, client: usize) -> Option<String> {
-    // The marker may share its line with libtest chatter, so look for it
-    // anywhere in a line and take the hex run that follows.
-    let prefix = format!("{RESULT_MARKER}{client}:");
-    stdout
-        .lines()
-        .find_map(|line| {
-            let idx = line.find(&prefix)?;
-            let rest = &line[idx + prefix.len()..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_hexdigit())
-                .unwrap_or(rest.len());
-            Some(&rest[..end])
-        })
-        .and_then(from_hex)
-}
-
-fn to_hex(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() * 2);
-    for b in s.as_bytes() {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn from_hex(h: &str) -> Option<String> {
-    let h = h.trim();
-    if !h.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(h.len() / 2);
-    for i in (0..h.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(h.get(i..i + 2)?, 16).ok()?);
-    }
-    String::from_utf8(bytes).ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hex_round_trips() {
-        for s in ["", "gen=42", "client 3: ok\nsecond line", "πδ"] {
-            assert_eq!(from_hex(&to_hex(s)).as_deref(), Some(s));
-        }
-        assert_eq!(from_hex("zz"), None);
-        assert_eq!(from_hex("abc"), None);
-    }
-
-    #[test]
-    fn result_marker_parses_among_harness_chatter() {
-        let stdout = format!(
-            "running 1 test\n{RESULT_MARKER}2:{}\ntest foo ... ok\n",
-            to_hex("gen=7")
-        );
-        assert_eq!(parse_result(&stdout, 2).as_deref(), Some("gen=7"));
-        assert_eq!(parse_result(&stdout, 1), None);
-    }
+    let addr_list: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
+    let addr_list = addr_list.join(",");
+    run_child_processes(
+        job,
+        clients,
+        ENV_CLIENT,
+        |_client| {
+            assert!(!addrs.is_empty(), "parent must pass the server's addresses");
+            let mut env = vec![(ENV_ADDRS.to_string(), addr_list.clone())];
+            env.extend(opts.env.iter().cloned());
+            env
+        },
+        opts.timeout,
+        opts.test_harness,
+        |client| {
+            let addrs: Vec<SocketAddr> = std::env::var(ENV_ADDRS)
+                .expect("shard address list")
+                .split(',')
+                .map(|a| a.parse().expect("shard address"))
+                .collect();
+            f(client, &addrs)
+        },
+    )
 }

@@ -82,7 +82,7 @@ fn main() {
     for o in &outcomes {
         println!(
             "  client-{}: {}",
-            o.client,
+            o.rank,
             o.result.as_deref().unwrap_or("<no result>")
         );
     }

@@ -7,9 +7,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use sparcml::core::reference::reference_sum;
-use sparcml::core::{
-    hierarchical_allreduce, select_algorithm, ssar_recursive_double, Algorithm, Communicator,
-};
+use sparcml::core::{run_communicators, select_algorithm, Algorithm, Communicator};
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
 use sparcml::net::{
     run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CommError, CommStats, CostModel,
@@ -347,12 +345,18 @@ fn hierarchical_is_bitwise_flat_on_integers_across_random_topologies() {
             topology: Some(topo.clone()),
             ..Default::default()
         };
-        let hier = run_cluster(p, CostModel::zero(), |ep| {
-            hierarchical_allreduce(ep, &ins[ep.rank()], &cfg).unwrap()
-        });
-        let flat = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_recursive_double(ep, &ins[ep.rank()], &AllreduceConfig::default()).unwrap()
-        });
+        let run = |algorithm: Algorithm, cfg: &AllreduceConfig| {
+            run_communicators(p, CostModel::zero(), |comm| {
+                comm.allreduce(&ins[comm.rank()])
+                    .config(cfg.clone())
+                    .algorithm(algorithm)
+                    .launch()
+                    .and_then(|h| h.wait())
+                    .unwrap()
+            })
+        };
+        let hier = run(Algorithm::Hierarchical, &cfg);
+        let flat = run(Algorithm::SsarRecDbl, &AllreduceConfig::default());
         for (rank, (h, f)) in hier.iter().zip(flat.iter()).enumerate() {
             let hd = h.to_dense_vec();
             let fd = f.to_dense_vec();
@@ -500,20 +504,19 @@ fn hierarchical_sends_fewer_inter_node_messages_than_flat_ssar() {
         let topo = topo.clone();
         let ins = ins.clone();
         run_cluster(p, CostModel::zero(), move |ep| {
-            let mut tp = InterCounting::new(ep.detach(), &topo);
+            let tp = InterCounting::new(ep.detach(), &topo);
             let counter = Arc::clone(&tp.inter);
-            let input = &ins[tp.rank()];
-            if hierarchical {
-                let cfg = AllreduceConfig {
-                    topology: Some(topo.clone()),
-                    hier_leader_algorithm: Algorithm::SsarRecDbl,
-                    ..Default::default()
-                };
-                hierarchical_allreduce(&mut tp, input, &cfg).unwrap();
+            let mut comm = Communicator::new(tp);
+            let call = comm.allreduce(&ins[comm.rank()]);
+            let call = if hierarchical {
+                call.algorithm(Algorithm::Hierarchical)
+                    .topology(topo.clone())
+                    .leader_algorithm(Algorithm::SsarRecDbl)
             } else {
-                ssar_recursive_double(&mut tp, input, &AllreduceConfig::default()).unwrap();
-            }
-            *ep = tp.into_parent_endpoint();
+                call.algorithm(Algorithm::SsarRecDbl)
+            };
+            call.launch().and_then(|h| h.wait()).unwrap();
+            *ep = comm.into_transport().into_parent_endpoint();
             counter.load(Ordering::Relaxed)
         })
     };

@@ -7,7 +7,7 @@
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{
     max_communicator_time, run_communicators, run_thread_communicators, select_algorithm,
-    Algorithm, AllreduceConfig, Communicator, Transport,
+    Algorithm, Communicator, Transport,
 };
 use sparcml::net::CostModel;
 use sparcml::quant::QsgdConfig;
@@ -202,29 +202,27 @@ fn mixed_blocking_and_nonblocking_collectives() {
 }
 
 #[test]
-fn per_algorithm_entry_points_match_builder() {
-    // The generic per-algorithm functions stay public; they must agree
-    // with the builder path bit-for-bit.
-    let p = 4;
-    let ins: Vec<SparseStream<f32>> = (0..p)
-        .map(|r| random_sparse(1024, 32, 31 + r as u64))
-        .collect();
-    let via_builder = run_communicators(p, CostModel::zero(), |comm| {
-        comm.allreduce(&ins[comm.rank()])
-            .algorithm(Algorithm::SsarRecDbl)
-            .launch()
-            .and_then(|handle| handle.wait())
-            .unwrap()
+fn nonblocking_launches_reuse_the_session_pool() {
+    // The session's buffer pool rides to the helper thread with the
+    // transport and comes back with it: the second non-blocking launch
+    // must find the buffers the first one left.
+    let outs = run_communicators(4, CostModel::zero(), |comm| {
+        let input = random_sparse::<f32>(1024, 32, comm.rank() as u64);
+        let mut acquires = [0u64; 2];
+        for slot in &mut acquires {
+            comm.allreduce(&input)
+                .nonblocking()
+                .launch()
+                .and_then(|handle| handle.wait())
+                .unwrap();
+            *slot = comm.stats_snapshot().pool_acquires;
+        }
+        (acquires, comm.stats_snapshot().pool_reuses)
     });
-    let direct = sparcml::net::run_cluster(p, CostModel::zero(), |ep| {
-        sparcml::core::ssar_recursive_double(
-            ep,
-            &ins[Transport::rank(ep)],
-            &AllreduceConfig::default(),
-        )
-        .unwrap()
-    });
-    assert_eq!(via_builder, direct);
+    for ([first, second], reuses) in outs {
+        assert!(first > 0 && second > first, "acquires {first} -> {second}");
+        assert!(reuses > 0, "no buffer survived from the first launch");
+    }
 }
 
 #[test]

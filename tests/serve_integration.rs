@@ -160,7 +160,7 @@ fn churn_sixteen_clients_two_shards_two_deaths() {
         assert!(
             o.ok(),
             "client {} failed (exit {:?}, timed_out {}):\nstdout:\n{}\nstderr:\n{}",
-            o.client,
+            o.rank,
             o.exit_code,
             o.timed_out,
             o.stdout,

@@ -318,7 +318,7 @@ fn killed_peer_fails_survivors_within_timeout() {
 
 #[test]
 fn engine_density_guard_splits_buckets_across_processes() {
-    // The k = 1e4 fusion-loss shape from BENCH_engine.json: before the
+    // The k = 1e4 shape where fusing loses to per-layer runs: before the
     // density-aware FusionPolicy these four 65_536-dim/10_000-nnz jobs
     // fused into ONE bandwidth-bound bucket. The guard (projected fused
     // union density 4·20_000/131_072 ≈ 0.61 > max_density = 0.5) must now
