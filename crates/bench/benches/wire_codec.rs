@@ -1,80 +1,36 @@
-//! Criterion: wire codec throughput — slab (v2, SoA) codec vs the
-//! array-of-structs v1 baseline it replaced.
+//! Criterion: wire codec throughput of the v3 frame (value slab + gap-coded
+//! index slab).
 //!
-//! The baseline below reimplements the seed's encoder/decoder faithfully:
-//! interleaved `(u32 idx, value)` pairs, each value written through a
-//! per-entry scratch `Vec`, decoded entry by entry into a pair list. The
-//! acceptance bar for the SoA refactor is ≥ 2× encode throughput at
-//! k = 10⁵, f32 (see BENCH_wire.json for recorded numbers).
+//! The three sparse sizes in dim 2^24 are the three gap classes of the
+//! codec: k = 10³ (mean gap 16 777 — three-byte varints, with two-byte
+//! ones mixed in), k = 10⁵ (mean gap 168 — one- and two-byte varints
+//! interleaved, the varint path's worst mix) and k = 2^20 (mean gap 16 —
+//! single-byte gaps, the run-at-a-time paths). The dense frame is the bulk
+//! value-slab path both share.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparcml_stream::{random_sparse, Scalar, SparseStream};
-
-/// v1 (AoS) encoder: header + interleaved entries via per-entry scratch.
-fn encode_aos_v1<V: Scalar>(indices: &[u32], values: &[V], dim: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(19 + indices.len() * (4 + V::BYTES));
-    buf.push(0xC5);
-    buf.push(V::BYTES as u8);
-    buf.push(0); // sparse tag
-    buf.extend_from_slice(&(dim as u64).to_le_bytes());
-    buf.extend_from_slice(&(indices.len() as u64).to_le_bytes());
-    let mut scratch = Vec::with_capacity(V::BYTES);
-    for (i, v) in indices.iter().zip(values) {
-        buf.extend_from_slice(&i.to_le_bytes());
-        scratch.clear();
-        v.write_le(&mut scratch);
-        buf.extend_from_slice(&scratch);
-    }
-    buf
-}
-
-/// v1 (AoS) decoder: entry-by-entry reads into an interleaved pair list.
-fn decode_aos_v1<V: Scalar>(bytes: &[u8]) -> (usize, Vec<(u32, V)>) {
-    let dim = u64::from_le_bytes(bytes[3..11].try_into().unwrap()) as usize;
-    let nnz = u64::from_le_bytes(bytes[11..19].try_into().unwrap()) as usize;
-    let mut entries = Vec::with_capacity(nnz);
-    let mut rest = &bytes[19..];
-    for _ in 0..nnz {
-        let idx = u32::from_le_bytes(rest[..4].try_into().unwrap());
-        let val = V::read_le(&rest[4..4 + V::BYTES]);
-        rest = &rest[4 + V::BYTES..];
-        entries.push((idx, val));
-    }
-    (dim, entries)
-}
+use sparcml_stream::{random_sparse, SparseStream};
 
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
     let dim = 1 << 24;
-    for k in [1usize << 10, 100_000, 1 << 20] {
+    for k in [1_000usize, 100_000, 1 << 20] {
         let stream = random_sparse::<f32>(dim, k, 7);
-        let view = stream.sparse_view().unwrap();
-        let (indices, values) = (view.indices().to_vec(), view.values().to_vec());
-
-        group.bench_with_input(BenchmarkId::new("encode_aos_v1", k), &k, |b, _| {
-            b.iter(|| encode_aos_v1(&indices, &values, dim).len())
-        });
-        group.bench_with_input(BenchmarkId::new("encode_soa_v2", k), &k, |b, _| {
+        group.bench_with_input(BenchmarkId::new("encode_v3", k), &k, |b, _| {
             let mut buf = Vec::new();
             b.iter(|| {
                 stream.encode_into(&mut buf);
                 buf.len()
             })
         });
-
-        let v1_frame = encode_aos_v1(&indices, &values, dim);
-        let v2_frame = stream.encode();
-        group.bench_with_input(BenchmarkId::new("decode_aos_v1", k), &k, |b, _| {
-            b.iter(|| decode_aos_v1::<f32>(&v1_frame).1.len())
-        });
-        group.bench_with_input(BenchmarkId::new("decode_soa_v2", k), &k, |b, _| {
-            b.iter(|| SparseStream::<f32>::decode(&v2_frame).unwrap().stored_len())
+        let frame = stream.encode();
+        group.bench_with_input(BenchmarkId::new("decode_v3", k), &k, |b, _| {
+            b.iter(|| SparseStream::<f32>::decode(&frame).unwrap().stored_len())
         });
     }
 
-    // Dense frames: the bulk value-slab path.
     let dense = SparseStream::from_dense(vec![1.0f32; 1 << 20]);
-    group.bench_function("encode_dense_soa_v2/1048576", |b| {
+    group.bench_function("encode_dense_v3/1048576", |b| {
         let mut buf = Vec::new();
         b.iter(|| {
             dense.encode_into(&mut buf);
@@ -82,7 +38,7 @@ fn bench_wire_codec(c: &mut Criterion) {
         })
     });
     let dense_frame = dense.encode();
-    group.bench_function("decode_dense_soa_v2/1048576", |b| {
+    group.bench_function("decode_dense_v3/1048576", |b| {
         b.iter(|| SparseStream::<f32>::decode(&dense_frame).unwrap().dim())
     });
     group.finish();

@@ -56,8 +56,11 @@ fn main() {
     }
     println!();
     println!(
-        "expected shape: never-densify pays pair-format bandwidth (2x words) and\n\
-         merge compute on a nearly dense result; aggressive factors densify early\n\
-         and pay dense bandwidth sooner. The volume-equality default sits between."
+        "expected shape: aggressive factors densify early and pay dense bandwidth\n\
+         sooner. Never densifying pays merge compute on a nearly dense result but,\n\
+         since the wire gap-codes indices, only 1.25x a word per pair (it was 2x):\n\
+         on this shape it is now the fastest row, ahead of the in-memory\n\
+         volume-equality default that δ deliberately still is (see the threshold\n\
+         module docs of sparcml_stream)."
     );
 }

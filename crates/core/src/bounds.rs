@@ -1,13 +1,20 @@
 //! Analytic runtime bounds from §5.3 and Lemmas 5.1 / 5.2.
 //!
 //! Every bound is expressed in the α–β model of [`CostModel`]: α per
-//! message, β per *byte* (so the paper's `βs` per sparse pair becomes
-//! `β·(4 + isize)` and `βd` per dense word becomes `β·isize`).
+//! message, β per *byte*, so the paper's `βd` per dense word becomes
+//! `β·isize` and its `βs` per sparse pair becomes β times what a pair
+//! weighs on the wire. The paper fixes that at `c + isize` with a 4-byte
+//! index; the wire format gap-codes the index slab, so a pair weighs
+//! `isize` plus a varint whose expected length falls with the density of
+//! the stream it travels in ([`Workload::pair_bytes`], one byte at every
+//! density where bandwidth matters). Each term is priced at the density
+//! its pairs travel at: a rank's input at `k/N`, reduced data at `K/N`.
 //! These formulas power the adaptive algorithm selector and the
 //! `bounds_check` experiment that verifies measured virtual times fall
 //! inside their analytic envelopes.
 
 use sparcml_net::CostModel;
+use sparcml_stream::expected_entry_bytes;
 
 /// Inclusive lower/upper envelope for an algorithm's runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,10 +39,13 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Bytes of one sparse index–value pair (the paper's `βs` unit).
+    /// Expected wire bytes of one sparse index–value pair (the paper's
+    /// `βs` unit) travelling in a stream of `entries` non-zeros: the value
+    /// plus the gap varint at density `entries / N`
+    /// ([`expected_entry_bytes`], the wire format's own figure).
     #[inline]
-    pub fn pair_bytes(&self) -> f64 {
-        (4 + self.value_bytes) as f64
+    pub fn pair_bytes(&self, entries: f64) -> f64 {
+        expected_entry_bytes(self.value_bytes, entries / self.n as f64)
     }
 
     /// Bytes of one dense value (the paper's `βd` unit).
@@ -60,10 +70,13 @@ pub fn l2(w: &Workload, c: &CostModel) -> f64 {
 }
 
 /// `SSAR_Recursive_double`:
-/// `L1 + log2(P)·k·βs ≤ T ≤ L1 + (P−1)·k·βs` (§5.3.1).
+/// `L1 + log2(P)·k·βs ≤ T ≤ L1 + (P−1)·k·βs` (§5.3.1). Every frame is a
+/// partial sum at least as dense as an input, so the input density prices
+/// both ends: exactly under full overlap, from above when supports are
+/// disjoint and the later rounds travel denser.
 pub fn ssar_rec_dbl(w: &Workload, c: &CostModel) -> Envelope {
-    let bs = c.beta * w.pair_bytes();
     let k = w.k as f64;
+    let bs = c.beta * w.pair_bytes(k);
     Envelope {
         lower: l1(w, c) + w.log2p() * k * bs,
         upper: l1(w, c) + (w.p as f64 - 1.0) * k * bs,
@@ -71,22 +84,26 @@ pub fn ssar_rec_dbl(w: &Workload, c: &CostModel) -> Envelope {
 }
 
 /// `SSAR_Split_allgather`:
-/// `L2 + 2·(P−1)/P·k·βs ≤ T ≤ L2 + P·k·βs` (§5.3.2).
+/// `L2 + 2·(P−1)/P·k·βs ≤ T ≤ L2 + P·k·βs` (§5.3.2). The split phase
+/// moves input pairs, the allgather reduced ones: `K = k` of them per
+/// rank-set under full overlap, `(P−1)·k` at density `P·k/N` when
+/// supports are disjoint.
 pub fn ssar_split_ag(w: &Workload, c: &CostModel) -> Envelope {
-    let bs = c.beta * w.pair_bytes();
     let (p, k) = (w.p as f64, w.k as f64);
+    let bs_input = c.beta * w.pair_bytes(k);
+    let bs_union = c.beta * w.pair_bytes((p * k).min(w.n as f64));
     Envelope {
-        lower: l2(w, c) + 2.0 * (p - 1.0) / p * k * bs,
-        upper: l2(w, c) + p * k * bs,
+        lower: l2(w, c) + 2.0 * (p - 1.0) / p * k * bs_input,
+        upper: l2(w, c) + k * bs_input + (p - 1.0) * k * bs_union,
     }
 }
 
 /// `DSAR_Split_allgather`:
 /// `L2 + (P−1)/P·N·βd ≤ T ≤ L2 + k·βs + (P−1)/P·N·βd` (§5.3.3).
 pub fn dsar_split_ag(w: &Workload, c: &CostModel) -> Envelope {
-    let bs = c.beta * w.pair_bytes();
-    let bd = c.beta * w.word_bytes();
     let (p, n, k) = (w.p as f64, w.n as f64, w.k as f64);
+    let bs = c.beta * w.pair_bytes(k);
+    let bd = c.beta * w.word_bytes();
     Envelope {
         lower: l2(w, c) + (p - 1.0) / p * n * bd,
         upper: l2(w, c) + k * bs + (p - 1.0) / p * n * bd,

@@ -7,8 +7,11 @@
 //! reduced size `K`. The selector estimates `E[K]` under the uniform model
 //! (Appendix B), prices every flat schedule by its analytic expected cost
 //! — communication envelope plus the reduction work the virtual clock
-//! charges — and takes the cheapest. The δ threshold is not a gate in
-//! front of the sweep: just past it a sparse schedule can still beat
+//! charges — and takes the cheapest. A sparse pair is priced at what the
+//! wire format makes it weigh at the density it travels at
+//! ([`Workload::pair_bytes`]: a rank's input at `k/N`, reduced data at
+//! `E[K]/N`), not at a fixed `4 + isize`. The δ threshold is not a gate
+//! in front of the sweep: just past it a sparse schedule can still beat
 //! DSAR, and just before it DSAR can beat the dense baselines.
 
 use sparcml_net::{CostModel, Topology, TopologyCostModel};
@@ -72,7 +75,7 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
         Algorithm::DenseRing => bounds::dense_ring(w, c).lower + c.gamma * (k + (p - 1.0) / p * n),
         Algorithm::SparseRing => {
             // Ring on sparse partitions: 2(P−1) messages of ≈ E[K]/P pairs.
-            2.0 * (p - 1.0) * (c.alpha + ek / p * c.beta * w.pair_bytes()) + c.gamma * 2.0 * ek
+            2.0 * (p - 1.0) * (c.alpha + ek / p * c.beta * w.pair_bytes(ek)) + c.gamma * 2.0 * ek
         }
     }
 }
@@ -219,14 +222,20 @@ pub fn estimate_hierarchical_time<V: Scalar>(
     let g = topo.max_node_size();
     let nodes = topo.num_nodes();
     let k = k.min(n).max(1);
-    let pair = V::BYTES as f64 + 4.0;
+    let w = Workload {
+        p,
+        n,
+        k,
+        value_bytes: V::BYTES,
+    };
     let ek_group = expected_union_size(n, g, k);
     let ek_all = expected_union_size(n, p, k);
     let rounds_intra = (g as f64).log2().ceil().max(0.0);
 
     // (1) Intra reduce: each tree level moves at most the accumulated
     // union; bound payloads by E[K_g] and charge the leader's merge work.
-    let t_reduce = rounds_intra * (tcm.intra.alpha + tcm.intra.beta * ek_group * pair)
+    let t_reduce = rounds_intra
+        * (tcm.intra.alpha + tcm.intra.beta * ek_group * w.pair_bytes(ek_group))
         + tcm.intra.gamma * (g as f64) * k as f64;
 
     // (2) Leader-level flat allreduce, selected recursively.
@@ -238,7 +247,7 @@ pub fn estimate_hierarchical_time<V: Scalar>(
     };
 
     // (3) Intra broadcast of the global result.
-    let t_bcast = rounds_intra * (tcm.intra.alpha + tcm.intra.beta * ek_all * pair);
+    let t_bcast = rounds_intra * (tcm.intra.alpha + tcm.intra.beta * ek_all * w.pair_bytes(ek_all));
 
     t_reduce + t_leaders + t_bcast
 }
@@ -334,7 +343,7 @@ mod tests {
         // Any other pick pays one pass of 8-byte frames first: log2(P)
         // rounds, plus the fold and unfold hops off powers of two.
         for (p, rounds) in [(8, 3.0), (6, 4.0), (12, 5.0)] {
-            let (resolved, extra) = gap(p, 1 << 20, 1 << 17);
+            let (resolved, extra) = gap(p, 1 << 20, 1 << 18);
             assert_ne!(resolved, Algorithm::SsarRecDbl, "P={p}");
             assert!(
                 (extra - rounds * word).abs() < 1e-9 * word,

@@ -29,7 +29,7 @@
 //! `TransportConfig::max_frame_len` *before* any allocation. Servers
 //! default to the deliberately small
 //! [`sparcml_net::SERVER_MAX_FRAME_LEN`] cap. CONTRIBUTE/STATE/UPDATE
-//! payloads embed stream wire-v2 frames verbatim.
+//! payloads embed stream wire-v3 frames verbatim.
 
 #![warn(missing_docs)]
 

@@ -5,7 +5,7 @@
 //! counts only the payload, and the receiver checks it against its
 //! `max_frame_len` *before* allocating (servers default to the small
 //! [`sparcml_net::SERVER_MAX_FRAME_LEN`] cap). CONTRIBUTE, STATE and
-//! UPDATE payloads embed a stream wire-v2 frame verbatim, so the sparse
+//! UPDATE payloads embed a stream wire-v3 frame verbatim, so the sparse
 //! slab codec — and all of its peer-untrusting validation — is reused
 //! unchanged.
 //!
@@ -116,14 +116,14 @@ pub enum Frame {
         /// Session name.
         session: String,
     },
-    /// One sparse contribution: a stream wire-v2 frame targeted at a
+    /// One sparse contribution: a stream wire-v3 frame targeted at a
     /// model, tagged with the client's sequence number for ACK matching.
     Contribute {
         /// Model id (index into the WELCOME table).
         model: u16,
         /// Client-chosen sequence number echoed in ACK/BUSY.
         seq: u64,
-        /// Stream wire-v2 frame bytes.
+        /// Stream wire-v3 frame bytes.
         payload: Vec<u8>,
     },
     /// Request the model's current merged state.
@@ -181,7 +181,7 @@ pub enum Frame {
         generation: u64,
         /// Contributions folded in so far.
         contributions: u64,
-        /// Stream wire-v2 frame bytes.
+        /// Stream wire-v3 frame bytes.
         payload: Vec<u8>,
     },
     /// Subscription push after an aggregation batch.
@@ -190,7 +190,7 @@ pub enum Frame {
         model: u16,
         /// Generation after the batch.
         generation: u64,
-        /// Stream wire-v2 frame bytes.
+        /// Stream wire-v3 frame bytes.
         payload: Vec<u8>,
     },
     /// Typed rejection; the session stays open unless the error is

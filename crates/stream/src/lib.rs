@@ -17,12 +17,14 @@
 //!   two slice borrows; the split collectives encode a partition straight
 //!   from a borrowed view ([`SparseStream::encode_sparse_slice_into`])
 //!   without materializing an intermediate stream.
-//! * **The wire codec** (frame layout v2, see [`SparseStream::encode`])
-//!   writes one contiguous little-endian index block followed by one
-//!   contiguous value block — two `memcpy`s on little-endian targets —
-//!   and `decode` validates every frame (lengths before allocation,
-//!   strictly increasing in-bounds indices) instead of trusting the peer,
-//!   reporting malformed frames as typed [`StreamError`]s.
+//! * **The wire codec** (frame layout v3, see [`SparseStream::encode`])
+//!   writes one contiguous little-endian value block — a `memcpy` on
+//!   little-endian targets — followed by the index slab gap-coded as
+//!   varints, one byte per entry wherever bandwidth matters
+//!   ([`expected_entry_bytes`]); `decode` validates every frame (lengths
+//!   before allocation, in-bounds indices that are strictly increasing by
+//!   construction) instead of trusting the peer, reporting malformed
+//!   frames as typed [`StreamError`]s.
 //!
 //! This crate also provides the dimension partitioning of the split
 //! algorithms and deterministic synthetic workload generators.
@@ -64,4 +66,4 @@ pub use soa::{SparseVec, SparseView};
 pub use stream::{Repr, SparseStream};
 pub use sum::{reduce_streams, SumStats};
 pub use threshold::{delta_raw, DensityPolicy, INDEX_BYTES};
-pub use wire::WIRE_VERSION;
+pub use wire::{expected_entry_bytes, WIRE_VERSION};

@@ -66,9 +66,9 @@ pub trait Scalar:
 /// little-endian target this *is* the wire encoding, so slab writes become
 /// one `memcpy`.
 ///
-/// Only instantiated for `u32`/`f32`/`f64` (via the [`Scalar`] impls and
-/// the index-slab codec): types with no padding and no invalid byte
-/// patterns, for which the raw-byte view is sound.
+/// Only instantiated for `f32`/`f64` (via the [`Scalar`] impls): types
+/// with no padding and no invalid byte patterns, for which the raw-byte
+/// view is sound.
 #[cfg(target_endian = "little")]
 pub(crate) fn slab_as_le_bytes<T: Copy>(values: &[T]) -> &[u8] {
     // SAFETY: T is a plain fixed-width numeric type (see above), every
@@ -79,7 +79,7 @@ pub(crate) fn slab_as_le_bytes<T: Copy>(values: &[T]) -> &[u8] {
 }
 
 /// Inverse of [`slab_as_le_bytes`]: bulk-decodes a little-endian byte slab
-/// into values of a plain fixed-width numeric type (`u32`/`f32`/`f64`).
+/// into values of a plain fixed-width numeric type (`f32`/`f64`).
 /// Any trailing bytes that do not form a whole value are ignored. The one
 /// audited unsafe decode block shared by every slab reader.
 #[cfg(target_endian = "little")]

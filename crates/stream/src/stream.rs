@@ -235,15 +235,6 @@ impl<V: Scalar> SparseStream<V> {
         }
     }
 
-    /// Bytes this stream occupies on the wire under the paper's volume model:
-    /// `nnz * (c + isize)` when sparse, `N * isize` when dense (§5.1).
-    pub fn wire_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Sparse(sv) => sv.len() * (4 + V::BYTES),
-            Repr::Dense(_) => self.dim * V::BYTES,
-        }
-    }
-
     /// Value at coordinate `idx` (zero when absent).
     pub fn get(&self, idx: u32) -> V {
         debug_assert!((idx as usize) < self.dim);
@@ -511,12 +502,16 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_follows_volume_model() {
-        let v = s(100, &[(1, 1.0), (2, 2.0), (3, 3.0)]);
-        assert_eq!(v.wire_bytes(), 3 * (4 + 4));
+    fn below_delta_the_sparse_frame_is_never_the_larger_one() {
+        // At δ = N/2 entries exactly: 5 bytes an entry against 4 a word.
+        let pairs: Vec<(u32, f32)> = (0..50).map(|i| (2 * i, 1.0)).collect();
+        let v = s(100, &pairs);
+        assert_eq!(v.stored_len(), crate::threshold::delta_raw::<f32>(100));
         let mut d = v.clone();
         d.densify();
-        assert_eq!(d.wire_bytes(), 100 * 4);
+        assert_eq!(v.encoded_len(), 20 + 50 * 5);
+        assert_eq!(d.encoded_len(), 12 + 100 * 4);
+        assert!(v.encoded_len() <= d.encoded_len());
     }
 
     #[test]

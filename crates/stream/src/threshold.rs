@@ -1,31 +1,48 @@
 //! The sparsity-efficiency threshold δ (§5.1 of the paper).
 //!
-//! The sparse format transmits `nnz · (c + isize)` bytes, the dense format
-//! `N · isize` bytes, where `c` is the index width (4 bytes for `u32`).
-//! Sparse is smaller iff `nnz ≤ δ = N · isize / (c + isize)`. Because
-//! summing sparse vectors costs more compute than summing dense vectors,
-//! "in practice, δ should be even smaller, to reflect this trade-off" —
+//! A sparse stream holds `nnz · (c + isize)` bytes, a dense one
+//! `N · isize`, where `c` is the index width (4 bytes for `u32`). Sparse is
+//! smaller iff `nnz ≤ δ = N · isize / (c + isize)`. Because summing sparse
+//! vectors costs more compute than summing dense vectors, "in practice, δ
+//! should be even smaller, to reflect this trade-off" —
 //! [`DensityPolicy::factor`] scales δ down for that purpose.
+//!
+//! That is the paper's volume model and, here, the *in-memory* equality:
+//! the SoA payload really is a `u32` next to every value, and it is also
+//! about where a sparse merge stops being cheaper than a dense scatter.
+//! It is no longer the wire's equality. The frame gap-codes the index
+//! slab (see [`crate::SparseStream::encode`]), so near δ an entry travels
+//! in `isize + 1` bytes and the sparse frame stays the smaller one up to
+//! `nnz ≈ N · isize / (1 + isize)` — `0.8·N` for `f32`. The switch
+//! deliberately did not follow it there: past δ every merge would be a
+//! sparse merge charged where a dense scatter was, which costs more
+//! compute than the bytes buy back (pinned `SSAR_Recursive_double` at
+//! `P = 8`, `N = 2^20`, `k = 10^5` on the Aries model: 1 206 → 1 439
+//! virtual µs with δ moved to the wire's equality; `k = 3·10^5`: 3 390 →
+//! 2 908). Where that trade pays is a question for a density sweep, and
+//! [`DensityPolicy::factor`] is the lever it would turn.
 
 use crate::scalar::Scalar;
 
-/// Width in bytes of a stored index (`c` in the paper). The paper fixes
-/// indices to unsigned int (§8).
+/// Width in bytes of an index as stored in memory (`c` in the paper,
+/// which fixes indices to unsigned int, §8). On the wire an index is a
+/// gap varint, usually one byte.
 pub const INDEX_BYTES: usize = 4;
 
 /// Policy controlling when summation switches a stream to the dense
 /// representation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensityPolicy {
-    /// Multiplier in `(0, 1]` applied to the volume-equality threshold to
-    /// account for the higher compute cost of sparse summation.
+    /// Multiplier in `(0, 1]` applied to the in-memory volume-equality
+    /// threshold to account for the higher compute cost of sparse
+    /// summation.
     pub factor: f64,
 }
 
 impl Default for DensityPolicy {
     fn default() -> Self {
-        // Volume-equality threshold: switch exactly when the sparse format
-        // stops saving bytes.
+        // In-memory volume equality: switch exactly when the sparse
+        // payload stops being the smaller one to hold and to merge.
         DensityPolicy { factor: 1.0 }
     }
 }
@@ -55,7 +72,8 @@ impl DensityPolicy {
     }
 }
 
-/// The paper's raw volume-equality threshold `δ = N·isize/(c+isize)`.
+/// The paper's raw volume-equality threshold `δ = N·isize/(c+isize)` with
+/// the in-memory index width `c = 4`.
 pub fn delta_raw<V: Scalar>(dim: usize) -> usize {
     dim * V::BYTES / (INDEX_BYTES + V::BYTES)
 }

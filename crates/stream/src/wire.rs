@@ -1,30 +1,46 @@
-//! Wire encoding of sparse streams — frame layout **v2** (slab codec).
+//! Wire encoding of sparse streams — frame layout **v3** (gap-coded
+//! index slab).
 //!
 //! Layout (all little-endian):
 //!
 //! ```text
 //! [0]        magic 0xSC (0xC5)
-//! [1]        format version (2)
+//! [1]        format version (3)
 //! [2]        value width in bytes (4 = f32, 8 = f64)
 //! [3]        representation tag: 0 = sparse, 1 = dense
 //! [4..12]    dim  (u64)
 //! [12..20]   nnz  (u64, sparse only; dense payload length is dim)
-//! payload    sparse: nnz × u32 index slab, then nnz × value slab
+//! payload    sparse: nnz × value slab, then the gap bytes to the end
+//!                    of the frame
 //!            dense:  dim × value slab
 //! ```
 //!
-//! Version 1 interleaved `(index, value)` pairs and wrote each value
-//! through a per-entry scratch buffer. Version 2 writes the index slab and
-//! the value slab as two contiguous little-endian blocks, so encoding a
-//! structure-of-arrays stream is two bulk copies (a `memcpy` each on
-//! little-endian targets) and decoding is two bulk reads plus one
-//! validation scan. The representation tag is the paper's "extra value at
-//! the beginning of each vector that indicates whether the vector is dense
-//! or sparse" (§5.1).
+//! The sparse index slab is *gap-coded*: the first index, then
+//! `index − previous − 1` for every later entry, each as an LEB128 varint
+//! (7 payload bits per byte, low bits first, high bit set on every byte
+//! but the last): one byte below 128, two below 16 384, at most five. The
+//! gap bytes run to the end of the frame, so the frame needs no length
+//! field for them and a trailer a schedule appends after the frame still
+//! splits off as `frame[..len − trailer]`. At every density where
+//! bandwidth matters the next index is less than 128 away, so a sparse
+//! entry costs `isize + 1` bytes instead of the `isize + 4` of a `u32`
+//! slab; [`expected_entry_bytes`] is that price as a function of density
+//! and [`SparseStream::encoded_len`] the exact size of one stream. The
+//! in-memory layout is untouched (`Vec<u32>` ∥ `Vec<V>`), and so is δ —
+//! see [`crate::DensityPolicy`].
 //!
-//! Decoding never trusts the peer: slab lengths are checked against the
-//! frame before allocation, indices are verified strictly increasing and
-//! in-bounds, and every failure is a typed [`StreamError`].
+//! The value slab stays one contiguous little-endian block (a `memcpy` on
+//! little-endian targets). The representation tag is the paper's "extra
+//! value at the beginning of each vector that indicates whether the vector
+//! is dense or sparse" (§5.1).
+//!
+//! Decoding never trusts the peer. The declared entry count is checked
+//! against the bytes that remain before anything is allocated, and the
+//! indices are valid by construction: a gap cannot step backwards, every
+//! varint ends within five bytes, the running index stays below `dim`, and
+//! the gap bytes must be consumed exactly. Every failure is a typed
+//! [`StreamError`]; a frame of any other version — v2's `u32` slab
+//! included — is a [`StreamError::VersionMismatch`].
 
 use bytes::{Buf, Bytes};
 
@@ -34,40 +50,192 @@ use crate::soa::{SparseVec, SparseView};
 use crate::stream::{Repr, SparseStream};
 
 const MAGIC: u8 = 0xC5;
-/// Current wire format version (slab layout).
-pub const WIRE_VERSION: u8 = 2;
+/// Current wire format version (gap-coded index slab).
+pub const WIRE_VERSION: u8 = 3;
 const TAG_SPARSE: u8 = 0;
 const TAG_DENSE: u8 = 1;
 
 const HEADER_LEN: usize = 12;
 const SPARSE_HEADER_LEN: usize = 20;
 
-/// Appends a `u32` index slab as one contiguous little-endian block.
-fn write_u32_slab_le(indices: &[u32], out: &mut Vec<u8>) {
-    #[cfg(target_endian = "little")]
-    out.extend_from_slice(crate::scalar::slab_as_le_bytes(indices));
-    #[cfg(not(target_endian = "little"))]
-    {
-        out.reserve(indices.len() * 4);
-        for i in indices {
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-    }
+/// Longest varint a `u32` gap needs.
+const MAX_GAP_BYTES: usize = 5;
+/// The continuation bit of each byte of an 8-byte word.
+const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Expected wire bytes of one sparse entry — its value plus its gap
+/// varint — in a stream whose support is uniform with the given `density`
+/// (`nnz / dim`): gaps are then geometric, `P(gap ≥ g) = (1 − d)^g`, and a
+/// varint grows by one byte at each of 2^7, 2^14, 2^21 and 2^28. This is
+/// what the cost model prices a pair at; the exact size of a given stream
+/// is [`SparseStream::encoded_len`].
+pub fn expected_entry_bytes(value_bytes: usize, density: f64) -> f64 {
+    let miss = 1.0 - density.clamp(0.0, 1.0);
+    let gap_bytes: f64 = 1.0
+        + [7, 14, 21, 28]
+            .map(|bits| miss.powi(1 << bits))
+            .iter()
+            .sum::<f64>();
+    value_bytes as f64 + gap_bytes
 }
 
-/// Decodes a contiguous little-endian `u32` slab (one `memcpy` on
-/// little-endian targets, mirroring `Scalar::read_slab_le`).
-fn read_u32_slab_le(bytes: &[u8]) -> Vec<u32> {
-    debug_assert_eq!(bytes.len() % 4, 0);
-    #[cfg(target_endian = "little")]
-    {
-        crate::scalar::slab_from_le_bytes(bytes)
+/// "Previous index" of the first entry: one before zero, so that the first
+/// gap is the index itself.
+const BEFORE_FIRST: u32 = u32::MAX;
+
+/// The gap that codes `idx` after `prev`: `idx − prev − 1`.
+#[inline]
+fn gap_after(prev: u32, idx: u32) -> u32 {
+    idx.wrapping_sub(prev).wrapping_sub(1)
+}
+
+/// Bytes of the varint encoding `gap`.
+#[inline]
+fn gap_len(gap: u32) -> usize {
+    1 + [7, 14, 21, 28]
+        .iter()
+        .filter(|&&bits| gap >= 1 << bits)
+        .count()
+}
+
+/// The varint of `gap` in the low bytes of a little-endian word, and its
+/// length. Branch-free: where one- and two-byte gaps interleave (densities
+/// around 1 %) a byte-at-a-time loop mispredicts on every other entry.
+#[inline]
+fn gap_varint(gap: u32) -> (u64, usize) {
+    let len = gap_len(gap);
+    let gap = gap as u64;
+    // Spread the five 7-bit groups over five bytes…
+    let groups = (gap & 0x7F)
+        | (gap & 0x7F << 7) << 1
+        | (gap & 0x7F << 14) << 2
+        | (gap & 0x7F << 21) << 3
+        | (gap & 0x7F << 28) << 4;
+    // …and set the continuation bit on all but the last one used.
+    let continued = CONTINUATION_BITS & ((1 << (8 * (len - 1))) - 1);
+    (groups | continued, len)
+}
+
+/// Gaps the encoder takes at a time: a run of this many single-byte gaps
+/// is narrowed and stored as one 16-byte block.
+const GAP_RUN: usize = 16;
+
+/// Appends the varints of up to [`GAP_RUN`] gaps.
+fn put_varints(gaps: &[u32], out: &mut Vec<u8>) {
+    // Each varint is stored as a whole word and the next one overwrites
+    // what it did not use, hence the last store's 3 spare bytes.
+    let mut bytes = [0u8; GAP_RUN * MAX_GAP_BYTES + 3];
+    let mut len = 0;
+    for &gap in gaps {
+        let (word, word_len) = gap_varint(gap);
+        bytes[len..len + 8].copy_from_slice(&word.to_le_bytes());
+        len += word_len;
     }
-    #[cfg(not(target_endian = "little"))]
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-        .collect()
+    out.extend_from_slice(&bytes[..len]);
+}
+
+/// Appends the gap-coded form of a strictly increasing index slab.
+fn write_gap_slab(indices: &[u32], out: &mut Vec<u8>) {
+    debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
+    // One byte per gap is the floor and, wherever bandwidth matters, the
+    // whole slab; sparser slabs grow the buffer once and a pooled buffer
+    // keeps what it grew to. Reserving the 5-byte worst case would charge
+    // every frame's footprint for a shape that does not occur.
+    out.reserve(indices.len());
+    let mut prev = BEFORE_FIRST;
+    let mut chunks = indices.chunks_exact(GAP_RUN);
+    for chunk in &mut chunks {
+        // Fixed-size and free of a carried `prev`, so the gaps, their OR
+        // and the narrowing below all vectorize.
+        let chunk: &[u32; GAP_RUN] = chunk.try_into().expect("chunk of GAP_RUN");
+        let mut run = [gap_after(prev, chunk[0]); GAP_RUN];
+        for j in 1..GAP_RUN {
+            run[j] = gap_after(chunk[j - 1], chunk[j]);
+        }
+        prev = chunk[GAP_RUN - 1];
+        if run.iter().fold(0, |all, &gap| all | gap) < 0x80 {
+            out.extend_from_slice(&run.map(|gap| gap as u8));
+        } else {
+            put_varints(&run, out);
+        }
+    }
+    let rest = chunks.remainder();
+    let mut tail = [0u32; GAP_RUN];
+    for (gap, &idx) in tail.iter_mut().zip(rest) {
+        *gap = gap_after(prev, idx);
+        prev = idx;
+    }
+    put_varints(&tail[..rest.len()], out);
+}
+
+/// Decodes exactly `nnz` gap-coded indices from `slab`, which must hold
+/// nothing else. The caller has bounded `nnz` by `slab.len()`, so the
+/// allocation is covered by bytes the peer actually sent. `frame_len` only
+/// labels a truncation error.
+fn read_gap_slab(
+    slab: &[u8],
+    nnz: usize,
+    dim: usize,
+    frame_len: usize,
+) -> Result<Vec<u32>, StreamError> {
+    debug_assert!(nnz <= slab.len());
+    let mut indices = Vec::with_capacity(nnz);
+    // The index a zero gap lands on next; u64 so that neither a 5-byte
+    // varint nor index `u32::MAX` + 1 can overflow it.
+    let mut next: u64 = 0;
+    let mut pos = 0usize;
+    while indices.len() < nnz {
+        // Eight single-byte gaps at a time: no continuation bit in the
+        // next 8 bytes and at least 8 entries still to come.
+        if let (Some(word), true) = (slab.get(pos..pos + 8), nnz - indices.len() >= 8) {
+            let word: [u8; 8] = word.try_into().expect("slice of 8");
+            if u64::from_le_bytes(word) & CONTINUATION_BITS == 0 {
+                let mut run = [0u32; 8];
+                let mut after = next;
+                for (idx, gap) in run.iter_mut().zip(word) {
+                    *idx = (after + gap as u64) as u32;
+                    after += gap as u64 + 1;
+                }
+                // Indices only grow, so the last one in bounds means all
+                // eight are; otherwise the varint path below names the
+                // first offender.
+                if after <= dim as u64 && after <= 1 << 32 {
+                    indices.extend_from_slice(&run);
+                    next = after;
+                    pos += 8;
+                    continue;
+                }
+            }
+        }
+        let mut gap: u64 = 0;
+        for byte_no in 0.. {
+            let Some(&byte) = slab.get(pos) else {
+                return Err(StreamError::Truncated {
+                    needed: frame_len + 1,
+                    got: frame_len,
+                });
+            };
+            pos += 1;
+            gap |= ((byte & 0x7F) as u64) << (7 * byte_no);
+            if byte & 0x80 == 0 {
+                break;
+            }
+            if byte_no + 1 == MAX_GAP_BYTES {
+                return Err(StreamError::Corrupt("index gap varint longer than 5 bytes"));
+            }
+        }
+        let idx = u32::try_from(next + gap)
+            .map_err(|_| StreamError::Corrupt("index gap runs past the u32 index range"))?;
+        if idx as usize >= dim {
+            return Err(StreamError::IndexOutOfBounds { idx, dim });
+        }
+        indices.push(idx);
+        next = idx as u64 + 1;
+    }
+    if pos != slab.len() {
+        return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
+    }
+    Ok(indices)
 }
 
 fn put_header(out: &mut Vec<u8>, width: u8, tag: u8, dim: usize) {
@@ -105,14 +273,15 @@ impl<V: Scalar> SparseStream<V> {
     /// dimension `dim` into `out` (cleared first, capacity reused) — the
     /// allocation-free path the split algorithms use to put one partition
     /// of a stream on the wire without materializing an intermediate
-    /// stream.
+    /// stream. The view's indices must be strictly increasing (a stream
+    /// invariant), or the frame will not decode to them.
     pub fn encode_sparse_slice_into(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
         out.clear();
-        out.reserve(SPARSE_HEADER_LEN + view.len() * (4 + V::BYTES));
+        out.reserve(SPARSE_HEADER_LEN + view.len() * (V::BYTES + 1));
         put_header(out, V::BYTES as u8, TAG_SPARSE, dim);
         out.extend_from_slice(&(view.len() as u64).to_le_bytes());
-        write_u32_slab_le(view.indices(), out);
         V::write_slab_le(view.values(), out);
+        write_gap_slab(view.indices(), out);
     }
 
     /// Encodes a dense value block as a full wire frame with
@@ -125,10 +294,19 @@ impl<V: Scalar> SparseStream<V> {
         V::write_slab_le(values, out);
     }
 
-    /// Exact byte length [`SparseStream::encode`] will produce.
+    /// Exact byte length [`SparseStream::encode`] will produce (one pass
+    /// over the index slab when sparse).
     pub fn encoded_len(&self) -> usize {
         match self.repr() {
-            Repr::Sparse(sv) => SPARSE_HEADER_LEN + sv.len() * (4 + V::BYTES),
+            Repr::Sparse(sv) => {
+                let mut prev = BEFORE_FIRST;
+                let mut gap_bytes = 0;
+                for &idx in sv.indices() {
+                    gap_bytes += gap_len(gap_after(prev, idx));
+                    prev = idx;
+                }
+                SPARSE_HEADER_LEN + sv.len() * V::BYTES + gap_bytes
+            }
             Repr::Dense(_) => HEADER_LEN + self.dim() * V::BYTES,
         }
     }
@@ -137,8 +315,9 @@ impl<V: Scalar> SparseStream<V> {
     ///
     /// The frame is fully validated before a stream is built: header
     /// magic/version/width, payload length against the declared counts
-    /// (before any allocation), and — for sparse frames — strictly
-    /// increasing, in-bounds indices. Malformed frames yield typed
+    /// (before any allocation), and — for sparse frames — a gap slab that
+    /// decodes to exactly `nnz` in-bounds indices with nothing left over
+    /// (strictly increasing by construction). Malformed frames yield typed
     /// [`StreamError`]s; a peer can never hand us a stream that violates
     /// the invariants.
     pub fn decode(bytes: &[u8]) -> Result<Self, StreamError> {
@@ -183,22 +362,28 @@ impl<V: Scalar> SparseStream<V> {
                 if nnz > dim {
                     return Err(StreamError::Corrupt("entry count exceeds dimension"));
                 }
-                let payload = nnz
-                    .checked_mul(4 + V::BYTES)
+                // Every entry is a value and at least one gap byte, at
+                // most five: both ends are checked on lengths alone.
+                let shortest = nnz
+                    .checked_mul(V::BYTES + 1)
                     .ok_or(StreamError::Corrupt("payload length overflow"))?;
-                if buf.remaining() < payload {
+                if buf.remaining() < shortest {
                     return Err(StreamError::Truncated {
-                        needed: SPARSE_HEADER_LEN + payload,
+                        needed: SPARSE_HEADER_LEN + shortest,
                         got: bytes.len(),
                     });
                 }
-                if buf.remaining() > payload {
+                if buf.remaining() - shortest > nnz * (MAX_GAP_BYTES - 1) {
                     return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
                 }
-                let (idx_slab, val_slab) = buf.split_at(nnz * 4);
-                let indices = read_u32_slab_le(idx_slab);
-                let values = V::read_slab_le(val_slab);
-                SparseStream::from_sorted(dim, SparseVec::from_slabs(indices, values))
+                let (val_slab, gap_slab) = buf.split_at(nnz * V::BYTES);
+                let indices = read_gap_slab(gap_slab, nnz, dim, bytes.len())?;
+                let mut stream = SparseStream::zeros(dim);
+                stream.set_repr(Repr::Sparse(SparseVec::from_slabs(
+                    indices,
+                    V::read_slab_le(val_slab),
+                )));
+                Ok(stream)
             }
             TAG_DENSE => {
                 let payload = dim
@@ -223,35 +408,104 @@ impl<V: Scalar> SparseStream<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{random_sparse, uniform_indices, XorShift64};
+
+    /// A sparse f32 frame built by hand: header, value slab, raw gap bytes.
+    fn raw_frame(dim: u64, nnz: u64, gap_bytes: &[u8]) -> Vec<u8> {
+        let mut out = vec![MAGIC, WIRE_VERSION, 4, TAG_SPARSE];
+        out.extend_from_slice(&dim.to_le_bytes());
+        out.extend_from_slice(&nnz.to_le_bytes());
+        // As many values as the frame can honestly hold.
+        for i in 0..nnz.min(1 << 16) {
+            out.extend_from_slice(&(i as f32).to_le_bytes());
+        }
+        out.extend_from_slice(gap_bytes);
+        out
+    }
+
+    /// Encodes, checks the exact length, decodes, compares.
+    fn round_trip<V: Scalar>(v: &SparseStream<V>) -> Bytes {
+        let bytes = v.encode();
+        assert_eq!(bytes.len(), v.encoded_len());
+        assert_eq!(&SparseStream::<V>::decode(&bytes).unwrap(), v);
+        bytes
+    }
 
     #[test]
     fn sparse_round_trip_f32() {
         let v = SparseStream::from_pairs(1000, &[(3, 1.5f32), (999, -2.0)]).unwrap();
-        let bytes = v.encode();
-        assert_eq!(bytes.len(), v.encoded_len());
-        let back = SparseStream::<f32>::decode(&bytes).unwrap();
-        assert_eq!(back, v);
+        // 20 header + 2 × 4 values + gaps 3 (one byte) and 995 (two).
+        assert_eq!(round_trip(&v).len(), 20 + 8 + 1 + 2);
     }
 
     #[test]
     fn dense_round_trip_f64() {
         let v = SparseStream::from_dense(vec![1.0f64, -2.0, 0.0, 3.5]);
-        let bytes = v.encode();
-        assert_eq!(bytes.len(), v.encoded_len());
-        let back = SparseStream::<f64>::decode(&bytes).unwrap();
-        assert_eq!(back, v);
+        round_trip(&v);
     }
 
     #[test]
-    fn frame_layout_is_slab_ordered() {
-        // Indices must form one contiguous block before the value block.
-        let v = SparseStream::from_pairs(100, &[(1, 1.0f32), (2, 2.0), (7, 3.0)]).unwrap();
+    fn frame_layout_is_values_then_gap_bytes() {
+        let v =
+            SparseStream::from_pairs(1000, &[(1, 1.0f32), (2, 2.0), (7, 3.0), (300, 4.0)]).unwrap();
         let bytes = v.encode();
         assert_eq!(bytes[1], WIRE_VERSION);
-        let idx_slab = &bytes[SPARSE_HEADER_LEN..SPARSE_HEADER_LEN + 12];
-        assert_eq!(read_u32_slab_le(idx_slab), vec![1, 2, 7]);
-        let val_slab = &bytes[SPARSE_HEADER_LEN + 12..];
-        assert_eq!(f32::read_slab_le(val_slab), vec![1.0, 2.0, 3.0]);
+        assert_eq!(WIRE_VERSION, 3);
+        let val_slab = &bytes[SPARSE_HEADER_LEN..SPARSE_HEADER_LEN + 16];
+        assert_eq!(f32::read_slab_le(val_slab), vec![1.0, 2.0, 3.0, 4.0]);
+        // First index 1, then 2−1−1 = 0, 7−2−1 = 4, 300−7−1 = 292 = 0x124
+        // as the two-byte varint [0x24 | 0x80, 0x02].
+        assert_eq!(&bytes[SPARSE_HEADER_LEN + 16..], &[1, 0, 4, 0xA4, 0x02]);
+    }
+
+    #[test]
+    fn round_trips_on_both_sides_of_every_varint_boundary() {
+        // Entry 0 sits at index 0, so the gap of entry 1 is `second − 1`.
+        for (gap, len) in [
+            (0u32, 1usize),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            ((1 << 21) - 1, 3),
+            (1 << 21, 4),
+            ((1 << 28) - 1, 4),
+            (1 << 28, 5),
+            (u32::MAX - 1, 5),
+        ] {
+            let v = SparseStream::from_pairs(1 << 32, &[(0, 1.0f32), (gap + 1, 2.0)]).unwrap();
+            assert_eq!(round_trip(&v).len(), 20 + 8 + 1 + len, "gap {gap}");
+            let w = SparseStream::from_pairs(1 << 32, &[(0, 1.0f64), (gap + 1, 2.0)]).unwrap();
+            assert_eq!(round_trip(&w).len(), 20 + 16 + 1 + len, "gap {gap}");
+            // The same boundaries for the first index, which is its own gap.
+            let first = SparseStream::from_pairs(1 << 32, &[(gap, 1.0f32)]).unwrap();
+            assert_eq!(round_trip(&first).len(), 20 + 4 + len, "first {gap}");
+        }
+    }
+
+    #[test]
+    fn round_trips_at_the_edges_of_the_index_space() {
+        let dim = 1000;
+        round_trip(&SparseStream::<f32>::zeros(dim));
+        round_trip(&SparseStream::from_pairs(dim, &[(0, 1.0f32)]).unwrap());
+        round_trip(&SparseStream::from_pairs(dim, &[(dim as u32 - 1, 1.0f64)]).unwrap());
+        // The largest index a stream can hold, in the largest dimension.
+        round_trip(&SparseStream::from_pairs(1 << 32, &[(u32::MAX, 1.0f32)]).unwrap());
+        // Full density in sparse form: every gap is zero.
+        let full: Vec<(u32, f32)> = (0..dim as u32).map(|i| (i, i as f32)).collect();
+        let full = SparseStream::from_pairs(dim, &full).unwrap();
+        assert!(full.is_sparse());
+        assert_eq!(round_trip(&full).len(), 20 + dim * 5);
+        // Mixed runs: single-byte stretches (the 8-at-a-time path) broken
+        // by multi-byte gaps at every alignment, f32 and f64.
+        for seed in 0..32 {
+            round_trip(&random_sparse::<f32>(
+                1 << 12,
+                37 + 11 * seed as usize,
+                seed,
+            ));
+            round_trip(&random_sparse::<f64>(1 << 20, 300 + seed as usize, seed));
+        }
     }
 
     #[test]
@@ -264,20 +518,29 @@ mod tests {
         v.encode_into(&mut buf);
         assert_eq!(buf, first);
         assert_eq!(buf.capacity(), cap);
+        // A buffer that grew for multi-byte gaps keeps what it grew to.
+        let wide = random_sparse::<f32>(1 << 24, 500, 3);
+        let mut buf = Vec::new();
+        wide.encode_into(&mut buf);
+        let cap = buf.capacity();
+        wide.encode_into(&mut buf);
+        assert_eq!(buf.capacity(), cap);
+        assert_eq!(buf.len(), wide.encoded_len());
     }
 
     #[test]
     fn sparse_slice_frame_equals_restrict_encode() {
-        let v =
-            SparseStream::from_pairs(100, &[(3, 1.0f32), (20, 2.0), (55, 3.0), (90, 4.0)]).unwrap();
-        let mut direct = Vec::new();
-        SparseStream::encode_sparse_slice_into(
-            v.dim(),
-            v.sparse_view().unwrap().range(10, 60),
-            &mut direct,
-        );
-        let via_restrict = v.restrict(10, 60).encode();
-        assert_eq!(direct, via_restrict.as_ref());
+        let v = random_sparse::<f32>(1 << 16, 3000, 11);
+        for (lo, hi) in [(0, 1 << 16), (10, 60), (1000, 40_000), (65_000, 1 << 16)] {
+            let mut direct = Vec::new();
+            SparseStream::encode_sparse_slice_into(
+                v.dim(),
+                v.sparse_view().unwrap().range(lo, hi),
+                &mut direct,
+            );
+            let via_restrict = v.restrict(lo, hi).encode();
+            assert_eq!(direct, via_restrict.as_ref(), "[{lo}, {hi})");
+        }
     }
 
     #[test]
@@ -291,6 +554,36 @@ mod tests {
     }
 
     #[test]
+    fn gap_slab_costs_about_one_byte_per_entry_where_bandwidth_matters() {
+        // Seeded uniform supports in 2^20, f32, header excluded; v2 paid 8.
+        let dim = 1 << 20;
+        for (k, max_bytes_per_entry) in [(100_000usize, 5.01), (10_000, 5.35), (256, 6.05)] {
+            let indices = uniform_indices(dim, k, &mut XorShift64::new(1));
+            let v = SparseStream::from_slabs(dim, indices, vec![1.0f32; k]).unwrap();
+            let per_entry = (v.encoded_len() - SPARSE_HEADER_LEN) as f64 / k as f64;
+            assert!(per_entry <= max_bytes_per_entry, "k={k}: {per_entry}");
+            assert!(per_entry >= 5.0, "k={k}: {per_entry}");
+        }
+    }
+
+    #[test]
+    fn expected_entry_bytes_follows_the_varint_boundaries() {
+        assert_eq!(expected_entry_bytes(4, 1.0), 5.0);
+        assert_eq!(expected_entry_bytes(8, 0.0), 13.0);
+        // Mean gap 100: mostly one byte, (0.99)^128 of the time two.
+        let e = expected_entry_bytes(4, 0.01);
+        assert!((e - (5.0 + 0.99f64.powi(128))).abs() < 1e-9, "{e}");
+        // Monotone: sparser streams never weigh less per entry.
+        let mut last = 0.0;
+        for exp in 0..12 {
+            let e = expected_entry_bytes(4, 0.5f64.powi(3 * exp));
+            assert!(e >= last, "{e} after {last}");
+            last = e;
+        }
+        assert!(last > 8.9, "{last}");
+    }
+
+    #[test]
     fn decode_rejects_wrong_width() {
         let v = SparseStream::from_pairs(10, &[(1, 1.0f32)]).unwrap();
         let bytes = v.encode();
@@ -300,9 +593,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_garbage() {
-        let v = SparseStream::from_pairs(10, &[(1, 1.0f32), (5, 2.0)]).unwrap();
+        let v = SparseStream::from_pairs(1000, &[(1, 1.0f32), (500, 2.0)]).unwrap();
         let bytes = v.encode();
-        for cut in [0usize, 1, 2, 5, 12, 19, bytes.len() - 1] {
+        // Every proper prefix, the one that ends inside the last varint
+        // included.
+        for cut in 0..bytes.len() {
             let err = SparseStream::<f32>::decode(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, StreamError::Truncated { .. }),
@@ -315,57 +610,88 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_old_version() {
+    fn decode_rejects_other_versions() {
         let v = SparseStream::from_pairs(10, &[(1, 1.0f32)]).unwrap();
-        let mut bytes = v.encode().to_vec();
-        bytes[1] = 1;
-        let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::VersionMismatch {
-                expected: WIRE_VERSION,
-                actual: 1
-            }
-        ));
+        for old in [1u8, 2] {
+            let mut bytes = v.encode().to_vec();
+            bytes[1] = old;
+            assert_eq!(
+                SparseStream::<f32>::decode(&bytes).unwrap_err(),
+                StreamError::VersionMismatch {
+                    expected: 3,
+                    actual: old
+                }
+            );
+        }
     }
 
     #[test]
-    fn decode_rejects_unsorted_indices() {
-        // A hostile peer flips the index slab order; the values are valid.
-        let v = SparseStream::from_pairs(10, &[(1, 1.0f32), (5, 2.0)]).unwrap();
-        let mut bytes = v.encode().to_vec();
-        // Swap the two u32 indices in the slab.
-        bytes.copy_within(
-            SPARSE_HEADER_LEN + 4..SPARSE_HEADER_LEN + 8,
-            SPARSE_HEADER_LEN,
+    fn a_gap_cannot_step_backwards_or_repeat_an_index() {
+        // Unsorted and duplicate indices have no encoding: the smallest
+        // gap, 0, is the next index up. Whatever the gap bytes say, the
+        // decoded indices are strictly increasing.
+        let frame = raw_frame(10, 3, &[4, 0, 0]);
+        let v = SparseStream::<f32>::decode(&frame).unwrap();
+        assert_eq!(v.sparse_view().unwrap().indices(), &[4, 5, 6]);
+        // A varint padded with a zero continuation group decodes to the
+        // same gap — still forwards.
+        let frame = raw_frame(10, 2, &[0x81, 0x00, 0x02]);
+        let v = SparseStream::<f32>::decode(&frame).unwrap();
+        assert_eq!(v.sparse_view().unwrap().indices(), &[1, 4]);
+    }
+
+    #[test]
+    fn decode_rejects_a_gap_that_reaches_or_passes_dim() {
+        // To `dim` exactly, on the varint path and on the 8-at-a-time path.
+        let err = SparseStream::<f32>::decode(&raw_frame(10, 2, &[1, 8])).unwrap_err();
+        assert_eq!(err, StreamError::IndexOutOfBounds { idx: 10, dim: 10 });
+        let err = SparseStream::<f32>::decode(&raw_frame(15, 8, &[0, 0, 0, 0, 0, 0, 0, 8]));
+        assert_eq!(
+            err.unwrap_err(),
+            StreamError::IndexOutOfBounds { idx: 15, dim: 15 }
         );
-        bytes[SPARSE_HEADER_LEN + 4..SPARSE_HEADER_LEN + 8].copy_from_slice(&1u32.to_le_bytes());
-        let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
+        let err = SparseStream::<f32>::decode(&raw_frame(16, 9, &[0, 0, 0, 0, 0, 0, 0, 8, 0]));
+        assert_eq!(
+            err.unwrap_err(),
+            StreamError::IndexOutOfBounds { idx: 16, dim: 16 }
+        );
+        // Past `dim`.
+        let err = SparseStream::<f32>::decode(&raw_frame(10, 2, &[1, 0xFF, 0x7F])).unwrap_err();
         assert!(
-            matches!(err, StreamError::UnsortedIndices { .. }),
+            matches!(err, StreamError::IndexOutOfBounds { dim: 10, .. }),
             "{err:?}"
         );
+        // Past `u32::MAX`: a 5-byte varint holds 35 bits, and two gaps of
+        // 2^31 sum past the index type even when each fits.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
+        let err = SparseStream::<f32>::decode(&raw_frame(1 << 40, 1, &max)).unwrap_err();
+        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
+        let half = [0x80, 0x80, 0x80, 0x80, 0x08];
+        let two = [half, half].concat();
+        let err = SparseStream::<f32>::decode(&raw_frame(1 << 40, 2, &two)).unwrap_err();
+        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
-    fn decode_rejects_duplicate_indices() {
-        let v = SparseStream::from_pairs(10, &[(1, 1.0f32), (5, 2.0)]).unwrap();
-        let mut bytes = v.encode().to_vec();
-        bytes[SPARSE_HEADER_LEN + 4..SPARSE_HEADER_LEN + 8].copy_from_slice(&1u32.to_le_bytes());
-        let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
-        assert!(matches!(err, StreamError::UnsortedIndices { .. }));
+    fn decode_rejects_overlong_varints() {
+        // Six bytes.
+        let six = [0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
+        let err = SparseStream::<f32>::decode(&raw_frame(1 << 32, 2, &six)).unwrap_err();
+        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
+        // A continuation bit on the frame's final byte.
+        let err = SparseStream::<f32>::decode(&raw_frame(1 << 32, 2, &[1, 0x85])).unwrap_err();
+        assert!(matches!(err, StreamError::Truncated { .. }), "{err:?}");
     }
 
     #[test]
-    fn decode_rejects_out_of_bounds_index() {
-        let v = SparseStream::from_pairs(10, &[(1, 1.0f32), (5, 2.0)]).unwrap();
-        let mut bytes = v.encode().to_vec();
-        bytes[SPARSE_HEADER_LEN + 4..SPARSE_HEADER_LEN + 8].copy_from_slice(&10u32.to_le_bytes());
-        let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::IndexOutOfBounds { idx: 10, dim: 10 }
-        ));
+    fn decode_rejects_leftover_gap_bytes() {
+        // Within the 5-bytes-per-entry length bound, so only consuming the
+        // slab finds them.
+        let err = SparseStream::<f32>::decode(&raw_frame(100, 2, &[1, 2, 3])).unwrap_err();
+        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
+        // `nnz = 0` owns no bytes at all.
+        let err = SparseStream::<f32>::decode(&raw_frame(100, 0, &[0])).unwrap_err();
+        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
     }
 
     #[test]
@@ -379,13 +705,16 @@ mod tests {
 
     #[test]
     fn decode_rejects_huge_declared_counts_without_allocating() {
-        // A frame declaring u64::MAX entries must fail cleanly on length
-        // math, not attempt a giant allocation.
+        // A frame declaring more entries than its bytes can hold must fail
+        // on length math, before the index vector is allocated.
         let v = SparseStream::from_pairs(8, &[(1, 1.0f32)]).unwrap();
         let mut bytes = v.encode().to_vec();
         bytes[4..12].copy_from_slice(&u64::MAX.to_le_bytes()); // dim
         bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes()); // nnz
         assert!(SparseStream::<f32>::decode(&bytes).is_err());
+        bytes[12..20].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
+        assert!(matches!(err, StreamError::Truncated { .. }), "{err:?}");
         // Dense frame with an absurd dimension and no payload.
         let d = SparseStream::from_dense(vec![0.0f32; 2]);
         let mut bytes = d.encode().to_vec();
@@ -401,15 +730,73 @@ mod tests {
     fn decode_rejects_trailing_bytes() {
         let v = SparseStream::from_pairs(10, &[(1, 1.0f32)]).unwrap();
         let mut bytes = v.encode().to_vec();
-        bytes.push(0xFF);
-        let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
-        assert!(matches!(err, StreamError::Corrupt(_)));
+        // One stray byte passes the length bounds and is found by the gap
+        // decoder; five cannot belong to one entry.
+        for extra in [1, 5] {
+            bytes.extend(std::iter::repeat_n(0xFF, extra));
+            let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
+            assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
+        }
     }
 
     #[test]
-    fn empty_stream_round_trips() {
-        let v = SparseStream::<f32>::zeros(42);
-        let back = SparseStream::<f32>::decode(&v.encode()).unwrap();
-        assert_eq!(back, v);
+    fn mutated_frames_never_panic_the_decoder() {
+        let valid = [
+            // One-byte runs long enough for the 8-at-a-time path.
+            random_sparse::<f32>(512, 200, 5).encode().to_vec(),
+            // Two- and three-byte gaps.
+            random_sparse::<f32>(1 << 22, 40, 6).encode().to_vec(),
+            // The top of the index space.
+            SparseStream::from_pairs(1 << 32, &[(7, 1.0f32), (u32::MAX, 2.0)])
+                .unwrap()
+                .encode()
+                .to_vec(),
+            SparseStream::<f32>::zeros(64).encode().to_vec(),
+            SparseStream::from_dense(vec![1.0f32; 16]).encode().to_vec(),
+        ];
+        let check = |bytes: &[u8]| {
+            // Ok or a typed error — and an Ok upholds the invariants.
+            if let Ok(v) = SparseStream::<f32>::decode(bytes) {
+                if let Some(view) = v.sparse_view() {
+                    assert!(view.indices().windows(2).all(|w| w[0] < w[1]));
+                    assert!(view
+                        .indices()
+                        .last()
+                        .is_none_or(|&i| (i as usize) < v.dim()));
+                }
+            }
+        };
+        let mut cases = 0;
+        for frame in &valid {
+            // Truncation at every byte, and every single-bit flip.
+            for cut in 0..frame.len() {
+                check(&frame[..cut]);
+                cases += 1;
+            }
+            for bit in 0..frame.len() * 8 {
+                let mut bytes = frame.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                check(&bytes);
+                cases += 1;
+            }
+        }
+        let mut rng = XorShift64::new(0x5eed);
+        for i in 0..4000 {
+            let mut bytes = valid[i % valid.len()].clone();
+            match rng.next_u64() % 4 {
+                0 => bytes.truncate(rng.next_u64() as usize % (bytes.len() + 1)),
+                1 => bytes.extend((0..rng.next_u64() % 9).map(|_| rng.next_u64() as u8)),
+                _ => {}
+            }
+            for _ in 0..rng.next_u64() % 4 {
+                if !bytes.is_empty() {
+                    let at = rng.next_u64() as usize % bytes.len();
+                    bytes[at] ^= 1 << (rng.next_u64() % 8);
+                }
+            }
+            check(&bytes);
+            cases += 1;
+        }
+        assert!(cases >= 4000, "{cases}");
     }
 }

@@ -63,10 +63,11 @@ fn main() {
                 .and_then(|h| h.wait())
                 .expect("allreduce");
         }
-        // A half-dense input resolves elsewhere: that pass only agrees on
-        // k, and shows up as an `auto-resolve` agreement span ahead of
-        // the picked schedule's collective span.
-        comm.allreduce(&random_sparse::<f32>(DIM, DIM / 2, 77 + rank as u64))
+        // A full input resolves elsewhere (half-full ones still go to
+        // recursive doubling since wire v3 made their frames cheap): that
+        // pass only agrees on k, and shows up as an `auto-resolve`
+        // agreement span ahead of the picked schedule's collective span.
+        comm.allreduce(&random_sparse::<f32>(DIM, DIM, 77 + rank as u64))
             .launch()
             .and_then(|h| h.wait())
             .expect("dense-ish allreduce");

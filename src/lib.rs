@@ -7,9 +7,10 @@
 //! Linux only — via the `sparcml_net::launcher` or the `SPARCML_*` env
 //! bootstrap), with `Algorithm::Auto` — the paper's §5.3 adaptive
 //! selector — as the default schedule. Sparse payloads use a
-//! structure-of-arrays layout (index slab + value slab) with a bulk slab
-//! wire codec and pooled message buffers; see the README's architecture
-//! section for the layout and the buffer-pool lifecycle.
+//! structure-of-arrays layout (index slab + value slab) in memory, a wire
+//! codec that copies the value slab in bulk and gap-codes the index slab,
+//! and pooled message buffers; see the README's architecture section for
+//! the layout and the buffer-pool lifecycle.
 //!
 //! The [`serve`] module is the other deployment shape: a long-running
 //! sharded aggregation daemon ([`Server`] / [`ShardGroup`]) that many

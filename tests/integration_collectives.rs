@@ -11,7 +11,9 @@ use sparcml::core::{
 };
 use sparcml::net::CostModel;
 use sparcml::quant::QsgdConfig;
-use sparcml::stream::{random_sparse, uniform_indices, Scalar, SparseStream, XorShift64};
+use sparcml::stream::{
+    expected_entry_bytes, random_sparse, uniform_indices, Scalar, SparseStream, XorShift64,
+};
 
 /// Runs one allreduce program on every rank of both backends and checks
 /// each against the reference sum — the transport-parity harness.
@@ -397,6 +399,42 @@ fn selector_choice_is_never_far_from_best() {
         assert!(
             t_chosen <= t_best * 2.0 + 1e-9,
             "P={p} N={n} k={k}: chose {chosen:?} at {t_chosen}, best {t_best}"
+        );
+    }
+}
+
+#[test]
+fn selector_prices_pairs_as_the_wire_weighs_them() {
+    // The picks at the benchmark's own shapes (Aries, N = 2^20), which the
+    // price of a pair decides: the wire's figure for it, not a fixed
+    // 4 + isize, keeps them on the schedules the virtual clock ranks best.
+    use Algorithm::{DsarSplitAllgather, SsarRecDbl, SsarSplitAllgather};
+    let cost = CostModel::aries();
+    let n = 1 << 20;
+    for (p, k, best) in [
+        (8usize, 100usize, &[SsarRecDbl][..]),
+        (8, 1_000, &[SsarRecDbl]),
+        (8, 10_000, &[SsarSplitAllgather]),
+        // 1 203.8 against 1 206.5 virtual µs, and recursive doubling
+        // saves Auto the agreement pass: either is within 0.4 % of best.
+        (8, 100_000, &[SsarSplitAllgather, SsarRecDbl]),
+        (8, 300_000, &[DsarSplitAllgather]),
+        (2, 256, &[SsarRecDbl]),
+        (2, 100_000, &[SsarRecDbl]),
+    ] {
+        let pick = select_algorithm::<f32>(p, n, k, &cost);
+        assert!(best.contains(&pick), "P={p} k={k}: picked {pick:?}");
+    }
+    // And that figure is the codec's: the expectation the selector prices
+    // with against the exact frame size of a uniform support.
+    for k in [100usize, 10_000, 100_000] {
+        let indices = uniform_indices(n, k, &mut XorShift64::new(k as u64));
+        let stream = SparseStream::from_slabs(n, indices, vec![1.0f32; k]).unwrap();
+        let exact = (stream.encoded_len() - 20) as f64;
+        let expected = k as f64 * expected_entry_bytes(4, k as f64 / n as f64);
+        assert!(
+            (exact / expected - 1.0).abs() < 0.03,
+            "k={k}: {exact} B on the wire, {expected} B expected"
         );
     }
 }

@@ -12,7 +12,7 @@
 //!   on integer inputs;
 //! * **socket edge cases** — short reads reassembled across wakeups,
 //!   peers closing mid-frame, oversized frame declarations, and
-//!   malformed wire-v2 payloads arriving over a real socket;
+//!   malformed wire-v3 payloads arriving over a real socket;
 //! * a **P = 64 loopback smoke test** that also asserts the thread count:
 //!   one event loop per rank, whatever P is;
 //! * the **progress engine** running fused gradient buckets over sockets.
@@ -366,41 +366,53 @@ fn oversized_frame_declaration_is_rejected() {
 }
 
 #[test]
-fn malformed_wire_v2_frames_surface_typed_stream_errors() {
-    // Frames arrive intact over TCP but their wire-v2 payload is bad: the
+fn malformed_wire_v3_frames_surface_typed_stream_errors() {
+    // Frames arrive intact over TCP but their wire-v3 payload is bad: the
     // existing typed StreamErrors must surface, exactly as in-process.
     let results = run_reactor_loopback_cluster(2, CostModel::zero(), quick_config(), |tp| {
         if tp.rank() == 1 {
+            // 20-byte sparse header (magic, version, width, repr tag, dim
+            // u64, nnz u64), 16 × f32 values, then 16 single-byte gaps.
             let good = random_sparse::<f32>(256, 16, 42).encode();
+            assert_eq!(good.len(), 20 + 16 * 4 + 16);
             // (a) truncated: drop the tail of a valid frame.
             tp.send(0, 1, good.slice(0..good.len() - 5)).unwrap();
-            // (b) unsorted indices: swap the first two u32 entries of the
-            // index slab (the sparse header is 20 bytes: magic, version,
-            // width, repr tag, dim u64, nnz u64).
+            // (b) two gaps of 127 carry the running index past dim = 256
+            // (an unsorted index slab has no v3 encoding to send).
             let mut bad = good.to_vec();
-            for i in 0..4 {
-                bad.swap(20 + i, 24 + i);
-            }
+            bad[84..86].fill(0x7F);
             tp.send(0, 2, Bytes::from(bad)).unwrap();
-            let _ = tp.recv(0, 3).unwrap();
-            (None, None)
+            // (c) a varint that never ends: continuation bits throughout.
+            let mut bad = good.to_vec();
+            bad[84..].fill(0x80);
+            tp.send(0, 3, Bytes::from(bad)).unwrap();
+            let _ = tp.recv(0, 4).unwrap();
+            Vec::new()
         } else {
-            let truncated = tp.recv(1, 1).unwrap();
-            let e1 = SparseStream::<f32>::decode(&truncated).unwrap_err();
-            let unsorted = tp.recv(1, 2).unwrap();
-            let e2 = SparseStream::<f32>::decode(&unsorted).unwrap_err();
-            tp.send(1, 3, Bytes::new()).unwrap();
-            (Some(e1), Some(e2))
+            let errors = (1..=3)
+                .map(|tag| SparseStream::<f32>::decode(&tp.recv(1, tag).unwrap()).unwrap_err())
+                .collect();
+            tp.send(1, 4, Bytes::new()).unwrap();
+            errors
         }
     });
-    let (e1, e2) = &results[0];
+    let [truncated, out_of_bounds, overlong] = &results[0][..] else {
+        panic!("got {:?}", results[0]);
+    };
     assert!(
-        matches!(e1, Some(StreamError::Truncated { .. })),
-        "got {e1:?}"
+        matches!(truncated, StreamError::Truncated { .. }),
+        "got {truncated:?}"
     );
     assert!(
-        matches!(e2, Some(StreamError::UnsortedIndices { .. })),
-        "got {e2:?}"
+        matches!(
+            out_of_bounds,
+            StreamError::IndexOutOfBounds { dim: 256, .. }
+        ),
+        "got {out_of_bounds:?}"
+    );
+    assert!(
+        matches!(overlong, StreamError::Corrupt(_)),
+        "got {overlong:?}"
     );
 }
 
