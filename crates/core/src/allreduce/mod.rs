@@ -30,17 +30,13 @@ pub(crate) use ssar_rec_dbl::ssar_recursive_double;
 // reduce-scatter building block (see `rooted::sparse_reduce_scatter`).
 pub(crate) use ssar_split_ag::{split_reduce_partition, ssar_split_allgather};
 
-use std::sync::Arc;
-
-use bytes::Bytes;
 use sparcml_net::{Topology, TopologyCostModel, Transport};
 use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
 use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
 
 use crate::error::CollError;
-use crate::observed::ObservedCostModel;
-use crate::op::{allgather_bytes, BufferPool};
+use crate::op::BufferPool;
 
 /// Which allreduce schedule to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,8 +78,8 @@ impl Algorithm {
     /// All concrete *flat* algorithms, for sweeps ([`Algorithm::Auto`]
     /// resolves to one of these, or to [`Algorithm::Hierarchical`] when a
     /// non-trivial topology is configured; `Hierarchical` is excluded here
-    /// because it needs a topology to mean anything). The order is
-    /// wire-visible: calibrated sessions agree on a pick by its index here.
+    /// because it needs a topology to mean anything). The order only
+    /// breaks ties in the selector's sweep: the earlier member wins.
     pub const ALL: [Algorithm; 7] = [
         Algorithm::SsarRecDbl,
         Algorithm::SsarSplitAllgather,
@@ -132,28 +128,19 @@ pub struct AllreduceConfig {
     /// Node placement for [`Algorithm::Hierarchical`] and the
     /// topology-aware [`Algorithm::Auto`] path. `None` means flat: `Auto`
     /// never picks `Hierarchical`, and an explicit `Hierarchical` request
-    /// consults the `SPARCML_TOPOLOGY`/`SPARCML_NODES` environment before
-    /// degrading to a flat schedule.
+    /// runs the flat `Auto` path. Nothing is detected per call — a
+    /// launched process builds its placement once with
+    /// [`Topology::from_env`] and passes it here.
     pub topology: Option<Topology>,
     /// Link parameters per class (intra-node vs inter-node) for pricing
-    /// flat-vs-hierarchical. `None` derives them from the environment
-    /// (`SPARCML_COST_MODEL`/`SPARCML_COST_MODEL_INTRA`) or, failing
-    /// that, from the transport's flat hint via
-    /// [`TopologyCostModel::from_flat`].
+    /// flat-vs-hierarchical. `None` derives them from the transport's
+    /// flat model via [`TopologyCostModel::from_flat`].
     pub topology_cost: Option<TopologyCostModel>,
     /// The flat algorithm the node leaders run in the middle stage of
     /// [`Algorithm::Hierarchical`]. [`Algorithm::Auto`] (the default)
     /// re-enters the §5.3 selector recursively at the leader level —
     /// with the leaders' own `P`, `k`, and the inter-node cost model.
     pub hier_leader_algorithm: Algorithm,
-    /// Measurement-calibrated selection: when set, every collective this
-    /// config runs reports its measured duration here, and the flat
-    /// `Auto` path selects by measurement (with one extra 1-byte
-    /// agreement round so per-rank measurement noise can't split the
-    /// cluster's pick). `None` keeps the static preset selector.
-    /// Usually installed session-wide via
-    /// [`crate::Communicator::enable_calibration`] rather than per call.
-    pub calibration: Option<Arc<ObservedCostModel>>,
 }
 
 impl Default for AllreduceConfig {
@@ -166,7 +153,6 @@ impl Default for AllreduceConfig {
             topology: None,
             topology_cost: None,
             hier_leader_algorithm: Algorithm::Auto,
-            calibration: None,
         }
     }
 }
@@ -187,11 +173,11 @@ enum AutoPass<V: Scalar> {
 /// choice could diverge and deadlock the schedule — and the agreement
 /// rides recursive doubling's own frames
 /// ([`ssar_rec_dbl::rec_dbl_agree`]): a rank whose own `k` selects
-/// `SSAR_Recursive_double` (flat regime, preset selector) enters the pass
-/// *eager*, reducing as it agrees. If every rank did, the pass already
-/// produced the result and no round was spent on agreement; otherwise its
-/// frames were bare 8-byte words, the agreed `k` goes through the §5.3
-/// selector and the caller dispatches the concrete schedule. With a
+/// `SSAR_Recursive_double` (flat regime) enters the pass *eager*,
+/// reducing as it agrees. If every rank did, the pass already produced
+/// the result and no round was spent on agreement; otherwise its frames
+/// were bare 8-byte words, the agreed `k` goes through the §5.3 selector
+/// and the caller dispatches the concrete schedule. With a
 /// non-trivial [`AllreduceConfig::topology`], the topology-aware selector
 /// also prices the two-level hierarchical schedule and may pick it.
 /// Returns the outcome and the agreed `k`.
@@ -220,7 +206,6 @@ fn resolve_auto<T: Transport, V: Scalar>(
         topo => topo.filter(|topo| !topo.is_trivial()),
     };
     let eager = topo.is_none()
-        && cfg.calibration.is_none()
         && crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost())
             == Algorithm::SsarRecDbl;
     let (reduced, k_agreed) = ssar_rec_dbl::rec_dbl_agree(ep, input, eager, cfg, pool)?;
@@ -231,49 +216,12 @@ fn resolve_auto<T: Transport, V: Scalar>(
     }
     ep.stats_mut().auto_fallback += 1;
     let algo = if let Some(topo) = topo {
-        let tcm = crate::hierarchical::effective_topology_cost(ep, cfg)?;
+        let tcm = crate::hierarchical::effective_topology_cost(ep, cfg);
         crate::selector::select_algorithm_with_topology::<V>(topo, n, k_agreed, &tcm)
-    } else if let Some(cal) = cfg.calibration.as_ref() {
-        // Calibrated path (flat regimes only): pick by measurement, then
-        // agree — per-rank measurement noise must not split the schedule.
-        agree_algorithm(ep, cal.select::<V>(p, n, k_agreed), pool)?
     } else {
         crate::selector::select_algorithm::<V>(p, n, k_agreed, ep.cost())
     };
     Ok((AutoPass::Resolved(algo), k_agreed))
-}
-
-/// Cluster-wide agreement on a calibrated pick: every rank proposes the
-/// candidate it measured fastest; the smallest index in
-/// [`Algorithm::ALL`] wins everywhere. One 1-byte allgather.
-fn agree_algorithm<T: Transport>(
-    ep: &mut T,
-    pick: Algorithm,
-    pool: &mut BufferPool,
-) -> Result<Algorithm, CollError> {
-    if ep.size() <= 1 {
-        return Ok(pick);
-    }
-    let mut idx = Algorithm::ALL
-        .iter()
-        .position(|a| *a == pick)
-        .expect("calibrated picks are concrete flat algorithms") as u8;
-    let op_id = ep.next_op_id();
-    let blocks = allgather_bytes(ep, op_id, Bytes::from(vec![idx]), pool)?;
-    for block in blocks {
-        let [b]: [u8; 1] = block
-            .as_ref()
-            .try_into()
-            .map_err(|_| CollError::Invalid("malformed algorithm-agreement block".into()))?;
-        if (b as usize) < Algorithm::ALL.len() {
-            idx = idx.min(b);
-        } else {
-            return Err(CollError::Invalid(format!(
-                "algorithm-agreement block carries unknown candidate index {b}"
-            )));
-        }
-    }
-    Ok(Algorithm::ALL[idx as usize])
 }
 
 /// Internal dispatcher behind the [`crate::Communicator`] builders.
@@ -284,9 +232,9 @@ fn agree_algorithm<T: Transport>(
 /// wall seconds on the socket transports). Durations land in the global
 /// [`sparcml_obs::metrics::global`] registry keyed by
 /// `(algorithm, backend, size-class)` — surfacing through
-/// [`crate::Communicator::stats_report`] and serve's `/metrics` — and,
-/// when [`AllreduceConfig::calibration`] is set, feed the
-/// [`ObservedCostModel`] that future `Auto` picks consult.
+/// [`crate::Communicator::stats_report`] and serve's `/metrics`. Nothing
+/// measured here feeds back into selection: `Auto`'s pick is a function
+/// of the call alone.
 pub(crate) fn dispatch<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
@@ -302,7 +250,7 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
         match resolve_auto::<T, V>(ep, input, cfg, pool, true) {
             Ok((AutoPass::Reduced(out), k)) => {
                 let result = Ok(out);
-                fused.finish(ep, k, input, cfg, &result);
+                fused.finish(ep, k, input, &result);
                 return result;
             }
             Ok((AutoPass::Resolved(algo), k)) => {
@@ -323,7 +271,7 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
     } else {
         dispatch_flat_concrete(ep, input, algo, cfg, pool)
     };
-    run.finish(ep, k, input, cfg, &result);
+    run.finish(ep, k, input, &result);
     result
 }
 
@@ -348,14 +296,13 @@ impl Measurement {
     }
 
     /// Closes the measurement over `result`: a success lands in the
-    /// latency registry, the calibrator and the telemetry collector; a
-    /// failure records nothing.
+    /// latency registry and the telemetry collector; a failure records
+    /// nothing.
     fn finish<T: Transport, V: Scalar>(
         mut self,
         ep: &T,
         k: usize,
         input: &SparseStream<V>,
-        cfg: &AllreduceConfig,
         result: &Result<SparseStream<V>, CollError>,
     ) {
         let Ok(out) = result else {
@@ -365,9 +312,6 @@ impl Measurement {
         self.span.set_arg(k as u64);
         let elapsed = ep.clock() - self.start;
         obs::metrics::global().record(self.algo.name(), ep.backend_name(), k, elapsed);
-        if let Some(cal) = cfg.calibration.as_ref() {
-            cal.record::<V>(self.algo, ep.size(), input.dim(), k, elapsed);
-        }
         if obs::telemetry::enabled() {
             obs::telemetry::note_worst_peer(&self.marks);
             obs::telemetry::record_density(input.dim(), input.nnz(), out.nnz(), out.is_dense());

@@ -42,10 +42,11 @@ impl Workload {
     /// Expected wire bytes of one sparse index–value pair (the paper's
     /// `βs` unit) travelling in a stream of `entries` non-zeros: the value
     /// plus the gap varint at density `entries / N`
-    /// ([`expected_entry_bytes`], the wire format's own figure).
+    /// ([`expected_entry_bytes`], the wire format's own figure). An empty
+    /// dimension prices like a full one: no pair travels either way.
     #[inline]
     pub fn pair_bytes(&self, entries: f64) -> f64 {
-        expected_entry_bytes(self.value_bytes, entries / self.n as f64)
+        expected_entry_bytes(self.value_bytes, entries / self.n.max(1) as f64)
     }
 
     /// Bytes of one dense value (the paper's `βd` unit).

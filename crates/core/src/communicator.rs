@@ -39,21 +39,14 @@ use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
 use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
 use std::borrow::Borrow;
-use std::sync::Arc;
 
 use crate::allgather::{dense_allgather, sparse_allgather, sparse_allgather_sum};
 use crate::allreduce::{dispatch, Algorithm, AllreduceConfig};
 use crate::error::CollError;
 use crate::nonblocking::Request;
-use crate::observed::ObservedCostModel;
 use crate::op::BufferPool;
 use crate::rooted::{sparse_broadcast, sparse_reduce, sparse_reduce_scatter};
 use crate::telemetry::TelemetryExchange;
-
-/// Environment variable that, when set to `1`/`true`, starts every
-/// [`Communicator`] with measurement calibration enabled (see
-/// [`Communicator::enable_calibration`]).
-pub const ENV_CALIBRATE: &str = "SPARCML_CALIBRATE";
 
 /// A collective-communication session over one pluggable transport.
 ///
@@ -76,13 +69,6 @@ pub struct Communicator<T: Transport = Endpoint> {
     /// transport and `wait()` brings both back. Reuse is observable via
     /// [`Communicator::stats_snapshot`].
     pool: BufferPool,
-    /// Session-wide measurement calibration: when set, every collective
-    /// launched here inherits it (unless its config carries its own) so
-    /// the `Auto` selector learns from measured durations. Installed via
-    /// [`Communicator::enable_calibration`] /
-    /// [`Communicator::set_calibration`], or the `SPARCML_CALIBRATE`
-    /// environment toggle at construction.
-    calibration: Option<Arc<ObservedCostModel>>,
     /// Control-tag allocator + sequence state for
     /// [`Communicator::cluster_report`] telemetry exchanges. Fresh per
     /// session (and per subgroup after [`Communicator::split`]) so the
@@ -92,48 +78,14 @@ pub struct Communicator<T: Transport = Endpoint> {
 }
 
 impl<T: Transport + Send + 'static> Communicator<T> {
-    /// Wraps a transport session in a communicator. When the
-    /// `SPARCML_CALIBRATE` environment variable is set to `1`/`true`,
-    /// the session starts with measurement calibration enabled (the
-    /// transport's cost model as the base preset) — equivalent to
-    /// calling [`Communicator::enable_calibration`].
+    /// Wraps a transport session in a communicator.
     pub fn new(transport: T) -> Self {
-        let calibration = match std::env::var(ENV_CALIBRATE) {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => {
-                Some(Arc::new(ObservedCostModel::new(*transport.cost())))
-            }
-            _ => None,
-        };
         Communicator {
             transport,
             transport_lost: false,
             pool: BufferPool::new(),
-            calibration,
             telemetry: TelemetryExchange::new(),
         }
-    }
-
-    /// Turns on measurement-calibrated `Auto` selection for this session
-    /// with the transport's cost model as the starting preset. Returns
-    /// the calibrator so callers can inspect convergence
-    /// ([`ObservedCostModel::report`]). Collective — every rank of the
-    /// communicator must enable it (the calibrated pick adds an
-    /// agreement round that all ranks must join).
-    pub fn enable_calibration(&mut self) -> Arc<ObservedCostModel> {
-        let cal = Arc::new(ObservedCostModel::new(*self.transport.cost()));
-        self.calibration = Some(cal.clone());
-        cal
-    }
-
-    /// Installs a specific calibrator (e.g. one shared with a training
-    /// loop, or built with custom [`crate::CalibrationConfig`] tunables).
-    pub fn set_calibration(&mut self, cal: Arc<ObservedCostModel>) {
-        self.calibration = Some(cal);
-    }
-
-    /// The session's calibrator, if calibration is enabled.
-    pub fn calibration(&self) -> Option<&Arc<ObservedCostModel>> {
-        self.calibration.as_ref()
     }
 
     fn ensure_attached(&self) -> Result<(), CollError> {
@@ -243,18 +195,13 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     /// prints instead of hand-formatting fields. Followed by the
     /// process-wide per-algorithm latency histograms
     /// ([`sparcml_obs::LatencyRegistry::render_text`]) when any
-    /// collective has run, and the calibration report when this session
-    /// calibrates.
+    /// collective has run.
     pub fn stats_report(&self) -> String {
         let mut out = self.stats_snapshot().render_text();
         let latency = obs::metrics::global().render_text();
         if !latency.is_empty() {
             out.push('\n');
             out.push_str(&latency);
-        }
-        if let Some(cal) = self.calibration.as_ref() {
-            out.push('\n');
-            out.push_str(&cal.report());
         }
         if obs::Recorder::is_installed() {
             out.push_str(&format!(
@@ -312,17 +259,13 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     pub fn split(self, color: u64) -> Result<Communicator<GroupTransport<T>>, CollError> {
         self.ensure_attached()?;
         let Communicator {
-            transport,
-            pool,
-            calibration,
-            ..
+            transport, pool, ..
         } = self;
         let group = GroupTransport::split(transport, color)?;
         Ok(Communicator {
             transport: group,
             transport_lost: false,
             pool,
-            calibration,
             telemetry: TelemetryExchange::new(),
         })
     }
@@ -486,14 +429,12 @@ impl<T: Transport + Send + 'static> Communicator<GroupTransport<T>> {
             transport,
             transport_lost,
             pool,
-            calibration,
             ..
         } = self;
         Communicator {
             transport: transport.into_parent(),
             transport_lost,
             pool,
-            calibration,
             telemetry: TelemetryExchange::new(),
         }
     }
@@ -661,10 +602,7 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Allreduce<'a, T, V> {
 
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let (algorithm, mut cfg) = (self.algorithm, self.cfg);
-        if cfg.calibration.is_none() {
-            cfg.calibration = self.comm.calibration.clone();
-        }
+        let (algorithm, cfg) = (self.algorithm, self.cfg);
         self.comm
             .launch(self.nonblocking, self.input, move |tp, input, pool| {
                 dispatch(tp, input, algorithm, &cfg, pool)

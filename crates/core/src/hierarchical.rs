@@ -25,7 +25,7 @@
 //! cost model (or pinned via
 //! [`AllreduceConfig::hier_leader_algorithm`]).
 
-use sparcml_net::{GroupTransport, Topology, TopologyCostModel, Transport};
+use sparcml_net::{GroupTransport, TopologyCostModel, Transport};
 use sparcml_obs as obs;
 use sparcml_stream::{Scalar, SparseStream};
 
@@ -34,11 +34,10 @@ use crate::error::CollError;
 use crate::op::BufferPool;
 use crate::rooted::{sparse_broadcast, sparse_reduce};
 
-/// Two-level hierarchical allreduce. Resolves the node placement from
-/// [`AllreduceConfig::topology`], falling back to the
-/// `SPARCML_TOPOLOGY`/`SPARCML_NODES` environment and finally to a single
-/// loopback node (under which the schedule degenerates to the flat
-/// adaptive path).
+/// Two-level hierarchical allreduce over the node placement of
+/// [`AllreduceConfig::topology`]. Without one, or with a trivial one,
+/// there is no hierarchy to exploit and the call runs the flat adaptive
+/// path.
 pub(crate) fn hierarchical_allreduce<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
@@ -49,28 +48,19 @@ pub(crate) fn hierarchical_allreduce<T: Transport, V: Scalar>(
     if p == 1 {
         return Ok(input.clone());
     }
-    // Borrow the configured topology; only the env-detect fallback
-    // allocates (this runs once per collective call on the hot path).
-    let detected;
-    let topo: &Topology = match &cfg.topology {
-        Some(t) => t,
-        None => {
-            detected = Topology::detect(p)?;
-            &detected
+    let topo = match &cfg.topology {
+        Some(topo) if topo.size() != p => {
+            return Err(CollError::Invalid(format!(
+                "topology covers {} ranks but the communicator has {p}",
+                topo.size()
+            )));
         }
+        Some(topo) if !topo.is_trivial() => topo,
+        // No placement, one node, or one rank per node: run the flat
+        // adaptive path. `resolve_auto` cannot bounce back here: it
+        // selects Hierarchical only under a non-trivial topology.
+        _ => return dispatch(ep, input, Algorithm::Auto, cfg, pool),
     };
-    if topo.size() != p {
-        return Err(CollError::Invalid(format!(
-            "topology covers {} ranks but the communicator has {p}",
-            topo.size()
-        )));
-    }
-    if topo.is_trivial() {
-        // One node (or one rank per node): there is no hierarchy to
-        // exploit — run the flat adaptive path. `resolve_auto` cannot
-        // bounce back here: a trivial topology never selects Hierarchical.
-        return dispatch(ep, input, Algorithm::Auto, cfg, pool);
-    }
 
     let rank = ep.rank();
     // Draw both tag scopes on *every* rank before any membership diverges,
@@ -81,22 +71,14 @@ pub(crate) fn hierarchical_allreduce<T: Transport, V: Scalar>(
     let group = topo.group_of(rank).to_vec();
     let leaders = topo.leaders();
     let is_leader = topo.is_leader(rank);
-    let tcm = effective_topology_cost(ep, cfg)?;
+    let tcm = effective_topology_cost(ep, cfg);
     // Inner stages must not see the topology again (a leader-level Auto
-    // re-selecting Hierarchical would recurse forever). Built field by
-    // field so the topology itself is never cloned per call.
+    // re-selecting Hierarchical would recurse forever). Every other field
+    // is `Copy`, so the topology itself is never cloned per call.
     let flat_cfg = AllreduceConfig {
-        policy: cfg.policy,
-        quant: cfg.quant,
-        quant_seed: cfg.quant_seed,
-        blocking_split_sends: cfg.blocking_split_sends,
         topology: None,
         topology_cost: None,
-        hier_leader_algorithm: cfg.hier_leader_algorithm,
-        // Inner stages run on subgroup transports whose sizes/costs differ
-        // from the session's; calibrating on them would pollute the
-        // whole-cluster fit. The outer dispatch still times the composite.
-        calibration: None,
+        ..*cfg
     };
 
     // The topology validated the groups, so the subgroup constructors
@@ -162,18 +144,15 @@ pub(crate) fn hierarchical_allreduce<T: Transport, V: Scalar>(
 }
 
 /// The link-class cost model in force for a call: the explicit
-/// [`AllreduceConfig::topology_cost`], else the
-/// `SPARCML_COST_MODEL`/`SPARCML_COST_MODEL_INTRA` environment overrides
-/// layered over the transport's flat planning hint (an unset inter model
-/// keeps the hint; an unset intra model takes the shared-memory default).
+/// [`AllreduceConfig::topology_cost`], else the transport's flat model on
+/// the inter-node links beside the shared-memory intra-node default
+/// ([`TopologyCostModel::from_flat`]).
 pub(crate) fn effective_topology_cost<T: Transport>(
     ep: &T,
     cfg: &AllreduceConfig,
-) -> Result<TopologyCostModel, CollError> {
-    if let Some(tcm) = cfg.topology_cost {
-        return Ok(tcm);
-    }
-    Ok(TopologyCostModel::from_env_or_flat(*ep.cost())?)
+) -> TopologyCostModel {
+    cfg.topology_cost
+        .unwrap_or(TopologyCostModel::from_flat(*ep.cost()))
 }
 
 #[cfg(test)]
@@ -181,7 +160,7 @@ mod tests {
     use super::*;
     use crate::allreduce::ssar_recursive_double;
     use crate::reference::reference_sum;
-    use sparcml_net::{run_cluster, CostModel};
+    use sparcml_net::{run_cluster, CostModel, Topology};
     use sparcml_stream::random_sparse;
 
     fn cfg_with(topo: Topology) -> AllreduceConfig {
@@ -281,6 +260,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn without_a_topology_it_is_the_flat_auto_path() {
+        // Integer-valued inputs, so equality is bitwise.
+        let p = 8;
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| SparseStream::from_pairs(512, &[(9 * r as u32, 1.0 + r as f32), (500, 2.0)]))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let cfg = AllreduceConfig::default();
+        let run = |algo: Algorithm| {
+            run_cluster(p, CostModel::aries(), |ep| {
+                let out = dispatch(ep, &ins[ep.rank()], algo, &cfg, &mut BufferPool::new());
+                (out.unwrap(), ep.stats().msgs_sent, ep.clock())
+            })
+        };
+        assert_eq!(run(Algorithm::Hierarchical), run(Algorithm::Auto));
     }
 
     #[test]

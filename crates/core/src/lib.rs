@@ -61,7 +61,6 @@ mod communicator;
 mod error;
 mod hierarchical;
 mod nonblocking;
-mod observed;
 mod op;
 pub mod reference;
 mod rooted;
@@ -74,10 +73,8 @@ pub use communicator::{
     max_communicator_time, run_communicators, run_reactor_communicators,
     run_reactor_communicators_with, run_thread_communicators, Allgather, AllgatherSum, Allreduce,
     Broadcast, CollectiveHandle, Communicator, DenseAllgather, Reduce, ReduceScatter,
-    ENV_CALIBRATE,
 };
 pub use error::CollError;
-pub use observed::{CalibrationConfig, ObservedCostModel};
 pub use op::BufferPool;
 pub use rooted::my_partition;
 pub use selector::{

@@ -15,7 +15,7 @@
 //! DSAR, and just before it DSAR can beat the dense baselines.
 
 use sparcml_net::{CostModel, Topology, TopologyCostModel};
-use sparcml_stream::{delta_raw, Scalar};
+use sparcml_stream::Scalar;
 
 use crate::allreduce::Algorithm;
 use crate::bounds::{self, Workload};
@@ -80,31 +80,6 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
     }
 }
 
-/// The candidates the measurement-calibrated selector
-/// ([`crate::ObservedCostModel`]) explores for this workload's regime:
-/// the *dynamic* instances (`E[K] ≥ δ`) try DSAR and the dense baselines,
-/// the *static* ones the sparse schedules. Exploration runs every
-/// candidate for real, so it stays inside the regime; the preset selector
-/// ([`select_algorithm`]) only prices, and prices all seven.
-pub(crate) fn flat_candidates<V: Scalar>(p: usize, n: usize, k: usize) -> &'static [Algorithm] {
-    let ek = expected_union_size(n, p, k.min(n));
-    let delta = delta_raw::<V>(n) as f64;
-    if ek >= delta {
-        &[
-            Algorithm::DsarSplitAllgather,
-            Algorithm::DenseRabenseifner,
-            Algorithm::DenseRing,
-            Algorithm::DenseRecDbl,
-        ]
-    } else {
-        &[
-            Algorithm::SsarRecDbl,
-            Algorithm::SsarSplitAllgather,
-            Algorithm::SparseRing,
-        ]
-    }
-}
-
 /// Picks an allreduce algorithm for a `P`-rank reduction of `N`-dim
 /// vectors with `k` non-zeros per rank: estimates `E[K]`, prices every
 /// member of [`Algorithm::ALL`] by its expected cost and returns the
@@ -121,7 +96,7 @@ pub fn select_algorithm<V: Scalar>(p: usize, n: usize, k: usize, cost: &CostMode
     Algorithm::ALL
         .map(|algo| (expected_cost(algo, &w, cost, ek), algo))
         .into_iter()
-        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("costs are finite"))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("Algorithm::ALL is not empty")
         .1
 }
@@ -385,6 +360,28 @@ mod tests {
         for algo in Algorithm::ALL {
             let t = estimate_time::<f32>(algo, 16, 1 << 20, 1 << 10, &CostModel::gige());
             assert!(t.is_finite() && t > 0.0, "{algo:?}: {t}");
+        }
+        // The selector is total: any P, an empty or one-element dimension,
+        // k from nothing to past N, a model that charges nothing.
+        for cost in [
+            CostModel::aries(),
+            CostModel::gige(),
+            CostModel::zero(),
+            CostModel::loopback_tcp(),
+        ] {
+            for p in 1..=17 {
+                for n in [0usize, 1, 2, 1 << 10, 1 << 24] {
+                    for k in [0, 1, n / 2, n, n + 5] {
+                        let what = format!("P={p} N={n} k={k} {cost:?}");
+                        for algo in Algorithm::ALL {
+                            let t = estimate_time::<f32>(algo, p, n, k, &cost);
+                            assert!(t.is_finite() && t >= 0.0, "{algo:?} {what}: {t}");
+                        }
+                        let pick = select_algorithm::<f32>(p, n, k, &cost);
+                        assert!(Algorithm::ALL.contains(&pick), "{pick:?} {what}");
+                    }
+                }
+            }
         }
     }
 

@@ -15,10 +15,11 @@
 
 use sparcml_stream::XorShift64;
 
-/// Exact `E[K]` under uniform index sampling: `N·(1 − (1 − k/N)^P)`.
+/// Exact `E[K]` under uniform index sampling: `N·(1 − (1 − k/N)^P)`
+/// (zero when `N = 0`).
 pub fn expected_union_size(n: usize, p: usize, k: usize) -> f64 {
     assert!(k <= n, "k must not exceed N");
-    let d = k as f64 / n as f64;
+    let d = k as f64 / n.max(1) as f64;
     n as f64 * (1.0 - (1.0 - d).powi(p as i32))
 }
 

@@ -67,23 +67,6 @@ where
     })
 }
 
-/// [`run_cluster`] with a *planning hint* that differs from the model
-/// driving the virtual clock: every rank's `Transport::cost()` reports
-/// `hint`, while message timing follows `cost`. This deterministically
-/// reproduces "the selector's machine model is wrong" regimes — the
-/// calibration tests use it to show a static preset mis-picking while a
-/// measurement-calibrated selector converges.
-pub fn run_cluster_with_hint<R, F>(size: usize, cost: CostModel, hint: CostModel, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut Endpoint) -> R + Sync,
-{
-    run_cluster(size, cost, |ep| {
-        ep.set_cost_hint(hint);
-        f(ep)
-    })
-}
-
 /// Runs a collective program on every rank and returns the *virtual
 /// completion time* of the operation: the maximum final clock across ranks.
 pub fn max_virtual_time<F>(size: usize, cost: CostModel, f: F) -> f64

@@ -73,16 +73,11 @@ impl TransportConfig {
     /// drops from 1 GiB to [`SERVER_MAX_FRAME_LEN`] (64 MiB): a client
     /// declaring a larger frame gets a typed
     /// [`crate::CommError::FrameTooLarge`] rejection and its connection
-    /// closed, instead of the server attempting the allocation. The
-    /// `SPARCML_SERVER_MAX_FRAME_LEN` environment variable (bytes)
-    /// overrides the cap for deployments that really do ship bigger
-    /// models.
+    /// closed, instead of the server attempting the allocation. A
+    /// deployment that really does ship bigger models raises the cap with
+    /// [`TransportConfig::with_max_frame_len`].
     pub fn for_server() -> Self {
-        let mut cfg = TransportConfig::default().with_max_frame_len(SERVER_MAX_FRAME_LEN);
-        if let Ok(Some(bytes)) = env_usize("SPARCML_SERVER_MAX_FRAME_LEN") {
-            cfg.max_frame_len = bytes;
-        }
-        cfg
+        TransportConfig::default().with_max_frame_len(SERVER_MAX_FRAME_LEN)
     }
 
     /// Default config with environment overrides applied — the knobs a
@@ -105,8 +100,8 @@ impl TransportConfig {
         if let Some(ms) = env_millis("SPARCML_CONNECT_TIMEOUT_MS")? {
             cfg.connect_timeout = ms;
         }
-        if let Some(bytes) = env_usize("SPARCML_MAX_FRAME_LEN")? {
-            cfg.max_frame_len = bytes;
+        if let Some(bytes) = env_u64("SPARCML_MAX_FRAME_LEN")? {
+            cfg.max_frame_len = bytes as usize;
         }
         Ok(cfg)
     }
@@ -123,10 +118,6 @@ fn env_u64(var: &str) -> Result<Option<u64>, CommError> {
             CommError::Protocol(format!("{var}={raw:?} is not a non-negative integer"))
         }),
     }
-}
-
-fn env_usize(var: &str) -> Result<Option<usize>, CommError> {
-    Ok(env_u64(var)?.map(|v| v as usize))
 }
 
 #[cfg(test)]

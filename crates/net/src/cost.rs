@@ -150,7 +150,12 @@ impl CostModel {
     /// errors loudly on a malformed value instead of silently mis-pricing
     /// every schedule.
     pub fn from_env() -> Result<Option<CostModel>, crate::error::CommError> {
-        env_model(ENV_COST_MODEL)
+        match std::env::var(ENV_COST_MODEL) {
+            Ok(spec) => CostModel::parse(&spec)
+                .map(Some)
+                .map_err(|e| crate::error::CommError::Protocol(format!("{ENV_COST_MODEL}: {e}"))),
+            Err(_) => Ok(None),
+        }
     }
 
     /// [`CostModel::from_env`] falling back to `default` when the variable
@@ -178,22 +183,9 @@ impl Default for CostModel {
     }
 }
 
-/// Environment variable overriding the (inter-node) cost model; a
-/// [`CostModel::parse`] spec.
+/// Environment variable overriding the cost model a launched worker
+/// plans with ([`CostModel::from_env`]); a [`CostModel::parse`] spec.
 pub const ENV_COST_MODEL: &str = "SPARCML_COST_MODEL";
-
-/// Environment variable overriding the intra-node cost model of a
-/// [`TopologyCostModel`]; a [`CostModel::parse`] spec.
-pub const ENV_COST_MODEL_INTRA: &str = "SPARCML_COST_MODEL_INTRA";
-
-fn env_model(var: &str) -> Result<Option<CostModel>, crate::error::CommError> {
-    match std::env::var(var) {
-        Ok(spec) => CostModel::parse(&spec)
-            .map(Some)
-            .map_err(|e| crate::error::CommError::Protocol(format!("{var}: {e}"))),
-        Err(_) => Ok(None),
-    }
-}
 
 /// The α–β(–γ) model split by link class: ranks on one node talk over
 /// `intra`, node leaders talk across nodes over `inter` (§5.2 takes very
@@ -248,44 +240,6 @@ impl TopologyCostModel {
             intra: CostModel::intra_node(),
             inter,
         }
-    }
-
-    /// Environment override: `SPARCML_COST_MODEL` sets the inter model,
-    /// `SPARCML_COST_MODEL_INTRA` the intra model (defaulting to
-    /// [`CostModel::intra_node`] when only the former is set, and to
-    /// [`CostModel::aries`] for a missing inter model). `Ok(None)` when
-    /// neither is set. Callers that hold a flat planning hint should
-    /// prefer [`TopologyCostModel::from_env_or_flat`], which keeps that
-    /// hint for whichever link class the environment leaves unset.
-    pub fn from_env() -> Result<Option<TopologyCostModel>, crate::error::CommError> {
-        let inter = env_model(ENV_COST_MODEL)?;
-        let intra = env_model(ENV_COST_MODEL_INTRA)?;
-        Ok(match (intra, inter) {
-            (None, None) => None,
-            (intra, inter) => Some(TopologyCostModel {
-                intra: intra.unwrap_or_else(CostModel::intra_node),
-                inter: inter.unwrap_or_else(CostModel::aries),
-            }),
-        })
-    }
-
-    /// The model a transport session should plan with: environment
-    /// overrides where set, the transport's flat planning hint for a
-    /// missing *inter* model (setting only `SPARCML_COST_MODEL_INTRA`
-    /// must not silently replace the known inter parameters with a
-    /// preset), and [`CostModel::intra_node`] for a missing intra model.
-    pub fn from_env_or_flat(
-        flat_hint: CostModel,
-    ) -> Result<TopologyCostModel, crate::error::CommError> {
-        let inter = env_model(ENV_COST_MODEL)?;
-        let intra = env_model(ENV_COST_MODEL_INTRA)?;
-        Ok(match (intra, inter) {
-            (None, None) => TopologyCostModel::from_flat(flat_hint),
-            (intra, inter) => TopologyCostModel {
-                intra: intra.unwrap_or_else(CostModel::intra_node),
-                inter: inter.unwrap_or(flat_hint),
-            },
-        })
     }
 }
 

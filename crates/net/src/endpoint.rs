@@ -47,12 +47,6 @@ pub struct Endpoint {
     /// Out-of-order buffer for messages received before they were asked for.
     pending: HashMap<(usize, u64), VecDeque<WireMsg>>,
     cost: CostModel,
-    /// Planning-only cost model override: when set, [`Endpoint::cost`]
-    /// (and hence algorithm selection) sees this model while the virtual
-    /// clock keeps advancing under `cost` — letting experiments hand the
-    /// selector a *wrong* machine model and measure what that mis-pick
-    /// costs under the true one.
-    cost_hint: Option<CostModel>,
     clock: f64,
     /// Monotonic per-endpoint counter used to derive collective op tags;
     /// collectives are invoked in the same order on every rank, so counters
@@ -86,7 +80,6 @@ impl Endpoint {
             inbox,
             pending: HashMap::new(),
             cost,
-            cost_hint: None,
             clock: 0.0,
             op_counter: 0,
             stats: CommStats::default(),
@@ -105,21 +98,11 @@ impl Endpoint {
         self.size
     }
 
-    /// The cost model in force for *planning* (algorithm selection).
-    /// This is the actual clock-driving model unless a hint was set via
-    /// [`Endpoint::set_cost_hint`].
+    /// The cost model the virtual clock charges, which is also the one
+    /// algorithm selection plans with.
     #[inline]
     pub fn cost(&self) -> &CostModel {
-        self.cost_hint.as_ref().unwrap_or(&self.cost)
-    }
-
-    /// Overrides the *planning* cost model without touching the model
-    /// that drives the virtual clock. Selectors querying
-    /// [`Transport::cost`] see the hint; message timing stays governed
-    /// by the model the cluster was built with. Used to reproduce
-    /// preset-mis-pick regimes deterministically.
-    pub fn set_cost_hint(&mut self, hint: CostModel) {
-        self.cost_hint = Some(hint);
+        &self.cost
     }
 
     /// Current virtual time in seconds.

@@ -42,7 +42,7 @@ use sparcml_obs as obs;
 
 use crate::bootstrap::{ENV_RANK, ENV_ROOT_ADDR, ENV_WORLD};
 use crate::reactor::ReactorTransport;
-use crate::topology::{Topology, ENV_NODE, ENV_NODES};
+use crate::topology::{Topology, ENV_NODES};
 
 /// Job-name guard: a child only runs the closure of the job it was
 /// spawned for (defense in depth next to the `--exact` test filter).
@@ -69,10 +69,9 @@ pub struct LaunchOptions {
     /// launcher on its own.
     pub test_harness: bool,
     /// Node placement to pin on the cluster: every rank gets
-    /// `SPARCML_NODES` (the full per-rank node map) and `SPARCML_NODE`
-    /// (its own node id) in its environment, so rank programs can rebuild
-    /// the [`Topology`] via [`Topology::from_env`]. `None` exports
-    /// nothing (the ranks then infer a single loopback node).
+    /// `SPARCML_NODES` (the full per-rank node map) in its environment,
+    /// so rank programs can rebuild the [`Topology`] via
+    /// [`Topology::from_env`]. `None` exports nothing.
     pub topology: Option<Topology>,
     /// Extra environment variables for every rank.
     pub env: Vec<(String, String)>,
@@ -220,7 +219,7 @@ where
         job,
         world,
         ENV_RANK,
-        |rank| {
+        |_rank| {
             let root_addr = root_addr.get_or_insert_with(reserve_loopback_addr);
             let mut env = vec![
                 (ENV_WORLD.to_string(), world.to_string()),
@@ -241,7 +240,6 @@ where
                 );
                 let nodes: Vec<String> = (0..world).map(|r| topo.node_of(r).to_string()).collect();
                 set(ENV_NODES, nodes.join(","));
-                set(ENV_NODE, topo.node_of(rank).to_string());
             }
             if let Some(dir) = &opts.trace_dir {
                 set(obs::ENV_TRACE, dir.display().to_string());

@@ -57,9 +57,9 @@ mod topology;
 mod transport;
 
 pub use bootstrap::TCP_PROTOCOL_VERSION;
-pub use cluster::{max_virtual_time, run_cluster, run_cluster_with_hint};
+pub use cluster::{max_virtual_time, run_cluster};
 pub use config::{TransportConfig, DEFAULT_MAX_FRAME_LEN, SERVER_MAX_FRAME_LEN};
-pub use cost::{CostModel, TopologyCostModel, ENV_COST_MODEL, ENV_COST_MODEL_INTRA};
+pub use cost::{CostModel, TopologyCostModel, ENV_COST_MODEL};
 pub use endpoint::{standalone_endpoint, Endpoint, WireMsg};
 pub use error::CommError;
 pub use group::GroupTransport;
@@ -71,5 +71,5 @@ pub use tags::{
     TAG_BLOCK_BITS,
 };
 pub use thread_transport::{run_thread_cluster, standalone_thread_transport, ThreadTransport};
-pub use topology::{Topology, ENV_NODE, ENV_NODES, ENV_TOPOLOGY};
+pub use topology::{Topology, ENV_NODES, ENV_TOPOLOGY};
 pub use transport::Transport;

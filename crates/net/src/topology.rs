@@ -7,17 +7,16 @@
 //! among node leaders → intra-node broadcast) and the topology-aware
 //! selector can exploit the gap.
 //!
-//! Three ways to obtain one:
+//! Two ways to obtain one:
 //!
 //! * explicitly — [`Topology::uniform`] / [`Topology::from_groups`] /
 //!   [`Topology::from_node_ids`];
 //! * from the environment — [`Topology::from_env`] reads
 //!   `SPARCML_TOPOLOGY` (`"2x4"`: 2 nodes × 4 ranks) or `SPARCML_NODES`
 //!   (`"0,0,0,0,1,1,1,1"`: per-rank node ids), which the socket launcher
-//!   exports for every rank next to the `SPARCML_RANK` bootstrap;
-//! * inferred — [`Topology::detect`] falls back to a single node when the
-//!   environment says nothing, the right default for loopback clusters
-//!   (every rank genuinely shares one host).
+//!   exports for every rank next to the `SPARCML_RANK` bootstrap. A
+//!   worker calls it once at start-up and hands the result to the
+//!   collectives; nothing reads the environment per call.
 
 use crate::error::CommError;
 
@@ -27,13 +26,6 @@ pub const ENV_TOPOLOGY: &str = "SPARCML_TOPOLOGY";
 
 /// Environment variable listing every rank's node id, comma-separated.
 pub const ENV_NODES: &str = "SPARCML_NODES";
-
-/// Environment variable carrying *this* rank's node id. The launcher
-/// exports it next to [`ENV_NODES`] so a rank process (or an operator
-/// shelling into one) can see its own placement without parsing the global
-/// map; manual multi-machine launches may set only this one per machine
-/// and build the global map out of band.
-pub const ENV_NODE: &str = "SPARCML_NODE";
 
 /// A partition of the ranks `0..size` into node groups.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,13 +149,6 @@ impl Topology {
             }
         }
         Ok(topo)
-    }
-
-    /// [`Topology::from_env`] with the loopback inference fallback: when
-    /// the environment says nothing, every rank is assumed to share one
-    /// node (true for loopback TCP and in-process clusters).
-    pub fn detect(size: usize) -> Result<Topology, CommError> {
-        Ok(Topology::from_env(size)?.unwrap_or_else(|| Topology::single_node(size)))
     }
 
     /// Total rank count.

@@ -46,7 +46,8 @@ pub trait Transport {
 
     /// The network cost model used for *planning* (the §5.3 adaptive
     /// selector and analytic estimates). For virtual-time transports this
-    /// also drives the clock; real transports return a calibration hint.
+    /// also drives the clock; real transports return the static hint
+    /// they were built with.
     fn cost(&self) -> &CostModel;
 
     /// Current time in seconds (virtual or wall, per implementation).

@@ -176,8 +176,8 @@ pub type HistoKey = (&'static str, &'static str, u8);
 ///
 /// The size class is `floor(log2 k)` of the per-rank element count, so
 /// measurements only ever mix with calls of comparable volume; the
-/// backend dimension keeps thread and reactor latencies in separate series
-/// so calibration comparisons never mix transports.
+/// backend dimension keeps thread and reactor latencies in separate
+/// series.
 #[derive(Debug, Default)]
 pub struct LatencyRegistry {
     inner: Mutex<BTreeMap<HistoKey, LatencyHisto>>,
@@ -213,16 +213,6 @@ impl LatencyRegistry {
             .iter()
             .map(|(k, v)| (*k, v.clone()))
             .collect()
-    }
-
-    /// Number of samples recorded under `(label, backend, size_class)`.
-    pub fn count(&self, label: &'static str, backend: &'static str, size_class: u8) -> u64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .get(&(label, backend, size_class))
-            .map(|h| h.count())
-            .unwrap_or(0)
     }
 
     /// Human-readable multi-line report: one line per key with count,
@@ -323,8 +313,12 @@ mod tests {
         let reg = LatencyRegistry::new();
         reg.record("ssar_split", "tcp", 1024, 0.002);
         reg.record("ssar_split", "reactor", 1024, 0.004);
-        assert_eq!(reg.count("ssar_split", "tcp", 10), 1);
-        assert_eq!(reg.count("ssar_split", "reactor", 10), 1);
-        assert_eq!(reg.count("ssar_split", "thread", 10), 0);
+        let snap = reg.snapshot();
+        let keys: Vec<HistoKey> = snap.iter().map(|(key, _)| *key).collect();
+        assert_eq!(
+            keys,
+            [("ssar_split", "reactor", 10), ("ssar_split", "tcp", 10)]
+        );
+        assert!(snap.iter().all(|(_, h)| h.count() == 1));
     }
 }

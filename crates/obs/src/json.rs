@@ -117,11 +117,17 @@ pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a complete JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] follows. The parser recurses
+/// per level, so unbounded input would overflow the stack; the trace and
+/// telemetry files this crate writes nest at most 8 deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document. Trailing non-whitespace and nesting
+/// deeper than 128 levels are errors.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -149,12 +155,17 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// `depth` is how many more container levels may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == 0 => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth - 1),
+        Some(b'[') => parse_arr(b, pos, depth - 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -244,7 +255,7 @@ fn parse_hex4(b: &[u8], at: usize) -> Result<u32, String> {
     u32::from_str_radix(text, 16).map_err(|_| format!("bad \\u escape {text:?}"))
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -253,7 +264,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -266,7 +277,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -279,7 +290,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -321,5 +332,12 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("").is_err());
+        // Nesting is bounded, so hostile depth is an error, not a stack
+        // overflow; the bound itself still parses.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        let at_bound = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&at_bound(MAX_DEPTH)).is_ok());
+        assert!(parse(&at_bound(MAX_DEPTH + 1)).is_err());
     }
 }

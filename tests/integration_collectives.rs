@@ -371,6 +371,38 @@ fn auto_costs_no_round_where_recursive_doubling_is_the_pick() {
 }
 
 #[test]
+fn auto_pick_has_no_call_history() {
+    // The schedule Auto runs is a function of the call alone: the 13th
+    // identical allreduce of a session costs exactly the virtual time and
+    // the messages of the first, at the latency-bound end (the pass is
+    // the collective) and where the pick is the sparse split.
+    let cost = CostModel::aries();
+    let (p, dim) = (8usize, 1 << 20);
+    for k in [100usize, 100_000] {
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| random_sparse(dim, k, 71 + r as u64))
+            .collect();
+        let calls = run_communicators(p, cost, |comm| {
+            (0..13)
+                .map(|_| {
+                    // Every call starts from a zeroed clock and counters.
+                    comm.reset_clock();
+                    comm.allreduce(&ins[comm.rank()])
+                        .launch()
+                        .and_then(|h| h.wait())
+                        .unwrap();
+                    (comm.clock(), comm.stats_snapshot().msgs_sent)
+                })
+                .collect::<Vec<_>>()
+        });
+        for (rank, per_call) in calls.iter().enumerate() {
+            assert!(per_call[0].1 > 0, "k={k} rank {rank}");
+            assert_eq!(per_call[12], per_call[0], "k={k} rank {rank}");
+        }
+    }
+}
+
+#[test]
 fn selector_choice_is_never_far_from_best() {
     // For a few workloads, the adaptive choice must be within 2x of the
     // best measured algorithm (it is allowed to be approximate).

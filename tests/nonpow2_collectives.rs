@@ -62,8 +62,16 @@ fn auto_is_bitwise_the_pinned_pick_whether_or_not_its_pass_was_the_collective() 
     let dim = 1 << 14;
     let (mut fused_cells, mut fallback_cells) = (0, 0);
     for p in [2usize, 3, 4, 5, 6, 7, 8, 9, 12, 16] {
-        // k = 0, 1, 64, 1e4 non-zeros per rank, and a dense input.
-        for nnz in [Some(0), Some(1), Some(64), Some(10_000), None] {
+        // k = 0, 1, 64, 1e4 non-zeros per rank, a dense input, and the
+        // empty dimension.
+        for (dim, nnz) in [
+            (dim, Some(0)),
+            (dim, Some(1)),
+            (dim, Some(64)),
+            (dim, Some(10_000)),
+            (dim, None),
+            (0, Some(0)),
+        ] {
             let ins: Vec<SparseStream<f32>> = (0..p)
                 .map(|r| match nnz {
                     Some(nnz) => random_sparse(dim, nnz, 4400 + r as u64),
@@ -90,8 +98,9 @@ fn auto_is_bitwise_the_pinned_pick_whether_or_not_its_pass_was_the_collective() 
             let expect = reference_sum(&ins);
             for (out, fused, fallback) in &pinned {
                 assert_eq!((*fused, *fallback), (0, 0), "a pinned call is not Auto");
+                assert_eq!(out.dim(), dim);
                 for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
-                    assert!((g - e).abs() < 1e-2, "{pick:?} P={p} nnz={nnz:?}");
+                    assert!((g - e).abs() < 1e-2, "{pick:?} P={p} N={dim} nnz={nnz:?}");
                 }
             }
             let outcome = if pick == Algorithm::SsarRecDbl {
@@ -104,7 +113,7 @@ fn auto_is_bitwise_the_pinned_pick_whether_or_not_its_pass_was_the_collective() 
             for nonblocking in [false, true] {
                 let auto = run(Algorithm::Auto, nonblocking);
                 for (rank, (a, b)) in auto.iter().zip(&pinned).enumerate() {
-                    let what = format!("P={p} nnz={nnz:?} rank {rank} pick {pick:?}");
+                    let what = format!("P={p} N={dim} nnz={nnz:?} rank {rank} pick {pick:?}");
                     assert_eq!(a.0, b.0, "{what}");
                     assert_eq!((a.1, a.2), outcome, "{what}");
                 }

@@ -382,11 +382,12 @@ fn engine_density_guard_splits_buckets_across_processes() {
 #[test]
 fn hierarchical_2x4_with_engine_on_subgroup_across_processes() {
     // 8 real OS processes pinned to a 2×4 topology (the launcher exports
-    // SPARCML_NODES/SPARCML_NODE to every rank). Exercises, across real
-    // sockets and processes:
-    //   1. hierarchical allreduce resolving its topology *from the
-    //      environment* (no explicit `.topology(..)` — the env bootstrap
-    //      is the point), bitwise-equal to the flat reference;
+    // SPARCML_NODES to every rank). Exercises, across real sockets and
+    // processes:
+    //   1. hierarchical allreduce over the topology each worker read
+    //      *from the environment* once at start-up (`Topology::from_env`
+    //      handed to `.topology(..)` — the env bootstrap is the point),
+    //      bitwise-equal to the flat reference;
     //   2. `Communicator::split` into node groups with a progress engine
     //      submitted onto each subgroup concurrently;
     //   3. a flat world collective afterwards (counters realigned).
@@ -408,17 +409,18 @@ fn hierarchical_2x4_with_engine_on_subgroup_across_processes() {
             let mut comm = Communicator::new(tp.detach());
             let rank = comm.rank();
             let input = integer_stream(rank, dim, nnz);
+            let env_topo = Topology::from_env(world)
+                .expect("launcher exports a valid topology")
+                .expect("SPARCML_NODES must be set for this job");
 
             let hier = comm
                 .allreduce(&input)
                 .algorithm(Algorithm::Hierarchical)
+                .topology(env_topo.clone())
                 .launch()
                 .and_then(|h| h.wait())
                 .unwrap();
 
-            let env_topo = Topology::from_env(world)
-                .expect("launcher exports a valid topology")
-                .expect("SPARCML_NODES must be set for this job");
             let mut sub = comm.split_by_topology(&env_topo).unwrap();
             let members = sub.transport().members().to_vec();
             let mut engine = sub.engine(EngineConfig::default());
