@@ -17,7 +17,7 @@
 use bytes::Bytes;
 use sparcml_bench::{fmt_time, header, print_row, BenchArgs};
 use sparcml_core::{run_communicators, Algorithm, Communicator, Endpoint};
-use sparcml_net::CostModel;
+use sparcml_net::{CostModel, Transport};
 use sparcml_opt::data::{generate_sparse, SparseDataset, SparseGenConfig};
 use sparcml_opt::loss::LinearLoss;
 use sparcml_opt::sgd::{sparse_batch_gradient, train_distributed, SgdConfig};

@@ -471,11 +471,6 @@ pub struct CollectiveHandle<'a, T: Transport + Send + 'static, R: Send + 'static
 }
 
 impl<T: Transport + Send + 'static, R: Send + 'static> CollectiveHandle<'_, T, R> {
-    /// Whether the collective is still running on a helper thread.
-    pub fn is_nonblocking(&self) -> bool {
-        matches!(self.state, HandleState::InFlight(_))
-    }
-
     /// Accounts local computation of `elements` element-ops: overlapped
     /// with the collective when non-blocking, serial when blocking.
     pub fn compute(&mut self, elements: usize) {

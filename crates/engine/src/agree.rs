@@ -8,12 +8,12 @@
 //! set of jobs a rank holds is always a prefix, and the common prefix
 //! (the minimum count) is exactly the set every rank can execute.
 //!
-//! When fusion is enabled the same round ([`agree_batch`]) additionally
-//! carries the density facts the bucket planner needs — telemetry
-//! non-zero sums and per-job stored lengths — so the density-aware
-//! [`crate::FusionPolicy`] costs no extra control latency. With fusion
-//! off the engine falls back to the plain 8-byte min round
-//! ([`agree_min_u64`]).
+//! The same round ([`agree_batch`], the one agreement function) also
+//! carries the density facts the bucket planner needs — the non-zero
+//! sums the engine measured on its own buckets and per-job stored
+//! lengths — so the density-aware [`crate::FusionPolicy`] costs no extra
+//! control latency. With fusion off the planner ignores them and the
+//! frames are merely 8 bytes per pending job longer than they need be.
 //!
 //! The round runs on a reserved *control* [`TagBlock`]
 //! (`TagBlock::control`), so its frames can never be confused with any
@@ -25,22 +25,11 @@
 use bytes::Bytes;
 use sparcml_net::{CommError, TagBlock, Transport};
 
-/// Sub-tag for rank→root count frames.
-const SUB_GATHER: u64 = 0;
-/// Sub-tag for the root→rank minimum broadcast.
-const SUB_RESULT: u64 = 1;
-/// Sub-tag for rank→root combined batch frames (job count + telemetry
-/// sums + per-job nnz).
+/// Sub-tag for rank→root batch frames (job count + reduced nnz sums +
+/// per-job nnz).
 const SUB_BATCH_GATHER: u64 = 2;
-/// Sub-tag for the root→rank combined count/fill/nnz broadcast.
+/// Sub-tag for the root→rank count/fill/nnz broadcast.
 const SUB_BATCH_RESULT: u64 = 3;
-
-fn decode_u64(payload: &[u8]) -> Result<u64, CommError> {
-    payload
-        .try_into()
-        .map(u64::from_le_bytes)
-        .map_err(|_| CommError::Protocol("malformed engine agreement frame".into()))
-}
 
 fn encode_u64s(words: impl IntoIterator<Item = u64>) -> Bytes {
     let mut buf = Vec::new();
@@ -65,56 +54,20 @@ fn decode_u64s(payload: &[u8], min_words: usize) -> Result<Vec<u64>, CommError> 
         .collect())
 }
 
-/// Agrees on `min(local)` across all ranks via a star over rank 0 (two
-/// 8-byte frames per non-root rank). Every rank must call this with the
-/// same `block`.
-pub(crate) fn agree_min_u64<T: Transport>(
-    tp: &mut T,
-    block: TagBlock,
-    local: u64,
-) -> Result<u64, CommError> {
-    let p = tp.size();
-    if p == 1 {
-        return Ok(local);
-    }
-    let rank = tp.rank();
-    if rank == 0 {
-        let mut min = local;
-        for src in 1..p {
-            let payload = tp.recv(src, block.tag(SUB_GATHER))?;
-            min = min.min(decode_u64(&payload)?);
-        }
-        let frame = Bytes::from(min.to_le_bytes().to_vec());
-        for dst in 1..p {
-            tp.send(dst, block.tag(SUB_RESULT), frame.clone())?;
-        }
-        Ok(min)
-    } else {
-        tp.send(
-            0,
-            block.tag(SUB_GATHER),
-            Bytes::from(local.to_le_bytes().to_vec()),
-        )?;
-        let payload = tp.recv(0, block.tag(SUB_RESULT))?;
-        decode_u64(&payload)
-    }
-}
-
-/// One combined batch-boundary control round: agrees on the common
-/// submitted-job prefix *and* the density facts the planner needs, in a
-/// single star over rank 0 — halving the engine's per-batch control
-/// latency versus separate min and density rounds.
+/// The batch-boundary control round: agrees on the common submitted-job
+/// prefix *and* the density facts the planner needs, in a single star
+/// over rank 0. Every rank must call this with the same `block`.
 ///
-/// Each rank contributes its submitted-job count, its telemetry
-/// non-zero sums (output and input across all collectives it has
-/// observed), and its pending jobs' stored lengths (`nnz[i]` is job
+/// Each rank contributes its submitted-job count, the non-zero sums of
+/// the buckets its engine has reduced so far (result nnz out, stored
+/// lengths in), and its pending jobs' stored lengths (`nnz[i]` is job
 /// `executed + i` on every rank — `executed` advances in lockstep, so
 /// the vectors align). Rank 0 takes the minimum count, sums the
-/// telemetry, elementwise-maxes the nnz over the agreed prefix, and
+/// sums, elementwise-maxes the nnz over the agreed prefix, and
 /// broadcasts the count, the measured *fill factor* —
 /// `Σoutput_nnz / Σinput_nnz` clamped to `[1, P]`, defaulting to `P`
-/// (zero assumed overlap, the conservative prior) when no density
-/// samples exist yet — and the agreed per-job nnz of the batch.
+/// (zero assumed overlap, the conservative prior) while nothing has
+/// been reduced yet — and the agreed per-job nnz of the batch.
 pub(crate) fn agree_batch<T: Transport>(
     tp: &mut T,
     block: TagBlock,
@@ -197,11 +150,18 @@ mod tests {
     use super::*;
     use sparcml_net::{run_cluster, run_thread_cluster, CostModel, TagBlockAllocator};
 
+    /// Agrees on a job count alone: `n` pending jobs of nnz 0, nothing
+    /// executed or reduced yet.
+    fn agree_count<T: Transport>(tp: &mut T, block: TagBlock, n: u64) -> u64 {
+        let nnz = vec![0; n as usize];
+        agree_batch(tp, block, 0, n, 0, 0, &nnz).unwrap().0
+    }
+
     #[test]
     fn agreement_finds_the_minimum() {
         let mins = run_cluster(5, CostModel::zero(), |ep| {
             let block = TagBlockAllocator::new().next_block();
-            agree_min_u64(ep, block, 10 + ep.rank() as u64).unwrap()
+            agree_count(ep, block, 10 + ep.rank() as u64)
         });
         assert_eq!(mins, vec![10; 5]);
     }
@@ -210,8 +170,8 @@ mod tests {
     fn successive_rounds_use_disjoint_blocks() {
         let outs = run_thread_cluster(3, |tp| {
             let mut alloc = TagBlockAllocator::new();
-            let a = agree_min_u64(tp, alloc.next_block(), tp.rank() as u64 + 1).unwrap();
-            let b = agree_min_u64(tp, alloc.next_block(), 100 - tp.rank() as u64).unwrap();
+            let a = agree_count(tp, alloc.next_block(), tp.rank() as u64 + 1);
+            let b = agree_count(tp, alloc.next_block(), 100 - tp.rank() as u64);
             (a, b)
         });
         assert!(outs.iter().all(|&o| o == (1, 98)));
@@ -220,7 +180,7 @@ mod tests {
     #[test]
     fn single_rank_is_trivial() {
         let outs = run_cluster(1, CostModel::zero(), |ep| {
-            agree_min_u64(ep, TagBlock::control(0), 7).unwrap()
+            agree_count(ep, TagBlock::control(0), 7)
         });
         assert_eq!(outs, vec![7]);
     }
@@ -262,7 +222,7 @@ mod tests {
 
     #[test]
     fn batch_agreement_defaults_to_p_without_samples() {
-        // No telemetry yet (input sum 0 everywhere): the fill factor
+        // Nothing reduced yet (input sum 0 everywhere): the fill factor
         // falls back to P, the zero-overlap conservative prior.
         let outs = run_cluster(3, CostModel::zero(), |ep| {
             let block = TagBlockAllocator::new().next_block();

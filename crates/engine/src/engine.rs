@@ -11,22 +11,22 @@
 //!    submitted jobs (one control round per batch, on a reserved
 //!    [`sparcml_net::TagBlock`]). Submissions happen in program order on
 //!    every rank, so the common prefix is exactly the set of jobs every
-//!    rank can execute without deadlocking a peer. When fusion is on,
-//!    the same round (`agree_batch`) also carries the batch's *agreed*
-//!    non-zero counts and the telemetry-measured fill factor, so the
-//!    density-aware planner costs no extra control latency.
+//!    rank can execute without deadlocking a peer. The same round
+//!    (`agree_batch`) also carries the batch's *agreed* non-zero counts
+//!    and the fill factor the engine has measured on its own buckets, so
+//!    the density-aware planner costs no extra control latency — and
+//!    what it plans depends on nothing but the jobs the engine was given
+//!    (no observability switch is read).
 //! 2. **Plan** — the batch is partitioned into fusion buckets
 //!    ([`FusionPolicy`]); planning uses only rank-invariant facts: job
 //!    kind, logical dimension, and the agreed nnz/fill from step 1. The
 //!    density guard ([`FusionPolicy::max_density`]) stops fusing once a
 //!    bucket's projected union density turns bandwidth-bound, so every
 //!    rank still derives the identical schedule.
-//! 3. **Execute** — buckets run in submission order (or
-//!    last-submitted-first when [`EngineConfig::priority_lifo`] is
-//!    set). A multi-job bucket fuses
-//!    its streams into one concatenated index space, reduces them as a
-//!    single collective (chunked when oversized), splits the result, and
-//!    resolves each ticket.
+//! 3. **Execute** — buckets run in submission order. A multi-job
+//!    bucket fuses its streams into one concatenated index space,
+//!    reduces them as a single collective (chunked when oversized),
+//!    splits the result, and resolves each ticket.
 //!
 //! # Contract
 //!
@@ -36,6 +36,7 @@
 //! bucket's tickets (and all later ones) resolve to the error instead of
 //! hanging, and [`Engine::join`] still returns the transport.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -46,7 +47,7 @@ use sparcml_net::{CommStats, TagBlockAllocator, Transport};
 use sparcml_obs as obs;
 use sparcml_stream::{fuse_streams, split_fused, FusedLayout, Scalar, SparseStream};
 
-use crate::agree::{agree_batch, agree_min_u64};
+use crate::agree::agree_batch;
 use crate::fusion::{plan_buckets, FusionPolicy, JobMeta};
 use crate::ticket::{Ticket, TicketState};
 
@@ -61,18 +62,6 @@ pub struct EngineConfig {
     /// Collective options (δ policy, quantization, …) shared by all
     /// engine allreduces.
     pub allreduce: AllreduceConfig,
-    /// Execute buckets last-submitted-first (DDP-style priority: the
-    /// most recently produced gradients go out first). `false` (the
-    /// default) = strict submission order.
-    ///
-    /// LIFO only pays off when jobs are submitted incrementally (e.g.
-    /// during backprop) and a caller wants late tickets early. For
-    /// group submissions waited in submission order it *costs* wall
-    /// time: every result then sits unconsumed until the batch's last
-    /// bucket, and that accumulate-then-burst delivery keeps the
-    /// allocator from recycling result buffers between collectives
-    /// (measured ~25-40% per-step overhead on singleton-heavy batches).
-    pub priority_lifo: bool,
 }
 
 impl Default for EngineConfig {
@@ -81,7 +70,6 @@ impl Default for EngineConfig {
             fusion: FusionPolicy::default(),
             algorithm: Algorithm::Auto,
             allreduce: AllreduceConfig::default(),
-            priority_lifo: false,
         }
     }
 }
@@ -106,7 +94,7 @@ pub struct EngineStats {
     /// Total chunks executed across chunked buckets.
     pub chunks: u64,
     /// Job submission indices in the order the engine executed them
-    /// (bucket by bucket) — the priority schedule, observable.
+    /// (bucket by bucket) — the schedule, observable.
     pub execution_order: Vec<u64>,
     /// Transport counters accumulated by the engine since it started
     /// (messages, bytes, collective ops — the fused-vs-unfused traffic
@@ -130,7 +118,6 @@ enum Job<V: Scalar> {
     Allreduce {
         idx: u64,
         input: Arc<SparseStream<V>>,
-        fusable: bool,
         tx: Sender<Result<SparseStream<V>, CollError>>,
     },
     /// Gather of every rank's stream; never fused.
@@ -149,17 +136,14 @@ impl<V: Scalar> Job<V> {
     }
 
     fn meta(&self) -> JobMeta {
-        match self {
-            Job::Allreduce { input, fusable, .. } => JobMeta {
-                dim: input.dim(),
-                nnz: input.stored_len(),
-                fusable: *fusable,
-            },
-            Job::Allgather { input, .. } => JobMeta {
-                dim: input.dim(),
-                nnz: input.stored_len(),
-                fusable: false,
-            },
+        let (input, fusable) = match self {
+            Job::Allreduce { input, .. } => (input, true),
+            Job::Allgather { input, .. } => (input, false),
+        };
+        JobMeta {
+            dim: input.dim(),
+            nnz: input.stored_len(),
+            fusable,
         }
     }
 
@@ -275,20 +259,11 @@ impl<T: Transport + Send + 'static, V: Scalar> Engine<T, V> {
         tickets
     }
 
-    fn allreduce_job(
-        &mut self,
-        input: Arc<SparseStream<V>>,
-        fusable: bool,
-    ) -> (Job<V>, Ticket<SparseStream<V>>) {
+    fn allreduce_job(&mut self, input: Arc<SparseStream<V>>) -> (Job<V>, Ticket<SparseStream<V>>) {
         let idx = self.next_idx;
         self.next_idx += 1;
         let (tx, rx) = unbounded();
-        let job = Job::Allreduce {
-            idx,
-            input,
-            fusable,
-            tx,
-        };
+        let job = Job::Allreduce { idx, input, tx };
         let ticket = Ticket {
             idx,
             thread_name: self.thread_name.clone(),
@@ -300,16 +275,7 @@ impl<T: Transport + Send + 'static, V: Scalar> Engine<T, V> {
     /// Submits a fusable allreduce of `input`; the ticket resolves to the
     /// global element-wise sum.
     pub fn submit_allreduce(&mut self, input: &SparseStream<V>) -> Ticket<SparseStream<V>> {
-        let (job, ticket) = self.allreduce_job(Arc::new(input.clone()), true);
-        self.enqueue(vec![job], vec![ticket])
-            .pop()
-            .expect("one ticket")
-    }
-
-    /// Submits an allreduce that must run as its own collective (never
-    /// fused with neighbors).
-    pub fn submit_allreduce_unfused(&mut self, input: &SparseStream<V>) -> Ticket<SparseStream<V>> {
-        let (job, ticket) = self.allreduce_job(Arc::new(input.clone()), false);
+        let (job, ticket) = self.allreduce_job(Arc::new(input.clone()));
         self.enqueue(vec![job], vec![ticket])
             .pop()
             .expect("one ticket")
@@ -327,7 +293,7 @@ impl<T: Transport + Send + 'static, V: Scalar> Engine<T, V> {
         let mut jobs = Vec::with_capacity(inputs.len());
         let mut tickets = Vec::with_capacity(inputs.len());
         for input in inputs {
-            let (job, ticket) = self.allreduce_job(Arc::new((*input).clone()), true);
+            let (job, ticket) = self.allreduce_job(Arc::new((*input).clone()));
             jobs.push(job);
             tickets.push(ticket);
         }
@@ -347,7 +313,7 @@ impl<T: Transport + Send + 'static, V: Scalar> Engine<T, V> {
         let mut jobs = Vec::with_capacity(inputs.len());
         let mut tickets = Vec::with_capacity(inputs.len());
         for input in inputs {
-            let (job, ticket) = self.allreduce_job(Arc::clone(input), true);
+            let (job, ticket) = self.allreduce_job(Arc::clone(input));
             jobs.push(job);
             tickets.push(ticket);
         }
@@ -458,6 +424,7 @@ fn progress_loop<T: Transport + Send + 'static, V: Scalar>(
     let sink = StatsSink {
         stats: &stats,
         baseline: &baseline,
+        reduced: Cell::new((0, 0)),
     };
     loop {
         if pending.is_empty() {
@@ -492,38 +459,26 @@ fn progress_loop<T: Transport + Send + 'static, V: Scalar>(
         }
         // Batch boundary: the common submitted prefix across ranks. Every
         // engine enters only while holding ≥ 1 pending job, so the agreed
-        // prefix always extends past `executed`. With fusion on, the same
-        // round carries the planner's density facts — per-rank stored
-        // lengths drift under error-feedback Top-k, so the density guard
-        // may only see *agreed* nnz and an agreed fill factor. The gate
-        // is rank-invariant (configuration only), so every rank picks the
-        // same frame format.
+        // prefix always extends past `executed`. The same round carries
+        // the planner's density facts — per-rank stored lengths drift
+        // under error-feedback Top-k, so the density guard may only see
+        // *agreed* nnz and an agreed fill factor, the latter from what
+        // this engine's own buckets took in and gave back so far.
         let n_local = executed + pending.len() as u64;
         let agree_span = obs::span_with(obs::Category::Engine, "agree-batch", n_local);
-        let mut fill = comm.size() as f64;
-        let mut agreed_nnz: Option<Vec<u64>> = None;
-        let agreement = if cfg.fusion.enabled {
-            let density = obs::telemetry::snapshot_local().density;
-            let nnz: Vec<u64> = pending.iter().map(|j| j.meta().nnz as u64).collect();
-            agree_batch(
-                comm.transport_mut(),
-                control.next_block(),
-                executed,
-                n_local,
-                density.output_nnz_sum,
-                density.input_nnz_sum,
-                &nnz,
-            )
-            .map(|(n, f, v)| {
-                fill = f;
-                agreed_nnz = Some(v);
-                n
-            })
-        } else {
-            agree_min_u64(comm.transport_mut(), control.next_block(), n_local)
-        };
-        let n_common = match agreement {
-            Ok(n) => n,
+        let nnz: Vec<u64> = pending.iter().map(|j| j.meta().nnz as u64).collect();
+        let (reduced_in, reduced_out) = sink.reduced.get();
+        let agreement = agree_batch(
+            comm.transport_mut(),
+            control.next_block(),
+            executed,
+            n_local,
+            reduced_out,
+            reduced_in,
+            &nnz,
+        );
+        let (n_common, fill, agreed_nnz) = match agreement {
+            Ok(agreed) => agreed,
             Err(e) => {
                 let e: CollError = e.into();
                 poison = Some(e.clone());
@@ -555,6 +510,11 @@ struct StatsSink<'a> {
     /// Transport counters at engine start; `EngineStats::comm` is the
     /// delta from here.
     baseline: &'a CommStats,
+    /// Stored lengths this engine's allreduce buckets took in and the
+    /// nnz their results came back with: `(Σin, Σout)`, the fill factor's
+    /// two terms. Nothing outside the progress thread feeds it, so the
+    /// plan is a function of the jobs alone.
+    reduced: Cell<(u64, u64)>,
 }
 
 impl StatsSink<'_> {
@@ -583,30 +543,24 @@ fn fail_all<V: Scalar>(
 }
 
 /// Plans and executes one agreed batch. `fill` and `agreed_nnz` come
-/// from the batch-boundary [`agree_batch`] round (fill defaults to P —
-/// the conservative zero-overlap prior — and `agreed_nnz` is absent
-/// when fusion is off and planning never reads nnz).
+/// from the batch-boundary [`agree_batch`] round (fill is P — the
+/// conservative zero-overlap prior — until a bucket has been reduced).
 fn run_batch<T: Transport + Send + 'static, V: Scalar>(
     comm: &mut Communicator<T>,
     cfg: &EngineConfig,
     batch: Vec<Job<V>>,
     fill: f64,
-    agreed_nnz: Option<Vec<u64>>,
+    agreed_nnz: Vec<u64>,
     sink: &StatsSink<'_>,
     poison: &mut Option<CollError>,
 ) {
     let mut metas: Vec<JobMeta> = batch.iter().map(Job::meta).collect();
-    if let Some(agreed) = agreed_nnz {
-        for (meta, nnz) in metas.iter_mut().zip(agreed) {
-            meta.nnz = nnz as usize;
-        }
+    for (meta, nnz) in metas.iter_mut().zip(agreed_nnz) {
+        meta.nnz = nnz as usize;
     }
     let plan_span = obs::span_with(obs::Category::Engine, "bucket-plan", metas.len() as u64);
-    let mut buckets = plan_buckets(&metas, &cfg.fusion, fill);
+    let buckets = plan_buckets(&metas, &cfg.fusion, fill);
     drop(plan_span);
-    if cfg.priority_lifo {
-        buckets.reverse();
-    }
     let mut slots: Vec<Option<Job<V>>> = batch.into_iter().map(Some).collect();
     for bucket in buckets {
         let jobs: Vec<Job<V>> = bucket
@@ -700,6 +654,11 @@ fn run_allreduce_bucket<T: Transport + Send + 'static, V: Scalar>(
     match outcome {
         Ok(parts) => {
             debug_assert_eq!(parts.len(), txs.len());
+            let (reduced_in, reduced_out) = sink.reduced.get();
+            sink.reduced.set((
+                reduced_in + inputs.iter().map(|s| s.stored_len() as u64).sum::<u64>(),
+                reduced_out + parts.iter().map(|s| s.nnz() as u64).sum::<u64>(),
+            ));
             for (part, tx) in parts.into_iter().zip(txs) {
                 let _ = tx.send(Ok(part));
             }
@@ -870,26 +829,5 @@ mod tests {
                 "stats lagged a resolved ticket: {seen:?}"
             );
         }
-    }
-
-    #[test]
-    fn lifo_priority_reverses_bucket_order() {
-        let outs = run_communicators(1, CostModel::zero(), |comm| {
-            let mut cfg = EngineConfig {
-                fusion: FusionPolicy::disabled(),
-                ..EngineConfig::default()
-            };
-            cfg.priority_lifo = true;
-            let mut engine = comm.engine::<f32>(cfg);
-            let a = random_sparse::<f32>(64, 4, 1);
-            let tickets = engine.submit_allreduce_group(&[&a, &a, &a]);
-            for t in tickets {
-                t.wait().unwrap();
-            }
-            let order = engine.stats().execution_order.clone();
-            engine.finish_into(comm).unwrap();
-            order
-        });
-        assert_eq!(outs[0], vec![2, 1, 0]);
     }
 }

@@ -64,8 +64,8 @@ pub(crate) struct JobMeta {
     /// Agreed non-zero count (elementwise max across ranks; the local
     /// stored length until the agreement round replaces it).
     pub nnz: usize,
-    /// Whether this job may share a bucket (allreduce jobs submitted
-    /// without an unfused override).
+    /// Whether this job may share a bucket: it is an allreduce
+    /// (allgathers never fuse).
     pub fusable: bool,
 }
 

@@ -4,7 +4,7 @@
 //! thread per rank owns the transport, drains a submission queue of
 //! collective jobs, and keeps any number of collectives in flight behind
 //! [`Ticket`] handles — the layer that turns per-layer sparse gradient
-//! exchanges into overlapped, fused, priority-scheduled traffic (the §8.3
+//! exchanges into overlapped, fused, in-order traffic (the §8.3
 //! execution style of the paper: "communication is done layer-wise using
 //! non-blocking calls", generalized from one helper thread per call to a
 //! persistent engine).
@@ -21,21 +21,19 @@
 //!   collective, then split back per ticket. `K` tiny layers pay one
 //!   per-collective latency instead of `K` (the δ of
 //!   [`FusionPolicy`]).
-//! * **Priority scheduling.** Buckets execute in submission order by
-//!   default; [`EngineConfig::priority_lifo`] opts into
-//!   last-submitted-first (DDP-style: the gradients that backprop
-//!   produces first are the ones the optimizer needs last, and vice
-//!   versa) for callers that submit incrementally and want late
-//!   tickets early.
+//! * **In-order execution.** Buckets execute in submission order, so a
+//!   caller that waits its tickets in submission order consumes each
+//!   result as it lands.
 //! * **Chunked pipelining.** A fused bucket larger than
 //!   [`FusionPolicy::max_chunk_elements`] is split into even index chunks
 //!   reduced back to back, bounding peak frame sizes.
 //! * **Cross-rank lockstep without global barriers.** Before executing,
-//!   engines agree on the common submitted-job prefix with one tiny
-//!   (8-byte) control round on a reserved [`sparcml_net::TagBlock`], so
+//!   engines agree on the common submitted-job prefix — and on the
+//!   density facts the planner needs, measured by the engine on its own
+//!   buckets and never read from an observability switch — with one
+//!   small control round on a reserved [`sparcml_net::TagBlock`], so
 //!   ranks whose queues drained at different speeds still execute the
-//!   identical batch schedule — the property that makes priority
-//!   reordering deadlock-free.
+//!   identical batch schedule.
 //!
 //! ```
 //! use sparcml_core::run_communicators;

@@ -1,15 +1,46 @@
-//! In-process cluster harness: spawns one thread per rank, wires all-to-all
-//! channels between them, and runs a caller-supplied rank program.
+//! In-process cluster harness: one thread per rank, all-to-all links
+//! between them, and a caller-supplied rank program.
 //!
-//! This is the stand-in for the paper's MPI job launch. Threads exchange
-//! real messages (the collectives execute their true communication
-//! schedules); *time* is virtual, driven by the [`CostModel`], so results
-//! are deterministic and model the paper's target networks.
-
-use crossbeam::channel::unbounded;
+//! This is the stand-in for the paper's MPI job launch. [`run_ranks`] is
+//! the one spawn / join / re-panic harness behind [`run_cluster`],
+//! [`crate::run_thread_cluster`] and
+//! [`crate::run_reactor_loopback_cluster`]; they differ only in what a
+//! rank is seated with. Under [`run_cluster`] threads exchange real
+//! messages (the collectives execute their true communication schedules)
+//! while *time* is virtual, driven by the [`CostModel`], so results are
+//! deterministic and model the paper's target networks.
 
 use crate::cost::CostModel;
-use crate::endpoint::{Endpoint, WireMsg};
+use crate::endpoint::Endpoint;
+use crate::transport::Transport;
+
+/// Runs `f(rank, seat)` on one scoped thread per seat and returns the
+/// results in rank order. Each thread owns its seat — a transport, or
+/// what it takes to build one — so a rank that returns *or panics* drops
+/// its session and its peers see it disconnect instead of waiting for it.
+///
+/// A panic in any rank program propagates (naming the lowest such rank)
+/// after all threads have been joined.
+pub(crate) fn run_ranks<S, R, F>(seats: Vec<S>, f: F) -> Vec<R>
+where
+    S: Send,
+    R: Send,
+    F: Fn(usize, S) -> R + Sync,
+{
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = seats
+            .into_iter()
+            .enumerate()
+            .map(|(rank, seat)| scope.spawn(move || f(rank, seat)))
+            .collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        if let Some(rank) = joined.iter().position(|out| out.is_err()) {
+            panic!("rank {rank} panicked inside the cluster");
+        }
+        joined.into_iter().flatten().collect()
+    })
+}
 
 /// Runs `f` once per rank on `size` concurrent rank threads and returns the
 /// per-rank results, indexed by rank.
@@ -21,50 +52,7 @@ where
     R: Send,
     F: Fn(&mut Endpoint) -> R + Sync,
 {
-    assert!(size > 0, "cluster needs at least one rank");
-    let mut txs = Vec::with_capacity(size);
-    let mut rxs = Vec::with_capacity(size);
-    for _ in 0..size {
-        let (tx, rx) = unbounded::<WireMsg>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let endpoints: Vec<Endpoint> = rxs
-        .into_iter()
-        .enumerate()
-        .map(|(rank, rx)| Endpoint::new(rank, size, txs.clone(), rx, cost))
-        .collect();
-    // Drop the original senders so channels disconnect once all ranks exit.
-    drop(txs);
-
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut ep)| {
-                scope.spawn(move || {
-                    let out = f(&mut ep);
-                    (rank, out)
-                })
-            })
-            .collect();
-        let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
-        let mut panicked: Option<usize> = None;
-        for (i, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok((rank, out)) => results[rank] = Some(out),
-                Err(_) => panicked = panicked.or(Some(i)),
-            }
-        }
-        if let Some(rank) = panicked {
-            panic!("rank {rank} panicked inside run_cluster");
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("all ranks returned"))
-            .collect()
-    })
+    run_ranks(Endpoint::connect(size, cost), |_, mut ep| f(&mut ep))
 }
 
 /// Runs a collective program on every rank and returns the *virtual
@@ -130,7 +118,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "panicked inside run_cluster")]
+    #[should_panic(expected = "rank 1 panicked inside the cluster")]
     fn rank_panic_propagates() {
         run_cluster(2, CostModel::zero(), |ep| {
             if ep.rank() == 1 {

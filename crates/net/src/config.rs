@@ -1,11 +1,12 @@
-//! Timeout and resource limits shared by the real transports.
+//! Timeout and resource limits of the transports.
 //!
-//! The virtual-time [`crate::Endpoint`] never waits on a wall clock, but
-//! the real backends ([`crate::ThreadTransport`],
-//! [`crate::ReactorTransport`]) must decide how long to wait for a peer
-//! before concluding it is lost. [`TransportConfig`] centralizes those
-//! knobs so every real transport fails loudly on the same schedule — a
-//! dead peer turns into a typed error instead of hanging a collective
+//! Every root transport must decide how long to wait for a peer that is
+//! alive but silent before giving up on it. [`TransportConfig`] holds
+//! that receive watchdog — its default is what [`crate::Endpoint`],
+//! [`crate::ThreadTransport`] and [`crate::ReactorTransport`] all start
+//! with, always counted in wall time, the virtual-time endpoint included
+//! — next to the socket transport's connect deadline and frame cap, so a
+//! lost peer turns into a typed error instead of hanging a collective
 //! (and any CI run) forever.
 
 use std::time::Duration;
@@ -22,7 +23,8 @@ pub const DEFAULT_MAX_FRAME_LEN: usize = 1 << 30;
 /// drive a giant allocation. See [`TransportConfig::for_server`].
 pub const SERVER_MAX_FRAME_LEN: usize = 1 << 26;
 
-/// Tunable limits for real (wall-clock) transports.
+/// Tunable limits: the receive watchdog every transport starts with, and
+/// the socket transport's bootstrap and framing bounds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Receive watchdog: how long a `recv` waits for a matching message

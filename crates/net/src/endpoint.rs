@@ -14,38 +14,34 @@
 //! A simultaneous pairwise exchange therefore costs `α + βL` per round and
 //! a serial fan-out of P−1 blocking sends costs `(P−1)α` at the sender —
 //! exactly the accounting the paper uses in §5.3.
+//!
+//! Only *time* is modelled. Matching, buffering and failure are the shared
+//! [`Mailbox`]'s, as on every root transport: a peer that finished, was
+//! dropped or panicked is [`CommError::PeerDisconnected`] at once, one
+//! that stays silent is [`CommError::Timeout`] after the receive watchdog
+//! — measured in wall time, so neither ever moves the virtual clock.
 
-use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 
+use crate::config::TransportConfig;
 use crate::cost::CostModel;
 use crate::error::CommError;
+use crate::mailbox::{Mailbox, Mesh};
 use crate::stats::CommStats;
 use crate::transport::Transport;
 
-/// A message in flight.
-#[derive(Debug, Clone)]
-pub struct WireMsg {
-    /// Sending rank.
-    pub src: usize,
-    /// Matching tag.
-    pub tag: u64,
-    /// Payload bytes (cheaply clonable).
-    pub payload: Bytes,
-    /// Virtual time at which the message is fully received.
-    pub arrival: f64,
-}
+/// A message body on the virtual link: the payload and the virtual time
+/// at which it is fully received.
+type Timed = (Bytes, f64);
 
-/// One rank's endpoint into the communicator.
+/// One rank's endpoint into the communicator: a channel mesh into its
+/// peers, the shared mailbox for everything on the receive side, the
+/// virtual clock and the counters.
 pub struct Endpoint {
-    rank: usize,
-    size: usize,
-    senders: Vec<Sender<WireMsg>>,
-    inbox: Receiver<WireMsg>,
-    /// Out-of-order buffer for messages received before they were asked for.
-    pending: HashMap<(usize, u64), VecDeque<WireMsg>>,
+    mesh: Mesh<Timed>,
+    mailbox: Mailbox<Timed>,
     cost: CostModel,
     clock: f64,
     /// Monotonic per-endpoint counter used to derive collective op tags;
@@ -58,104 +54,36 @@ pub struct Endpoint {
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
-            .field("rank", &self.rank)
-            .field("size", &self.size)
+            .field("rank", &self.mesh.rank)
+            .field("size", &self.mesh.size())
             .field("clock", &self.clock)
             .finish()
     }
 }
 
 impl Endpoint {
-    pub(crate) fn new(
-        rank: usize,
-        size: usize,
-        senders: Vec<Sender<WireMsg>>,
-        inbox: Receiver<WireMsg>,
-        cost: CostModel,
-    ) -> Self {
-        Endpoint {
-            rank,
-            size,
-            senders,
-            inbox,
-            pending: HashMap::new(),
-            cost,
-            clock: 0.0,
-            op_counter: 0,
-            stats: CommStats::default(),
-        }
+    /// Wires a fully connected `size`-rank communicator whose clocks
+    /// charge `cost`, one endpoint per rank.
+    pub(crate) fn connect(size: usize, cost: CostModel) -> Vec<Endpoint> {
+        Mesh::connect(size, TransportConfig::default().recv_timeout)
+            .into_iter()
+            .map(|(mesh, mailbox)| Endpoint {
+                mesh,
+                mailbox,
+                cost,
+                clock: 0.0,
+                op_counter: 0,
+                stats: CommStats::default(),
+            })
+            .collect()
     }
 
-    /// This rank's id in `[0, size)`.
-    #[inline]
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Communicator size `P`.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The cost model the virtual clock charges, which is also the one
-    /// algorithm selection plans with.
-    #[inline]
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Current virtual time in seconds.
-    #[inline]
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
-    /// Communication statistics accumulated so far.
-    #[inline]
-    pub fn stats(&self) -> &CommStats {
-        &self.stats
-    }
-
-    /// Mutable statistics access (see [`Transport::stats_mut`]).
-    #[inline]
-    pub fn stats_mut(&mut self) -> &mut CommStats {
-        &mut self.stats
-    }
-
-    /// Resets the virtual clock and statistics (between experiment trials).
-    pub fn reset_clock(&mut self) {
-        self.clock = 0.0;
-        self.stats = CommStats::default();
-    }
-
-    /// Advances the clock to `t` if `t` is later.
-    #[inline]
-    pub fn advance_clock_to(&mut self, t: f64) {
-        if t > self.clock {
-            self.clock = t;
-        }
-    }
-
-    /// Adds `seconds` of non-overlappable local work.
-    #[inline]
-    pub fn charge_seconds(&mut self, seconds: f64) {
-        self.clock += seconds;
-    }
-
-    /// Charges local reduction work of `elements` element operations.
-    #[inline]
-    pub fn compute(&mut self, elements: usize) {
-        self.clock += self.cost.compute_time(elements);
-        self.stats.compute_elements += elements as u64;
-    }
-
-    /// Allocates a fresh collective operation id. All ranks call collectives
-    /// in the same order, so ids agree across the communicator.
-    pub fn next_op_id(&mut self) -> u64 {
-        self.op_counter += 1;
-        self.stats.collectives += 1;
-        self.op_counter
+    /// Overrides the receive watchdog (default 30 s, as on the other
+    /// transports): how long `recv` waits, in *wall* time, for a peer that
+    /// is alive but silent before giving up with [`CommError::Timeout`].
+    /// The wait is never charged to the virtual clock.
+    pub fn set_recv_deadline(&mut self, deadline: Duration) {
+        self.mailbox.set_recv_timeout(deadline);
     }
 
     fn push_msg(
@@ -165,139 +93,28 @@ impl Endpoint {
         payload: Bytes,
         alpha_charge: f64,
     ) -> Result<(), CommError> {
-        if dst >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: dst,
-                size: self.size,
-            });
-        }
         let len = payload.len();
         let arrival = self.clock + self.cost.transfer_time(len);
+        self.mesh.send(dst, tag, (payload, arrival))?;
         self.clock += alpha_charge;
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += len as u64;
-        let msg = WireMsg {
-            src: self.rank,
-            tag,
-            payload,
-            arrival,
-        };
-        self.senders[dst]
-            .send(msg)
-            .map_err(|_| CommError::PeerDisconnected { peer: dst })
+        Ok(())
     }
 
-    /// Blocking send: charges the full injection latency α to the sender.
-    pub fn send(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
-        let alpha = self.cost.alpha;
-        self.push_msg(dst, tag, payload, alpha)
-    }
-
-    /// Non-blocking send: charges only `α · isend_alpha_fraction`, modelling
-    /// injection offload (§5.3.2 latency mitigation).
-    pub fn isend(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
-        let alpha = self.cost.alpha * self.cost.isend_alpha_fraction;
-        self.push_msg(dst, tag, payload, alpha)
-    }
-
-    /// Receives the next message from `src` with `tag`, blocking as needed.
-    /// Advances the virtual clock to the message arrival time.
-    pub fn recv(&mut self, src: usize, tag: u64) -> Result<Bytes, CommError> {
-        if src >= self.size {
-            return Err(CommError::InvalidRank {
-                rank: src,
-                size: self.size,
-            });
-        }
-        // Serve from the out-of-order buffer first.
-        if let Some(queue) = self.pending.get_mut(&(src, tag)) {
-            if let Some(msg) = queue.pop_front() {
-                return Ok(self.accept(msg));
-            }
-        }
-        loop {
-            let msg = self
-                .inbox
-                .recv()
-                .map_err(|_| CommError::PeerDisconnected { peer: src })?;
-            if msg.src == src && msg.tag == tag {
-                return Ok(self.accept(msg));
-            }
-            self.pending
-                .entry((msg.src, msg.tag))
-                .or_default()
-                .push_back(msg);
-        }
-    }
-
-    /// Receives one message carrying `tag` from *any* source.
-    pub fn recv_any(&mut self, tag: u64) -> Result<(usize, Bytes), CommError> {
-        // Buffered messages first, in rank order for determinism.
-        let mut buffered: Option<(usize, u64)> = None;
-        for (&(src, t), queue) in self.pending.iter() {
-            if t == tag && !queue.is_empty() {
-                match buffered {
-                    Some((best, _)) if best <= src => {}
-                    _ => buffered = Some((src, t)),
-                }
-            }
-        }
-        if let Some(key) = buffered {
-            let msg = self
-                .pending
-                .get_mut(&key)
-                .and_then(|q| q.pop_front())
-                .expect("non-empty");
-            let src = msg.src;
-            return Ok((src, self.accept(msg)));
-        }
-        loop {
-            let msg = self
-                .inbox
-                .recv()
-                .map_err(|_| CommError::PeerDisconnected { peer: self.rank })?;
-            if msg.tag == tag {
-                let src = msg.src;
-                return Ok((src, self.accept(msg)));
-            }
-            self.pending
-                .entry((msg.src, msg.tag))
-                .or_default()
-                .push_back(msg);
-        }
-    }
-
-    fn accept(&mut self, msg: WireMsg) -> Bytes {
-        self.advance_clock_to(msg.arrival);
+    fn accept(&mut self, (payload, arrival): Timed) -> Bytes {
+        self.advance_clock_to(arrival);
         self.stats.msgs_recv += 1;
-        self.stats.bytes_recv += msg.payload.len() as u64;
-        msg.payload
-    }
-
-    /// Simultaneous exchange with a peer (send then receive); the common
-    /// primitive of recursive doubling/halving.
-    pub fn exchange(&mut self, peer: usize, tag: u64, payload: Bytes) -> Result<Bytes, CommError> {
-        self.send(peer, tag, payload)?;
-        self.recv(peer, tag)
-    }
-
-    /// Replaces `self` with an inert single-rank placeholder and returns
-    /// the real endpoint — the hand-off pattern used by non-blocking
-    /// collectives, which run on a helper thread owning the endpoint.
-    ///
-    /// After detaching, `self.rank()`/`self.size()` report the placeholder
-    /// (rank 0 of 1): read any rank-dependent state *before* calling this.
-    pub fn detach(&mut self) -> Endpoint {
-        std::mem::replace(self, standalone_endpoint())
+        self.stats.bytes_recv += payload.len() as u64;
+        payload
     }
 }
 
-/// [`Transport`] implementation: the virtual-time transport is the
-/// reference implementor — every method delegates to the inherent
-/// `Endpoint` API above.
+/// The virtual-time transport is the reference implementor: the clock
+/// rules of the module docs are these method bodies.
 impl Transport for Endpoint {
     fn rank(&self) -> usize {
-        Endpoint::rank(self)
+        self.mesh.rank
     }
 
     fn backend_name(&self) -> &'static str {
@@ -305,75 +122,95 @@ impl Transport for Endpoint {
     }
 
     fn size(&self) -> usize {
-        Endpoint::size(self)
+        self.mesh.size()
     }
 
+    /// The cost model the virtual clock charges, which is also the one
+    /// algorithm selection plans with.
     fn cost(&self) -> &CostModel {
-        Endpoint::cost(self)
+        &self.cost
     }
 
+    /// Current virtual time in seconds.
     fn clock(&self) -> f64 {
-        Endpoint::clock(self)
+        self.clock
     }
 
     fn advance_clock_to(&mut self, t: f64) {
-        Endpoint::advance_clock_to(self, t)
+        if t > self.clock {
+            self.clock = t;
+        }
     }
 
     fn charge_seconds(&mut self, seconds: f64) {
-        Endpoint::charge_seconds(self, seconds)
+        self.clock += seconds;
     }
 
+    /// Charges `γ · elements` of local reduction work to the clock.
     fn compute(&mut self, elements: usize) {
-        Endpoint::compute(self, elements)
+        self.clock += self.cost.compute_time(elements);
+        self.stats.compute_elements += elements as u64;
     }
 
     fn next_op_id(&mut self) -> u64 {
-        Endpoint::next_op_id(self)
+        self.op_counter += 1;
+        self.stats.collectives += 1;
+        self.op_counter
     }
 
     fn stats(&self) -> &CommStats {
-        Endpoint::stats(self)
+        &self.stats
     }
 
     fn stats_mut(&mut self) -> &mut CommStats {
-        Endpoint::stats_mut(self)
+        &mut self.stats
     }
 
+    /// Resets the virtual clock and statistics (between experiment trials).
     fn reset_clock(&mut self) {
-        Endpoint::reset_clock(self)
+        self.clock = 0.0;
+        self.stats = CommStats::default();
     }
 
+    /// Blocking send: charges the full injection latency α to the sender;
+    /// the message arrives at `clock_before_send + α + β·len`.
     fn send(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
-        Endpoint::send(self, dst, tag, payload)
+        let alpha = self.cost.alpha;
+        self.push_msg(dst, tag, payload, alpha)
     }
 
+    /// Non-blocking send: charges only `α · isend_alpha_fraction`, modelling
+    /// injection offload (§5.3.2 latency mitigation); the wire latency is
+    /// unchanged.
     fn isend(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
-        Endpoint::isend(self, dst, tag, payload)
+        let alpha = self.cost.alpha * self.cost.isend_alpha_fraction;
+        self.push_msg(dst, tag, payload, alpha)
     }
 
+    /// Advances the virtual clock to the message's arrival time. A receive
+    /// that fails — the peer is gone, or silent for the wall-clock watchdog
+    /// — leaves the clock where the last delivered message put it.
     fn recv(&mut self, src: usize, tag: u64) -> Result<Bytes, CommError> {
-        Endpoint::recv(self, src, tag)
+        let msg = self.mailbox.recv(src, tag)?;
+        Ok(self.accept(msg))
     }
 
     fn recv_any(&mut self, tag: u64) -> Result<(usize, Bytes), CommError> {
-        Endpoint::recv_any(self, tag)
-    }
-
-    fn exchange(&mut self, peer: usize, tag: u64, payload: Bytes) -> Result<Bytes, CommError> {
-        Endpoint::exchange(self, peer, tag, payload)
+        let (src, msg) = self.mailbox.recv_any(tag)?;
+        Ok((src, self.accept(msg)))
     }
 
     fn detach(&mut self) -> Endpoint {
-        Endpoint::detach(self)
+        std::mem::replace(self, standalone_endpoint())
     }
 }
 
 /// Creates a disconnected single-rank endpoint with a free cost model.
 /// Useful as a placeholder during non-blocking hand-off and in unit tests.
 pub fn standalone_endpoint() -> Endpoint {
-    let (tx, rx) = crossbeam::channel::unbounded();
-    Endpoint::new(0, 1, vec![tx], rx, CostModel::zero())
+    Endpoint::connect(1, CostModel::zero())
+        .pop()
+        .expect("single-rank communicator")
 }
 
 #[cfg(test)]
@@ -446,6 +283,35 @@ mod tests {
         });
         assert_eq!(clocks[0], 0.5); // α/4 charged locally
         assert_eq!(clocks[1], 2.0); // wire latency unchanged
+    }
+
+    #[test]
+    fn failed_receives_leave_the_virtual_clock_alone() {
+        let cost = CostModel {
+            alpha: 1.0,
+            beta: 0.0,
+            gamma: 0.0,
+            isend_alpha_fraction: 0.0,
+        };
+        let clocks = run_cluster(2, cost, |ep| {
+            if ep.rank() == 0 {
+                ep.send(1, 1, Bytes::new()).unwrap();
+                let _ = ep.recv(1, 2).unwrap(); // alive but silent until released
+            } else {
+                let _ = ep.recv(0, 1).unwrap();
+                ep.set_recv_deadline(Duration::from_millis(20));
+                let silent = ep.recv(0, 1).unwrap_err();
+                assert!(matches!(silent, CommError::Timeout { peer: 0, .. }));
+                ep.set_recv_deadline(Duration::from_secs(30));
+                ep.isend(0, 2, Bytes::new()).unwrap(); // free at fraction 0
+                let gone = ep.recv(0, 1).unwrap_err();
+                assert_eq!(gone, CommError::PeerDisconnected { peer: 0 });
+            }
+            ep.clock()
+        });
+        // The one delivered message arrived at α; neither the 20 ms of wall
+        // time spent waiting nor the disconnect is on rank 1's clock.
+        assert_eq!(clocks[1], 1.0);
     }
 
     #[test]

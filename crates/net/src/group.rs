@@ -140,11 +140,6 @@ impl<T: Transport> GroupTransport<T> {
         &self.members
     }
 
-    /// Translates a group rank to its base rank.
-    pub fn base_rank_of(&self, group_rank: usize) -> Option<usize> {
-        self.members.get(group_rank).copied()
-    }
-
     /// Borrows the base transport (e.g. to read base-level coordinates).
     pub fn parent(&self) -> &T {
         &self.base

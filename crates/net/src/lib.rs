@@ -13,7 +13,7 @@
 //!   α–β(–γ) cost model of §5.2. Collectives execute their genuine
 //!   communication schedules while completion times remain deterministic
 //!   and network-parameterized.
-//! * [`ThreadTransport`]: the same matching rules on real concurrent OS
+//! * [`ThreadTransport`]: the same programs on real concurrent OS
 //!   threads with wall-clock time.
 //! * [`ReactorTransport`]: real sockets — a rendezvous bootstrap, a full
 //!   mesh of persistent connections, length-prefixed frames carrying the
@@ -23,6 +23,13 @@
 //!   [`launcher::run_socket_cluster`] or manually via the
 //!   `SPARCML_RANK`/`SPARCML_WORLD`/`SPARCML_ROOT_ADDR` environment
 //!   bootstrap. Linux only (epoll); the other two are portable.
+//!
+//! The three differ in how bytes move and what the clock means, not in
+//! how a message is received: `(source, tag)` matching, the out-of-order
+//! buffer, the receive watchdog and the disconnect rule are one crate-
+//! private mailbox under all of them, so a finished, dropped or panicked
+//! peer is [`CommError::PeerDisconnected`] at once and a silent one is
+//! [`CommError::Timeout`] after the watchdog, whichever transport it is.
 //!
 //! ```
 //! use sparcml_net::{run_cluster, CostModel, Transport};
@@ -39,6 +46,7 @@
 #![warn(missing_docs)]
 
 mod bootstrap;
+mod clock;
 mod cluster;
 mod config;
 mod cost;
@@ -60,7 +68,7 @@ pub use bootstrap::TCP_PROTOCOL_VERSION;
 pub use cluster::{max_virtual_time, run_cluster};
 pub use config::{TransportConfig, DEFAULT_MAX_FRAME_LEN, SERVER_MAX_FRAME_LEN};
 pub use cost::{CostModel, TopologyCostModel, ENV_COST_MODEL};
-pub use endpoint::{standalone_endpoint, Endpoint, WireMsg};
+pub use endpoint::{standalone_endpoint, Endpoint};
 pub use error::CommError;
 pub use group::GroupTransport;
 pub use launcher::{run_socket_cluster, run_socket_cluster_outcomes, LaunchOptions, RankOutcome};

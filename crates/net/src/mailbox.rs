@@ -1,238 +1,305 @@
-//! The tag-matched delivery front-end of the socket transport.
+//! The one receive path: `(source, tag)` matching for every root transport.
 //!
-//! [`crate::ReactorTransport`]'s event loop feeds completed frames and
-//! close notices into a single channel, and the transport's owning thread
-//! matches them against `(source, tag)` receive requests with
-//! ThreadTransport-identical semantics. [`Mailbox`] is that front-end:
-//! the matching, buffering, watchdog, and failure rules, kept apart from
-//! the socket I/O.
+//! A link — the channel [`Mesh`] between rank threads, or a socket event
+//! loop — posts [`Event`]s into a rank's [`Mailbox`]; the transport's
+//! owning thread asks the mailbox for the message it wants. Matching, the
+//! out-of-order buffer, rank-ordered `recv_any`, the receive watchdog and
+//! the per-peer close registry live here and nowhere else, so every
+//! transport fails the same way: a peer whose link ended (it finished, was
+//! dropped, or panicked) is [`CommError::PeerDisconnected`] once everything
+//! it sent has been consumed; one that stays silent is
+//! [`CommError::Timeout`] after `recv_timeout` of *wall* time, and the
+//! session stays usable.
+//!
+//! The mailbox is generic over the message body `M` (the payload on the
+//! wall-clock links, payload plus modelled arrival time on the virtual
+//! one). It keeps no statistics and reads no clock but the watchdog's:
+//! what a delivered message means for time and counters is the owning
+//! transport's business.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::CommError;
-use crate::stats::CommStats;
 
-/// What transport I/O code feeds into the mailbox channel.
+/// What a link posts into a mailbox.
 #[derive(Debug)]
-pub(crate) enum Event {
-    /// A complete data frame arrived from `src`.
-    Msg {
-        /// Source rank.
-        src: usize,
-        /// Message tag.
-        tag: u64,
-        /// Frame payload.
-        payload: Bytes,
-    },
-    /// The connection to `src` is unusable (clean close, mid-frame close,
-    /// oversized declaration, or an I/O error on either direction).
-    Closed {
-        /// Rank whose connection ended.
-        src: usize,
-        /// Human-readable close reason.
-        detail: String,
-    },
+pub(crate) enum Event<M> {
+    /// A complete message arrived from `src`.
+    Msg { src: usize, tag: u64, body: M },
+    /// The link to `src` ended: its session finished or was dropped, or
+    /// its socket closed or failed. Travels the same channel as the
+    /// peer's data, so it is seen only after everything sent before it.
+    Closed { src: usize, detail: String },
 }
 
 /// One rank's receive side: the inbox channel, the out-of-order buffer,
-/// and the per-peer close registry.
-pub(crate) struct Mailbox {
+/// the watchdog and the per-peer close registry.
+pub(crate) struct Mailbox<M> {
     rank: usize,
     size: usize,
-    inbox: Receiver<Event>,
-    /// Loopback sender: self-sends, and it keeps the inbox connected.
-    loopback: Sender<Event>,
-    /// Out-of-order buffer for messages received before they were asked
-    /// for, keyed `(src, tag)` — identical matching semantics to
-    /// [`crate::ThreadTransport`].
-    pending: HashMap<(usize, u64), VecDeque<Bytes>>,
-    /// Close reason per peer, once its connection ended.
+    inbox: Receiver<Event<M>>,
+    /// Hands out link senders; also keeps the inbox connected, so the
+    /// close registry — not channel disconnection — is what ends a wait.
+    loopback: Sender<Event<M>>,
+    /// Messages received before they were asked for. Queues are removed
+    /// when they empty, so the map holds only what is actually buffered.
+    pending: HashMap<(usize, u64), VecDeque<M>>,
+    /// Close reason per peer, once its link ended.
     closed: Vec<Option<String>>,
+    /// Receive watchdog: how long one receive waits, in wall time.
+    recv_timeout: Duration,
 }
 
-impl Mailbox {
-    pub(crate) fn new(rank: usize, size: usize) -> Mailbox {
-        let (loopback, inbox) = unbounded::<Event>();
+impl<M> Mailbox<M> {
+    pub(crate) fn new(rank: usize, size: usize, recv_timeout: Duration) -> Mailbox<M> {
+        let (loopback, inbox) = unbounded();
         Mailbox {
             rank,
             size,
             inbox,
             loopback,
             pending: HashMap::new(),
-            closed: vec![None; size],
+            closed: (0..size).map(|_| None).collect(),
+            recv_timeout,
         }
     }
 
-    /// A sender handle for the event loop.
-    pub(crate) fn sender(&self) -> Sender<Event> {
+    /// A sender handle for a link to post into this mailbox.
+    pub(crate) fn sender(&self) -> Sender<Event<M>> {
         self.loopback.clone()
     }
 
-    /// Queues a self-send directly into the inbox.
-    pub(crate) fn push_self(&self, tag: u64, payload: Bytes) -> Result<(), CommError> {
+    /// Queues a message from this rank to itself.
+    pub(crate) fn push_self(&self, tag: u64, body: M) {
         let src = self.rank;
-        self.loopback
-            .send(Event::Msg { src, tag, payload })
-            .map_err(|_| CommError::PeerDisconnected { peer: src })
+        // Cannot fail: this mailbox holds the receiving end.
+        let _ = self.loopback.send(Event::Msg { src, tag, body });
     }
 
-    /// Why the connection to `peer` ended, once it has.
+    /// Overrides the receive watchdog.
+    pub(crate) fn set_recv_timeout(&mut self, recv_timeout: Duration) {
+        self.recv_timeout = recv_timeout;
+    }
+
+    /// Why the link to `peer` ended, once it has.
     pub(crate) fn close_reason(&self, peer: usize) -> Option<&str> {
         self.closed.get(peer).and_then(|c| c.as_deref())
     }
 
-    fn accept(stats: &mut CommStats, payload: Bytes) -> Bytes {
-        stats.msgs_recv += 1;
-        stats.bytes_recv += payload.len() as u64;
-        payload
-    }
-
-    /// Blocks for the next inbox event, bounded by the remaining watchdog
-    /// budget (measured from `started`, when the receive began).
-    fn next_event(
-        &self,
-        started: Instant,
-        deadline: Instant,
-        waiting_on: usize,
-    ) -> Result<Event, CommError> {
-        let budget = deadline.saturating_duration_since(Instant::now());
-        match self.inbox.recv_timeout(budget) {
-            Ok(event) => Ok(event),
-            Err(RecvTimeoutError::Timeout) => Err(CommError::Timeout {
-                peer: waiting_on,
-                waited: started.elapsed(),
-            }),
-            // Unreachable in practice: we hold a loopback sender.
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(CommError::PeerDisconnected { peer: waiting_on })
-            }
-        }
-    }
-
-    /// Records one inbox event: close notices update `closed`, messages
-    /// carrying `tag` are returned, everything else is buffered into
-    /// `pending` for later matching.
-    fn note_event(
-        &mut self,
-        event: Event,
-        tag: u64,
-        stats: &mut CommStats,
-    ) -> Option<(usize, Bytes)> {
-        match event {
-            Event::Msg {
-                src,
-                tag: t,
-                payload,
-            } => {
-                if t == tag {
-                    return Some((src, Mailbox::accept(stats, payload)));
-                }
-                self.pending.entry((src, t)).or_default().push_back(payload);
-            }
-            Event::Closed { src, detail } => {
-                if self.closed[src].is_none() {
-                    self.closed[src] = Some(detail);
-                }
-            }
-        }
-        None
-    }
-
-    /// Receives the next message from `src` with `tag`, waiting up to the
-    /// watchdog `deadline` measured from now.
-    pub(crate) fn recv(
-        &mut self,
-        src: usize,
-        tag: u64,
-        recv_timeout: std::time::Duration,
-        stats: &mut CommStats,
-    ) -> Result<Bytes, CommError> {
+    /// Receives the next message from `src` with `tag`.
+    pub(crate) fn recv(&mut self, src: usize, tag: u64) -> Result<M, CommError> {
         if src >= self.size {
             return Err(CommError::InvalidRank {
                 rank: src,
                 size: self.size,
             });
         }
-        if let Some(queue) = self.pending.get_mut(&(src, tag)) {
-            if let Some(payload) = queue.pop_front() {
-                return Ok(Mailbox::accept(stats, payload));
-            }
+        match self.take_pending(src, tag) {
+            Some(body) => Ok(body),
+            None => self.wait_for(Some(src), tag).map(|(_, body)| body),
         }
-        if self.closed[src].is_some() {
-            // Everything the peer ever sent was already drained into
-            // `pending`; nothing matched, and nothing more can arrive.
-            return Err(CommError::PeerDisconnected { peer: src });
+    }
+
+    /// Receives one message carrying `tag` from any source — buffered
+    /// messages first, lowest rank first for determinism.
+    pub(crate) fn recv_any(&mut self, tag: u64) -> Result<(usize, M), CommError> {
+        let buffered = self
+            .pending
+            .keys()
+            .filter(|&&(_, t)| t == tag)
+            .map(|&(src, _)| src)
+            .min();
+        if let Some(src) = buffered {
+            let body = self.take_pending(src, tag).expect("queues are non-empty");
+            return Ok((src, body));
         }
-        let started = Instant::now();
-        let deadline = started + recv_timeout;
+        self.wait_for(None, tag)
+    }
+
+    fn take_pending(&mut self, src: usize, tag: u64) -> Option<M> {
+        let Entry::Occupied(mut queue) = self.pending.entry((src, tag)) else {
+            return None;
+        };
+        let body = queue.get_mut().pop_front();
+        if queue.get().is_empty() {
+            queue.remove();
+        }
+        body
+    }
+
+    /// Reads the inbox until a message with `tag` from `from` (any source
+    /// if `None`) shows up, buffering everything else, for at most
+    /// `recv_timeout`.
+    fn wait_for(&mut self, from: Option<usize>, tag: u64) -> Result<(usize, M), CommError> {
+        // The watchdog starts at the first wait: a message that is already
+        // queued costs no clock read.
+        let mut started = None;
+        let waiting_on = from.unwrap_or(self.rank);
         loop {
-            match self.next_event(started, deadline, src)? {
-                Event::Msg {
-                    src: s,
-                    tag: t,
-                    payload,
-                } => {
-                    if s == src && t == tag {
-                        return Ok(Mailbox::accept(stats, payload));
+            // Everything already queued (self-sends included) is looked at
+            // before concluding from `closed` that nothing more can come.
+            let event = match self.inbox.try_recv() {
+                Some(event) => event,
+                None => {
+                    if let Some(peer) = self.lost(from) {
+                        return Err(CommError::PeerDisconnected { peer });
                     }
-                    self.pending.entry((s, t)).or_default().push_back(payload);
+                    let started = *started.get_or_insert_with(Instant::now);
+                    let budget = self.recv_timeout.saturating_sub(started.elapsed());
+                    match self.inbox.recv_timeout(budget) {
+                        Ok(event) => event,
+                        Err(RecvTimeoutError::Timeout) => {
+                            return Err(CommError::Timeout {
+                                peer: waiting_on,
+                                waited: started.elapsed(),
+                            })
+                        }
+                        // Unreachable in practice: we hold a sender.
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(CommError::PeerDisconnected { peer: waiting_on })
+                        }
+                    }
                 }
-                Event::Closed { src: s, detail } => {
-                    if self.closed[s].is_none() {
-                        self.closed[s] = Some(detail);
+            };
+            match event {
+                Event::Msg { src, tag: t, body } => {
+                    if t == tag && from.is_none_or(|want| want == src) {
+                        return Ok((src, body));
                     }
-                    if s == src {
-                        return Err(CommError::PeerDisconnected { peer: src });
-                    }
+                    self.pending.entry((src, t)).or_default().push_back(body);
+                }
+                Event::Closed { src, detail } => {
+                    self.closed[src].get_or_insert(detail);
                 }
             }
         }
     }
 
-    /// Receives one message carrying `tag` from any source — buffered
-    /// messages first, in rank order for determinism.
-    pub(crate) fn recv_any(
-        &mut self,
-        tag: u64,
-        recv_timeout: std::time::Duration,
-        stats: &mut CommStats,
-    ) -> Result<(usize, Bytes), CommError> {
-        let mut buffered: Option<usize> = None;
-        for (&(src, t), queue) in self.pending.iter() {
-            if t == tag && !queue.is_empty() && buffered.is_none_or(|best| src < best) {
-                buffered = Some(src);
+    /// The peer whose ended link means a wait on `from` can never be
+    /// answered: `from` itself, or — waiting on anyone — the first other
+    /// rank once every other rank is gone.
+    fn lost(&self, from: Option<usize>) -> Option<usize> {
+        let gone = |r: usize| self.closed[r].is_some();
+        match from {
+            Some(src) => gone(src).then_some(src),
+            None => {
+                let mut others = (0..self.size).filter(|&r| r != self.rank);
+                let first = others.next()?;
+                (gone(first) && others.all(gone)).then_some(first)
             }
         }
-        if let Some(src) = buffered {
-            let payload = self
-                .pending
-                .get_mut(&(src, tag))
-                .and_then(|q| q.pop_front())
-                .expect("non-empty");
-            return Ok((src, Mailbox::accept(stats, payload)));
+    }
+}
+
+/// The in-process link: a sender into every rank's mailbox (its own
+/// included, for self-sends). Dropping it — the rank program returned,
+/// the session was dropped, the thread unwound from a panic — posts
+/// [`Event::Closed`] to every peer through the same channel as its data,
+/// as a socket's FIN does.
+pub(crate) struct Mesh<M> {
+    pub(crate) rank: usize,
+    peers: Vec<Sender<Event<M>>>,
+}
+
+impl<M> Mesh<M> {
+    /// Wires `size` ranks all-to-all and returns each rank's link and
+    /// mailbox, in rank order.
+    pub(crate) fn connect(size: usize, recv_timeout: Duration) -> Vec<(Mesh<M>, Mailbox<M>)> {
+        assert!(size > 0, "communicator needs at least one rank");
+        let mailboxes: Vec<Mailbox<M>> = (0..size)
+            .map(|rank| Mailbox::new(rank, size, recv_timeout))
+            .collect();
+        let peers: Vec<_> = mailboxes.iter().map(Mailbox::sender).collect();
+        mailboxes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, mailbox)| {
+                let peers = peers.clone();
+                (Mesh { rank, peers }, mailbox)
+            })
+            .collect()
+    }
+
+    /// Communicator size `P`.
+    pub(crate) fn size(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// Posts one message into `dst`'s mailbox.
+    pub(crate) fn send(&self, dst: usize, tag: u64, body: M) -> Result<(), CommError> {
+        let size = self.size();
+        let peer = self
+            .peers
+            .get(dst)
+            .ok_or(CommError::InvalidRank { rank: dst, size })?;
+        let src = self.rank;
+        peer.send(Event::Msg { src, tag, body })
+            .map_err(|_| CommError::PeerDisconnected { peer: dst })
+    }
+}
+
+impl<M> Drop for Mesh<M> {
+    fn drop(&mut self) {
+        for (peer, tx) in self.peers.iter().enumerate() {
+            if peer != self.rank {
+                // A peer that is already gone has nobody left to tell.
+                let _ = tx.send(Event::Closed {
+                    src: self.rank,
+                    detail: "peer session ended".into(),
+                });
+            }
         }
-        let started = Instant::now();
-        let deadline = started + recv_timeout;
-        loop {
-            // Drain everything already queued (including self-sends)
-            // before concluding from `closed` that nothing can arrive.
-            while let Some(event) = self.inbox.try_recv() {
-                if let Some(found) = self.note_event(event, tag, stats) {
-                    return Ok(found);
-                }
-            }
-            if self.size > 1 && (0..self.size).all(|r| r == self.rank || self.closed[r].is_some()) {
-                let peer = (0..self.size).find(|&r| r != self.rank).expect("size > 1");
-                return Err(CommError::PeerDisconnected { peer });
-            }
-            let event = self.next_event(started, deadline, self.rank)?;
-            if let Some(found) = self.note_event(event, tag, stats) {
-                return Ok(found);
-            }
-        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SHORT: Duration = Duration::from_millis(20);
+
+    #[test]
+    fn buffered_messages_outlive_the_link_that_sent_them() {
+        let mut ranks = Mesh::<u8>::connect(2, SHORT);
+        let (mesh1, _mailbox1) = ranks.pop().unwrap();
+        let (_mesh0, mut mailbox0) = ranks.pop().unwrap();
+        mesh1.send(0, 7, 1).unwrap();
+        mesh1.send(0, 8, 2).unwrap();
+        drop(mesh1);
+        // Asked for out of order, after the sender is gone: both arrive,
+        // and only then does the close count.
+        assert_eq!(mailbox0.recv(1, 8), Ok(2));
+        assert_eq!(mailbox0.recv(1, 7), Ok(1));
+        assert_eq!(
+            mailbox0.recv(1, 7),
+            Err(CommError::PeerDisconnected { peer: 1 })
+        );
+        assert_eq!(mailbox0.close_reason(1), Some("peer session ended"));
+        assert!(mailbox0.pending.is_empty(), "drained queues are removed");
+    }
+
+    #[test]
+    fn recv_any_fails_only_once_every_other_rank_is_gone() {
+        let mut ranks = Mesh::<u8>::connect(3, SHORT);
+        let (mesh2, _mailbox2) = ranks.pop().unwrap();
+        let (mesh1, _mailbox1) = ranks.pop().unwrap();
+        let (mesh0, mut mailbox0) = ranks.pop().unwrap();
+        drop(mesh1);
+        assert!(matches!(
+            mailbox0.recv_any(5),
+            Err(CommError::Timeout { peer: 0, .. })
+        ));
+        drop(mesh2);
+        // A self-send still queued is delivered before the verdict.
+        mesh0.send(0, 5, 9).unwrap();
+        assert_eq!(mailbox0.recv_any(5), Ok((0, 9)));
+        assert_eq!(
+            mailbox0.recv_any(5),
+            Err(CommError::PeerDisconnected { peer: 1 })
+        );
     }
 }

@@ -66,6 +66,8 @@ use epoll::{Events, Interest, Poller, Waker};
 use sparcml_obs as obs;
 
 use crate::bootstrap::{self, RootRendezvous, ENV_RANK, ENV_ROOT_ADDR, ENV_WORLD};
+use crate::clock::WallClock;
+use crate::cluster::run_ranks;
 use crate::config::TransportConfig;
 use crate::cost::CostModel;
 use crate::error::CommError;
@@ -205,7 +207,7 @@ struct LoopCtx {
     poller: Poller,
     ios: Vec<Option<PeerIo>>,
     shared: Arc<Shared>,
-    inbox: Sender<Event>,
+    inbox: Sender<Event<Bytes>>,
     pool: FramePool,
     config: TransportConfig,
 }
@@ -349,7 +351,7 @@ impl LoopCtx {
                     .send(Event::Msg {
                         src: peer,
                         tag: io.tag,
-                        payload: Bytes::from(payload),
+                        body: Bytes::from(payload),
                     })
                     .is_err()
                 {
@@ -570,14 +572,13 @@ impl LoopCtx {
 pub struct ReactorTransport {
     rank: usize,
     size: usize,
-    mailbox: Mailbox,
+    mailbox: Mailbox<Bytes>,
     /// Cloned stream handles for fault injection (`send_raw`); `None` at
     /// our own index.
     raw_streams: Vec<Option<TcpStream>>,
     /// Loop-thread handle; `None` for single-rank/standalone transports.
     reactor: Option<ReactorHandle>,
-    epoch: Instant,
-    clock_offset: f64,
+    clock: WallClock,
     config: TransportConfig,
     cost_hint: CostModel,
     op_counter: u64,
@@ -647,6 +648,29 @@ impl ReactorTransport {
         ReactorTransport::rendezvous(rank, world, &root_addr, cost_hint, config)
     }
 
+    /// A session with no sockets and no loop thread yet: all a
+    /// single-rank world ever needs.
+    fn unconnected(
+        rank: usize,
+        world: usize,
+        cost_hint: CostModel,
+        config: TransportConfig,
+    ) -> ReactorTransport {
+        ReactorTransport {
+            rank,
+            size: world,
+            mailbox: Mailbox::new(rank, world, config.recv_timeout),
+            raw_streams: (0..world).map(|_| None).collect(),
+            reactor: None,
+            clock: WallClock::start(),
+            config,
+            cost_hint,
+            op_counter: 0,
+            stats: CommStats::default(),
+            counters_base: [0; 3],
+        }
+    }
+
     fn rendezvous_inner(
         rank: usize,
         world: usize,
@@ -657,21 +681,7 @@ impl ReactorTransport {
         if world == 0 || rank >= world {
             return Err(CommError::InvalidRank { rank, size: world });
         }
-        let mailbox = Mailbox::new(rank, world);
-        let mut transport = ReactorTransport {
-            rank,
-            size: world,
-            mailbox,
-            raw_streams: (0..world).map(|_| None).collect(),
-            reactor: None,
-            epoch: Instant::now(),
-            clock_offset: 0.0,
-            config,
-            cost_hint,
-            op_counter: 0,
-            stats: CommStats::default(),
-            counters_base: [0; 3],
-        };
+        let mut transport = ReactorTransport::unconnected(rank, world, cost_hint, config);
         if world == 1 {
             return Ok(transport);
         }
@@ -728,7 +738,9 @@ impl ReactorTransport {
         Ok(transport)
     }
 
-    /// The watchdog/limit configuration this transport runs with.
+    /// The watchdog/limit configuration this transport was built with
+    /// (what its event loop runs on; see
+    /// [`ReactorTransport::set_recv_deadline`]).
     pub fn config(&self) -> &TransportConfig {
         &self.config
     }
@@ -744,7 +756,7 @@ impl ReactorTransport {
     /// [`crate::ThreadTransport::set_recv_deadline`]). The event loop
     /// keeps its construction-time write-stall deadline.
     pub fn set_recv_deadline(&mut self, deadline: Duration) {
-        self.config.recv_timeout = deadline;
+        self.mailbox.set_recv_timeout(deadline);
     }
 
     /// Fault-injection hook for protocol tests: writes `bytes` to the
@@ -782,8 +794,10 @@ impl ReactorTransport {
         Ok(())
     }
 
-    fn elapsed(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
+    fn accept(&mut self, payload: Bytes) -> Bytes {
+        self.stats.msgs_recv += 1;
+        self.stats.bytes_recv += payload.len() as u64;
+        payload
     }
 
     /// Copies the loop's atomic counters into this window's stats.
@@ -815,7 +829,8 @@ impl ReactorTransport {
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += payload.len() as u64;
         if dst == self.rank {
-            return self.mailbox.push_self(tag, payload);
+            self.mailbox.push_self(tag, payload);
+            return Ok(());
         }
         let handle = self.reactor.as_ref().expect("reactor running for size > 1");
         let ps = handle.shared.peers[dst].as_ref().expect("non-self peer");
@@ -857,18 +872,15 @@ impl Transport for ReactorTransport {
     }
 
     fn clock(&self) -> f64 {
-        self.elapsed() + self.clock_offset
+        self.clock.now()
     }
 
     fn advance_clock_to(&mut self, t: f64) {
-        let now = self.clock();
-        if t > now {
-            self.clock_offset += t - now;
-        }
+        self.clock.advance_to(t);
     }
 
     fn charge_seconds(&mut self, seconds: f64) {
-        self.clock_offset += seconds;
+        self.clock.charge(seconds);
     }
 
     fn compute(&mut self, elements: usize) {
@@ -892,8 +904,7 @@ impl Transport for ReactorTransport {
     }
 
     fn reset_clock(&mut self) {
-        self.epoch = Instant::now();
-        self.clock_offset = 0.0;
+        self.clock = WallClock::start();
         self.stats = CommStats::default();
         if let Some(handle) = &self.reactor {
             let s = &handle.shared;
@@ -917,19 +928,16 @@ impl Transport for ReactorTransport {
     }
 
     fn recv(&mut self, src: usize, tag: u64) -> Result<Bytes, CommError> {
-        let out = self
-            .mailbox
-            .recv(src, tag, self.config.recv_timeout, &mut self.stats);
+        let out = self.mailbox.recv(src, tag);
         self.sync_counters();
-        out
+        Ok(self.accept(out?))
     }
 
     fn recv_any(&mut self, tag: u64) -> Result<(usize, Bytes), CommError> {
-        let out = self
-            .mailbox
-            .recv_any(tag, self.config.recv_timeout, &mut self.stats);
+        let out = self.mailbox.recv_any(tag);
         self.sync_counters();
-        out
+        let (src, payload) = out?;
+        Ok((src, self.accept(payload)))
     }
 
     fn detach(&mut self) -> ReactorTransport {
@@ -941,20 +949,7 @@ impl Transport for ReactorTransport {
 /// counterpart of [`crate::standalone_thread_transport`]. No loop thread
 /// is spawned.
 pub fn standalone_reactor_transport() -> ReactorTransport {
-    ReactorTransport {
-        rank: 0,
-        size: 1,
-        mailbox: Mailbox::new(0, 1),
-        raw_streams: vec![None],
-        reactor: None,
-        epoch: Instant::now(),
-        clock_offset: 0.0,
-        config: TransportConfig::default(),
-        cost_hint: CostModel::zero(),
-        op_counter: 0,
-        stats: CommStats::default(),
-        counters_base: [0; 3],
-    }
+    ReactorTransport::unconnected(0, 1, CostModel::zero(), TransportConfig::default())
 }
 
 /// Runs `f` once per rank of a real-socket loopback cluster: `size` OS
@@ -981,36 +976,14 @@ where
         .local_addr()
         .expect("rendezvous local addr")
         .to_string();
-    let mut root_listener = Some(root_listener);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..size)
-            .map(|rank| {
-                let root = match root_listener.take() {
-                    Some(listener) => RootRendezvous::Listener(listener),
-                    None => RootRendezvous::Dial(root_addr.clone()),
-                };
-                let config = config.clone();
-                scope.spawn(move || {
-                    let mut tp =
-                        ReactorTransport::rendezvous_inner(rank, size, root, cost_hint, config)
-                            .unwrap_or_else(|e| panic!("rank {rank} rendezvous failed: {e}"));
-                    f(&mut tp)
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(size);
-        let mut panicked: Option<usize> = None;
-        for (rank, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(out) => results.push(out),
-                Err(_) => panicked = panicked.or(Some(rank)),
-            }
-        }
-        if let Some(rank) = panicked {
-            panic!("rank {rank} panicked inside the loopback cluster");
-        }
-        results
+    let seats = std::iter::once(RootRendezvous::Listener(root_listener))
+        .chain((1..size).map(|_| RootRendezvous::Dial(root_addr.clone())))
+        .collect();
+    run_ranks(seats, |rank, root| {
+        let mut tp =
+            ReactorTransport::rendezvous_inner(rank, size, root, cost_hint, config.clone())
+                .unwrap_or_else(|e| panic!("rank {rank} rendezvous failed: {e}"));
+        f(&mut tp)
     })
 }
 
@@ -1052,24 +1025,6 @@ mod tests {
                 "the received frame must be counted"
             );
         }
-    }
-
-    #[test]
-    fn recv_any_delivers_self_send_after_peer_closed() {
-        // Even with every peer gone, a message this rank sent to itself
-        // is still queued in the inbox and must be delivered before
-        // recv_any concludes nothing can arrive.
-        let results = run_reactor_loopback_cluster(2, CostModel::zero(), quick_config(), |tp| {
-            if tp.rank() == 1 {
-                String::new() // vanish immediately
-            } else {
-                let _ = tp.recv(1, 1).unwrap_err(); // observe the close
-                tp.send(0, 9, Bytes::from_static(b"self")).unwrap();
-                let (src, payload) = tp.recv_any(9).unwrap();
-                format!("{src}:{}", String::from_utf8_lossy(&payload))
-            }
-        });
-        assert_eq!(results[0], "0:self");
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! Downstream backends (MPI, RDMA) only need to implement this trait to
 //! run every collective, the adaptive selector, and the training
 //! workloads unchanged. The contract below is checked once, on all three,
-//! by `tests/transport_contract.rs`.
+//! by `tests/transport_contract.rs` — its failure half included: the
+//! three receive through one mailbox, so a peer whose session ended is
+//! [`CommError::PeerDisconnected`] and a silent one
+//! [`CommError::Timeout`] on each of them.
 
 use bytes::Bytes;
 

@@ -677,21 +677,6 @@ pub fn record_peer_wait(peer: usize, ns: u64) {
     });
 }
 
-/// Mark `peer` as the last-arriving (critical-path) peer of a collective.
-pub fn record_last_arrival(peer: usize) {
-    if !enabled() {
-        return;
-    }
-    LOCAL.with(|l| {
-        let mut t = l.borrow_mut();
-        let e = t.peer_waits.entry(peer as u32).or_insert(PeerWait {
-            peer: peer as u32,
-            ..PeerWait::default()
-        });
-        e.last_arrivals += 1;
-    });
-}
-
 /// Sample one collective's density: stream dimension, this rank's input
 /// nnz, the result (union) nnz, and whether the result came back dense.
 pub fn record_density(dim: usize, input_nnz: usize, output_nnz: usize, dense_result: bool) {

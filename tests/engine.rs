@@ -1,5 +1,5 @@
 //! Progress-engine integration suite: concurrent collectives, fusion
-//! correctness, tag-block isolation, chunking, and priority scheduling —
+//! correctness, tag-block isolation, chunking, and execution order —
 //! over the virtual-time, thread, and loopback-socket transports.
 
 use sparcml::core::reference::reference_sum;
@@ -308,36 +308,10 @@ fn chunked_pipelining_stays_exact() {
 }
 
 #[test]
-fn priority_order_is_lifo_and_identical_across_ranks() {
-    let p = 2;
-    let orders = run_thread_communicators(p, |comm| {
-        let cfg = EngineConfig {
-            algorithm: Algorithm::SsarRecDbl,
-            fusion: FusionPolicy::disabled(),
-            priority_lifo: true,
-            ..EngineConfig::default()
-        };
-        let mut engine = comm.engine::<f32>(cfg);
-        let grads = per_layer_inputs(engine.rank(), 4, 256, 16);
-        let refs: Vec<&SparseStream<f32>> = grads.iter().collect();
-        let tickets = engine.submit_allreduce_group(&refs);
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        let order = engine.stats().execution_order.clone();
-        engine.finish_into(comm).unwrap();
-        order
-    });
-    assert_eq!(orders[0], vec![3, 2, 1, 0], "buckets execute LIFO");
-    assert_eq!(orders[0], orders[1], "schedule must be rank-invariant");
-}
-
-#[test]
 fn submission_order_mode_preserves_fifo() {
     let outs = run_communicators(1, CostModel::zero(), |comm| {
         let cfg = EngineConfig {
             fusion: FusionPolicy::disabled(),
-            priority_lifo: false,
             ..EngineConfig::default()
         };
         let mut engine = comm.engine::<f32>(cfg);
@@ -384,6 +358,39 @@ fn density_guard_splits_dense_batch_and_stays_exact() {
             assert_eq!(out.to_dense_vec(), expect[l], "split layer {l}");
         }
     }
+}
+
+#[test]
+fn fill_factor_is_measured_by_the_engine_not_by_telemetry() {
+    // Two steps of a two-job group whose supports coincide on every rank.
+    // Step 1 plans with the prior fill P: 4·20_000/131_072 ≈ 0.61 > 0.5,
+    // two buckets. It reduces 20_000 stored entries into 20_000, so step
+    // 2 plans with fill 1 (≈ 0.15) and fuses: three buckets in all —
+    // whether or not the process happens to be collecting telemetry,
+    // which records density samples only while enabled.
+    let (p, dim, nnz) = (4, 1 << 16, 10_000);
+    let two_steps = || {
+        run_communicators(p, CostModel::zero(), |comm| {
+            let mut engine = comm.engine::<f32>(fused_engine_config());
+            let grads = per_layer_inputs(0, 2, dim, nnz);
+            let refs: Vec<&SparseStream<f32>> = grads.iter().collect();
+            for _step in 0..2 {
+                for t in engine.submit_allreduce_group(&refs) {
+                    t.wait().unwrap();
+                }
+            }
+            let buckets = engine.stats().buckets;
+            engine.finish_into(comm).unwrap();
+            buckets
+        })
+    };
+    sparcml::obs::telemetry::disable();
+    let off = two_steps();
+    sparcml::obs::telemetry::enable();
+    let on = two_steps();
+    sparcml::obs::telemetry::disable();
+    assert_eq!(off, vec![3; p], "telemetry off");
+    assert_eq!(on, vec![3; p], "telemetry on");
 }
 
 #[test]

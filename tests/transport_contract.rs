@@ -3,9 +3,11 @@
 //! Each case is a rank program generic over `T: Transport` plus a verdict
 //! over the per-rank results; [`contract!`] turns it into one `#[test]`
 //! per runner, so `exchange_swaps_payloads::reactor` and
-//! `exchange_swaps_payloads::virtual_time` execute the same body. The
-//! cases that need a wall clock (the receive watchdog) run on the thread
-//! and socket transports only: virtual time never gives up on a peer.
+//! `exchange_swaps_payloads::virtual_time` execute the same body. That
+//! includes the failure half: all three root transports receive through
+//! the one `Mailbox`, so a silent peer is a `Timeout` and a finished one a
+//! `PeerDisconnected` on each of them — in virtual time too, where the
+//! watchdog runs on the wall clock and never touches the modelled one.
 //!
 //! What is specific to one transport stays with it: the α–β cost model in
 //! `endpoint.rs`, the event loop's counters in `reactor.rs`, frames and
@@ -37,6 +39,13 @@ fn reactor<R: Send>(p: usize, f: impl Fn(&mut ReactorTransport) -> R + Sync) -> 
 
 /// The receive watchdog of the `*_short_watchdog` runners.
 const WATCHDOG: Duration = Duration::from_millis(100);
+
+fn virtual_short_watchdog<R: Send>(p: usize, f: impl Fn(&mut Endpoint) -> R + Sync) -> Vec<R> {
+    run_cluster(p, CostModel::zero(), |ep| {
+        ep.set_recv_deadline(WATCHDOG);
+        f(ep)
+    })
+}
 
 fn threads_short_watchdog<R: Send>(
     p: usize,
@@ -226,7 +235,7 @@ contract!(
 );
 
 // ---------------------------------------------------------------------------
-// Real clocks only: a lost peer is a typed error within the deadline
+// A lost peer is a typed error: silent ⇒ Timeout, gone ⇒ PeerDisconnected
 // ---------------------------------------------------------------------------
 
 fn silent_peer_trips_the_watchdog<T: Transport>(tp: &mut T) -> Option<CommError> {
@@ -249,7 +258,8 @@ fn silent_peer_trips_the_watchdog<T: Transport>(tp: &mut T) -> Option<CommError>
     }
 }
 contract!(
-    silent_peer_trips_the_watchdog on [threads_short_watchdog, reactor_short_watchdog],
+    silent_peer_trips_the_watchdog on
+        [virtual_short_watchdog, threads_short_watchdog, reactor_short_watchdog],
     2,
     |got: Vec<Option<CommError>>| {
         let err = got[0].as_ref().expect("rank 0 reports its error");
@@ -262,24 +272,15 @@ contract!(
 
 fn finished_peer_fails_the_receive<T: Transport>(tp: &mut T) -> Option<CommError> {
     // Rank 0 returns at once and its session ends; rank 1 waits on it.
+    // The end of a session is observable on every link (a socket's FIN, a
+    // dropped channel mesh's close notice): no need to wait the default
+    // 30 s watchdog out.
     (tp.rank() == 1).then(|| tp.recv(0, 5).unwrap_err())
 }
-
-#[test]
-fn finished_peer_is_a_disconnect_on_sockets() {
-    // The peer's FIN is observable: no need to wait the watchdog out.
-    let got = reactor(2, finished_peer_fails_the_receive);
-    assert_eq!(got[1], Some(CommError::PeerDisconnected { peer: 0 }));
-}
-
-#[test]
-fn finished_peer_is_a_timeout_on_threads() {
-    // Every rank holds a sender to every inbox, so a finished peer never
-    // disconnects a channel: the watchdog is what ends the wait.
-    let got = threads_short_watchdog(2, finished_peer_fails_the_receive);
-    assert!(
-        matches!(got[1], Some(CommError::Timeout { peer: 0, .. })),
-        "got {:?}",
-        got[1]
-    );
-}
+contract!(
+    finished_peer_fails_the_receive on [virtual_time, threads, reactor],
+    2,
+    |got: Vec<Option<CommError>>| {
+        assert_eq!(got[1], Some(CommError::PeerDisconnected { peer: 0 }))
+    }
+);
