@@ -1,7 +1,7 @@
 //! Criterion: sparse stream summation kernels (§5.1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparcml_stream::{random_sparse, DensityPolicy, SparseStream};
+use sparcml_stream::{random_sparse, reduce_streams, DensityPolicy, SparseStream};
 
 fn bench_sum(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream_sum");
@@ -40,9 +40,30 @@ fn bench_sum(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one owner of a split phase sums: `m` operands holding 10 000
+/// entries in total, each restricted to the same `N/m` partition. The
+/// operand clones are part of every iteration (`reduce_streams` consumes
+/// its inputs), the same on both sides of any comparison.
+fn bench_fold_many(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fold-many");
+    let dim = 1 << 20;
+    for m in [2usize, 8, 64] {
+        group.bench_with_input(BenchmarkId::new("reduce_streams", m), &m, |b, &m| {
+            let parts: Vec<SparseStream<f32>> = (0..m)
+                .map(|r| {
+                    random_sparse::<f32>(dim, 10_000, 10 + r as u64).restrict(0, (dim / m) as u32)
+                })
+                .collect();
+            let policy = DensityPolicy::default();
+            b.iter(|| reduce_streams(parts.clone(), &policy).unwrap().0.nnz());
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sum
+    targets = bench_sum, bench_fold_many
 }
 criterion_main!(benches);

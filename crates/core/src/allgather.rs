@@ -31,8 +31,9 @@ pub(crate) fn sparse_allgather<T: Transport, V: Scalar>(
 }
 
 /// Gathers and sums sparse streams whose supports are disjoint: the result
-/// is the element-wise sum, assembled by merge (correct — though no longer
-/// a pure concatenation — even if supports do overlap).
+/// is the element-wise sum, assembled by the tournament merge of
+/// [`sparcml_stream::reduce_streams`] (correct — though no longer a pure
+/// concatenation — even if supports do overlap).
 pub(crate) fn sparse_allgather_sum<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,

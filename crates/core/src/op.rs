@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use sparcml_net::Transport;
 use sparcml_obs as obs;
-use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
+use sparcml_stream::{DensityPolicy, Scalar, SparseStream, StreamError, SumStats};
 
 use crate::error::CollError;
 
@@ -300,18 +300,17 @@ pub(crate) fn decode_stream_with_word<V: Scalar>(
     Ok((stream, word))
 }
 
-/// Adds `other` into `acc`, charging the endpoint for the reduction work
-/// and counting the δ-switch (`CommStats::adaptive_densified`) when this
-/// merge is the one that turns `acc` dense.
-pub(crate) fn add_charged<T: Transport, V: Scalar>(
+/// Runs one summation step and charges the endpoint for it: the `merge`
+/// span, telemetry compute time, `γ` per element the step processed, and
+/// the δ-switch count (`CommStats::adaptive_densified`) when the step is
+/// the one that turned its accumulator dense.
+pub(crate) fn sum_charged<T: Transport, R>(
     ep: &mut T,
-    acc: &mut SparseStream<V>,
-    other: &SparseStream<V>,
-    policy: &DensityPolicy,
-) -> Result<(), CollError> {
+    step: impl FnOnce() -> Result<(R, SumStats), StreamError>,
+) -> Result<R, CollError> {
     let mut span = obs::span(obs::Category::Phase, "merge");
     let t0 = obs::telemetry::enabled().then(std::time::Instant::now);
-    let stats = acc.add_assign_with(other, policy)?;
+    let (out, stats) = step()?;
     if let Some(t0) = t0 {
         obs::telemetry::record_compute_ns(t0.elapsed().as_nanos() as u64);
     }
@@ -320,7 +319,17 @@ pub(crate) fn add_charged<T: Transport, V: Scalar>(
     if stats.switched_to_dense {
         ep.stats_mut().adaptive_densified += 1;
     }
-    Ok(())
+    Ok(out)
+}
+
+/// Adds `other` into `acc` as one [`sum_charged`] step.
+pub(crate) fn add_charged<T: Transport, V: Scalar>(
+    ep: &mut T,
+    acc: &mut SparseStream<V>,
+    other: &SparseStream<V>,
+    policy: &DensityPolicy,
+) -> Result<(), CollError> {
+    sum_charged(ep, || Ok(((), acc.add_assign_with(other, policy)?)))
 }
 
 /// Largest power of two `≤ p`.

@@ -234,6 +234,36 @@ mod tests {
     }
 
     #[test]
+    fn reduce_scatter_work_is_k_log_p() {
+        // Disjoint, partition-balanced supports (as `bounds_check` builds
+        // them): every owner takes in ≈ k entries and sums them through a
+        // ⌈log2 P⌉-level tournament. A left fold re-walks its accumulator
+        // P−1 times — ≈ k·P/2, i.e. k·32 at P = 64.
+        let cfg = AllreduceConfig::default();
+        let (dim, k) = (1usize << 16, 512usize);
+        for p in [2usize, 3, 5, 8, 16, 64] {
+            let stride = dim / (p * k);
+            let work = run_cluster(p, CostModel::zero(), |ep| {
+                let r = ep.rank();
+                let pairs: Vec<(u32, f32)> = (0..k)
+                    .map(|i| (((i * p + r) * stride) as u32, 1.0))
+                    .collect();
+                let input = SparseStream::from_pairs(dim, &pairs).unwrap();
+                let mine = sparse_reduce_scatter(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
+                assert!(mine.is_sparse());
+                ep.stats().snapshot().compute_elements
+            });
+            let levels = p.next_power_of_two().ilog2() as u64;
+            for (rank, elements) in work.into_iter().enumerate() {
+                assert!(
+                    elements <= k as u64 * levels,
+                    "P={p} rank {rank}: {elements} element-ops for k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn reduce_then_broadcast_latency_is_2log2p() {
         let cost = CostModel {
             alpha: 1.0,

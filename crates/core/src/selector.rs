@@ -25,8 +25,9 @@ use crate::theory::expected_union_size;
 /// communication envelope interpolated by the expected fill-in, plus the
 /// per-node local reduction work (γ) — which is what separates recursive
 /// doubling (serialized merges of growing streams) from the split family
-/// (reduction work distributed across ranks); the paper folds this
-/// trade-off into its practical δ discussion (§5.1).
+/// (reduction work distributed across ranks, each owner summing its share
+/// in a ⌈log2 P⌉-level tournament); the paper folds this trade-off into
+/// its practical δ discussion (§5.1).
 pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f64) -> f64 {
     // Interpolation weight: how far E[K] sits between full overlap (K = k)
     // and no overlap (K = P·k).
@@ -54,9 +55,10 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             lerp(bounds::ssar_rec_dbl(w, c)) + compute
         }
         Algorithm::SsarSplitAllgather => {
-            // Reduction work is distributed: ≈ k incoming pairs per node
-            // plus assembling the E[K]-sized gathered result.
-            let compute = c.gamma * (2.0 * k + ek);
+            // Reduction work is distributed: each node's ≈ k incoming
+            // pairs go through a ⌈log2 P⌉-level tournament, then the
+            // E[K]-sized gathered result is assembled.
+            let compute = c.gamma * (log2p * k + ek);
             lerp(bounds::ssar_split_ag(w, c)) + compute
         }
         Algorithm::DsarSplitAllgather => {

@@ -14,7 +14,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use sparcml_net::DEFAULT_MAX_FRAME_LEN;
-use sparcml_stream::{partition_range, DensityPolicy, SparseStream};
+use sparcml_stream::{partition_range, reduce_streams, DensityPolicy, SparseStream, StreamError};
 
 use crate::error::ServeError;
 use crate::protocol::{read_frame, ErrorCode, Frame, FrameReadError, ModelInfo};
@@ -397,10 +397,9 @@ impl ServeClient {
         for slot in 0..self.conns.len() {
             self.send(slot, &Frame::Fetch { model })?;
         }
-        let mut merged = SparseStream::<f32>::zeros(dim);
+        let mut slices = Vec::with_capacity(self.conns.len());
         let mut generations = vec![0u64; self.conns.len()];
         let mut total_contributions = 0u64;
-        let policy = DensityPolicy::default();
         // `recv` needs `&mut self`, so iterating `generations` directly
         // would alias the borrow.
         #[allow(clippy::needless_range_loop)]
@@ -416,7 +415,14 @@ impl ServeClient {
                         payload,
                     } if m == model => {
                         let slice = SparseStream::<f32>::decode(&payload)?;
-                        merged.add_assign_with(&slice, &policy)?;
+                        if slice.dim() != dim {
+                            return Err(StreamError::DimMismatch {
+                                left: dim,
+                                right: slice.dim(),
+                            }
+                            .into());
+                        }
+                        slices.push(slice);
                         generations[slot] = generation;
                         total_contributions += contributions;
                         break;
@@ -446,8 +452,11 @@ impl ServeClient {
                 }
             }
         }
+        // One slice per shard (there is always at least one), disjoint
+        // unless a shard misbehaves: the tournament concatenates them.
+        let (state, _) = reduce_streams(slices, &DensityPolicy::default())?;
         Ok(FetchedState {
-            state: merged,
+            state,
             generations,
             contributions: total_contributions,
         })

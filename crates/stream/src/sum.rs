@@ -13,6 +13,14 @@
 //!
 //! All kernels walk the structure-of-arrays slabs directly (`&[u32]` next
 //! to `&[V]`), so the inner loops are branch-light slice traversals.
+//!
+//! Summing *many* streams goes through [`TournamentSum`]: operands are
+//! combined pairwise in a fixed binary-counter shape instead of folded
+//! left to right into one growing accumulator, so `m` operands of `n`
+//! entries in total cost at most `n·⌈log2 m⌉` element operations where
+//! the left fold re-walks its accumulator `m − 1` times (`≈ n·m/2` on
+//! balanced disjoint inputs). Every pairwise step is the two-operand sum
+//! above, δ rule included.
 
 use crate::error::StreamError;
 use crate::scalar::Scalar;
@@ -217,6 +225,18 @@ fn merge_sorted<V: Scalar>(a: SparseView<'_, V>, b: SparseView<'_, V>) -> Sparse
     let (bi, bv) = (b.indices(), b.values());
     let mut out = SparseVec::with_capacity(ai.len() + bi.len());
     let (mut i, mut j) = (0usize, 0usize);
+    // Ordered-disjoint supports (one operand ends before the other
+    // begins): bulk-copy the leading operand and skip the loop; the tail
+    // copy below appends the other.
+    let precedes =
+        |x: &[u32], y: &[u32]| matches!((x.last(), y.first()), (Some(l), Some(f)) if l < f);
+    if precedes(ai, bi) {
+        out.extend_from_slabs(ai, av);
+        i = ai.len();
+    } else if precedes(bi, ai) {
+        out.extend_from_slabs(bi, bv);
+        j = bi.len();
+    }
     while i < ai.len() && j < bi.len() {
         match ai[i].cmp(&bi[j]) {
             std::cmp::Ordering::Less => {
@@ -240,24 +260,142 @@ fn merge_sorted<V: Scalar>(a: SparseView<'_, V>, b: SparseView<'_, V>) -> Sparse
     out
 }
 
-/// Reduces a sequence of streams into one, in order, under `policy`.
-/// Returns the result together with the total elements processed (for
-/// virtual compute-time accounting).
+/// Streaming sum of many streams in a fixed tournament shape.
+///
+/// A binary counter over runs: [`push`](TournamentSum::push) puts the
+/// operand on a stack at level 0 and merges the top two runs while their
+/// levels are equal; [`finish`](TournamentSum::finish) folds what is
+/// left from the top down. Operands are therefore combined in push order
+/// in a shape that depends only on their count (a balanced tree for a
+/// power of two), which keeps floating-point results reproducible, and at
+/// most `⌊log2 m⌋ + 1` runs are alive after `m` pushes.
+///
+/// Every pairwise step is [`SparseStream::add_assign_with`] under the
+/// accumulator's policy. At most one run is ever dense: the first merge
+/// that crosses δ (or the first dense operand) yields a dense run, which
+/// absorbs every other live run and every later operand by scatter — two
+/// dense runs never meet in a `dim`-long add unless two operands arrive
+/// dense.
+#[derive(Debug)]
+pub struct TournamentSum<V: Scalar> {
+    policy: DensityPolicy,
+    /// `(level, run)`, oldest first. Levels strictly decrease toward the
+    /// top; a dense run is alone on the stack.
+    runs: Vec<(u32, SparseStream<V>)>,
+}
+
+impl<V: Scalar> TournamentSum<V> {
+    /// An empty sum whose merges apply `policy`'s δ rule.
+    pub fn new(policy: DensityPolicy) -> Self {
+        TournamentSum {
+            policy,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Adds one operand. The returned stats cover the merges this push
+    /// triggered (`elements_processed` summed over them; none for the
+    /// first operand). An operand of another dimension is rejected with
+    /// [`StreamError::DimMismatch`] and leaves the sum untouched.
+    pub fn push(&mut self, part: SparseStream<V>) -> Result<SumStats, StreamError> {
+        if let Some((_, first)) = self.runs.first() {
+            if first.dim() != part.dim() {
+                return Err(StreamError::DimMismatch {
+                    left: first.dim(),
+                    right: part.dim(),
+                });
+            }
+        }
+        let mut total = SumStats::idle(part.is_dense());
+        self.runs.push((0, part));
+        // Carry while the top two runs are level with each other; a dense
+        // run on either side absorbs its neighbour whatever the levels.
+        while let [.., (below, older), (top, newer)] = self.runs.as_slice() {
+            if below != top && !older.is_dense() && !newer.is_dense() {
+                break;
+            }
+            let (_, newer) = self.runs.pop().expect("two runs matched");
+            let (level, older) = self.runs.last_mut().expect("two runs matched");
+            total.absorb(combine(older, newer, &self.policy)?);
+            *level += 1;
+        }
+        debug_assert!(self.runs.len() == 1 || self.runs.iter().all(|(_, r)| !r.is_dense()));
+        Ok(total)
+    }
+
+    /// Folds the remaining runs into the result, newest first. Fails with
+    /// [`StreamError::Corrupt`] when nothing was pushed.
+    pub fn finish(mut self) -> Result<(SparseStream<V>, SumStats), StreamError> {
+        let Some((_, mut acc)) = self.runs.pop() else {
+            return Err(StreamError::Corrupt(
+                "a sum of streams needs at least one input",
+            ));
+        };
+        let mut total = SumStats::idle(acc.is_dense());
+        while let Some((_, mut older)) = self.runs.pop() {
+            total.absorb(combine(&mut older, acc, &self.policy)?);
+            acc = older;
+        }
+        Ok((acc, total))
+    }
+}
+
+impl SumStats {
+    /// No merge yet, on a result in the given representation.
+    fn idle(result_dense: bool) -> Self {
+        SumStats {
+            elements_processed: 0,
+            result_dense,
+            switched_to_dense: false,
+        }
+    }
+
+    /// Accumulates the next merge of the same reduction into `self`.
+    fn absorb(&mut self, merge: SumStats) {
+        self.elements_processed += merge.elements_processed;
+        self.result_dense = merge.result_dense;
+        self.switched_to_dense |= merge.switched_to_dense;
+    }
+}
+
+/// `older += newer`, with the dense operand (if exactly one is) as the
+/// accumulator so the other is scattered into it instead of cloning it.
+fn combine<V: Scalar>(
+    older: &mut SparseStream<V>,
+    mut newer: SparseStream<V>,
+    policy: &DensityPolicy,
+) -> Result<SumStats, StreamError> {
+    if newer.is_dense() && !older.is_dense() {
+        std::mem::swap(older, &mut newer);
+    }
+    older.add_assign_with(&newer, policy)
+}
+
+/// Reduces a sequence of streams into one under `policy`, combining them
+/// in order through a [`TournamentSum`]. Returns the result together with
+/// the total elements processed (for virtual compute-time accounting):
+/// zero for a single operand, at most `Σ|Hᵢ|·⌈log2 m⌉` for `m` sparse
+/// ones. No operand is an error, and so is a dimension that differs from
+/// the first operand's — checked before any merge.
 pub fn reduce_streams<V: Scalar>(
-    mut parts: Vec<SparseStream<V>>,
+    parts: Vec<SparseStream<V>>,
     policy: &DensityPolicy,
 ) -> Result<(SparseStream<V>, usize), StreamError> {
-    let Some(mut acc) = parts.drain(..1).next() else {
-        return Err(StreamError::Corrupt(
-            "reduce_streams needs at least one input",
-        ));
-    };
+    if let Some((first, rest)) = parts.split_first() {
+        if let Some(odd) = rest.iter().find(|part| part.dim() != first.dim()) {
+            return Err(StreamError::DimMismatch {
+                left: first.dim(),
+                right: odd.dim(),
+            });
+        }
+    }
+    let mut sum = TournamentSum::new(*policy);
     let mut processed = 0usize;
     for part in parts {
-        let stats = acc.add_assign_with(&part, policy)?;
-        processed += stats.elements_processed;
+        processed += sum.push(part)?.elements_processed;
     }
-    Ok((acc, processed))
+    let (out, stats) = sum.finish()?;
+    Ok((out, processed + stats.elements_processed))
 }
 
 #[cfg(test)]
@@ -348,14 +486,29 @@ mod tests {
 
     #[test]
     fn merge_handles_disjoint_tails() {
-        // One input entirely precedes the other: the merge body never
-        // runs and both tails are bulk-copied.
-        let mut a = s(100, &[(1, 1.0), (2, 2.0)]);
-        let b = s(100, &[(50, 3.0), (60, 4.0)]);
-        a.add_assign(&b).unwrap();
-        let view = a.sparse_view().unwrap();
-        assert_eq!(view.indices(), &[1, 2, 50, 60]);
-        assert_eq!(view.values(), &[1.0, 2.0, 3.0, 4.0]);
+        // One input entirely precedes the other, in either order, or is
+        // empty: the merge body never runs and the slabs are bulk-copied.
+        let lo = s(100, &[(1, 1.0), (2, 2.0)]);
+        let hi = s(100, &[(50, 3.0), (60, 4.0)]);
+        let empty = SparseStream::<f32>::zeros(100);
+        for (a, b) in [(&lo, &hi), (&hi, &lo)] {
+            let mut acc = a.clone();
+            let stats = acc.add_assign(b).unwrap();
+            assert_eq!(stats.elements_processed, 4);
+            let view = acc.sparse_view().unwrap();
+            assert_eq!(view.indices(), &[1, 2, 50, 60]);
+            assert_eq!(view.values(), &[1.0, 2.0, 3.0, 4.0]);
+        }
+        for (a, b) in [(&lo, &empty), (&empty, &lo)] {
+            let mut acc = a.clone();
+            let stats = acc.add_assign(b).unwrap();
+            assert_eq!(stats.elements_processed, 2);
+            assert_eq!(acc, lo);
+        }
+        // Touching ranges share an index: not disjoint, summed by the loop.
+        let mut acc = lo.clone();
+        acc.add_assign(&s(100, &[(2, 5.0), (9, 1.0)])).unwrap();
+        assert_eq!(acc, s(100, &[(1, 1.0), (2, 7.0), (9, 1.0)]));
     }
 
     #[test]
@@ -436,5 +589,92 @@ mod tests {
         let (got, processed) = reduce_streams(parts, &DensityPolicy::default()).unwrap();
         assert!(processed > 0);
         assert_eq!(got.to_dense_vec(), expect);
+    }
+
+    #[test]
+    fn reduce_streams_of_nothing_is_an_error() {
+        let err = reduce_streams::<f32>(vec![], &DensityPolicy::default()).unwrap_err();
+        assert!(matches!(err, StreamError::Corrupt(_)));
+    }
+
+    #[test]
+    fn reduce_streams_of_one_returns_it_unprocessed() {
+        let only = s(16, &[(3, 2.0), (8, 1.0)]);
+        let (got, processed) =
+            reduce_streams(vec![only.clone()], &DensityPolicy::default()).unwrap();
+        assert_eq!(got, only);
+        assert_eq!(processed, 0);
+    }
+
+    #[test]
+    fn reduce_streams_rejects_mixed_dimensions() {
+        let parts = vec![s(16, &[(0, 1.0)]), s(16, &[(1, 1.0)]), s(17, &[(2, 1.0)])];
+        let err = reduce_streams(parts, &DensityPolicy::default()).unwrap_err();
+        assert!(matches!(
+            err,
+            StreamError::DimMismatch {
+                left: 16,
+                right: 17
+            }
+        ));
+        // The streaming form rejects the odd operand and stays usable.
+        let mut sum = TournamentSum::new(DensityPolicy::default());
+        sum.push(s(16, &[(0, 1.0)])).unwrap();
+        assert!(sum.push(s(17, &[(0, 1.0)])).is_err());
+        sum.push(s(16, &[(0, 2.0)])).unwrap();
+        assert_eq!(sum.finish().unwrap().0, s(16, &[(0, 3.0)]));
+    }
+
+    #[test]
+    fn tournament_keeps_log_many_runs_and_one_dense() {
+        // dim 64 → δ = 32 for f32. Operands 4 and 5 hold 17 entries each,
+        // so their level-0 merge (34 > δ) goes dense while a level-2 run
+        // of the first four sits below it: the dense run must absorb that
+        // run at once and every later operand on arrival.
+        let dim = 64;
+        let size = |r: usize| match r {
+            0..=3 => 3u32,
+            4 | 5 => 17,
+            _ => 1,
+        };
+        for m in 1..=17usize {
+            let mut sum = TournamentSum::new(DensityPolicy::default());
+            let (mut next, mut flips, mut processed) = (0u32, 0, 0);
+            for r in 0..m {
+                let pairs: Vec<(u32, f32)> = (next..next + size(r)).map(|i| (i, 1.0)).collect();
+                next += size(r);
+                let stats = sum.push(s(dim, &pairs)).unwrap();
+                flips += usize::from(stats.switched_to_dense);
+                processed += stats.elements_processed;
+                let live = sum.runs.len();
+                assert!(live <= (r + 1).ilog2() as usize + 1, "m={m}: {live} runs");
+                let dense = sum.runs.iter().filter(|(_, run)| run.is_dense()).count();
+                assert!(dense == 0 || live == 1, "m={m}: a dense run beside others");
+            }
+            let (got, stats) = sum.finish().unwrap();
+            flips += usize::from(stats.switched_to_dense);
+            processed += stats.elements_processed;
+            assert_eq!(got.is_dense(), m >= 6, "m={m}");
+            assert_eq!(flips, usize::from(m >= 6), "m={m}");
+            assert_eq!(got.nnz(), next as usize, "m={m}");
+            assert!(got.iter_nonzero().all(|(_, v)| v == 1.0), "m={m}");
+            // No dim-long add: every step costs at most what it takes in.
+            assert!(processed <= next as usize * m.ilog2() as usize + next as usize);
+        }
+    }
+
+    #[test]
+    fn tournament_charges_n_log_m_on_disjoint_operands() {
+        // 8 operands of 10 entries on disjoint ranges: a balanced tree
+        // emits 3·80 entries where the left fold emitted 20+30+…+80 = 350.
+        let parts: Vec<SparseStream<f32>> = (0..8u32)
+            .map(|r| {
+                let pairs: Vec<(u32, f32)> = (0..10).map(|i| (r * 100 + i, 1.0)).collect();
+                s(1 << 16, &pairs)
+            })
+            .collect();
+        let (got, processed) = reduce_streams(parts, &DensityPolicy::default()).unwrap();
+        assert_eq!(got.nnz(), 80);
+        assert_eq!(processed, 240);
     }
 }

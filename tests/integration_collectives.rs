@@ -6,8 +6,8 @@
 
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{
-    max_communicator_time, run_communicators, run_thread_communicators, select_algorithm,
-    Algorithm, Communicator, Transport,
+    max_communicator_time, run_communicators, run_reactor_communicators, run_thread_communicators,
+    select_algorithm, Algorithm, Communicator, Transport,
 };
 use sparcml::net::CostModel;
 use sparcml::quant::QsgdConfig;
@@ -547,6 +547,44 @@ fn dense_result_is_identical_across_algorithms_for_integer_values() {
         match &reference {
             None => reference = Some(dense),
             Some(r) => assert_eq!(&dense, r, "{algo:?} disagrees"),
+        }
+    }
+}
+
+#[test]
+fn split_allgather_is_bitwise_identical_across_transports() {
+    // The float contract — same algorithm + P ⇒ the same bits on every
+    // transport — rests on the split phase summing its P sub-ranges in a
+    // shape fixed by P alone, whatever order the frames arrive in.
+    // Heavily overlapping non-integer inputs make any reordering visible.
+    fn program<T: Transport + Send + 'static>(
+        comm: &mut Communicator<T>,
+        ins: &[SparseStream<f32>],
+    ) -> Vec<u32> {
+        let out = comm
+            .allreduce(&ins[comm.rank()])
+            .algorithm(Algorithm::SsarSplitAllgather)
+            .launch()
+            .and_then(|handle| handle.wait())
+            .unwrap();
+        out.to_dense_vec().iter().map(|v| v.to_bits()).collect()
+    }
+    for p in [5usize, 8] {
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| random_sparse(512, 200, 4200 + r as u64))
+            .collect();
+        let virtual_outs = run_communicators(p, CostModel::zero(), |comm| program(comm, &ins));
+        let thread_outs = run_thread_communicators(p, |comm| program(comm, &ins));
+        let reactor_outs = run_reactor_communicators(p, |comm| program(comm, &ins));
+        let expect = &virtual_outs[0];
+        for (backend, outs) in [
+            ("Endpoint", &virtual_outs),
+            ("ThreadTransport", &thread_outs),
+            ("ReactorTransport", &reactor_outs),
+        ] {
+            for (rank, out) in outs.iter().enumerate() {
+                assert_eq!(out, expect, "P={p} {backend} rank {rank}");
+            }
         }
     }
 }

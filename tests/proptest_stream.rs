@@ -5,7 +5,7 @@
 //! registry access; failures reproduce by construction.
 
 use sparcml::quant::{dequantize, quantize, NormKind, QsgdConfig};
-use sparcml::stream::{DensityPolicy, SparseStream, XorShift64};
+use sparcml::stream::{reduce_streams, DensityPolicy, Scalar, SparseStream, XorShift64};
 
 /// One randomized stream input: a dimension in 16..512 plus up to dim/2
 /// in-range (index, value) pairs.
@@ -84,6 +84,128 @@ fn sum_switches_repr_only_past_delta() {
             assert!(pre_len > delta);
         } else if sa.is_sparse() {
             assert!(pre_len <= delta);
+        }
+    }
+}
+
+/// Operands for the fold-many property: `m` streams of one dimension in
+/// one of four support shapes, values small integers (so every summation
+/// order gives the same bits). Some operands are empty in every shape.
+fn fold_many_inputs<V: Scalar>(
+    rng: &mut XorShift64,
+    dim: usize,
+    m: usize,
+    shape: usize,
+) -> Vec<SparseStream<V>> {
+    let value = |rng: &mut XorShift64| V::from_f64(rng.next_below(9) as f64 - 4.0);
+    let shared: Vec<u32> = (0..dim as u32).filter(|i| i % 5 == 2).collect();
+    (0..m)
+        .map(|r| {
+            let indices: Vec<u32> = match shape {
+                // Identical supports: K = k.
+                0 => shared.clone(),
+                // Ordered-disjoint ranges, one per operand.
+                1 => {
+                    let width = (dim / m.max(1)) as u32;
+                    let lo = r as u32 * width;
+                    (lo..lo + rng.next_below(width as u64 + 1) as u32).collect()
+                }
+                // Random overlap.
+                _ => (0..dim as u32)
+                    .filter(|_| rng.next_below(8) < shape as u64)
+                    .collect(),
+            };
+            let indices = if rng.next_below(5) == 0 {
+                Vec::new()
+            } else {
+                indices
+            };
+            let values = indices.iter().map(|_| value(rng)).collect();
+            SparseStream::from_slabs(dim, indices, values).unwrap()
+        })
+        .collect()
+}
+
+/// The left fold `reduce_streams` replaced, as the reference.
+fn sequential_fold<V: Scalar>(
+    parts: &[SparseStream<V>],
+    policy: &DensityPolicy,
+) -> SparseStream<V> {
+    let mut acc = parts[0].clone();
+    for part in &parts[1..] {
+        acc.add_assign_with(part, policy).unwrap();
+    }
+    acc
+}
+
+fn reduce_streams_equals_the_sequential_fold<V: Scalar>(seed: u64) {
+    let mut rng = XorShift64::new(seed);
+    for m in 0..=17usize {
+        for shape in 0..4 {
+            let dim = 32 + rng.next_below(200) as usize;
+            let parts = fold_many_inputs::<V>(&mut rng, dim, m, shape);
+            if m == 0 {
+                assert!(reduce_streams(parts, &DensityPolicy::default()).is_err());
+                continue;
+            }
+            let stored: usize = parts.iter().map(|part| part.stored_len()).sum();
+            let levels = m.next_power_of_two().ilog2() as usize;
+            // Never densifying, the tournament and the fold are the same
+            // sparse stream, explicit zeros included.
+            let never = DensityPolicy::never_densify();
+            let (got, processed) = reduce_streams(parts.clone(), &never).unwrap();
+            assert_eq!(got, sequential_fold(&parts, &never), "m={m} shape={shape}");
+            assert!(processed <= stored * levels, "m={m} shape={shape}");
+            // Under δ they may switch representation at different merges;
+            // the logical vector is the same.
+            let policy = DensityPolicy::default();
+            let (got, processed) = reduce_streams(parts.clone(), &policy).unwrap();
+            got.check_invariants().unwrap();
+            assert_eq!(
+                got.to_dense_vec(),
+                sequential_fold(&parts, &policy).to_dense_vec(),
+                "m={m} shape={shape}"
+            );
+            assert!(processed <= stored * levels, "m={m} shape={shape}");
+        }
+    }
+}
+
+#[test]
+fn reduce_streams_equals_the_sequential_fold_f32() {
+    reduce_streams_equals_the_sequential_fold::<f32>(31);
+}
+
+#[test]
+fn reduce_streams_equals_the_sequential_fold_f64() {
+    reduce_streams_equals_the_sequential_fold::<f64>(32);
+}
+
+#[test]
+fn reduce_streams_switches_exactly_past_delta() {
+    // Disjoint operands whose sizes total δ stay sparse through every
+    // merge; one more entry and the last merge — whichever pair it joins
+    // — goes dense.
+    let dim = 256;
+    let policy = DensityPolicy::default();
+    let delta = policy.delta::<f32>(dim);
+    for m in 2..=17usize {
+        for total in [delta, delta + 1] {
+            let mut next = 0u32;
+            let parts: Vec<SparseStream<f32>> = (0..m)
+                .map(|r| {
+                    let len = (total / m + usize::from(r < total % m)) as u32;
+                    let pairs: Vec<(u32, f32)> = (next..next + len).map(|i| (i, 1.0)).collect();
+                    next += len;
+                    SparseStream::from_pairs(dim, &pairs).unwrap()
+                })
+                .collect();
+            let (got, _) = reduce_streams(parts.clone(), &policy).unwrap();
+            assert_eq!(got.is_dense(), total > delta, "m={m} total={total}");
+            assert_eq!(
+                got.to_dense_vec(),
+                sequential_fold(&parts, &policy).to_dense_vec()
+            );
         }
     }
 }
