@@ -17,9 +17,10 @@ use sparcml_net::Transport;
 use sparcml_quant::{dequantize, quantize, QuantizedVec};
 use sparcml_stream::{partition_range, Scalar, SparseStream, XorShift64};
 
+use crate::allreduce::ssar_split_ag::send_split_steps;
 use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
-use crate::op::{allgather_bytes, recv_stream, send_stream_range, subtag, tag, BufferPool};
+use crate::op::{allgather_bytes, recv_stream, subtag, tag, BufferPool};
 
 /// Sparse split + dense (optionally quantized) allgather allreduce.
 /// Always returns a dense stream. Works for any `P ≥ 1`.
@@ -30,29 +31,32 @@ pub(crate) fn dsar_split_allgather<T: Transport, V: Scalar>(
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
     let p = ep.size();
-    let dim = input.dim();
     if p == 1 {
         let mut out = input.clone();
         out.densify();
         return Ok(out);
     }
     let op_id = ep.next_op_id();
-    let rank = ep.rank();
+    // The split-phase sends are `SSAR_Split_allgather`'s, frame for frame.
+    send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+    dsar_receive_half(ep, input, cfg, op_id, op_id, pool)
+}
 
-    // --- Split phase: scatter sub-ranges, reduce own partition densely. ---
-    for step in 1..p {
-        let dst = (rank + step) % p;
-        let range = partition_range(dim, p, dst);
-        send_stream_range(
-            ep,
-            dst,
-            tag(op_id, subtag::SPLIT),
-            input,
-            range,
-            cfg.blocking_split_sends,
-            pool,
-        )?;
-    }
+/// Everything of `DSAR_Split_allgather` after the split-phase sends: the
+/// partition scattered densely from the frames tagged `split_op`, then the
+/// dense allgather under `gather_op` (the same op id when pinned, a fresh
+/// one after `Auto`'s pass sent the split frames).
+pub(crate) fn dsar_receive_half<T: Transport, V: Scalar>(
+    ep: &mut T,
+    input: &SparseStream<V>,
+    cfg: &AllreduceConfig,
+    split_op: u64,
+    gather_op: u64,
+    pool: &mut BufferPool,
+) -> Result<SparseStream<V>, CollError> {
+    let (p, rank, dim) = (ep.size(), ep.rank(), input.dim());
+
+    // --- Split phase: reduce own partition densely. ---
     let my_range = partition_range(dim, p, rank);
     let block_len = my_range.len();
     let mut block = vec![V::zero(); block_len];
@@ -71,7 +75,7 @@ pub(crate) fn dsar_split_allgather<T: Transport, V: Scalar>(
         if src == rank {
             continue;
         }
-        let part = recv_stream::<_, V>(ep, src, tag(op_id, subtag::SPLIT), pool)?;
+        let part = recv_stream::<_, V>(ep, src, tag(split_op, subtag::SPLIT), pool)?;
         scatter(ep, &part, &mut block);
     }
 
@@ -92,7 +96,7 @@ pub(crate) fn dsar_split_allgather<T: Transport, V: Scalar>(
             Bytes::from(buf)
         }
     };
-    let blocks = allgather_bytes(ep, op_id, payload, pool)?;
+    let blocks = allgather_bytes(ep, gather_op, payload, pool)?;
 
     // --- Assemble the full dense result. ---
     let mut out = vec![V::zero(); dim];

@@ -6,7 +6,7 @@
 //!
 //! | algorithm | schedule | intended regime |
 //! |---|---|---|
-//! | [`Algorithm::Auto`] | adaptive (§5.3 selector); agrees on `k` inside recursive doubling's own frames | the default: picks one of the below per call, at no extra round where the pick is recursive doubling |
+//! | [`Algorithm::Auto`] | adaptive (§5.3 selector); agrees on `k` inside recursive doubling's own frames, with a split pick's split-phase frames sent between its rounds | the default: picks one of the below per call, at no extra round where the pick is recursive doubling and `⌊log2 P⌋·0.1α` where it is a split schedule (powers of two, Aries' isend fraction) |
 //! | [`Algorithm::SsarRecDbl`] | recursive doubling on sparse streams, every frame ending in the 8-byte agreement word | small data, latency-bound (§5.3.1) |
 //! | [`Algorithm::SsarSplitAllgather`] | dimension split + sparse allgather | large sparse data (§5.3.2) |
 //! | [`Algorithm::DsarSplitAllgather`] | dimension split + dense (optionally quantized) allgather | dense final result (§5.3.3, §6) |
@@ -30,13 +30,17 @@ pub(crate) use ssar_rec_dbl::ssar_recursive_double;
 // reduce-scatter building block (see `rooted::sparse_reduce_scatter`).
 pub(crate) use ssar_split_ag::{split_reduce_partition, ssar_split_allgather};
 
+use dsar_split_ag::dsar_receive_half;
+use ssar_rec_dbl::Stance;
+use ssar_split_ag::{send_split_steps, ssar_receive_half};
+
 use sparcml_net::{Topology, TopologyCostModel, Transport};
 use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
 use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
 
 use crate::error::CollError;
-use crate::op::BufferPool;
+use crate::op::{self, BufferPool};
 
 /// Which allreduce schedule to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,8 +51,13 @@ pub enum Algorithm {
     /// is the default of the [`crate::Communicator`] builder API. Ranks
     /// agree on the workload size inside recursive doubling's own frames,
     /// so a call that resolves to that schedule spends no round on
-    /// agreement (`CommStats::auto_fused`); any other pays one pass of
-    /// 8-byte frames first (`CommStats::auto_fallback`).
+    /// agreement (`CommStats::auto_fused`); any other runs one pass of
+    /// 8-byte frames first (`CommStats::auto_fallback`). A rank whose own
+    /// `k` picks a split schedule sends its split-phase frames between
+    /// that pass's rounds, so where the agreed pick is a split schedule
+    /// the pass costs one isend per round (`⌊log2 P⌋·isend_alpha_fraction·α`
+    /// at powers of two) instead of a round trip; where it is not, the
+    /// speculated frames are drained before the pick runs.
     Auto,
     /// Sparse recursive doubling (`SSAR_Recursive_double`).
     SsarRecDbl,
@@ -110,6 +119,15 @@ impl Algorithm {
     pub fn is_auto(&self) -> bool {
         matches!(self, Algorithm::Auto)
     }
+
+    /// Whether this is one of the two split schedules, whose split phases
+    /// send the same frames.
+    pub(crate) fn is_split(&self) -> bool {
+        matches!(
+            self,
+            Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
+        )
+    }
 }
 
 /// Options shared by all allreduce variants.
@@ -162,9 +180,15 @@ enum AutoPass<V: Scalar> {
     /// Every rank was eager: the pass was `SSAR_Recursive_double` itself
     /// and this is the allreduce result — `Auto` cost no round of its own.
     Reduced(SparseStream<V>),
-    /// Some rank was not: the pass agreed on `k` only, and this is the
-    /// schedule the selector picks for it, still to be run.
-    Resolved(Algorithm),
+    /// Some rank was not: the pass agreed on `k` only, and `algo` is the
+    /// schedule the selector picks for it, still to be run. `split_op` is
+    /// set when `algo` is a split schedule whose split-phase frames every
+    /// rank has already sent under that op id (the pass's): only its
+    /// receive half is left.
+    Resolved {
+        algo: Algorithm,
+        split_op: Option<u64>,
+    },
 }
 
 /// Resolves [`Algorithm::Auto`] for this call. Ranks must agree on the
@@ -172,15 +196,23 @@ enum AutoPass<V: Scalar> {
 /// can have slightly different sizes under error feedback, and a per-rank
 /// choice could diverge and deadlock the schedule — and the agreement
 /// rides recursive doubling's own frames
-/// ([`ssar_rec_dbl::rec_dbl_agree`]): a rank whose own `k` selects
-/// `SSAR_Recursive_double` (flat regime) enters the pass *eager*,
-/// reducing as it agrees. If every rank did, the pass already produced
-/// the result and no round was spent on agreement; otherwise its frames
-/// were bare 8-byte words, the agreed `k` goes through the §5.3 selector
-/// and the caller dispatches the concrete schedule. With a
-/// non-trivial [`AllreduceConfig::topology`], the topology-aware selector
-/// also prices the two-level hierarchical schedule and may pick it.
-/// Returns the outcome and the agreed `k`.
+/// ([`ssar_rec_dbl::rec_dbl_agree`]). In the flat regime a rank's own `k`
+/// sets how it enters the pass: a rank whose own pick is
+/// `SSAR_Recursive_double` is *eager*, reducing as it agrees; one whose
+/// own pick is a split schedule *speculates*, sending its split-phase
+/// frames between the rounds. If every rank was eager, the pass already
+/// produced the result and no round was spent on agreement. Otherwise the
+/// agreed `k` goes through the §5.3 selector, and:
+/// - a split pick continues on the pass's op id: the ranks that did not
+///   speculate send their split frames now, and the caller runs the
+///   receive half;
+/// - any other pick first drains the frames speculators sent this rank,
+///   so none outlives the call, and the caller dispatches it.
+///
+/// With a non-trivial [`AllreduceConfig::topology`] nobody is eager or
+/// speculates, and the topology-aware selector also prices the two-level
+/// hierarchical schedule and may pick it. Returns the outcome and the
+/// agreed `k`.
 fn resolve_auto<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
@@ -205,23 +237,46 @@ fn resolve_auto<T: Transport, V: Scalar>(
         }
         topo => topo.filter(|topo| !topo.is_trivial()),
     };
-    let eager = topo.is_none()
-        && crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost())
-            == Algorithm::SsarRecDbl;
-    let (reduced, k_agreed) = ssar_rec_dbl::rec_dbl_agree(ep, input, eager, cfg, pool)?;
-    if let Some(result) = reduced {
+    // How this rank enters the pass: by its own pick, in the flat regime.
+    let own = topo.is_none().then(|| {
+        crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost())
+    });
+    let stance = match own {
+        Some(Algorithm::SsarRecDbl) => Stance::Eager,
+        Some(own) if own.is_split() => Stance::Speculative,
+        _ => Stance::Bare,
+    };
+    let pass = ssar_rec_dbl::rec_dbl_agree(ep, input, stance, cfg, pool)?;
+    if let Some(result) = pass.result {
         span.cancel();
         ep.stats_mut().auto_fused += 1;
-        return Ok((AutoPass::Reduced(result), k_agreed));
+        return Ok((AutoPass::Reduced(result), pass.k));
     }
     ep.stats_mut().auto_fallback += 1;
     let algo = if let Some(topo) = topo {
         let tcm = crate::hierarchical::effective_topology_cost(ep, cfg);
-        crate::selector::select_algorithm_with_topology::<V>(topo, n, k_agreed, &tcm)
+        crate::selector::select_algorithm_with_topology::<V>(topo, n, pass.k, &tcm)
     } else {
-        crate::selector::select_algorithm::<V>(p, n, k_agreed, ep.cost())
+        crate::selector::select_algorithm::<V>(p, n, pass.k, ep.cost())
     };
-    Ok((AutoPass::Resolved(algo), k_agreed))
+    let speculated = stance == Stance::Speculative;
+    let split_op = match pass.op_id {
+        Some(op_id) if algo.is_split() => {
+            if !speculated {
+                send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+            }
+            Some(op_id)
+        }
+        Some(op_id) => {
+            for _ in 0..pass.speculators - usize::from(speculated) {
+                let (_, orphan) = ep.recv_any(op::tag(op_id, op::subtag::SPLIT))?;
+                pool.recycle(orphan);
+            }
+            None
+        }
+        None => None,
+    };
+    Ok((AutoPass::Resolved { algo, split_op }, pass.k))
 }
 
 /// Internal dispatcher behind the [`crate::Communicator`] builders.
@@ -242,7 +297,7 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
     cfg: &AllreduceConfig,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
-    let (algo, k) = if algo.is_auto() {
+    let (algo, split_op, k) = if algo.is_auto() {
         // The pass may turn out to have been the collective: measure it
         // as one from its first frame, and drop the measurement if it
         // only agreed.
@@ -253,9 +308,9 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
                 fused.finish(ep, k, input, &result);
                 return result;
             }
-            Ok((AutoPass::Resolved(algo), k)) => {
+            Ok((AutoPass::Resolved { algo, split_op }, k)) => {
                 fused.span.cancel();
-                (algo, k)
+                (algo, split_op, k)
             }
             Err(e) => {
                 fused.span.cancel();
@@ -263,13 +318,13 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
             }
         }
     } else {
-        (algo, input.stored_len().max(1))
+        (algo, None, input.stored_len().max(1))
     };
     let run = Measurement::start(ep, algo, k);
     let result = if algo == Algorithm::Hierarchical {
         crate::hierarchical::hierarchical_allreduce(ep, input, cfg, pool)
     } else {
-        dispatch_flat_concrete(ep, input, algo, cfg, pool)
+        dispatch_flat_concrete(ep, input, algo, split_op, cfg, pool)
     };
     run.finish(ep, k, input, &result);
     result
@@ -332,38 +387,50 @@ pub(crate) fn dispatch_flat<T: Transport, V: Scalar>(
     cfg: &AllreduceConfig,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
-    let algo = match algo {
+    let (algo, split_op) = match algo {
         Algorithm::Auto | Algorithm::Hierarchical => {
             match resolve_auto::<T, V>(ep, input, cfg, pool, false)?.0 {
                 AutoPass::Reduced(out) => return Ok(out),
-                AutoPass::Resolved(algo) => algo,
+                AutoPass::Resolved { algo, split_op } => (algo, split_op),
             }
         }
-        concrete => concrete,
+        concrete => (concrete, None),
     };
-    dispatch_flat_concrete(ep, input, algo, cfg, pool)
+    dispatch_flat_concrete(ep, input, algo, split_op, cfg, pool)
 }
 
 /// The concrete-schedule jump table shared by [`dispatch`] (which times
 /// around it) and [`dispatch_flat`] (the hierarchical leader stage,
-/// deliberately untimed so a two-level call records exactly once).
+/// deliberately untimed so a two-level call records exactly once). With
+/// `split_op`, `algo` is `Auto`'s split pick whose split-phase frames
+/// every rank already sent under that op id: only the receive half runs,
+/// its allgather under a fresh op id.
 fn dispatch_flat_concrete<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     algo: Algorithm,
+    split_op: Option<u64>,
     cfg: &AllreduceConfig,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
-    match algo {
-        Algorithm::Auto | Algorithm::Hierarchical => {
+    match (algo, split_op) {
+        (Algorithm::Auto | Algorithm::Hierarchical, _) => {
             unreachable!("flat resolution yields a concrete flat algorithm")
         }
-        Algorithm::SsarRecDbl => ssar_recursive_double(ep, input, cfg, pool),
-        Algorithm::SsarSplitAllgather => ssar_split_allgather(ep, input, cfg, pool),
-        Algorithm::DsarSplitAllgather => dsar_split_allgather(ep, input, cfg, pool),
-        Algorithm::DenseRecDbl => dense_recursive_double(ep, input, cfg, pool),
-        Algorithm::DenseRabenseifner => dense_rabenseifner(ep, input, cfg, pool),
-        Algorithm::DenseRing => dense_ring(ep, input, cfg, pool),
-        Algorithm::SparseRing => sparse_ring(ep, input, cfg, pool),
+        (Algorithm::SsarSplitAllgather, Some(split_op)) => {
+            let gather_op = ep.next_op_id();
+            ssar_receive_half(ep, input, cfg, split_op, gather_op, pool)
+        }
+        (Algorithm::DsarSplitAllgather, Some(split_op)) => {
+            let gather_op = ep.next_op_id();
+            dsar_receive_half(ep, input, cfg, split_op, gather_op, pool)
+        }
+        (Algorithm::SsarRecDbl, _) => ssar_recursive_double(ep, input, cfg, pool),
+        (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, cfg, pool),
+        (Algorithm::DsarSplitAllgather, None) => dsar_split_allgather(ep, input, cfg, pool),
+        (Algorithm::DenseRecDbl, _) => dense_recursive_double(ep, input, cfg, pool),
+        (Algorithm::DenseRabenseifner, _) => dense_rabenseifner(ep, input, cfg, pool),
+        (Algorithm::DenseRing, _) => dense_ring(ep, input, cfg, pool),
+        (Algorithm::SparseRing, _) => sparse_ring(ep, input, cfg, pool),
     }
 }

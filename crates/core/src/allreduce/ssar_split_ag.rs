@@ -18,6 +18,8 @@
 //! Latency is `L2(P) = (P−1)α + log2(P)α`; bandwidth lies between
 //! `2·(P−1)/P·k·βs` and `P·k·βs`.
 
+use std::ops::Range;
+
 use sparcml_net::Transport;
 use sparcml_stream::{partition_range, Scalar, SparseStream, TournamentSum};
 
@@ -27,26 +29,25 @@ use crate::op::{
     allgather_bytes, recv_stream, send_stream_range, subtag, sum_charged, tag, BufferPool,
 };
 
-/// Runs the split phase: scatter sub-ranges to their owners and reduce the
-/// local partition. Returns this rank's fully reduced partition (support
-/// restricted to its range, logical dimension preserved). Each sub-range
-/// frame is encoded straight from a borrowed slab view into a pooled
-/// buffer — no intermediate stream, no per-message allocation.
-pub(crate) fn split_reduce_partition<T: Transport, V: Scalar>(
+/// Sends split-phase steps `steps` (a sub-range of `1..P`): step `s`
+/// takes this rank's sub-range for rank `(rank + s) mod P` to its owner,
+/// so senders walk destinations round-robin starting after their own
+/// rank and do not all hammer rank 0 first. Each frame is encoded straight
+/// from a borrowed slab view into a pooled buffer — no intermediate
+/// stream, no per-message allocation. The one split-phase send loop of
+/// both split schedules, and of `Auto`'s pass when it speculates on one.
+pub(crate) fn send_split_steps<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
     op_id: u64,
+    steps: Range<usize>,
     pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let p = ep.size();
-    let rank = ep.rank();
-    let dim = input.dim();
-    // Scatter: walk destinations round-robin starting after our own rank so
-    // senders do not all hammer rank 0 first.
-    for step in 1..p {
+) -> Result<(), CollError> {
+    let (p, rank) = (ep.size(), ep.rank());
+    for step in steps {
         let dst = (rank + step) % p;
-        let range = partition_range(dim, p, dst);
+        let range = partition_range(input.dim(), p, dst);
         send_stream_range(
             ep,
             dst,
@@ -57,9 +58,23 @@ pub(crate) fn split_reduce_partition<T: Transport, V: Scalar>(
             pool,
         )?;
     }
-    let my_range = partition_range(dim, p, rank);
-    // Rank order, the own sub-range at its rank position: the shape of
-    // the sum then depends on P alone (see the module docs).
+    Ok(())
+}
+
+/// The receive half of the split phase: sums this rank's own sub-range
+/// with the `P − 1` frames tagged `op_id` into its fully reduced
+/// partition (support restricted to its range, logical dimension
+/// preserved). Rank order, the own sub-range at its rank position: the
+/// shape of the sum then depends on P alone (see the module docs).
+fn reduce_partition<T: Transport, V: Scalar>(
+    ep: &mut T,
+    input: &SparseStream<V>,
+    cfg: &AllreduceConfig,
+    op_id: u64,
+    pool: &mut BufferPool,
+) -> Result<SparseStream<V>, CollError> {
+    let (p, rank) = (ep.size(), ep.rank());
+    let my_range = partition_range(input.dim(), p, rank);
     let mut sum = TournamentSum::new(cfg.policy);
     for src in 0..p {
         let part = if src == rank {
@@ -70,6 +85,20 @@ pub(crate) fn split_reduce_partition<T: Transport, V: Scalar>(
         sum_charged(ep, || Ok(((), sum.push(part)?)))?;
     }
     sum_charged(ep, || sum.finish())
+}
+
+/// Runs the split phase: scatter sub-ranges to their owners and reduce the
+/// local partition ([`send_split_steps`] over every step, then
+/// [`reduce_partition`]).
+pub(crate) fn split_reduce_partition<T: Transport, V: Scalar>(
+    ep: &mut T,
+    input: &SparseStream<V>,
+    cfg: &AllreduceConfig,
+    op_id: u64,
+    pool: &mut BufferPool,
+) -> Result<SparseStream<V>, CollError> {
+    send_split_steps(ep, input, cfg, op_id, 1..ep.size(), pool)?;
+    reduce_partition(ep, input, cfg, op_id, pool)
 }
 
 /// Sparse split + sparse allgather allreduce. Works for any `P ≥ 1`.
@@ -84,7 +113,24 @@ pub(crate) fn ssar_split_allgather<T: Transport, V: Scalar>(
         return Ok(input.clone());
     }
     let op_id = ep.next_op_id();
-    let mut mine = split_reduce_partition(ep, input, cfg, op_id, pool)?;
+    send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+    ssar_receive_half(ep, input, cfg, op_id, op_id, pool)
+}
+
+/// Everything of `SSAR_Split_allgather` after the split-phase sends: the
+/// partition reduced from the frames tagged `split_op`, then the sparse
+/// allgather under `gather_op`. The pinned schedule passes its one op id
+/// twice; `Auto`, whose pass sent the split frames, a fresh one for the
+/// allgather.
+pub(crate) fn ssar_receive_half<T: Transport, V: Scalar>(
+    ep: &mut T,
+    input: &SparseStream<V>,
+    cfg: &AllreduceConfig,
+    split_op: u64,
+    gather_op: u64,
+    pool: &mut BufferPool,
+) -> Result<SparseStream<V>, CollError> {
+    let mut mine = reduce_partition(ep, input, cfg, split_op, pool)?;
     // The partition result must be sparse for the concatenating allgather;
     // if fill-in forced it dense (the caller should have chosen DSAR), we
     // convert back, paying the scan.
@@ -94,7 +140,7 @@ pub(crate) fn ssar_split_allgather<T: Transport, V: Scalar>(
     }
     let mut buf = pool.acquire();
     mine.encode_into(&mut buf);
-    let blocks = allgather_bytes(ep, op_id, bytes::Bytes::from(buf), pool)?;
+    let blocks = allgather_bytes(ep, gather_op, bytes::Bytes::from(buf), pool)?;
     let parts: Vec<SparseStream<V>> = blocks
         .iter()
         .map(|b| SparseStream::decode(b))

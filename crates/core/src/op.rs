@@ -245,9 +245,12 @@ pub(crate) fn exchange_stream<T: Transport, V: Scalar>(
 
 /// Sends a frame ending in one 8-byte control word, with `stream`
 /// encoded ahead of it when attached — the carrier of what the sparse
-/// recursive-doubling schedule agrees on in-collective (the k/eager word
-/// of the `Auto` pass). The word rides free on a data frame; a detached
-/// frame is the bare 8 bytes.
+/// recursive-doubling schedule agrees on in-collective (the agreement
+/// word of the `Auto` pass). The word rides free on a data frame, which
+/// goes out blocking; a detached frame is the bare 8 bytes and goes out
+/// with `isend`, so its `α` overlaps whatever the sender does next (the
+/// split-phase sends of a speculating rank) instead of being paid in
+/// series.
 pub(crate) fn send_stream_with_word<T: Transport, V: Scalar>(
     ep: &mut T,
     dst: usize,
@@ -256,7 +259,7 @@ pub(crate) fn send_stream_with_word<T: Transport, V: Scalar>(
     word: u64,
     pool: &mut BufferPool,
 ) -> Result<(), CollError> {
-    send_encoded(ep, dst, t, true, pool, |buf| {
+    send_encoded(ep, dst, t, stream.is_some(), pool, |buf| {
         // The word rides as a trailer: `encode_into` clears the buffer, so
         // a prefix would be wiped (and prepending after the encode would
         // shift the whole frame).

@@ -125,22 +125,35 @@ impl Algorithm {
 
 /// Virtual-time cost of the Auto path's k-agreement when it resolves to
 /// `pick`. Recursive doubling's own frames carry the agreement, so that
-/// pick costs no round; any other pays one pass of bare 8-byte frames —
-/// `⌊log2 P⌋` rounds, plus the fold and unfold hops off powers of two —
-/// before the schedule starts.
+/// pick costs no round. A split pick's split-phase frames fly between the
+/// pass's rounds, each round's bare word going out with an isend: at a
+/// power of two that is `⌊log2 P⌋` isend charges, and off one a parked
+/// rank also waits out the latency of its partner's unfold word (the
+/// virtual clock reads 1.80 µs at P=5 and 1.95 µs at P=12 on Aries for
+/// `DSAR_Split_allgather`). Any other pick pays one pass of bare 8-byte
+/// frames first — `⌊log2 P⌋` rounds, plus the fold and unfold hops off
+/// powers of two — before the schedule starts.
 fn auto_agreement_cost(pick: Algorithm, p: usize, c: &CostModel) -> f64 {
     if p <= 1 || pick == Algorithm::SsarRecDbl {
         return 0.0;
     }
-    let rounds = p.ilog2() + if p.is_power_of_two() { 0 } else { 2 };
-    rounds as f64 * (c.alpha + 8.0 * c.beta)
+    let rounds = p.ilog2() as f64;
+    let word = c.alpha + 8.0 * c.beta;
+    let folded = !p.is_power_of_two();
+    if pick.is_split() {
+        rounds * c.isend_alpha_fraction * c.alpha + if folded { word } else { 0.0 }
+    } else {
+        (rounds + if folded { 2.0 } else { 0.0 }) * word
+    }
 }
 
 /// Estimated completion time of `algo` (exposed for reporting/EXPERIMENTS)
 /// under the uniform-support fill-in model of Appendix B.
 /// [`Algorithm::Auto`] is priced as its resolved concrete choice plus
 /// what its k-agreement costs that choice: nothing when it resolves to
-/// recursive doubling, one pass of 8-byte frames otherwise.
+/// recursive doubling, one isend per round when it resolves to a split
+/// schedule (whose split-phase frames the pass carries), one pass of
+/// 8-byte frames otherwise.
 pub fn estimate_time<V: Scalar>(
     algo: Algorithm,
     p: usize,
@@ -302,6 +315,7 @@ mod tests {
     fn auto_estimate_charges_agreement_only_off_recursive_doubling() {
         let cost = CostModel::gige();
         let word = cost.alpha + 8.0 * cost.beta;
+        let isend = cost.isend_alpha_fraction * cost.alpha;
         let gap = |p: usize, n: usize, k: usize| {
             let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &cost);
             let t_auto = estimate_time::<f32>(Algorithm::Auto, p, n, k, &cost);
@@ -317,11 +331,34 @@ mod tests {
             assert_eq!(resolved, Algorithm::SsarRecDbl, "P={p}");
             assert_eq!(extra, 0.0, "P={p}");
         }
+        // A split pick's frames fly while the words do: the pass costs
+        // one isend per round — and off powers of two the unfold word a
+        // parked rank waits for — not a round trip per round.
+        for (p, extra_expected) in [
+            (8, 3.0 * isend),
+            (6, 2.0 * isend + word),
+            (12, 3.0 * isend + word),
+        ] {
+            let (resolved, extra) = gap(p, 1 << 20, 1 << 18);
+            assert!(resolved.is_split(), "P={p}: {resolved:?}");
+            assert!(
+                (extra - extra_expected).abs() < 1e-9 * word,
+                "P={p}: {extra} vs {extra_expected}"
+            );
+        }
         // Any other pick pays one pass of 8-byte frames first: log2(P)
         // rounds, plus the fold and unfold hops off powers of two.
-        for (p, rounds) in [(8, 3.0), (6, 4.0), (12, 5.0)] {
-            let (resolved, extra) = gap(p, 1 << 20, 1 << 18);
-            assert_ne!(resolved, Algorithm::SsarRecDbl, "P={p}");
+        let dense = CostModel {
+            gamma: 1e-7,
+            ..CostModel::aries()
+        };
+        let word = dense.alpha + 8.0 * dense.beta;
+        for (p, rounds) in [(8usize, 3.0), (6, 4.0)] {
+            let (n, k) = (1 << 14, 1 << 12);
+            let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &dense);
+            assert_eq!(resolved, Algorithm::DenseRabenseifner, "P={p}");
+            let extra = estimate_time::<f32>(Algorithm::Auto, p, n, k, &dense)
+                - estimate_time::<f32>(resolved, p, n, k, &dense);
             assert!(
                 (extra - rounds * word).abs() < 1e-9 * word,
                 "P={p}: {extra} vs {rounds} x {word}"

@@ -3,7 +3,10 @@
 //! receive rule itself on all three): every `Algorithm::ALL` member and
 //! `Auto`, P ∈ {2, 3, 5, 8}, integer inputs so every summation order gives
 //! the same bits. Either the last rank never joins, or its n-th send
-//! fails (n ∈ 0..6) and it drops out.
+//! fails (n ∈ 0..6) and it drops out. Both transports plan on the Aries
+//! model, where these small inputs make `Auto` eager; a third matrix gives
+//! `Auto` inputs whose k picks a split schedule, so every rank speculates
+//! and the victim dies with its split frames in flight.
 //!
 //! Asserted is the half of ROADMAP aim 3 that holds: nobody hangs (a
 //! finished session is a disconnect, not 30 s of silence), a rank that
@@ -17,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sparcml::core::reference::reference_sum;
-use sparcml::core::{Algorithm, CollError, Communicator};
+use sparcml::core::{select_algorithm, Algorithm, CollError, Communicator};
 use sparcml::net::{
     run_cluster, run_thread_cluster, CommError, CommStats, CostModel, Endpoint, ThreadTransport,
     Transport,
@@ -33,6 +36,9 @@ const DEADLINE: Duration = Duration::from_secs(5);
 fn algorithms() -> impl Iterator<Item = Algorithm> {
     Algorithm::ALL.into_iter().chain([Algorithm::Auto])
 }
+
+/// One collective to fault: a schedule and one input per rank.
+type Case = (Algorithm, Vec<SparseStream<f32>>);
 
 fn input(rank: usize) -> SparseStream<f32> {
     let pairs: Vec<(u32, f32)> = (0..24)
@@ -58,7 +64,8 @@ type Outcome = Option<Result<SparseStream<f32>, CollError>>;
 type Runner<T> = fn(usize, &(dyn Fn(&mut T) -> Outcome + Sync)) -> Vec<Outcome>;
 
 fn virtual_time(p: usize, f: &(dyn Fn(&mut Endpoint) -> Outcome + Sync)) -> Vec<Outcome> {
-    run_cluster(p, CostModel::zero(), f)
+    // The thread transport's planning model, so `Auto` picks alike on both.
+    run_cluster(p, CostModel::aries(), f)
 }
 
 fn threads(p: usize, f: &(dyn Fn(&mut ThreadTransport) -> Outcome + Sync)) -> Vec<Outcome> {
@@ -141,11 +148,12 @@ impl<T: Transport> Transport for FailingSends<T> {
     }
 }
 
-/// Runs `algo` on this rank, failing its send number `fail_send` if one
-/// is given. The session ends with the call, successful or not.
+/// Runs `algo` on this rank's input, failing its send number `fail_send`
+/// if one is given. The session ends with the call, successful or not.
 fn allreduce<T: Transport + Send + 'static>(
     tp: &mut T,
     algo: Algorithm,
+    inputs: &[SparseStream<f32>],
     fail_send: Option<usize>,
 ) -> Result<SparseStream<f32>, CollError> {
     let mut comm = Communicator::new(FailingSends {
@@ -153,64 +161,128 @@ fn allreduce<T: Transport + Send + 'static>(
         sends_left: fail_send,
     });
     let rank = comm.rank();
-    comm.allreduce(&input(rank))
+    comm.allreduce(&inputs[rank])
         .algorithm(algo)
         .launch()
         .and_then(|h| h.wait())
 }
 
-/// Runs every schedule at every P under each of `faults` and checks each
-/// run: back within the deadline, every rank that joined reports, and
-/// every `Ok` is the sum over *all* P inputs (so nobody can finish a
-/// collective the last rank never joined). Returns how many ranks
-/// finished, how many failed, and how many runs had both.
-fn matrix<T: Transport + Send + 'static>(run: Runner<T>, faults: &[Fault]) -> [usize; 3] {
-    let (mut finished, mut failed, mut divergent) = (0, 0, 0);
-    for p in RANKS {
-        let inputs: Vec<SparseStream<f32>> = (0..p).map(input).collect();
-        let expect = reference_sum(&inputs);
-        for (algo, &fault) in algorithms().flat_map(|a| faults.iter().map(move |f| (a, f))) {
-            let what = format!("{algo:?} at P={p}, last rank {fault:?}");
-            let started = Instant::now();
-            let outs = run(p, &|tp: &mut T| match (tp.rank() == p - 1, fault) {
-                (true, Fault::NeverJoins) => None,
-                (true, Fault::FailsSend(n)) => Some(allreduce(tp, algo, Some(n))),
-                (false, _) => Some(allreduce(tp, algo, None)),
+/// Every schedule at every P, on the small inputs.
+fn every_schedule() -> Vec<Case> {
+    RANKS
+        .into_iter()
+        .flat_map(|p| algorithms().map(move |algo| (algo, (0..p).map(input).collect())))
+        .collect()
+}
+
+/// `Auto` at every P where the Aries model has a split regime for an
+/// N = 2^15 reduction: the first k on a 1/64 grid of N whose pick is
+/// `SSAR_Split_allgather` or `DSAR_Split_allgather`, one index per
+/// bucket of width N/k and integer values. P = 2 and 3 have none (their
+/// picks run from recursive doubling straight to the dense baselines)
+/// and are skipped.
+fn auto_in_the_split_regime() -> Vec<Case> {
+    let dim = 1 << 15;
+    RANKS
+        .into_iter()
+        .filter_map(|p| {
+            let k = (1..=32).map(|i| dim * i / 64).find(|&k| {
+                matches!(
+                    select_algorithm::<f32>(p, dim, k, &CostModel::aries()),
+                    Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
+                )
             });
-            let took = started.elapsed();
-            assert!(took < DEADLINE, "{what}: took {took:?}");
-            let (mut ok, mut err) = (0, 0);
-            for (rank, out) in outs.into_iter().enumerate() {
-                match out {
-                    Some(Ok(sum)) => {
-                        assert_eq!(sum.to_dense_vec(), expect, "{what}: rank {rank} is wrong");
-                        ok += 1;
-                    }
-                    Some(Err(_)) => err += 1,
-                    None => assert_eq!(rank, p - 1, "{what}: a survivor did not report"),
-                }
+            if k.is_none() {
+                println!("P={p}: no split regime, skipped");
             }
-            finished += ok;
-            failed += err;
-            divergent += usize::from(ok > 0 && err > 0);
+            let width = dim / k?;
+            let inputs = (0..p)
+                .map(|rank| {
+                    let pairs: Vec<(u32, f32)> = (0..dim / width)
+                        .map(|j| {
+                            let at = j * width + (rank + j) % width;
+                            (at as u32, (1 + (rank + j) % 4) as f32)
+                        })
+                        .collect();
+                    SparseStream::from_pairs(dim, &pairs).unwrap()
+                })
+                .collect();
+            Some((Algorithm::Auto, inputs))
+        })
+        .collect()
+}
+
+/// Runs every case under each of `faults` and checks each run: back
+/// within the deadline, every rank that joined reports, and every `Ok` is
+/// the sum over *all* P inputs (so nobody can finish a collective the
+/// last rank never joined). Returns how many ranks finished, how many
+/// failed, and how many runs had both.
+fn matrix<T: Transport + Send + 'static>(
+    run: Runner<T>,
+    cases: &[Case],
+    faults: &[Fault],
+) -> [usize; 3] {
+    let (mut finished, mut failed, mut divergent) = (0, 0, 0);
+    for ((algo, inputs), &fault) in cases
+        .iter()
+        .flat_map(|case| faults.iter().map(move |f| (case, f)))
+    {
+        let (algo, p) = (*algo, inputs.len());
+        let expect = reference_sum(inputs);
+        let what = format!("{algo:?} at P={p}, last rank {fault:?}");
+        let started = Instant::now();
+        let outs = run(p, &|tp: &mut T| match (tp.rank() == p - 1, fault) {
+            (true, Fault::NeverJoins) => None,
+            (true, Fault::FailsSend(n)) => Some(allreduce(tp, algo, inputs, Some(n))),
+            (false, _) => Some(allreduce(tp, algo, inputs, None)),
+        });
+        let took = started.elapsed();
+        assert!(took < DEADLINE, "{what}: took {took:?}");
+        let (mut ok, mut err) = (0, 0);
+        for (rank, out) in outs.into_iter().enumerate() {
+            match out {
+                Some(Ok(sum)) => {
+                    assert_eq!(sum.to_dense_vec(), expect, "{what}: rank {rank} is wrong");
+                    ok += 1;
+                }
+                Some(Err(_)) => err += 1,
+                None => assert_eq!(rank, p - 1, "{what}: a survivor did not report"),
+            }
         }
+        finished += ok;
+        failed += err;
+        divergent += usize::from(ok > 0 && err > 0);
     }
     println!("{finished} Ok, {failed} Err, {divergent} runs with both");
     [finished, failed, divergent]
 }
 
+fn send_faults() -> Vec<Fault> {
+    (0..6).map(Fault::FailsSend).collect()
+}
+
 fn last_rank_never_joins<T: Transport + Send + 'static>(run: Runner<T>) {
-    let [finished, failed, _] = matrix(run, &[Fault::NeverJoins]);
+    let [finished, failed, _] = matrix(run, &every_schedule(), &[Fault::NeverJoins]);
     // Every survivor of every run: 8 schedules × Σ(P − 1).
     assert_eq!((finished, failed), (0, 8 * (1 + 2 + 4 + 7)));
 }
 
 fn last_rank_dies_after_n_sends<T: Transport + Send + 'static>(run: Runner<T>) {
-    let faults: Vec<Fault> = (0..6).map(Fault::FailsSend).collect();
-    let [finished, failed, _] = matrix(run, &faults);
+    let [finished, failed, _] = matrix(run, &every_schedule(), &send_faults());
     // Every rank of every run reports, and both outcomes actually occur.
     assert_eq!(finished + failed, 8 * 6 * (2 + 3 + 5 + 8));
     assert!(finished > 0 && failed > 0, "{finished} Ok / {failed} Err");
+}
+
+fn last_rank_dies_mid_speculation<T: Transport + Send + 'static>(run: Runner<T>) {
+    let cases = auto_in_the_split_regime();
+    let sizes: Vec<usize> = cases.iter().map(|(_, inputs)| inputs.len()).collect();
+    assert_eq!(sizes, [5, 8], "the split regimes this matrix covers");
+    let [finished, failed, _] = matrix(run, &cases, &send_faults());
+    // The victim's first six sends are words and split frames of the
+    // pass: every rank reports, and the victim itself fails every run.
+    assert_eq!(finished + failed, 6 * (5 + 8));
+    assert!(failed >= 2 * 6, "{finished} Ok / {failed} Err");
 }
 
 /// Instantiates one matrix on both transports.
@@ -232,3 +304,4 @@ macro_rules! fault {
 
 fault!(last_rank_never_joins);
 fault!(last_rank_dies_after_n_sends);
+fault!(last_rank_dies_mid_speculation);

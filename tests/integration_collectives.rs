@@ -370,6 +370,183 @@ fn auto_costs_no_round_where_recursive_doubling_is_the_pick() {
     assert!(report[0].contains("auto_fused 1\n") && report[0].contains("auto_fallback 0\n"));
 }
 
+/// `k` distinct uniform indices of `dim` with small integer values, so
+/// every schedule's f32 sum is exact.
+fn integer_sparse(dim: usize, k: usize, seed: u64) -> SparseStream<f32> {
+    let idx = uniform_indices(dim, k, &mut XorShift64::new(seed));
+    let pairs: Vec<(u32, f32)> = idx.into_iter().map(|i| (i, (1 + i % 5) as f32)).collect();
+    SparseStream::from_pairs(dim, &pairs).unwrap()
+}
+
+/// `k` sorted indices of `dim`, one drawn uniformly from each of `k`
+/// equal buckets, with standard-normal values: the density of
+/// `random_sparse` without its hash set, which costs seconds per rank at
+/// k = 3e5 in an unoptimised build.
+fn bucketed_sparse(dim: usize, k: usize, seed: u64) -> SparseStream<f32> {
+    let mut rng = XorShift64::new(seed);
+    let width = dim / k;
+    let pairs: Vec<(u32, f32)> = (0..k)
+        .map(|j| {
+            let at = j * width + rng.next_below(width as u64) as usize;
+            (at as u32, rng.next_gaussian() as f32)
+        })
+        .collect();
+    SparseStream::from_pairs(dim, &pairs).unwrap()
+}
+
+fn is_split(algo: Algorithm) -> bool {
+    matches!(
+        algo,
+        Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
+    )
+}
+
+/// Runs `algo` on `ins` over a virtual cluster; per rank: the result, the
+/// clock and the counters.
+fn run_virtual(
+    ins: &[SparseStream<f32>],
+    cost: CostModel,
+    algo: Algorithm,
+) -> Vec<(SparseStream<f32>, f64, sparcml::net::CommStats)> {
+    run_communicators(ins.len(), cost, |comm| {
+        let out = comm
+            .allreduce(&ins[comm.rank()])
+            .algorithm(algo)
+            .launch()
+            .and_then(|h| h.wait())
+            .unwrap();
+        (out, comm.clock(), comm.stats_snapshot())
+    })
+}
+
+#[test]
+fn auto_costs_an_isend_per_round_where_a_split_schedule_is_the_pick() {
+    // Aries, N = 2^20, P a power of two. Every rank's own k picks a split
+    // schedule, so every rank sends its split-phase frames between the
+    // pass's rounds, and each bare word goes out with an isend: Auto costs
+    // the pinned pick plus ⌊log2 P⌋·0.1α on every rank — where the bare
+    // pass cost ⌊log2 P⌋·α — and sends the pinned pick's frames plus one
+    // 8-byte word per round.
+    let cost = CostModel::aries();
+    let dim = 1 << 20;
+    for (p, k) in [
+        (8usize, 10_000usize),
+        (8, 300_000),
+        (16, 10_000),
+        (16, 300_000),
+    ] {
+        let pick = select_algorithm::<f32>(p, dim, k, &cost);
+        assert!(is_split(pick), "P={p} k={k}: {pick:?}");
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| bucketed_sparse(dim, k, 81 + r as u64))
+            .collect();
+        let rounds = p.ilog2() as u64;
+        let extra = rounds as f64 * cost.isend_alpha_fraction * cost.alpha;
+        let auto = run_virtual(&ins, cost, Algorithm::Auto);
+        let pinned = run_virtual(&ins, cost, pick);
+        for (rank, ((out, t_auto, stats), (expect, t_pinned, base))) in
+            auto.iter().zip(&pinned).enumerate()
+        {
+            let what = format!("P={p} k={k} rank {rank}");
+            assert_eq!(out, expect, "{what}");
+            assert!(
+                (t_auto - t_pinned - extra).abs() <= 1e-12,
+                "{what}: auto {t_auto} vs pinned {t_pinned} + {extra}"
+            );
+            assert_eq!(stats.msgs_sent, base.msgs_sent + rounds, "{what}");
+            assert_eq!(stats.bytes_sent, base.bytes_sent + 8 * rounds, "{what}");
+            assert_eq!((stats.auto_fused, stats.auto_fallback), (0, 1), "{what}");
+        }
+    }
+}
+
+#[test]
+fn auto_split_pick_off_powers_of_two_pays_under_half_the_bare_pass() {
+    // Off powers of two the parked ranks speculate too, but each still
+    // waits out its partner's unfold word: Auto's excess over the pinned
+    // pick stays under half of the bare pass it replaced — (⌊log2 P⌋ + 2)
+    // words, 7.50 µs at P=12 and 6.00 µs at P=5.
+    let cost = CostModel::aries();
+    let dim = 1 << 20;
+    for (p, k) in [(12usize, 10_000usize), (5, 200_000)] {
+        let pick = select_algorithm::<f32>(p, dim, k, &cost);
+        assert!(is_split(pick), "P={p} k={k}: {pick:?}");
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| bucketed_sparse(dim, k, 91 + r as u64))
+            .collect();
+        let slowest =
+            |runs: &[(SparseStream<f32>, f64, _)]| runs.iter().map(|r| r.1).fold(0.0, f64::max);
+        let auto = run_virtual(&ins, cost, Algorithm::Auto);
+        let pinned = run_virtual(&ins, cost, pick);
+        for (a, b) in auto.iter().zip(&pinned) {
+            assert_eq!(a.0, b.0, "P={p} k={k}");
+        }
+        let bare_pass = (p.ilog2() + 2) as f64 * (cost.alpha + 8.0 * cost.beta);
+        let gap = slowest(&auto) - slowest(&pinned);
+        assert!(
+            gap <= bare_pass / 2.0,
+            "P={p} k={k}: Auto pays {gap} s over {pick:?}, half the bare pass is {}",
+            bare_pass / 2.0
+        );
+    }
+}
+
+#[test]
+fn auto_drains_speculated_frames_when_the_agreed_pick_is_not_a_split() {
+    // Some ranks' own k picks a split schedule, so they speculate, but the
+    // agreed (largest) k picks one outside the split family. The frames
+    // they sent are drained before that schedule runs: the result is
+    // exact, every frame a call sends is received within it, and a second
+    // call on the same session costs what the first did. Such a k pair
+    // takes a γ-heavy model, where a moderate k picks SSAR_Split_allgather
+    // and a larger one a dense baseline; the selector finds it.
+    let cost = CostModel {
+        gamma: 1e-8,
+        ..CostModel::aries()
+    };
+    let dim = 1 << 14;
+    let found = [5usize, 8].into_iter().find_map(|p| {
+        let pick = |k: usize| select_algorithm::<f32>(p, dim, k, &cost);
+        let ks = (1..=64).map(|i| dim * i / 64);
+        let small = ks.clone().find(|&k| is_split(pick(k)))?;
+        let big = ks.filter(|&k| k > small).find(|&k| !is_split(pick(k)))?;
+        Some((p, small, big))
+    });
+    let (p, small, big) = found.expect("no k pair where a split pick gives way to another");
+    // Rank 0 holds the larger k; every other rank speculates.
+    let ins: Vec<SparseStream<f32>> = (0..p)
+        .map(|rank| integer_sparse(dim, if rank == 0 { big } else { small }, 7 + rank as u64))
+        .collect();
+    let expect = reference_sum(&ins);
+    let calls = run_communicators(p, cost, |comm| {
+        (0..2)
+            .map(|_| {
+                comm.reset_clock();
+                let out = comm
+                    .allreduce(&ins[comm.rank()])
+                    .launch()
+                    .and_then(|h| h.wait())
+                    .unwrap();
+                (out.to_dense_vec(), comm.clock(), comm.stats_snapshot())
+            })
+            .collect::<Vec<_>>()
+    });
+    for call in 0..2 {
+        let sent: u64 = calls.iter().map(|c| c[call].2.msgs_sent).sum();
+        let received: u64 = calls.iter().map(|c| c[call].2.msgs_recv).sum();
+        assert_eq!(sent, received, "call {call}: frames outlived it");
+    }
+    for (rank, per_call) in calls.iter().enumerate() {
+        let what = format!("P={p} k={small}/{big} rank {rank}");
+        for (out, _, stats) in per_call {
+            assert_eq!(out, &expect, "{what}");
+            assert_eq!(stats.auto_fallback, 1, "{what}");
+        }
+        let cost_of = |c: &(Vec<f32>, f64, sparcml::net::CommStats)| (c.1, c.2.msgs_sent);
+        assert_eq!(cost_of(&per_call[1]), cost_of(&per_call[0]), "{what}");
+    }
+}
+
 #[test]
 fn auto_pick_has_no_call_history() {
     // The schedule Auto runs is a function of the call alone: the 13th
@@ -447,9 +624,10 @@ fn selector_prices_pairs_as_the_wire_weighs_them() {
         (8usize, 100usize, &[SsarRecDbl][..]),
         (8, 1_000, &[SsarRecDbl]),
         (8, 10_000, &[SsarSplitAllgather]),
-        // 1 203.8 against 1 206.5 virtual µs, and recursive doubling
-        // saves Auto the agreement pass: either is within 0.4 % of best.
-        (8, 100_000, &[SsarSplitAllgather, SsarRecDbl]),
+        // 1 107.6 against 1 206.5 virtual µs for recursive doubling,
+        // which would save Auto its agreement: that is only 0.45 µs on
+        // the split pick, whose split frames fly during the pass.
+        (8, 100_000, &[SsarSplitAllgather]),
         (8, 300_000, &[DsarSplitAllgather]),
         (2, 256, &[SsarRecDbl]),
         (2, 100_000, &[SsarRecDbl]),
@@ -557,33 +735,60 @@ fn split_allgather_is_bitwise_identical_across_transports() {
     // transport — rests on the split phase summing its P sub-ranges in a
     // shape fixed by P alone, whatever order the frames arrive in.
     // Heavily overlapping non-integer inputs make any reordering visible.
+    // `Auto` in the split regime — its split frames sent during its pass,
+    // under the pass's op id — must give the pinned schedule's bits too.
     fn program<T: Transport + Send + 'static>(
         comm: &mut Communicator<T>,
         ins: &[SparseStream<f32>],
+        algo: Algorithm,
     ) -> Vec<u32> {
+        if algo.is_auto() {
+            // The split regime on this transport's own planning model.
+            let k = ins.iter().map(SparseStream::stored_len).max().unwrap();
+            let pick = select_algorithm::<f32>(comm.size(), ins[0].dim(), k, comm.cost());
+            assert_eq!(pick, Algorithm::SsarSplitAllgather, "k={k}");
+        }
         let out = comm
             .allreduce(&ins[comm.rank()])
-            .algorithm(Algorithm::SsarSplitAllgather)
+            .algorithm(algo)
             .launch()
             .and_then(|handle| handle.wait())
             .unwrap();
         out.to_dense_vec().iter().map(|v| v.to_bits()).collect()
     }
-    for p in [5usize, 8] {
-        let ins: Vec<SparseStream<f32>> = (0..p)
+    let pinned = [Algorithm::SsarSplitAllgather];
+    let with_auto = [Algorithm::SsarSplitAllgather, Algorithm::Auto];
+    let overlapping = |p: usize| -> Vec<_> {
+        (0..p)
             .map(|r| random_sparse(512, 200, 4200 + r as u64))
-            .collect();
-        let virtual_outs = run_communicators(p, CostModel::zero(), |comm| program(comm, &ins));
-        let thread_outs = run_thread_communicators(p, |comm| program(comm, &ins));
-        let reactor_outs = run_reactor_communicators(p, |comm| program(comm, &ins));
-        let expect = &virtual_outs[0];
-        for (backend, outs) in [
-            ("Endpoint", &virtual_outs),
-            ("ThreadTransport", &thread_outs),
-            ("ReactorTransport", &reactor_outs),
-        ] {
-            for (rank, out) in outs.iter().enumerate() {
-                assert_eq!(out, expect, "P={p} {backend} rank {rank}");
+            .collect()
+    };
+    let split_regime = |p: usize, k: usize| -> Vec<_> {
+        (0..p)
+            .map(|r| bucketed_sparse(1 << 20, k, 4200 + r as u64))
+            .collect()
+    };
+    for (p, ins, algos) in [
+        (5usize, overlapping(5), &pinned[..]),
+        (8, overlapping(8), &pinned[..]),
+        (5, split_regime(5, 180_000), &with_auto[..]),
+        (8, split_regime(8, 100_000), &with_auto[..]),
+    ] {
+        let mut expect = None;
+        for &algo in algos {
+            let virtual_outs =
+                run_communicators(p, CostModel::aries(), |comm| program(comm, &ins, algo));
+            let thread_outs = run_thread_communicators(p, |comm| program(comm, &ins, algo));
+            let reactor_outs = run_reactor_communicators(p, |comm| program(comm, &ins, algo));
+            let expect = expect.get_or_insert_with(|| virtual_outs[0].clone());
+            for (backend, outs) in [
+                ("Endpoint", &virtual_outs),
+                ("ThreadTransport", &thread_outs),
+                ("ReactorTransport", &reactor_outs),
+            ] {
+                for (rank, out) in outs.iter().enumerate() {
+                    assert_eq!(out, expect, "P={p} {algo:?} on {backend} rank {rank}");
+                }
             }
         }
     }
