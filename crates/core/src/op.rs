@@ -1,6 +1,10 @@
 //! Shared plumbing for collective implementations: reusable buffer pools,
-//! stream transfer over endpoints, tag derivation, and the power-of-two
-//! fold of §A.
+//! stream transfer over endpoints, tag derivation, the power-of-two fold
+//! of §A, and the one byte-block allgather loop
+//! ([`allgather_bytes_with`]), which places each gathered block while the
+//! next round's frame is in flight.
+
+use std::ops::Range;
 
 use bytes::Bytes;
 use sparcml_net::Transport;
@@ -15,6 +19,9 @@ pub(crate) mod subtag {
     pub const UNFOLD: u64 = 2;
     pub const SPLIT: u64 = 3;
     pub const RING: u64 = 4;
+    /// `SSAR_Split_allgather`'s partition entry counts, one 8-byte word
+    /// to every peer ahead of the allgather.
+    pub const COUNT: u64 = 5;
     /// Base for per-round tags; round `t` uses `ROUND + t`.
     pub const ROUND: u64 = 16;
 }
@@ -406,106 +413,126 @@ pub(crate) fn unfold_result<T: Transport, V: Scalar>(
     }
 }
 
-/// Generic recursive-doubling / ring byte-block allgather. Returns all `P`
-/// blocks indexed by rank. Uses recursive doubling when `P` is a power of
-/// two (latency `log2(P)·α`), a ring otherwise (`(P−1)` rounds). Group
-/// frames are staged in pooled buffers; incoming blocks are zero-copy
-/// slices of the received frame.
+/// Byte-block allgather that hands every block to `place` while the next
+/// round's frame is in flight — the crate's one allgather loop. Recursive
+/// doubling when `P` is a power of two (latency `log2(P)·α`), a ring
+/// otherwise (`(P−1)` rounds).
+///
+/// Each block reaches `place(ep, source rank, block)` exactly once, one
+/// round late: the own block after round 0's frame is sent, the blocks of
+/// round `t` after round `t + 1`'s frame is sent, the last round's after
+/// the final receive. Whatever `place` does and charges in between
+/// therefore overlaps the transfer of the frame it is waiting for, so a
+/// round costs `α + max(transfer, placement pending)` on the virtual clock
+/// instead of their sum. Group frames are staged in pooled buffers;
+/// incoming blocks are zero-copy slices of the received frame, and a frame
+/// must carry exactly the group its sender owes this round.
+pub(crate) fn allgather_bytes_with<T: Transport>(
+    ep: &mut T,
+    op_id: u64,
+    mine: Bytes,
+    pool: &mut BufferPool,
+    mut place: impl FnMut(&mut T, usize, &Bytes) -> Result<(), CollError>,
+) -> Result<(), CollError> {
+    let (p, rank) = (ep.size(), ep.rank());
+    let mut blocks: Vec<Option<Bytes>> = vec![None; p];
+    blocks[rank] = Some(mine);
+    let pow2 = p.is_power_of_two();
+    let rounds = if pow2 {
+        p.trailing_zeros() as usize
+    } else {
+        p - 1
+    };
+    // Ranks whose blocks this rank holds but has not placed yet.
+    let mut pending = rank..rank + 1;
+    for t in 0..rounds {
+        // (to, from, group sent, group expected back) for this round.
+        let (dst, src, sent, expected) = if pow2 {
+            // Recursive doubling: after round t every rank holds the
+            // blocks of the 2^(t+1)-rank group obtained by flipping its
+            // low t+1 bits.
+            let peer = rank ^ (1 << t);
+            let (ours, theirs) = ((rank >> t) << t, (peer >> t) << t);
+            (peer, peer, ours..ours + (1 << t), theirs..theirs + (1 << t))
+        } else {
+            // Ring: forward the block received in the previous round.
+            let carry = (rank + p - t) % p;
+            let theirs = (carry + p - 1) % p;
+            (
+                (rank + 1) % p,
+                (rank + p - 1) % p,
+                carry..carry + 1,
+                theirs..theirs + 1,
+            )
+        };
+        let round_tag = tag(op_id, subtag::ROUND + t as u64);
+        let payload = encode_block_group(&blocks, sent, pool);
+        {
+            let mut span =
+                obs::span_with(obs::Category::Agreement, "ag-send", payload.len() as u64);
+            if obs::enabled() {
+                span.set_flow(
+                    obs::flow_id(round_tag, rank as u64, dst as u64),
+                    obs::FlowDir::Out,
+                );
+            }
+            ep.send(dst, round_tag, payload)?;
+        }
+        place_blocks(ep, &blocks, pending, &mut place)?;
+        let mut span = obs::span(obs::Category::Agreement, "ag-recv");
+        if obs::enabled() {
+            span.set_flow(
+                obs::flow_id(round_tag, src as u64, rank as u64),
+                obs::FlowDir::In,
+            );
+        }
+        let incoming = recv_tracked(ep, src, round_tag)?;
+        span.set_arg(incoming.len() as u64);
+        drop(span);
+        decode_block_group(&incoming, expected.clone(), &mut blocks)?;
+        pending = expected;
+    }
+    place_blocks(ep, &blocks, pending, &mut place)
+}
+
+/// Hands the held blocks of `ranks` to `place`.
+fn place_blocks<T: Transport>(
+    ep: &mut T,
+    blocks: &[Option<Bytes>],
+    ranks: Range<usize>,
+    place: &mut impl FnMut(&mut T, usize, &Bytes) -> Result<(), CollError>,
+) -> Result<(), CollError> {
+    for r in ranks {
+        place(ep, r, blocks[r].as_ref().expect("a pending block is held"))?;
+    }
+    Ok(())
+}
+
+/// [`allgather_bytes_with`] collecting the blocks: all `P` of them,
+/// indexed by rank.
 pub(crate) fn allgather_bytes<T: Transport>(
     ep: &mut T,
     op_id: u64,
     mine: Bytes,
     pool: &mut BufferPool,
 ) -> Result<Vec<Bytes>, CollError> {
-    let p = ep.size();
-    let rank = ep.rank();
-    let mut blocks: Vec<Option<Bytes>> = vec![None; p];
-    blocks[rank] = Some(mine);
-    if p == 1 {
-        return Ok(blocks.into_iter().map(|b| b.expect("own block")).collect());
-    }
-    if p.is_power_of_two() {
-        // Recursive doubling: after round t every rank holds the blocks of
-        // the 2^(t+1)-rank group obtained by flipping its low t+1 bits.
-        let rounds = p.trailing_zeros() as usize;
-        for t in 0..rounds {
-            let peer = rank ^ (1 << t);
-            let group = 1usize << t;
-            let base = (rank >> t) << t; // start of my current group
-            let round_tag = tag(op_id, subtag::ROUND + t as u64);
-            let payload = encode_block_group(&blocks, base, group, pool);
-            {
-                let mut span =
-                    obs::span_with(obs::Category::Agreement, "ag-send", payload.len() as u64);
-                if obs::enabled() {
-                    span.set_flow(
-                        obs::flow_id(round_tag, rank as u64, peer as u64),
-                        obs::FlowDir::Out,
-                    );
-                }
-                ep.send(peer, round_tag, payload)?;
-            }
-            let mut span = obs::span(obs::Category::Agreement, "ag-recv");
-            if obs::enabled() {
-                span.set_flow(
-                    obs::flow_id(round_tag, peer as u64, rank as u64),
-                    obs::FlowDir::In,
-                );
-            }
-            let incoming = recv_tracked(ep, peer, round_tag)?;
-            span.set_arg(incoming.len() as u64);
-            drop(span);
-            decode_block_group(&incoming, &mut blocks)?;
-        }
-    } else {
-        // Ring: forward the block received in the previous round.
-        let next = (rank + 1) % p;
-        let prev = (rank + p - 1) % p;
-        let mut carry_rank = rank;
-        for t in 0..p - 1 {
-            let round_tag = tag(op_id, subtag::ROUND + t as u64);
-            let payload = encode_block_group(&blocks, carry_rank, 1, pool);
-            {
-                let mut span =
-                    obs::span_with(obs::Category::Agreement, "ag-send", payload.len() as u64);
-                if obs::enabled() {
-                    span.set_flow(
-                        obs::flow_id(round_tag, rank as u64, next as u64),
-                        obs::FlowDir::Out,
-                    );
-                }
-                ep.send(next, round_tag, payload)?;
-            }
-            let mut span = obs::span(obs::Category::Agreement, "ag-recv");
-            if obs::enabled() {
-                span.set_flow(
-                    obs::flow_id(round_tag, prev as u64, rank as u64),
-                    obs::FlowDir::In,
-                );
-            }
-            let incoming = recv_tracked(ep, prev, round_tag)?;
-            span.set_arg(incoming.len() as u64);
-            drop(span);
-            decode_block_group(&incoming, &mut blocks)?;
-            carry_rank = (carry_rank + p - 1) % p;
-        }
-    }
-    blocks
-        .into_iter()
-        .enumerate()
-        .map(|(r, b)| b.ok_or_else(|| CollError::Invalid(format!("missing block from rank {r}"))))
-        .collect()
+    let mut blocks = vec![Bytes::new(); ep.size()];
+    allgather_bytes_with(ep, op_id, mine, pool, |_, r, block| {
+        blocks[r] = block.clone();
+        Ok(())
+    })?;
+    Ok(blocks)
 }
 
-/// Encodes `count` consecutive blocks starting at `base` as
+/// Encodes the blocks of the consecutive ranks `group` as
 /// `[u32 base][u32 count]([u64 len][bytes])*` into a pooled buffer.
 fn encode_block_group(
     blocks: &[Option<Bytes>],
-    base: usize,
-    count: usize,
+    group: Range<usize>,
     pool: &mut BufferPool,
 ) -> Bytes {
-    let group = &blocks[base..base + count];
+    let (base, count) = (group.start, group.len());
+    let group = &blocks[group];
     let mut size = 8;
     for b in group {
         size += 8 + b.as_ref().map_or(0, |b| b.len());
@@ -522,9 +549,16 @@ fn encode_block_group(
     Bytes::from(buf)
 }
 
-/// Inverse of [`encode_block_group`], installing blocks into `blocks` as
-/// zero-copy slices of the received frame.
-fn decode_block_group(payload: &Bytes, blocks: &mut [Option<Bytes>]) -> Result<(), CollError> {
+/// Inverse of [`encode_block_group`] for the group `expected` — the one
+/// the sender owes this round, so a frame claiming any other base or count
+/// (this rank's own blocks included) is rejected before a block is read.
+/// Installs the blocks into `blocks` as zero-copy slices of the frame,
+/// which must hold nothing else.
+fn decode_block_group(
+    payload: &Bytes,
+    expected: Range<usize>,
+    blocks: &mut [Option<Bytes>],
+) -> Result<(), CollError> {
     use bytes::Buf;
     let mut buf: &[u8] = payload;
     if buf.remaining() < 8 {
@@ -532,21 +566,31 @@ fn decode_block_group(payload: &Bytes, blocks: &mut [Option<Bytes>]) -> Result<(
     }
     let base = buf.get_u32_le() as usize;
     let count = buf.get_u32_le() as usize;
-    for r in base..base + count {
+    if (base, count) != (expected.start, expected.len()) {
+        return Err(CollError::Invalid(format!(
+            "block group of ranks {base}+{count}, expected {}+{}",
+            expected.start,
+            expected.len()
+        )));
+    }
+    for r in expected {
         if buf.remaining() < 8 {
             return Err(CollError::Invalid("block group body truncated".into()));
         }
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len {
+        let len = buf.get_u64_le();
+        if (buf.remaining() as u64) < len {
             return Err(CollError::Invalid("block payload truncated".into()));
-        }
-        if r >= blocks.len() {
-            return Err(CollError::Invalid("block rank out of range".into()));
         }
         // Current position within the frame, derived from the one cursor.
         let offset = payload.len() - buf.remaining();
+        let len = len as usize;
         blocks[r] = Some(payload.slice(offset..offset + len));
         buf.advance(len);
+    }
+    if buf.remaining() > 0 {
+        return Err(CollError::Invalid(
+            "trailing bytes after block group".into(),
+        ));
     }
     Ok(())
 }
@@ -627,6 +671,81 @@ mod tests {
         for blocks in &out {
             for (r, b) in blocks.iter().enumerate() {
                 assert!(b.iter().all(|&x| x as usize == r));
+            }
+        }
+    }
+
+    #[test]
+    fn placement_runs_one_round_behind_the_frames() {
+        // α = 1, β = 1 per byte, γ = 1 per element; every block is 10
+        // bytes and `place` charges 10 elements. Each block is placed
+        // once, the own one first, and a round costs α + max(transfer,
+        // pending placement) instead of their sum.
+        let cost = CostModel {
+            alpha: 1.0,
+            beta: 1.0,
+            gamma: 1.0,
+            isend_alpha_fraction: 0.0,
+        };
+        for (p, expect) in [
+            // Rounds of 1, 2 and 4 blocks (+ 8 + 8 header bytes each):
+            // 1 + max(26, 10), 1 + max(44, 10), 1 + max(80, 20), then 40.
+            (8usize, 27.0 + 45.0 + 81.0 + 40.0),
+            // Five ring rounds of 1 + max(26, 10), then 10.
+            (6, 5.0 * 27.0 + 10.0),
+        ] {
+            let out = run_cluster(p, cost, |ep| {
+                let op = ep.next_op_id();
+                let mine = Bytes::from(vec![ep.rank() as u8; 10]);
+                let mut order = Vec::new();
+                allgather_bytes_with(ep, op, mine, &mut BufferPool::new(), |ep, r, block| {
+                    assert!(block.iter().all(|&x| x as usize == r));
+                    ep.compute(block.len());
+                    order.push(r);
+                    Ok(())
+                })
+                .unwrap();
+                (order, ep.clock())
+            });
+            for (rank, (order, clock)) in out.into_iter().enumerate() {
+                assert_eq!(order[0], rank, "P={p}");
+                let mut seen = order.clone();
+                seen.sort();
+                assert_eq!(seen, (0..p).collect::<Vec<_>>(), "P={p}");
+                assert!((clock - expect).abs() < 1e-9, "P={p}: {clock} vs {expect}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_group_must_be_the_one_its_sender_owes() {
+        let mut blocks: Vec<Option<Bytes>> = vec![None; 8];
+        let group = |base: u32, count: u32, body: &[u8]| {
+            let mut frame = base.to_le_bytes().to_vec();
+            frame.extend_from_slice(&count.to_le_bytes());
+            frame.extend_from_slice(body);
+            Bytes::from(frame)
+        };
+        // Ranks 4..6, blocks [7] and [].
+        let body = [1u64.to_le_bytes().as_slice(), &[7], &0u64.to_le_bytes()].concat();
+        decode_block_group(&group(4, 2, &body), 4..6, &mut blocks).unwrap();
+        assert_eq!(blocks[4].as_deref(), Some(&[7u8][..]));
+        assert_eq!(blocks[5].as_deref(), Some(&[][..]));
+        for (what, frame) in [
+            ("another base", group(0, 2, &body)),
+            ("the receiver's own group", group(6, 2, &body)),
+            ("one block short", group(4, 1, &body[..9])),
+            ("a base past the ranks", group(u32::MAX, 2, &body)),
+            ("a trailing byte", group(4, 2, &[&body[..], &[0]].concat())),
+            (
+                "a block longer than the frame",
+                group(4, 2, &body[..body.len() - 1]),
+            ),
+            ("a header cut short", Bytes::from(vec![4u8, 0, 0])),
+        ] {
+            match decode_block_group(&frame, 4..6, &mut blocks) {
+                Err(CollError::Invalid(_)) => {}
+                other => panic!("{what}: {other:?}"),
             }
         }
     }

@@ -7,7 +7,9 @@
 //! reduced size `K`. The selector estimates `E[K]` under the uniform model
 //! (Appendix B), prices every flat schedule by its analytic expected cost
 //! — communication envelope plus the reduction work the virtual clock
-//! charges — and takes the cheapest. A sparse pair is priced at what the
+//! charges; the two split schedules phase by phase, their gather round by
+//! round with its assembly overlapping the frames in flight — and takes
+//! the cheapest. A sparse pair is priced at what the
 //! wire format makes it weigh at the density it travels at
 //! ([`Workload::pair_bytes`]: a rank's input at `k/N`, reduced data at
 //! `E[K]/N`), not at a fixed `4 + isize`. The δ threshold is not a gate
@@ -27,7 +29,10 @@ use crate::theory::expected_union_size;
 /// doubling (serialized merges of growing streams) from the split family
 /// (reduction work distributed across ranks, each owner summing its share
 /// in a ⌈log2 P⌉-level tournament); the paper folds this trade-off into
-/// its practical δ discussion (§5.1).
+/// its practical δ discussion (§5.1). The split family is priced as the
+/// clock runs it: [`split_phase`], then [`pipelined_gather`], where every
+/// assembled element still costs γ but overlaps the next frame's
+/// transfer.
 pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f64) -> f64 {
     // Interpolation weight: how far E[K] sits between full overlap (K = k)
     // and no overlap (K = P·k).
@@ -55,16 +60,23 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             lerp(bounds::ssar_rec_dbl(w, c)) + compute
         }
         Algorithm::SsarSplitAllgather => {
-            // Reduction work is distributed: each node's ≈ k incoming
-            // pairs go through a ⌈log2 P⌉-level tournament, then the
-            // E[K]-sized gathered result is assembled.
-            let compute = c.gamma * (log2p * k + ek);
-            lerp(bounds::ssar_split_ag(w, c)) + compute
+            // Each node sums its P incoming sub-ranges in a tournament;
+            // its partition count goes to every peer as an isent word;
+            // then E[K]/P-entry sparse blocks are gathered, each placed
+            // for γ per entry, the own one included.
+            let entries = ek / p;
+            let bytes = entries * w.pair_bytes(ek);
+            split_phase(w, c, c.gamma * tournament_work(w))
+                + (p - 1.0) * c.isend_alpha_fraction * c.alpha
+                + pipelined_gather(w.p, c, bytes, c.gamma * entries, c.gamma * entries)
         }
         Algorithm::DsarSplitAllgather => {
-            // Scatter ≈ k pairs, then one dense assembly pass over N.
-            let compute = c.gamma * (k + n);
-            lerp(bounds::dsar_split_ag(w, c)) + compute
+            // Scatter ≈ k pairs into the own window of the dense result,
+            // then gather N/P-value dense blocks, each peer's placed for γ
+            // per value; the own block is already in place.
+            let values = n / p;
+            let bytes = values * w.word_bytes();
+            split_phase(w, c, c.gamma * k) + pipelined_gather(w.p, c, bytes, c.gamma * values, 0.0)
         }
         // The dense baselines pay γ·k to densify their input before the
         // first frame, then their reduction work: log2(P) full-vector
@@ -79,6 +91,67 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             // Ring on sparse partitions: 2(P−1) messages of ≈ E[K]/P pairs.
             2.0 * (p - 1.0) * (c.alpha + ek / p * c.beta * w.pair_bytes(ek)) + c.gamma * 2.0 * ek
         }
+    }
+}
+
+/// The split phase both split schedules share, as the virtual clock
+/// charges it: `P − 1` blocking sends of a `k/P`-pair sub-range, the last
+/// of which is still in flight when the sends are done, then the owner's
+/// reduction work `reduce` (seconds).
+fn split_phase(w: &Workload, c: &CostModel, reduce: f64) -> f64 {
+    let (p, k) = (w.p as f64, w.k as f64);
+    (p - 1.0) * c.alpha + c.beta * k / p * w.pair_bytes(k) + reduce
+}
+
+/// Expected elements an owner's tournament sum processes
+/// (`sparcml_stream::TournamentSum` over its `P` sub-ranges, in the same
+/// binary-counter shape): each merge writes the union of the sub-ranges it
+/// covers, `E[K_m]/P` for `m` of them under the uniform model — between
+/// `k` and `k·⌈log2 P⌉` in all.
+fn tournament_work(w: &Workload) -> f64 {
+    let k = w.k.min(w.n);
+    let merged = |operands: usize| expected_union_size(w.n, operands, k) / w.p as f64;
+    // (level, operands) per run, oldest first.
+    let mut runs: Vec<(u32, usize)> = Vec::new();
+    let mut work = 0.0;
+    for _ in 0..w.p {
+        let mut top = (0, 1);
+        while let Some(&(level, operands)) = runs.last().filter(|run| run.0 == top.0) {
+            runs.pop();
+            top = (level + 1, operands + top.1);
+            work += merged(top.1);
+        }
+        runs.push(top);
+    }
+    // What is left folds newest first.
+    while let Some((_, operands)) = runs.pop() {
+        if let Some(older) = runs.last_mut() {
+            older.1 += operands;
+            work += merged(older.1);
+        }
+    }
+    work
+}
+
+/// The split schedules' gather (`crate::op::allgather_bytes_with`):
+/// `P` blocks of `bytes` each, which take `place` seconds each to put in
+/// place — `own` for this rank's — placed one round late. Round by round
+/// that is `α` plus the larger of the frame's transfer and the placement
+/// pending behind it, then the last round's placement: recursive doubling
+/// at powers of two (round `t` carries `2^t` blocks), a ring of `P − 1`
+/// one-block rounds otherwise.
+fn pipelined_gather(p: usize, c: &CostModel, bytes: f64, place: f64, own: f64) -> f64 {
+    let round = |blocks: f64, pending: f64| c.alpha + (c.beta * blocks * bytes).max(pending);
+    if p.is_power_of_two() {
+        let (mut time, mut pending) = (0.0, own);
+        for t in 0..p.trailing_zeros() {
+            let blocks = (1u64 << t) as f64;
+            time += round(blocks, pending);
+            pending = blocks * place;
+        }
+        time + pending
+    } else {
+        round(1.0, own) + (p - 2) as f64 * round(1.0, place) + place
     }
 }
 
@@ -347,13 +420,15 @@ mod tests {
             );
         }
         // Any other pick pays one pass of 8-byte frames first: log2(P)
-        // rounds, plus the fold and unfold hops off powers of two.
+        // rounds, plus the fold and unfold hops off powers of two. (On a
+        // γ-heavy model at P ≥ 12 Rabenseifner wins: the split schedules'
+        // (P − 1)·α split latency outgrows its 2·log2(P)·α.)
         let dense = CostModel {
             gamma: 1e-7,
             ..CostModel::aries()
         };
         let word = dense.alpha + 8.0 * dense.beta;
-        for (p, rounds) in [(8usize, 3.0), (6, 4.0)] {
+        for (p, rounds) in [(16usize, 4.0), (12, 5.0)] {
             let (n, k) = (1 << 14, 1 << 12);
             let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &dense);
             assert_eq!(resolved, Algorithm::DenseRabenseifner, "P={p}");

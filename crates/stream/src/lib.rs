@@ -24,7 +24,8 @@
 //!   ([`expected_entry_bytes`]); `decode` validates every frame (lengths
 //!   before allocation, in-bounds indices that are strictly increasing by
 //!   construction) instead of trusting the peer, reporting malformed
-//!   frames as typed [`StreamError`]s.
+//!   frames as typed [`StreamError`]s. [`WireFrame`] is that check on its
+//!   own, for decoding a frame straight into storage the caller sized.
 //!
 //! This crate also provides the dimension partitioning of the split
 //! algorithms and deterministic synthetic workload generators.
@@ -66,4 +67,4 @@ pub use soa::{SparseVec, SparseView};
 pub use stream::{Repr, SparseStream};
 pub use sum::{reduce_streams, SumStats, TournamentSum};
 pub use threshold::{delta_raw, DensityPolicy, INDEX_BYTES};
-pub use wire::{expected_entry_bytes, WIRE_VERSION};
+pub use wire::{expected_entry_bytes, WireFrame, WIRE_VERSION};

@@ -46,7 +46,24 @@ pub trait Scalar:
     /// that do not form a whole value are ignored (wire framing checks
     /// payload lengths before calling this).
     fn read_slab_le(bytes: &[u8]) -> Vec<Self> {
-        bytes.chunks_exact(Self::BYTES).map(Self::read_le).collect()
+        let mut out = vec![Self::zero(); bytes.len() / Self::BYTES];
+        Self::read_slab_le_into(bytes, &mut out);
+        out
+    }
+
+    /// Decodes the first `out.len()` values of a little-endian slab
+    /// straight into `out` — the allocation-free form of
+    /// [`Scalar::read_slab_le`]. `bytes` must hold at least that many
+    /// values. On little-endian targets the f32/f64 implementations reduce
+    /// to a single `memcpy`.
+    fn read_slab_le_into(bytes: &[u8], out: &mut [Self]) {
+        assert!(
+            bytes.len() >= out.len() * Self::BYTES,
+            "value slab too short"
+        );
+        for (slot, chunk) in out.iter_mut().zip(bytes.chunks_exact(Self::BYTES)) {
+            *slot = Self::read_le(chunk);
+        }
     }
 
     /// Lossless (f32) or identity (f64) widening, for analysis code.
@@ -78,22 +95,19 @@ pub(crate) fn slab_as_le_bytes<T: Copy>(values: &[T]) -> &[u8] {
     }
 }
 
-/// Inverse of [`slab_as_le_bytes`]: bulk-decodes a little-endian byte slab
-/// into values of a plain fixed-width numeric type (`f32`/`f64`).
-/// Any trailing bytes that do not form a whole value are ignored. The one
-/// audited unsafe decode block shared by every slab reader.
+/// Inverse of [`slab_as_le_bytes`]: bulk-decodes the first `out.len()`
+/// values of a little-endian byte slab of a plain fixed-width numeric type
+/// (`f32`/`f64`) into `out`. The one audited unsafe decode block shared by
+/// every slab reader.
 #[cfg(target_endian = "little")]
-pub(crate) fn slab_from_le_bytes<T: Copy + Default>(bytes: &[u8]) -> Vec<T> {
-    let width = std::mem::size_of::<T>();
-    let n = bytes.len() / width;
-    let mut out = vec![T::default(); n];
-    // SAFETY: `out` provides exactly `n * width` bytes of plain numeric
-    // storage and exactly that many bytes are copied; on little-endian
-    // targets the wire bytes are the in-memory representation.
-    unsafe {
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), n * width)
-    };
-    out
+pub(crate) fn slab_from_le_bytes_into<T: Copy>(bytes: &[u8], out: &mut [T]) {
+    let len = std::mem::size_of_val(out);
+    assert!(bytes.len() >= len, "value slab too short");
+    // SAFETY: `out` provides exactly `len` bytes of plain numeric storage,
+    // `bytes` holds at least that many and exactly that many are copied;
+    // on little-endian targets the wire bytes are the in-memory
+    // representation.
+    unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), out.as_mut_ptr().cast::<u8>(), len) };
 }
 
 impl Scalar for f32 {
@@ -130,8 +144,8 @@ impl Scalar for f32 {
     }
 
     #[cfg(target_endian = "little")]
-    fn read_slab_le(bytes: &[u8]) -> Vec<Self> {
-        slab_from_le_bytes(bytes)
+    fn read_slab_le_into(bytes: &[u8], out: &mut [Self]) {
+        slab_from_le_bytes_into(bytes, out)
     }
 
     #[inline]
@@ -179,8 +193,8 @@ impl Scalar for f64 {
     }
 
     #[cfg(target_endian = "little")]
-    fn read_slab_le(bytes: &[u8]) -> Vec<Self> {
-        slab_from_le_bytes(bytes)
+    fn read_slab_le_into(bytes: &[u8], out: &mut [Self]) {
+        slab_from_le_bytes_into(bytes, out)
     }
 
     #[inline]

@@ -42,6 +42,8 @@
 //! [`StreamError`]; a frame of any other version — v2's `u32` slab
 //! included — is a [`StreamError::VersionMismatch`].
 
+use std::marker::PhantomData;
+
 use bytes::{Buf, Bytes};
 
 use crate::error::StreamError;
@@ -168,26 +170,25 @@ fn write_gap_slab(indices: &[u32], out: &mut Vec<u8>) {
     put_varints(&tail[..rest.len()], out);
 }
 
-/// Decodes exactly `nnz` gap-coded indices from `slab`, which must hold
-/// nothing else. The caller has bounded `nnz` by `slab.len()`, so the
-/// allocation is covered by bytes the peer actually sent. `frame_len` only
-/// labels a truncation error.
-fn read_gap_slab(
+/// Decodes exactly `indices.len()` gap-coded indices from `slab`, which
+/// must hold nothing else, into `indices`. `frame_len` only labels a
+/// truncation error.
+fn read_gap_slab_into(
     slab: &[u8],
-    nnz: usize,
+    indices: &mut [u32],
     dim: usize,
     frame_len: usize,
-) -> Result<Vec<u32>, StreamError> {
-    debug_assert!(nnz <= slab.len());
-    let mut indices = Vec::with_capacity(nnz);
+) -> Result<(), StreamError> {
+    let nnz = indices.len();
     // The index a zero gap lands on next; u64 so that neither a 5-byte
     // varint nor index `u32::MAX` + 1 can overflow it.
     let mut next: u64 = 0;
     let mut pos = 0usize;
-    while indices.len() < nnz {
+    let mut filled = 0usize;
+    while filled < nnz {
         // Eight single-byte gaps at a time: no continuation bit in the
         // next 8 bytes and at least 8 entries still to come.
-        if let (Some(word), true) = (slab.get(pos..pos + 8), nnz - indices.len() >= 8) {
+        if let (Some(word), true) = (slab.get(pos..pos + 8), nnz - filled >= 8) {
             let word: [u8; 8] = word.try_into().expect("slice of 8");
             if u64::from_le_bytes(word) & CONTINUATION_BITS == 0 {
                 let mut run = [0u32; 8];
@@ -200,7 +201,8 @@ fn read_gap_slab(
                 // eight are; otherwise the varint path below names the
                 // first offender.
                 if after <= dim as u64 && after <= 1 << 32 {
-                    indices.extend_from_slice(&run);
+                    indices[filled..filled + 8].copy_from_slice(&run);
+                    filled += 8;
                     next = after;
                     pos += 8;
                     continue;
@@ -229,13 +231,14 @@ fn read_gap_slab(
         if idx as usize >= dim {
             return Err(StreamError::IndexOutOfBounds { idx, dim });
         }
-        indices.push(idx);
+        indices[filled] = idx;
+        filled += 1;
         next = idx as u64 + 1;
     }
     if pos != slab.len() {
         return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
     }
-    Ok(indices)
+    Ok(())
 }
 
 fn put_header(out: &mut Vec<u8>, width: u8, tag: u8, dim: usize) {
@@ -311,7 +314,8 @@ impl<V: Scalar> SparseStream<V> {
         }
     }
 
-    /// Decodes a stream previously produced by [`SparseStream::encode`].
+    /// Decodes a stream previously produced by [`SparseStream::encode`]:
+    /// [`WireFrame::parse`], then its payload into freshly allocated slabs.
     ///
     /// The frame is fully validated before a stream is built: header
     /// magic/version/width, payload length against the declared counts
@@ -321,6 +325,58 @@ impl<V: Scalar> SparseStream<V> {
     /// [`StreamError`]s; a peer can never hand us a stream that violates
     /// the invariants.
     pub fn decode(bytes: &[u8]) -> Result<Self, StreamError> {
+        let frame = WireFrame::<V>::parse(bytes)?;
+        let mut values = vec![V::zero(); frame.stored_len()];
+        let mut stream = SparseStream::zeros(frame.dim);
+        match frame.body {
+            Body::Sparse { .. } => {
+                let mut indices = vec![0u32; values.len()];
+                frame.read_sparse_into(&mut indices, &mut values)?;
+                stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
+            }
+            Body::Dense { .. } => {
+                frame.read_dense_into(&mut values)?;
+                stream.set_repr(Repr::Dense(values));
+            }
+        }
+        Ok(stream)
+    }
+}
+
+/// The payload of a [`WireFrame`], its lengths already checked.
+#[derive(Debug, Clone, Copy)]
+enum Body<'a> {
+    Sparse {
+        nnz: usize,
+        values: &'a [u8],
+        gaps: &'a [u8],
+    },
+    Dense {
+        values: &'a [u8],
+    },
+}
+
+/// One wire frame, validated but not yet decoded: the header is checked
+/// and the payload length matched against the declared counts, so
+/// [`WireFrame::dim`] and [`WireFrame::stored_len`] are safe to act on
+/// before anything is allocated. The `read_*_into` methods then decode the
+/// payload straight into caller-owned storage — how a collective places a
+/// gathered block at its final offset in a result it sized beforehand,
+/// with no intermediate stream. [`SparseStream::decode`] is this parse
+/// followed by a read into fresh slabs.
+#[derive(Debug, Clone, Copy)]
+pub struct WireFrame<'a, V: Scalar> {
+    dim: usize,
+    body: Body<'a>,
+    frame_len: usize,
+    value: PhantomData<V>,
+}
+
+impl<'a, V: Scalar> WireFrame<'a, V> {
+    /// Checks `bytes` as one frame: magic, version, value width,
+    /// representation tag, and payload length against the declared counts
+    /// (a sparse entry is a value and one to five gap bytes).
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, StreamError> {
         let mut buf = bytes;
         if buf.remaining() < HEADER_LEN {
             return Err(StreamError::Truncated {
@@ -348,7 +404,7 @@ impl<V: Scalar> SparseStream<V> {
         let tag = buf.get_u8();
         let dim = buf.get_u64_le();
         let dim = usize::try_from(dim).map_err(|_| StreamError::Corrupt("dimension overflow"))?;
-        match tag {
+        let body = match tag {
             TAG_SPARSE => {
                 if buf.remaining() < 8 {
                     return Err(StreamError::Truncated {
@@ -376,14 +432,8 @@ impl<V: Scalar> SparseStream<V> {
                 if buf.remaining() - shortest > nnz * (MAX_GAP_BYTES - 1) {
                     return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
                 }
-                let (val_slab, gap_slab) = buf.split_at(nnz * V::BYTES);
-                let indices = read_gap_slab(gap_slab, nnz, dim, bytes.len())?;
-                let mut stream = SparseStream::zeros(dim);
-                stream.set_repr(Repr::Sparse(SparseVec::from_slabs(
-                    indices,
-                    V::read_slab_le(val_slab),
-                )));
-                Ok(stream)
+                let (values, gaps) = buf.split_at(nnz * V::BYTES);
+                Body::Sparse { nnz, values, gaps }
             }
             TAG_DENSE => {
                 let payload = dim
@@ -398,10 +448,79 @@ impl<V: Scalar> SparseStream<V> {
                 if buf.remaining() > payload {
                     return Err(StreamError::Corrupt("trailing bytes after dense payload"));
                 }
-                Ok(SparseStream::from_dense(V::read_slab_le(buf)))
+                Body::Dense { values: buf }
             }
-            _ => Err(StreamError::Corrupt("unknown representation tag")),
+            _ => return Err(StreamError::Corrupt("unknown representation tag")),
+        };
+        Ok(WireFrame {
+            dim,
+            body,
+            frame_len: bytes.len(),
+            value: PhantomData,
+        })
+    }
+
+    /// The logical dimension the frame declares.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Whether the frame carries the dense representation.
+    pub fn is_dense(&self) -> bool {
+        matches!(self.body, Body::Dense { .. })
+    }
+
+    /// Entries the payload holds: the pair count when sparse, `dim` when
+    /// dense — already covered by the frame's bytes.
+    pub fn stored_len(&self) -> usize {
+        match self.body {
+            Body::Sparse { nnz, .. } => nnz,
+            Body::Dense { .. } => self.dim,
         }
+    }
+
+    /// Decodes a sparse frame's entries into `indices` and `values`, which
+    /// must each be [`WireFrame::stored_len`] long. The indices come out
+    /// strictly increasing and below [`WireFrame::dim`], or the frame is
+    /// rejected (with the slabs partly written).
+    pub fn read_sparse_into(
+        &self,
+        indices: &mut [u32],
+        values: &mut [V],
+    ) -> Result<(), StreamError> {
+        let Body::Sparse {
+            nnz,
+            values: value_slab,
+            gaps,
+        } = self.body
+        else {
+            return Err(StreamError::Corrupt("expected a sparse frame"));
+        };
+        if indices.len() != nnz || values.len() != nnz {
+            return Err(StreamError::SlabLengthMismatch {
+                indices: indices.len(),
+                values: values.len(),
+            });
+        }
+        read_gap_slab_into(gaps, indices, self.dim, self.frame_len)?;
+        V::read_slab_le_into(value_slab, values);
+        Ok(())
+    }
+
+    /// Decodes a dense frame's values into `values`, which must be
+    /// [`WireFrame::dim`] long.
+    pub fn read_dense_into(&self, values: &mut [V]) -> Result<(), StreamError> {
+        let Body::Dense { values: value_slab } = self.body else {
+            return Err(StreamError::Corrupt("expected a dense frame"));
+        };
+        if values.len() != self.dim {
+            return Err(StreamError::LengthMismatch {
+                expected: self.dim,
+                actual: values.len(),
+            });
+        }
+        V::read_slab_le_into(value_slab, values);
+        Ok(())
     }
 }
 
@@ -551,6 +670,49 @@ mod tests {
         let back = SparseStream::<f32>::decode(&out).unwrap();
         assert!(back.is_dense());
         assert_eq!(back.into_dense_vec(), block);
+    }
+
+    #[test]
+    fn frames_read_into_caller_slabs_match_decode() {
+        let sparse = random_sparse::<f32>(1 << 16, 3000, 12);
+        let bytes = sparse.encode();
+        let frame = WireFrame::<f32>::parse(&bytes).unwrap();
+        assert_eq!((frame.dim(), frame.stored_len()), (1 << 16, 3000));
+        assert!(!frame.is_dense());
+        // Into the middle of larger slabs, as a gathered block lands.
+        let (mut indices, mut values) = (vec![0u32; 3010], vec![0.0f32; 3010]);
+        frame
+            .read_sparse_into(&mut indices[5..3005], &mut values[5..3005])
+            .unwrap();
+        let view = sparse.sparse_view().unwrap();
+        assert_eq!(&indices[5..3005], view.indices());
+        assert_eq!(&values[5..3005], view.values());
+        assert_eq!(
+            frame.read_dense_into(&mut values),
+            Err(StreamError::Corrupt("expected a dense frame"))
+        );
+        assert!(matches!(
+            frame.read_sparse_into(&mut indices[..2999], &mut values[..2999]),
+            Err(StreamError::SlabLengthMismatch { .. })
+        ));
+
+        let block = [1.0f64, -2.5, 0.0, 4.0];
+        let mut bytes = Vec::new();
+        SparseStream::encode_dense_slice_into(&block, &mut bytes);
+        let frame = WireFrame::<f64>::parse(&bytes).unwrap();
+        assert!(frame.is_dense());
+        assert_eq!(frame.stored_len(), 4);
+        let mut out = [9.0f64; 6];
+        frame.read_dense_into(&mut out[1..5]).unwrap();
+        assert_eq!(out, [9.0, 1.0, -2.5, 0.0, 4.0, 9.0]);
+        assert!(matches!(
+            frame.read_dense_into(&mut out[..3]),
+            Err(StreamError::LengthMismatch {
+                expected: 4,
+                actual: 3
+            })
+        ));
+        assert!(frame.read_sparse_into(&mut [0; 4], &mut out[..4]).is_err());
     }
 
     #[test]

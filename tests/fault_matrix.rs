@@ -6,7 +6,9 @@
 //! fails (n ∈ 0..6) and it drops out. Both transports plan on the Aries
 //! model, where these small inputs make `Auto` eager; a third matrix gives
 //! `Auto` inputs whose k picks a split schedule, so every rank speculates
-//! and the victim dies with its split frames in flight.
+//! and the victim dies with its split frames in flight; a fourth kills it
+//! in pinned `SSAR_Split_allgather` just after it announced its partition's
+//! entry count to every peer.
 //!
 //! Asserted is the half of ROADMAP aim 3 that holds: nobody hangs (a
 //! finished session is a disconnect, not 30 s of silence), a rank that
@@ -178,9 +180,9 @@ fn every_schedule() -> Vec<Case> {
 /// `Auto` at every P where the Aries model has a split regime for an
 /// N = 2^15 reduction: the first k on a 1/64 grid of N whose pick is
 /// `SSAR_Split_allgather` or `DSAR_Split_allgather`, one index per
-/// bucket of width N/k and integer values. P = 2 and 3 have none (their
-/// picks run from recursive doubling straight to the dense baselines)
-/// and are skipped.
+/// bucket of width N/k and integer values. P = 2 has none (its picks run
+/// from recursive doubling straight to the dense baselines) and is
+/// skipped.
 fn auto_in_the_split_regime() -> Vec<Case> {
     let dim = 1 << 15;
     RANKS
@@ -277,12 +279,25 @@ fn last_rank_dies_after_n_sends<T: Transport + Send + 'static>(run: Runner<T>) {
 fn last_rank_dies_mid_speculation<T: Transport + Send + 'static>(run: Runner<T>) {
     let cases = auto_in_the_split_regime();
     let sizes: Vec<usize> = cases.iter().map(|(_, inputs)| inputs.len()).collect();
-    assert_eq!(sizes, [5, 8], "the split regimes this matrix covers");
+    assert_eq!(sizes, [3, 5, 8], "the split regimes this matrix covers");
     let [finished, failed, _] = matrix(run, &cases, &send_faults());
     // The victim's first six sends are words and split frames of the
     // pass: every rank reports, and the victim itself fails every run.
-    assert_eq!(finished + failed, 6 * (5 + 8));
-    assert!(failed >= 2 * 6, "{finished} Ok / {failed} Err");
+    assert_eq!(finished + failed, 6 * (3 + 5 + 8));
+    assert!(failed >= 3 * 6, "{finished} Ok / {failed} Err");
+}
+
+fn last_rank_dies_after_its_count_words<T: Transport + Send + 'static>(run: Runner<T>) {
+    // Pinned `SSAR_Split_allgather`: the victim's first P − 1 sends are
+    // its split frames, the next P − 1 the count words announcing its
+    // partition; it dies on the allgather's first frame, so every peer
+    // holds its count and waits for a block that never comes.
+    for p in RANKS {
+        let case = [(Algorithm::SsarSplitAllgather, (0..p).map(input).collect())];
+        let [finished, failed, _] = matrix(run, &case, &[Fault::FailsSend(2 * (p - 1))]);
+        assert_eq!(finished + failed, p, "P={p}");
+        assert!(failed >= 1, "P={p}: {finished} Ok / {failed} Err");
+    }
 }
 
 /// Instantiates one matrix on both transports.
@@ -305,3 +320,4 @@ macro_rules! fault {
 fault!(last_rank_never_joins);
 fault!(last_rank_dies_after_n_sends);
 fault!(last_rank_dies_mid_speculation);
+fault!(last_rank_dies_after_its_count_words);

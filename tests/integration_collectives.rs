@@ -499,13 +499,15 @@ fn auto_drains_speculated_frames_when_the_agreed_pick_is_not_a_split() {
     // exact, every frame a call sends is received within it, and a second
     // call on the same session costs what the first did. Such a k pair
     // takes a γ-heavy model, where a moderate k picks SSAR_Split_allgather
-    // and a larger one a dense baseline; the selector finds it.
+    // and a larger one a dense baseline — at P=12, where the split
+    // schedules' (P − 1)·α split latency outgrows Rabenseifner's; the
+    // selector finds it.
     let cost = CostModel {
         gamma: 1e-8,
         ..CostModel::aries()
     };
     let dim = 1 << 14;
-    let found = [5usize, 8].into_iter().find_map(|p| {
+    let found = [5usize, 8, 12].into_iter().find_map(|p| {
         let pick = |k: usize| select_algorithm::<f32>(p, dim, k, &cost);
         let ks = (1..=64).map(|i| dim * i / 64);
         let small = ks.clone().find(|&k| is_split(pick(k)))?;

@@ -405,6 +405,8 @@ const EAGER_BIT: u64 = 1 << 63;
 /// The schedule's sub-tags inside its op's tag block (`core::op::subtag`).
 const SUBTAG_FOLD: u64 = 1;
 const SUBTAG_UNFOLD: u64 = 2;
+const SUBTAG_SPLIT: u64 = 3;
+const SUBTAG_COUNT: u64 = 5;
 const SUBTAG_ROUND: u64 = 16;
 
 /// A frame as recursive doubling sends it: the stream (when attached)
@@ -431,6 +433,25 @@ fn against_villain(
     subtag: u64,
     frame: &[u8],
 ) -> Result<SparseStream<f32>, CollError> {
+    // The villain stays up until the honest rank's first frame is in
+    // (round 0 at P=2, its fold at P=3), so its send never meets a closed
+    // peer.
+    let first = if p == 2 { SUBTAG_ROUND } else { SUBTAG_FOLD };
+    against_villain_frames(p, input, algo, &[(subtag, frame.to_vec())], &[first])
+}
+
+/// [`against_villain`] with several villain frames, each under its
+/// sub-tag, and the sub-tags of the honest rank's frames the villain takes
+/// before leaving. Where the honest rank's own k makes `Auto` speculate on
+/// a split schedule, every other rank also takes its split frame, so none
+/// of its sends meets a closed peer.
+fn against_villain_frames(
+    p: usize,
+    input: &SparseStream<f32>,
+    algo: Algorithm,
+    frames: &[(u64, Vec<u8>)],
+    owed: &[u64],
+) -> Result<SparseStream<f32>, CollError> {
     let honest = p - 1;
     let mut outs = run_thread_cluster(p, |tp| {
         if tp.rank() == honest {
@@ -444,16 +465,24 @@ fn against_villain(
             *tp = comm.into_transport();
             return Some(out);
         }
+        // The op id the honest rank's collective draws.
+        let block = TagBlock::for_op(tp.next_op_id());
         if tp.rank() == 0 {
-            // The op id the honest rank's collective draws.
-            let block = TagBlock::for_op(tp.next_op_id());
-            tp.send(honest, block.tag(subtag), frame.to_vec().into())
-                .unwrap();
-            // Stay up until the honest rank's first frame is in (round 0
-            // at P=2, its fold at P=3), so its send never meets a closed
-            // peer.
-            let first = if p == 2 { SUBTAG_ROUND } else { SUBTAG_FOLD };
-            tp.recv(honest, block.tag(first)).unwrap();
+            for (subtag, frame) in frames {
+                tp.send(honest, block.tag(*subtag), frame.clone().into())
+                    .unwrap();
+            }
+            for subtag in owed {
+                tp.recv(honest, block.tag(*subtag)).unwrap();
+            }
+        }
+        let own_pick = select_algorithm::<f32>(p, input.dim(), input.stored_len(), tp.cost());
+        let speculates = matches!(
+            own_pick,
+            Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
+        );
+        if algo.is_auto() && speculates {
+            tp.recv(honest, block.tag(SUBTAG_SPLIT)).unwrap();
         }
         None
     });
@@ -501,8 +530,9 @@ fn malformed_agreement_frames_are_typed_errors_on_the_receiver() {
         other => panic!("declined pinned schedule: {other:?}"),
     }
     // P=3: the honest rank parks with the villain. Its own k rules
-    // recursive doubling out, so it folds in a cleared bit — an unfold
-    // frame that sets the bit again contradicts it.
+    // recursive doubling out (it picks a split schedule and speculates),
+    // so it folds in a cleared bit — an unfold frame that sets the bit
+    // again contradicts it.
     let big = random_sparse::<f32>(dim, dim / 2, 13);
     let cost = run_thread_cluster(1, |tp| *tp.cost())[0];
     assert_ne!(
@@ -547,6 +577,199 @@ fn mutated_agreement_frames_never_panic_or_hang_the_receiver() {
             // A cleared bit sends the honest rank into a fallback the
             // villain never joins, which ends in a typed transport error.
             Ok(_) | Err(CollError::Comm(_)) => accepted += 1,
+            Err(CollError::Invalid(_)) | Err(CollError::Stream(_)) => rejected += 1,
+            Err(other) => panic!("case {case}: {other:?}"),
+        }
+    }
+    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
+}
+
+/// `SSAR_Split_allgather` at P=2 against a villain (rank 0): the honest
+/// rank's input, and the villain's three frames — its split frame, its
+/// partition's count word and its allgather group — as an honest peer
+/// holding `theirs` would send them. The count word and the group are
+/// returned separately for the caller to corrupt.
+struct Gather {
+    mine: SparseStream<f32>,
+    split: Vec<u8>,
+    count: Vec<u8>,
+    group: Vec<u8>,
+    /// The villain's reduced partition: the block inside `group`.
+    block: SparseStream<f32>,
+}
+
+impl Gather {
+    fn new(dim: usize) -> Gather {
+        let mine = integer_stream(dim, 300, 31);
+        let theirs = integer_stream(dim, 300, 32);
+        let half = (dim / 2) as u32;
+        let split = theirs.restrict(half, dim as u32).encode().to_vec();
+        let sum = SparseStream::sparse_from_slice(&reference_sum(&[mine.clone(), theirs]));
+        let block = sum.restrict(0, half);
+        let count = (block.nnz() as u64).to_le_bytes().to_vec();
+        Gather {
+            group: group_frame(0, &[&block.encode()]),
+            mine,
+            split,
+            count,
+            block,
+        }
+    }
+
+    /// Runs the honest rank against these frames.
+    fn run(&self, count: &[u8], group: &[u8]) -> Result<SparseStream<f32>, CollError> {
+        let frames = [
+            (SUBTAG_SPLIT, self.split.clone()),
+            (SUBTAG_COUNT, count.to_vec()),
+            (SUBTAG_ROUND, group.to_vec()),
+        ];
+        let owed = [SUBTAG_SPLIT, SUBTAG_COUNT, SUBTAG_ROUND];
+        against_villain_frames(2, &self.mine, Algorithm::SsarSplitAllgather, &frames, &owed)
+    }
+}
+
+/// `k` distinct indices of `dim` with small integer values.
+fn integer_stream(dim: usize, k: usize, seed: u64) -> SparseStream<f32> {
+    let mut rng = XorShift64::new(seed);
+    let pairs: Vec<(u32, f32)> = (0..k)
+        .map(|j| {
+            let (lo, hi) = (j * dim / k, (j + 1) * dim / k);
+            let at = lo + rng.next_below((hi - lo) as u64) as usize;
+            (at as u32, (1 + rng.next_below(4)) as f32)
+        })
+        .collect();
+    SparseStream::from_pairs(dim, &pairs).unwrap()
+}
+
+/// An allgather group frame: `[u32 base][u32 count]([u64 len][block])*`.
+fn group_frame(base: u32, blocks: &[&[u8]]) -> Vec<u8> {
+    let mut frame = base.to_le_bytes().to_vec();
+    frame.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+    for block in blocks {
+        frame.extend_from_slice(&(block.len() as u64).to_le_bytes());
+        frame.extend_from_slice(block);
+    }
+    frame
+}
+
+#[test]
+fn malformed_gather_frames_are_typed_errors_on_the_receiver() {
+    let dim = 1 << 12;
+    let g = Gather::new(dim);
+    let expect = reference_sum(&[g.mine.clone(), integer_stream(dim, 300, 32)]);
+    let out = g.run(&g.count, &g.group).unwrap();
+    assert_eq!(
+        out.to_dense_vec(),
+        expect,
+        "the honest frames reduce exactly"
+    );
+
+    let n = g.block.nnz() as u64;
+    let encoded = g.block.encode();
+    // The same entries announced one short, and a block one entry longer
+    // than announced.
+    let longer = {
+        let mut pairs: Vec<(u32, f32)> = g.block.iter_nonzero().collect();
+        let free = (0..dim as u32 / 2)
+            .find(|i| g.block.get(*i) == 0.0)
+            .unwrap();
+        pairs.push((free, 1.0));
+        SparseStream::from_pairs(dim, &pairs).unwrap().encode()
+    };
+    // A block reaching into the honest rank's own partition.
+    let outside = {
+        let mut pairs: Vec<(u32, f32)> = g.block.iter_nonzero().skip(1).collect();
+        pairs.push((dim as u32 / 2 + 3, 1.0));
+        SparseStream::from_pairs(dim, &pairs).unwrap().encode()
+    };
+    let dense = SparseStream::from_dense(g.block.to_dense_vec()[..dim / 2].to_vec());
+    let count = |c: u64| c.to_le_bytes().to_vec();
+    for (what, count_word, group) in [
+        (
+            "count word of 7 bytes",
+            g.count[..7].to_vec(),
+            g.group.clone(),
+        ),
+        (
+            "count word of 9 bytes",
+            [&g.count[..], &[0]].concat(),
+            g.group.clone(),
+        ),
+        (
+            "count above the partition",
+            count(dim as u64 / 2 + 1),
+            g.group.clone(),
+        ),
+        ("count word of all ones", count(u64::MAX), g.group.clone()),
+        (
+            "block shorter than its count",
+            count(n + 1),
+            g.group.clone(),
+        ),
+        (
+            "block longer than its count",
+            g.count.clone(),
+            group_frame(0, &[&longer]),
+        ),
+        (
+            "index outside the partition",
+            g.count.clone(),
+            group_frame(0, &[&outside]),
+        ),
+        (
+            "dense block of the whole partition",
+            count(dim as u64 / 2),
+            group_frame(0, &[&dense.encode()]),
+        ),
+        (
+            "group of the own rank",
+            g.count.clone(),
+            group_frame(1, &[&encoded]),
+        ),
+        (
+            "group of two",
+            g.count.clone(),
+            group_frame(0, &[&encoded, &encoded]),
+        ),
+        (
+            "group with a trailing byte",
+            g.count.clone(),
+            [&g.group[..], &[0]].concat(),
+        ),
+    ] {
+        match g.run(&count_word, &group) {
+            Err(CollError::Invalid(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn mutated_gather_frames_never_panic_or_hang_the_receiver() {
+    let g = Gather::new(1 << 10);
+    let mut rng = XorShift64::new(0x6a7e);
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..64 {
+        let (mut count, mut group) = (g.count.clone(), g.group.clone());
+        let frame = if case % 2 == 0 {
+            &mut count
+        } else {
+            &mut group
+        };
+        match rng.next_below(4) {
+            0 => frame.truncate(rng.next_below(frame.len() as u64 + 1) as usize),
+            1 => frame.extend((0..rng.next_below(9)).map(|_| rng.next_u64() as u8)),
+            _ => {}
+        }
+        for _ in 0..1 + rng.next_below(3) {
+            if !frame.is_empty() {
+                let at = rng.next_below(frame.len() as u64) as usize;
+                frame[at] ^= 1 << rng.next_below(8);
+            }
+        }
+        match g.run(&count, &group) {
+            // A flip in a value byte still makes a frame.
+            Ok(_) => accepted += 1,
             Err(CollError::Invalid(_)) | Err(CollError::Stream(_)) => rejected += 1,
             Err(other) => panic!("case {case}: {other:?}"),
         }
