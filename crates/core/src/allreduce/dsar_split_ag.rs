@@ -12,10 +12,14 @@
 //! low precision ("we employ the low-precision data representation only in
 //! the second part of the DSAR Split allgather algorithm").
 //!
-//! The dense result is allocated first: the split phase scatters straight
-//! into this rank's window of it, the allgather frame is encoded from that
-//! window, and each peer's block is decoded straight into its own fixed
-//! window while the allgather's next frame is in flight
+//! The dense result is allocated first, and the split phase scatters
+//! straight into this rank's window of it, `γ` per entry. It runs the split
+//! schedules' one scatter loop ([`super::ssar_split_ag::scatter_split`])
+//! without the occupancy bitmap `SSAR_Split_allgather` keeps, since this
+//! window is the result itself, and takes its own sub-range first, while
+//! the first frames fly. The allgather frame is encoded from that window,
+//! and each peer's block is decoded straight into its own fixed window
+//! while the allgather's next frame is in flight
 //! ([`crate::op::allgather_bytes_with`]). No partition block is copied:
 //! assembly costs `γ` per element of the `P − 1` peer blocks,
 //! `γ·(N − N/P)`, overlapping the transfer. With quantization every rank
@@ -25,12 +29,12 @@
 use bytes::Bytes;
 use sparcml_net::Transport;
 use sparcml_quant::{dequantize, quantize, QuantizedVec};
-use sparcml_stream::{partition_range, Scalar, SparseStream, WireFrame, XorShift64};
+use sparcml_stream::{partition_range, Scalar, SparseStream, WindowSum, WireFrame, XorShift64};
 
-use crate::allreduce::ssar_split_ag::send_split_steps;
+use crate::allreduce::ssar_split_ag::{scatter_split, send_split_steps};
 use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
-use crate::op::{allgather_bytes_with, recv_stream, subtag, tag, BufferPool};
+use crate::op::{allgather_bytes_with, BufferPool};
 
 /// Sparse split + dense (optionally quantized) allgather allreduce.
 /// Always returns a dense stream. Works for any `P ≥ 1`.
@@ -72,38 +76,13 @@ pub(crate) fn dsar_receive_half<T: Transport, V: Scalar>(
 
     // --- Split phase: reduce own partition densely, in place. ---
     let mut out = vec![V::zero(); dim];
-    let my_range = partition_range(dim, p, rank);
-    let scatter = |ep: &mut T, part: &SparseStream<V>, out: &mut [V]| {
-        let mut n = 0usize;
-        for (idx, val) in part.iter_nonzero() {
-            let slot = &mut out[idx as usize];
-            *slot = slot.add(val);
-            n += 1;
-        }
-        ep.compute(n);
-    };
-    let own = input.restrict(my_range.lo, my_range.hi);
-    scatter(ep, &own, &mut out);
-    for src in 0..p {
-        if src == rank {
-            continue;
-        }
-        let part = recv_stream::<_, V>(ep, src, tag(split_op, subtag::SPLIT), pool)?;
-        // A peer's sub-range is sparse and stays inside this rank's
-        // window; its indices increase, so the ends bound the rest.
-        let inside = part.dim() == dim
-            && part.sparse_view().is_some_and(|v| {
-                v.indices().first().is_none_or(|&i| i >= my_range.lo)
-                    && v.indices().last().is_none_or(|&i| i < my_range.hi)
-            });
-        if !inside {
-            return Err(CollError::Invalid(format!(
-                "split frame from rank {src} reaches outside partition [{}, {})",
-                my_range.lo, my_range.hi
-            )));
-        }
-        scatter(ep, &part, &mut out);
-    }
+    // The own sub-range first, while the first frames fly; then the peers'
+    // in rank order.
+    let (my_range, mine) = (partition_range(dim, p, rank), window(rank));
+    let sources = std::iter::once(rank).chain((0..p).filter(|&src| src != rank));
+    scatter_split(ep, input, split_op, sources, pool, |part| {
+        WindowSum::add_to_slice(&mut out[mine.clone()], dim, my_range, part)
+    })?;
 
     // --- Dense allgather phase, optionally quantized. ---
     let mut buf = pool.acquire();
@@ -311,10 +290,12 @@ mod tests {
     fn both_split_schedules_overlap_assembly_with_the_gather() {
         // Aries, N = 2^20, virtual µs. Each gathered block is placed while
         // the next allgather frame flies, and DSAR copies no own block.
-        // Each bound sits below what its point reads when assembly
-        // follows the whole allgather instead (SSAR 1 105.6 / 829.2 /
-        // 235.4, DSAR 1 730.6 / 1 696.1 / 1 566.1). P = 5 and 12 take the
-        // ring allgather.
+        // Each DSAR bound sits below what its point reads when assembly
+        // follows the whole allgather instead (1 730.6 / 1 696.1 /
+        // 1 566.1). SSAR's owner scatters into its window and drains it
+        // behind round 0's frame: at P = 8 it reads 701.5 at k = 1e5 and
+        // 106.3 at k = 1e4 (856 and 124 summing in a merge tournament).
+        // P = 5 and 12 take the ring allgather.
         let cfg = AllreduceConfig::default();
         let dim = 1 << 20;
         let time = |p: usize, k: usize, dsar: bool| {
@@ -330,9 +311,10 @@ mod tests {
             }) * 1e6
         };
         for (p, k, dsar, bound_us) in [
-            (8usize, 100_000usize, false, 870.0),
-            (5, 100_000, false, 700.0),
-            (12, 10_000, false, 200.0),
+            (8usize, 100_000usize, false, 710.0),
+            (8, 10_000, false, 108.0),
+            (5, 100_000, false, 550.0),
+            (12, 10_000, false, 170.0),
             (8, 300_000, true, 1_300.0),
             (5, 300_000, true, 1_300.0),
             (12, 100_000, true, 1_200.0),

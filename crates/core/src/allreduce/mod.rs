@@ -27,12 +27,12 @@ pub(crate) use dsar_split_ag::dsar_split_allgather;
 pub(crate) use sparse_ring::sparse_ring;
 pub(crate) use ssar_rec_dbl::ssar_recursive_double;
 // The split phase of SSAR_Split_allgather doubles as the crate's
-// reduce-scatter building block (see `rooted::sparse_reduce_scatter`).
-pub(crate) use ssar_split_ag::{split_reduce_partition, ssar_split_allgather};
+// reduce-scatter (see `rooted::sparse_reduce_scatter`).
+pub(crate) use ssar_split_ag::{reduce_partition, send_split_steps, ssar_split_allgather};
 
 use dsar_split_ag::dsar_receive_half;
 use ssar_rec_dbl::Stance;
-use ssar_split_ag::{send_split_steps, ssar_receive_half};
+use ssar_split_ag::ssar_receive_half;
 
 use sparcml_net::{Topology, TopologyCostModel, Transport};
 use sparcml_obs as obs;
@@ -419,7 +419,7 @@ fn dispatch_flat_concrete<T: Transport, V: Scalar>(
         }
         (Algorithm::SsarSplitAllgather, Some(split_op)) => {
             let gather_op = ep.next_op_id();
-            ssar_receive_half(ep, input, cfg, split_op, gather_op, pool)
+            ssar_receive_half(ep, input, split_op, gather_op, pool)
         }
         (Algorithm::DsarSplitAllgather, Some(split_op)) => {
             let gather_op = ep.next_op_id();

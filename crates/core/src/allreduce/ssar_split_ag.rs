@@ -2,24 +2,31 @@
 //!
 //! Phase 1 (*split*): the index space `[0, N)` is partitioned uniformly
 //! across ranks; every rank splits its sparse vector and sends each
-//! subrange directly to its owner. Each owner reduces the `P` received
-//! sub-vectors, producing the final result for its partition. The `P`
-//! sub-vectors are summed in rank order through a
-//! [`TournamentSum`] — pairwise, in a binary-counter shape fixed by `P`
-//! — so an owner taking in `n` entries pays at most `n·⌈log2 P⌉` element
-//! operations (a left fold into one growing accumulator pays `≈ n·P/2`),
-//! results are bit-identical on every transport, and each frame is merged
-//! as it arrives while later ones are still in flight.
+//! subrange directly to its owner. Each owner sums the `P` sub-vectors of
+//! its partition — its own and the `P − 1` it receives, in rank order —
+//! by scattering every entry once into a [`WindowSum`]: a dense window over
+//! the partition with an occupancy bitmap ([`scatter_split`], the one
+//! split-phase scatter loop, which `DSAR_Split_allgather` and
+//! `reduce_scatter` share). An owner taking in `n` entries pays `n` element
+//! operations whatever `P` is (a merge tournament pays up to
+//! `n·⌈log2 P⌉`), each frame is scattered as it arrives while later ones
+//! are still in flight, and every slot sums in rank order, so results are
+//! the sequential reference sum bit for bit, on every transport. The window
+//! never densifies: the partition stays sparse for the concatenating
+//! allgather at any fill-in.
 //!
 //! Phase 2 (*sparse allgather*): partition results are gathered to all
 //! ranks with a concatenating sparse allgather (partitions are disjoint
 //! index ranges, so the "sum" is concatenation, §5.1). Each owner first
 //! `isend`s its partition's entry count to every peer as one 8-byte word,
-//! so every rank sizes the result slabs exactly and copies each gathered
-//! block to its final offset as it lands — while the allgather's next
-//! frame is in flight ([`crate::op::allgather_bytes_with`]). Assembly
-//! still costs `γ` per element, `γ·K` in all, but overlaps the transfer
-//! instead of following it.
+//! then encodes its frame straight from the window's bitmap, so the block
+//! is on the wire before its entries are extracted. Every rank sizes the
+//! result slabs exactly and places each gathered block at its final
+//! offset as it lands — while the allgather's next frame is in flight
+//! ([`crate::op::allgather_bytes_with`]). The own block is placed by
+//! draining the window into its offset, after round 0's frame has left:
+//! assembly costs `γ` per element, `γ·K` in all plus the bitmap words the
+//! drain visits, and overlaps the transfer instead of following it.
 //!
 //! Latency is `L2(P) = (P−1)α + log2(P)α` (the count words' isends cost
 //! `(P−1)·isend_alpha_fraction·α` more); bandwidth lies between
@@ -29,7 +36,9 @@ use std::ops::Range;
 
 use bytes::Bytes;
 use sparcml_net::Transport;
-use sparcml_stream::{partition_range, Scalar, SparseStream, SparseVec, TournamentSum, WireFrame};
+use sparcml_stream::{
+    partition_range, Scalar, SparseStream, SparseVec, StreamError, SumStats, WindowSum, WireFrame,
+};
 
 use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
@@ -70,44 +79,60 @@ pub(crate) fn send_split_steps<T: Transport, V: Scalar>(
     Ok(())
 }
 
-/// The receive half of the split phase: sums this rank's own sub-range
-/// with the `P − 1` frames tagged `op_id` into its fully reduced
-/// partition (support restricted to its range, logical dimension
-/// preserved). Rank order, the own sub-range at its rank position: the
-/// shape of the sum then depends on P alone (see the module docs).
-fn reduce_partition<T: Transport, V: Scalar>(
+/// The receive half of the split phase — the one split-phase scatter loop
+/// of both split schedules and `reduce_scatter`: hands `add` the sub-range
+/// of every rank in `sources` (each rank once), this rank's own from its
+/// input and every other's as the frame it sent under `op_id`, and
+/// charges `γ` per entry `add` scattered. `add` checks a frame before it
+/// scatters any of it; a frame of another dimension, or with an entry
+/// outside this rank's partition, is [`CollError::Invalid`].
+pub(crate) fn scatter_split<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
     op_id: u64,
+    sources: impl IntoIterator<Item = usize>,
     pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let (p, rank) = (ep.size(), ep.rank());
-    let my_range = partition_range(input.dim(), p, rank);
-    let mut sum = TournamentSum::new(cfg.policy);
-    for src in 0..p {
+    mut add: impl FnMut(&SparseStream<V>) -> Result<usize, StreamError>,
+) -> Result<(), CollError> {
+    let rank = ep.rank();
+    let my_range = partition_range(input.dim(), ep.size(), rank);
+    for src in sources {
         let part = if src == rank {
             input.restrict(my_range.lo, my_range.hi)
         } else {
             recv_stream::<_, V>(ep, src, tag(op_id, subtag::SPLIT), pool)?
         };
-        sum_charged(ep, || Ok(((), sum.push(part)?)))?;
+        sum_charged(ep, || match add(&part) {
+            Ok(scattered) => Ok((
+                (),
+                SumStats {
+                    elements_processed: scattered,
+                    result_dense: false,
+                    switched_to_dense: false,
+                },
+            )),
+            Err(e) => Err(CollError::Invalid(format!(
+                "split frame from rank {src}: {e}"
+            ))),
+        })?;
     }
-    sum_charged(ep, || sum.finish())
+    Ok(())
 }
 
-/// Runs the split phase: scatter sub-ranges to their owners and reduce the
-/// local partition ([`send_split_steps`] over every step, then
-/// [`reduce_partition`]).
-pub(crate) fn split_reduce_partition<T: Transport, V: Scalar>(
+/// Sums this rank's own sub-range with the `P − 1` frames tagged `op_id`
+/// into its partition's [`WindowSum`] ([`scatter_split`]), in rank order:
+/// every slot then sums its entries as the sequential reference does, so
+/// the partition is that sum bit for bit.
+pub(crate) fn reduce_partition<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
     op_id: u64,
     pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    send_split_steps(ep, input, cfg, op_id, 1..ep.size(), pool)?;
-    reduce_partition(ep, input, cfg, op_id, pool)
+) -> Result<WindowSum<V>, CollError> {
+    let (p, dim) = (ep.size(), input.dim());
+    let mut window = WindowSum::new(dim, partition_range(dim, p, ep.rank()));
+    scatter_split(ep, input, op_id, 0..p, pool, |part| window.add(part))?;
+    Ok(window)
 }
 
 /// Sparse split + sparse allgather allreduce. Works for any `P ≥ 1`.
@@ -123,7 +148,7 @@ pub(crate) fn ssar_split_allgather<T: Transport, V: Scalar>(
     }
     let op_id = ep.next_op_id();
     send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
-    ssar_receive_half(ep, input, cfg, op_id, op_id, pool)
+    ssar_receive_half(ep, input, op_id, op_id, pool)
 }
 
 /// Everything of `SSAR_Split_allgather` after the split-phase sends: the
@@ -134,42 +159,39 @@ pub(crate) fn ssar_split_allgather<T: Transport, V: Scalar>(
 pub(crate) fn ssar_receive_half<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
     split_op: u64,
     gather_op: u64,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
     let (p, rank, dim) = (ep.size(), ep.rank(), input.dim());
-    let mut mine = reduce_partition(ep, input, cfg, split_op, pool)?;
-    // The partition result must be sparse for the concatenating allgather;
-    // if fill-in forced it dense (the caller should have chosen DSAR), we
-    // convert back, paying the scan.
-    if mine.is_dense() {
-        ep.compute(dim);
-        mine.sparsify();
-    }
-    let mine = mine.into_sparse().expect("sparsified above");
+    let mut window = reduce_partition(ep, input, split_op, pool)?;
+    let own = window.len();
     // Every peer learns this partition's entry count before its block, so
     // it can size the result once and copy each block to its final offset
     // as it lands. The words go out with isend: their α overlaps the
     // allgather's first round.
     let count_tag = tag(gather_op, subtag::COUNT);
     for step in 1..p {
-        let word = Bytes::copy_from_slice(&(mine.len() as u64).to_le_bytes());
+        let word = Bytes::copy_from_slice(&(own as u64).to_le_bytes());
         ep.isend((rank + step) % p, count_tag, word)?;
     }
+    // The frame comes straight off the bitmap (uncharged, as every encode
+    // is); extracting the entries waits for the own block's placement.
     let mut buf = pool.acquire();
-    SparseStream::encode_sparse_slice_into(dim, mine.as_view(), &mut buf);
+    window.encode_into(&mut buf);
     let mut result: Option<Assembly<V>> = None;
     allgather_bytes_with(ep, gather_op, Bytes::from(buf), pool, |ep, src, block| {
         // The first placement is the own block's, after round 0's frame
-        // left: by then the peers' count words are in.
+        // left: by then the peers' count words are in, and the drain
+        // overlaps that frame's flight.
         let out = match &mut result {
             Some(out) => out,
-            None => result.insert(Assembly::sized(ep, count_tag, mine.len(), dim)?),
+            None => result.insert(Assembly::sized(ep, count_tag, own, dim)?),
         };
         let placed = if src == rank {
-            out.copy(src, &mine)
+            let (indices, values) = out.slabs(rank);
+            let (entries, words) = window.drain_into(indices, values);
+            entries + words
         } else {
             out.place(src, block, dim, p)?
         };
@@ -231,15 +253,6 @@ impl<V: Scalar> Assembly<V> {
     fn slabs(&mut self, src: usize) -> (&mut [u32], &mut [V]) {
         let at = self.offsets[src]..self.offsets[src + 1];
         (&mut self.indices[at.clone()], &mut self.values[at])
-    }
-
-    /// Copies this rank's own partition into its window. Returns the
-    /// entries placed.
-    fn copy(&mut self, src: usize, part: &SparseVec<V>) -> usize {
-        let (indices, values) = self.slabs(src);
-        indices.copy_from_slice(part.indices());
-        values.copy_from_slice(part.values());
-        part.len()
     }
 
     /// Decodes partition `src`'s gathered block straight into its window.
@@ -308,11 +321,10 @@ mod tests {
         let outs = run_cluster(p, CostModel::zero(), |ep| {
             ssar_split_allgather(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
+        // Every slot sums in rank order, as the reference does: the
+        // results are its sums bit for bit.
         for out in outs {
-            let got = out.to_dense_vec();
-            for (g, e) in got.iter().zip(expect.iter()) {
-                assert!((g - e).abs() < 1e-4, "{g} vs {e} (P={p})");
-            }
+            assert_eq!(out.to_dense_vec(), expect, "P={p}");
         }
     }
 
@@ -348,11 +360,12 @@ mod tests {
     }
 
     #[test]
-    fn densified_partition_is_sparsified_for_the_allgather() {
+    fn fill_in_past_delta_stays_sparse_and_exact() {
         let cfg = AllreduceConfig::default();
         // Rank 0's partition fills in past δ during the reduce (300 + 300
-        // stored > 512) and goes dense; its owner converts it back for
-        // the concatenating allgather. Rank 1's partition is empty.
+        // stored > 512, where a merge goes dense); the window keeps it
+        // sparse for the concatenating allgather, and nothing densifies.
+        // Rank 1's partition is empty.
         let p = 2;
         let dim = 1024;
         let supports = [(0u32, 300u32), (200, 500)];
@@ -375,8 +388,7 @@ mod tests {
                 };
                 assert_eq!(*v, expect, "index {i}");
             }
-            let expect_densified = if rank == 0 { 1 } else { 0 };
-            assert_eq!(densified, expect_densified, "rank {rank}");
+            assert_eq!(densified, 0, "rank {rank}");
         }
     }
 
@@ -401,20 +413,19 @@ mod tests {
     }
 
     #[test]
-    fn split_phase_at_p64_fits_the_tournament_budget() {
-        // P=64, k=1e4, N=2^20 on Aries: with each owner summing its 64
-        // sub-ranges in 6 tournament levels, and the gathered blocks
-        // placed while the allgather flies, the schedule takes ≈ 651
-        // virtual µs. A left fold in the split phase would add ≈ 218 (it
-        // read 1 096 against the tournament's 878 before the gather
-        // overlapped its assembly).
+    fn split_phase_at_p64_fits_the_window_budget() {
+        // P=64, k=1e4, N=2^20 on Aries: with each owner scattering its 64
+        // sub-ranges into its window once, and the gathered blocks placed
+        // while the allgather flies, the schedule takes ≈ 605 virtual µs.
+        // Summing them in a 6-level merge tournament read ≈ 651, a left
+        // fold 1 096 before the gather overlapped its assembly.
         let cfg = AllreduceConfig::default();
         let (p, dim, k) = (64, 1 << 20, 10_000);
         let t = max_virtual_time(p, CostModel::aries(), |ep| {
             let input = random_sparse::<f32>(dim, k, 7 + ep.rank() as u64);
             ssar_split_allgather(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
-        assert!(t <= 700e-6, "t = {t} s");
+        assert!(t <= 615e-6, "t = {t} s");
     }
 
     #[test]
@@ -545,5 +556,60 @@ mod tests {
                 assert!(out.indices.iter().all(|&i| (256..512).contains(&i)));
             }
         }
+    }
+
+    #[test]
+    fn mutated_split_frames_never_panic_or_hang_the_owner() {
+        // P = 2: rank 0 sends its split frame to rank 1 mutated, then runs
+        // the rest of the schedule honestly. Rank 1 owns [512, 1024): it
+        // ends in Ok or a typed error, never a panic or a hang, and an Ok
+        // is a valid stream. The valid frames are a sparse sub-range and a
+        // dense one, non-zero only inside the window.
+        let (dim, cfg) = (1024, AllreduceConfig::default());
+        let ins = [
+            random_sparse::<f32>(dim, 200, 3),
+            random_sparse::<f32>(dim, 200, 4),
+        ];
+        let part = ins[0].restrict(512, 1024);
+        let mut dense = part.clone();
+        dense.densify();
+        let valid = [part.encode().to_vec(), dense.encode().to_vec()];
+        let mut rng = sparcml_stream::XorShift64::new(0x5b17);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..4000 {
+            let mut frame = valid[case % valid.len()].clone();
+            match rng.next_u64() % 4 {
+                0 => frame.truncate(rng.next_u64() as usize % (frame.len() + 1)),
+                1 => frame.extend((0..rng.next_u64() % 9).map(|_| rng.next_u64() as u8)),
+                _ => {}
+            }
+            for _ in 0..rng.next_u64() % 4 {
+                if !frame.is_empty() {
+                    let at = rng.next_u64() as usize % frame.len();
+                    frame[at] ^= 1 << (rng.next_u64() % 8);
+                }
+            }
+            let mut outs = run_cluster(2, CostModel::zero(), |ep| {
+                let pool = &mut BufferPool::new();
+                if ep.rank() == 1 {
+                    return Some(ssar_split_allgather(ep, &ins[1], &cfg, pool));
+                }
+                let op_id = ep.next_op_id();
+                let split = tag(op_id, subtag::SPLIT);
+                ep.send(1, split, Bytes::from(frame.clone())).unwrap();
+                // The villain's own half fails once the owner has left.
+                let _ = ssar_receive_half(ep, &ins[0], op_id, op_id, pool);
+                None
+            });
+            match outs.pop().flatten().expect("the owner reports") {
+                Ok(out) => {
+                    out.check_invariants().unwrap();
+                    accepted += 1;
+                }
+                Err(CollError::Invalid(_) | CollError::Stream(_)) => rejected += 1,
+                Err(other) => panic!("case {case}: {other:?}"),
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
     }
 }

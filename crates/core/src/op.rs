@@ -314,10 +314,13 @@ pub(crate) fn decode_stream_with_word<V: Scalar>(
 /// span, telemetry compute time, `γ` per element the step processed, and
 /// the δ-switch count (`CommStats::adaptive_densified`) when the step is
 /// the one that turned its accumulator dense.
-pub(crate) fn sum_charged<T: Transport, R>(
+pub(crate) fn sum_charged<T: Transport, R, E>(
     ep: &mut T,
-    step: impl FnOnce() -> Result<(R, SumStats), StreamError>,
-) -> Result<R, CollError> {
+    step: impl FnOnce() -> Result<(R, SumStats), E>,
+) -> Result<R, CollError>
+where
+    CollError: From<E>,
+{
     let mut span = obs::span(obs::Category::Phase, "merge");
     let t0 = obs::telemetry::enabled().then(std::time::Instant::now);
     let (out, stats) = step()?;
@@ -339,7 +342,9 @@ pub(crate) fn add_charged<T: Transport, V: Scalar>(
     other: &SparseStream<V>,
     policy: &DensityPolicy,
 ) -> Result<(), CollError> {
-    sum_charged(ep, || Ok(((), acc.add_assign_with(other, policy)?)))
+    sum_charged(ep, || {
+        Ok::<_, StreamError>(((), acc.add_assign_with(other, policy)?))
+    })
 }
 
 /// Largest power of two `≤ p`.

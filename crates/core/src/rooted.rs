@@ -6,11 +6,15 @@
 //! These complete the MPI-like surface of the library; `reduce +
 //! broadcast` is also a useful latency/bandwidth trade-off point that the
 //! integration tests compare against the one-shot allreduce.
+//! `reduce_scatter` is the split schedules' split phase on its own: the
+//! same sends, and the same scatter of every owned entry into the owner's
+//! window ([`sparcml_stream::WindowSum`]), so its work is one element
+//! operation per entry an owner takes in.
 
 use sparcml_net::Transport;
 use sparcml_stream::{partition_range, Scalar, SparseStream};
 
-use crate::allreduce::AllreduceConfig;
+use crate::allreduce::{reduce_partition, send_split_steps, AllreduceConfig};
 use crate::error::CollError;
 use crate::op::{add_charged, pow2_below, recv_stream, send_stream, subtag, tag, BufferPool};
 
@@ -132,7 +136,11 @@ pub(crate) fn sparse_broadcast<T: Transport, V: Scalar>(
 /// sub-vector for its dimension partition (support restricted to
 /// `partition_range(dim, P, i)`, logical dimension preserved). This is
 /// exactly the split phase of `SSAR_Split_allgather` exposed as a
-/// first-class collective.
+/// first-class collective: each owner scatters the `P` sub-ranges of its
+/// partition into a [`sparcml_stream::WindowSum`] — `γ` per entry taken
+/// in, whatever `P` is — and drains it into fresh slabs. The result is
+/// sparse at any fill-in. The drain is the result's extraction, uncharged
+/// like every decode.
 pub(crate) fn sparse_reduce_scatter<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
@@ -144,7 +152,11 @@ pub(crate) fn sparse_reduce_scatter<T: Transport, V: Scalar>(
         return Ok(input.clone());
     }
     let op_id = ep.next_op_id();
-    crate::allreduce::split_reduce_partition(ep, input, cfg, op_id, pool)
+    send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+    let mut window = reduce_partition(ep, input, op_id, pool)?;
+    let (mut indices, mut values) = (vec![0; window.len()], vec![V::zero(); window.len()]);
+    window.drain_into(&mut indices, &mut values);
+    Ok(SparseStream::from_slabs(input.dim(), indices, values)?)
 }
 
 /// Convenience: the partition owned by this rank for a given dimension.
@@ -236,9 +248,11 @@ mod tests {
     #[test]
     fn reduce_scatter_work_is_k_log_p() {
         // Disjoint, partition-balanced supports (as `bounds_check` builds
-        // them): every owner takes in ≈ k entries and sums them through a
-        // ⌈log2 P⌉-level tournament. A left fold re-walks its accumulator
-        // P−1 times — ≈ k·P/2, i.e. k·32 at P = 64.
+        // them): every owner takes in ≈ k entries and scatters each once
+        // into its window, so its work is exactly the entries of its
+        // result — inside the k·⌈log2 P⌉ a merge tournament could take. A
+        // left fold re-walks its accumulator P−1 times — ≈ k·P/2, i.e.
+        // k·32 at P = 64.
         let cfg = AllreduceConfig::default();
         let (dim, k) = (1usize << 16, 512usize);
         for p in [2usize, 3, 5, 8, 16, 64] {
@@ -251,10 +265,11 @@ mod tests {
                 let input = SparseStream::from_pairs(dim, &pairs).unwrap();
                 let mine = sparse_reduce_scatter(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
                 assert!(mine.is_sparse());
-                ep.stats().snapshot().compute_elements
+                (mine.nnz() as u64, ep.stats().snapshot().compute_elements)
             });
             let levels = p.next_power_of_two().ilog2() as u64;
-            for (rank, elements) in work.into_iter().enumerate() {
+            for (rank, (entries, elements)) in work.into_iter().enumerate() {
+                assert_eq!(elements, entries, "P={p} rank {rank}");
                 assert!(
                     elements <= k as u64 * levels,
                     "P={p} rank {rank}: {elements} element-ops for k={k}"

@@ -7,9 +7,10 @@
 //! reduced size `K`. The selector estimates `E[K]` under the uniform model
 //! (Appendix B), prices every flat schedule by its analytic expected cost
 //! — communication envelope plus the reduction work the virtual clock
-//! charges; the two split schedules phase by phase, their gather round by
-//! round with its assembly overlapping the frames in flight — and takes
-//! the cheapest. A sparse pair is priced at what the
+//! charges; recursive doubling off powers of two with its unfold hop; the
+//! two split schedules phase by phase, their gather round by round with
+//! its assembly overlapping the frames in flight — and takes the
+//! cheapest. A sparse pair is priced at what the
 //! wire format makes it weigh at the density it travels at
 //! ([`Workload::pair_bytes`]: a rank's input at `k/N`, reduced data at
 //! `E[K]/N`), not at a fixed `4 + isize`. The δ threshold is not a gate
@@ -27,10 +28,10 @@ use crate::theory::expected_union_size;
 /// communication envelope interpolated by the expected fill-in, plus the
 /// per-node local reduction work (γ) — which is what separates recursive
 /// doubling (serialized merges of growing streams) from the split family
-/// (reduction work distributed across ranks, each owner summing its share
-/// in a ⌈log2 P⌉-level tournament); the paper folds this trade-off into
-/// its practical δ discussion (§5.1). The split family is priced as the
-/// clock runs it: [`split_phase`], then [`pipelined_gather`], where every
+/// (reduction work distributed across ranks, each owner scattering its
+/// share once into its window); the paper folds this trade-off into its
+/// practical δ discussion (§5.1). The split family is priced as the clock
+/// runs it: [`split_phase`], then [`pipelined_gather`], where every
 /// assembled element still costs γ but overlaps the next frame's
 /// transfer.
 pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f64) -> f64 {
@@ -57,16 +58,28 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             // Merge work per node: log2(P) merges whose total size grows
             // from log2(P)·k (full overlap) to ≈ 2·(P−1)·k (disjoint).
             let compute = c.gamma * lerp2(2.0 * log2p * k, 2.0 * (p - 1.0) * k);
-            lerp(bounds::ssar_rec_dbl(w, c)) + compute
+            // Off powers of two the envelope's ⌈log2 P⌉ rounds cover the
+            // fold hop and the ⌊log2 P⌋ rounds of the core; the unfold hop,
+            // which carries the whole result to a parked rank after them,
+            // is priced on its own.
+            let unfold = if w.p.is_power_of_two() {
+                0.0
+            } else {
+                c.alpha + c.beta * ek * w.pair_bytes(ek)
+            };
+            lerp(bounds::ssar_rec_dbl(w, c)) + compute + unfold
         }
         Algorithm::SsarSplitAllgather => {
-            // Each node sums its P incoming sub-ranges in a tournament;
-            // its partition count goes to every peer as an isent word;
-            // then E[K]/P-entry sparse blocks are gathered, each placed
-            // for γ per entry, the own one included.
+            // Each node scatters the ≈ k entries of its P incoming
+            // sub-ranges into its window; its partition count goes to
+            // every peer as an isent word; then E[K]/P-entry sparse blocks
+            // are gathered, each placed for γ per entry. The own block's
+            // placement is the window's drain, pending behind round 0: its
+            // entries are counted there, once, and the bitmap words it
+            // visits with the scatter.
             let entries = ek / p;
             let bytes = entries * w.pair_bytes(ek);
-            split_phase(w, c, c.gamma * tournament_work(w))
+            split_phase(w, c, c.gamma * (k + window_words(w, ek)))
                 + (p - 1.0) * c.isend_alpha_fraction * c.alpha
                 + pipelined_gather(w.p, c, bytes, c.gamma * entries, c.gamma * entries)
         }
@@ -103,34 +116,16 @@ fn split_phase(w: &Workload, c: &CostModel, reduce: f64) -> f64 {
     (p - 1.0) * c.alpha + c.beta * k / p * w.pair_bytes(k) + reduce
 }
 
-/// Expected elements an owner's tournament sum processes
-/// (`sparcml_stream::TournamentSum` over its `P` sub-ranges, in the same
-/// binary-counter shape): each merge writes the union of the sub-ranges it
-/// covers, `E[K_m]/P` for `m` of them under the uniform model — between
-/// `k` and `k·⌈log2 P⌉` in all.
-fn tournament_work(w: &Workload) -> f64 {
-    let k = w.k.min(w.n);
-    let merged = |operands: usize| expected_union_size(w.n, operands, k) / w.p as f64;
-    // (level, operands) per run, oldest first.
-    let mut runs: Vec<(u32, usize)> = Vec::new();
-    let mut work = 0.0;
-    for _ in 0..w.p {
-        let mut top = (0, 1);
-        while let Some(&(level, operands)) = runs.last().filter(|run| run.0 == top.0) {
-            runs.pop();
-            top = (level + 1, operands + top.1);
-            work += merged(top.1);
-        }
-        runs.push(top);
-    }
-    // What is left folds newest first.
-    while let Some((_, operands)) = runs.pop() {
-        if let Some(older) = runs.last_mut() {
-            older.1 += operands;
-            work += merged(older.1);
-        }
-    }
-    work
+/// Bitmap words an owner's window drain visits
+/// (`sparcml_stream::WindowSum::drain_into`): every summary word, one per
+/// 4 096 slots of its `N/P`-slot window, and each occupancy word that
+/// holds an entry — all but those whose 64 slots the `E[K]/N`-dense
+/// result misses.
+fn window_words(w: &Workload, ek: f64) -> f64 {
+    let slots = w.n as f64 / w.p as f64;
+    let density = (ek / w.n.max(1) as f64).clamp(0.0, 1.0);
+    let touched = slots / 64.0 * (1.0 - (1.0 - density).powi(64));
+    touched + (slots / 4096.0).ceil()
 }
 
 /// The split schedules' gather (`crate::op::allgather_bytes_with`):
@@ -466,6 +461,22 @@ mod tests {
                 let clock_us = base_us + k as f64 * 1e-3;
                 assert!((t_us - clock_us).abs() < 0.1, "{algo:?} k={k}: {t_us}");
             }
+        }
+    }
+
+    #[test]
+    fn rec_dbl_prices_its_unfold_hop_off_powers_of_two() {
+        // Pinned recursive doubling at k = 1e4, N = 2^20 on Aries, as
+        // `tests/auto_sweep.rs` measures it on the virtual clock. Without
+        // the unfold hop the estimates read 53.6, 105.1 and 274.4: 22–28 %
+        // low, a margin by which an overpriced split schedule loses to it.
+        let cost = CostModel::aries();
+        for (p, clock_us) in [(3usize, 74.3), (5, 134.5), (12, 350.1)] {
+            let est = estimate_time::<f32>(Algorithm::SsarRecDbl, p, 1 << 20, 10_000, &cost) * 1e6;
+            assert!(
+                est <= clock_us && est >= 0.94 * clock_us,
+                "P={p}: {est} against {clock_us}"
+            );
         }
     }
 

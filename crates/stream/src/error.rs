@@ -61,6 +61,16 @@ pub enum StreamError {
         /// Width found in the header (bytes).
         actual: usize,
     },
+    /// A stream added into a [`crate::WindowSum`] holds an entry outside
+    /// the window's index range.
+    OutsideWindow {
+        /// The first offending index.
+        idx: u32,
+        /// First index of the window.
+        lo: u32,
+        /// One past the window's last index.
+        hi: u32,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -105,6 +115,9 @@ impl fmt::Display for StreamError {
                     f,
                     "value width mismatch: expected {expected} bytes, got {actual}"
                 )
+            }
+            StreamError::OutsideWindow { idx, lo, hi } => {
+                write!(f, "index {idx} lies outside the window [{lo}, {hi})")
             }
         }
     }

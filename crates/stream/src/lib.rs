@@ -13,6 +13,9 @@
 //! * **Summation** ([`SparseStream::add_assign_with`]) merges two sorted
 //!   slab pairs linearly, bulk-copying tails, and scatters sparse slabs
 //!   into dense accumulators — slice loops the compiler can vectorize.
+//! * **Split-phase sums** ([`WindowSum`]) scatter the sub-ranges of one
+//!   partition once into a dense window with an occupancy bitmap, and
+//!   write the sum as a wire frame straight from the bitmap.
 //! * **Splitting** ([`SparseView::range`]) is two binary searches plus
 //!   two slice borrows; the split collectives encode a partition straight
 //!   from a borrowed view ([`SparseStream::encode_sparse_slice_into`])
@@ -56,6 +59,7 @@ mod soa;
 mod stream;
 mod sum;
 mod threshold;
+mod window;
 mod wire;
 
 pub use error::StreamError;
@@ -67,4 +71,5 @@ pub use soa::{SparseVec, SparseView};
 pub use stream::{Repr, SparseStream};
 pub use sum::{reduce_streams, SumStats, TournamentSum};
 pub use threshold::{delta_raw, DensityPolicy, INDEX_BYTES};
+pub use window::WindowSum;
 pub use wire::{expected_entry_bytes, WireFrame, WIRE_VERSION};

@@ -20,7 +20,9 @@
 //! entries in total cost at most `n·⌈log2 m⌉` element operations where
 //! the left fold re-walks its accumulator `m − 1` times (`≈ n·m/2` on
 //! balanced disjoint inputs). Every pairwise step is the two-operand sum
-//! above, δ rule included.
+//! above, δ rule included. Operands that all lie in one index window — a
+//! split owner's sub-ranges — are summed with one scatter per entry in a
+//! [`crate::WindowSum`] instead.
 
 use crate::error::StreamError;
 use crate::scalar::Scalar;

@@ -83,7 +83,7 @@ pub fn expected_entry_bytes(value_bytes: usize, density: f64) -> f64 {
 
 /// "Previous index" of the first entry: one before zero, so that the first
 /// gap is the index itself.
-const BEFORE_FIRST: u32 = u32::MAX;
+pub(crate) const BEFORE_FIRST: u32 = u32::MAX;
 
 /// The gap that codes `idx` after `prev`: `idx − prev − 1`.
 #[inline]
@@ -136,15 +136,18 @@ fn put_varints(gaps: &[u32], out: &mut Vec<u8>) {
     out.extend_from_slice(&bytes[..len]);
 }
 
-/// Appends the gap-coded form of a strictly increasing index slab.
-fn write_gap_slab(indices: &[u32], out: &mut Vec<u8>) {
+/// Appends the gap-coded form of a strictly increasing index slab whose
+/// entries follow `prev` ([`BEFORE_FIRST`] for a frame's first entry), so
+/// a slab may be written a piece at a time. Returns the last index written
+/// (`prev` when there was none).
+pub(crate) fn write_gap_slab(prev: u32, indices: &[u32], out: &mut Vec<u8>) -> u32 {
     debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
     // One byte per gap is the floor and, wherever bandwidth matters, the
     // whole slab; sparser slabs grow the buffer once and a pooled buffer
     // keeps what it grew to. Reserving the 5-byte worst case would charge
     // every frame's footprint for a shape that does not occur.
     out.reserve(indices.len());
-    let mut prev = BEFORE_FIRST;
+    let mut prev = prev;
     let mut chunks = indices.chunks_exact(GAP_RUN);
     for chunk in &mut chunks {
         // Fixed-size and free of a carried `prev`, so the gaps, their OR
@@ -168,6 +171,7 @@ fn write_gap_slab(indices: &[u32], out: &mut Vec<u8>) {
         prev = idx;
     }
     put_varints(&tail[..rest.len()], out);
+    prev
 }
 
 /// Decodes exactly `indices.len()` gap-coded indices from `slab`, which
@@ -249,6 +253,15 @@ fn put_header(out: &mut Vec<u8>, width: u8, tag: u8, dim: usize) {
     out.extend_from_slice(&(dim as u64).to_le_bytes());
 }
 
+/// Clears `out` and writes the 20-byte header of a sparse frame of `nnz`
+/// entries; the value slab and then the gap slab follow.
+pub(crate) fn begin_sparse_frame<V: Scalar>(dim: usize, nnz: usize, out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(SPARSE_HEADER_LEN + nnz * (V::BYTES + 1));
+    put_header(out, V::BYTES as u8, TAG_SPARSE, dim);
+    out.extend_from_slice(&(nnz as u64).to_le_bytes());
+}
+
 impl<V: Scalar> SparseStream<V> {
     /// Serializes the stream into a fresh contiguous byte buffer.
     ///
@@ -279,12 +292,9 @@ impl<V: Scalar> SparseStream<V> {
     /// stream. The view's indices must be strictly increasing (a stream
     /// invariant), or the frame will not decode to them.
     pub fn encode_sparse_slice_into(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
-        out.clear();
-        out.reserve(SPARSE_HEADER_LEN + view.len() * (V::BYTES + 1));
-        put_header(out, V::BYTES as u8, TAG_SPARSE, dim);
-        out.extend_from_slice(&(view.len() as u64).to_le_bytes());
+        begin_sparse_frame::<V>(dim, view.len(), out);
         V::write_slab_le(view.values(), out);
-        write_gap_slab(view.indices(), out);
+        write_gap_slab(BEFORE_FIRST, view.indices(), out);
     }
 
     /// Encodes a dense value block as a full wire frame with

@@ -1,13 +1,15 @@
 //! `Auto` against the oracle on the virtual clock: at each point of a
-//! density sweep over P ∈ {5, 8, 12} on the Aries model (N = 2^20), the
-//! schedule `Auto` runs must finish within 2 % of the fastest of the three
-//! sparse schedules it chooses between there — recursive doubling and the
-//! two split schedules. The points straddle the boundaries where the pick
-//! changes, which is where a mispriced schedule shows: both sides of
-//! rec-dbl → `SSAR_Split_allgather` at P=8, the split regime at P=5 and
-//! P=12 (a ring allgather off powers of two), and SSAR against DSAR near
-//! δ at P=8. Integer values keep every schedule's sum exact, so the runs
-//! are checked against the reference as well.
+//! density sweep over P ∈ {3, 5, 8, 12, 16} on the Aries model
+//! (N = 2^20), the schedule `Auto` runs must finish within 2 % of the
+//! fastest of the three sparse schedules it chooses between there —
+//! recursive doubling and the two split schedules. The points straddle
+//! the boundaries where the pick changes, which is where a mispriced
+//! schedule shows: both sides of rec-dbl → `SSAR_Split_allgather` at P=8,
+//! the split regime off powers of two (a ring allgather, and a recursive
+//! doubling that folds and unfolds) at P=3, 5 and 12, and SSAR against
+//! DSAR from past δ (k = 1.5e5) to DSAR's side of the crossing (k = 3e5) at
+//! P=8. Integer values keep every schedule's sum exact, so the runs are
+//! checked against the reference as well.
 
 use sparcml::core::reference::reference_sum;
 use sparcml::core::{estimate_time, run_communicators, Algorithm};
@@ -17,15 +19,22 @@ use sparcml::stream::{SparseStream, XorShift64};
 const DIM: usize = 1 << 20;
 
 /// The sweep: (P, k per rank).
-const POINTS: [(usize, usize); 8] = [
+const POINTS: [(usize, usize); 15] = [
+    (3, 10_000),
+    (3, 100_000),
     (5, 10_000),
     (5, 100_000),
     (8, 2_000),
     (8, 3_000),
     (8, 10_000),
     (8, 150_000),
+    (8, 200_000),
+    (8, 250_000),
+    (8, 300_000),
     (12, 10_000),
     (12, 100_000),
+    (16, 10_000),
+    (16, 100_000),
 ];
 
 /// The schedules `Auto` picks among at these shapes.

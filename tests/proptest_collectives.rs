@@ -618,8 +618,19 @@ impl Gather {
 
     /// Runs the honest rank against these frames.
     fn run(&self, count: &[u8], group: &[u8]) -> Result<SparseStream<f32>, CollError> {
+        self.run_split(&self.split, count, group)
+    }
+
+    /// Runs the honest rank against these frames, with `split` for the
+    /// villain's split frame.
+    fn run_split(
+        &self,
+        split: &[u8],
+        count: &[u8],
+        group: &[u8],
+    ) -> Result<SparseStream<f32>, CollError> {
         let frames = [
-            (SUBTAG_SPLIT, self.split.clone()),
+            (SUBTAG_SPLIT, split.to_vec()),
             (SUBTAG_COUNT, count.to_vec()),
             (SUBTAG_ROUND, group.to_vec()),
         ];
@@ -740,6 +751,60 @@ fn malformed_gather_frames_are_typed_errors_on_the_receiver() {
         match g.run(&count_word, &group) {
             Err(CollError::Invalid(_)) => {}
             other => panic!("{what}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn malformed_split_frames_are_typed_errors_on_the_owner() {
+    // The honest rank owns [dim/2, dim). Its owner's window takes a split
+    // frame only in its dimension and inside its partition, sparse or
+    // dense; anything else is rejected before a single entry is scattered.
+    let dim = 1 << 12;
+    let g = Gather::new(dim);
+    let theirs = integer_stream(dim, 300, 32);
+    let half = dim as u32 / 2;
+    let expect = reference_sum(&[g.mine.clone(), theirs.clone()]);
+    let mut inside = theirs.restrict(half, dim as u32);
+    inside.densify();
+    let out = g.run_split(&inside.encode(), &g.count, &g.group).unwrap();
+    assert_eq!(
+        out.to_dense_vec(),
+        expect,
+        "a dense split frame inside the partition reduces exactly"
+    );
+
+    let pairs: Vec<(u32, f32)> = theirs.restrict(half, dim as u32).iter_nonzero().collect();
+    let with = |extra: (u32, f32)| {
+        let mut pairs = pairs.clone();
+        pairs.push(extra);
+        pairs
+    };
+    let mut stray_dense = SparseStream::from_pairs(dim, &with((3, 1.0))).unwrap();
+    stray_dense.densify();
+    for (what, frame) in [
+        (
+            "a frame of another dimension",
+            SparseStream::from_pairs(2 * dim, &pairs).unwrap().encode(),
+        ),
+        (
+            "an index below the partition",
+            SparseStream::from_pairs(dim, &with((half - 1, 1.0)))
+                .unwrap()
+                .encode(),
+        ),
+        (
+            "a dense frame with a non-zero outside the partition",
+            stray_dense.encode(),
+        ),
+    ] {
+        for algo in [Algorithm::SsarSplitAllgather, Algorithm::DsarSplitAllgather] {
+            // The villain takes the honest rank's split frame and leaves.
+            let frames = [(SUBTAG_SPLIT, frame.to_vec())];
+            match against_villain_frames(2, &g.mine, algo, &frames, &[SUBTAG_SPLIT]) {
+                Err(CollError::Invalid(_)) => {}
+                other => panic!("{algo:?}, {what}: {other:?}"),
+            }
         }
     }
 }

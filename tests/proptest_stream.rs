@@ -5,7 +5,9 @@
 //! registry access; failures reproduce by construction.
 
 use sparcml::quant::{dequantize, quantize, NormKind, QsgdConfig};
-use sparcml::stream::{reduce_streams, DensityPolicy, Scalar, SparseStream, XorShift64};
+use sparcml::stream::{
+    reduce_streams, DensityPolicy, PartRange, Scalar, SparseStream, WindowSum, XorShift64,
+};
 
 /// One randomized stream input: a dimension in 16..512 plus up to dim/2
 /// in-range (index, value) pairs.
@@ -179,6 +181,64 @@ fn reduce_streams_equals_the_sequential_fold_f32() {
 #[test]
 fn reduce_streams_equals_the_sequential_fold_f64() {
     reduce_streams_equals_the_sequential_fold::<f64>(32);
+}
+
+/// The split phase's window sum against the merge tournament: the same
+/// operands restricted to one window — all of `[0, dim)`, none of it, or
+/// a random part — sum to the same sparse stream, explicit zeros
+/// included, and the window's frame is that stream's. Shape 8 gives every
+/// operand the whole window, so every slot is occupied.
+fn window_sum_equals_reduce_streams<V: Scalar>(seed: u64) {
+    let mut rng = XorShift64::new(seed);
+    for m in 1..=17usize {
+        for (case, shape) in [0, 1, 2, 3, 8].into_iter().enumerate() {
+            let dim = 32 + rng.next_below(200) as usize;
+            let (lo, hi) = match (m + case) % 3 {
+                0 => (0, dim as u32),
+                1 => {
+                    let at = rng.next_below(dim as u64 + 1) as u32;
+                    (at, at)
+                }
+                _ => {
+                    let lo = rng.next_below(dim as u64) as u32;
+                    (lo, lo + 1 + rng.next_below((dim as u32 - lo) as u64) as u32)
+                }
+            };
+            let parts: Vec<SparseStream<V>> = fold_many_inputs::<V>(&mut rng, dim, m, shape)
+                .iter()
+                .map(|part| part.restrict(lo, hi))
+                .collect();
+            let what = format!("m={m} shape={shape} window [{lo}, {hi}) of {dim}");
+            let mut sum = WindowSum::new(dim, PartRange { lo, hi });
+            let mut scattered = 0;
+            for part in &parts {
+                scattered += sum.add(part).unwrap();
+            }
+            let stored: usize = parts.iter().map(|part| part.stored_len()).sum();
+            assert_eq!(scattered, stored, "{what}");
+            let (expect, _) = reduce_streams(parts, &DensityPolicy::never_densify()).unwrap();
+            assert_eq!(sum.len(), expect.stored_len(), "{what}");
+            let mut frame = Vec::new();
+            sum.encode_into(&mut frame);
+            let (mut indices, mut values) = (vec![0; sum.len()], vec![V::zero(); sum.len()]);
+            let (entries, _) = sum.drain_into(&mut indices, &mut values);
+            assert_eq!(entries, expect.stored_len(), "{what}");
+            let got = SparseStream::from_slabs(dim, indices, values).unwrap();
+            assert_eq!(got, expect, "{what}");
+            assert_eq!(frame, expect.encode().as_ref(), "{what}");
+            assert!(sum.is_empty(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn window_sum_equals_reduce_streams_f32() {
+    window_sum_equals_reduce_streams::<f32>(33);
+}
+
+#[test]
+fn window_sum_equals_reduce_streams_f64() {
+    window_sum_equals_reduce_streams::<f64>(34);
 }
 
 #[test]
