@@ -9,8 +9,8 @@
 //!
 //! Expected shape (paper): SSAR_Recursive_double wins at small data /
 //! low P; SSAR_Split_allgather dominates DSAR while the result stays
-//! sparse; the dense ring is competitive at low P on fast networks but
-//! flattens out; DSAR improvement is bounded by a constant at high fill.
+//! sparse; DSAR's improvement over the dense baseline is bounded by a
+//! constant at high fill.
 
 use sparcml_bench::{fmt_time, header, print_row, BenchArgs};
 use sparcml_core::{max_communicator_time, Algorithm};
@@ -28,14 +28,6 @@ fn reduction_time(algo: Algorithm, p: usize, n: usize, k: usize, cost: CostModel
     })
 }
 
-const ALGOS: [Algorithm; 5] = [
-    Algorithm::SsarRecDbl,
-    Algorithm::SsarSplitAllgather,
-    Algorithm::DsarSplitAllgather,
-    Algorithm::DenseRing,
-    Algorithm::SparseRing,
-];
-
 fn main() {
     let args = BenchArgs::parse();
     let n = args.dim(16 * 1024 * 1024);
@@ -44,7 +36,7 @@ fn main() {
         "Figure 3 (left)",
         &format!(
             "Reduction time vs node count, Aries-class network (Piz Daint), N = {n}, d = 0.781%.\n\
-             Dense baseline: MPI-style allreduce (Rabenseifner) + ring variants."
+             Dense baseline: MPI-style allreduce (Rabenseifner)."
         ),
     );
     let k = ((n as f64) * 0.00781) as usize;
@@ -54,10 +46,10 @@ fn main() {
     head.extend(node_counts.iter().map(|p| p.to_string()));
     print_row(&head, &widths);
     let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
-    for algo in ALGOS.iter().chain([Algorithm::DenseRabenseifner].iter()) {
+    for algo in Algorithm::ALL {
         let mut times = Vec::new();
         for &p in &node_counts {
-            times.push(reduction_time(*algo, p, n, k, CostModel::aries()));
+            times.push(reduction_time(algo, p, n, k, CostModel::aries()));
         }
         rows.push((algo.name().to_string(), times));
     }
@@ -75,11 +67,11 @@ fn main() {
     let mut head = vec!["algorithm \\ d".to_string()];
     head.extend(densities.iter().map(|d| format!("{:.2}%", d * 100.0)));
     print_row(&head, &widths);
-    for algo in ALGOS.iter().chain([Algorithm::DenseRabenseifner].iter()) {
+    for algo in Algorithm::ALL {
         let mut row = vec![algo.name().to_string()];
         for &d in &densities {
             let k = ((n as f64) * d).max(1.0) as usize;
-            row.push(fmt_time(reduction_time(*algo, 8, n, k, CostModel::gige())));
+            row.push(fmt_time(reduction_time(algo, 8, n, k, CostModel::gige())));
         }
         print_row(&row, &widths);
     }

@@ -1,16 +1,14 @@
-//! Dense allreduce baselines: recursive doubling, Rabenseifner [44], and
-//! ring. These are "the MPI allreduce implementation on the fully dense
-//! vectors" that every experiment in §8 compares against.
+//! The dense allreduce baseline: Rabenseifner's schedule [44], "the MPI
+//! allreduce implementation on the fully dense vectors" that every
+//! experiment in §8 compares against. (Recursive doubling on a dense input
+//! is `SSAR_Recursive_double`, whose merges run dense past δ.)
 
 use sparcml_net::Transport;
-use sparcml_stream::{partition_range, Scalar, SparseStream};
+use sparcml_stream::{Scalar, SparseStream};
 
 use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
-use crate::op::{
-    add_charged, exchange_stream, fold_to_pow2, pow2_below, subtag, tag, unfold_result, BufferPool,
-    FoldRole,
-};
+use crate::op::{fold_to_pow2, pow2_below, subtag, tag, unfold_result, BufferPool, FoldRole};
 
 /// Encodes a dense value block as a stream container (dim = block length)
 /// into a pooled buffer — one bulk slab write, no intermediate stream.
@@ -31,42 +29,6 @@ fn decode_block<V: Scalar>(bytes: &[u8], expect_len: usize) -> Result<Vec<V>, Co
         )));
     }
     Ok(values)
-}
-
-/// Dense recursive-doubling allreduce: `log2(P)` rounds, each exchanging
-/// the full vector. `T = log2(P)·(α + N·βd)` plus reduction time.
-pub(crate) fn dense_recursive_double<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let p = ep.size();
-    let mut dense_input = input.clone();
-    if dense_input.is_sparse() {
-        ep.compute(dense_input.stored_len());
-        dense_input.densify();
-    }
-    if p == 1 {
-        return Ok(dense_input);
-    }
-    let op_id = ep.next_op_id();
-    let role = fold_to_pow2(ep, op_id, &dense_input, &cfg.policy, pool)?;
-    let result = match role {
-        FoldRole::Active(mut acc) => {
-            let p2 = pow2_below(p);
-            let rank = ep.rank();
-            for t in 0..p2.trailing_zeros() as usize {
-                let peer = rank ^ (1 << t);
-                let theirs =
-                    exchange_stream(ep, peer, tag(op_id, subtag::ROUND + t as u64), &acc, pool)?;
-                add_charged(ep, &mut acc, &theirs, &cfg.policy)?;
-            }
-            unfold_result(ep, op_id, Some(acc), pool)?
-        }
-        FoldRole::Parked => unfold_result::<_, V>(ep, op_id, None, pool)?,
-    };
-    Ok(result)
 }
 
 /// Rabenseifner's allreduce \[44\]: recursive-halving reduce-scatter followed
@@ -154,97 +116,21 @@ pub(crate) fn dense_rabenseifner<T: Transport, V: Scalar>(
     Ok(result)
 }
 
-/// Ring allreduce: `P−1` reduce-scatter steps plus `P−1` allgather steps on
-/// `N/P`-sized partitions. `T = 2·(P−1)·(α + (N/P)·βd)`. Bandwidth-optimal,
-/// latency-heavy at scale — "on a fast network and relatively small number
-/// of nodes, the ring-based algorithm is faster th\[a\]n all other
-/// algorithms, but does not give any speedup at high number of nodes" (§8.1).
-pub(crate) fn dense_ring<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let _ = cfg;
-    let p = ep.size();
-    let dim = input.dim();
-    let mut dense_input = input.clone();
-    if dense_input.is_sparse() {
-        ep.compute(dense_input.stored_len());
-        dense_input.densify();
-    }
-    if p == 1 {
-        return Ok(dense_input);
-    }
-    let op_id = ep.next_op_id();
-    let rank = ep.rank();
-    let next = (rank + 1) % p;
-    let prev = (rank + p - 1) % p;
-    let mut vals = dense_input.into_dense_vec();
-    let range = |j: usize| partition_range(dim, p, j);
-
-    // Reduce-scatter: partition j travels rank j → j+1 → …, accumulating.
-    for step in 0..p - 1 {
-        let send_idx = (rank + p - step) % p;
-        let recv_idx = (rank + p - step - 1) % p;
-        let sr = range(send_idx);
-        let payload = encode_block(&vals[sr.lo as usize..sr.hi as usize], pool);
-        ep.send(
-            next,
-            tag(op_id, subtag::RING + ((step as u64) << 8)),
-            payload,
-        )?;
-        let incoming = ep.recv(prev, tag(op_id, subtag::RING + ((step as u64) << 8)))?;
-        let rr = range(recv_idx);
-        let theirs: Vec<V> = decode_block(&incoming, rr.len())?;
-        pool.recycle(incoming);
-        for (slot, v) in vals[rr.lo as usize..rr.hi as usize].iter_mut().zip(theirs) {
-            *slot = slot.add(v);
-        }
-        ep.compute(rr.len());
-    }
-    // Allgather: forward fully reduced partitions around the ring.
-    for step in 0..p - 1 {
-        let send_idx = (rank + 1 + p - step) % p;
-        let recv_idx = (rank + p - step) % p;
-        let sr = range(send_idx);
-        let payload = encode_block(&vals[sr.lo as usize..sr.hi as usize], pool);
-        ep.send(
-            next,
-            tag(op_id, subtag::RING + 1 + ((step as u64) << 8)),
-            payload,
-        )?;
-        let incoming = ep.recv(prev, tag(op_id, subtag::RING + 1 + ((step as u64) << 8)))?;
-        let rr = range(recv_idx);
-        let theirs: Vec<V> = decode_block(&incoming, rr.len())?;
-        pool.recycle(incoming);
-        vals[rr.lo as usize..rr.hi as usize].copy_from_slice(&theirs);
-    }
-    Ok(SparseStream::from_dense(vals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::reference_sum;
-    use sparcml_net::{max_virtual_time, run_cluster, CostModel, Endpoint};
+    use sparcml_net::{max_virtual_time, run_cluster, CostModel};
     use sparcml_stream::random_sparse;
 
-    type DenseAlgo = fn(
-        &mut Endpoint,
-        &SparseStream<f32>,
-        &AllreduceConfig,
-        &mut BufferPool,
-    ) -> Result<SparseStream<f32>, CollError>;
-
-    fn check(algo: DenseAlgo, p: usize, dim: usize) {
+    fn check(p: usize, dim: usize) {
         let cfg = AllreduceConfig::default();
         let ins: Vec<SparseStream<f32>> = (0..p)
             .map(|r| random_sparse(dim, dim / 8, 900 + r as u64))
             .collect();
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            algo(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
+            dense_rabenseifner(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             let got = out.to_dense_vec();
@@ -255,40 +141,25 @@ mod tests {
     }
 
     #[test]
-    fn rec_dbl_correct() {
-        check(dense_recursive_double, 8, 512);
-        check(dense_recursive_double, 6, 300);
-        check(dense_recursive_double, 1, 64);
-    }
-
-    #[test]
     fn rabenseifner_correct() {
-        check(dense_rabenseifner, 8, 512);
-        check(dense_rabenseifner, 4, 64);
-        check(dense_rabenseifner, 16, 1024);
+        check(8, 512);
+        check(4, 64);
+        check(16, 1024);
     }
 
     #[test]
     fn rabenseifner_correct_non_power_of_two() {
-        check(dense_rabenseifner, 6, 300);
-        check(dense_rabenseifner, 3, 90);
+        check(6, 300);
+        check(3, 90);
     }
 
     #[test]
     fn rabenseifner_correct_odd_dimension() {
         // Halving of odd-length blocks produces unequal halves; the
         // allgather must reconstruct partner block sizes exactly.
-        check(dense_rabenseifner, 4, 15);
-        check(dense_rabenseifner, 8, 1021);
-        check(dense_rabenseifner, 2, 3);
-    }
-
-    #[test]
-    fn ring_correct() {
-        check(dense_ring, 8, 512);
-        check(dense_ring, 5, 300);
-        check(dense_ring, 2, 10);
-        check(dense_ring, 1, 4);
+        check(4, 15);
+        check(8, 1021);
+        check(2, 3);
     }
 
     #[test]
@@ -310,6 +181,8 @@ mod tests {
 
     #[test]
     fn rabenseifner_bandwidth_beats_rec_dbl_for_large_n() {
+        // Recursive doubling on a dense input is the sparse schedule,
+        // whose frames are dense from the first round.
         let cfg = AllreduceConfig::default();
         let cost = CostModel {
             alpha: 0.0,
@@ -324,25 +197,10 @@ mod tests {
             dense_rabenseifner(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
         });
         let t_rd = max_virtual_time(p, cost, |ep| {
-            dense_recursive_double(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
+            crate::allreduce::ssar_recursive_double(ep, &input, &cfg, &mut BufferPool::new())
+                .unwrap();
         });
         // 2·(P−1)/P·N vs log2(P)·N: ratio ≈ 1.75/3.
         assert!(t_rab < t_rd, "rabenseifner {t_rab} vs rec_dbl {t_rd}");
-    }
-
-    #[test]
-    fn ring_latency_grows_linearly() {
-        let cfg = AllreduceConfig::default();
-        let cost = CostModel {
-            alpha: 1.0,
-            beta: 0.0,
-            gamma: 0.0,
-            isend_alpha_fraction: 0.0,
-        };
-        let input = SparseStream::from_dense(vec![0.0f32; 64]);
-        let t8 = max_virtual_time(8, cost, |ep| {
-            dense_ring(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
-        });
-        assert!((t8 - 14.0).abs() < 1e-9, "2·(P−1)·α = 14, got {t8}");
     }
 }

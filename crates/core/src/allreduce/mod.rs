@@ -7,24 +7,19 @@
 //! | algorithm | schedule | intended regime |
 //! |---|---|---|
 //! | [`Algorithm::Auto`] | adaptive (§5.3 selector); agrees on `k` inside recursive doubling's own frames, with a split pick's split-phase frames sent between its rounds | the default: picks one of the below per call, at no extra round where the pick is recursive doubling and `⌊log2 P⌋·0.1α` where it is a split schedule (powers of two, Aries' isend fraction) |
-//! | [`Algorithm::SsarRecDbl`] | recursive doubling on sparse streams, every frame ending in the 8-byte agreement word | small data, latency-bound (§5.3.1) |
+//! | [`Algorithm::SsarRecDbl`] | recursive doubling on sparse streams, every frame ending in the 8-byte agreement word; on a dense input its frames are dense from the first round | small data, latency-bound (§5.3.1) |
 //! | [`Algorithm::SsarSplitAllgather`] | dimension split + sparse allgather | large sparse data (§5.3.2) |
 //! | [`Algorithm::DsarSplitAllgather`] | dimension split + dense (optionally quantized) allgather | dense final result (§5.3.3, §6) |
-//! | [`Algorithm::DenseRecDbl`] | recursive doubling on dense vectors | baseline |
-//! | [`Algorithm::DenseRabenseifner`] | recursive halving + doubling | large dense data baseline [44] |
-//! | [`Algorithm::DenseRing`] | ring reduce-scatter + allgather | bandwidth-bound dense baseline |
-//! | [`Algorithm::SparseRing`] | ring schedule on sparse partitions | the "sparse counterpart" of Fig. 3 |
+//! | [`Algorithm::DenseRabenseifner`] | recursive halving + doubling on dense vectors | the dense baseline of §8 [44] |
 //! | [`Algorithm::Hierarchical`] | intra-node reduce → leader-level flat allreduce → intra-node broadcast | multi-node clusters with fast intra-node links (needs a [`AllreduceConfig::topology`]) |
 
 mod dense;
 mod dsar_split_ag;
-mod sparse_ring;
 mod ssar_rec_dbl;
 mod ssar_split_ag;
 
-pub(crate) use dense::{dense_rabenseifner, dense_recursive_double, dense_ring};
+pub(crate) use dense::dense_rabenseifner;
 pub(crate) use dsar_split_ag::dsar_split_allgather;
-pub(crate) use sparse_ring::sparse_ring;
 pub(crate) use ssar_rec_dbl::ssar_recursive_double;
 // The split phase of SSAR_Split_allgather doubles as the crate's
 // reduce-scatter (see `rooted::sparse_reduce_scatter`).
@@ -65,14 +60,8 @@ pub enum Algorithm {
     SsarSplitAllgather,
     /// Sparse split + dense allgather (`DSAR_Split_allgather`).
     DsarSplitAllgather,
-    /// Dense recursive doubling baseline.
-    DenseRecDbl,
     /// Dense Rabenseifner baseline (reduce-scatter + allgather).
     DenseRabenseifner,
-    /// Dense ring baseline.
-    DenseRing,
-    /// Sparse ring (ring schedule on sparse partitions).
-    SparseRing,
     /// Two-level topology-aware schedule: intra-node sparse reduce to each
     /// node's leader, a flat sparse allreduce among the leaders (chosen
     /// recursively — [`AllreduceConfig::hier_leader_algorithm`]), then an
@@ -89,14 +78,11 @@ impl Algorithm {
     /// non-trivial topology is configured; `Hierarchical` is excluded here
     /// because it needs a topology to mean anything). The order only
     /// breaks ties in the selector's sweep: the earlier member wins.
-    pub const ALL: [Algorithm; 7] = [
+    pub const ALL: [Algorithm; 4] = [
         Algorithm::SsarRecDbl,
         Algorithm::SsarSplitAllgather,
         Algorithm::DsarSplitAllgather,
-        Algorithm::DenseRecDbl,
         Algorithm::DenseRabenseifner,
-        Algorithm::DenseRing,
-        Algorithm::SparseRing,
     ];
 
     /// Short human-readable name matching the paper's figure legends.
@@ -106,10 +92,7 @@ impl Algorithm {
             Algorithm::SsarRecDbl => "SSAR_Recursive_double",
             Algorithm::SsarSplitAllgather => "SSAR_Split_allgather",
             Algorithm::DsarSplitAllgather => "DSAR_Split_allgather",
-            Algorithm::DenseRecDbl => "Dense_Recursive_double",
             Algorithm::DenseRabenseifner => "Dense_Rabenseifner",
-            Algorithm::DenseRing => "Dense_Ring",
-            Algorithm::SparseRing => "Sparse_Ring",
             Algorithm::Hierarchical => "Hierarchical",
         }
     }
@@ -428,9 +411,6 @@ fn dispatch_flat_concrete<T: Transport, V: Scalar>(
         (Algorithm::SsarRecDbl, _) => ssar_recursive_double(ep, input, cfg, pool),
         (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, cfg, pool),
         (Algorithm::DsarSplitAllgather, None) => dsar_split_allgather(ep, input, cfg, pool),
-        (Algorithm::DenseRecDbl, _) => dense_recursive_double(ep, input, cfg, pool),
         (Algorithm::DenseRabenseifner, _) => dense_rabenseifner(ep, input, cfg, pool),
-        (Algorithm::DenseRing, _) => dense_ring(ep, input, cfg, pool),
-        (Algorithm::SparseRing, _) => sparse_ring(ep, input, cfg, pool),
     }
 }

@@ -111,23 +111,10 @@ pub fn dsar_split_ag(w: &Workload, c: &CostModel) -> Envelope {
     }
 }
 
-/// Dense recursive doubling: `T = log2(P)·(α + N·βd)`.
-pub fn dense_rec_dbl(w: &Workload, c: &CostModel) -> Envelope {
-    let t = w.log2p() * (c.alpha + w.n as f64 * c.beta * w.word_bytes());
-    Envelope { lower: t, upper: t }
-}
-
 /// Rabenseifner: `T = 2·log2(P)·α + 2·(P−1)/P·N·βd` (§5.3.2).
 pub fn dense_rabenseifner(w: &Workload, c: &CostModel) -> Envelope {
     let (p, n) = (w.p as f64, w.n as f64);
     let t = 2.0 * w.log2p() * c.alpha + 2.0 * (p - 1.0) / p * n * c.beta * w.word_bytes();
-    Envelope { lower: t, upper: t }
-}
-
-/// Ring: `T = 2·(P−1)·(α + (N/P)·βd)`.
-pub fn dense_ring(w: &Workload, c: &CostModel) -> Envelope {
-    let (p, n) = (w.p as f64, w.n as f64);
-    let t = 2.0 * (p - 1.0) * (c.alpha + n / p * c.beta * w.word_bytes());
     Envelope { lower: t, upper: t }
 }
 

@@ -244,7 +244,7 @@ mod tests {
             })
             .collect();
         let expect = reference_sum(&ins);
-        for leader_algo in [Algorithm::SsarRecDbl, Algorithm::DenseRing] {
+        for leader_algo in [Algorithm::SsarRecDbl, Algorithm::DenseRabenseifner] {
             let cfg = AllreduceConfig {
                 topology: Some(Topology::uniform(4, 2).unwrap()),
                 hier_leader_algorithm: leader_algo,

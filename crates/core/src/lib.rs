@@ -11,7 +11,7 @@
 //!
 //! * [`Communicator::allreduce`] with the paper's three sparse schedules
 //!   (`SSAR_Recursive_double`, `SSAR_Split_allgather`,
-//!   `DSAR_Split_allgather`), three dense baselines and a sparse ring;
+//!   `DSAR_Split_allgather`) and Rabenseifner's dense baseline;
 //! * optional QSGD low-precision allgather inside DSAR (§6) via
 //!   `.quantized(..)`;
 //! * non-blocking launches with ideal-overlap clock merging (§7) via

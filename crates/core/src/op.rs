@@ -18,7 +18,6 @@ pub(crate) mod subtag {
     pub const FOLD: u64 = 1;
     pub const UNFOLD: u64 = 2;
     pub const SPLIT: u64 = 3;
-    pub const RING: u64 = 4;
     /// `SSAR_Split_allgather`'s partition entry counts, one 8-byte word
     /// to every peer ahead of the allgather.
     pub const COUNT: u64 = 5;
@@ -236,18 +235,6 @@ pub(crate) fn recv_tracked<T: Transport>(
     } else {
         Ok(ep.recv(src, t)?)
     }
-}
-
-/// Simultaneous stream exchange with `peer` (send, then receive).
-pub(crate) fn exchange_stream<T: Transport, V: Scalar>(
-    ep: &mut T,
-    peer: usize,
-    t: u64,
-    stream: &SparseStream<V>,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    send_stream(ep, peer, t, stream, true, pool)?;
-    recv_stream(ep, peer, t, pool)
 }
 
 /// Sends a frame ending in one 8-byte control word, with `stream`

@@ -7,15 +7,15 @@
 //! reduced size `K`. The selector estimates `E[K]` under the uniform model
 //! (Appendix B), prices every flat schedule by its analytic expected cost
 //! — communication envelope plus the reduction work the virtual clock
-//! charges; recursive doubling off powers of two with its unfold hop; the
-//! two split schedules phase by phase, their gather round by round with
-//! its assembly overlapping the frames in flight — and takes the
-//! cheapest. A sparse pair is priced at what the
-//! wire format makes it weigh at the density it travels at
-//! ([`Workload::pair_bytes`]: a rank's input at `k/N`, reduced data at
-//! `E[K]/N`), not at a fixed `4 + isize`. The δ threshold is not a gate
-//! in front of the sweep: just past it a sparse schedule can still beat
-//! DSAR, and just before it DSAR can beat the dense baselines.
+//! charges; recursive doubling off powers of two with its unfold hop, and
+//! Rabenseifner's with its fold and unfold; the two split schedules phase
+//! by phase, their gather round by round with its assembly overlapping
+//! the frames in flight — and takes the cheapest of the four. A sparse
+//! pair is priced at what the wire format makes it weigh at the density
+//! it travels at ([`Workload::pair_bytes`]: a rank's input at `k/N`,
+//! reduced data at `E[K]/N`), not at a fixed `4 + isize`. The δ threshold
+//! is not a gate in front of the sweep: just past it a sparse schedule can
+//! still beat DSAR, and just before it DSAR can beat the dense baseline.
 
 use sparcml_net::{CostModel, Topology, TopologyCostModel};
 use sparcml_stream::Scalar;
@@ -91,18 +91,21 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             let bytes = values * w.word_bytes();
             split_phase(w, c, c.gamma * k) + pipelined_gather(w.p, c, bytes, c.gamma * values, 0.0)
         }
-        // The dense baselines pay γ·k to densify their input before the
-        // first frame, then their reduction work: log2(P) full-vector
-        // merges for recursive doubling, the (P−1)/P·N elements a
-        // reduce-scatter touches for the other two.
-        Algorithm::DenseRecDbl => bounds::dense_rec_dbl(w, c).lower + c.gamma * (k + log2p * n),
         Algorithm::DenseRabenseifner => {
-            bounds::dense_rabenseifner(w, c).lower + c.gamma * (k + (p - 1.0) / p * n)
-        }
-        Algorithm::DenseRing => bounds::dense_ring(w, c).lower + c.gamma * (k + (p - 1.0) / p * n),
-        Algorithm::SparseRing => {
-            // Ring on sparse partitions: 2(P−1) messages of ≈ E[K]/P pairs.
-            2.0 * (p - 1.0) * (c.alpha + ek / p * c.beta * w.pair_bytes(ek)) + c.gamma * 2.0 * ek
+            // Densify the input (γ·k), then run the core on the largest
+            // power of two p2 ≤ P, whose reduce-scatter adds (p2−1)/p2·N
+            // elements. Off powers of two a parked rank's full vector folds
+            // onto its partner (one hop, N additions) and the result
+            // unfolds back (another hop).
+            let p2 = 1usize << w.p.max(1).ilog2();
+            let q = p2 as f64;
+            let core = bounds::dense_rabenseifner(&Workload { p: p2, ..*w }, c).lower
+                + c.gamma * (k + (q - 1.0) / q * n);
+            if p2 == w.p {
+                core
+            } else {
+                core + 2.0 * (c.alpha + c.beta * n * w.word_bytes()) + c.gamma * n
+            }
         }
     }
 }
@@ -373,7 +376,7 @@ mod tests {
         assert!(
             matches!(
                 algo,
-                Algorithm::DsarSplitAllgather | Algorithm::DenseRabenseifner | Algorithm::DenseRing
+                Algorithm::DsarSplitAllgather | Algorithm::DenseRabenseifner
             ),
             "got {algo:?}"
         );
@@ -415,20 +418,17 @@ mod tests {
             );
         }
         // Any other pick pays one pass of 8-byte frames first: log2(P)
-        // rounds, plus the fold and unfold hops off powers of two. (On a
-        // γ-heavy model at P ≥ 12 Rabenseifner wins: the split schedules'
-        // (P − 1)·α split latency outgrows its 2·log2(P)·α.)
-        let dense = CostModel {
-            gamma: 1e-7,
-            ..CostModel::aries()
-        };
-        let word = dense.alpha + 8.0 * dense.beta;
+        // rounds, plus the fold and unfold hops off powers of two. (A full
+        // 2^10-element input at P ≥ 12 goes to Rabenseifner: the split
+        // schedules' (P − 1)·α split latency outgrows its 2·log2(P)·α.)
+        let cost = CostModel::aries();
+        let word = cost.alpha + 8.0 * cost.beta;
         for (p, rounds) in [(16usize, 4.0), (12, 5.0)] {
-            let (n, k) = (1 << 14, 1 << 12);
-            let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &dense);
+            let (n, k) = (1 << 10, 1 << 10);
+            let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &cost);
             assert_eq!(resolved, Algorithm::DenseRabenseifner, "P={p}");
-            let extra = estimate_time::<f32>(Algorithm::Auto, p, n, k, &dense)
-                - estimate_time::<f32>(resolved, p, n, k, &dense);
+            let extra = estimate_time::<f32>(Algorithm::Auto, p, n, k, &cost)
+                - estimate_time::<f32>(resolved, p, n, k, &cost);
             assert!(
                 (extra - rounds * word).abs() < 1e-9 * word,
                 "P={p}: {extra} vs {rounds} x {word}"
@@ -450,17 +450,43 @@ mod tests {
     #[test]
     fn dense_prices_track_the_virtual_clock() {
         // Measured on the virtual cluster at P=8, N=2^20, Aries:
-        // Rabenseifner = 1660.5 µs + 1 ns·k, ring = 1672.5 µs + 1 ns·k.
+        // Rabenseifner = 1660.5 µs + 1 ns·k.
         let cost = CostModel::aries();
-        for (algo, base_us) in [
-            (Algorithm::DenseRabenseifner, 1660.5),
-            (Algorithm::DenseRing, 1672.5),
-        ] {
-            for k in [100usize, 300_000] {
-                let t_us = estimate_time::<f32>(algo, 8, 1 << 20, k, &cost) * 1e6;
-                let clock_us = base_us + k as f64 * 1e-3;
-                assert!((t_us - clock_us).abs() < 0.1, "{algo:?} k={k}: {t_us}");
-            }
+        for k in [100usize, 300_000] {
+            let t_us =
+                estimate_time::<f32>(Algorithm::DenseRabenseifner, 8, 1 << 20, k, &cost) * 1e6;
+            let clock_us = 1660.5 + k as f64 * 1e-3;
+            assert!((t_us - clock_us).abs() < 0.1, "k={k}: {t_us}");
+        }
+    }
+
+    #[test]
+    fn rabenseifner_prices_its_fold_off_powers_of_two() {
+        // Pinned Rabenseifner at N = 2^14, k = 1 638 on Aries, against the
+        // virtual clock. Priced as a ⌈log2 P⌉-rank core without the two
+        // full-vector hops, the estimate read 40.7 µs at P=12 against
+        // 68.9 on the clock.
+        use crate::allreduce::{dense_rabenseifner, AllreduceConfig};
+        use crate::op::BufferPool;
+        use sparcml_net::{max_virtual_time, Transport};
+        use sparcml_stream::{random_sparse, SparseStream};
+
+        let cost = CostModel::aries();
+        let (n, k) = (1 << 14, 1_638);
+        let cfg = AllreduceConfig::default();
+        for p in [3usize, 5, 6, 12] {
+            let ins: Vec<SparseStream<f32>> =
+                (0..p).map(|r| random_sparse(n, k, 70 + r as u64)).collect();
+            let clock = max_virtual_time(p, cost, |ep| {
+                dense_rabenseifner(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
+            });
+            let est = estimate_time::<f32>(Algorithm::DenseRabenseifner, p, n, k, &cost);
+            assert!(
+                (est / clock - 1.0).abs() < 0.01,
+                "P={p}: {} µs against {} on the clock",
+                est * 1e6,
+                clock * 1e6
+            );
         }
     }
 

@@ -295,14 +295,14 @@ mod tests {
         let reg = LatencyRegistry::new();
         reg.record("ssar_split", "tcp", 100_000, 0.002);
         reg.record("ssar_split", "tcp", 100_000, 0.004);
-        reg.record("dense_ring", "reactor", 100_000, 0.008);
+        reg.record("dense_rabenseifner", "reactor", 100_000, 0.008);
         let text = reg.render_text();
         assert!(text.contains("ssar_split [tcp] 2^16: n=2"));
-        assert!(text.contains("dense_ring [reactor] 2^16: n=1"));
+        assert!(text.contains("dense_rabenseifner [reactor] 2^16: n=1"));
         let mut prom = String::new();
         reg.render_prometheus(&mut prom);
         assert!(prom.contains(
-            "sparcml_collective_seconds_bucket{algorithm=\"dense_ring\",transport=\"reactor\""
+            "sparcml_collective_seconds_bucket{algorithm=\"dense_rabenseifner\",transport=\"reactor\""
         ));
         assert!(prom.contains("le=\"+Inf\""));
         assert!(prom.contains("sparcml_collective_seconds_count"));

@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn sparse_and_dense_allreduce_agree() {
         // Lossless sparsity: identical updates, identical final weights
-        // (up to fp ordering; rec-dbl and dense rec-dbl share the tree).
+        // (up to fp ordering).
         let ds = small_dataset();
         let mk = |algo| SgdConfig {
             epochs: 2,
@@ -283,7 +283,7 @@ mod tests {
             ..Default::default()
         };
         let sparse = train_distributed(&ds, 4, CostModel::zero(), &mk(Algorithm::SsarRecDbl));
-        let dense = train_distributed(&ds, 4, CostModel::zero(), &mk(Algorithm::DenseRecDbl));
+        let dense = train_distributed(&ds, 4, CostModel::zero(), &mk(Algorithm::DenseRabenseifner));
         for (a, b) in sparse.weights.iter().zip(dense.weights.iter()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }

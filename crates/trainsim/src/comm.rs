@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn measured_cache_hits() {
         let est = MeasuredEstimator::new(CostModel::zero());
-        let ex = Exchange::Dense(Algorithm::DenseRing);
+        let ex = Exchange::Dense(Algorithm::DenseRabenseifner);
         let a = est.layer_time(1024, 4, &ex);
         let b = est.layer_time(1024, 4, &ex);
         assert_eq!(a, b);

@@ -181,7 +181,7 @@ fn every_schedule() -> Vec<Case> {
 /// N = 2^15 reduction: the first k on a 1/64 grid of N whose pick is
 /// `SSAR_Split_allgather` or `DSAR_Split_allgather`, one index per
 /// bucket of width N/k and integer values. P = 2 has none (its picks run
-/// from recursive doubling straight to the dense baselines) and is
+/// from recursive doubling straight to the dense baseline) and is
 /// skipped.
 fn auto_in_the_split_regime() -> Vec<Case> {
     let dim = 1 << 15;
@@ -265,14 +265,16 @@ fn send_faults() -> Vec<Fault> {
 
 fn last_rank_never_joins<T: Transport + Send + 'static>(run: Runner<T>) {
     let [finished, failed, _] = matrix(run, &every_schedule(), &[Fault::NeverJoins]);
-    // Every survivor of every run: 8 schedules × Σ(P − 1).
-    assert_eq!((finished, failed), (0, 8 * (1 + 2 + 4 + 7)));
+    // Every survivor of every run: each schedule and `Auto` × Σ(P − 1).
+    let schedules = algorithms().count();
+    assert_eq!((finished, failed), (0, schedules * (1 + 2 + 4 + 7)));
 }
 
 fn last_rank_dies_after_n_sends<T: Transport + Send + 'static>(run: Runner<T>) {
     let [finished, failed, _] = matrix(run, &every_schedule(), &send_faults());
     // Every rank of every run reports, and both outcomes actually occur.
-    assert_eq!(finished + failed, 8 * 6 * (2 + 3 + 5 + 8));
+    let schedules = algorithms().count();
+    assert_eq!(finished + failed, schedules * 6 * (2 + 3 + 5 + 8));
     assert!(finished > 0 && failed > 0, "{finished} Ok / {failed} Err");
 }
 

@@ -179,7 +179,7 @@ fn nested_splits_then_world_collective() {
         let mut half = comm.split((world_rank / 4) as u64).unwrap();
         let half_out = half
             .allreduce(&ins[world_rank])
-            .algorithm(Algorithm::SparseRing)
+            .algorithm(Algorithm::SsarSplitAllgather)
             .launch()
             .and_then(|h| h.wait())
             .unwrap();
@@ -249,7 +249,7 @@ fn concurrent_sibling_groups_do_not_cross_talk() {
             let mut acc = ins[world_rank].clone();
             for algo in [
                 Algorithm::SsarRecDbl,
-                Algorithm::SparseRing,
+                Algorithm::DsarSplitAllgather,
                 Algorithm::SsarSplitAllgather,
             ] {
                 acc = sub
@@ -274,7 +274,7 @@ fn concurrent_sibling_groups_do_not_cross_talk() {
                 .unwrap();
             drop(bcast);
             sub.allreduce(&ins[world_rank])
-                .algorithm(Algorithm::DenseRecDbl)
+                .algorithm(Algorithm::DenseRabenseifner)
                 .launch()
                 .and_then(|h| h.wait())
                 .unwrap()

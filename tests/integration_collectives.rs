@@ -114,7 +114,7 @@ fn repeated_collectives_in_one_session_do_not_cross_match() {
             let algo = match i {
                 0 => Algorithm::SsarRecDbl,
                 1 => Algorithm::SsarSplitAllgather,
-                _ => Algorithm::SparseRing,
+                _ => Algorithm::DenseRabenseifner,
             };
             results.push(
                 comm.allreduce(&input)
@@ -499,7 +499,7 @@ fn auto_drains_speculated_frames_when_the_agreed_pick_is_not_a_split() {
     // exact, every frame a call sends is received within it, and a second
     // call on the same session costs what the first did. Such a k pair
     // takes a γ-heavy model, where a moderate k picks SSAR_Split_allgather
-    // and a larger one a dense baseline — at P=12, where the split
+    // and a larger one the dense baseline — at P=16, where the split
     // schedules' (P − 1)·α split latency outgrows Rabenseifner's; the
     // selector finds it.
     let cost = CostModel {
@@ -507,7 +507,7 @@ fn auto_drains_speculated_frames_when_the_agreed_pick_is_not_a_split() {
         ..CostModel::aries()
     };
     let dim = 1 << 14;
-    let found = [5usize, 8, 12].into_iter().find_map(|p| {
+    let found = [5usize, 8, 12, 16].into_iter().find_map(|p| {
         let pick = |k: usize| select_algorithm::<f32>(p, dim, k, &cost);
         let ks = (1..=64).map(|i| dim * i / 64);
         let small = ks.clone().find(|&k| is_split(pick(k)))?;
@@ -727,6 +727,34 @@ fn dense_result_is_identical_across_algorithms_for_integer_values() {
         match &reference {
             None => reference = Some(dense),
             Some(r) => assert_eq!(&dense, r, "{algo:?} disagrees"),
+        }
+    }
+}
+
+#[test]
+fn rec_dbl_on_a_dense_input_is_the_dense_schedule() {
+    // Dense recursive doubling has no schedule of its own: on dense-held
+    // inputs the sparse one sends one dense frame (header and agreement
+    // word included) per round and sums exactly.
+    let dim = 1 << 14;
+    for p in [4usize, 8] {
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| SparseStream::from_dense((0..dim).map(|i| ((i + r) % 5) as f32).collect()))
+            .collect();
+        let expect = reference_sum(&ins);
+        let outs = run_communicators(p, CostModel::aries(), |comm| {
+            let out = comm
+                .allreduce(&ins[comm.rank()])
+                .algorithm(Algorithm::SsarRecDbl)
+                .launch()
+                .and_then(|handle| handle.wait())
+                .unwrap();
+            (out.to_dense_vec(), comm.stats_snapshot().bytes_sent)
+        });
+        let budget = p.ilog2() as u64 * (4 * dim as u64 + 64);
+        for (rank, (got, sent)) in outs.iter().enumerate() {
+            assert_eq!(got, &expect, "P={p} rank {rank}");
+            assert!(sent <= &budget, "P={p} rank {rank}: {sent} B > {budget}");
         }
     }
 }

@@ -29,13 +29,7 @@ fn url_like_small() -> sparcml::opt::data::SparseDataset {
 fn linear_sgd_same_result_for_every_lossless_algorithm() {
     let ds = url_like_small();
     let mut finals: Vec<Vec<f32>> = Vec::new();
-    for algo in [
-        Algorithm::SsarRecDbl,
-        Algorithm::SsarSplitAllgather,
-        Algorithm::SparseRing,
-        Algorithm::DenseRecDbl,
-        Algorithm::DenseRing,
-    ] {
+    for algo in Algorithm::ALL {
         let cfg = SgdConfig {
             epochs: 2,
             batch_per_node: 32,

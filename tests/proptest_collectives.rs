@@ -114,7 +114,7 @@ fn ranks_agree_bitwise() {
         for algo in [
             Algorithm::SsarRecDbl,
             Algorithm::SsarSplitAllgather,
-            Algorithm::SparseRing,
+            Algorithm::DsarSplitAllgather,
         ] {
             let outs = run_communicators(p, CostModel::zero(), |comm| {
                 comm.allreduce(&ins[comm.rank()])

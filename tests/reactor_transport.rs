@@ -245,11 +245,7 @@ fn matches_virtual_time_transport_bitwise_for_integer_values() {
             .collect();
         SparseStream::from_pairs(dim, &pairs).unwrap()
     };
-    for algo in [
-        Algorithm::SsarRecDbl,
-        Algorithm::SsarSplitAllgather,
-        Algorithm::SparseRing,
-    ] {
+    for algo in Algorithm::ALL {
         let virtual_outs = run_communicators(p, CostModel::zero(), |comm| {
             comm.allreduce(&mk(comm.rank()))
                 .algorithm(algo)

@@ -230,7 +230,7 @@ fn multiple_collectives_one_session_across_processes() {
             let b = random_sparse::<f32>(dim, 16, 7000 + rank as u64);
             let first = comm
                 .allreduce(&a)
-                .algorithm(Algorithm::SparseRing)
+                .algorithm(Algorithm::DenseRabenseifner)
                 .launch()
                 .and_then(|h| h.wait())
                 .unwrap();
