@@ -1,9 +1,7 @@
 //! Criterion: sparse stream summation kernels (§5.1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sparcml_stream::{
-    random_sparse, reduce_streams, DensityPolicy, PartRange, SparseStream, WindowSum,
-};
+use sparcml_stream::{random_sparse, DensityPolicy, PartRange, SparseStream, WindowSum};
 
 fn bench_sum(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream_sum");
@@ -42,36 +40,21 @@ fn bench_sum(c: &mut Criterion) {
     group.finish();
 }
 
-/// What one owner of a split phase sums: `m` operands holding 10 000
-/// entries in total, each restricted to the same `N/m` partition. The
-/// operand clones are part of every iteration (`reduce_streams` consumes
-/// its inputs), the same on both sides of any comparison. `window_sum/8`
-/// is the same sum as the split phase now runs it: a fresh window per
-/// iteration, every operand scattered into it, then drained into fresh
-/// slabs.
+/// What one owner of a split phase sums: 8 operands holding 10 000
+/// entries in total, each restricted to the same `N/8` partition, summed
+/// as the split phase runs it: a fresh window per iteration, every
+/// operand scattered into it, then drained into fresh slabs.
 fn bench_fold_many(c: &mut Criterion) {
     let mut group = c.benchmark_group("fold-many");
     let dim = 1 << 20;
-    let parts = |m: usize| -> Vec<SparseStream<f32>> {
-        (0..m)
-            .map(|r| random_sparse::<f32>(dim, 10_000, 10 + r as u64).restrict(0, (dim / m) as u32))
-            .collect()
-    };
-    for m in [2usize, 8, 64] {
-        group.bench_with_input(BenchmarkId::new("reduce_streams", m), &m, |b, &m| {
-            let parts = parts(m);
-            let policy = DensityPolicy::default();
-            b.iter(|| reduce_streams(parts.clone(), &policy).unwrap().0.nnz());
-        });
-    }
     group.bench_with_input(BenchmarkId::new("window_sum", 8), &8, |b, &m| {
-        let (parts, range) = (
-            parts(m),
-            PartRange {
-                lo: 0,
-                hi: (dim / m) as u32,
-            },
-        );
+        let range = PartRange {
+            lo: 0,
+            hi: (dim / m) as u32,
+        };
+        let parts: Vec<SparseStream<f32>> = (0..m)
+            .map(|r| random_sparse::<f32>(dim, 10_000, 10 + r as u64).restrict(range.lo, range.hi))
+            .collect();
         b.iter(|| {
             let mut sum = WindowSum::new(dim, range);
             for part in &parts {

@@ -4,10 +4,12 @@
 //! sparse allgather concatenates sparse streams — when contributions have
 //! disjoint supports (e.g. distributed coordinate descent, §8.2, where
 //! "the values calculated by each node lie in different slices of the
-//! entire model vector") the gather *is* the reduction.
+//! entire model vector") the gather *is* the reduction. Overlapping
+//! supports are folded in rank order instead, so `allgather_sum` returns
+//! the sequential reference sum on any input.
 
 use sparcml_net::Transport;
-use sparcml_stream::{Scalar, SparseStream};
+use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
 
 use crate::error::CollError;
 use crate::op::{allgather_bytes, BufferPool};
@@ -31,28 +33,30 @@ pub(crate) fn sparse_allgather<T: Transport, V: Scalar>(
 }
 
 /// Gathers and sums sparse streams whose supports are disjoint: the result
-/// is the element-wise sum, assembled by the tournament merge of
-/// [`sparcml_stream::reduce_streams`] (correct — though no longer a pure
-/// concatenation — even if supports do overlap).
+/// is the element-wise sum, assembled by concatenation. Overlapping
+/// supports fall back to a left fold in rank order under the default
+/// density policy: the order [`crate::reference::reference_sum`] adds in,
+/// so the sum is the reference's bit for bit.
 pub(crate) fn sparse_allgather_sum<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
     let parts = sparse_allgather(ep, input, pool)?;
-    // Try the cheap disjoint concatenation first; fall back to merge.
-    match SparseStream::concat_disjoint(&parts) {
-        Ok(out) => {
-            ep.compute(out.stored_len());
-            Ok(out)
-        }
-        Err(_) => {
-            let policy = sparcml_stream::DensityPolicy::default();
-            let (out, processed) = sparcml_stream::reduce_streams(parts, &policy)?;
-            ep.compute(processed);
-            Ok(out)
-        }
+    // Try the cheap disjoint concatenation first; fall back to the fold.
+    if let Ok(out) = SparseStream::concat_disjoint(&parts) {
+        ep.compute(out.stored_len());
+        return Ok(out);
     }
+    let policy = DensityPolicy::default();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().expect("one block per rank");
+    let mut processed = 0;
+    for part in parts {
+        processed += out.add_assign_with(&part, &policy)?.elements_processed;
+    }
+    ep.compute(processed);
+    Ok(out)
 }
 
 /// Dense allgather: every rank contributes a dense block (e.g. its slice

@@ -394,7 +394,7 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     }
 
     /// Gathers and sums sparse streams (pure concatenation when supports
-    /// are disjoint, merge otherwise).
+    /// are disjoint, a fold in rank order otherwise).
     pub fn allgather_sum<'a, V: Scalar>(
         &'a mut self,
         input: &'a SparseStream<V>,

@@ -6,7 +6,8 @@
 //! generation counters advance in lock step. BUSY answers surface as
 //! retryable backpressure: [`ServeClient::try_contribute`] reports them
 //! per shard, [`ServeClient::contribute`] retries the busy shards with
-//! backoff until a deadline.
+//! backoff until a deadline. [`ServeClient::fetch`] asks every shard for
+//! its slice and folds the slices in shard order.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -14,7 +15,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use sparcml_net::DEFAULT_MAX_FRAME_LEN;
-use sparcml_stream::{partition_range, reduce_streams, DensityPolicy, SparseStream, StreamError};
+use sparcml_stream::{partition_range, DensityPolicy, SparseStream, StreamError};
 
 use crate::error::ServeError;
 use crate::protocol::{read_frame, ErrorCode, Frame, FrameReadError, ModelInfo};
@@ -453,8 +454,14 @@ impl ServeClient {
             }
         }
         // One slice per shard (there is always at least one), disjoint
-        // unless a shard misbehaves: the tournament concatenates them.
-        let (state, _) = reduce_streams(slices, &DensityPolicy::default())?;
+        // unless a shard misbehaves: fold them in shard order, so a lone
+        // shard's slice comes back as it arrived, dense or sparse.
+        let policy = DensityPolicy::default();
+        let mut slices = slices.into_iter();
+        let mut state = slices.next().expect("one slice per shard");
+        for slice in slices {
+            state.add_assign_with(&slice, &policy)?;
+        }
         Ok(FetchedState {
             state,
             generations,

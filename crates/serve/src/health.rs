@@ -150,7 +150,7 @@ pub(crate) fn render_text(shared: &Shared) -> String {
                 m.range.lo,
                 m.range.hi,
                 m.generation,
-                m.contributions,
+                m.generation,
                 m.sum.nnz()
             ));
         }
@@ -277,7 +277,7 @@ pub(crate) fn render_json(shared: &Shared) -> String {
                     m.range.lo,
                     m.range.hi,
                     m.generation,
-                    m.contributions,
+                    m.generation,
                     m.sum.nnz()
                 )
             })

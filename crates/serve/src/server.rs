@@ -671,11 +671,11 @@ fn handle_frame(
                 let models = shared.models.lock().expect("models lock");
                 models.get(model as usize).map(|state| {
                     let mut payload = shared.pool.lock().expect("pool lock").acquire();
-                    state.render().encode_into(&mut payload);
+                    state.encode_into(&mut payload);
                     let frame = Frame::State {
                         model,
                         generation: state.generation,
-                        contributions: state.contributions,
+                        contributions: state.generation,
                         payload: payload.clone(),
                     };
                     shared.pool.lock().expect("pool lock").release(payload);
@@ -806,8 +806,8 @@ fn aggregator_loop(shared: &Arc<Shared>) {
             continue;
         }
 
-        // Rendering a model's state clones its accumulator, so only do
-        // it for models somebody is actually subscribed to. (A session
+        // Encoding a model's state walks its whole accumulator, so only
+        // do it for models somebody is actually subscribed to. (A session
         // subscribing mid-batch catches the next batch's update.)
         let subscribed: HashSet<u16> = {
             let registry = shared.registry.lock().expect("registry lock");
@@ -821,7 +821,7 @@ fn aggregator_loop(shared: &Arc<Shared>) {
         let mut touched: HashSet<u16> = HashSet::new();
         let mut applied_per_session: HashMap<String, u64> = HashMap::new();
         let mut acks: Vec<(Sender<Vec<u8>>, Frame)> = Vec::with_capacity(batch.len());
-        let mut updates: Vec<(u16, u64, SparseStream<f32>)> = Vec::new();
+        let mut updates: Vec<(u16, u64, Vec<u8>)> = Vec::new();
         {
             // One state lock per batch: this is the "server-side batched
             // application" the engine queue exists for.
@@ -866,7 +866,9 @@ fn aggregator_loop(shared: &Arc<Shared>) {
                     continue;
                 }
                 let state = &models[model as usize];
-                updates.push((model, state.generation, state.render()));
+                let mut payload = shared.pool.lock().expect("pool lock").acquire();
+                state.encode_into(&mut payload);
+                updates.push((model, state.generation, payload));
             }
         }
 
@@ -882,9 +884,7 @@ fn aggregator_loop(shared: &Arc<Shared>) {
             }
             // Fan each touched model's fresh state out to subscribers:
             // encode once, clone per receiver.
-            for (model, generation, state) in updates {
-                let mut payload = shared.pool.lock().expect("pool lock").acquire();
-                state.encode_into(&mut payload);
+            for (model, generation, payload) in updates {
                 let frame = Frame::Update {
                     model,
                     generation,

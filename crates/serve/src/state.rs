@@ -22,11 +22,9 @@ pub(crate) struct ModelState {
     /// Running sum; dim is the full model dim, support stays within
     /// `range` (validated at admission).
     pub sum: SparseStream<f32>,
-    /// Applied-contribution counter.
+    /// Applied-contribution counter, which is also the number of
+    /// contributions folded in.
     pub generation: u64,
-    /// Contributions folded in (== generation; kept separate so a future
-    /// reset/compaction can diverge them).
-    pub contributions: u64,
 }
 
 impl ModelState {
@@ -37,7 +35,6 @@ impl ModelState {
             range,
             sum: SparseStream::zeros(dim),
             generation: 0,
-            contributions: 0,
         }
     }
 
@@ -53,7 +50,6 @@ impl ModelState {
             None => self.sum.add_assign_with(contribution, policy)?,
         };
         self.generation += 1;
-        self.contributions += 1;
         Ok(stats)
     }
 
@@ -61,10 +57,19 @@ impl ModelState {
     /// [`AggregationMode::Average`] models.
     pub fn render(&self) -> SparseStream<f32> {
         let mut out = self.sum.clone();
-        if self.spec.mode == AggregationMode::Average && self.contributions > 0 {
-            out.scale(1.0 / self.contributions as f32);
+        if self.spec.mode == AggregationMode::Average && self.generation > 0 {
+            out.scale(1.0 / self.generation as f32);
         }
         out
+    }
+
+    /// Serializes the served state into `out` (cleared first). A Sum model
+    /// is encoded straight from its accumulator, without a copy.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self.spec.mode {
+            AggregationMode::Sum => self.sum.encode_into(out),
+            AggregationMode::Average => self.render().encode_into(out),
+        }
     }
 }
 

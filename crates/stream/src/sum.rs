@@ -11,18 +11,16 @@
 //! * **dense + dense** — element-wise (auto-vectorized) addition in place,
 //!   allocating no new stream.
 //!
-//! All kernels walk the structure-of-arrays slabs directly (`&[u32]` next
-//! to `&[V]`), so the inner loops are branch-light slice traversals.
+//! A sparse addend — an owned stream or a borrowed [`SparseView`] — goes
+//! through one kernel, so both entry points make the same δ decision on
+//! the same operands. All kernels walk the structure-of-arrays slabs
+//! directly (`&[u32]` next to `&[V]`), so the inner loops are branch-light
+//! slice traversals.
 //!
-//! Summing *many* streams goes through [`TournamentSum`]: operands are
-//! combined pairwise in a fixed binary-counter shape instead of folded
-//! left to right into one growing accumulator, so `m` operands of `n`
-//! entries in total cost at most `n·⌈log2 m⌉` element operations where
-//! the left fold re-walks its accumulator `m − 1` times (`≈ n·m/2` on
-//! balanced disjoint inputs). Every pairwise step is the two-operand sum
-//! above, δ rule included. Operands that all lie in one index window — a
-//! split owner's sub-ranges — are summed with one scatter per entry in a
-//! [`crate::WindowSum`] instead.
+//! Summing *many* streams is a left fold of this rule in operand order,
+//! which is the order the sequential reference sums in. Operands that all
+//! lie in one index window — a split owner's sub-ranges — are summed with
+//! one scatter per entry in a [`crate::WindowSum`] instead.
 
 use crate::error::StreamError;
 use crate::scalar::Scalar;
@@ -61,64 +59,30 @@ impl<V: Scalar> SparseStream<V> {
                 right: other.dim(),
             });
         }
-        let dim = self.dim();
-        let delta = policy.delta::<V>(dim);
-
-        match (self.is_dense(), other.is_dense()) {
-            (false, false) => {
-                let (a_len, b_len) = (self.stored_len(), other.stored_len());
-                if a_len + b_len > delta {
-                    // Fill-in upper bound exceeded: produce dense result.
-                    self.densify();
-                    let stats = scatter_into_dense(self, other)?;
-                    Ok(SumStats {
-                        switched_to_dense: true,
-                        ..stats
-                    })
-                } else {
-                    let merged = {
-                        let a = self.sparse_view().expect("sparse operand");
-                        let b = other.sparse_view().expect("sparse operand");
-                        merge_sorted(a, b)
-                    };
-                    let processed = merged.len();
-                    // Merging two sorted slabs yields a sorted slab; skip
-                    // the O(n) revalidation scan.
-                    self.set_repr(Repr::Sparse(merged));
-                    debug_assert!(self.check_invariants().is_ok());
-                    Ok(SumStats {
-                        elements_processed: processed,
-                        result_dense: false,
-                        switched_to_dense: false,
-                    })
-                }
-            }
-            (true, false) => scatter_into_dense(self, other),
-            (false, true) => {
-                // Commute: dense side becomes the accumulator.
-                let mut result = other.clone();
-                let mut stats = scatter_into_dense(&mut result, self)?;
-                *self = result;
-                stats.switched_to_dense = true;
-                Ok(stats)
-            }
-            (true, true) => {
-                let Repr::Dense(b) = other.repr() else {
-                    unreachable!()
-                };
-                let Repr::Dense(a) = self.repr_mut() else {
-                    unreachable!()
-                };
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x = x.add(*y);
-                }
-                Ok(SumStats {
-                    elements_processed: dim,
-                    result_dense: true,
-                    switched_to_dense: false,
-                })
-            }
+        if let Some(view) = other.sparse_view() {
+            return Ok(add_sparse(self, view, policy));
         }
+        let Repr::Dense(b) = other.repr() else {
+            unreachable!()
+        };
+        if let Repr::Dense(a) = self.repr_mut() {
+            for (x, y) in a.iter_mut().zip(b.iter()) {
+                *x = x.add(*y);
+            }
+            return Ok(SumStats {
+                elements_processed: b.len(),
+                result_dense: true,
+                switched_to_dense: false,
+            });
+        }
+        // Commute: the dense side becomes the accumulator.
+        let mut result = other.clone();
+        let stats = add_sparse(&mut result, self.sparse_view().expect("sparse"), policy);
+        *self = result;
+        Ok(SumStats {
+            switched_to_dense: true,
+            ..stats
+        })
     }
 
     /// Adds a borrowed sparse slab pair into `self` without materializing
@@ -138,87 +102,56 @@ impl<V: Scalar> SparseStream<V> {
         policy: &DensityPolicy,
     ) -> Result<SumStats, StreamError> {
         let dim = self.dim();
-        if let Some(&last) = view.indices().last() {
-            if last as usize >= dim {
-                return Err(StreamError::IndexOutOfBounds { idx: last, dim });
+        match view.indices().last() {
+            Some(&last) if last as usize >= dim => {
+                Err(StreamError::IndexOutOfBounds { idx: last, dim })
             }
-        } else {
+            Some(_) => Ok(add_sparse(self, view, policy)),
             // Empty contribution: nothing to fold in.
-            return Ok(SumStats {
+            None => Ok(SumStats {
                 elements_processed: 0,
                 result_dense: self.is_dense(),
                 switched_to_dense: false,
-            });
+            }),
         }
-        if self.is_dense() {
-            return Ok(scatter_view_into_dense(self, view));
-        }
-        let delta = policy.delta::<V>(dim);
-        if self.stored_len() + view.len() > delta {
-            self.densify();
-            let stats = scatter_view_into_dense(self, view);
-            return Ok(SumStats {
-                switched_to_dense: true,
-                ..stats
-            });
-        }
-        let merged = merge_sorted(self.sparse_view().expect("sparse accumulator"), view);
-        let processed = merged.len();
-        self.set_repr(Repr::Sparse(merged));
-        debug_assert!(self.check_invariants().is_ok());
-        Ok(SumStats {
-            elements_processed: processed,
-            result_dense: false,
-            switched_to_dense: false,
-        })
     }
 }
 
-/// Adds the entries of a borrowed view into the dense accumulator
-/// `dense`. Indices must already be validated against `dense.dim()`.
-fn scatter_view_into_dense<V: Scalar>(
-    dense: &mut SparseStream<V>,
+/// `acc += view` for a sparse addend whose indices lie below `acc.dim()`:
+/// scatter into a dense accumulator; densify, then scatter, when the
+/// fill-in bound `|H1| + |H2|` crosses δ; merge the two slab pairs
+/// otherwise.
+fn add_sparse<V: Scalar>(
+    acc: &mut SparseStream<V>,
     view: SparseView<'_, V>,
+    policy: &DensityPolicy,
 ) -> SumStats {
-    debug_assert!(dense.is_dense());
-    let Repr::Dense(values) = dense.repr_mut() else {
-        unreachable!()
-    };
-    for (i, v) in view.indices().iter().zip(view.values()) {
-        let slot = &mut values[*i as usize];
-        *slot = slot.add(*v);
+    let switched = !acc.is_dense() && acc.stored_len() + view.len() > policy.delta::<V>(acc.dim());
+    if switched {
+        acc.densify();
     }
+    if let Repr::Dense(values) = acc.repr_mut() {
+        for (i, v) in view.indices().iter().zip(view.values()) {
+            let slot = &mut values[*i as usize];
+            *slot = slot.add(*v);
+        }
+        return SumStats {
+            elements_processed: view.len(),
+            result_dense: true,
+            switched_to_dense: switched,
+        };
+    }
+    let merged = merge_sorted(acc.sparse_view().expect("sparse accumulator"), view);
+    let processed = merged.len();
+    // Merging two sorted slabs yields a sorted slab; skip the O(n)
+    // revalidation scan.
+    acc.set_repr(Repr::Sparse(merged));
+    debug_assert!(acc.check_invariants().is_ok());
     SumStats {
-        elements_processed: view.len(),
-        result_dense: true,
+        elements_processed: processed,
+        result_dense: false,
         switched_to_dense: false,
     }
-}
-
-/// Adds the sparse entries of `sparse` into the dense accumulator `dense`.
-fn scatter_into_dense<V: Scalar>(
-    dense: &mut SparseStream<V>,
-    sparse: &SparseStream<V>,
-) -> Result<SumStats, StreamError> {
-    debug_assert!(dense.is_dense());
-    let Some(view) = sparse.sparse_view() else {
-        return Err(StreamError::Corrupt(
-            "scatter_into_dense expects a sparse addend",
-        ));
-    };
-    let Repr::Dense(values) = dense.repr_mut() else {
-        unreachable!()
-    };
-    let (indices, addends) = (view.indices(), view.values());
-    for (i, v) in indices.iter().zip(addends) {
-        let slot = &mut values[*i as usize];
-        *slot = slot.add(*v);
-    }
-    Ok(SumStats {
-        elements_processed: view.len(),
-        result_dense: true,
-        switched_to_dense: false,
-    })
 }
 
 /// Linear merge of two sorted slab pairs, summing values on equal indices.
@@ -260,144 +193,6 @@ fn merge_sorted<V: Scalar>(a: SparseView<'_, V>, b: SparseView<'_, V>) -> Sparse
     out.extend_from_slabs(&ai[i..], &av[i..]);
     out.extend_from_slabs(&bi[j..], &bv[j..]);
     out
-}
-
-/// Streaming sum of many streams in a fixed tournament shape.
-///
-/// A binary counter over runs: [`push`](TournamentSum::push) puts the
-/// operand on a stack at level 0 and merges the top two runs while their
-/// levels are equal; [`finish`](TournamentSum::finish) folds what is
-/// left from the top down. Operands are therefore combined in push order
-/// in a shape that depends only on their count (a balanced tree for a
-/// power of two), which keeps floating-point results reproducible, and at
-/// most `⌊log2 m⌋ + 1` runs are alive after `m` pushes.
-///
-/// Every pairwise step is [`SparseStream::add_assign_with`] under the
-/// accumulator's policy. At most one run is ever dense: the first merge
-/// that crosses δ (or the first dense operand) yields a dense run, which
-/// absorbs every other live run and every later operand by scatter — two
-/// dense runs never meet in a `dim`-long add unless two operands arrive
-/// dense.
-#[derive(Debug)]
-pub struct TournamentSum<V: Scalar> {
-    policy: DensityPolicy,
-    /// `(level, run)`, oldest first. Levels strictly decrease toward the
-    /// top; a dense run is alone on the stack.
-    runs: Vec<(u32, SparseStream<V>)>,
-}
-
-impl<V: Scalar> TournamentSum<V> {
-    /// An empty sum whose merges apply `policy`'s δ rule.
-    pub fn new(policy: DensityPolicy) -> Self {
-        TournamentSum {
-            policy,
-            runs: Vec::new(),
-        }
-    }
-
-    /// Adds one operand. The returned stats cover the merges this push
-    /// triggered (`elements_processed` summed over them; none for the
-    /// first operand). An operand of another dimension is rejected with
-    /// [`StreamError::DimMismatch`] and leaves the sum untouched.
-    pub fn push(&mut self, part: SparseStream<V>) -> Result<SumStats, StreamError> {
-        if let Some((_, first)) = self.runs.first() {
-            if first.dim() != part.dim() {
-                return Err(StreamError::DimMismatch {
-                    left: first.dim(),
-                    right: part.dim(),
-                });
-            }
-        }
-        let mut total = SumStats::idle(part.is_dense());
-        self.runs.push((0, part));
-        // Carry while the top two runs are level with each other; a dense
-        // run on either side absorbs its neighbour whatever the levels.
-        while let [.., (below, older), (top, newer)] = self.runs.as_slice() {
-            if below != top && !older.is_dense() && !newer.is_dense() {
-                break;
-            }
-            let (_, newer) = self.runs.pop().expect("two runs matched");
-            let (level, older) = self.runs.last_mut().expect("two runs matched");
-            total.absorb(combine(older, newer, &self.policy)?);
-            *level += 1;
-        }
-        debug_assert!(self.runs.len() == 1 || self.runs.iter().all(|(_, r)| !r.is_dense()));
-        Ok(total)
-    }
-
-    /// Folds the remaining runs into the result, newest first. Fails with
-    /// [`StreamError::Corrupt`] when nothing was pushed.
-    pub fn finish(mut self) -> Result<(SparseStream<V>, SumStats), StreamError> {
-        let Some((_, mut acc)) = self.runs.pop() else {
-            return Err(StreamError::Corrupt(
-                "a sum of streams needs at least one input",
-            ));
-        };
-        let mut total = SumStats::idle(acc.is_dense());
-        while let Some((_, mut older)) = self.runs.pop() {
-            total.absorb(combine(&mut older, acc, &self.policy)?);
-            acc = older;
-        }
-        Ok((acc, total))
-    }
-}
-
-impl SumStats {
-    /// No merge yet, on a result in the given representation.
-    fn idle(result_dense: bool) -> Self {
-        SumStats {
-            elements_processed: 0,
-            result_dense,
-            switched_to_dense: false,
-        }
-    }
-
-    /// Accumulates the next merge of the same reduction into `self`.
-    fn absorb(&mut self, merge: SumStats) {
-        self.elements_processed += merge.elements_processed;
-        self.result_dense = merge.result_dense;
-        self.switched_to_dense |= merge.switched_to_dense;
-    }
-}
-
-/// `older += newer`, with the dense operand (if exactly one is) as the
-/// accumulator so the other is scattered into it instead of cloning it.
-fn combine<V: Scalar>(
-    older: &mut SparseStream<V>,
-    mut newer: SparseStream<V>,
-    policy: &DensityPolicy,
-) -> Result<SumStats, StreamError> {
-    if newer.is_dense() && !older.is_dense() {
-        std::mem::swap(older, &mut newer);
-    }
-    older.add_assign_with(&newer, policy)
-}
-
-/// Reduces a sequence of streams into one under `policy`, combining them
-/// in order through a [`TournamentSum`]. Returns the result together with
-/// the total elements processed (for virtual compute-time accounting):
-/// zero for a single operand, at most `Σ|Hᵢ|·⌈log2 m⌉` for `m` sparse
-/// ones. No operand is an error, and so is a dimension that differs from
-/// the first operand's — checked before any merge.
-pub fn reduce_streams<V: Scalar>(
-    parts: Vec<SparseStream<V>>,
-    policy: &DensityPolicy,
-) -> Result<(SparseStream<V>, usize), StreamError> {
-    if let Some((first, rest)) = parts.split_first() {
-        if let Some(odd) = rest.iter().find(|part| part.dim() != first.dim()) {
-            return Err(StreamError::DimMismatch {
-                left: first.dim(),
-                right: odd.dim(),
-            });
-        }
-    }
-    let mut sum = TournamentSum::new(*policy);
-    let mut processed = 0usize;
-    for part in parts {
-        processed += sum.push(part)?.elements_processed;
-    }
-    let (out, stats) = sum.finish()?;
-    Ok((out, processed + stats.elements_processed))
 }
 
 #[cfg(test)]
@@ -576,107 +371,20 @@ mod tests {
     }
 
     #[test]
-    fn reduce_streams_matches_sequential_dense_sum() {
-        let parts = vec![
-            s(16, &[(0, 1.0), (3, 1.0)]),
-            s(16, &[(3, 2.0), (8, 1.0)]),
-            s(16, &[(15, 7.0)]),
-        ];
-        let mut expect = vec![0.0f32; 16];
-        for p in &parts {
-            for (i, v) in p.iter_nonzero() {
-                expect[i as usize] += v;
-            }
+    fn stream_and_view_addends_take_the_same_kernel() {
+        // Below δ, past δ and into a dense accumulator (dim 8 → δ = 4): a
+        // sparse stream and its view leave the same sum and the same stats.
+        let small = s(8, &[(1, 1.0), (6, 2.0)]);
+        let big = s(8, &[(0, 1.0), (1, 1.0), (2, 1.0)]);
+        let dense = SparseStream::from_dense(vec![1.0f32; 8]);
+        for (acc, addend) in [(&small, &small), (&big, &small), (&dense, &big)] {
+            let (mut by_stream, mut by_view) = (acc.clone(), acc.clone());
+            let stream_stats = by_stream.add_assign(addend).unwrap();
+            let view = addend.sparse_view().unwrap();
+            let view_stats = by_view
+                .add_assign_view(view, &DensityPolicy::default())
+                .unwrap();
+            assert_eq!((by_stream, stream_stats), (by_view, view_stats));
         }
-        let (got, processed) = reduce_streams(parts, &DensityPolicy::default()).unwrap();
-        assert!(processed > 0);
-        assert_eq!(got.to_dense_vec(), expect);
-    }
-
-    #[test]
-    fn reduce_streams_of_nothing_is_an_error() {
-        let err = reduce_streams::<f32>(vec![], &DensityPolicy::default()).unwrap_err();
-        assert!(matches!(err, StreamError::Corrupt(_)));
-    }
-
-    #[test]
-    fn reduce_streams_of_one_returns_it_unprocessed() {
-        let only = s(16, &[(3, 2.0), (8, 1.0)]);
-        let (got, processed) =
-            reduce_streams(vec![only.clone()], &DensityPolicy::default()).unwrap();
-        assert_eq!(got, only);
-        assert_eq!(processed, 0);
-    }
-
-    #[test]
-    fn reduce_streams_rejects_mixed_dimensions() {
-        let parts = vec![s(16, &[(0, 1.0)]), s(16, &[(1, 1.0)]), s(17, &[(2, 1.0)])];
-        let err = reduce_streams(parts, &DensityPolicy::default()).unwrap_err();
-        assert!(matches!(
-            err,
-            StreamError::DimMismatch {
-                left: 16,
-                right: 17
-            }
-        ));
-        // The streaming form rejects the odd operand and stays usable.
-        let mut sum = TournamentSum::new(DensityPolicy::default());
-        sum.push(s(16, &[(0, 1.0)])).unwrap();
-        assert!(sum.push(s(17, &[(0, 1.0)])).is_err());
-        sum.push(s(16, &[(0, 2.0)])).unwrap();
-        assert_eq!(sum.finish().unwrap().0, s(16, &[(0, 3.0)]));
-    }
-
-    #[test]
-    fn tournament_keeps_log_many_runs_and_one_dense() {
-        // dim 64 → δ = 32 for f32. Operands 4 and 5 hold 17 entries each,
-        // so their level-0 merge (34 > δ) goes dense while a level-2 run
-        // of the first four sits below it: the dense run must absorb that
-        // run at once and every later operand on arrival.
-        let dim = 64;
-        let size = |r: usize| match r {
-            0..=3 => 3u32,
-            4 | 5 => 17,
-            _ => 1,
-        };
-        for m in 1..=17usize {
-            let mut sum = TournamentSum::new(DensityPolicy::default());
-            let (mut next, mut flips, mut processed) = (0u32, 0, 0);
-            for r in 0..m {
-                let pairs: Vec<(u32, f32)> = (next..next + size(r)).map(|i| (i, 1.0)).collect();
-                next += size(r);
-                let stats = sum.push(s(dim, &pairs)).unwrap();
-                flips += usize::from(stats.switched_to_dense);
-                processed += stats.elements_processed;
-                let live = sum.runs.len();
-                assert!(live <= (r + 1).ilog2() as usize + 1, "m={m}: {live} runs");
-                let dense = sum.runs.iter().filter(|(_, run)| run.is_dense()).count();
-                assert!(dense == 0 || live == 1, "m={m}: a dense run beside others");
-            }
-            let (got, stats) = sum.finish().unwrap();
-            flips += usize::from(stats.switched_to_dense);
-            processed += stats.elements_processed;
-            assert_eq!(got.is_dense(), m >= 6, "m={m}");
-            assert_eq!(flips, usize::from(m >= 6), "m={m}");
-            assert_eq!(got.nnz(), next as usize, "m={m}");
-            assert!(got.iter_nonzero().all(|(_, v)| v == 1.0), "m={m}");
-            // No dim-long add: every step costs at most what it takes in.
-            assert!(processed <= next as usize * m.ilog2() as usize + next as usize);
-        }
-    }
-
-    #[test]
-    fn tournament_charges_n_log_m_on_disjoint_operands() {
-        // 8 operands of 10 entries on disjoint ranges: a balanced tree
-        // emits 3·80 entries where the left fold emitted 20+30+…+80 = 350.
-        let parts: Vec<SparseStream<f32>> = (0..8u32)
-            .map(|r| {
-                let pairs: Vec<(u32, f32)> = (0..10).map(|i| (r * 100 + i, 1.0)).collect();
-                s(1 << 16, &pairs)
-            })
-            .collect();
-        let (got, processed) = reduce_streams(parts, &DensityPolicy::default()).unwrap();
-        assert_eq!(got.nnz(), 80);
-        assert_eq!(processed, 240);
     }
 }

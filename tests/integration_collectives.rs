@@ -670,6 +670,36 @@ fn allgather_integration_round_trip() {
 }
 
 #[test]
+fn allgather_sum_on_overlapping_supports_is_the_reference_bit_for_bit() {
+    // Overlapping supports miss the concatenation and fall back to a fold
+    // in rank order, the reference's own order, so every bit agrees.
+    fn program<T: Transport + Send + 'static>(
+        comm: &mut Communicator<T>,
+        ins: &[SparseStream<f32>],
+    ) -> SparseStream<f32> {
+        comm.allgather_sum(&ins[comm.rank()])
+            .launch()
+            .and_then(|handle| handle.wait())
+            .unwrap()
+    }
+    let bits = |values: Vec<f32>| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for p in [3, 4, 5, 8] {
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| random_sparse(256, 60, 900 + r as u64))
+            .collect();
+        let expect = bits(reference_sum(&ins));
+        let virtual_outs = run_communicators(p, CostModel::zero(), |comm| program(comm, &ins));
+        let thread_outs = run_thread_communicators(p, |comm| program(comm, &ins));
+        for (backend, outs) in [("Endpoint", virtual_outs), ("ThreadTransport", thread_outs)] {
+            for (rank, out) in outs.into_iter().enumerate() {
+                let got = bits(out.to_dense_vec());
+                assert_eq!(got, expect, "P={p} on {backend} rank {rank}");
+            }
+        }
+    }
+}
+
+#[test]
 fn rooted_collectives_compose_on_both_transports() {
     let p = 6;
     let dim = 2048;

@@ -5,9 +5,7 @@
 //! registry access; failures reproduce by construction.
 
 use sparcml::quant::{dequantize, quantize, NormKind, QsgdConfig};
-use sparcml::stream::{
-    reduce_streams, DensityPolicy, PartRange, Scalar, SparseStream, WindowSum, XorShift64,
-};
+use sparcml::stream::{DensityPolicy, PartRange, Scalar, SparseStream, WindowSum, XorShift64};
 
 /// One randomized stream input: a dimension in 16..512 plus up to dim/2
 /// in-range (index, value) pairs.
@@ -90,7 +88,7 @@ fn sum_switches_repr_only_past_delta() {
     }
 }
 
-/// Operands for the fold-many property: `m` streams of one dimension in
+/// Operands for the window-sum property: `m` streams of one dimension in
 /// one of four support shapes, values small integers (so every summation
 /// order gives the same bits). Some operands are empty in every shape.
 fn fold_many_inputs<V: Scalar>(
@@ -128,7 +126,7 @@ fn fold_many_inputs<V: Scalar>(
         .collect()
 }
 
-/// The left fold `reduce_streams` replaced, as the reference.
+/// The left fold in operand order, as the reference.
 fn sequential_fold<V: Scalar>(
     parts: &[SparseStream<V>],
     policy: &DensityPolicy,
@@ -140,55 +138,12 @@ fn sequential_fold<V: Scalar>(
     acc
 }
 
-fn reduce_streams_equals_the_sequential_fold<V: Scalar>(seed: u64) {
-    let mut rng = XorShift64::new(seed);
-    for m in 0..=17usize {
-        for shape in 0..4 {
-            let dim = 32 + rng.next_below(200) as usize;
-            let parts = fold_many_inputs::<V>(&mut rng, dim, m, shape);
-            if m == 0 {
-                assert!(reduce_streams(parts, &DensityPolicy::default()).is_err());
-                continue;
-            }
-            let stored: usize = parts.iter().map(|part| part.stored_len()).sum();
-            let levels = m.next_power_of_two().ilog2() as usize;
-            // Never densifying, the tournament and the fold are the same
-            // sparse stream, explicit zeros included.
-            let never = DensityPolicy::never_densify();
-            let (got, processed) = reduce_streams(parts.clone(), &never).unwrap();
-            assert_eq!(got, sequential_fold(&parts, &never), "m={m} shape={shape}");
-            assert!(processed <= stored * levels, "m={m} shape={shape}");
-            // Under δ they may switch representation at different merges;
-            // the logical vector is the same.
-            let policy = DensityPolicy::default();
-            let (got, processed) = reduce_streams(parts.clone(), &policy).unwrap();
-            got.check_invariants().unwrap();
-            assert_eq!(
-                got.to_dense_vec(),
-                sequential_fold(&parts, &policy).to_dense_vec(),
-                "m={m} shape={shape}"
-            );
-            assert!(processed <= stored * levels, "m={m} shape={shape}");
-        }
-    }
-}
-
-#[test]
-fn reduce_streams_equals_the_sequential_fold_f32() {
-    reduce_streams_equals_the_sequential_fold::<f32>(31);
-}
-
-#[test]
-fn reduce_streams_equals_the_sequential_fold_f64() {
-    reduce_streams_equals_the_sequential_fold::<f64>(32);
-}
-
-/// The split phase's window sum against the merge tournament: the same
-/// operands restricted to one window — all of `[0, dim)`, none of it, or
-/// a random part — sum to the same sparse stream, explicit zeros
-/// included, and the window's frame is that stream's. Shape 8 gives every
-/// operand the whole window, so every slot is occupied.
-fn window_sum_equals_reduce_streams<V: Scalar>(seed: u64) {
+/// The split phase's window sum against the never-densifying left fold:
+/// the same operands restricted to one window — all of `[0, dim)`, none
+/// of it, or a random part — sum to the same sparse stream, explicit
+/// zeros included, and the window's frame is that stream's. Shape 8 gives
+/// every operand the whole window, so every slot is occupied.
+fn window_sum_equals_the_sequential_fold<V: Scalar>(seed: u64) {
     let mut rng = XorShift64::new(seed);
     for m in 1..=17usize {
         for (case, shape) in [0, 1, 2, 3, 8].into_iter().enumerate() {
@@ -216,7 +171,7 @@ fn window_sum_equals_reduce_streams<V: Scalar>(seed: u64) {
             }
             let stored: usize = parts.iter().map(|part| part.stored_len()).sum();
             assert_eq!(scattered, stored, "{what}");
-            let (expect, _) = reduce_streams(parts, &DensityPolicy::never_densify()).unwrap();
+            let expect = sequential_fold(&parts, &DensityPolicy::never_densify());
             assert_eq!(sum.len(), expect.stored_len(), "{what}");
             let mut frame = Vec::new();
             sum.encode_into(&mut frame);
@@ -232,42 +187,13 @@ fn window_sum_equals_reduce_streams<V: Scalar>(seed: u64) {
 }
 
 #[test]
-fn window_sum_equals_reduce_streams_f32() {
-    window_sum_equals_reduce_streams::<f32>(33);
+fn window_sum_equals_the_sequential_fold_f32() {
+    window_sum_equals_the_sequential_fold::<f32>(33);
 }
 
 #[test]
-fn window_sum_equals_reduce_streams_f64() {
-    window_sum_equals_reduce_streams::<f64>(34);
-}
-
-#[test]
-fn reduce_streams_switches_exactly_past_delta() {
-    // Disjoint operands whose sizes total δ stay sparse through every
-    // merge; one more entry and the last merge — whichever pair it joins
-    // — goes dense.
-    let dim = 256;
-    let policy = DensityPolicy::default();
-    let delta = policy.delta::<f32>(dim);
-    for m in 2..=17usize {
-        for total in [delta, delta + 1] {
-            let mut next = 0u32;
-            let parts: Vec<SparseStream<f32>> = (0..m)
-                .map(|r| {
-                    let len = (total / m + usize::from(r < total % m)) as u32;
-                    let pairs: Vec<(u32, f32)> = (next..next + len).map(|i| (i, 1.0)).collect();
-                    next += len;
-                    SparseStream::from_pairs(dim, &pairs).unwrap()
-                })
-                .collect();
-            let (got, _) = reduce_streams(parts.clone(), &policy).unwrap();
-            assert_eq!(got.is_dense(), total > delta, "m={m} total={total}");
-            assert_eq!(
-                got.to_dense_vec(),
-                sequential_fold(&parts, &policy).to_dense_vec()
-            );
-        }
-    }
+fn window_sum_equals_the_sequential_fold_f64() {
+    window_sum_equals_the_sequential_fold::<f64>(34);
 }
 
 #[test]
