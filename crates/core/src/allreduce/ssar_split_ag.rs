@@ -32,8 +32,6 @@
 //! `(P−1)·isend_alpha_fraction·α` more); bandwidth lies between
 //! `2·(P−1)/P·k·βs` and `P·k·βs`.
 
-use std::ops::Range;
-
 use bytes::Bytes;
 use sparcml_net::Transport;
 use sparcml_stream::{
@@ -59,7 +57,7 @@ pub(crate) fn send_split_steps<T: Transport, V: Scalar>(
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
     op_id: u64,
-    steps: Range<usize>,
+    steps: impl IntoIterator<Item = usize>,
     pool: &mut BufferPool,
 ) -> Result<(), CollError> {
     let (p, rank) = (ep.size(), ep.rank());

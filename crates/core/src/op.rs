@@ -3,13 +3,23 @@
 //! of §A, and the one byte-block allgather loop
 //! ([`allgather_bytes_with`]), which places each gathered block while the
 //! next round's frame is in flight.
+//!
+//! A large stream frame may travel as *segments* under one tag
+//! ([`send_stream_segments`]): [`segments`] decides how many from the
+//! transport's cost model, frame `j` of `c` carries the stream's
+//! `partition_range(N, c, j)`, and the receiver adds each segment into
+//! its accumulator as it lands ([`SegmentSum`]), so the merge of one
+//! overlaps the transfer of the next.
 
 use std::ops::Range;
 
 use bytes::Bytes;
-use sparcml_net::Transport;
+use sparcml_net::{CostModel, Transport};
 use sparcml_obs as obs;
-use sparcml_stream::{DensityPolicy, Scalar, SparseStream, StreamError, SumStats};
+use sparcml_stream::{
+    partition_range, DensityPolicy, PartRange, RangeSum, Repr, Scalar, SparseStream, SparseView,
+    StreamError, SumStats, WireFrame,
+};
 
 use crate::error::CollError;
 
@@ -151,7 +161,7 @@ fn send_encoded<T: Transport>(
 
 /// Receives one frame from `src` and decodes it, recycling the frame
 /// buffer — the `recv-decode` counterpart of [`send_encoded`].
-fn recv_decoded<T: Transport, R>(
+pub(crate) fn recv_decoded<T: Transport, R>(
     ep: &mut T,
     src: usize,
     t: u64,
@@ -295,6 +305,267 @@ pub(crate) fn decode_stream_with_word<V: Scalar>(
         Some(SparseStream::decode(&frame[..split])?)
     };
     Ok((stream, word))
+}
+
+/// Most segments one stream frame is split into.
+pub(crate) const MAX_SEGMENTS: usize = 64;
+
+/// How many segments a stream frame of `len` bytes travels as on a link
+/// priced by `cost`: `c = ⌊√(β·L / (isend_alpha_fraction·α))⌋`, clamped
+/// to `[1, MAX_SEGMENTS]` — the count that minimizes `β·L/c + c·φα`
+/// (`φ` the isend fraction), the wait for the first segment plus the
+/// sender's charge for `c` isends. It still pays off if every received
+/// segment cost what a sent one does: the receiver's `c·φα` only doubles
+/// the second term. `c = 1` is one whole frame, sent blocking. The one
+/// place the count is decided: the schedule and the selector both call it.
+pub(crate) fn segments(cost: &CostModel, len: usize) -> usize {
+    let transfer = cost.beta * len as f64;
+    let per_frame = cost.isend_alpha_fraction * cost.alpha;
+    if transfer <= 0.0 {
+        return 1;
+    }
+    let c = if per_frame > 0.0 {
+        (transfer / per_frame).sqrt().floor()
+    } else {
+        f64::INFINITY
+    };
+    c.clamp(1.0, MAX_SEGMENTS as f64) as usize
+}
+
+/// Sends `stream` to `dst` under tag `t` as `c` frames, frame `j`
+/// encoding the stream's `partition_range(N, c, j)` — the sparse entries
+/// of that range as an `N`-dim frame, or a dense stream's values there as
+/// a dense frame of the range's length — with `trailer` after frame 0.
+/// `c = 1` is the whole stream and the trailer in one blocking frame; more
+/// segments go out with `isend`, so the sender pays `c` fractions of `α`
+/// and the link carries them back to back.
+pub(crate) fn send_stream_segments<T: Transport, V: Scalar>(
+    ep: &mut T,
+    dst: usize,
+    t: u64,
+    stream: &SparseStream<V>,
+    c: usize,
+    trailer: &[u8],
+    pool: &mut BufferPool,
+) -> Result<(), CollError> {
+    for j in 0..c {
+        let range = partition_range(stream.dim(), c, j);
+        send_encoded(ep, dst, t, c == 1, pool, |buf| {
+            encode_segment(stream, range, buf);
+            if j == 0 {
+                buf.extend_from_slice(trailer);
+            }
+        })?;
+    }
+    Ok(())
+}
+
+/// Encodes the segment of `stream` covering `range` into `buf`: the
+/// sparse entries there as a frame of the stream's dimension, or a dense
+/// stream's values there as a dense frame of the range's length.
+pub(crate) fn encode_segment<V: Scalar>(
+    stream: &SparseStream<V>,
+    range: PartRange,
+    buf: &mut Vec<u8>,
+) {
+    match stream.repr() {
+        Repr::Sparse(sv) => SparseStream::encode_sparse_slice_into(
+            stream.dim(),
+            sv.as_view().range(range.lo, range.hi),
+            buf,
+        ),
+        Repr::Dense(values) => SparseStream::encode_dense_slice_into(
+            &values[range.lo as usize..range.hi as usize],
+            buf,
+        ),
+    }
+}
+
+/// One received segment of a [`send_stream_segments`] stream, decoded
+/// into slabs that are reused from one segment to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Segment<V> {
+    dense: bool,
+    indices: Vec<u32>,
+    values: Vec<V>,
+}
+
+impl<V: Scalar> Segment<V> {
+    /// Decodes the frame of the segment covering `range` of a `dim`-dim
+    /// stream (peer-controlled bytes): a sparse frame must be `dim`-dim
+    /// with every index inside `range`, a dense one must hold exactly the
+    /// range's values. Anything else is [`CollError::Invalid`].
+    pub(crate) fn read(
+        &mut self,
+        bytes: &[u8],
+        dim: usize,
+        range: PartRange,
+    ) -> Result<(), CollError> {
+        let frame = WireFrame::<V>::parse(bytes)?;
+        self.dense = frame.is_dense();
+        let expected = if self.dense { range.len() } else { dim };
+        if frame.dim() != expected {
+            return Err(CollError::Invalid(format!(
+                "frame carries a {}-dim {} stream where the {dim}-dim collective's \
+                 segment [{}, {}) needs {expected}",
+                frame.dim(),
+                if self.dense { "dense" } else { "sparse" },
+                range.lo,
+                range.hi
+            )));
+        }
+        self.values.resize(frame.stored_len(), V::zero());
+        if self.dense {
+            self.indices.clear();
+            frame.read_dense_into(&mut self.values)?;
+            return Ok(());
+        }
+        self.indices.resize(frame.stored_len(), 0);
+        frame.read_sparse_into(&mut self.indices, &mut self.values)?;
+        match (self.indices.first(), self.indices.last()) {
+            (Some(&first), Some(&last)) if first < range.lo || last >= range.hi => {
+                Err(CollError::Invalid(format!(
+                    "segment [{}, {}) carries indices {first}..={last}",
+                    range.lo, range.hi
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Whether the segment carries dense values.
+    pub(crate) fn is_dense(&self) -> bool {
+        self.dense
+    }
+
+    /// Stored entries: pairs when sparse, values when dense.
+    pub(crate) fn stored_len(&self) -> usize {
+        self.values.len()
+    }
+
+    fn view(&self) -> SparseView<'_, V> {
+        SparseView::new(&self.indices, &self.values)
+    }
+}
+
+/// A partner's stream added into this rank's accumulator one segment at a
+/// time, in segment order: the segment protocol's checks around a
+/// [`RangeSum`], so the result is the same to the bit as one
+/// `add_assign_with` of the whole stream, and every segment is charged
+/// what that sum charges for its range.
+pub(crate) struct SegmentSum<V> {
+    dim: usize,
+    segments: usize,
+    /// The segment [`SegmentSum::add`] takes next.
+    next: usize,
+    /// The stored entries the partner announced, and those received.
+    total: usize,
+    received: usize,
+    /// Whether the partner's stream is dense (segment 0 says).
+    dense: bool,
+    sum: RangeSum<V>,
+}
+
+impl<V: Scalar> SegmentSum<V> {
+    /// Starts adding a stream of `total` stored entries that arrives as
+    /// `segments` segments, dense or sparse as `dense`, into `acc`.
+    pub(crate) fn new(
+        acc: SparseStream<V>,
+        segments: usize,
+        total: usize,
+        dense: bool,
+        policy: &DensityPolicy,
+    ) -> Self {
+        SegmentSum {
+            dim: acc.dim(),
+            segments,
+            next: 0,
+            total,
+            received: 0,
+            dense,
+            sum: RangeSum::new(acc, total, dense, policy),
+        }
+    }
+
+    /// The index range the next segment covers.
+    pub(crate) fn range(&self) -> PartRange {
+        partition_range(self.dim, self.segments, self.next)
+    }
+
+    /// Adds the next segment (decoded by [`Segment::read`] against
+    /// [`SegmentSum::range`]) and reports the step's work.
+    pub(crate) fn add(&mut self, seg: &Segment<V>) -> Result<SumStats, CollError> {
+        let j = self.next;
+        if j == self.segments {
+            return Err(CollError::Invalid(format!(
+                "a segment past the {} announced",
+                self.segments
+            )));
+        }
+        if seg.dense != self.dense {
+            return Err(CollError::Invalid(format!(
+                "segment {j} is {} but segment 0 was not",
+                if seg.dense { "dense" } else { "sparse" }
+            )));
+        }
+        self.received += seg.stored_len();
+        if self.received > self.total {
+            return Err(CollError::Invalid(format!(
+                "segments 0..={j} hold {} entries, more than the {} announced",
+                self.received, self.total
+            )));
+        }
+        let range = self.range();
+        self.next += 1;
+        Ok(if seg.dense {
+            self.sum.add_dense(range, &seg.values)
+        } else {
+            self.sum.add_sparse(range, seg.view())
+        })
+    }
+
+    /// The sum, once every segment is in; the segments must have held
+    /// exactly the total the partner announced.
+    pub(crate) fn finish(self) -> Result<SparseStream<V>, CollError> {
+        if self.next != self.segments || self.received != self.total {
+            return Err(CollError::Invalid(format!(
+                "segments hold {} entries, not the {} announced",
+                self.received, self.total
+            )));
+        }
+        Ok(self.sum.finish())
+    }
+}
+
+/// Adds the stream `src` sends under `t` as `segments` segments into
+/// `acc`: `first` is segment 0, already received with the frame that
+/// announced the layout; each later one is received, decoded and added
+/// before the next, so on the virtual clock its merge overlaps the
+/// transfer of those behind it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn add_segments<T: Transport, V: Scalar>(
+    ep: &mut T,
+    src: usize,
+    t: u64,
+    acc: &mut SparseStream<V>,
+    mut seg: Segment<V>,
+    segments: usize,
+    total: usize,
+    policy: &DensityPolicy,
+    pool: &mut BufferPool,
+) -> Result<(), CollError> {
+    let dim = acc.dim();
+    let taken = std::mem::replace(acc, SparseStream::zeros(dim));
+    let mut sum = SegmentSum::new(taken, segments, total, seg.is_dense(), policy);
+    for j in 0..segments {
+        if j > 0 {
+            let range = sum.range();
+            recv_decoded(ep, src, t, pool, |bytes| seg.read(bytes, dim, range))?;
+        }
+        sum_charged(ep, || sum.add(&seg).map(|stats| ((), stats)))?;
+    }
+    *acc = sum.finish()?;
+    Ok(())
 }
 
 /// Runs one summation step and charges the endpoint for it: the `merge`

@@ -7,7 +7,9 @@
 //! reduced size `K`. The selector estimates `E[K]` under the uniform model
 //! (Appendix B), prices every flat schedule by its analytic expected cost
 //! — communication envelope plus the reduction work the virtual clock
-//! charges; recursive doubling off powers of two with its unfold hop, and
+//! charges; recursive doubling round by round along the clock's own
+//! chains, each round's frames as the segments `op::segments` cuts them,
+//! merged as they land, with its fold and unfold hops off powers of two;
 //! Rabenseifner's with its fold and unfold; the two split schedules phase
 //! by phase, their gather round by round with its assembly overlapping
 //! the frames in flight — and takes the cheapest of the four. A sparse
@@ -18,10 +20,11 @@
 //! still beat DSAR, and just before it DSAR can beat the dense baseline.
 
 use sparcml_net::{CostModel, Topology, TopologyCostModel};
-use sparcml_stream::Scalar;
+use sparcml_stream::{header_len, DensityPolicy, Scalar};
 
 use crate::allreduce::Algorithm;
 use crate::bounds::{self, Workload};
+use crate::op::segments;
 use crate::theory::expected_union_size;
 
 /// Expected-cost estimate of one algorithm on one workload: the analytic
@@ -34,41 +37,21 @@ use crate::theory::expected_union_size;
 /// runs it: [`split_phase`], then [`pipelined_gather`], where every
 /// assembled element still costs γ but overlaps the next frame's
 /// transfer.
-pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f64) -> f64 {
-    // Interpolation weight: how far E[K] sits between full overlap (K = k)
-    // and no overlap (K = P·k).
+pub(crate) fn expected_cost<V: Scalar>(
+    algo: Algorithm,
+    w: &Workload,
+    c: &CostModel,
+    ek: f64,
+) -> f64 {
     let k = w.k as f64;
     let (p, n) = (w.p as f64, w.n as f64);
-    let log2p = p.log2().ceil().max(0.0);
-    let span = (p - 1.0) * k;
-    let t = if span > 0.0 {
-        ((ek - k) / span).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let lerp = |e: bounds::Envelope| e.lower + t * (e.upper - e.lower);
-    let lerp2 = |lo: f64, hi: f64| lo + t * (hi - lo);
     match algo {
         // Auto is a placeholder resolved before costing; pricing it at
         // infinity keeps it out of any candidate sweep by construction.
         // Hierarchical needs a topology to mean anything — it is priced by
         // `estimate_hierarchical_time` against the flat best instead.
         Algorithm::Auto | Algorithm::Hierarchical => f64::INFINITY,
-        Algorithm::SsarRecDbl => {
-            // Merge work per node: log2(P) merges whose total size grows
-            // from log2(P)·k (full overlap) to ≈ 2·(P−1)·k (disjoint).
-            let compute = c.gamma * lerp2(2.0 * log2p * k, 2.0 * (p - 1.0) * k);
-            // Off powers of two the envelope's ⌈log2 P⌉ rounds cover the
-            // fold hop and the ⌊log2 P⌋ rounds of the core; the unfold hop,
-            // which carries the whole result to a parked rank after them,
-            // is priced on its own.
-            let unfold = if w.p.is_power_of_two() {
-                0.0
-            } else {
-                c.alpha + c.beta * ek * w.pair_bytes(ek)
-            };
-            lerp(bounds::ssar_rec_dbl(w, c)) + compute + unfold
-        }
+        Algorithm::SsarRecDbl => rec_dbl::<V>(w, c, ek),
         Algorithm::SsarSplitAllgather => {
             // Each node scatters the ≈ k entries of its P incoming
             // sub-ranges into its window; its partition count goes to
@@ -108,6 +91,118 @@ pub(crate) fn expected_cost(algo: Algorithm, w: &Workload, c: &CostModel, ek: f6
             }
         }
     }
+}
+
+/// `SSAR_Recursive_double` as the clock runs it, along the chain of rank
+/// 0, whose side of every exchange covers the most ranks: off powers of
+/// two the fold hop, then `⌊log2 P⌋` rounds, each ending for rank 0 and
+/// for its partner as [`rec_dbl_round`] says from when each of them
+/// started it (a partner whose subcube folded nothing starts its rounds
+/// early); then, off powers of two, the unfold hop — one blocking frame
+/// of the result — from each folding rank once its own last merge is
+/// done. The estimate is the later of the two. A side covering `m` ranks
+/// holds their expected union (Appendix B, scaled so that all `P` hold
+/// `ek`), or `N` dense values once its last merge crossed δ under the
+/// default policy; a merge costs what the sum kernel charges for the two
+/// sides it meets.
+fn rec_dbl<V: Scalar>(w: &Workload, c: &CostModel, ek: f64) -> f64 {
+    if w.p <= 1 {
+        return 0.0;
+    }
+    let (n, k) = (w.n as f64, w.k.min(w.n) as f64);
+    let uniform = |m: usize| expected_union_size(w.n, m, w.k.min(w.n));
+    let spread = uniform(w.p) - k;
+    let union = |m: usize| {
+        if spread > 0.0 {
+            k + (uniform(m) - k) * (ek - k) / spread
+        } else {
+            k
+        }
+    };
+    let delta = DensityPolicy::default().delta::<V>(w.n) as f64;
+    // (ranks covered, entries held, dense) of a side.
+    let side = |m: usize| {
+        let dense = m > 1 && union(m.div_ceil(2)) + union(m / 2) > delta;
+        (m, if dense { n } else { union(m) }, dense)
+    };
+    // A side's entries on the wire, and as a round frame: with a header
+    // and the 8-byte agreement word.
+    let body = |entries: f64, dense: bool| {
+        if dense {
+            n * w.word_bytes()
+        } else {
+            entries * w.pair_bytes(entries)
+        }
+    };
+    let frame = |entries: f64, dense: bool| header_len(dense) as f64 + body(entries, dense) + 8.0;
+    // What sending a side's frames costs its sender: one blocking send, or
+    // one isend per segment.
+    let sends = |(_, e, d): (usize, f64, bool)| match segments(c, frame(e, d) as usize) {
+        1 => c.alpha,
+        segs => segs as f64 * c.isend_alpha_fraction * c.alpha,
+    };
+    // When the receiver holding `to`, at `to_at` with its frames out,
+    // finishes adding the frames of `from`, sent at `from_at`.
+    let round = |to_at: f64,
+                 (mt, et, dt): (usize, f64, bool),
+                 from_at: f64,
+                 (mf, ef, df): (usize, f64, bool)| {
+        let elements = match (dt, df) {
+            (false, false) if et + ef <= delta => union(mt + mf),
+            (_, false) => ef,
+            (false, true) => et,
+            (true, true) => n,
+        };
+        rec_dbl_round(c, frame(ef, df), elements, to_at, from_at)
+    };
+    let p2 = 1usize << w.p.ilog2();
+    let parked = w.p - p2;
+    // Rank 0's clock, and the clock of a rank whose subcube has folded
+    // nothing in (a plain power-of-two chain from t = 0).
+    let (mut mine_at, mut plain_at) = (0.0, 0.0);
+    let mut covered = 1;
+    if parked > 0 {
+        mine_at = round(0.0, side(1), 0.0, side(1));
+        covered = 2;
+    }
+    let mut partner_done = 0.0;
+    for t in 0..w.p.ilog2() {
+        let half = 1usize << t;
+        let partner = half + parked.saturating_sub(half).min(half);
+        let (mine, theirs) = (side(covered), side(partner));
+        let theirs_at = if partner > half { mine_at } else { plain_at };
+        partner_done = round(theirs_at + sends(theirs), theirs, mine_at, mine);
+        mine_at = round(mine_at + sends(mine), mine, theirs_at, theirs);
+        let plain = side(half);
+        plain_at = round(plain_at + sends(plain), plain, plain_at, plain);
+        covered += partner;
+    }
+    if parked == 0 {
+        return mine_at.max(partner_done);
+    }
+    // The unfold frame carries the result, and leaves each folding rank
+    // when its own last merge is done: rank 0, and its last partner (rank
+    // p2/2) only if that one folds too.
+    let (_, entries, dense) = side(w.p);
+    let unfold = c.alpha + c.beta * body(entries, dense);
+    let partner_unfolds = if parked > p2 / 2 { unfold } else { 0.0 };
+    (mine_at + unfold).max(partner_done + partner_unfolds)
+}
+
+/// When a fold hop or round of recursive doubling ends on the receiver's
+/// virtual clock: the sender's `bytes`-byte stream leaves at `sent_at` as
+/// [`segments`] frames back to back on the link, and the receiver — its
+/// own frames out at `ready_at` — adds each segment as it lands,
+/// `elements` additions in all. Merge-bound, that is `α + β·L/c` after
+/// the send, then the whole merge; link-bound, `α + β·L` then the last
+/// segment's share of it.
+fn rec_dbl_round(c: &CostModel, bytes: f64, elements: f64, ready_at: f64, sent_at: f64) -> f64 {
+    let segs = segments(c, bytes as usize) as f64;
+    let merge = c.gamma * elements;
+    let piece = c.beta * bytes / segs;
+    let isend = c.isend_alpha_fraction * c.alpha;
+    let last = (segs - 1.0) * piece.max(isend) + merge / segs;
+    (ready_at + merge).max(sent_at + c.alpha + piece + last.max(merge))
 }
 
 /// The split phase both split schedules share, as the virtual clock
@@ -167,7 +262,7 @@ pub fn select_algorithm<V: Scalar>(p: usize, n: usize, k: usize, cost: &CostMode
     let ek = expected_union_size(n, p, k.min(n));
     // Priced once each: this runs on every `Auto` call.
     Algorithm::ALL
-        .map(|algo| (expected_cost(algo, &w, cost, ek), algo))
+        .map(|algo| (expected_cost::<V>(algo, &w, cost, ek), algo))
         .into_iter()
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("Algorithm::ALL is not empty")
@@ -258,7 +353,7 @@ fn estimate_at_union<V: Scalar>(
         k,
         value_bytes: V::BYTES,
     };
-    agreement + expected_cost(pick, &w, cost, ek)
+    agreement + expected_cost::<V>(pick, &w, cost, ek)
 }
 
 /// Expected completion time of the two-level hierarchical schedule on a
@@ -418,13 +513,15 @@ mod tests {
             );
         }
         // Any other pick pays one pass of 8-byte frames first: log2(P)
-        // rounds, plus the fold and unfold hops off powers of two. (A full
-        // 2^10-element input at P ≥ 12 goes to Rabenseifner: the split
-        // schedules' (P − 1)·α split latency outgrows its 2·log2(P)·α.)
+        // rounds, plus the fold and unfold hops off powers of two. On Aries
+        // at N = 2^14 and 15 % density Rabenseifner wins at P=16 (as in
+        // `tests/auto_sweep.rs`) and at P=20. (At P=12 no shape picks it
+        // any more on any shipped model: segmented recursive doubling or a
+        // split schedule is cheaper there.)
         let cost = CostModel::aries();
         let word = cost.alpha + 8.0 * cost.beta;
-        for (p, rounds) in [(16usize, 4.0), (12, 5.0)] {
-            let (n, k) = (1 << 10, 1 << 10);
+        for (p, rounds) in [(16usize, 4.0), (20, 6.0)] {
+            let (n, k) = (1 << 14, 2_500);
             let resolved = Algorithm::Auto.resolve_for::<f32>(p, n, k, &cost);
             assert_eq!(resolved, Algorithm::DenseRabenseifner, "P={p}");
             let extra = estimate_time::<f32>(Algorithm::Auto, p, n, k, &cost)
@@ -490,19 +587,65 @@ mod tests {
         }
     }
 
+    /// Pinned recursive doubling's virtual time at `p` ranks, `k` random
+    /// entries each of `n`, on Aries.
+    fn rec_dbl_clock(p: usize, n: usize, k: usize) -> f64 {
+        use crate::allreduce::{ssar_recursive_double, AllreduceConfig};
+        use crate::op::BufferPool;
+        use sparcml_net::{max_virtual_time, Transport};
+        use sparcml_stream::{random_sparse, SparseStream};
+
+        let cfg = AllreduceConfig::default();
+        let ins: Vec<SparseStream<f32>> =
+            (0..p).map(|r| random_sparse(n, k, 90 + r as u64)).collect();
+        max_virtual_time(p, CostModel::aries(), |ep| {
+            ssar_recursive_double(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
+        })
+    }
+
     #[test]
     fn rec_dbl_prices_its_unfold_hop_off_powers_of_two() {
-        // Pinned recursive doubling at k = 1e4, N = 2^20 on Aries, as
-        // `tests/auto_sweep.rs` measures it on the virtual clock. Without
-        // the unfold hop the estimates read 53.6, 105.1 and 274.4: 22–28 %
-        // low, a margin by which an overpriced split schedule loses to it.
+        // Pinned recursive doubling at k = 1e4, N = 2^20 on Aries against
+        // the virtual clock. Without the unfold hop the estimates read
+        // 22–28 % low, a margin by which an overpriced split schedule
+        // loses to it. The estimate follows the clock's chains (rank 0's
+        // and its partner's, which starts early when its subcube folds
+        // nothing) and reads 69.81, 129.82 and 320.09 µs against 69.82,
+        // 129.79 and 319.79: it may sit over the clock by a rounding's
+        // worth, never by a margin that moves a pick.
         let cost = CostModel::aries();
-        for (p, clock_us) in [(3usize, 74.3), (5, 134.5), (12, 350.1)] {
-            let est = estimate_time::<f32>(Algorithm::SsarRecDbl, p, 1 << 20, 10_000, &cost) * 1e6;
+        for p in [3usize, 5, 12] {
+            let clock = rec_dbl_clock(p, 1 << 20, 10_000);
+            let est = estimate_time::<f32>(Algorithm::SsarRecDbl, p, 1 << 20, 10_000, &cost);
             assert!(
-                est <= clock_us && est >= 0.94 * clock_us,
-                "P={p}: {est} against {clock_us}"
+                est <= 1.002 * clock && est >= 0.99 * clock,
+                "P={p}: {} µs against {} on the clock",
+                est * 1e6,
+                clock * 1e6
             );
+        }
+    }
+
+    #[test]
+    fn rec_dbl_prices_its_segmented_rounds() {
+        // Pinned recursive doubling on the virtual clock at N = 2^20 on
+        // Aries, against its estimate: each round is `α + β·L/c + merge`
+        // where the merge is the longer part (all of these but P=8 at
+        // k=1e3), with `c` from the one segment-count function, and a
+        // round that crosses δ scatters the partner's stream.
+        let cost = CostModel::aries();
+        let n = 1 << 20;
+        for p in [2usize, 8] {
+            for k in [1_000usize, 10_000, 100_000] {
+                let clock = rec_dbl_clock(p, n, k);
+                let est = estimate_time::<f32>(Algorithm::SsarRecDbl, p, n, k, &cost);
+                assert!(
+                    (est / clock - 1.0).abs() < 0.01,
+                    "P={p} k={k}: {} µs against {} on the clock",
+                    est * 1e6,
+                    clock * 1e6
+                );
+            }
         }
     }
 

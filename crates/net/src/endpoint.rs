@@ -6,14 +6,17 @@
 //!
 //! * a blocking `send` advances the sender's clock by α (it models message
 //!   injection), a non-blocking `isend` by `α · isend_alpha_fraction`;
-//! * the message is stamped to arrive at `sender_clock_before_send + α +
-//!   β·len`;
+//! * the link to each peer carries one frame at a time: a frame starts at
+//!   `max(sender_clock_before_send, link free)`, is stamped to arrive
+//!   `α + β·len` after it starts, and holds the link for `β·len`;
 //! * `recv` advances the receiver's clock to `max(clock, arrival)`;
 //! * local reduction work is charged explicitly via `compute`.
 //!
 //! A simultaneous pairwise exchange therefore costs `α + βL` per round and
 //! a serial fan-out of P−1 blocking sends costs `(P−1)α` at the sender —
-//! exactly the accounting the paper uses in §5.3.
+//! exactly the accounting the paper uses in §5.3. Splitting a frame into
+//! `c` pieces to one peer buys overlap, never bandwidth: the last piece
+//! still lands `α + βL` after the first one starts.
 //!
 //! Only *time* is modelled. Matching, buffering and failure are the shared
 //! [`Mailbox`]'s, as on every root transport: a peer that finished, was
@@ -44,6 +47,9 @@ pub struct Endpoint {
     mailbox: Mailbox<Timed>,
     cost: CostModel,
     clock: f64,
+    /// `link_free[dst]`: the virtual time at which the link to `dst` has
+    /// finished putting its last frame on the wire.
+    link_free: Vec<f64>,
     /// Monotonic per-endpoint counter used to derive collective op tags;
     /// collectives are invoked in the same order on every rank, so counters
     /// stay aligned without extra communication.
@@ -70,6 +76,7 @@ impl Endpoint {
             .map(|(mesh, mailbox)| Endpoint {
                 mesh,
                 mailbox,
+                link_free: vec![0.0; size],
                 cost,
                 clock: 0.0,
                 op_counter: 0,
@@ -94,8 +101,13 @@ impl Endpoint {
         alpha_charge: f64,
     ) -> Result<(), CommError> {
         let len = payload.len();
-        let arrival = self.clock + self.cost.transfer_time(len);
+        // An out-of-range `dst` is the mesh's to reject.
+        let start = self
+            .clock
+            .max(self.link_free.get(dst).copied().unwrap_or(0.0));
+        let arrival = start + self.cost.transfer_time(len);
         self.mesh.send(dst, tag, (payload, arrival))?;
+        self.link_free[dst] = start + self.cost.beta * len as f64;
         self.clock += alpha_charge;
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += len as u64;
@@ -166,14 +178,17 @@ impl Transport for Endpoint {
         &mut self.stats
     }
 
-    /// Resets the virtual clock and statistics (between experiment trials).
+    /// Resets the virtual clock, every link's busy time and the statistics
+    /// (between experiment trials).
     fn reset_clock(&mut self) {
         self.clock = 0.0;
+        self.link_free.fill(0.0);
         self.stats = CommStats::default();
     }
 
     /// Blocking send: charges the full injection latency α to the sender;
-    /// the message arrives at `clock_before_send + α + β·len`.
+    /// on a free link the message arrives at `clock_before_send + α +
+    /// β·len`, behind the frame still on it otherwise.
     fn send(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
         let alpha = self.cost.alpha;
         self.push_msg(dst, tag, payload, alpha)
@@ -283,6 +298,64 @@ mod tests {
         });
         assert_eq!(clocks[0], 0.5); // α/4 charged locally
         assert_eq!(clocks[1], 2.0); // wire latency unchanged
+    }
+
+    /// α = 1, β = 1 per byte, free isends: the link rule on its own.
+    const LINK: CostModel = CostModel {
+        alpha: 1.0,
+        beta: 1.0,
+        gamma: 0.0,
+        isend_alpha_fraction: 0.0,
+    };
+
+    #[test]
+    fn two_frames_to_one_peer_serialize_on_its_link() {
+        let clocks = run_cluster(2, LINK, |ep| {
+            if ep.rank() == 0 {
+                ep.isend(1, 1, Bytes::from(vec![0u8; 10])).unwrap();
+                ep.isend(1, 2, Bytes::from(vec![0u8; 10])).unwrap();
+                return vec![ep.clock()];
+            }
+            let first = ep.recv(0, 1).map(|_| ep.clock()).unwrap();
+            let second = ep.recv(0, 2).map(|_| ep.clock()).unwrap();
+            vec![first, second]
+        });
+        // Both go out at t = 0; the second starts when the first has left
+        // the link (t = 10) and lands α + β·10 after that.
+        assert_eq!(clocks, vec![vec![0.0], vec![11.0, 21.0]]);
+    }
+
+    #[test]
+    fn frames_to_two_peers_do_not_wait_for_each_other() {
+        let clocks = run_cluster(3, LINK, |ep| {
+            if ep.rank() == 0 {
+                ep.isend(1, 1, Bytes::from(vec![0u8; 10])).unwrap();
+                ep.isend(2, 1, Bytes::from(vec![0u8; 10])).unwrap();
+            } else {
+                let _ = ep.recv(0, 1).unwrap();
+            }
+            ep.clock()
+        });
+        assert_eq!(clocks, vec![0.0, 11.0, 11.0]);
+    }
+
+    #[test]
+    fn reset_clock_frees_every_link() {
+        let clocks = run_cluster(2, LINK, |ep| {
+            if ep.rank() == 0 {
+                // Holds the link until t = 100 on the old clock.
+                ep.isend(1, 1, Bytes::from(vec![0u8; 100])).unwrap();
+                ep.reset_clock();
+                ep.isend(1, 2, Bytes::from(vec![0u8; 10])).unwrap();
+                return 0.0;
+            }
+            let _ = ep.recv(0, 1).unwrap();
+            ep.reset_clock();
+            let _ = ep.recv(0, 2).unwrap();
+            ep.clock()
+        });
+        // A busy link from before the reset would have put it at 111.
+        assert_eq!(clocks[1], 11.0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use partition::{owner_of, partition_range, PartRange};
 pub use scalar::Scalar;
 pub use soa::{SparseVec, SparseView};
 pub use stream::{Repr, SparseStream};
-pub use sum::SumStats;
+pub use sum::{RangeSum, SumStats};
 pub use threshold::{delta_raw, DensityPolicy, INDEX_BYTES};
 pub use window::WindowSum;
-pub use wire::{expected_entry_bytes, WireFrame, WIRE_VERSION};
+pub use wire::{expected_entry_bytes, header_len, WireFrame, WIRE_VERSION};

@@ -17,12 +17,17 @@
 //! directly (`&[u32]` next to `&[V]`), so the inner loops are branch-light
 //! slice traversals.
 //!
+//! An addend that arrives in parts, one index range after the next, is
+//! summed a range at a time by a [`RangeSum`], which runs these same
+//! kernels with the δ decision taken once on the whole addend's size.
+//!
 //! Summing *many* streams is a left fold of this rule in operand order,
 //! which is the order the sequential reference sums in. Operands that all
 //! lie in one index window — a split owner's sub-ranges — are summed with
 //! one scatter per entry in a [`crate::WindowSum`] instead.
 
 use crate::error::StreamError;
+use crate::partition::PartRange;
 use crate::scalar::Scalar;
 use crate::soa::{SparseVec, SparseView};
 use crate::stream::{Repr, SparseStream};
@@ -66,9 +71,7 @@ impl<V: Scalar> SparseStream<V> {
             unreachable!()
         };
         if let Repr::Dense(a) = self.repr_mut() {
-            for (x, y) in a.iter_mut().zip(b.iter()) {
-                *x = x.add(*y);
-            }
+            add_values(a, b);
             return Ok(SumStats {
                 elements_processed: b.len(),
                 result_dense: true,
@@ -126,23 +129,20 @@ fn add_sparse<V: Scalar>(
     view: SparseView<'_, V>,
     policy: &DensityPolicy,
 ) -> SumStats {
-    let switched = !acc.is_dense() && acc.stored_len() + view.len() > policy.delta::<V>(acc.dim());
+    let switched = crosses_delta(acc, view.len(), policy);
     if switched {
         acc.densify();
     }
     if let Repr::Dense(values) = acc.repr_mut() {
-        for (i, v) in view.indices().iter().zip(view.values()) {
-            let slot = &mut values[*i as usize];
-            *slot = slot.add(*v);
-        }
+        scatter(values, view);
         return SumStats {
             elements_processed: view.len(),
             result_dense: true,
             switched_to_dense: switched,
         };
     }
-    let merged = merge_sorted(acc.sparse_view().expect("sparse accumulator"), view);
-    let processed = merged.len();
+    let mut merged = SparseVec::new();
+    let processed = merged.extend_merged(acc.sparse_view().expect("sparse accumulator"), view);
     // Merging two sorted slabs yields a sorted slab; skip the O(n)
     // revalidation scan.
     acc.set_repr(Repr::Sparse(merged));
@@ -154,45 +154,198 @@ fn add_sparse<V: Scalar>(
     }
 }
 
-/// Linear merge of two sorted slab pairs, summing values on equal indices.
-fn merge_sorted<V: Scalar>(a: SparseView<'_, V>, b: SparseView<'_, V>) -> SparseVec<V> {
-    let (ai, av) = (a.indices(), a.values());
-    let (bi, bv) = (b.indices(), b.values());
-    let mut out = SparseVec::with_capacity(ai.len() + bi.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    // Ordered-disjoint supports (one operand ends before the other
-    // begins): bulk-copy the leading operand and skip the loop; the tail
-    // copy below appends the other.
-    let precedes =
-        |x: &[u32], y: &[u32]| matches!((x.last(), y.first()), (Some(l), Some(f)) if l < f);
-    if precedes(ai, bi) {
-        out.extend_from_slabs(ai, av);
-        i = ai.len();
-    } else if precedes(bi, ai) {
-        out.extend_from_slabs(bi, bv);
-        j = bi.len();
+/// The δ-switch every sum makes: a sparse accumulator goes dense when the
+/// fill-in bound `|H1| + |H2|` crosses δ.
+fn crosses_delta<V: Scalar>(acc: &SparseStream<V>, addend: usize, policy: &DensityPolicy) -> bool {
+    !acc.is_dense() && acc.stored_len() + addend > policy.delta::<V>(acc.dim())
+}
+
+/// `values[i] += v` for every entry of `view`.
+fn scatter<V: Scalar>(values: &mut [V], view: SparseView<'_, V>) {
+    for (i, v) in view.indices().iter().zip(view.values()) {
+        let slot = &mut values[*i as usize];
+        *slot = slot.add(*v);
     }
-    while i < ai.len() && j < bi.len() {
-        match ai[i].cmp(&bi[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(ai[i], av[i]);
-                i += 1;
+}
+
+/// `a[i] += b[i]`, element-wise.
+fn add_values<V: Scalar>(a: &mut [V], b: &[V]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = x.add(*y);
+    }
+}
+
+/// `acc + addend` built a range at a time, for an addend that arrives in
+/// parts covering consecutive index ranges that tile `[0, dim)` in
+/// increasing order. The result is the same to the bit as one
+/// [`SparseStream::add_assign_with`] of the whole addend, and the parts'
+/// stats add up to that sum's: the δ-switch is decided once, up front, on
+/// `|acc|` and the addend's announced stored total, and each range runs
+/// the kernel the whole sum runs there — a merge appended to one slab,
+/// a scatter into dense values, or dense + dense.
+#[derive(Debug)]
+pub struct RangeSum<V> {
+    dim: usize,
+    out: RangeOut<V>,
+    /// Whether the sum switches to dense; reported with the first part.
+    switched: bool,
+}
+
+#[derive(Debug)]
+enum RangeOut<V> {
+    /// Both sides sparse and under δ: each range of the accumulator's
+    /// entries merged with its part, appended to `out`.
+    Merge {
+        acc: SparseVec<V>,
+        out: SparseVec<V>,
+    },
+    /// A dense result. `acc` holds a sparse accumulator's entries when the
+    /// addend is the dense side: the addend's values are appended a part
+    /// at a time and the accumulator's entries scattered over them, as
+    /// `add_assign_with` commutes that sum.
+    Dense {
+        values: Vec<V>,
+        acc: Option<SparseVec<V>>,
+    },
+}
+
+impl<V: Scalar> RangeSum<V> {
+    /// Starts `acc + addend` for an addend that holds `total` stored
+    /// entries, dense (`N` values) or sparse as `dense` says.
+    pub fn new(acc: SparseStream<V>, total: usize, dense: bool, policy: &DensityPolicy) -> Self {
+        let dim = acc.dim();
+        let switched = !acc.is_dense() && (dense || crosses_delta(&acc, total, policy));
+        let out = if dense && !acc.is_dense() {
+            RangeOut::Dense {
+                values: Vec::with_capacity(dim),
+                acc: acc.into_sparse(),
             }
-            std::cmp::Ordering::Greater => {
-                out.push(bi[j], bv[j]);
-                j += 1;
+        } else if acc.is_dense() || switched {
+            RangeOut::Dense {
+                values: acc.into_dense_vec(),
+                acc: None,
             }
-            std::cmp::Ordering::Equal => {
-                out.push(ai[i], av[i].add(bv[j]));
-                i += 1;
-                j += 1;
+        } else {
+            let acc = acc.into_sparse().expect("a sparse accumulator");
+            RangeOut::Merge {
+                out: SparseVec::with_capacity(acc.len() + total),
+                acc,
             }
+        };
+        RangeSum { dim, out, switched }
+    }
+
+    /// Adds the sparse addend's entries in `range` (every index of `part`
+    /// inside it). Panics if the addend was announced dense.
+    pub fn add_sparse(&mut self, range: PartRange, part: SparseView<'_, V>) -> SumStats {
+        let processed = match &mut self.out {
+            RangeOut::Merge { acc, out } => {
+                out.extend_merged(acc.as_view().range(range.lo, range.hi), part)
+            }
+            RangeOut::Dense { values, acc: None } => {
+                scatter(values, part);
+                part.len()
+            }
+            RangeOut::Dense { acc: Some(_), .. } => {
+                panic!("a sparse part of an addend announced dense")
+            }
+        };
+        self.stats(processed)
+    }
+
+    /// Adds the dense addend's values in `range` (`part` holds exactly
+    /// `range.len()` of them). Panics if the addend was announced sparse.
+    pub fn add_dense(&mut self, range: PartRange, part: &[V]) -> SumStats {
+        let (lo, hi) = (range.lo as usize, range.hi as usize);
+        let processed = match &mut self.out {
+            RangeOut::Dense {
+                values,
+                acc: Some(acc),
+            } => {
+                values.extend_from_slice(part);
+                let mine = acc.as_view().range(range.lo, range.hi);
+                scatter(values, mine);
+                mine.len()
+            }
+            RangeOut::Dense { values, acc: None } => {
+                add_values(&mut values[lo..hi], part);
+                hi - lo
+            }
+            RangeOut::Merge { .. } => panic!("a dense part of an addend announced sparse"),
+        };
+        self.stats(processed)
+    }
+
+    fn stats(&mut self, processed: usize) -> SumStats {
+        SumStats {
+            elements_processed: processed,
+            result_dense: matches!(self.out, RangeOut::Dense { .. }),
+            switched_to_dense: std::mem::take(&mut self.switched),
         }
     }
-    // Bulk-copy whichever tail remains (one memcpy per slab).
-    out.extend_from_slabs(&ai[i..], &av[i..]);
-    out.extend_from_slabs(&bi[j..], &bv[j..]);
-    out
+
+    /// The sum, once every range has had its part.
+    pub fn finish(self) -> SparseStream<V> {
+        match self.out {
+            RangeOut::Merge { out, .. } => {
+                let mut sum = SparseStream::zeros(self.dim);
+                // Ranges merged in increasing order leave a sorted slab;
+                // skip the O(n) revalidation scan.
+                sum.set_repr(Repr::Sparse(out));
+                debug_assert!(sum.check_invariants().is_ok());
+                sum
+            }
+            RangeOut::Dense { values, .. } => SparseStream::from_dense(values),
+        }
+    }
+}
+
+impl<V: Scalar> SparseVec<V> {
+    /// Appends the linear merge of two sorted slab pairs, summing values
+    /// on equal indices, and returns how many entries it appended — the
+    /// kernel every sparse + sparse sum runs. Both views' indices must be
+    /// strictly increasing and follow this payload's last index, so that
+    /// a result can be built a sub-range at a time into one slab.
+    pub fn extend_merged(&mut self, a: SparseView<'_, V>, b: SparseView<'_, V>) -> usize {
+        let (ai, av) = (a.indices(), a.values());
+        let (bi, bv) = (b.indices(), b.values());
+        let before = self.len();
+        self.reserve(ai.len() + bi.len());
+        let (mut i, mut j) = (0usize, 0usize);
+        // Ordered-disjoint supports (one operand ends before the other
+        // begins): bulk-copy the leading operand and skip the loop; the
+        // tail copy below appends the other.
+        let precedes =
+            |x: &[u32], y: &[u32]| matches!((x.last(), y.first()), (Some(l), Some(f)) if l < f);
+        if precedes(ai, bi) {
+            self.extend_from_slabs(ai, av);
+            i = ai.len();
+        } else if precedes(bi, ai) {
+            self.extend_from_slabs(bi, bv);
+            j = bi.len();
+        }
+        while i < ai.len() && j < bi.len() {
+            match ai[i].cmp(&bi[j]) {
+                std::cmp::Ordering::Less => {
+                    self.push(ai[i], av[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    self.push(bi[j], bv[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    self.push(ai[i], av[i].add(bv[j]));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        // Bulk-copy whichever tail remains (one memcpy per slab).
+        self.extend_from_slabs(&ai[i..], &av[i..]);
+        self.extend_from_slabs(&bi[j..], &bv[j..]);
+        self.len() - before
+    }
 }
 
 #[cfg(test)]
@@ -368,6 +521,54 @@ mod tests {
             .unwrap();
         assert_eq!(stats.elements_processed, 0);
         assert_eq!(acc.nnz(), 1);
+    }
+
+    #[test]
+    fn a_range_sum_is_the_whole_sum() {
+        // dim 64 → δ = 32: under δ, across it, into a dense accumulator,
+        // a dense addend on either accumulator. Four ranges each.
+        use crate::{partition_range, random_sparse};
+        let dim = 64;
+        let dense = |s: &SparseStream<f32>| {
+            let mut d = s.clone();
+            d.densify();
+            d
+        };
+        let (a, b, big) = (
+            random_sparse::<f32>(dim, 10, 1),
+            random_sparse::<f32>(dim, 12, 2),
+            random_sparse::<f32>(dim, 30, 3),
+        );
+        for (acc, addend) in [
+            (&a, &b),
+            (&a, &big),
+            (&dense(&a), &b),
+            (&a, &dense(&b)),
+            (&dense(&a), &dense(&b)),
+        ] {
+            let mut whole = acc.clone();
+            let whole_stats = whole.add_assign(addend).unwrap();
+            let policy = DensityPolicy::default();
+            let mut sum =
+                RangeSum::new(acc.clone(), addend.stored_len(), addend.is_dense(), &policy);
+            let (mut processed, mut switched) = (0, false);
+            for j in 0..4 {
+                let range = partition_range(dim, 4, j);
+                let stats = match addend.sparse_view() {
+                    Some(view) => sum.add_sparse(range, view.range(range.lo, range.hi)),
+                    None => {
+                        let values = addend.to_dense_vec();
+                        sum.add_dense(range, &values[range.lo as usize..range.hi as usize])
+                    }
+                };
+                assert_eq!(stats.result_dense, whole_stats.result_dense);
+                processed += stats.elements_processed;
+                switched |= stats.switched_to_dense;
+            }
+            assert_eq!(processed, whole_stats.elements_processed);
+            assert_eq!(switched, whole_stats.switched_to_dense);
+            assert_eq!(sum.finish(), whole);
+        }
     }
 
     #[test]

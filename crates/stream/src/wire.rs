@@ -60,6 +60,16 @@ const TAG_DENSE: u8 = 1;
 const HEADER_LEN: usize = 12;
 const SPARSE_HEADER_LEN: usize = 20;
 
+/// Bytes of a frame's header: a dense frame's, or a sparse frame's with
+/// its stored count — what a frame costs on top of its entries.
+pub fn header_len(dense: bool) -> usize {
+    if dense {
+        HEADER_LEN
+    } else {
+        SPARSE_HEADER_LEN
+    }
+}
+
 /// Longest varint a `u32` gap needs.
 const MAX_GAP_BYTES: usize = 5;
 /// The continuation bit of each byte of an 8-byte word.

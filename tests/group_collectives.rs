@@ -649,17 +649,19 @@ fn auto_on_a_subgroup_is_bitwise_the_pinned_pick() {
 
 #[test]
 fn hierarchical_auto_leader_stage_is_bitwise_the_pinned_leader_pick() {
-    // 2×4: the two leaders run flat Auto on the node sums. With sparse
-    // node sums that is recursive doubling and the leaders' pass is
-    // their whole exchange; with dense inputs it falls back.
-    let p = 8;
-    let dim = 1 << 12;
-    let topo = Topology::uniform(2, 4).unwrap();
+    // The leaders run flat Auto on the node sums. With sparse node sums
+    // (2×4) that is recursive doubling and the leaders' pass is their
+    // whole exchange. With dense ones it falls back where recursive
+    // doubling loses: not between two leaders, whose segmented round beats
+    // every other schedule, but among eight at N = 2^14 (8×2).
     let cost = CostModel::aries();
-    for (nnz, leader_pick) in [
-        (Some(8), Algorithm::SsarRecDbl),
-        (None, select_algorithm::<f32>(2, dim, dim, &cost)),
-    ] {
+    for (nodes, per_node, dim, nnz) in [(2, 4, 1 << 12, Some(8)), (8, 2, 1 << 14, None)] {
+        let topo = Topology::uniform(nodes, per_node).unwrap();
+        let p = topo.size();
+        let leader_pick = match nnz {
+            Some(_) => Algorithm::SsarRecDbl,
+            None => select_algorithm::<f32>(nodes, dim, dim, &cost),
+        };
         assert_eq!(leader_pick == Algorithm::SsarRecDbl, nnz.is_some());
         let ins = auto_inputs(p, dim, nnz);
         let run = |leader: Algorithm| {

@@ -533,13 +533,14 @@ fn malformed_agreement_frames_are_typed_errors_on_the_receiver() {
     // recursive doubling out (it picks a split schedule and speculates),
     // so it folds in a cleared bit — an unfold frame that sets the bit
     // again contradicts it.
-    let big = random_sparse::<f32>(dim, dim / 2, 13);
+    let (big_dim, big_k) = (1 << 20, 10_000);
+    let big = random_sparse::<f32>(big_dim, big_k, 13);
     let cost = run_thread_cluster(1, |tp| *tp.cost())[0];
     assert_ne!(
-        select_algorithm::<f32>(3, dim, dim / 2, &cost),
+        select_algorithm::<f32>(3, big_dim, big_k, &cost),
         Algorithm::SsarRecDbl
     );
-    let lie = agreement_frame(Some(&big), eager(dim as u64 / 2));
+    let lie = agreement_frame(Some(&big), eager(big_k as u64));
     match against_villain(3, &big, Algorithm::Auto, SUBTAG_UNFOLD, &lie) {
         Err(CollError::Invalid(_)) => {}
         other => panic!("bit restored after the partner cleared it: {other:?}"),

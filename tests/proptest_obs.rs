@@ -208,7 +208,7 @@ fn a_trace_says_whether_auto_cost_a_round() {
     use sparcml::stream::random_sparse;
 
     let _serial = recorder_lock();
-    let (p, dim) = (4usize, 1 << 14);
+    let (p, dim) = (8usize, 1 << 14);
     let cost = CostModel::aries();
     for (base_nnz, fused) in [(16usize, true), (6000, false)] {
         let agreed_k = base_nnz + p - 1;
