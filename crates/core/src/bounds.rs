@@ -10,7 +10,7 @@
 //! density where bandwidth matters). Each term is priced at the density
 //! its pairs travel at: a rank's input at `k/N`, reduced data at `K/N`.
 //! These formulas power the adaptive algorithm selector and the
-//! `bounds_check` experiment that verifies measured virtual times fall
+//! `tests/paper_claims.rs` check that measured virtual times fall
 //! inside their analytic envelopes.
 
 use sparcml_net::CostModel;

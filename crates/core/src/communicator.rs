@@ -191,7 +191,7 @@ impl<T: Transport + Send + 'static> Communicator<T> {
 
     /// The session's counters (pool included, as in
     /// [`Communicator::stats_snapshot`]) in the stable plaintext layout of
-    /// [`CommStats::render_text`] — what a health endpoint or bench bin
+    /// [`CommStats::render_text`] — what a health endpoint or example
     /// prints instead of hand-formatting fields. Followed by the
     /// process-wide per-algorithm latency histograms
     /// ([`sparcml_obs::LatencyRegistry::render_text`]) when any

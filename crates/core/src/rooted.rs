@@ -247,8 +247,8 @@ mod tests {
 
     #[test]
     fn reduce_scatter_work_is_k_log_p() {
-        // Disjoint, partition-balanced supports (as `bounds_check` builds
-        // them): every owner takes in ≈ k entries and scatters each once
+        // Disjoint, partition-balanced supports (as `tests/paper_claims.rs`
+        // builds them): every owner takes in ≈ k entries and scatters each once
         // into its window, so its work is exactly the entries of its
         // result — inside the k·⌈log2 P⌉ a merge tournament could take. A
         // left fold re-walks its accumulator P−1 times — ≈ k·P/2, i.e.

@@ -20,9 +20,9 @@
 //! 2. **Plan** — the batch is partitioned into fusion buckets
 //!    ([`FusionPolicy`]); planning uses only rank-invariant facts: job
 //!    kind, logical dimension, and the agreed nnz/fill from step 1. The
-//!    density guard ([`FusionPolicy::max_density`]) stops fusing once a
-//!    bucket's projected union density turns bandwidth-bound, so every
-//!    rank still derives the identical schedule.
+//!    density guard stops fusing once a bucket's projected union density
+//!    passes 0.5 and turns bandwidth-bound, so every rank still derives
+//!    the identical schedule.
 //! 3. **Execute** — buckets run in submission order. A multi-job
 //!    bucket fuses its streams into one concatenated index space,
 //!    reduces them as a single collective (chunked when oversized),

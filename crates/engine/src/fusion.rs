@@ -24,15 +24,15 @@ pub struct FusionPolicy {
     /// Fused buckets whose index space exceeds this are reduced in even
     /// chunks of at most this many indices (bounds peak frame size).
     pub max_chunk_elements: usize,
-    /// Density bound on fused buckets: a job may only join a non-empty
-    /// bucket while the *projected fused union density* — the measured
-    /// fill factor times the bucket's summed agreed nnz over its summed
-    /// dimension, clamped to 1 — stays at or below this. Dense-ish jobs
-    /// are bandwidth-bound, and fusing them only serializes one huge
-    /// transfer where unfused jobs could pipeline; singleton buckets are
-    /// always allowed.
-    pub max_density: f64,
 }
+
+/// Density bound on fused buckets: a job may only join a non-empty bucket
+/// while the *projected fused union density* — the measured fill factor
+/// times the bucket's summed agreed nnz over its summed dimension, clamped
+/// to 1 — stays at or below this. Dense-ish jobs are bandwidth-bound, and
+/// fusing them only serializes one huge transfer where unfused jobs could
+/// pipeline; singleton buckets are always allowed.
+const MAX_FUSED_DENSITY: f64 = 0.5;
 
 impl Default for FusionPolicy {
     fn default() -> Self {
@@ -41,7 +41,6 @@ impl Default for FusionPolicy {
             max_fused_elements: 1 << 26,
             max_fused_jobs: 1024,
             max_chunk_elements: 1 << 22,
-            max_density: 0.5,
         }
     }
 }
@@ -102,7 +101,7 @@ pub(crate) fn plan_buckets(batch: &[JobMeta], policy: &FusionPolicy, fill: f64) 
             (fill * joined_nnz as f64 / joined_dim as f64).min(1.0)
         };
         let fits = open.len() < policy.max_fused_jobs
-            && (open.is_empty() || (joined_dim <= fused_cap && density <= policy.max_density));
+            && (open.is_empty() || (joined_dim <= fused_cap && density <= MAX_FUSED_DENSITY));
         if !fits {
             buckets.push(std::mem::take(&mut open));
             open_dim = 0;

@@ -120,7 +120,7 @@ impl CommStats {
 
     /// Stable plaintext rendering: one `name value` line per counter plus
     /// a derived `pool_reuse_rate`, in a fixed order. Health endpoints and
-    /// bench bins print this instead of hand-formatting counters.
+    /// examples print this instead of hand-formatting counters.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for (name, value) in self.fields() {

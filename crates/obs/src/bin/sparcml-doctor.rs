@@ -260,9 +260,9 @@ fn render_report(report: &ClusterReport, trace: &TraceSummary, delta: f64) -> St
                     let _ = writeln!(
                         out,
                         "  WARNING rank {}: avg message {:.0} KiB — fused collectives look \
-                         bandwidth-bound; lower FusionPolicy::max_density so the engine's \
-                         density guard stops fusing these buckets, or shrink \
-                         max_chunk_elements",
+                         bandwidth-bound; shrink FusionPolicy::max_fused_elements \
+                         or max_chunk_elements, or run these layers with \
+                         FusionPolicy::disabled()",
                         f.rank,
                         avg / 1024.0
                     );
@@ -473,14 +473,14 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_warning_names_the_density_knob() {
+    fn bandwidth_warning_names_the_fusion_knobs() {
         let text = render_report(
             &fused_k1e4_report(),
             &TraceSummary::default(),
             DEFAULT_DELTA_DENSITY,
         );
         assert!(text.contains("WARNING"), "{text}");
-        assert!(text.contains("FusionPolicy::max_density"), "{text}");
+        assert!(text.contains("FusionPolicy::max_fused_elements"), "{text}");
     }
 
     #[test]

@@ -118,18 +118,6 @@ impl SparseGenConfig {
             seed: 0x0c1,
         }
     }
-
-    /// Webspam-like (paper: N = 16 609 143, 350k samples).
-    pub fn webspam_like(samples: usize) -> Self {
-        SparseGenConfig {
-            dim: 16_609_143,
-            samples,
-            nnz_per_sample: 3730,
-            popularity_exponent: 1.25,
-            noise: 0.03,
-            seed: 0x0c2,
-        }
-    }
 }
 
 /// Draws a feature index from a truncated power-law popularity
@@ -198,17 +186,7 @@ pub fn generate_sparse(cfg: &SparseGenConfig) -> SparseDataset {
 
 /// Generates a dense image-like dataset: class-conditional Gaussians with
 /// per-class mean patterns (CIFAR-10-like for `classes = 10, dim = 3072`,
-/// ImageNet-like for `classes = 100+`) and default noise level 0.9.
-pub fn generate_dense_images(
-    dim: usize,
-    classes: usize,
-    samples: usize,
-    seed: u64,
-) -> DenseDataset {
-    generate_dense_images_noisy(dim, classes, samples, 0.9, seed)
-}
-
-/// [`generate_dense_images`] with an explicit per-dimension noise σ,
+/// ImageNet-like for `classes = 100+`) and per-dimension noise σ
 /// controlling task difficulty.
 pub fn generate_dense_images_noisy(
     dim: usize,
@@ -372,7 +350,7 @@ mod tests {
 
     #[test]
     fn dense_images_structure() {
-        let ds = generate_dense_images(64, 10, 100, 11);
+        let ds = generate_dense_images_noisy(64, 10, 100, 0.9, 11);
         assert_eq!(ds.samples.len(), 100);
         assert_eq!(ds.labels.len(), 100);
         assert!(ds.labels.iter().all(|&l| l < 10));

@@ -4,8 +4,8 @@
 //! (§7), rebuilt in Rust on top of the SparCML collectives, plus the
 //! machine-learning drivers of §8: distributed SGD and coordinate descent
 //! for sparse linear models, Top-k gradient sparsification with error
-//! feedback (Algorithm 1/2), a small neural-network library (MLP + LSTM,
-//! the CNTK stand-in) and the BMUF baseline of the ASR experiment.
+//! feedback (Algorithm 1/2) and a small neural-network library (MLP +
+//! LSTM, the CNTK stand-in).
 //!
 //! ```
 //! use sparcml_opt::data::{generate_sparse, SparseGenConfig};
@@ -22,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bmuf;
 pub mod data;
 pub mod loss;
 pub mod nn;
@@ -32,7 +31,6 @@ pub mod sgd;
 pub mod topk;
 pub mod trainer;
 
-pub use bmuf::{BmufConfig, BmufState};
 pub use schedule::LrSchedule;
 pub use topk::{topk_bucketwise, ErrorFeedback, TopKConfig};
 pub use trainer::{

@@ -10,7 +10,7 @@ pub use mlp::{argmax, in_top_k, softmax_ce, BatchGrad, DenseLayer, Mlp};
 use sparcml_stream::SparseStream;
 
 /// A model whose parameters can be flattened into one vector — the
-/// interface the distributed trainers and BMUF operate on ("tensor
+/// interface the distributed trainers operate on ("tensor
 /// fusion": the paper merges gradients of adjoining layers, §9).
 pub trait FlatModel: Clone + Send {
     /// Total number of parameters.

@@ -96,7 +96,7 @@ pub struct TrainResult {
 /// coordinates. Returns a sparse stream over the feature space together
 /// with the number of feature operations performed (chargeable via
 /// [`Communicator::compute`]).
-pub fn sparse_batch_gradient(
+fn sparse_batch_gradient(
     w: &[f32],
     batch: &[&SparseSample],
     loss: LinearLoss,

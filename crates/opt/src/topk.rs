@@ -27,14 +27,6 @@ impl TopKConfig {
         }
     }
 
-    /// The paper's ATIS setting: k = 2 of every 512 (~0.4% density).
-    pub fn atis_k2() -> Self {
-        TopKConfig {
-            k_per_bucket: 2,
-            bucket_size: 512,
-        }
-    }
-
     /// The paper's ASR / wide-ResNet setting: k = 4 (ASR) or 1 (WRN) of 512.
     pub fn with_k(k: usize) -> Self {
         TopKConfig {

@@ -43,7 +43,7 @@ fn rank_program(tp: &mut ReactorTransport) -> String {
     if rank == 0 {
         // One rank prints the full counter block in the stable
         // `CommStats::render_text` format (same shape the serve health
-        // endpoint and bench bins emit).
+        // endpoint emits).
         line.push_str("\n  rank 0 transport counters:");
         for counter in comm.stats_report().lines() {
             line.push_str("\n    ");

@@ -25,7 +25,6 @@ pub use sparcml_opt as opt;
 pub use sparcml_quant as quant;
 pub use sparcml_serve as serve;
 pub use sparcml_stream as stream;
-pub use sparcml_trainsim as trainsim;
 
 pub use sparcml_core::{
     max_communicator_time, run_communicators, run_reactor_communicators, run_thread_communicators,

@@ -330,8 +330,8 @@ fn submission_order_mode_preserves_fifo() {
 
 #[test]
 fn density_guard_splits_dense_batch_and_stays_exact() {
-    // The k = 1e4 regime where fusing loses: with the default
-    // `max_density = 0.5` and the conservative fill prior P, two of
+    // The k = 1e4 regime where fusing loses: with the 0.5 density bound
+    // and the conservative fill prior P, two of
     // these jobs project 4·20_000/131_072 ≈ 0.61 fused — bandwidth-bound
     // — so the density guard must keep every job a singleton bucket, and
     // the results must stay element-exact.

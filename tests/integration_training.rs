@@ -1,5 +1,5 @@
 //! End-to-end training integration tests across crates: MPI-OPT linear
-//! models, Top-k/quantized NN training, SCD, and BMUF.
+//! models, Top-k/quantized NN training and SCD.
 
 use sparcml::core::Algorithm;
 use sparcml::net::CostModel;

@@ -13,7 +13,7 @@ use sparcml::core::reference::reference_sum;
 use sparcml::core::{
     max_communicator_time, run_communicators, select_algorithm, Algorithm, CollError, Communicator,
 };
-use sparcml::net::{run_thread_cluster, CostModel, TagBlock, Transport};
+use sparcml::net::{run_thread_cluster, CommError, CostModel, TagBlock, Transport};
 use sparcml::stream::{random_sparse, DensityPolicy, SparseStream, XorShift64};
 
 /// Generates one randomized cluster input: `(dim, per-rank pair lists)`
@@ -469,11 +469,11 @@ fn against_villain_frames(
         let block = TagBlock::for_op(tp.next_op_id());
         if tp.rank() == 0 {
             for (subtag, frame) in frames {
-                tp.send(honest, block.tag(*subtag), frame.clone().into())
-                    .unwrap();
+                let sent = tp.send(honest, block.tag(*subtag), frame.clone().into());
+                allow_departure(sent, honest);
             }
             for subtag in owed {
-                tp.recv(honest, block.tag(*subtag)).unwrap();
+                allow_departure(tp.recv(honest, block.tag(*subtag)), honest);
             }
         }
         let own_pick = select_algorithm::<f32>(p, input.dim(), input.stored_len(), tp.cost());
@@ -482,11 +482,22 @@ fn against_villain_frames(
             Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
         );
         if algo.is_auto() && speculates {
-            tp.recv(honest, block.tag(SUBTAG_SPLIT)).unwrap();
+            allow_departure(tp.recv(honest, block.tag(SUBTAG_SPLIT)), honest);
         }
         None
     });
     outs.pop().flatten().expect("the honest rank reports")
+}
+
+/// Checks a villain's send to or receive from the honest rank. The honest
+/// rank may have returned its typed error and left before the frame went
+/// either way, so its disconnect is not a fault here; any other error is.
+fn allow_departure<T>(result: Result<T, CommError>, honest: usize) {
+    match result {
+        Ok(_) => {}
+        Err(CommError::PeerDisconnected { peer }) if peer == honest => {}
+        Err(other) => panic!("villain and honest rank {honest}: {other:?}"),
+    }
 }
 
 #[test]

@@ -321,7 +321,7 @@ fn engine_density_guard_splits_buckets_across_processes() {
     // The k = 1e4 shape where fusing loses to per-layer runs: before the
     // density-aware FusionPolicy these four 65_536-dim/10_000-nnz jobs
     // fused into ONE bandwidth-bound bucket. The guard (projected fused
-    // union density 4·20_000/131_072 ≈ 0.61 > max_density = 0.5) must now
+    // union density 4·20_000/131_072 ≈ 0.61 > its 0.5 bound) must now
     // keep them singletons — across real processes — with the results
     // still exact.
     use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
