@@ -634,6 +634,13 @@ mod tests {
                 &DensityPolicy::default(),
             );
             assert_eq!(sum.range(), range);
+            // The one frame of segment 0, then the agreement word and,
+            // under bit 62, the segment word before it.
+            let mut again = Vec::new();
+            o.first.encode_into(dim, &mut again);
+            let word = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+            let trailer = if word & SEGMENTED_BIT != 0 { 16 } else { 8 };
+            assert_eq!(&bytes[..bytes.len() - trailer], &again[..]);
             sum.add(&o.first)?;
         }
         Ok(theirs)
@@ -821,6 +828,8 @@ mod tests {
         let stream = random_sparse::<f32>(dim, 24, 5);
         let mut dense = stream.clone();
         dense.densify();
+        // 39 % dense: its frames and segments carry a bitmap index.
+        let wide = random_sparse::<f32>(dim, 200, 6);
         let opening = |s: &SparseStream<f32>, k: u64| {
             segment(s, 3, 0, seg_word(3, s.stored_len() as u64), k | EAGER_BIT)
         };
@@ -831,10 +840,13 @@ mod tests {
             frame(None, 77 | counted(5)),
             opening(&stream, 24),
             opening(&dense, dim as u64),
+            frame(Some(&wide), 200 | EAGER_BIT),
+            opening(&wide, 200),
         ];
+        assert_eq!((valid[6][3], valid[7][3]), (2, 2), "representation tags");
         // Later segments go through the same decode and add, behind an
         // honest segment 0.
-        let later = [&stream, &dense].map(|s| {
+        let later = [&stream, &dense, &wide].map(|s| {
             let mut first = Segment::default();
             let bytes = segment(s, 3, 0, 0, 0);
             first
@@ -874,6 +886,9 @@ mod tests {
             sum.add(first).unwrap();
             let mut seg = Segment::default();
             if seg.read(&bytes, dim, sum.range()).is_ok() {
+                let mut again = Vec::new();
+                seg.encode_into(dim, &mut again);
+                assert_eq!(again, bytes, "case {i}");
                 let _ = sum.add(&seg);
             }
         }

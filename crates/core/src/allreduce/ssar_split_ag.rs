@@ -527,11 +527,19 @@ mod tests {
     #[test]
     fn mutated_blocks_never_panic_the_placement() {
         let (dim, p) = (1024, 4);
-        let part = random_sparse::<f32>(dim, 200, 9).restrict(256, 512);
-        let valid = part.encode().to_vec();
+        // A gap-coded block and two bitmap-indexed ones, 20 % and 55 %
+        // dense.
+        let parts = [
+            random_sparse::<f32>(dim, 100, 9).restrict(256, 512),
+            random_sparse::<f32>(dim, 200, 9).restrict(256, 512),
+            random_sparse::<f32>(dim, 564, 10).restrict(256, 512),
+        ];
+        let valid = parts.each_ref().map(|part| part.encode().to_vec());
+        let tags = valid.each_ref().map(|frame| frame[3]);
+        assert_eq!(tags, [0, 2, 2], "representation tags");
         let mut rng = sparcml_stream::XorShift64::new(0xb10c);
         for i in 0..4000 {
-            let mut bytes = valid.clone();
+            let (part, mut bytes) = (&parts[i / 2 % 3], valid[i / 2 % 3].clone());
             match rng.next_u64() % 4 {
                 0 => bytes.truncate(rng.next_u64() as usize % (bytes.len() + 1)),
                 1 => bytes.extend((0..rng.next_u64() % 9).map(|_| rng.next_u64() as u8)),
@@ -547,11 +555,16 @@ mod tests {
             let count = part.nnz() + usize::from(i % 2 == 1);
             let mut out = assembly([0, count, 0, 0]);
             // Ok or a typed error — and an Ok placed the announced count
-            // of strictly increasing indices inside rank 1's partition.
+            // of strictly increasing indices inside rank 1's partition,
+            // from the one frame that encodes them.
             if let Ok(n) = out.place(1, &bytes, dim, p) {
                 assert_eq!(n, count);
                 assert!(out.indices.windows(2).all(|w| w[0] < w[1]));
                 assert!(out.indices.iter().all(|&i| (256..512).contains(&i)));
+                let mut again = Vec::new();
+                let view = sparcml_stream::SparseView::new(&out.indices, &out.values);
+                SparseStream::encode_sparse_slice_into(dim, view, &mut again);
+                assert_eq!(again, bytes, "case {i}");
             }
         }
     }

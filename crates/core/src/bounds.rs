@@ -4,10 +4,11 @@
 //! message, β per *byte*, so the paper's `βd` per dense word becomes
 //! `β·isize` and its `βs` per sparse pair becomes β times what a pair
 //! weighs on the wire. The paper fixes that at `c + isize` with a 4-byte
-//! index; the wire format gap-codes the index slab, so a pair weighs
-//! `isize` plus a varint whose expected length falls with the density of
-//! the stream it travels in ([`Workload::pair_bytes`], one byte at every
-//! density where bandwidth matters). Each term is priced at the density
+//! index; the wire format gap-codes the index slab or, past a density of
+//! 1/8, sends it as a bitmap, so a pair weighs `isize` plus an index whose
+//! expected length falls with the density of the stream it travels in
+//! ([`Workload::pair_bytes`]: one byte at every density where bandwidth
+//! matters up to 1/8, `1/(8d)` past it). Each term is priced at the density
 //! its pairs travel at: a rank's input at `k/N`, reduced data at `K/N`.
 //! These formulas power the adaptive algorithm selector and the
 //! `tests/paper_claims.rs` check that measured virtual times fall
@@ -41,7 +42,7 @@ pub struct Workload {
 impl Workload {
     /// Expected wire bytes of one sparse index–value pair (the paper's
     /// `βs` unit) travelling in a stream of `entries` non-zeros: the value
-    /// plus the gap varint at density `entries / N`
+    /// plus its index — gap varint or bitmap bits — at density `entries / N`
     /// ([`expected_entry_bytes`], the wire format's own figure). An empty
     /// dimension prices like a full one: no pair travels either way.
     #[inline]

@@ -446,6 +446,18 @@ impl<V: Scalar> Segment<V> {
     fn view(&self) -> SparseView<'_, V> {
         SparseView::new(&self.indices, &self.values)
     }
+
+    /// Encodes the segment as [`encode_segment`] does, for a `dim`-dim
+    /// stream: a frame that [`Segment::read`] accepted comes out byte for
+    /// byte.
+    #[cfg(test)]
+    pub(crate) fn encode_into(&self, dim: usize, buf: &mut Vec<u8>) {
+        if self.dense {
+            SparseStream::encode_dense_slice_into(&self.values, buf);
+        } else {
+            SparseStream::encode_sparse_slice_into(dim, self.view(), buf);
+        }
+    }
 }
 
 /// A partner's stream added into this rank's accumulator one segment at a

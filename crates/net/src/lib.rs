@@ -17,7 +17,7 @@
 //!   threads with wall-clock time.
 //! * [`ReactorTransport`]: real sockets — a rendezvous bootstrap, a full
 //!   mesh of persistent connections, length-prefixed frames carrying the
-//!   wire-v3 slabs, typed failures (timeouts, disconnects, handshake
+//!   wire-v4 stream frames, typed failures (timeouts, disconnects, handshake
 //!   mismatches), and one epoll event loop per rank. Runs collectives
 //!   across OS *processes*, launched either by
 //!   [`launcher::run_socket_cluster`] or manually via the

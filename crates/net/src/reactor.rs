@@ -3,7 +3,7 @@
 //!
 //! [`ReactorTransport`] is the [`Transport`] implementor whose messages
 //! leave the process: every pair of ranks holds one persistent TCP
-//! connection, and the wire-v3 slab frames produced by the collectives
+//! connection, and the wire-v4 stream frames produced by the collectives
 //! travel over it without intermediate copies. The moving parts:
 //!
 //! * **Rendezvous** — rank 0 listens on a well-known address; every other

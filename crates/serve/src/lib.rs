@@ -29,7 +29,8 @@
 //! `TransportConfig::max_frame_len` *before* any allocation. Servers
 //! default to the deliberately small
 //! [`sparcml_net::SERVER_MAX_FRAME_LEN`] cap. CONTRIBUTE/STATE/UPDATE
-//! payloads embed stream wire-v3 frames verbatim.
+//! payloads embed stream wire-v4 frames verbatim, gap-coded or with a
+//! bitmap index.
 
 #![warn(missing_docs)]
 

@@ -5,9 +5,9 @@
 //! counts only the payload, and the receiver checks it against its
 //! `max_frame_len` *before* allocating (servers default to the small
 //! [`sparcml_net::SERVER_MAX_FRAME_LEN`] cap). CONTRIBUTE, STATE and
-//! UPDATE payloads embed a stream wire-v3 frame verbatim, so the sparse
-//! slab codec — and all of its peer-untrusting validation — is reused
-//! unchanged.
+//! UPDATE payloads embed a stream wire-v4 frame verbatim — gap-coded or
+//! with a bitmap index, whichever is smaller — so the stream codec, and
+//! all of its peer-untrusting validation, is reused unchanged.
 //!
 //! ```text
 //! client → server                      server → client
@@ -116,14 +116,14 @@ pub enum Frame {
         /// Session name.
         session: String,
     },
-    /// One sparse contribution: a stream wire-v3 frame targeted at a
+    /// One sparse contribution: a stream wire-v4 frame targeted at a
     /// model, tagged with the client's sequence number for ACK matching.
     Contribute {
         /// Model id (index into the WELCOME table).
         model: u16,
         /// Client-chosen sequence number echoed in ACK/BUSY.
         seq: u64,
-        /// Stream wire-v3 frame bytes.
+        /// Stream wire-v4 frame bytes.
         payload: Vec<u8>,
     },
     /// Request the model's current merged state.
@@ -181,7 +181,7 @@ pub enum Frame {
         generation: u64,
         /// Contributions folded in so far.
         contributions: u64,
-        /// Stream wire-v3 frame bytes.
+        /// Stream wire-v4 frame bytes.
         payload: Vec<u8>,
     },
     /// Subscription push after an aggregation batch.
@@ -190,7 +190,7 @@ pub enum Frame {
         model: u16,
         /// Generation after the batch.
         generation: u64,
-        /// Stream wire-v3 frame bytes.
+        /// Stream wire-v4 frame bytes.
         payload: Vec<u8>,
     },
     /// Typed rejection; the session stays open unless the error is
@@ -674,6 +674,81 @@ mod tests {
             }
             other => panic!("expected Malformed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn mutated_state_and_update_frames_never_panic_the_decoder() {
+        use sparcml_stream::{random_sparse, SparseStream, XorShift64};
+        // A shard's state in each index coding: 2 % dense (gap-coded) and
+        // 40 % dense (bitmap-indexed).
+        let streams = [
+            random_sparse::<f32>(4096, 80, 1),
+            random_sparse::<f32>(4096, 1600, 2),
+        ];
+        let payloads = streams.each_ref().map(|s| s.encode().to_vec());
+        assert_eq!(
+            (payloads[0][3], payloads[1][3]),
+            (0, 2),
+            "representation tags"
+        );
+        let valid: Vec<Vec<u8>> = payloads
+            .iter()
+            .flat_map(|payload| {
+                [
+                    Frame::State {
+                        model: 1,
+                        generation: 9,
+                        contributions: 4,
+                        payload: payload.clone(),
+                    },
+                    Frame::Update {
+                        model: 1,
+                        generation: 10,
+                        payload: payload.clone(),
+                    },
+                ]
+            })
+            .map(|frame| {
+                let mut buf = Vec::new();
+                frame.encode_into(&mut buf);
+                buf
+            })
+            .collect();
+        let mut rng = XorShift64::new(0x5e4e);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..4000 {
+            // Mutate kind and payload; the length word is the framing's.
+            let mut bytes = valid[case % valid.len()][4..].to_vec();
+            match rng.next_u64() % 4 {
+                0 => bytes.truncate(rng.next_u64() as usize % (bytes.len() + 1)),
+                1 => bytes.extend((0..rng.next_u64() % 9).map(|_| rng.next_u64() as u8)),
+                _ => {}
+            }
+            for _ in 0..rng.next_u64() % 4 {
+                if !bytes.is_empty() {
+                    let at = rng.next_u64() as usize % bytes.len();
+                    bytes[at] ^= 1 << (rng.next_u64() % 8);
+                }
+            }
+            let Some((&kind, payload)) = bytes.split_first() else {
+                continue;
+            };
+            // Ok or a typed error, the frame and the stream it embeds; an
+            // embedded stream that decodes is the one frame encoding it.
+            let Ok(Frame::State { payload, .. } | Frame::Update { payload, .. }) =
+                Frame::decode(kind, payload)
+            else {
+                continue;
+            };
+            match SparseStream::<f32>::decode(&payload) {
+                Ok(s) => {
+                    assert_eq!(s.encode().as_ref(), &payload[..], "case {case}");
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
     }
 
     #[test]

@@ -10,23 +10,25 @@
 //! That is the paper's volume model and, here, the *in-memory* equality:
 //! the SoA payload really is a `u32` next to every value, and it is also
 //! about where a sparse merge stops being cheaper than a dense scatter.
-//! It is no longer the wire's equality. The frame gap-codes the index
-//! slab (see [`crate::SparseStream::encode`]), so near δ an entry travels
-//! in `isize + 1` bytes and the sparse frame stays the smaller one up to
-//! `nnz ≈ N · isize / (1 + isize)` — `0.8·N` for `f32`. The switch
-//! deliberately did not follow it there: past δ every merge would be a
+//! It is no longer the wire's equality. Past a density of 1/8 the frame
+//! indexes its entries with a bitmap (see [`crate::SparseStream::encode`]),
+//! so near δ an entry travels in `isize + 1/4` bytes and a sparse frame
+//! whose entries spread over all `N` slots stays the smaller one up to
+//! `nnz ≈ N · (1 − 1/(8·isize))` — `0.97·N` for `f32`. The switch
+//! deliberately did not follow the wire: past δ every merge would be a
 //! sparse merge charged where a dense scatter was, which costs more
 //! compute than the bytes buy back (pinned `SSAR_Recursive_double` at
 //! `P = 8`, `N = 2^20`, `k = 10^5` on the Aries model: 1 206 → 1 439
-//! virtual µs with δ moved to the wire's equality; `k = 3·10^5`: 3 390 →
-//! 2 908). Where that trade pays is a question for a density sweep, and
+//! virtual µs with δ moved to `0.8·N`, the equality of the gap-coded
+//! frame alone; `k = 3·10^5`: 3 390 → 2 908). Where that trade pays is a question for a density sweep, and
 //! [`DensityPolicy::factor`] is the lever it would turn.
 
 use crate::scalar::Scalar;
 
 /// Width in bytes of an index as stored in memory (`c` in the paper,
 /// which fixes indices to unsigned int, §8). On the wire an index is a
-/// gap varint, usually one byte.
+/// gap varint, usually one byte, or past a density of 1/8 a bit of a
+/// bitmap.
 pub const INDEX_BYTES: usize = 4;
 
 /// Policy controlling when summation switches a stream to the dense

@@ -21,7 +21,9 @@ use crate::error::StreamError;
 use crate::partition::PartRange;
 use crate::scalar::Scalar;
 use crate::stream::{Repr, SparseStream};
-use crate::wire::{begin_sparse_frame, write_gap_slab, BEFORE_FIRST};
+use crate::wire::{
+    begin_sparse_frame, bitmap_wins, gap_slab_len, put_bitmap_index, write_gap_slab, BEFORE_FIRST,
+};
 
 /// Slots per occupancy word, and occupancy words per summary word.
 const WORD_BITS: usize = u64::BITS as usize;
@@ -121,9 +123,11 @@ impl<V: Scalar> WindowSum<V> {
         scatter_checked(part, dim, range, |at, v| window[at] = window[at].add(v))
     }
 
-    /// Writes the sum as one sparse wire-v3 frame into `out` (cleared
-    /// first, capacity reused), straight from the bitmap: byte for byte
-    /// what [`SparseStream::encode`] writes for the drained stream.
+    /// Writes the sum as one sparse wire frame into `out` (cleared first,
+    /// capacity reused), straight from the bitmap: byte for byte what
+    /// [`SparseStream::encode`] writes for the drained stream. Where a
+    /// bitmap index wins, it is the occupancy words shifted to the first
+    /// entry.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         begin_sparse_frame::<V>(self.dim, self.len, out);
         let mut values = [V::zero(); WORD_BITS];
@@ -135,6 +139,24 @@ impl<V: Scalar> WindowSum<V> {
             }
             V::write_slab_le(&values[..n], out);
         }
+        let Some((first, last)) = self.ends() else {
+            return;
+        };
+        if bitmap_wins(self.len, first, last, || gap_slab_len(self.indices())) {
+            let start = (first - self.range.lo) as usize;
+            let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
+            put_bitmap_index(out, first, last, |words| {
+                for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
+                    let next = self
+                        .occupied
+                        .get(at + 1)
+                        .and_then(|w| w.checked_shl((WORD_BITS - shift) as u32));
+                    let bits = self.occupied[at] >> shift | next.unwrap_or(0);
+                    bytes.copy_from_slice(&bits.to_le_bytes());
+                }
+            });
+            return;
+        }
         let (mut prev, mut indices) = (BEFORE_FIRST, [0u32; WORD_BITS]);
         for word in set_bits(&self.summary) {
             let mut n = 0;
@@ -144,6 +166,23 @@ impl<V: Scalar> WindowSum<V> {
             }
             prev = write_gap_slab(prev, &indices[..n], out);
         }
+    }
+
+    /// The indices in the sum, in increasing order.
+    fn indices(&self) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.summary).flat_map(|word| {
+            set_bits_of(word, self.occupied[word]).map(|at| self.range.lo + at as u32)
+        })
+    }
+
+    /// The smallest and the largest index in the sum, if it has any.
+    fn ends(&self) -> Option<(u32, u32)> {
+        let first = set_bits(&self.summary).next()?;
+        let first = set_bits_of(first, self.occupied[first]).next()?;
+        let top = self.summary.iter().rposition(|&bits| bits != 0)?;
+        let last = top_bit(top, self.summary[top]);
+        let last = top_bit(last, self.occupied[last]);
+        Some((self.range.lo + first as u32, self.range.lo + last as u32))
     }
 
     /// Moves the sum into `indices` and `values` in increasing index order
@@ -252,6 +291,12 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
         .iter()
         .enumerate()
         .flat_map(|(word, &bits)| set_bits_of(word, bits))
+}
+
+/// Position of the highest set bit of `bits` (not zero), word `word` of a
+/// bitmap.
+fn top_bit(word: usize, bits: u64) -> usize {
+    word * WORD_BITS + (WORD_BITS - 1) - bits.leading_zeros() as usize
 }
 
 /// Positions of the set bits of `bits`, word `word` of a bitmap.
@@ -396,11 +441,18 @@ mod tests {
 
     #[test]
     fn the_frame_is_the_drained_stream_encoded() {
-        for (dim, p, rank, k) in [
-            (1 << 16, 8, 3, 2000),
-            (1 << 16, 8, 7, 60_000),
-            (1000, 3, 2, 40),
-            (1 << 22, 2, 1, 50),
+        // (dim, P, owner, entries per rank, the window's fill in percent):
+        // gap-coded at 1 %, bitmap-coded from 30 % up, and windows whose
+        // first entry sits anywhere in its occupancy word.
+        for (dim, p, rank, k, fill) in [
+            (1 << 16, 8, 5, 100, 1),
+            (1 << 16, 8, 5, 3_400, 30),
+            (1 << 16, 8, 6, 7_000, 55),
+            (1 << 16, 8, 1, 20_500, 93),
+            (1 << 16, 8, 7, 60_000, 100),
+            (1000, 3, 2, 40, 6),
+            (1000, 3, 1, 300, 52),
+            (1 << 22, 2, 1, 50, 0),
         ] {
             let range = partition_range(dim, p, rank);
             let mut sum = WindowSum::new(dim, range);
@@ -408,6 +460,8 @@ mod tests {
                 let part = crate::random_sparse::<f32>(dim, k, r).restrict(range.lo, range.hi);
                 sum.add(&part).unwrap();
             }
+            let percent = (100.0 * sum.len() as f64 / range.len() as f64).round();
+            assert_eq!(percent, fill as f64, "dim {dim} k {k}");
             let mut frame = Vec::new();
             sum.encode_into(&mut frame);
             let (got, _) = drained(&mut sum);

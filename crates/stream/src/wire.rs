@@ -1,33 +1,45 @@
-//! Wire encoding of sparse streams — frame layout **v3** (gap-coded
-//! index slab).
+//! Wire encoding of sparse streams — frame layout **v4** (gap-coded or
+//! bitmap index).
 //!
 //! Layout (all little-endian):
 //!
 //! ```text
 //! [0]        magic 0xSC (0xC5)
-//! [1]        format version (3)
+//! [1]        format version (4)
 //! [2]        value width in bytes (4 = f32, 8 = f64)
-//! [3]        representation tag: 0 = sparse, 1 = dense
+//! [3]        representation tag: 0 = sparse with gap bytes, 1 = dense,
+//!            2 = sparse with a bitmap index
 //! [4..12]    dim  (u64)
 //! [12..20]   nnz  (u64, sparse only; dense payload length is dim)
-//! payload    sparse: nnz × value slab, then the gap bytes to the end
-//!                    of the frame
-//!            dense:  dim × value slab
+//! payload    tag 0: nnz × value slab, then the gap bytes to the end of
+//!                   the frame
+//!            tag 1: dim × value slab
+//!            tag 2: nnz × value slab, then base (u64) and span (u64), then
+//!                   ⌈span / 8⌉ bitmap bytes
 //! ```
 //!
-//! The sparse index slab is *gap-coded*: the first index, then
+//! The gap-coded index slab holds the first index, then
 //! `index − previous − 1` for every later entry, each as an LEB128 varint
 //! (7 payload bits per byte, low bits first, high bit set on every byte
 //! but the last): one byte below 128, two below 16 384, at most five. The
 //! gap bytes run to the end of the frame, so the frame needs no length
 //! field for them and a trailer a schedule appends after the frame still
-//! splits off as `frame[..len − trailer]`. At every density where
-//! bandwidth matters the next index is less than 128 away, so a sparse
-//! entry costs `isize + 1` bytes instead of the `isize + 4` of a `u32`
-//! slab; [`expected_entry_bytes`] is that price as a function of density
-//! and [`SparseStream::encoded_len`] the exact size of one stream. The
-//! in-memory layout is untouched (`Vec<u32>` ∥ `Vec<V>`), and so is δ —
-//! see [`crate::DensityPolicy`].
+//! splits off as `frame[..len − trailer]`. Wherever the next index is less
+//! than 128 away a sparse entry costs `isize + 1` bytes instead of the
+//! `isize + 4` of a `u32` slab.
+//!
+//! Past a density of 1/8 one bit per slot is less than one byte per entry.
+//! The bitmap index covers the slots `[base, base + span)` from the first
+//! index to the last, bit `j` (bit `j % 8` of byte `j / 8`) standing for
+//! index `base + j`; its length follows from the span, so a trailer still
+//! splits off. The encoder takes the bitmap exactly when it is strictly
+//! smaller than the gap slab. A gap costs at least a byte and at most one
+//! more per 128 slots it skips, so lengths alone decide below a density of
+//! about 0.117 and above about 1/8; only in between is the gap slab
+//! measured. [`expected_entry_bytes`] is the price of an
+//! entry as a function of density and [`SparseStream::encoded_len`] the
+//! exact size of one stream. The in-memory layout is untouched
+//! (`Vec<u32>` ∥ `Vec<V>`), and so is δ — see [`crate::DensityPolicy`].
 //!
 //! The value slab stays one contiguous little-endian block (a `memcpy` on
 //! little-endian targets). The representation tag is the paper's "extra
@@ -36,11 +48,15 @@
 //!
 //! Decoding never trusts the peer. The declared entry count is checked
 //! against the bytes that remain before anything is allocated, and the
-//! indices are valid by construction: a gap cannot step backwards, every
-//! varint ends within five bytes, the running index stays below `dim`, and
-//! the gap bytes must be consumed exactly. Every failure is a typed
-//! [`StreamError`]; a frame of any other version — v2's `u32` slab
-//! included — is a [`StreamError::VersionMismatch`].
+//! indices are valid by construction. A gap cannot step backwards, every
+//! varint is as short as its value allows and ends within five bytes, the
+//! running index stays below `dim`, and the gap bytes must be consumed
+//! exactly. A bitmap must lie inside `dim`, fill the frame exactly, hold
+//! `nnz` set bits with the first and last bit of its span set and none
+//! past it. Each support then has one encoding: a frame in the coding the
+//! encoder would not have picked is rejected too. Every failure is a typed
+//! [`StreamError`]; a frame of any other version — v3, which had no bitmap
+//! index, included — is a [`StreamError::VersionMismatch`].
 
 use std::marker::PhantomData;
 
@@ -52,10 +68,11 @@ use crate::soa::{SparseVec, SparseView};
 use crate::stream::{Repr, SparseStream};
 
 const MAGIC: u8 = 0xC5;
-/// Current wire format version (gap-coded index slab).
-pub const WIRE_VERSION: u8 = 3;
+/// Current wire format version (gap-coded or bitmap index).
+pub const WIRE_VERSION: u8 = 4;
 const TAG_SPARSE: u8 = 0;
 const TAG_DENSE: u8 = 1;
+const TAG_BITMAP: u8 = 2;
 
 const HEADER_LEN: usize = 12;
 const SPARSE_HEADER_LEN: usize = 20;
@@ -75,20 +92,21 @@ const MAX_GAP_BYTES: usize = 5;
 /// The continuation bit of each byte of an 8-byte word.
 const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
 
-/// Expected wire bytes of one sparse entry — its value plus its gap
-/// varint — in a stream whose support is uniform with the given `density`
-/// (`nnz / dim`): gaps are then geometric, `P(gap ≥ g) = (1 − d)^g`, and a
-/// varint grows by one byte at each of 2^7, 2^14, 2^21 and 2^28. This is
-/// what the cost model prices a pair at; the exact size of a given stream
-/// is [`SparseStream::encoded_len`].
+/// Expected wire bytes of one sparse entry — its value plus its index —
+/// in a stream whose support is uniform with the given `density`
+/// (`nnz / dim`): the smaller of its gap varint and its share of a bitmap,
+/// `1 / (8·density)` bytes. Gaps are geometric, `P(gap ≥ g) = (1 − d)^g`,
+/// and a varint grows by one byte at each of 2^7, 2^14, 2^21 and 2^28.
+/// This is what the cost model prices a pair at; the exact size of a given
+/// stream is [`SparseStream::encoded_len`].
 pub fn expected_entry_bytes(value_bytes: usize, density: f64) -> f64 {
-    let miss = 1.0 - density.clamp(0.0, 1.0);
+    let density = density.clamp(0.0, 1.0);
     let gap_bytes: f64 = 1.0
         + [7, 14, 21, 28]
-            .map(|bits| miss.powi(1 << bits))
+            .map(|bits| (1.0 - density).powi(1 << bits))
             .iter()
             .sum::<f64>();
-    value_bytes as f64 + gap_bytes
+    value_bytes as f64 + gap_bytes.min(1.0 / (8.0 * density))
 }
 
 /// "Previous index" of the first entry: one before zero, so that the first
@@ -185,8 +203,9 @@ pub(crate) fn write_gap_slab(prev: u32, indices: &[u32], out: &mut Vec<u8>) -> u
 }
 
 /// Decodes exactly `indices.len()` gap-coded indices from `slab`, which
-/// must hold nothing else, into `indices`. `frame_len` only labels a
-/// truncation error.
+/// must hold nothing else, into `indices`, and checks that a bitmap index
+/// would not have been smaller. `frame_len` only labels a truncation
+/// error.
 fn read_gap_slab_into(
     slab: &[u8],
     indices: &mut [u32],
@@ -234,6 +253,11 @@ fn read_gap_slab_into(
             pos += 1;
             gap |= ((byte & 0x7F) as u64) << (7 * byte_no);
             if byte & 0x80 == 0 {
+                if byte == 0 && byte_no > 0 {
+                    return Err(StreamError::Corrupt(
+                        "index gap varint longer than its value",
+                    ));
+                }
                 break;
             }
             if byte_no + 1 == MAX_GAP_BYTES {
@@ -252,6 +276,210 @@ fn read_gap_slab_into(
     if pos != slab.len() {
         return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
     }
+    if let (Some(&first), Some(&last)) = (indices.first(), indices.last()) {
+        if bitmap_wins(nnz, first, last, || slab.len()) {
+            return Err(StreamError::Corrupt(
+                "gap slab where a bitmap index is smaller",
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Exact length of the gap slab of a strictly increasing index slab.
+pub(crate) fn gap_slab_len(indices: impl IntoIterator<Item = u32>) -> usize {
+    let mut prev = BEFORE_FIRST;
+    indices
+        .into_iter()
+        .map(|idx| gap_len(gap_after(std::mem::replace(&mut prev, idx), idx)))
+        .sum()
+}
+
+/// Bytes ahead of a bitmap index's bits: its base and its span.
+const BITMAP_HEADER_LEN: usize = 16;
+
+/// Slots of the bitmap index of a support from `first` to `last`.
+#[inline]
+fn bitmap_span(first: u32, last: u32) -> usize {
+    (last - first) as usize + 1
+}
+
+/// Bytes of the bitmap index of a support from `first` to `last`.
+#[inline]
+fn bitmap_len(first: u32, last: u32) -> usize {
+    BITMAP_HEADER_LEN + bitmap_span(first, last).div_ceil(8)
+}
+
+/// Whether the `nnz` indices from `first` to `last` travel with a bitmap
+/// index: exactly when it is strictly smaller than their gap slab, whose
+/// length `gap_slab` measures — asked for only where the lengths cannot
+/// decide on their own. The encoder's choice and the decoder's check.
+pub(crate) fn bitmap_wins(
+    nnz: usize,
+    first: u32,
+    last: u32,
+    gap_slab: impl FnOnce() -> usize,
+) -> bool {
+    let bitmap = bitmap_len(first, last);
+    // Every gap takes a byte, so a bitmap shorter than `nnz` wins…
+    if bitmap < nnz {
+        return true;
+    }
+    // …and the slab takes at most `nnz` bytes plus 4 more for the first
+    // index and one more per 128 slots of the span for the rest (a gap of
+    // g ≥ 128 takes at most `1 + (g + 1) / 128` bytes), so a bitmap that
+    // long loses.
+    if nnz + 4 + (bitmap_span(first, last) - 1) / 128 <= bitmap {
+        return false;
+    }
+    bitmap < gap_slab()
+}
+
+/// Turns the sparse frame `out` holds, header and value slab written, into
+/// one with a bitmap index over `[first, last]`: sets its tag and appends
+/// base, span and the bitmap. `fill` sets its bits in a zeroed run of
+/// whole little-endian 64-slot words — slot `j` is bit `j % 64` of word
+/// `j / 64` — of which the bytes the span covers are kept.
+pub(crate) fn put_bitmap_index(
+    out: &mut Vec<u8>,
+    first: u32,
+    last: u32,
+    fill: impl FnOnce(&mut [u8]),
+) {
+    let span = bitmap_span(first, last);
+    out[3] = TAG_BITMAP;
+    out.extend_from_slice(&(first as u64).to_le_bytes());
+    out.extend_from_slice(&(span as u64).to_le_bytes());
+    let at = out.len();
+    out.resize(at + 8 * span.div_ceil(64), 0);
+    fill(&mut out[at..]);
+    out.truncate(at + span.div_ceil(8));
+}
+
+/// Appends the index of a strictly increasing index slab to a sparse frame
+/// whose header and value slab `out` holds: a bitmap where it is strictly
+/// smaller, else the gap slab.
+fn write_index(indices: &[u32], out: &mut Vec<u8>) {
+    match (indices.first(), indices.last()) {
+        (Some(&first), Some(&last))
+            if bitmap_wins(indices.len(), first, last, || {
+                gap_slab_len(indices.iter().copied())
+            }) =>
+        {
+            put_bitmap_index(out, first, last, |words| {
+                // A word is built in a register and stored whole after
+                // every entry: no branch on where a word ends, and no
+                // store read back.
+                let (mut word, mut bits) = (0, 0u64);
+                for &idx in indices {
+                    let slot = (idx - first) as usize;
+                    bits = if slot / 64 == word { bits } else { 0 } | 1 << (slot % 64);
+                    word = slot / 64;
+                    words[8 * word..8 * word + 8].copy_from_slice(&bits.to_le_bytes());
+                }
+            });
+        }
+        _ => {
+            write_gap_slab(BEFORE_FIRST, indices, out);
+        }
+    }
+}
+
+/// The positions of the set bits of every byte value, lowest first, the
+/// rest of the eight zero.
+const BYTE_BITS: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut bit, mut found) = (0, 0);
+        while bit < 8 {
+            if byte & 1 << bit != 0 {
+                table[byte][found] = bit as u8;
+                found += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Writes the index of every set bit of a bitmap index based at `base`
+/// into `indices`, in increasing order: one per set bit, exactly as many
+/// as `indices` holds.
+fn read_bitmap_into(base: u32, bits: &[u8], indices: &mut [u32]) {
+    let mut n = 0;
+    for (byte, &set) in bits.iter().enumerate() {
+        let at = base.wrapping_add(8 * byte as u32);
+        let offsets = &BYTE_BITS[set as usize];
+        let found = set.count_ones() as usize;
+        // All eight go out, branch-free, wherever the slab has room for
+        // them; the entries after this byte's then overwrite the extra.
+        if n + 8 <= indices.len() {
+            let slots: &mut [u32; 8] = (&mut indices[n..n + 8]).try_into().expect("eight slots");
+            for (slot, &bit) in slots.iter_mut().zip(offsets) {
+                *slot = at.wrapping_add(bit as u32);
+            }
+        } else {
+            for (slot, &bit) in indices[n..n + found].iter_mut().zip(offsets) {
+                *slot = at + bit as u32;
+            }
+        }
+        n += found;
+    }
+}
+
+/// Checks the bitmap index `bits`, of `span` slots from `base`, against a
+/// frame of `nnz` entries in dimension `dim` (see the module docs).
+fn check_bitmap(
+    nnz: usize,
+    dim: usize,
+    base: u64,
+    span: u64,
+    bits: &[u8],
+) -> Result<(), StreamError> {
+    if span == 0 {
+        return Err(StreamError::Corrupt("empty bitmap index"));
+    }
+    let end = base
+        .checked_add(span)
+        .ok_or(StreamError::Corrupt("bitmap index overflows"))?;
+    if end > dim as u64 || end > 1 << 32 {
+        return Err(StreamError::Corrupt("bitmap index runs past the dimension"));
+    }
+    let ones: usize = bits.iter().map(|byte| byte.count_ones() as usize).sum();
+    if ones != nnz {
+        return Err(StreamError::Corrupt(
+            "bitmap index holds another entry count",
+        ));
+    }
+    let last = span as usize - 1;
+    let (lead, tail) = (bits[0], bits[last / 8]);
+    if lead & 1 == 0 || tail & (1 << (last % 8)) == 0 {
+        return Err(StreamError::Corrupt(
+            "bitmap index does not start and end on an entry",
+        ));
+    }
+    if tail >> (last % 8) > 1 {
+        return Err(StreamError::Corrupt("bitmap index sets bits past its span"));
+    }
+    let (first, last) = (base as u32, (end - 1) as u32);
+    let gap_slab = || {
+        let (mut prev, mut len) = (BEFORE_FIRST, 0);
+        for (byte, &set) in bits.iter().enumerate() {
+            for &bit in &BYTE_BITS[set as usize][..set.count_ones() as usize] {
+                let idx = first + 8 * byte as u32 + bit as u32;
+                len += gap_len(gap_after(prev, idx));
+                prev = idx;
+            }
+        }
+        len
+    };
+    if !bitmap_wins(nnz, first, last, gap_slab) {
+        return Err(StreamError::Corrupt(
+            "bitmap index where the gap slab is no larger",
+        ));
+    }
     Ok(())
 }
 
@@ -264,7 +492,7 @@ fn put_header(out: &mut Vec<u8>, width: u8, tag: u8, dim: usize) {
 }
 
 /// Clears `out` and writes the 20-byte header of a sparse frame of `nnz`
-/// entries; the value slab and then the gap slab follow.
+/// entries; the value slab and then the index follow.
 pub(crate) fn begin_sparse_frame<V: Scalar>(dim: usize, nnz: usize, out: &mut Vec<u8>) {
     out.clear();
     out.reserve(SPARSE_HEADER_LEN + nnz * (V::BYTES + 1));
@@ -304,7 +532,7 @@ impl<V: Scalar> SparseStream<V> {
     pub fn encode_sparse_slice_into(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
         begin_sparse_frame::<V>(dim, view.len(), out);
         V::write_slab_le(view.values(), out);
-        write_gap_slab(BEFORE_FIRST, view.indices(), out);
+        write_index(view.indices(), out);
     }
 
     /// Encodes a dense value block as a full wire frame with
@@ -322,13 +550,13 @@ impl<V: Scalar> SparseStream<V> {
     pub fn encoded_len(&self) -> usize {
         match self.repr() {
             Repr::Sparse(sv) => {
-                let mut prev = BEFORE_FIRST;
-                let mut gap_bytes = 0;
-                for &idx in sv.indices() {
-                    gap_bytes += gap_len(gap_after(prev, idx));
-                    prev = idx;
-                }
-                SPARSE_HEADER_LEN + sv.len() * V::BYTES + gap_bytes
+                let indices = sv.indices();
+                let gap_bytes = gap_slab_len(indices.iter().copied());
+                let index_bytes = match (indices.first(), indices.last()) {
+                    (Some(&first), Some(&last)) => gap_bytes.min(bitmap_len(first, last)),
+                    _ => gap_bytes,
+                };
+                SPARSE_HEADER_LEN + sv.len() * V::BYTES + index_bytes
             }
             Repr::Dense(_) => HEADER_LEN + self.dim() * V::BYTES,
         }
@@ -339,9 +567,10 @@ impl<V: Scalar> SparseStream<V> {
     ///
     /// The frame is fully validated before a stream is built: header
     /// magic/version/width, payload length against the declared counts
-    /// (before any allocation), and — for sparse frames — a gap slab that
+    /// (before any allocation), and — for sparse frames — an index that
     /// decodes to exactly `nnz` in-bounds indices with nothing left over
-    /// (strictly increasing by construction). Malformed frames yield typed
+    /// (strictly increasing by construction), in the coding the encoder
+    /// picks for them. Malformed frames yield typed
     /// [`StreamError`]s; a peer can never hand us a stream that violates
     /// the invariants.
     pub fn decode(bytes: &[u8]) -> Result<Self, StreamError> {
@@ -349,7 +578,7 @@ impl<V: Scalar> SparseStream<V> {
         let mut values = vec![V::zero(); frame.stored_len()];
         let mut stream = SparseStream::zeros(frame.dim);
         match frame.body {
-            Body::Sparse { .. } => {
+            Body::Sparse { .. } | Body::Bitmap { .. } => {
                 let mut indices = vec![0u32; values.len()];
                 frame.read_sparse_into(&mut indices, &mut values)?;
                 stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
@@ -363,13 +592,20 @@ impl<V: Scalar> SparseStream<V> {
     }
 }
 
-/// The payload of a [`WireFrame`], its lengths already checked.
+/// The payload of a [`WireFrame`], its lengths already checked — and a
+/// bitmap index all of it.
 #[derive(Debug, Clone, Copy)]
 enum Body<'a> {
     Sparse {
         nnz: usize,
         values: &'a [u8],
         gaps: &'a [u8],
+    },
+    Bitmap {
+        nnz: usize,
+        values: &'a [u8],
+        base: u32,
+        bits: &'a [u8],
     },
     Dense {
         values: &'a [u8],
@@ -392,10 +628,53 @@ pub struct WireFrame<'a, V: Scalar> {
     value: PhantomData<V>,
 }
 
+/// The body of a bitmap-indexed frame of `nnz` entries in a `dim`-dim
+/// space, from `buf`, the `frame_len`-byte frame's bytes after its sparse
+/// header: the value slab, base and span, and exactly the bitmap bytes the
+/// span needs, which [`check_bitmap`] then checks.
+fn bitmap_body<V: Scalar>(
+    nnz: usize,
+    dim: usize,
+    buf: &[u8],
+    frame_len: usize,
+) -> Result<Body<'_>, StreamError> {
+    let head = nnz
+        .checked_mul(V::BYTES)
+        .and_then(|values| values.checked_add(BITMAP_HEADER_LEN))
+        .ok_or(StreamError::Corrupt("payload length overflow"))?;
+    if buf.len() < head {
+        return Err(StreamError::Truncated {
+            needed: SPARSE_HEADER_LEN.saturating_add(head),
+            got: frame_len,
+        });
+    }
+    let (values, mut rest) = buf.split_at(head - BITMAP_HEADER_LEN);
+    let (base, span) = (rest.get_u64_le(), rest.get_u64_le());
+    let bytes = span.div_ceil(8);
+    if (rest.len() as u64) < bytes {
+        return Err(StreamError::Truncated {
+            needed: (frame_len - rest.len()).saturating_add(bytes as usize),
+            got: frame_len,
+        });
+    }
+    if rest.len() as u64 > bytes {
+        return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
+    }
+    check_bitmap(nnz, dim, base, span, rest)?;
+    Ok(Body::Bitmap {
+        nnz,
+        values,
+        base: base as u32,
+        bits: rest,
+    })
+}
+
 impl<'a, V: Scalar> WireFrame<'a, V> {
     /// Checks `bytes` as one frame: magic, version, value width,
     /// representation tag, and payload length against the declared counts
-    /// (a sparse entry is a value and one to five gap bytes).
+    /// (a sparse entry is a value and one to five gap bytes, or a value
+    /// and its bit of a bitmap the span sizes). A bitmap index is checked
+    /// in full.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, StreamError> {
         let mut buf = bytes;
         if buf.remaining() < HEADER_LEN {
@@ -425,7 +704,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         let dim = buf.get_u64_le();
         let dim = usize::try_from(dim).map_err(|_| StreamError::Corrupt("dimension overflow"))?;
         let body = match tag {
-            TAG_SPARSE => {
+            TAG_SPARSE | TAG_BITMAP => {
                 if buf.remaining() < 8 {
                     return Err(StreamError::Truncated {
                         needed: SPARSE_HEADER_LEN,
@@ -438,22 +717,26 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
                 if nnz > dim {
                     return Err(StreamError::Corrupt("entry count exceeds dimension"));
                 }
-                // Every entry is a value and at least one gap byte, at
-                // most five: both ends are checked on lengths alone.
-                let shortest = nnz
-                    .checked_mul(V::BYTES + 1)
-                    .ok_or(StreamError::Corrupt("payload length overflow"))?;
-                if buf.remaining() < shortest {
-                    return Err(StreamError::Truncated {
-                        needed: SPARSE_HEADER_LEN + shortest,
-                        got: bytes.len(),
-                    });
+                if tag == TAG_BITMAP {
+                    bitmap_body::<V>(nnz, dim, buf, bytes.len())?
+                } else {
+                    // Every entry is a value and at least one gap byte, at
+                    // most five: both ends are checked on lengths alone.
+                    let shortest = nnz
+                        .checked_mul(V::BYTES + 1)
+                        .ok_or(StreamError::Corrupt("payload length overflow"))?;
+                    if buf.remaining() < shortest {
+                        return Err(StreamError::Truncated {
+                            needed: SPARSE_HEADER_LEN + shortest,
+                            got: bytes.len(),
+                        });
+                    }
+                    if buf.remaining() - shortest > nnz * (MAX_GAP_BYTES - 1) {
+                        return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
+                    }
+                    let (values, gaps) = buf.split_at(nnz * V::BYTES);
+                    Body::Sparse { nnz, values, gaps }
                 }
-                if buf.remaining() - shortest > nnz * (MAX_GAP_BYTES - 1) {
-                    return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
-                }
-                let (values, gaps) = buf.split_at(nnz * V::BYTES);
-                Body::Sparse { nnz, values, gaps }
             }
             TAG_DENSE => {
                 let payload = dim
@@ -494,7 +777,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
     /// dense — already covered by the frame's bytes.
     pub fn stored_len(&self) -> usize {
         match self.body {
-            Body::Sparse { nnz, .. } => nnz,
+            Body::Sparse { nnz, .. } | Body::Bitmap { nnz, .. } => nnz,
             Body::Dense { .. } => self.dim,
         }
     }
@@ -508,11 +791,16 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         indices: &mut [u32],
         values: &mut [V],
     ) -> Result<(), StreamError> {
-        let Body::Sparse {
+        let (Body::Sparse {
             nnz,
             values: value_slab,
-            gaps,
-        } = self.body
+            ..
+        }
+        | Body::Bitmap {
+            nnz,
+            values: value_slab,
+            ..
+        }) = self.body
         else {
             return Err(StreamError::Corrupt("expected a sparse frame"));
         };
@@ -522,7 +810,16 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
                 values: values.len(),
             });
         }
-        read_gap_slab_into(gaps, indices, self.dim, self.frame_len)?;
+        match self.body {
+            Body::Sparse { gaps, .. } => {
+                read_gap_slab_into(gaps, indices, self.dim, self.frame_len)?;
+            }
+            // The parse checked the bitmap: `nnz` bits, all below `dim`.
+            Body::Bitmap { base, bits, .. } => {
+                read_bitmap_into(base, bits, indices);
+            }
+            Body::Dense { .. } => unreachable!("matched above"),
+        }
         V::read_slab_le_into(value_slab, values);
         Ok(())
     }
@@ -589,7 +886,7 @@ mod tests {
             SparseStream::from_pairs(1000, &[(1, 1.0f32), (2, 2.0), (7, 3.0), (300, 4.0)]).unwrap();
         let bytes = v.encode();
         assert_eq!(bytes[1], WIRE_VERSION);
-        assert_eq!(WIRE_VERSION, 3);
+        assert_eq!(WIRE_VERSION, 4);
         let val_slab = &bytes[SPARSE_HEADER_LEN..SPARSE_HEADER_LEN + 16];
         assert_eq!(f32::read_slab_le(val_slab), vec![1.0, 2.0, 3.0, 4.0]);
         // First index 1, then 2−1−1 = 0, 7−2−1 = 4, 300−7−1 = 292 = 0x124
@@ -630,11 +927,12 @@ mod tests {
         round_trip(&SparseStream::from_pairs(dim, &[(dim as u32 - 1, 1.0f64)]).unwrap());
         // The largest index a stream can hold, in the largest dimension.
         round_trip(&SparseStream::from_pairs(1 << 32, &[(u32::MAX, 1.0f32)]).unwrap());
-        // Full density in sparse form: every gap is zero.
+        // Full density in sparse form: a bitmap of all ones, base and span
+        // ahead of it.
         let full: Vec<(u32, f32)> = (0..dim as u32).map(|i| (i, i as f32)).collect();
         let full = SparseStream::from_pairs(dim, &full).unwrap();
         assert!(full.is_sparse());
-        assert_eq!(round_trip(&full).len(), 20 + dim * 5);
+        assert_eq!(round_trip(&full).len(), 20 + dim * 4 + 16 + dim / 8);
         // Mixed runs: single-byte stretches (the 8-at-a-time path) broken
         // by multi-byte gaps at every alignment, f32 and f64.
         for seed in 0..32 {
@@ -750,8 +1048,13 @@ mod tests {
 
     #[test]
     fn expected_entry_bytes_follows_the_varint_boundaries() {
-        assert_eq!(expected_entry_bytes(4, 1.0), 5.0);
+        // A full support is a bitmap of one bit an entry.
+        assert_eq!(expected_entry_bytes(4, 1.0), 4.125);
         assert_eq!(expected_entry_bytes(8, 0.0), 13.0);
+        // Past 1/8 the bitmap's 1/(8d) undercuts the one gap byte.
+        assert_eq!(expected_entry_bytes(4, 0.125), 5.0);
+        assert_eq!(expected_entry_bytes(4, 0.25), 4.5);
+        assert!((expected_entry_bytes(4, 0.55) - (4.0 + 1.0 / 4.4)).abs() < 1e-12);
         // Mean gap 100: mostly one byte, (0.99)^128 of the time two.
         let e = expected_entry_bytes(4, 0.01);
         assert!((e - (5.0 + 0.99f64.powi(128))).abs() < 1e-9, "{e}");
@@ -794,13 +1097,13 @@ mod tests {
     #[test]
     fn decode_rejects_other_versions() {
         let v = SparseStream::from_pairs(10, &[(1, 1.0f32)]).unwrap();
-        for old in [1u8, 2] {
+        for old in [1u8, 2, 3] {
             let mut bytes = v.encode().to_vec();
             bytes[1] = old;
             assert_eq!(
                 SparseStream::<f32>::decode(&bytes).unwrap_err(),
                 StreamError::VersionMismatch {
-                    expected: 3,
+                    expected: 4,
                     actual: old
                 }
             );
@@ -815,10 +1118,12 @@ mod tests {
         let frame = raw_frame(10, 3, &[4, 0, 0]);
         let v = SparseStream::<f32>::decode(&frame).unwrap();
         assert_eq!(v.sparse_view().unwrap().indices(), &[4, 5, 6]);
-        // A varint padded with a zero continuation group decodes to the
-        // same gap — still forwards.
-        let frame = raw_frame(10, 2, &[0x81, 0x00, 0x02]);
-        let v = SparseStream::<f32>::decode(&frame).unwrap();
+        // A varint padded with a zero continuation group would decode to
+        // the same gap, so it is a second encoding of one support: the
+        // decoder takes only the shortest.
+        let err = SparseStream::<f32>::decode(&raw_frame(10, 2, &[0x81, 0x00, 0x02]));
+        assert!(matches!(err, Err(StreamError::Corrupt(_))), "{err:?}");
+        let v = SparseStream::<f32>::decode(&raw_frame(10, 2, &[0x01, 0x02])).unwrap();
         assert_eq!(v.sparse_view().unwrap().indices(), &[1, 4]);
     }
 
@@ -921,6 +1226,159 @@ mod tests {
         }
     }
 
+    /// A sparse f32 frame with a bitmap index, built by hand.
+    fn raw_bitmap_frame(dim: u64, nnz: u64, base: u64, span: u64, bits: &[u8]) -> Vec<u8> {
+        let mut out = raw_frame(dim, nnz, &[]);
+        out[3] = TAG_BITMAP;
+        out.extend_from_slice(&base.to_le_bytes());
+        out.extend_from_slice(&span.to_le_bytes());
+        out.extend_from_slice(bits);
+        out
+    }
+
+    #[test]
+    fn frame_layout_of_a_bitmap_index() {
+        // Every other slot of [200, 259): 30 entries in a 59-slot span.
+        let pairs: Vec<(u32, f32)> = (0..30).map(|i| (200 + 2 * i, i as f32)).collect();
+        let v = SparseStream::from_pairs(1000, &pairs).unwrap();
+        let bytes = round_trip(&v);
+        assert_eq!(bytes[3], TAG_BITMAP);
+        let index = &bytes[SPARSE_HEADER_LEN + 30 * 4..];
+        assert_eq!(&index[..8], &200u64.to_le_bytes());
+        assert_eq!(&index[8..16], &59u64.to_le_bytes());
+        // Bits 0, 2, …, 58, low bit first: seven bytes of 0b0101_0101
+        // and bits 56 and 58 in the eighth.
+        assert_eq!(
+            &index[16..],
+            &[0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x05]
+        );
+        // 24 index bytes against 30 gap bytes.
+        assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 30 * 4 + 24);
+        assert_eq!(
+            bytes.as_ref(),
+            raw_bitmap_frame(1000, 30, 200, 59, &index[16..])
+        );
+    }
+
+    #[test]
+    fn the_index_is_the_smaller_coding_at_every_density() {
+        // Exactly the shorter of the two, ties to the gap slab.
+        let check = |v: &SparseStream<f32>| {
+            let bytes = round_trip(v);
+            let view = v.sparse_view().unwrap();
+            let gaps = gap_slab_len(view.indices().iter().copied());
+            let index = match (view.indices().first(), view.indices().last()) {
+                (Some(&first), Some(&last)) => gaps.min(bitmap_len(first, last)),
+                _ => gaps,
+            };
+            assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 4 * v.nnz() + index);
+            assert_eq!(bytes[3] == TAG_BITMAP, index < gaps);
+        };
+        for nnz in (0..=4096).step_by(97) {
+            check(&random_sparse::<f32>(4096, nnz, nnz as u64));
+        }
+        // Where the lengths alone cannot decide: every gap 0 or 128, so
+        // the gap slab is a byte an entry and one more per long gap.
+        let support = |long: u32, short_per_long: u32| {
+            let mut at = 0u32;
+            let mut pairs = vec![(at, 1.0f32)];
+            for _ in 0..long {
+                for _ in 0..short_per_long {
+                    at += 1;
+                    pairs.push((at, 1.0));
+                }
+                at += 129;
+                pairs.push((at, 1.0));
+            }
+            SparseStream::from_pairs(1 << 20, &pairs).unwrap()
+        };
+        // 100 long gaps and 1 700 short: 1 801 entries, a 1 901-byte gap
+        // slab and a 1 842-byte bitmap index.
+        let v = support(100, 17);
+        assert_eq!((v.nnz(), bitmap_len(0, 14_600)), (1_801, 1_842));
+        check(&v);
+        assert_eq!(v.encode()[3], TAG_BITMAP);
+        // 2 000 long gaps and 16 short ones to each: 34 001 entries, a
+        // 36 001-byte gap slab and a 36 267-byte bitmap index.
+        let v = support(2_000, 16);
+        assert_eq!((v.nnz(), bitmap_len(0, 290_000)), (34_001, 36_267));
+        check(&v);
+        assert_eq!(v.encode()[3], TAG_SPARSE);
+        // Its bitmap form is the longer coding, which only the measured
+        // gap slab shows: the decoder rejects it.
+        let mut bits = vec![0u8; 290_001usize.div_ceil(8)];
+        for &idx in v.sparse_view().unwrap().indices() {
+            bits[idx as usize / 8] |= 1 << (idx % 8);
+        }
+        let frame = raw_bitmap_frame(1 << 20, 34_001, 0, 290_001, &bits);
+        assert_eq!(
+            SparseStream::<f32>::decode(&frame),
+            Err(StreamError::Corrupt(
+                "bitmap index where the gap slab is no larger"
+            ))
+        );
+    }
+
+    #[test]
+    fn hostile_bitmap_frames_are_typed_errors() {
+        // 40 entries in the 40 slots from 100: the frame the encoder
+        // writes for them is the first one here.
+        let full = [0xFF; 5];
+        let honest = raw_bitmap_frame(1000, 40, 100, 40, &full);
+        let v = SparseStream::<f32>::decode(&honest).unwrap();
+        assert_eq!(v.encode().as_ref(), &honest[..]);
+        let corrupt = |what: &str, frame: Vec<u8>| {
+            let err = SparseStream::<f32>::decode(&frame).unwrap_err();
+            assert!(matches!(err, StreamError::Corrupt(_)), "{what}: {err:?}");
+        };
+        corrupt("an empty span", raw_bitmap_frame(1000, 40, 100, 0, &[]));
+        corrupt("past dim", raw_bitmap_frame(130, 40, 100, 40, &full));
+        let huge = raw_bitmap_frame(u64::MAX, 40, u64::MAX - 4, 40, &full);
+        corrupt("base + span overflowing", huge);
+        let wide = raw_bitmap_frame(1 << 40, 40, (1 << 32) - 8, 40, &full);
+        corrupt("past the u32 index range", wide);
+        let short = [0xFF, 0xFF, 0xFB, 0xFF, 0xFF];
+        corrupt("one bit short", raw_bitmap_frame(1000, 40, 100, 40, &short));
+        corrupt("one bit over", raw_bitmap_frame(1000, 39, 100, 40, &full));
+        let first_clear = [0xFE, 0xFF, 0xFF, 0xFF, 0xFF];
+        corrupt(
+            "first bit clear",
+            raw_bitmap_frame(1000, 39, 100, 40, &first_clear),
+        );
+        let last_clear = [0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
+        corrupt(
+            "last bit clear",
+            raw_bitmap_frame(1000, 39, 100, 40, &last_clear),
+        );
+        corrupt(
+            "a bit past the span",
+            raw_bitmap_frame(1000, 40, 100, 39, &full),
+        );
+        let mut trailing = honest.clone();
+        trailing.push(0);
+        corrupt("trailing bytes", trailing);
+        // A bitmap no shorter than the gap slab: 12 bytes of gaps for 12
+        // entries in 20 slots, 19 bytes of bitmap index.
+        corrupt(
+            "the longer coding",
+            raw_bitmap_frame(1000, 12, 100, 20, &[0xFF, 0x07, 0x08]),
+        );
+        // And a gap slab the bitmap undercuts: 30 one-byte gaps against
+        // 20 bytes of index.
+        corrupt("a gap slab", raw_frame(1000, 30, &[0; 30]));
+        // Every proper prefix is a truncation.
+        for cut in 0..honest.len() {
+            let err = SparseStream::<f32>::decode(&honest[..cut]).unwrap_err();
+            assert!(
+                matches!(err, StreamError::Truncated { .. }),
+                "cut {cut}: {err:?}"
+            );
+        }
+        // A span too wide for the frame truncates before anything is read.
+        let err = SparseStream::<f32>::decode(&raw_bitmap_frame(1000, 12, 0, 1 << 40, &[1]));
+        assert!(matches!(err, Err(StreamError::Truncated { .. })), "{err:?}");
+    }
+
     #[test]
     fn mutated_frames_never_panic_the_decoder() {
         let valid = [
@@ -935,9 +1393,23 @@ mod tests {
                 .to_vec(),
             SparseStream::<f32>::zeros(64).encode().to_vec(),
             SparseStream::from_dense(vec![1.0f32; 16]).encode().to_vec(),
+            // Bitmap-coded: 30 % and 55 % dense, and full at the top of
+            // the index space.
+            random_sparse::<f32>(512, 154, 7).encode().to_vec(),
+            random_sparse::<f32>(300, 165, 8).encode().to_vec(),
+            SparseStream::from_slabs(
+                1 << 32,
+                (u32::MAX - 39..=u32::MAX).collect(),
+                vec![1.0f32; 40],
+            )
+            .unwrap()
+            .encode()
+            .to_vec(),
         ];
+        assert!(valid[5..].iter().all(|frame| frame[3] == TAG_BITMAP));
         let check = |bytes: &[u8]| {
-            // Ok or a typed error — and an Ok upholds the invariants.
+            // Ok or a typed error — and an Ok upholds the invariants and
+            // is the one encoding of what it decoded to.
             if let Ok(v) = SparseStream::<f32>::decode(bytes) {
                 if let Some(view) = v.sparse_view() {
                     assert!(view.indices().windows(2).all(|w| w[0] < w[1]));
@@ -946,6 +1418,7 @@ mod tests {
                         .last()
                         .is_none_or(|&i| (i as usize) < v.dim()));
                 }
+                assert_eq!(v.encode().as_ref(), bytes);
             }
         };
         let mut cases = 0;

@@ -638,15 +638,28 @@ fn selector_prices_pairs_as_the_wire_weighs_them() {
         assert!(best.contains(&pick), "P={p} k={k}: picked {pick:?}");
     }
     // And that figure is the codec's: the expectation the selector prices
-    // with against the exact frame size of a uniform support.
-    for k in [100usize, 10_000, 100_000] {
-        let indices = uniform_indices(n, k, &mut XorShift64::new(k as u64));
+    // with against the exact frame size of a uniform support — gap-coded
+    // up to k = 1e5, bitmap-indexed at k = 3e5 (29 % dense) and in one of
+    // P = 8 partition blocks of a 55 %-dense gathered sum, whose density
+    // is its share of the block's N/8 slots.
+    let block = n / 8;
+    for (k, slots, offset) in [
+        (100usize, n, 0u32),
+        (10_000, n, 0),
+        (100_000, n, 0),
+        (300_000, n, 0),
+        (72_000, block, 3 * block as u32),
+    ] {
+        let indices = uniform_indices(slots, k, &mut XorShift64::new(k as u64))
+            .into_iter()
+            .map(|i| i + offset)
+            .collect();
         let stream = SparseStream::from_slabs(n, indices, vec![1.0f32; k]).unwrap();
         let exact = (stream.encoded_len() - 20) as f64;
-        let expected = k as f64 * expected_entry_bytes(4, k as f64 / n as f64);
+        let expected = k as f64 * expected_entry_bytes(4, k as f64 / slots as f64);
         assert!(
             (exact / expected - 1.0).abs() < 0.03,
-            "k={k}: {exact} B on the wire, {expected} B expected"
+            "k={k} in {slots} slots: {exact} B on the wire, {expected} B expected"
         );
     }
 }

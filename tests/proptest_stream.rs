@@ -344,26 +344,33 @@ fn decoded_frames_always_satisfy_invariants() {
 fn malformed_frames_never_decode() {
     // Random single-byte corruptions either still decode to an
     // invariant-satisfying stream (value bytes) or fail with a typed
-    // error — never an invalid stream, never a panic.
+    // error — never an invalid stream, never a panic. Whatever decodes is
+    // the one frame that encodes it. Up to half the dimension in entries,
+    // the inputs cover both index codings.
+    let accepted = |bytes: &[u8]| {
+        if let Ok(decoded) = SparseStream::<f32>::decode(bytes) {
+            decoded.check_invariants().unwrap();
+            assert_eq!(decoded.encode().as_ref(), bytes);
+        }
+    };
     let mut rng = XorShift64::new(44);
+    let mut bitmaps = 0;
     for _ in 0..CASES {
         let (dim, pairs) = stream_inputs(&mut rng);
         let s = SparseStream::from_pairs(dim, &pairs).unwrap();
         let bytes = s.encode().to_vec();
+        bitmaps += usize::from(bytes[3] == 2);
         for _ in 0..8 {
             let mut corrupted = bytes.clone();
             let pos = rng.next_below(corrupted.len() as u64) as usize;
             corrupted[pos] ^= 1 << rng.next_below(8);
-            if let Ok(decoded) = SparseStream::<f32>::decode(&corrupted) {
-                decoded.check_invariants().unwrap();
-            }
+            accepted(&corrupted);
             // Truncations of the corrupted frame must also fail cleanly.
             let cut = rng.next_below(corrupted.len() as u64) as usize;
-            if let Ok(decoded) = SparseStream::<f32>::decode(&corrupted[..cut]) {
-                decoded.check_invariants().unwrap();
-            }
+            accepted(&corrupted[..cut]);
         }
     }
+    assert!(bitmaps >= CASES / 4, "{bitmaps} bitmap-indexed frames");
 }
 
 #[test]

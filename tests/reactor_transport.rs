@@ -12,7 +12,7 @@
 //!   on integer inputs;
 //! * **socket edge cases** — short reads reassembled across wakeups,
 //!   peers closing mid-frame, oversized frame declarations, and
-//!   malformed wire-v3 payloads arriving over a real socket;
+//!   malformed wire payloads arriving over a real socket;
 //! * a **P = 64 loopback smoke test** that also asserts the thread count:
 //!   one event loop per rank, whatever P is;
 //! * the **progress engine** running fused gradient buckets over sockets.
@@ -363,7 +363,7 @@ fn oversized_frame_declaration_is_rejected() {
 
 #[test]
 fn malformed_wire_v3_frames_surface_typed_stream_errors() {
-    // Frames arrive intact over TCP but their wire-v3 payload is bad: the
+    // Frames arrive intact over TCP but their wire payload is bad: the
     // existing typed StreamErrors must surface, exactly as in-process.
     let results = run_reactor_loopback_cluster(2, CostModel::zero(), quick_config(), |tp| {
         if tp.rank() == 1 {
@@ -374,7 +374,7 @@ fn malformed_wire_v3_frames_surface_typed_stream_errors() {
             // (a) truncated: drop the tail of a valid frame.
             tp.send(0, 1, good.slice(0..good.len() - 5)).unwrap();
             // (b) two gaps of 127 carry the running index past dim = 256
-            // (an unsorted index slab has no v3 encoding to send).
+            // (an unsorted index slab has no encoding to send).
             let mut bad = good.to_vec();
             bad[84..86].fill(0x7F);
             tp.send(0, 2, Bytes::from(bad)).unwrap();
