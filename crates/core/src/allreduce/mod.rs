@@ -11,7 +11,6 @@
 //! | [`Algorithm::SsarSplitAllgather`] | dimension split + sparse allgather | large sparse data (§5.3.2) |
 //! | [`Algorithm::DsarSplitAllgather`] | dimension split + dense (optionally quantized) allgather | dense final result (§5.3.3, §6) |
 //! | [`Algorithm::DenseRabenseifner`] | recursive halving + doubling on dense vectors | the dense baseline of §8 [44] |
-//! | [`Algorithm::Hierarchical`] | intra-node reduce → leader-level flat allreduce → intra-node broadcast | multi-node clusters with fast intra-node links (needs a [`AllreduceConfig::topology`]) |
 
 mod dense;
 mod dsar_split_ag;
@@ -29,7 +28,7 @@ use dsar_split_ag::dsar_receive_half;
 use ssar_rec_dbl::Stance;
 use ssar_split_ag::ssar_receive_half;
 
-use sparcml_net::{Topology, TopologyCostModel, Transport};
+use sparcml_net::Transport;
 use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
 use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
@@ -62,22 +61,12 @@ pub enum Algorithm {
     DsarSplitAllgather,
     /// Dense Rabenseifner baseline (reduce-scatter + allgather).
     DenseRabenseifner,
-    /// Two-level topology-aware schedule: intra-node sparse reduce to each
-    /// node's leader, a flat sparse allreduce among the leaders (chosen
-    /// recursively — [`AllreduceConfig::hier_leader_algorithm`]), then an
-    /// intra-node broadcast. Needs a non-trivial
-    /// [`AllreduceConfig::topology`] (falls back to a flat schedule
-    /// otherwise); composes the existing building blocks over
-    /// [`sparcml_net::GroupTransport`] subgroup views.
-    Hierarchical,
 }
 
 impl Algorithm {
-    /// All concrete *flat* algorithms, for sweeps ([`Algorithm::Auto`]
-    /// resolves to one of these, or to [`Algorithm::Hierarchical`] when a
-    /// non-trivial topology is configured; `Hierarchical` is excluded here
-    /// because it needs a topology to mean anything). The order only
-    /// breaks ties in the selector's sweep: the earlier member wins.
+    /// All concrete algorithms, for sweeps ([`Algorithm::Auto`] resolves to
+    /// one of these). The order only breaks ties in the selector's sweep:
+    /// the earlier member wins.
     pub const ALL: [Algorithm; 4] = [
         Algorithm::SsarRecDbl,
         Algorithm::SsarSplitAllgather,
@@ -93,7 +82,6 @@ impl Algorithm {
             Algorithm::SsarSplitAllgather => "SSAR_Split_allgather",
             Algorithm::DsarSplitAllgather => "DSAR_Split_allgather",
             Algorithm::DenseRabenseifner => "Dense_Rabenseifner",
-            Algorithm::Hierarchical => "Hierarchical",
         }
     }
 
@@ -114,7 +102,7 @@ impl Algorithm {
 }
 
 /// Options shared by all allreduce variants.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct AllreduceConfig {
     /// Sparse→dense switching policy (δ scaling, §5.1).
     pub policy: DensityPolicy,
@@ -126,22 +114,6 @@ pub struct AllreduceConfig {
     /// Whether the split phase uses blocking sends (charging the paper's
     /// full `(P−1)α` to the sender) or non-blocking isends.
     pub blocking_split_sends: bool,
-    /// Node placement for [`Algorithm::Hierarchical`] and the
-    /// topology-aware [`Algorithm::Auto`] path. `None` means flat: `Auto`
-    /// never picks `Hierarchical`, and an explicit `Hierarchical` request
-    /// runs the flat `Auto` path. Nothing is detected per call — a
-    /// launched process builds its placement once with
-    /// [`Topology::from_env`] and passes it here.
-    pub topology: Option<Topology>,
-    /// Link parameters per class (intra-node vs inter-node) for pricing
-    /// flat-vs-hierarchical. `None` derives them from the transport's
-    /// flat model via [`TopologyCostModel::from_flat`].
-    pub topology_cost: Option<TopologyCostModel>,
-    /// The flat algorithm the node leaders run in the middle stage of
-    /// [`Algorithm::Hierarchical`]. [`Algorithm::Auto`] (the default)
-    /// re-enters the §5.3 selector recursively at the leader level —
-    /// with the leaders' own `P`, `k`, and the inter-node cost model.
-    pub hier_leader_algorithm: Algorithm,
 }
 
 impl Default for AllreduceConfig {
@@ -151,9 +123,6 @@ impl Default for AllreduceConfig {
             quant: None,
             quant_seed: 0x005b_ac31,
             blocking_split_sends: true,
-            topology: None,
-            topology_cost: None,
-            hier_leader_algorithm: Algorithm::Auto,
         }
     }
 }
@@ -179,8 +148,8 @@ enum AutoPass<V: Scalar> {
 /// can have slightly different sizes under error feedback, and a per-rank
 /// choice could diverge and deadlock the schedule — and the agreement
 /// rides recursive doubling's own frames
-/// ([`ssar_rec_dbl::rec_dbl_agree`]). In the flat regime a rank's own `k`
-/// sets how it enters the pass: a rank whose own pick is
+/// ([`ssar_rec_dbl::rec_dbl_agree`]). A rank's own `k` sets how it enters
+/// the pass: a rank whose own pick is
 /// `SSAR_Recursive_double` is *eager*, reducing as it agrees; one whose
 /// own pick is a split schedule *speculates*, sending its split-phase
 /// frames between the rounds. If every rank was eager, the pass already
@@ -192,41 +161,23 @@ enum AutoPass<V: Scalar> {
 /// - any other pick first drains the frames speculators sent this rank,
 ///   so none outlives the call, and the caller dispatches it.
 ///
-/// With a non-trivial [`AllreduceConfig::topology`] nobody is eager or
-/// speculates, and the topology-aware selector also prices the two-level
-/// hierarchical schedule and may pick it. Returns the outcome and the
-/// agreed `k`.
+/// Returns the outcome and the agreed `k`.
 fn resolve_auto<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
     cfg: &AllreduceConfig,
     pool: &mut BufferPool,
-    allow_hierarchical: bool,
 ) -> Result<(AutoPass<V>, usize), CollError> {
     // Covers only passes that fall back: a pass that completes the
     // reduction shows up as its collective span instead.
     let mut span = obs::span(obs::Category::Agreement, "auto-resolve");
     let p = ep.size();
     let n = input.dim();
-    let topo = match cfg.topology.as_ref().filter(|_| allow_hierarchical) {
-        // A mismatched topology is a configuration error, not a hint
-        // to drop: silently running flat would defeat the knob (the
-        // same mismatch errors on an explicit Hierarchical request).
-        Some(topo) if topo.size() != p => {
-            return Err(CollError::Invalid(format!(
-                "topology covers {} ranks but the communicator has {p}",
-                topo.size()
-            )));
-        }
-        topo => topo.filter(|topo| !topo.is_trivial()),
-    };
-    // How this rank enters the pass: by its own pick, in the flat regime.
-    let own = topo.is_none().then(|| {
-        crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost())
-    });
+    // How this rank enters the pass: by its own pick.
+    let own = crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost());
     let stance = match own {
-        Some(Algorithm::SsarRecDbl) => Stance::Eager,
-        Some(own) if own.is_split() => Stance::Speculative,
+        Algorithm::SsarRecDbl => Stance::Eager,
+        own if own.is_split() => Stance::Speculative,
         _ => Stance::Bare,
     };
     let pass = ssar_rec_dbl::rec_dbl_agree(ep, input, stance, cfg, pool)?;
@@ -236,12 +187,7 @@ fn resolve_auto<T: Transport, V: Scalar>(
         return Ok((AutoPass::Reduced(result), pass.k));
     }
     ep.stats_mut().auto_fallback += 1;
-    let algo = if let Some(topo) = topo {
-        let tcm = crate::hierarchical::effective_topology_cost(ep, cfg);
-        crate::selector::select_algorithm_with_topology::<V>(topo, n, pass.k, &tcm)
-    } else {
-        crate::selector::select_algorithm::<V>(p, n, pass.k, ep.cost())
-    };
+    let algo = crate::selector::select_algorithm::<V>(p, n, pass.k, ep.cost());
     let speculated = stance == Stance::Speculative;
     let split_op = match pass.op_id {
         Some(op_id) if algo.is_split() => {
@@ -285,7 +231,7 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
         // as one from its first frame, and drop the measurement if it
         // only agreed.
         let mut fused = Measurement::start(ep, Algorithm::SsarRecDbl, 0);
-        match resolve_auto::<T, V>(ep, input, cfg, pool, true) {
+        match resolve_auto::<T, V>(ep, input, cfg, pool) {
             Ok((AutoPass::Reduced(out), k)) => {
                 let result = Ok(out);
                 fused.finish(ep, k, input, &result);
@@ -304,10 +250,23 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
         (algo, None, input.stored_len().max(1))
     };
     let run = Measurement::start(ep, algo, k);
-    let result = if algo == Algorithm::Hierarchical {
-        crate::hierarchical::hierarchical_allreduce(ep, input, cfg, pool)
-    } else {
-        dispatch_flat_concrete(ep, input, algo, split_op, cfg, pool)
+    // With `split_op`, `algo` is `Auto`'s split pick whose split-phase
+    // frames every rank already sent under that op id: only the receive
+    // half runs, its allgather under a fresh op id.
+    let result = match (algo, split_op) {
+        (Algorithm::Auto, _) => unreachable!("Auto resolves to a concrete algorithm"),
+        (Algorithm::SsarSplitAllgather, Some(split_op)) => {
+            let gather_op = ep.next_op_id();
+            ssar_receive_half(ep, input, split_op, gather_op, pool)
+        }
+        (Algorithm::DsarSplitAllgather, Some(split_op)) => {
+            let gather_op = ep.next_op_id();
+            dsar_receive_half(ep, input, cfg, split_op, gather_op, pool)
+        }
+        (Algorithm::SsarRecDbl, _) => ssar_recursive_double(ep, input, cfg, pool),
+        (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, cfg, pool),
+        (Algorithm::DsarSplitAllgather, None) => dsar_split_allgather(ep, input, cfg, pool),
+        (Algorithm::DenseRabenseifner, _) => dense_rabenseifner(ep, input, cfg, pool),
     };
     run.finish(ep, k, input, &result);
     result
@@ -354,63 +313,5 @@ impl Measurement {
             obs::telemetry::note_worst_peer(&self.marks);
             obs::telemetry::record_density(input.dim(), input.nnz(), out.nnz(), out.is_dense());
         }
-    }
-}
-
-/// Flat-only dispatcher: like [`dispatch`] but never enters the
-/// hierarchical schedule — `Auto` (and a stray `Hierarchical`) resolve
-/// among the flat candidates only. The hierarchical collective routes its
-/// leader stage through this, which also bounds the compiler's
-/// `GroupTransport` nesting at one level per hierarchical call instead of
-/// recursing forever at monomorphization time.
-pub(crate) fn dispatch_flat<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    algo: Algorithm,
-    cfg: &AllreduceConfig,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    let (algo, split_op) = match algo {
-        Algorithm::Auto | Algorithm::Hierarchical => {
-            match resolve_auto::<T, V>(ep, input, cfg, pool, false)?.0 {
-                AutoPass::Reduced(out) => return Ok(out),
-                AutoPass::Resolved { algo, split_op } => (algo, split_op),
-            }
-        }
-        concrete => (concrete, None),
-    };
-    dispatch_flat_concrete(ep, input, algo, split_op, cfg, pool)
-}
-
-/// The concrete-schedule jump table shared by [`dispatch`] (which times
-/// around it) and [`dispatch_flat`] (the hierarchical leader stage,
-/// deliberately untimed so a two-level call records exactly once). With
-/// `split_op`, `algo` is `Auto`'s split pick whose split-phase frames
-/// every rank already sent under that op id: only the receive half runs,
-/// its allgather under a fresh op id.
-fn dispatch_flat_concrete<T: Transport, V: Scalar>(
-    ep: &mut T,
-    input: &SparseStream<V>,
-    algo: Algorithm,
-    split_op: Option<u64>,
-    cfg: &AllreduceConfig,
-    pool: &mut BufferPool,
-) -> Result<SparseStream<V>, CollError> {
-    match (algo, split_op) {
-        (Algorithm::Auto | Algorithm::Hierarchical, _) => {
-            unreachable!("flat resolution yields a concrete flat algorithm")
-        }
-        (Algorithm::SsarSplitAllgather, Some(split_op)) => {
-            let gather_op = ep.next_op_id();
-            ssar_receive_half(ep, input, split_op, gather_op, pool)
-        }
-        (Algorithm::DsarSplitAllgather, Some(split_op)) => {
-            let gather_op = ep.next_op_id();
-            dsar_receive_half(ep, input, cfg, split_op, gather_op, pool)
-        }
-        (Algorithm::SsarRecDbl, _) => ssar_recursive_double(ep, input, cfg, pool),
-        (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, cfg, pool),
-        (Algorithm::DsarSplitAllgather, None) => dsar_split_allgather(ep, input, cfg, pool),
-        (Algorithm::DenseRabenseifner, _) => dense_rabenseifner(ep, input, cfg, pool),
     }
 }

@@ -32,8 +32,7 @@
 
 use sparcml_net::{
     run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CommStats, CostModel, Endpoint,
-    GroupTransport, ReactorTransport, ThreadTransport, Topology, TopologyCostModel, Transport,
-    TransportConfig,
+    GroupTransport, ReactorTransport, ThreadTransport, Transport, TransportConfig,
 };
 use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
@@ -268,24 +267,6 @@ impl<T: Transport + Send + 'static> Communicator<T> {
             pool,
             telemetry: TelemetryExchange::new(),
         })
-    }
-
-    /// [`Communicator::split`] along a [`Topology`]'s node groups: each
-    /// rank lands in the subgroup of its node. Errors consume the session
-    /// (see [`Communicator::split`]).
-    pub fn split_by_topology(
-        self,
-        topo: &Topology,
-    ) -> Result<Communicator<GroupTransport<T>>, CollError> {
-        if topo.size() != self.size() {
-            return Err(CollError::Invalid(format!(
-                "topology covers {} ranks but the communicator has {}",
-                topo.size(),
-                self.size()
-            )));
-        }
-        let color = topo.node_of(self.rank()) as u64;
-        self.split(color)
     }
 
     /// Charges local reduction work of `elements` element operations.
@@ -556,28 +537,6 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Allreduce<'a, T, V> {
     /// Sparse→dense switching policy (δ scaling, §5.1).
     pub fn policy(mut self, policy: DensityPolicy) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// Node placement for [`Algorithm::Hierarchical`] and the
-    /// topology-aware `Auto` path (which then prices flat vs two-level
-    /// per call and may pick either).
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.cfg.topology = Some(topology);
-        self
-    }
-
-    /// Per-link-class cost model (intra vs inter node) for the
-    /// topology-aware selection.
-    pub fn topology_cost(mut self, cost: TopologyCostModel) -> Self {
-        self.cfg.topology_cost = Some(cost);
-        self
-    }
-
-    /// Pins the flat algorithm the node leaders run inside
-    /// [`Algorithm::Hierarchical`] (default: recursive `Auto`).
-    pub fn leader_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.cfg.hier_leader_algorithm = algorithm;
         self
     }
 

@@ -59,7 +59,6 @@ mod allreduce;
 pub mod bounds;
 mod communicator;
 mod error;
-mod hierarchical;
 mod nonblocking;
 mod op;
 pub mod reference;
@@ -77,14 +76,10 @@ pub use communicator::{
 pub use error::CollError;
 pub use op::BufferPool;
 pub use rooted::my_partition;
-pub use selector::{
-    estimate_hierarchical_time, estimate_time, estimate_time_with_union, select_algorithm,
-    select_algorithm_with_topology,
-};
+pub use selector::{estimate_time, estimate_time_with_union, select_algorithm};
 pub use telemetry::TELEMETRY_CONTROL_BASE;
-// Re-exported so downstream code can name transports and topology types
-// without depending on sparcml-net directly.
+// Re-exported so downstream code can name transports without depending
+// on sparcml-net directly.
 pub use sparcml_net::{
-    Endpoint, GroupTransport, ReactorTransport, ThreadTransport, Topology, TopologyCostModel,
-    Transport, TransportConfig,
+    Endpoint, GroupTransport, ReactorTransport, ThreadTransport, Transport, TransportConfig,
 };

@@ -19,7 +19,7 @@
 //! is not a gate in front of the sweep: just past it a sparse schedule can
 //! still beat DSAR, and just before it DSAR can beat the dense baseline.
 
-use sparcml_net::{CostModel, Topology, TopologyCostModel};
+use sparcml_net::CostModel;
 use sparcml_stream::{header_len, DensityPolicy, Scalar};
 
 use crate::allreduce::Algorithm;
@@ -48,9 +48,7 @@ pub(crate) fn expected_cost<V: Scalar>(
     match algo {
         // Auto is a placeholder resolved before costing; pricing it at
         // infinity keeps it out of any candidate sweep by construction.
-        // Hierarchical needs a topology to mean anything — it is priced by
-        // `estimate_hierarchical_time` against the flat best instead.
-        Algorithm::Auto | Algorithm::Hierarchical => f64::INFINITY,
+        Algorithm::Auto => f64::INFINITY,
         Algorithm::SsarRecDbl => rec_dbl::<V>(w, c, ek),
         Algorithm::SsarSplitAllgather => {
             // Each node scatters the ≈ k entries of its P incoming
@@ -356,81 +354,6 @@ fn estimate_at_union<V: Scalar>(
     agreement + expected_cost::<V>(pick, &w, cost, ek)
 }
 
-/// Expected completion time of the two-level hierarchical schedule on a
-/// `topo`-shaped cluster with `k` non-zeros per rank, under the
-/// link-class models of `tcm`:
-///
-/// 1. *intra reduce* — binomial tree over the largest node (`⌈log2 g⌉`
-///    rounds on intra links; payloads grow toward the node's expected
-///    union `E[K_g]`, merge work `≈ g·k` at the leader's critical path);
-/// 2. *leader allreduce* — flat `Auto` among `nodes` ranks with
-///    `E[K_g]`-sized streams on inter links (the same §5.3 sweep, applied
-///    recursively, with what its agreement costs the pick);
-/// 3. *intra broadcast* — `⌈log2 g⌉` rounds carrying the global result of
-///    expected size `E[K]`.
-pub fn estimate_hierarchical_time<V: Scalar>(
-    topo: &Topology,
-    n: usize,
-    k: usize,
-    tcm: &TopologyCostModel,
-) -> f64 {
-    let p = topo.size();
-    let g = topo.max_node_size();
-    let nodes = topo.num_nodes();
-    let k = k.min(n).max(1);
-    let w = Workload {
-        p,
-        n,
-        k,
-        value_bytes: V::BYTES,
-    };
-    let ek_group = expected_union_size(n, g, k);
-    let ek_all = expected_union_size(n, p, k);
-    let rounds_intra = (g as f64).log2().ceil().max(0.0);
-
-    // (1) Intra reduce: each tree level moves at most the accumulated
-    // union; bound payloads by E[K_g] and charge the leader's merge work.
-    let t_reduce = rounds_intra
-        * (tcm.intra.alpha + tcm.intra.beta * ek_group * w.pair_bytes(ek_group))
-        + tcm.intra.gamma * (g as f64) * k as f64;
-
-    // (2) Leader-level flat allreduce, selected recursively.
-    let kg = ek_group.round() as usize;
-    let t_leaders = if nodes > 1 {
-        estimate_time::<V>(Algorithm::Auto, nodes, n, kg.max(1), &tcm.inter)
-    } else {
-        0.0
-    };
-
-    // (3) Intra broadcast of the global result.
-    let t_bcast = rounds_intra * (tcm.intra.alpha + tcm.intra.beta * ek_all * w.pair_bytes(ek_all));
-
-    t_reduce + t_leaders + t_bcast
-}
-
-/// Topology-aware §5.3 selection: the flat sweep priced on the inter-node
-/// link model, compared against [`estimate_hierarchical_time`]. Returns
-/// [`Algorithm::Hierarchical`] when the two-level schedule wins and the
-/// topology is non-trivial; the flat best otherwise.
-pub fn select_algorithm_with_topology<V: Scalar>(
-    topo: &Topology,
-    n: usize,
-    k: usize,
-    tcm: &TopologyCostModel,
-) -> Algorithm {
-    let flat = select_algorithm::<V>(topo.size(), n, k, &tcm.inter);
-    if topo.is_trivial() {
-        return flat;
-    }
-    let t_flat = estimate_time::<V>(flat, topo.size(), n, k, &tcm.inter);
-    let t_hier = estimate_hierarchical_time::<V>(topo, n, k, tcm);
-    if t_hier < t_flat {
-        Algorithm::Hierarchical
-    } else {
-        flat
-    }
-}
-
 /// [`estimate_time`] with an explicit expected union size `ek` (callers
 /// that know their supports are correlated — real Top-k gradients overlap
 /// far more than the uniform model, cf. Fig. 1 — can pass a smaller `ek`).
@@ -676,44 +599,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn hierarchy_wins_on_slow_inter_links_with_small_k() {
-        // 4 nodes × 8 ranks on Ethernet with shared-memory nodes,
-        // latency-bound workload: flat SSAR pays log2(32) inter-αs, the
-        // two-level schedule only log2(4) of them.
-        let topo = Topology::uniform(4, 8).unwrap();
-        let tcm = TopologyCostModel::gige_cluster();
-        let (n, k) = (1 << 24, 1 << 6);
-        let t_hier = estimate_hierarchical_time::<f32>(&topo, n, k, &tcm);
-        let flat = select_algorithm::<f32>(32, n, k, &tcm.inter);
-        let t_flat = estimate_time::<f32>(flat, 32, n, k, &tcm.inter);
-        assert!(t_hier < t_flat, "hier {t_hier} vs flat {t_flat}");
-        assert_eq!(
-            select_algorithm_with_topology::<f32>(&topo, n, k, &tcm),
-            Algorithm::Hierarchical
-        );
-    }
-
-    #[test]
-    fn uniform_links_keep_flat_schedules() {
-        // When intra == inter, hierarchy only adds serialization: the
-        // topology-aware selector must fall back to the flat choice.
-        let topo = Topology::uniform(4, 8).unwrap();
-        let tcm = TopologyCostModel::uniform(CostModel::aries());
-        let (n, k) = (1 << 24, 1 << 6);
-        let algo = select_algorithm_with_topology::<f32>(&topo, n, k, &tcm);
-        assert_ne!(algo, Algorithm::Hierarchical, "got {algo:?}");
-    }
-
-    #[test]
-    fn trivial_topologies_never_pick_hierarchical() {
-        let tcm = TopologyCostModel::gige_cluster();
-        for topo in [Topology::single_node(8), Topology::uniform(8, 1).unwrap()] {
-            let algo = select_algorithm_with_topology::<f32>(&topo, 1 << 20, 64, &tcm);
-            assert_ne!(algo, Algorithm::Hierarchical);
         }
     }
 }

@@ -685,7 +685,7 @@ fn run_chunked_allreduce<T: Transport + Send + 'static, V: Scalar>(
     let one_shot = |comm: &mut Communicator<T>, stream: &SparseStream<V>| {
         comm.allreduce(stream)
             .algorithm(cfg.algorithm)
-            .config(cfg.allreduce.clone())
+            .config(cfg.allreduce)
             .launch()
             .and_then(|h| h.wait())
     };

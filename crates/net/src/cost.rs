@@ -72,8 +72,7 @@ impl CostModel {
     }
 
     /// Intra-node link (shared memory / kernel loopback between ranks on
-    /// one host): ~0.4 µs per message, ~25 GB/s effective bandwidth. The
-    /// default *intra* parameters of a [`TopologyCostModel`].
+    /// one host): ~0.4 µs per message, ~25 GB/s effective bandwidth.
     pub fn intra_node() -> Self {
         CostModel {
             alpha: 4.0e-7,
@@ -187,62 +186,6 @@ impl Default for CostModel {
 /// plans with ([`CostModel::from_env`]); a [`CostModel::parse`] spec.
 pub const ENV_COST_MODEL: &str = "SPARCML_COST_MODEL";
 
-/// The α–β(–γ) model split by link class: ranks on one node talk over
-/// `intra`, node leaders talk across nodes over `inter` (§5.2 takes very
-/// different parameters for the two). This is what the topology-aware
-/// selector prices flat-vs-hierarchical schedules against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopologyCostModel {
-    /// Link parameters between ranks sharing a node.
-    pub intra: CostModel,
-    /// Link parameters between nodes (also the flat-schedule model: flat
-    /// collectives bottleneck on their slowest links).
-    pub inter: CostModel,
-}
-
-impl TopologyCostModel {
-    /// Explicit intra + inter parameters.
-    pub fn new(intra: CostModel, inter: CostModel) -> Self {
-        TopologyCostModel { intra, inter }
-    }
-
-    /// Both link classes priced identically — the degenerate model under
-    /// which hierarchy can only add latency.
-    pub fn uniform(model: CostModel) -> Self {
-        TopologyCostModel {
-            intra: model,
-            inter: model,
-        }
-    }
-
-    /// Shared-memory intra links under an Aries-class inter network (the
-    /// Piz Daint shape of the paper's large runs).
-    pub fn aries_cluster() -> Self {
-        TopologyCostModel {
-            intra: CostModel::intra_node(),
-            inter: CostModel::aries(),
-        }
-    }
-
-    /// Shared-memory intra links under commodity Ethernet — the regime
-    /// where hierarchy pays off soonest (inter-α is ~100× intra-α).
-    pub fn gige_cluster() -> Self {
-        TopologyCostModel {
-            intra: CostModel::intra_node(),
-            inter: CostModel::gige(),
-        }
-    }
-
-    /// Derives the split model from a flat planning hint: the hint prices
-    /// the inter links, [`CostModel::intra_node`] the intra links.
-    pub fn from_flat(inter: CostModel) -> Self {
-        TopologyCostModel {
-            intra: CostModel::intra_node(),
-            inter,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,16 +239,5 @@ mod tests {
         assert!(CostModel::parse("1,x,3").is_err());
         assert!(CostModel::parse("1,-2,3").is_err());
         assert!(CostModel::parse("inf,0,0").is_err());
-    }
-
-    #[test]
-    fn topology_model_presets_split_link_classes() {
-        let t = TopologyCostModel::aries_cluster();
-        assert!(t.intra.alpha < t.inter.alpha);
-        let u = TopologyCostModel::uniform(CostModel::gige());
-        assert_eq!(u.intra, u.inter);
-        let f = TopologyCostModel::from_flat(CostModel::gige());
-        assert_eq!(f.inter, CostModel::gige());
-        assert_eq!(f.intra, CostModel::intra_node());
     }
 }

@@ -14,12 +14,9 @@
 //! Construction is collective. [`GroupTransport::split`] is the
 //! `Comm_split` form — every rank of the base communicator calls it with a
 //! color, colors are agreed with one small ring allgather, and each rank
-//! lands in the subgroup of its color. [`GroupTransport::with_scope`]
-//! skips the exchange for callers that already know the member list (the
-//! hierarchical collectives derive node groups from a
-//! [`crate::Topology`]); its scope salt must then come from the base's
-//! op-id stream *drawn on every base rank*, or sequential groups could
-//! reuse tag scopes.
+//! lands in the subgroup of its color. The agreement's op id, drawn on
+//! every base rank, salts the new group's tag scope, so sequential groups
+//! never reuse one.
 
 use bytes::Bytes;
 
@@ -40,9 +37,6 @@ pub struct GroupTransport<T: Transport> {
     space: GroupTagSpace,
     next_seq: u64,
     depth: u32,
-    /// Planning model for this group's links (defaults to the base's; a
-    /// hierarchical schedule installs the intra- or inter-node model).
-    cost: CostModel,
 }
 
 impl<T: Transport + std::fmt::Debug> std::fmt::Debug for GroupTransport<T> {
@@ -67,7 +61,7 @@ impl<T: Transport> GroupTransport<T> {
     /// Fails if `members` has duplicates or out-of-range ranks, or does
     /// not contain the base's own rank (the base transport is dropped with
     /// the error; these are construction bugs, not runtime conditions).
-    pub fn with_scope(base: T, members: Vec<usize>, scope_salt: u64) -> Result<Self, CommError> {
+    fn with_scope(base: T, members: Vec<usize>, scope_salt: u64) -> Result<Self, CommError> {
         let mut members = members;
         members.sort_unstable();
         if members.windows(2).any(|w| w[0] == w[1]) {
@@ -90,7 +84,6 @@ impl<T: Transport> GroupTransport<T> {
         };
         let depth = base.tag_depth() + 1;
         let space = GroupTagSpace::new(depth, scope_salt);
-        let cost = *base.cost();
         Ok(GroupTransport {
             base,
             members,
@@ -98,7 +91,6 @@ impl<T: Transport> GroupTransport<T> {
             space,
             next_seq: 0,
             depth,
-            cost,
         })
     }
 
@@ -145,28 +137,9 @@ impl<T: Transport> GroupTransport<T> {
         &self.base
     }
 
-    /// Mutably borrows the base transport. The hierarchical schedules use
-    /// this to `detach()` the base for a sibling-group phase while this
-    /// view is quiescent, reinstalling it afterwards.
-    pub fn parent_mut(&mut self) -> &mut T {
-        &mut self.base
-    }
-
     /// Dissolves the view, returning the base transport.
     pub fn into_parent(self) -> T {
         self.base
-    }
-
-    /// Overrides the group's planning cost model (e.g. the intra-node link
-    /// parameters of a [`crate::TopologyCostModel`]).
-    pub fn set_cost(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
-    /// Builder form of [`GroupTransport::set_cost`].
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.set_cost(cost);
-        self
     }
 
     fn translate_out(&self, group_peer: usize) -> Result<usize, CommError> {
@@ -203,7 +176,7 @@ impl<T: Transport> Transport for GroupTransport<T> {
     }
 
     fn cost(&self) -> &CostModel {
-        &self.cost
+        self.base.cost()
     }
 
     fn clock(&self) -> f64 {
@@ -278,7 +251,6 @@ impl<T: Transport> Transport for GroupTransport<T> {
             space: self.space,
             next_seq: self.next_seq,
             depth: self.depth,
-            cost: self.cost,
         }
     }
 }

@@ -42,7 +42,6 @@ use sparcml_obs as obs;
 
 use crate::bootstrap::{ENV_RANK, ENV_ROOT_ADDR, ENV_WORLD};
 use crate::reactor::ReactorTransport;
-use crate::topology::{Topology, ENV_NODES};
 
 /// Job-name guard: a child only runs the closure of the job it was
 /// spawned for (defense in depth next to the `--exact` test filter).
@@ -68,11 +67,6 @@ pub struct LaunchOptions {
     /// caller is a plain binary/example whose `main` re-enters the
     /// launcher on its own.
     pub test_harness: bool,
-    /// Node placement to pin on the cluster: every rank gets
-    /// `SPARCML_NODES` (the full per-rank node map) in its environment,
-    /// so rank programs can rebuild the [`Topology`] via
-    /// [`Topology::from_env`]. `None` exports nothing.
-    pub topology: Option<Topology>,
     /// Extra environment variables for every rank.
     pub env: Vec<(String, String)>,
     /// Span-trace output directory, exported to every rank as
@@ -101,7 +95,6 @@ impl Default for LaunchOptions {
             recv_timeout: None,
             connect_timeout: None,
             test_harness: false,
-            topology: None,
             env: Vec::new(),
             trace_dir: None,
             telemetry_dir: None,
@@ -129,12 +122,6 @@ impl LaunchOptions {
     /// Builder-style override of the ranks' receive watchdog.
     pub fn with_recv_timeout(mut self, recv_timeout: Duration) -> Self {
         self.recv_timeout = Some(recv_timeout);
-        self
-    }
-
-    /// Builder-style node placement (see [`LaunchOptions::topology`]).
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
         self
     }
 
@@ -231,15 +218,6 @@ where
             }
             if let Some(t) = opts.connect_timeout {
                 set("SPARCML_CONNECT_TIMEOUT_MS", t.as_millis().to_string());
-            }
-            if let Some(topo) = &opts.topology {
-                assert_eq!(
-                    topo.size(),
-                    world,
-                    "launch topology must cover exactly the cluster's ranks"
-                );
-                let nodes: Vec<String> = (0..world).map(|r| topo.node_of(r).to_string()).collect();
-                set(ENV_NODES, nodes.join(","));
             }
             if let Some(dir) = &opts.trace_dir {
                 set(obs::ENV_TRACE, dir.display().to_string());

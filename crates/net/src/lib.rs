@@ -61,13 +61,12 @@ mod reactor;
 mod stats;
 mod tags;
 mod thread_transport;
-mod topology;
 mod transport;
 
 pub use bootstrap::TCP_PROTOCOL_VERSION;
 pub use cluster::{max_virtual_time, run_cluster};
 pub use config::{TransportConfig, DEFAULT_MAX_FRAME_LEN, SERVER_MAX_FRAME_LEN};
-pub use cost::{CostModel, TopologyCostModel, ENV_COST_MODEL};
+pub use cost::{CostModel, ENV_COST_MODEL};
 pub use endpoint::{standalone_endpoint, Endpoint};
 pub use error::CommError;
 pub use group::GroupTransport;
@@ -79,5 +78,4 @@ pub use tags::{
     TAG_BLOCK_BITS,
 };
 pub use thread_transport::{run_thread_cluster, standalone_thread_transport, ThreadTransport};
-pub use topology::{Topology, ENV_NODES, ENV_TOPOLOGY};
 pub use transport::Transport;

@@ -29,24 +29,12 @@ pub struct SgdConfig {
     /// Allreduce schedule; [`Algorithm::Auto`] (the default) lets the
     /// communicator's adaptive selector pick per step.
     pub algorithm: Algorithm,
-    /// Collective options (δ policy, quantization, node topology for the
-    /// hierarchical schedule, …).
+    /// Collective options (δ policy, quantization, …).
     pub allreduce: AllreduceConfig,
     /// L2 regularization coefficient.
     pub l2: f32,
     /// Shuffling seed.
     pub seed: u64,
-}
-
-impl SgdConfig {
-    /// Pins a node placement on the gradient allreduces: the adaptive
-    /// selector then prices the two-level hierarchical schedule against
-    /// the flat ones every step (and `Algorithm::Hierarchical` may be set
-    /// explicitly via `algorithm`).
-    pub fn with_topology(mut self, topology: sparcml_core::Topology) -> Self {
-        self.allreduce.topology = Some(topology);
-        self
-    }
 }
 
 impl Default for SgdConfig {
@@ -158,7 +146,7 @@ pub fn sgd_rank_program<T: Transport + Send + 'static>(
             let total = comm
                 .allreduce(&grad)
                 .algorithm(cfg.algorithm)
-                .config(cfg.allreduce.clone())
+                .config(cfg.allreduce)
                 .launch()
                 .and_then(|handle| handle.wait())
                 .expect("allreduce failed");

@@ -8,9 +8,7 @@
 //! SparCML collective, and applies the identical global update — so
 //! replicas stay bit-identical across ranks.
 
-use sparcml_core::{
-    run_communicators, Algorithm, AllreduceConfig, Communicator, Topology, Transport,
-};
+use sparcml_core::{run_communicators, Algorithm, AllreduceConfig, Communicator, Transport};
 use sparcml_engine::{CommunicatorEngineExt, EngineConfig};
 use sparcml_net::CostModel;
 use sparcml_quant::QsgdConfig;
@@ -72,10 +70,6 @@ pub struct NnTrainConfig {
     pub compression: Compression,
     /// Collective override (`None` = mode default).
     pub algorithm: Option<Algorithm>,
-    /// Node placement: with a non-trivial topology the allreduce path can
-    /// run (or auto-select) the two-level hierarchical schedule —
-    /// intra-node reduce, leader-level exchange, intra-node broadcast.
-    pub topology: Option<Topology>,
     /// Gradient transport path (flattened allreduce vs progress engine).
     pub comm: CommMode,
     /// Initialization / shuffling seed (same on all ranks for replicas).
@@ -93,7 +87,6 @@ impl Default for NnTrainConfig {
             batch_per_node: 16,
             compression: Compression::Dense,
             algorithm: None,
-            topology: None,
             comm: CommMode::default(),
             seed: 42,
             flops_per_param_per_sample: 6.0,
@@ -156,14 +149,13 @@ where
     let algo = cfg
         .algorithm
         .unwrap_or_else(|| cfg.compression.default_algorithm());
-    let mut ar_cfg = match &cfg.compression {
+    let ar_cfg = match &cfg.compression {
         Compression::TopKQuant(_, q) => AllreduceConfig {
             quant: Some(*q),
             ..Default::default()
         },
         _ => AllreduceConfig::default(),
     };
-    ar_cfg.topology = cfg.topology.clone();
     let mut ef = match &cfg.compression {
         Compression::TopK(t) | Compression::TopKQuant(t, _) => Some(ErrorFeedback::new(dim, *t)),
         Compression::Dense => None,
@@ -216,12 +208,12 @@ where
                 CommMode::Flat => comm
                     .allreduce(&to_send)
                     .algorithm(algo)
-                    .config(ar_cfg.clone())
+                    .config(ar_cfg)
                     .launch()
                     .and_then(|handle| handle.wait())
                     .expect("allreduce failed"),
                 CommMode::Engine(engine_cfg) => {
-                    engine_step(comm, &to_send, &layer_dims, engine_cfg, algo, &ar_cfg)
+                    engine_step(comm, &to_send, &layer_dims, engine_cfg, algo, ar_cfg)
                 }
             };
             comm_time += comm.clock() - t0;
@@ -264,13 +256,13 @@ fn engine_step<T: Transport + Send + 'static>(
     layer_dims: &[usize],
     engine_cfg: &EngineConfig,
     algo: Algorithm,
-    ar_cfg: &AllreduceConfig,
+    ar_cfg: AllreduceConfig,
 ) -> SparseStream<f32> {
     let layout = FusedLayout::from_dims(layer_dims).expect("layer dims fit the index space");
     let parts = split_fused(to_send, &layout).expect("gradient splits at layer boundaries");
     let mut engine_cfg = engine_cfg.clone();
     engine_cfg.algorithm = algo;
-    engine_cfg.allreduce = ar_cfg.clone();
+    engine_cfg.allreduce = ar_cfg;
     let mut engine = comm.engine::<f32>(engine_cfg);
     let refs: Vec<&SparseStream<f32>> = parts.iter().collect();
     let tickets = engine.submit_allreduce_group(&refs);

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use sparcml::core::{Algorithm, Communicator};
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
-use sparcml::net::{run_socket_cluster, LaunchOptions, Transport};
+use sparcml::net::{run_socket_cluster, LaunchOptions, Transport, ENV_COST_MODEL};
 use sparcml::obs;
 use sparcml::stream::random_sparse;
 
@@ -43,10 +43,15 @@ fn trace_dir() -> PathBuf {
 
 fn main() {
     let dir = trace_dir();
-    let opts = LaunchOptions::default()
+    // The four ranks share one host, so they plan with the intra-node
+    // link model. Under the loopback TCP default, segmented recursive
+    // doubling wins at every fill here and no `Auto` call would fall back.
+    let mut opts = LaunchOptions::default()
         .with_timeout(Duration::from_secs(120))
         .with_trace_dir(&dir)
         .with_telemetry_dir(&dir);
+    opts.env
+        .push((ENV_COST_MODEL.to_string(), "intra_node".to_string()));
 
     let Some(results) = run_socket_cluster("trace_observability", WORLD, &opts, |tp| {
         let mut comm = Communicator::new(tp.detach());
@@ -63,10 +68,9 @@ fn main() {
                 .and_then(|h| h.wait())
                 .expect("allreduce");
         }
-        // A full input resolves elsewhere (half-full ones still go to
-        // recursive doubling since wire v3 made their frames cheap): that
-        // pass only agrees on k, and shows up as an `auto-resolve`
-        // agreement span ahead of the picked schedule's collective span.
+        // A full input resolves to DSAR_Split_allgather: that pass only
+        // agrees on k, and shows up as an `auto-resolve` agreement span
+        // ahead of the picked schedule's collective span.
         comm.allreduce(&random_sparse::<f32>(DIM, DIM, 77 + rank as u64))
             .launch()
             .and_then(|h| h.wait())

@@ -30,7 +30,7 @@ pub use sparcml_stream as stream;
 pub use sparcml_core::{
     max_communicator_time, run_communicators, run_reactor_communicators, run_thread_communicators,
     Algorithm, CollectiveHandle, Communicator, Endpoint, GroupTransport, ReactorTransport,
-    ThreadTransport, Topology, TopologyCostModel, Transport, TransportConfig,
+    ThreadTransport, Transport, TransportConfig,
 };
 pub use sparcml_engine::{CommunicatorEngineExt, Engine, EngineConfig, FusionPolicy, Ticket};
 pub use sparcml_serve::{

@@ -1,40 +1,20 @@
 //! Group semantics: `Communicator::split`, subgroup collectives on every
-//! transport, nested splits, concurrent sibling groups, hierarchical
-//! allreduce exactness, and the inter-node message-count win.
+//! transport, nested splits, concurrent sibling groups, engines and
+//! `Auto` on subgroups.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use bytes::Bytes;
 use sparcml::core::reference::reference_sum;
-use sparcml::core::{run_communicators, select_algorithm, Algorithm, Communicator};
+use sparcml::core::{select_algorithm, Algorithm, Communicator};
 use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
 use sparcml::net::{
-    run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CommError, CommStats, CostModel,
-    Topology, TopologyCostModel, Transport, TransportConfig,
+    run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CostModel, Transport,
+    TransportConfig,
 };
-use sparcml::stream::{random_sparse, SparseStream, XorShift64};
-use sparcml_core::AllreduceConfig;
+use sparcml::stream::{random_sparse, SparseStream};
 
 /// Reference sum over a subset of the cluster's inputs.
 fn group_reference(ins: &[SparseStream<f32>], members: &[usize]) -> Vec<f32> {
     let subset: Vec<SparseStream<f32>> = members.iter().map(|&r| ins[r].clone()).collect();
     reference_sum(&subset)
-}
-
-/// Integer-valued sparse stream: sums are exact in any association order,
-/// so cross-schedule comparisons can assert bitwise equality.
-fn integer_stream(rng: &mut XorShift64, dim: usize) -> SparseStream<f32> {
-    let nnz = 1 + rng.next_below((dim / 4).max(2) as u64) as usize;
-    let pairs: Vec<(u32, f32)> = (0..nnz)
-        .map(|_| {
-            (
-                rng.next_below(dim as u64) as u32,
-                (1 + rng.next_below(100)) as f32,
-            )
-        })
-        .collect();
-    SparseStream::from_pairs(dim, &pairs).unwrap()
 }
 
 // --- split semantics -----------------------------------------------------
@@ -302,11 +282,14 @@ fn concurrent_sibling_groups_do_not_cross_talk() {
 }
 
 #[test]
-fn split_by_topology_groups_by_node() {
-    let topo = Topology::from_node_ids(&[1, 0, 1, 0, 1, 1]).unwrap();
+fn split_orders_unequal_interleaved_colors_by_rank() {
+    // Colors of unequal group sizes, interleaved and out of rank order:
+    // each group is its members in ascending rank, whatever its color.
+    let colors = [1, 0, 1, 0, 1, 1];
     let outs = run_cluster(6, CostModel::zero(), |ep| {
         let comm = Communicator::new(ep.detach());
-        let sub = comm.split_by_topology(&topo).unwrap();
+        let color = colors[comm.rank()];
+        let sub = comm.split(color).unwrap();
         let members = sub.transport().members().to_vec();
         *ep = sub.into_parent().into_transport();
         members
@@ -314,234 +297,6 @@ fn split_by_topology_groups_by_node() {
     assert_eq!(outs[1], vec![1, 3]);
     assert_eq!(outs[0], vec![0, 2, 4, 5]);
     assert_eq!(outs[5], vec![0, 2, 4, 5]);
-}
-
-// --- hierarchical == flat, randomized ------------------------------------
-
-#[test]
-fn hierarchical_is_bitwise_flat_on_integers_across_random_topologies() {
-    // Deterministic in-repo proptest (no registry access): random rank
-    // counts, node partitions, and integer-valued supports; the two-level
-    // schedule must equal the flat reference bit for bit — including
-    // trivial topologies, where it degenerates to a flat schedule.
-    let mut rng = XorShift64::new(0x70_D0_10);
-    for case in 0..20 {
-        let p = 2 + rng.next_below(7) as usize;
-        let nodes = 1 + rng.next_below(p as u64) as usize;
-        let node_of: Vec<usize> = (0..p)
-            .map(|r| {
-                // Cover every node at least once, then place freely.
-                if r < nodes {
-                    r
-                } else {
-                    rng.next_below(nodes as u64) as usize
-                }
-            })
-            .collect();
-        let topo = Topology::from_node_ids(&node_of).unwrap();
-        let dim = 64 + rng.next_below(448) as usize;
-        let ins: Vec<SparseStream<f32>> = (0..p).map(|_| integer_stream(&mut rng, dim)).collect();
-        let cfg = AllreduceConfig {
-            topology: Some(topo.clone()),
-            ..Default::default()
-        };
-        let run = |algorithm: Algorithm, cfg: &AllreduceConfig| {
-            run_communicators(p, CostModel::zero(), |comm| {
-                comm.allreduce(&ins[comm.rank()])
-                    .config(cfg.clone())
-                    .algorithm(algorithm)
-                    .launch()
-                    .and_then(|h| h.wait())
-                    .unwrap()
-            })
-        };
-        let hier = run(Algorithm::Hierarchical, &cfg);
-        let flat = run(Algorithm::SsarRecDbl, &AllreduceConfig::default());
-        for (rank, (h, f)) in hier.iter().zip(flat.iter()).enumerate() {
-            let hd = h.to_dense_vec();
-            let fd = f.to_dense_vec();
-            for (i, (a, b)) in hd.iter().zip(fd.iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "case {case} ({p} ranks, {nodes} nodes, topo {node_of:?}) rank {rank} coord {i}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn hierarchical_through_builder_with_auto_leader() {
-    let p = 8;
-    let dim = 4096;
-    let topo = Topology::uniform(2, 4).unwrap();
-    let ins: Vec<SparseStream<f32>> = (0..p)
-        .map(|r| random_sparse(dim, 96, 9600 + r as u64))
-        .collect();
-    let expect = reference_sum(&ins);
-    let outs = run_thread_cluster(p, |tp| {
-        let mut comm = Communicator::new(tp.detach());
-        let out = comm
-            .allreduce(&ins[comm.rank()])
-            .algorithm(Algorithm::Hierarchical)
-            .topology(topo.clone())
-            .launch()
-            .and_then(|h| h.wait())
-            .unwrap();
-        *tp = comm.into_transport();
-        out
-    });
-    for out in outs {
-        for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
-            assert!((g - e).abs() < 1e-4);
-        }
-    }
-}
-
-// --- inter-node message counting (the acceptance criterion) ---------------
-
-/// Transport wrapper counting messages that cross node-group boundaries.
-/// The counter is shared across `detach()` hand-offs so the hierarchical
-/// schedule's internal re-wrapping keeps accumulating into it.
-struct InterCounting<T: Transport> {
-    inner: T,
-    node_of: Vec<usize>,
-    inter: Arc<AtomicU64>,
-}
-
-impl<T: Transport> InterCounting<T> {
-    fn new(inner: T, topo: &Topology) -> Self {
-        InterCounting {
-            node_of: (0..topo.size()).map(|r| topo.node_of(r)).collect(),
-            inner,
-            inter: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    fn count(&self, dst: usize) {
-        let src = self.inner.rank();
-        if src < self.node_of.len()
-            && dst < self.node_of.len()
-            && self.node_of[src] != self.node_of[dst]
-        {
-            self.inter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-impl<T: Transport> Transport for InterCounting<T> {
-    fn rank(&self) -> usize {
-        self.inner.rank()
-    }
-    fn size(&self) -> usize {
-        self.inner.size()
-    }
-    fn cost(&self) -> &CostModel {
-        self.inner.cost()
-    }
-    fn clock(&self) -> f64 {
-        self.inner.clock()
-    }
-    fn advance_clock_to(&mut self, t: f64) {
-        self.inner.advance_clock_to(t)
-    }
-    fn charge_seconds(&mut self, seconds: f64) {
-        self.inner.charge_seconds(seconds)
-    }
-    fn compute(&mut self, elements: usize) {
-        self.inner.compute(elements)
-    }
-    fn next_op_id(&mut self) -> u64 {
-        self.inner.next_op_id()
-    }
-    fn stats(&self) -> &CommStats {
-        self.inner.stats()
-    }
-    fn stats_mut(&mut self) -> &mut CommStats {
-        self.inner.stats_mut()
-    }
-    fn reset_clock(&mut self) {
-        self.inner.reset_clock()
-    }
-    fn send(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
-        self.count(dst);
-        self.inner.send(dst, tag, payload)
-    }
-    fn isend(&mut self, dst: usize, tag: u64, payload: Bytes) -> Result<(), CommError> {
-        self.count(dst);
-        self.inner.isend(dst, tag, payload)
-    }
-    fn recv(&mut self, src: usize, tag: u64) -> Result<Bytes, CommError> {
-        self.inner.recv(src, tag)
-    }
-    fn recv_any(&mut self, tag: u64) -> Result<(usize, Bytes), CommError> {
-        self.inner.recv_any(tag)
-    }
-    fn detach(&mut self) -> Self {
-        InterCounting {
-            inner: self.inner.detach(),
-            node_of: self.node_of.clone(),
-            inter: Arc::clone(&self.inter),
-        }
-    }
-}
-
-#[test]
-fn hierarchical_sends_fewer_inter_node_messages_than_flat_ssar() {
-    // P = 8 on a 2×4 topology. Flat SSAR_Recursive_double crosses the
-    // node boundary in its distance-4 round: 1 inter message per rank.
-    // The hierarchical schedule's only inter traffic is the two leaders'
-    // exchange: ≤ 1 per leader, 0 for everyone else.
-    let p = 8;
-    let dim = 4096;
-    let topo = Topology::uniform(2, 4).unwrap();
-    let ins: Vec<SparseStream<f32>> = (0..p)
-        .map(|r| random_sparse(dim, 64, 9700 + r as u64))
-        .collect();
-
-    let count_with = |hierarchical: bool| -> Vec<u64> {
-        let topo = topo.clone();
-        let ins = ins.clone();
-        run_cluster(p, CostModel::zero(), move |ep| {
-            let tp = InterCounting::new(ep.detach(), &topo);
-            let counter = Arc::clone(&tp.inter);
-            let mut comm = Communicator::new(tp);
-            let call = comm.allreduce(&ins[comm.rank()]);
-            let call = if hierarchical {
-                call.algorithm(Algorithm::Hierarchical)
-                    .topology(topo.clone())
-                    .leader_algorithm(Algorithm::SsarRecDbl)
-            } else {
-                call.algorithm(Algorithm::SsarRecDbl)
-            };
-            call.launch().and_then(|h| h.wait()).unwrap();
-            *ep = comm.into_transport().into_parent_endpoint();
-            counter.load(Ordering::Relaxed)
-        })
-    };
-
-    let flat = count_with(false);
-    let hier = count_with(true);
-    // Flat: every rank crosses the boundary exactly once.
-    assert!(flat.iter().all(|&c| c == 1), "flat inter counts: {flat:?}");
-    // Hierarchical: leaders (ranks 0 and 4) at most once, others never —
-    // strictly fewer inter messages per rank in aggregate and no rank
-    // worse than flat.
-    for (rank, (&h, &f)) in hier.iter().zip(flat.iter()).enumerate() {
-        assert!(h <= f, "rank {rank}: hier {h} > flat {f}");
-    }
-    assert!(
-        hier.iter().sum::<u64>() < flat.iter().sum::<u64>(),
-        "hier {hier:?} vs flat {flat:?}"
-    );
-    assert_eq!(hier.iter().sum::<u64>(), 2, "only the leader exchange");
-}
-
-impl InterCounting<sparcml::net::Endpoint> {
-    fn into_parent_endpoint(self) -> sparcml::net::Endpoint {
-        self.inner
-    }
 }
 
 // --- engine on a subgroup -------------------------------------------------
@@ -648,58 +403,6 @@ fn auto_on_a_subgroup_is_bitwise_the_pinned_pick() {
 }
 
 #[test]
-fn hierarchical_auto_leader_stage_is_bitwise_the_pinned_leader_pick() {
-    // The leaders run flat Auto on the node sums. With sparse node sums
-    // (2×4) that is recursive doubling and the leaders' pass is their
-    // whole exchange. With dense ones it falls back where recursive
-    // doubling loses: not between two leaders, whose segmented round beats
-    // every other schedule, but among eight at N = 2^14 (8×2).
-    let cost = CostModel::aries();
-    for (nodes, per_node, dim, nnz) in [(2, 4, 1 << 12, Some(8)), (8, 2, 1 << 14, None)] {
-        let topo = Topology::uniform(nodes, per_node).unwrap();
-        let p = topo.size();
-        let leader_pick = match nnz {
-            Some(_) => Algorithm::SsarRecDbl,
-            None => select_algorithm::<f32>(nodes, dim, dim, &cost),
-        };
-        assert_eq!(leader_pick == Algorithm::SsarRecDbl, nnz.is_some());
-        let ins = auto_inputs(p, dim, nnz);
-        let run = |leader: Algorithm| {
-            run_cluster(p, cost, |ep| {
-                let mut comm = Communicator::new(ep.detach());
-                let out = comm
-                    .allreduce(&ins[comm.rank()])
-                    .algorithm(Algorithm::Hierarchical)
-                    .topology(topo.clone())
-                    .topology_cost(TopologyCostModel::uniform(cost))
-                    .leader_algorithm(leader)
-                    .launch()
-                    .and_then(|h| h.wait())
-                    .unwrap();
-                let stats = comm.stats_snapshot();
-                *ep = comm.into_transport();
-                (out, stats.auto_fused, stats.auto_fallback, stats.msgs_sent)
-            })
-        };
-        let auto = run(Algorithm::Auto);
-        let pinned = run(leader_pick);
-        let rec_dbl = leader_pick == Algorithm::SsarRecDbl;
-        for (rank, (a, b)) in auto.iter().zip(&pinned).enumerate() {
-            assert_eq!(a.0, b.0, "rank {rank} nnz={nnz:?}");
-            let passes = topo.is_leader(rank) as u64;
-            assert_eq!(
-                (a.1, a.2),
-                (passes * rec_dbl as u64, passes * !rec_dbl as u64),
-                "rank {rank} nnz={nnz:?}"
-            );
-            if rec_dbl {
-                assert_eq!(a.3, b.3, "the leaders' agreement cost no message");
-            }
-        }
-    }
-}
-
-#[test]
 fn engine_fused_bucket_auto_is_bitwise_the_pinned_pick() {
     // Six small layers fuse into one bucket; the bucket's Auto resolves
     // to recursive doubling, so the engine's collective is the pass.
@@ -777,27 +480,6 @@ fn subgroup_collectives_count_in_session_stats() {
             "subgroup collective not counted: {before} -> {after}"
         );
     }
-}
-
-#[test]
-fn auto_rejects_size_mismatched_topology() {
-    let topo = Topology::uniform(2, 4).unwrap(); // 8 ranks, cluster has 4
-    let outs = run_cluster(4, CostModel::zero(), |ep| {
-        let mut comm = Communicator::new(ep.detach());
-        let input = random_sparse::<f32>(256, 8, comm.rank() as u64);
-        let err = comm
-            .allreduce(&input)
-            .topology(topo.clone())
-            .launch()
-            .map(|h| h.wait().map(|_| ()))
-            .is_err();
-        *ep = comm.into_transport();
-        err
-    });
-    assert!(
-        outs.iter().all(|&e| e),
-        "Auto must error, not silently run flat"
-    );
 }
 
 #[test]

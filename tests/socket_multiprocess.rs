@@ -380,48 +380,37 @@ fn engine_density_guard_splits_buckets_across_processes() {
 }
 
 #[test]
-fn hierarchical_2x4_with_engine_on_subgroup_across_processes() {
-    // 8 real OS processes pinned to a 2×4 topology (the launcher exports
-    // SPARCML_NODES to every rank). Exercises, across real sockets and
-    // processes:
-    //   1. hierarchical allreduce over the topology each worker read
-    //      *from the environment* once at start-up (`Topology::from_env`
-    //      handed to `.topology(..)` — the env bootstrap is the point),
-    //      bitwise-equal to the flat reference;
-    //   2. `Communicator::split` into node groups with a progress engine
-    //      submitted onto each subgroup concurrently;
+fn split_2x4_with_engine_on_subgroup_across_processes() {
+    // 8 real OS processes, split into two groups of four. Exercises,
+    // across real sockets and processes:
+    //   1. a pinned flat allreduce over the world, bitwise-equal to the
+    //      reference;
+    //   2. `Communicator::split` into groups of four with a progress
+    //      engine submitted onto each subgroup concurrently;
     //   3. a flat world collective afterwards (counters realigned).
     use sparcml::engine::{CommunicatorEngineExt, EngineConfig};
-    use sparcml::net::Topology;
 
     let world = 8;
     let dim = 4096;
     let nnz = 128;
-    let topo = Topology::uniform(2, 4).unwrap();
-    let opts = LaunchOptions::for_test()
-        .with_timeout(Duration::from_secs(120))
-        .with_topology(topo.clone());
+    let opts = LaunchOptions::for_test().with_timeout(Duration::from_secs(120));
     let Some(results) = run_socket_cluster(
-        "hierarchical_2x4_with_engine_on_subgroup_across_processes",
+        "split_2x4_with_engine_on_subgroup_across_processes",
         world,
         &opts,
         |tp| {
             let mut comm = Communicator::new(tp.detach());
             let rank = comm.rank();
             let input = integer_stream(rank, dim, nnz);
-            let env_topo = Topology::from_env(world)
-                .expect("launcher exports a valid topology")
-                .expect("SPARCML_NODES must be set for this job");
 
-            let hier = comm
+            let pinned = comm
                 .allreduce(&input)
-                .algorithm(Algorithm::Hierarchical)
-                .topology(env_topo.clone())
+                .algorithm(Algorithm::SsarSplitAllgather)
                 .launch()
                 .and_then(|h| h.wait())
                 .unwrap();
 
-            let mut sub = comm.split_by_topology(&env_topo).unwrap();
+            let mut sub = comm.split((rank / 4) as u64).unwrap();
             let members = sub.transport().members().to_vec();
             let mut engine = sub.engine(EngineConfig::default());
             let t0 = engine.submit_allreduce(&input);
@@ -439,9 +428,9 @@ fn hierarchical_2x4_with_engine_on_subgroup_across_processes() {
                 .unwrap();
             *tp = comm.into_transport();
             format!(
-                "node{:?}|hier={}|sub={}:{}|flat={}",
+                "group{:?}|pinned={}|sub={}:{}|flat={}",
                 members,
-                fingerprint(&hier.to_dense_vec()),
+                fingerprint(&pinned.to_dense_vec()),
                 fingerprint(&sub_first.to_dense_vec()),
                 fingerprint(&sub_second.to_dense_vec()),
                 fingerprint(&flat.to_dense_vec()),
@@ -453,11 +442,11 @@ fn hierarchical_2x4_with_engine_on_subgroup_across_processes() {
     let ins: Vec<SparseStream<f32>> = (0..world).map(|r| integer_stream(r, dim, nnz)).collect();
     let world_fp = fingerprint(&reference_sum(&ins));
     for (rank, line) in results.iter().enumerate() {
-        let members = topo.group_of(rank);
+        let members: Vec<usize> = (rank / 4 * 4..rank / 4 * 4 + 4).collect();
         let sub_ins: Vec<SparseStream<f32>> = members.iter().map(|&r| ins[r].clone()).collect();
         let sub_fp = fingerprint(&reference_sum(&sub_ins));
         let expect = format!(
-            "node{:?}|hier={world_fp}|sub={sub_fp}:{sub_fp}|flat={world_fp}",
+            "group{:?}|pinned={world_fp}|sub={sub_fp}:{sub_fp}|flat={world_fp}",
             members
         );
         assert_eq!(line, &expect, "rank {rank}");
