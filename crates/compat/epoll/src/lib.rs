@@ -15,6 +15,8 @@
 //! * [`Events`] — a reusable readiness buffer yielding [`Event`]s.
 //! * [`Waker`] — an `eventfd` registered with the poller so another
 //!   thread can interrupt a blocking `wait`.
+//! * [`poll`] over [`PollFd`]s — a one-shot `poll(2)` for a thread that
+//!   waits on a few sockets itself, without an epoll instance.
 //!
 //! Everything is **level-triggered**: an fd stays ready until drained,
 //! so a loop that reads/writes less than the kernel offers is re-notified
@@ -57,6 +59,45 @@ impl Interest {
         readable: true,
         writable: true,
     };
+    /// Neither direction: only the hang-up and error conditions, which
+    /// are always reported.
+    pub const HANGUP: Interest = Interest {
+        readable: false,
+        writable: false,
+    };
+}
+
+/// One descriptor of a [`poll`] call: watched for readability (which
+/// includes end-of-stream, hang-up and error), laid out as the kernel's
+/// `struct pollfd`.
+#[derive(Debug, Clone, Copy)]
+#[repr(C)]
+pub struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+/// `POLLIN`.
+const POLLIN: i16 = 0x001;
+
+impl PollFd {
+    /// Watches `fd` for readability.
+    pub fn readable(fd: RawFd) -> PollFd {
+        PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+}
+
+/// Blocks until one of `fds` is ready or `timeout` passes (`None` waits
+/// indefinitely; a sub-millisecond timeout rounds up to 1 ms) and returns
+/// how many are ready. An interrupted wait returns `Ok(0)`: the caller
+/// re-checks its own deadline instead of this call restarting the clock.
+pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+    sys::poll(fds, timeout)
 }
 
 /// One readiness notification out of [`Poller::wait`].
@@ -105,6 +146,8 @@ mod sys {
     const EINTR: i32 = 4;
 
     extern "C" {
+        #[link_name = "poll"]
+        fn poll_fds(fds: *mut super::PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
@@ -172,15 +215,7 @@ mod sys {
         ) -> io::Result<usize> {
             buf.clear();
             buf.resize(capacity.max(1), EpollEvent { events: 0, data: 0 });
-            // Round a sub-millisecond timeout up so a caller asking for a
-            // short bounded wait cannot accidentally spin on timeout=0.
-            let ms: i32 = match timeout {
-                None => -1,
-                Some(t) => t
-                    .as_millis()
-                    .max(u128::from(u32::from(!t.is_zero())))
-                    .min(i32::MAX as u128) as i32,
-            };
+            let ms = timeout_ms(timeout);
             loop {
                 let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, ms) };
                 if n >= 0 {
@@ -198,6 +233,40 @@ mod sys {
     impl Drop for Poller {
         fn drop(&mut self) {
             unsafe { close(self.epfd) };
+        }
+    }
+
+    /// Milliseconds for a kernel timeout: `-1` for none, sub-millisecond
+    /// waits rounded up so a short bounded wait never spins.
+    fn timeout_ms(timeout: Option<Duration>) -> i32 {
+        match timeout {
+            None => -1,
+            Some(t) => t
+                .as_millis()
+                .max(u128::from(u32::from(!t.is_zero())))
+                .min(i32::MAX as u128) as i32,
+        }
+    }
+
+    pub fn poll(fds: &mut [super::PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+        // SAFETY: `PollFd` has the layout of `struct pollfd`, and the
+        // pointer and length describe `fds`, which is borrowed mutably for
+        // the whole call; the kernel writes only their `revents` fields.
+        let n = unsafe {
+            poll_fds(
+                fds.as_mut_ptr(),
+                fds.len() as std::os::raw::c_ulong,
+                timeout_ms(timeout),
+            )
+        };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() == Some(EINTR) {
+            Ok(0)
+        } else {
+            Err(err)
         }
     }
 
@@ -289,6 +358,10 @@ mod sys {
         ) -> io::Result<usize> {
             unsupported()
         }
+    }
+
+    pub fn poll(_fds: &mut [super::PollFd], _timeout: Option<Duration>) -> io::Result<usize> {
+        unsupported()
     }
 
     pub fn decode(_ev: &EpollEvent) -> Event {
@@ -526,6 +599,31 @@ mod tests {
             .unwrap();
         assert_eq!(n, 0);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn poll_reports_readable_and_hung_up_sockets() {
+        let (mut a, b) = pair();
+        let (c, d) = pair();
+        let mut fds = [
+            PollFd::readable(b.as_raw_fd()),
+            PollFd::readable(d.as_raw_fd()),
+        ];
+        let n = poll(&mut fds, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0);
+
+        a.write_all(b"x").unwrap();
+        assert_eq!(poll(&mut fds, Some(Duration::from_secs(5))).unwrap(), 1);
+        drop(c);
+        // Level-triggered: the unread byte still counts, and the
+        // end-of-stream joins it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while poll(&mut fds, Some(Duration::from_millis(10))).unwrap() < 2 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "hang-up never read ready"
+            );
+        }
     }
 
     #[test]

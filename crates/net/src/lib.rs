@@ -18,11 +18,14 @@
 //! * [`ReactorTransport`]: real sockets — a rendezvous bootstrap, a full
 //!   mesh of persistent connections, length-prefixed frames carrying the
 //!   wire-v4 stream frames, typed failures (timeouts, disconnects, handshake
-//!   mismatches), and one epoll event loop per rank. Runs collectives
+//!   mismatches). A send writes on the caller's thread and a blocked
+//!   receive reads its own sockets; one epoll event loop per rank only
+//!   finishes parked writes, watches for hang-ups and drains sockets no
+//!   caller is reading. Runs collectives
 //!   across OS *processes*, launched either by
 //!   [`launcher::run_socket_cluster`] or manually via the
 //!   `SPARCML_RANK`/`SPARCML_WORLD`/`SPARCML_ROOT_ADDR` environment
-//!   bootstrap. Linux only (epoll); the other two are portable.
+//!   bootstrap. Linux only (epoll, poll); the other two are portable.
 //!
 //! The three differ in how bytes move and what the clock means, not in
 //! how a message is received: `(source, tag)` matching, the out-of-order

@@ -1,15 +1,23 @@
 //! The one receive path: `(source, tag)` matching for every root transport.
 //!
-//! A link — the channel [`Mesh`] between rank threads, or a socket event
-//! loop — posts [`Event`]s into a rank's [`Mailbox`]; the transport's
-//! owning thread asks the mailbox for the message it wants. Matching, the
-//! out-of-order buffer, rank-ordered `recv_any`, the receive watchdog and
-//! the per-peer close registry live here and nowhere else, so every
+//! A link — the channel [`Mesh`] between rank threads, or a socket
+//! transport's event loop — posts [`Event`]s into a rank's [`Mailbox`];
+//! the transport's owning thread asks the mailbox for the message it
+//! wants. Matching, the out-of-order buffer, rank-ordered `recv_any`, the
+//! receive watchdog and the per-peer close registry live here and
+//! nowhere else, so every
 //! transport fails the same way: a peer whose link ended (it finished, was
 //! dropped, or panicked) is [`CommError::PeerDisconnected`] once everything
 //! it sent has been consumed; one that stays silent is
 //! [`CommError::Timeout`] after `recv_timeout` of *wall* time, and the
 //! session stays usable.
+//!
+//! A waiting receive takes events from the inbox channel first. Once it is
+//! empty, the transport's [`Pull`] says where the next one comes from:
+//! the in-process links block on the channel itself, while the socket
+//! transport reads its peers' sockets on the receiving thread, so a frame
+//! it reads that nobody asked for goes straight into the out-of-order
+//! buffer without crossing the channel.
 //!
 //! The mailbox is generic over the message body `M` (the payload on the
 //! wall-clock links, payload plus modelled arrival time on the virtual
@@ -21,7 +29,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::error::CommError;
 
@@ -32,8 +40,27 @@ pub(crate) enum Event<M> {
     Msg { src: usize, tag: u64, body: M },
     /// The link to `src` ended: its session finished or was dropped, or
     /// its socket closed or failed. Travels the same channel as the
-    /// peer's data, so it is seen only after everything sent before it.
+    /// peer's data, so it is seen only after everything the link queued
+    /// before it.
     Closed { src: usize, detail: String },
+}
+
+/// Where a waiting receive gets its next event once the inbox is empty.
+pub(crate) trait Pull<M> {
+    /// Waits at most `budget` for the next event and returns it, or `None`
+    /// if none came; the receive then looks at the inbox, the close
+    /// registry and the watchdog again before it pulls once more.
+    fn pull(&mut self, inbox: &Receiver<Event<M>>, budget: Duration) -> Option<Event<M>>;
+}
+
+/// Every event travels the inbox channel: block on it.
+pub(crate) struct Inbox;
+
+impl<M> Pull<M> for Inbox {
+    fn pull(&mut self, inbox: &Receiver<Event<M>>, budget: Duration) -> Option<Event<M>> {
+        // Disconnection cannot happen: the mailbox holds a sender.
+        inbox.recv_timeout(budget).ok()
+    }
 }
 
 /// One rank's receive side: the inbox channel, the out-of-order buffer,
@@ -92,6 +119,18 @@ impl<M> Mailbox<M> {
 
     /// Receives the next message from `src` with `tag`.
     pub(crate) fn recv(&mut self, src: usize, tag: u64) -> Result<M, CommError> {
+        self.recv_with(src, tag, || Inbox)
+    }
+
+    /// [`Mailbox::recv`], pulling from the link `link()` returns once the
+    /// buffer holds no match: the buffer is looked at before the link is
+    /// opened.
+    pub(crate) fn recv_with<L: Pull<M>>(
+        &mut self,
+        src: usize,
+        tag: u64,
+        link: impl FnOnce() -> L,
+    ) -> Result<M, CommError> {
         if src >= self.size {
             return Err(CommError::InvalidRank {
                 rank: src,
@@ -100,13 +139,25 @@ impl<M> Mailbox<M> {
         }
         match self.take_pending(src, tag) {
             Some(body) => Ok(body),
-            None => self.wait_for(Some(src), tag).map(|(_, body)| body),
+            None => self
+                .wait_for(Some(src), tag, &mut link())
+                .map(|(_, body)| body),
         }
     }
 
     /// Receives one message carrying `tag` from any source — buffered
     /// messages first, lowest rank first for determinism.
     pub(crate) fn recv_any(&mut self, tag: u64) -> Result<(usize, M), CommError> {
+        self.recv_any_with(tag, || Inbox)
+    }
+
+    /// [`Mailbox::recv_any`] pulling from `link()` (see
+    /// [`Mailbox::recv_with`]).
+    pub(crate) fn recv_any_with<L: Pull<M>>(
+        &mut self,
+        tag: u64,
+        link: impl FnOnce() -> L,
+    ) -> Result<(usize, M), CommError> {
         let buffered = self
             .pending
             .keys()
@@ -117,7 +168,7 @@ impl<M> Mailbox<M> {
             let body = self.take_pending(src, tag).expect("queues are non-empty");
             return Ok((src, body));
         }
-        self.wait_for(None, tag)
+        self.wait_for(None, tag, &mut link())
     }
 
     fn take_pending(&mut self, src: usize, tag: u64) -> Option<M> {
@@ -131,10 +182,15 @@ impl<M> Mailbox<M> {
         body
     }
 
-    /// Reads the inbox until a message with `tag` from `from` (any source
-    /// if `None`) shows up, buffering everything else, for at most
-    /// `recv_timeout`.
-    fn wait_for(&mut self, from: Option<usize>, tag: u64) -> Result<(usize, M), CommError> {
+    /// Takes events from the inbox, then from `link`, until a message with
+    /// `tag` from `from` (any source if `None`) shows up, buffering
+    /// everything else, for at most `recv_timeout`.
+    fn wait_for(
+        &mut self,
+        from: Option<usize>,
+        tag: u64,
+        link: &mut impl Pull<M>,
+    ) -> Result<(usize, M), CommError> {
         // The watchdog starts at the first wait: a message that is already
         // queued costs no clock read.
         let mut started = None;
@@ -149,19 +205,16 @@ impl<M> Mailbox<M> {
                         return Err(CommError::PeerDisconnected { peer });
                     }
                     let started = *started.get_or_insert_with(Instant::now);
-                    let budget = self.recv_timeout.saturating_sub(started.elapsed());
-                    match self.inbox.recv_timeout(budget) {
-                        Ok(event) => event,
-                        Err(RecvTimeoutError::Timeout) => {
-                            return Err(CommError::Timeout {
-                                peer: waiting_on,
-                                waited: started.elapsed(),
-                            })
-                        }
-                        // Unreachable in practice: we hold a sender.
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(CommError::PeerDisconnected { peer: waiting_on })
-                        }
+                    let waited = started.elapsed();
+                    if waited >= self.recv_timeout {
+                        return Err(CommError::Timeout {
+                            peer: waiting_on,
+                            waited,
+                        });
+                    }
+                    match link.pull(&self.inbox, self.recv_timeout - waited) {
+                        Some(event) => event,
+                        None => continue,
                     }
                 }
             };

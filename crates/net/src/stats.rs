@@ -65,15 +65,19 @@ comm_stats_fields! {
     /// How many of those acquisitions reused a pooled allocation instead
     /// of allocating fresh.
     pool_reuses,
-    /// Event-loop wakeups (`epoll_wait` returns) on the reactor
-    /// transport; thread-per-peer transports report zero.
+    /// Background event-loop wakeups (`epoll_wait` returns) on the
+    /// reactor transport: parked writes, peer hang-ups and the loop's
+    /// 100 ms drain. A message exchange wakes no loop — callers write and
+    /// read their own sockets — so this stays near zero while ranks
+    /// exchange small frames. The channel transports report zero.
     wakeups,
     /// Write syscalls that moved fewer bytes than requested (socket
-    /// backpressure observed by the reactor's nonblocking writes).
+    /// backpressure observed by the reactor's nonblocking writes, on the
+    /// caller's thread or the loop's).
     partial_writes,
-    /// Complete frames delivered by the reactor's readable-batch drains —
-    /// `read_batch_frames / wakeups` approximates frames amortized per
-    /// wakeup.
+    /// Complete frames read off the reactor's sockets, whichever thread
+    /// read them: a receiving caller or the loop's background drain. Each
+    /// frame counts once.
     read_batch_frames,
     /// Sparse recursive-doubling rounds whose outgoing frame carried a
     /// dense accumulator: the rounds that ran after the δ-switch (or on

@@ -11,8 +11,10 @@
 //!   sequential reference and bitwise against the virtual-time transport
 //!   on integer inputs;
 //! * **socket edge cases** — short reads reassembled across wakeups,
-//!   peers closing mid-frame, oversized frame declarations, and
-//!   malformed wire payloads arriving over a real socket;
+//!   peers closing mid-frame, oversized frame declarations, malformed
+//!   wire payloads arriving over a real socket, a receiver too busy to
+//!   read while a large frame comes in, and per-`(src, tag)` order
+//!   whichever thread read a frame;
 //! * a **P = 64 loopback smoke test** that also asserts the thread count:
 //!   one event loop per rank, whatever P is;
 //! * the **progress engine** running fused gradient buckets over sockets.
@@ -439,6 +441,106 @@ fn communicator_survives_collective_error_and_reports_it() {
         "got: {}",
         results[0]
     );
+}
+
+#[test]
+fn busy_receiver_keeps_a_large_send_moving() {
+    // The write-stall deadline is the config's 1 s; the receiver sleeps
+    // 2.5 s before it reads. Only the receiving loop's background drain
+    // keeps the sender's writes moving meanwhile: without it the sender
+    // would fail its peer as wedged.
+    const LEN: usize = 64 << 20;
+    let config = quick_config().with_recv_timeout(Duration::from_secs(1));
+    let results = run_reactor_loopback_cluster(2, CostModel::zero(), config, |tp| {
+        tp.set_recv_deadline(Duration::from_secs(10));
+        if tp.rank() == 0 {
+            tp.send(1, 1, Bytes::from(vec![7u8; LEN]))?;
+            tp.recv(1, 2).map(|ack| ack.len())
+        } else {
+            std::thread::sleep(Duration::from_millis(2500));
+            let got = tp.recv(0, 1)?;
+            assert!(got.iter().all(|&b| b == 7), "payload intact");
+            tp.send(0, 2, Bytes::from_static(b"ok"))?;
+            Ok(got.len())
+        }
+    });
+    assert_eq!(results, vec![Ok(2), Ok(LEN)]);
+}
+
+/// A small frame whose payload is its sequence number.
+fn seq_frame(seq: u32) -> Bytes {
+    Bytes::from(seq.to_le_bytes().to_vec())
+}
+
+fn seq_of(frame: &[u8]) -> u32 {
+    u32::from_le_bytes(frame[..4].try_into().unwrap())
+}
+
+#[test]
+fn frames_keep_their_order_per_source_and_tag_across_delivery_routes() {
+    // Three routes into one receive, on two interleaved tags:
+    // * seqs 0..8 arrive while the receiver sleeps through several of
+    //   the loop's 100 ms drains, which queue them;
+    // * seq 8 is 16 MiB, more than the socket takes at once, so the rest
+    //   is parked at the sender and seqs 9..16 queue behind it;
+    // * seqs 16..24 are sent once the receiver is blocked in `recv`, which
+    //   reads them off the socket itself.
+    // Each tag must come out in send order.
+    const BIG: usize = 16 << 20;
+    const TAGS: [u64; 2] = [5, 7];
+    let results = run_reactor_loopback_cluster(2, CostModel::zero(), quick_config(), |tp| {
+        if tp.rank() == 0 {
+            for seq in 0..16u32 {
+                let payload = if seq == 8 {
+                    let mut big = vec![0u8; BIG];
+                    big[..4].copy_from_slice(&seq.to_le_bytes());
+                    Bytes::from(big)
+                } else {
+                    seq_frame(seq)
+                };
+                for tag in TAGS {
+                    tp.send(1, tag, payload.clone()).unwrap();
+                }
+            }
+            let partial = tp.stats_mut().partial_writes;
+            let _ = tp.recv(1, 6).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            for seq in 16..24u32 {
+                for tag in TAGS {
+                    tp.send(1, tag, seq_frame(seq)).unwrap();
+                }
+            }
+            let _ = tp.recv(1, 6).unwrap();
+            assert!(partial >= 1, "the 16 MiB frame must have parked");
+            Vec::new()
+        } else {
+            std::thread::sleep(Duration::from_millis(500));
+            assert!(tp.stats_mut().wakeups >= 2, "the loop's drain ran");
+            tp.send(0, 6, Bytes::new()).unwrap();
+            // All of the first tag, then all of the second: every frame of
+            // the second goes into the out-of-order buffer on the way.
+            let got: Vec<Vec<u32>> = TAGS
+                .iter()
+                .map(|&tag| {
+                    (0..24)
+                        .map(|_| {
+                            let frame = tp.recv(0, tag).unwrap();
+                            if seq_of(&frame) == 8 {
+                                assert_eq!(frame.len(), BIG);
+                            }
+                            seq_of(&frame)
+                        })
+                        .collect()
+                })
+                .collect();
+            tp.send(0, 6, Bytes::new()).unwrap();
+            got
+        }
+    });
+    let expect: Vec<u32> = (0..24).collect();
+    for (tag, seqs) in TAGS.iter().zip(&results[1]) {
+        assert_eq!(seqs, &expect, "tag {tag}");
+    }
 }
 
 #[test]
