@@ -38,10 +38,10 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sparcml_core::{Algorithm, AllreduceConfig, CollError, Communicator};
 use sparcml_net::{CommStats, TagBlockAllocator, Transport};
 use sparcml_obs as obs;
@@ -191,7 +191,7 @@ impl<T: Transport + Send + 'static, V: Scalar> Engine<T, V> {
         let rank = transport.rank();
         let size = transport.size();
         let thread_name = format!("sparcml-engine-{rank}");
-        let (tx, rx) = unbounded::<Msg<V>>();
+        let (tx, rx) = channel::<Msg<V>>();
         let stats = Arc::new(Mutex::new(EngineStats::default()));
         let thread_stats = stats.clone();
         let handle = std::thread::Builder::new()
@@ -262,7 +262,7 @@ impl<T: Transport + Send + 'static, V: Scalar> Engine<T, V> {
     fn allreduce_job(&mut self, input: Arc<SparseStream<V>>) -> (Job<V>, Ticket<SparseStream<V>>) {
         let idx = self.next_idx;
         self.next_idx += 1;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let job = Job::Allreduce { idx, input, tx };
         let ticket = Ticket {
             idx,
@@ -325,7 +325,7 @@ impl<T: Transport + Send + 'static, V: Scalar> Engine<T, V> {
     pub fn submit_allgather(&mut self, input: &SparseStream<V>) -> Ticket<Vec<SparseStream<V>>> {
         let idx = self.next_idx;
         self.next_idx += 1;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let job = Job::Allgather {
             idx,
             input: Arc::new(input.clone()),
@@ -440,7 +440,7 @@ fn progress_loop<T: Transport + Send + 'static, V: Scalar>(
                 }
             }
         }
-        while let Some(msg) = rx.try_recv() {
+        while let Ok(msg) = rx.try_recv() {
             match msg {
                 Msg::Jobs(jobs) => pending.extend(jobs),
                 Msg::Stop => stopping = true,

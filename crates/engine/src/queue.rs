@@ -8,8 +8,9 @@
 //! into a `ServerBusy` wire frame), and the consumer drains jobs in
 //! batches so one lock round-trip applies many contributions.
 //!
-//! Built on `Mutex` + `Condvar` only — the vendored crossbeam compat
-//! channel is unbounded-only, and backpressure is the whole point here.
+//! Built on `Mutex` + `Condvar` only: `std::sync::mpsc`'s bounded
+//! channel can refuse a job, but it cannot report the queue's depth with
+//! the refusal or hand the consumer a batch under one lock.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -1,6 +1,7 @@
 //! In-flight collective handles resolved by the progress engine.
 
-use crossbeam::channel::Receiver;
+use std::sync::mpsc::Receiver;
+
 use sparcml_core::CollError;
 
 /// Handle to one submitted collective job, resolving to `R` once the
@@ -60,7 +61,7 @@ impl<R> Ticket<R> {
     /// [`Ticket::wait`] will return without blocking.
     pub fn poll(&mut self) -> bool {
         if let TicketState::Pending(rx) = &self.state {
-            if let Some(result) = rx.try_recv() {
+            if let Ok(result) = rx.try_recv() {
                 self.state = TicketState::Done(result);
             }
         }
@@ -83,7 +84,7 @@ impl<R> Ticket<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn failed_tickets_resolve_immediately() {
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn poll_then_wait_round_trips() {
-        let (tx, rx) = unbounded::<Result<u32, CollError>>();
+        let (tx, rx) = channel::<Result<u32, CollError>>();
         let mut t = Ticket {
             idx: 0,
             thread_name: "t".into(),
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn dropped_engine_surfaces_as_worker_panicked() {
-        let (tx, rx) = unbounded::<Result<u32, CollError>>();
+        let (tx, rx) = channel::<Result<u32, CollError>>();
         let t = Ticket {
             idx: 0,
             thread_name: "sparcml-engine-1".into(),

@@ -27,9 +27,8 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::error::CommError;
 
@@ -83,7 +82,7 @@ pub(crate) struct Mailbox<M> {
 
 impl<M> Mailbox<M> {
     pub(crate) fn new(rank: usize, size: usize, recv_timeout: Duration) -> Mailbox<M> {
-        let (loopback, inbox) = unbounded();
+        let (loopback, inbox) = channel();
         Mailbox {
             rank,
             size,
@@ -198,7 +197,7 @@ impl<M> Mailbox<M> {
         loop {
             // Everything already queued (self-sends included) is looked at
             // before concluding from `closed` that nothing more can come.
-            let event = match self.inbox.try_recv() {
+            let event = match self.inbox.try_recv().ok() {
                 Some(event) => event,
                 None => {
                     if let Some(peer) = self.lost(from) {

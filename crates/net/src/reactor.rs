@@ -64,12 +64,12 @@ use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, Sender};
 use epoll::{Events, Interest, PollFd, Poller, Waker};
 use sparcml_obs as obs;
 

@@ -23,11 +23,11 @@ use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sparcml_core::BufferPool;
 use sparcml_engine::SubmissionQueue;
 use sparcml_net::{CommError, CommStats};
@@ -439,7 +439,7 @@ fn session_thread(mut stream: TcpStream, shared: &Arc<Shared>) {
         let resumed = entry.connects > 0;
         entry.phase = SessionPhase::Active;
         entry.connects += 1;
-        let (tx, rx) = unbounded::<Vec<u8>>();
+        let (tx, rx) = channel::<Vec<u8>>();
         entry.outbox = Some(tx.clone());
         entry.socket = stream.try_clone().ok();
         (tx, rx, entry.queued.clone(), resumed)

@@ -14,11 +14,11 @@
 //! [`CommStats`] fold into each shard's reported counters.
 
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sparcml_core::Communicator;
 use sparcml_net::ThreadTransport;
 use sparcml_stream::SparseStream;
@@ -65,8 +65,8 @@ impl ShardGroup {
         let mut sync_acks = Vec::with_capacity(shards as usize);
         let mut sync_threads = Vec::with_capacity(shards as usize);
         for (handle, transport) in handles.iter().zip(transports) {
-            let (trigger_tx, trigger_rx) = unbounded::<()>();
-            let (ack_tx, ack_rx) = unbounded::<()>();
+            let (trigger_tx, trigger_rx) = channel::<()>();
+            let (ack_tx, ack_rx) = channel::<()>();
             let shared = handle.shared.clone();
             sync_triggers.push(trigger_tx);
             sync_acks.push(ack_rx);
@@ -77,13 +77,13 @@ impl ShardGroup {
 
         let interval_thread = cfg.shard_sync_interval.map(|interval| {
             let triggers = sync_triggers.clone();
-            let (stop_tx, stop_rx) = unbounded::<()>();
+            let (stop_tx, stop_rx) = channel::<()>();
             let handle = std::thread::spawn(move || loop {
                 match stop_rx.recv_timeout(interval) {
                     // A stop message or a dropped sender both mean "stop".
                     Ok(()) => return,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
+                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                         // Trigger every shard together — the sync is a
                         // collective, so no shard may enter it alone.
                         for t in &triggers {
@@ -127,7 +127,7 @@ impl ShardGroup {
         // Interval-driven syncs ack into the same channels; drain stale
         // acks so this call waits on its own round.
         for ack in &self.sync_acks {
-            while ack.try_recv().is_some() {}
+            while ack.try_recv().is_ok() {}
         }
         for t in &self.sync_triggers {
             t.send(()).map_err(|_| ServeError::Disconnected {

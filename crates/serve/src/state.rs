@@ -4,9 +4,9 @@
 use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use crossbeam::channel::Sender;
 use sparcml_stream::{DensityPolicy, PartRange, SparseStream, StreamError, SumStats};
 
 use crate::config::{AggregationMode, ModelSpec};

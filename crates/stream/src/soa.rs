@@ -107,6 +107,13 @@ impl<V: Copy> SparseVec<V> {
         &mut self.values
     }
 
+    /// Both slabs, for kernels that size them before writing (the merge).
+    /// Callers must leave them of equal length.
+    #[inline]
+    pub(crate) fn slabs_mut(&mut self) -> (&mut Vec<u32>, &mut Vec<V>) {
+        (&mut self.indices, &mut self.values)
+    }
+
     /// Borrows the whole payload as a [`SparseView`].
     #[inline]
     pub fn as_view(&self) -> SparseView<'_, V> {
