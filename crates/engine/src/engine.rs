@@ -93,8 +93,11 @@ pub struct EngineStats {
     pub chunked_buckets: u64,
     /// Total chunks executed across chunked buckets.
     pub chunks: u64,
-    /// Job submission indices in the order the engine executed them
-    /// (bucket by bucket) — the schedule, observable.
+    /// Submission indices of the latest batch's jobs in the order the
+    /// engine executed them (bucket by bucket) — the schedule, observable.
+    /// Each batch replaces the previous one's, so the list stays one
+    /// batch long however long the engine runs; while a batch runs it
+    /// holds the jobs of that batch executed so far.
     pub execution_order: Vec<u64>,
     /// Transport counters accumulated by the engine since it started
     /// (messages, bytes, collective ops — the fused-vs-unfused traffic
@@ -493,7 +496,11 @@ fn progress_loop<T: Transport + Send + 'static, V: Scalar>(
         drop(agree_span);
         let batch: Vec<Job<V>> = pending.drain(..(n_common - executed) as usize).collect();
         executed = n_common;
-        sink.stats.lock().expect("engine stats lock").batches += 1;
+        {
+            let mut s = sink.stats.lock().expect("engine stats lock");
+            s.batches += 1;
+            s.execution_order.clear();
+        }
         let _batch_span = obs::span_with(obs::Category::Engine, "batch", batch.len() as u64);
         run_batch(&mut comm, &cfg, batch, fill, agreed_nnz, &sink, &mut poison);
     }
@@ -804,6 +811,26 @@ mod tests {
             assert_eq!(dim, 256);
             assert_eq!(submitted, 1);
             assert_eq!(executed, 1);
+        }
+    }
+
+    #[test]
+    fn execution_order_keeps_only_the_latest_batch() {
+        // One job per batch, waited on before the next: the order must not
+        // grow with the engine's life.
+        let outs = run_communicators(2, CostModel::zero(), |comm| {
+            let mut engine = comm.engine::<f32>(EngineConfig::default());
+            let input = random_sparse::<f32>(256, 8, engine.rank() as u64);
+            for _ in 0..40 {
+                engine.submit_allreduce(&input).wait().unwrap();
+            }
+            let s = engine.stats();
+            engine.finish_into(comm).unwrap();
+            s
+        });
+        for s in outs {
+            assert_eq!(s.batches, 40);
+            assert_eq!(s.execution_order, vec![39]);
         }
     }
 

@@ -151,7 +151,7 @@ pub(crate) fn render_text(shared: &Shared) -> String {
                 m.range.hi,
                 m.generation,
                 m.generation,
-                m.sum.nnz()
+                m.nnz()
             ));
         }
     }
@@ -278,7 +278,7 @@ pub(crate) fn render_json(shared: &Shared) -> String {
                     m.range.hi,
                     m.generation,
                     m.generation,
-                    m.sum.nnz()
+                    m.nnz()
                 )
             })
             .collect();

@@ -224,9 +224,7 @@ impl Frame {
     /// Serializes the whole frame (header included) into `out`, clearing
     /// it first — `out` is typically a pool-recycled buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        out.extend_from_slice(&[0u8; 4]); // length backpatched below
-        out.push(self.kind());
+        begin_frame(out, self.kind());
         match self {
             Frame::Hello { session } => {
                 out.extend_from_slice(&SERVE_MAGIC);
@@ -290,9 +288,7 @@ impl Frame {
                 contributions,
                 payload,
             } => {
-                out.extend_from_slice(&model.to_le_bytes());
-                out.extend_from_slice(&generation.to_le_bytes());
-                out.extend_from_slice(&contributions.to_le_bytes());
+                put_state_head(out, *model, *generation, *contributions);
                 out.extend_from_slice(payload);
             }
             Frame::Update {
@@ -300,8 +296,7 @@ impl Frame {
                 generation,
                 payload,
             } => {
-                out.extend_from_slice(&model.to_le_bytes());
-                out.extend_from_slice(&generation.to_le_bytes());
+                put_update_head(out, *model, *generation);
                 out.extend_from_slice(payload);
             }
             Frame::Error { code, detail } => {
@@ -309,8 +304,37 @@ impl Frame {
                 put_str(out, detail);
             }
         }
-        let len = (out.len() - FRAME_HEADER_LEN) as u32;
-        out[..4].copy_from_slice(&len.to_le_bytes());
+        end_frame(out);
+    }
+
+    /// Serializes a STATE frame into `out` (cleared first) with a payload
+    /// that `payload` appends in place: the bytes
+    /// [`Frame::encode_into`] writes for [`Frame::State`], without a
+    /// buffer of the payload's own.
+    pub(crate) fn encode_state_into(
+        out: &mut Vec<u8>,
+        model: u16,
+        generation: u64,
+        contributions: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        begin_frame(out, KIND_STATE);
+        put_state_head(out, model, generation, contributions);
+        payload(out);
+        end_frame(out);
+    }
+
+    /// [`Frame::encode_state_into`] for an UPDATE frame.
+    pub(crate) fn encode_update_into(
+        out: &mut Vec<u8>,
+        model: u16,
+        generation: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        begin_frame(out, KIND_UPDATE);
+        put_update_head(out, model, generation);
+        payload(out);
+        end_frame(out);
     }
 
     /// Decodes a payload previously produced by [`Frame::encode_into`].
@@ -394,6 +418,32 @@ impl Frame {
         };
         Ok(frame)
     }
+}
+
+/// Clears `out` and writes a frame header of `kind`, its length word left
+/// for [`end_frame`].
+fn begin_frame(out: &mut Vec<u8>, kind: u8) {
+    out.clear();
+    out.extend_from_slice(&[0u8; 4]);
+    out.push(kind);
+}
+
+/// Backpatches the length word of the frame `out` holds.
+fn end_frame(out: &mut [u8]) {
+    let len = (out.len() - FRAME_HEADER_LEN) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The fields of a STATE payload ahead of its stream frame.
+fn put_state_head(out: &mut Vec<u8>, model: u16, generation: u64, contributions: u64) {
+    put_update_head(out, model, generation);
+    out.extend_from_slice(&contributions.to_le_bytes());
+}
+
+/// The fields of an UPDATE payload ahead of its stream frame.
+fn put_update_head(out: &mut Vec<u8>, model: u16, generation: u64) {
+    out.extend_from_slice(&model.to_le_bytes());
+    out.extend_from_slice(&generation.to_le_bytes());
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -568,6 +618,30 @@ mod tests {
         frame.encode_into(&mut buf);
         let decoded = read_frame(&mut &buf[..], 1 << 20).expect("decode");
         assert_eq!(decoded, frame);
+    }
+
+    #[test]
+    fn a_payload_written_in_place_is_the_owned_payloads_frame() {
+        let payload = vec![0xC5, 4, 4, 0, 9, 9];
+        let mut want = Vec::new();
+        let mut got = vec![0xFF; 40]; // a recycled buffer: cleared first
+        Frame::State {
+            model: 2,
+            generation: 5,
+            contributions: 6,
+            payload: payload.clone(),
+        }
+        .encode_into(&mut want);
+        Frame::encode_state_into(&mut got, 2, 5, 6, |out| out.extend_from_slice(&payload));
+        assert_eq!(got, want);
+        Frame::Update {
+            model: 2,
+            generation: 5,
+            payload: payload.clone(),
+        }
+        .encode_into(&mut want);
+        Frame::encode_update_into(&mut got, 2, 5, |out| out.extend_from_slice(&payload));
+        assert_eq!(got, want);
     }
 
     #[test]

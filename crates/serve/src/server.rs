@@ -279,8 +279,9 @@ impl ServerHandle {
 
     /// Server counters in [`CommStats`] form: accepted frames/bytes map
     /// to the recv counters, shipped frames/bytes to the send counters,
-    /// applied contribution elements to `compute_elements`, plus the
-    /// buffer-pool and inter-shard collective counters.
+    /// applied contribution elements to `compute_elements` (the entries
+    /// scattered into a sum's window, the values touched once it is
+    /// dense), plus the buffer-pool and inter-shard collective counters.
     pub fn stats_snapshot(&self) -> CommStats {
         self.shared.stats_snapshot()
     }
@@ -667,23 +668,24 @@ fn handle_frame(
             SessionFlow::Continue
         }
         Frame::Fetch { model } => {
+            // The state's frame goes straight behind the STATE header, in
+            // the one buffer that is shipped.
             let answer = {
                 let models = shared.models.lock().expect("models lock");
                 models.get(model as usize).map(|state| {
-                    let mut payload = shared.pool.lock().expect("pool lock").acquire();
-                    state.encode_into(&mut payload);
-                    let frame = Frame::State {
+                    let mut buf = shared.pool.lock().expect("pool lock").acquire();
+                    Frame::encode_state_into(
+                        &mut buf,
                         model,
-                        generation: state.generation,
-                        contributions: state.generation,
-                        payload: payload.clone(),
-                    };
-                    shared.pool.lock().expect("pool lock").release(payload);
-                    frame
+                        state.generation,
+                        state.generation,
+                        |out| state.encode_append(out),
+                    );
+                    buf
                 })
             };
             match answer {
-                Some(frame) => shared.ship(outbox, shared.encode(&frame)),
+                Some(buf) => shared.ship(outbox, buf),
                 None => shared.ship(
                     outbox,
                     shared.encode(&Frame::Error {
@@ -821,7 +823,7 @@ fn aggregator_loop(shared: &Arc<Shared>) {
         let mut touched: HashSet<u16> = HashSet::new();
         let mut applied_per_session: HashMap<String, u64> = HashMap::new();
         let mut acks: Vec<(Sender<Vec<u8>>, Frame)> = Vec::with_capacity(batch.len());
-        let mut updates: Vec<(u16, u64, Vec<u8>)> = Vec::new();
+        let mut updates: Vec<(u16, Vec<u8>)> = Vec::new();
         {
             // One state lock per batch: this is the "server-side batched
             // application" the engine queue exists for.
@@ -866,9 +868,11 @@ fn aggregator_loop(shared: &Arc<Shared>) {
                     continue;
                 }
                 let state = &models[model as usize];
-                let mut payload = shared.pool.lock().expect("pool lock").acquire();
-                state.encode_into(&mut payload);
-                updates.push((model, state.generation, payload));
+                let mut encoded = shared.pool.lock().expect("pool lock").acquire();
+                Frame::encode_update_into(&mut encoded, model, state.generation, |out| {
+                    state.encode_append(out)
+                });
+                updates.push((model, encoded));
             }
         }
 
@@ -884,14 +888,7 @@ fn aggregator_loop(shared: &Arc<Shared>) {
             }
             // Fan each touched model's fresh state out to subscribers:
             // encode once, clone per receiver.
-            for (model, generation, payload) in updates {
-                let frame = Frame::Update {
-                    model,
-                    generation,
-                    payload: payload.clone(),
-                };
-                shared.pool.lock().expect("pool lock").release(payload);
-                let encoded = shared.encode(&frame);
+            for (model, encoded) in updates {
                 for entry in registry.values() {
                     if entry.phase == SessionPhase::Active && entry.subscriptions.contains(&model) {
                         if let Some(outbox) = &entry.outbox {

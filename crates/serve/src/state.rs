@@ -7,13 +7,21 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use sparcml_stream::{DensityPolicy, PartRange, SparseStream, StreamError, SumStats};
+use sparcml_stream::{DensityPolicy, PartRange, SparseStream, StreamError, SumStats, WindowSum};
 
 use crate::config::{AggregationMode, ModelSpec};
 
 /// One model's accumulator on one shard: the running sum over the
 /// shard's index range plus the generation counter that advances once
 /// per applied contribution.
+///
+/// The sum takes the form its STATE frame has on the wire. Up to δ it is
+/// a [`WindowSum`] over the range — a dense value window plus the
+/// occupancy bitmap that is the frame's index — and a contribution is
+/// scattered in, one store per entry, instead of being merged into a copy
+/// of the whole sum. Past δ it is dense. Both forms hold the values a
+/// sorted-slab sum would, to the bit, so every frame is the one the slabs
+/// would encode.
 pub(crate) struct ModelState {
     /// The declared spec (full logical dimension, not the shard slice).
     pub spec: ModelSpec,
@@ -21,54 +29,110 @@ pub(crate) struct ModelState {
     pub range: PartRange,
     /// Running sum; dim is the full model dim, support stays within
     /// `range` (validated at admission).
-    pub sum: SparseStream<f32>,
+    sum: Accumulator,
     /// Applied-contribution counter, which is also the number of
     /// contributions folded in.
     pub generation: u64,
 }
 
+/// The forms of a running sum (see [`ModelState`]).
+enum Accumulator {
+    /// The occupied slots of the range, up to δ.
+    Window(WindowSum<f32>),
+    /// Dense values past δ.
+    Dense(SparseStream<f32>),
+}
+
 impl ModelState {
+    /// An empty accumulator. Its window is allocated zeroed, so only the
+    /// pages that entries land on are touched.
     pub fn new(spec: ModelSpec, range: PartRange) -> Self {
         let dim = spec.dim;
         ModelState {
             spec,
             range,
-            sum: SparseStream::zeros(dim),
+            sum: Accumulator::Window(WindowSum::new(dim, range)),
             generation: 0,
         }
     }
 
     /// Folds a validated contribution into the accumulator and advances
     /// the generation.
+    ///
+    /// The window goes dense, once, when `stored + |contribution|` crosses
+    /// δ — the test every sum makes — or a dense contribution arrives.
+    /// The returned stats count what the call did: a window's scattered
+    /// entries, a dense sum's touched values.
     pub fn apply(
         &mut self,
         contribution: &SparseStream<f32>,
         policy: &DensityPolicy,
     ) -> Result<SumStats, StreamError> {
-        let stats = match contribution.sparse_view() {
-            Some(view) => self.sum.add_assign_view(view, policy)?,
-            None => self.sum.add_assign_with(contribution, policy)?,
-        };
+        let stats = self.add(contribution, policy)?;
         self.generation += 1;
         Ok(stats)
+    }
+
+    fn add(
+        &mut self,
+        contribution: &SparseStream<f32>,
+        policy: &DensityPolicy,
+    ) -> Result<SumStats, StreamError> {
+        if let Accumulator::Window(window) = &self.sum {
+            let delta = policy.delta::<f32>(self.spec.dim);
+            if !contribution.is_sparse() || window.len() + contribution.stored_len() > delta {
+                // Leaving the window through slabs: their δ-switch below
+                // builds the dense sum a slab sum would have.
+                self.sum = Accumulator::Dense(window.to_stream());
+            }
+        }
+        match &mut self.sum {
+            Accumulator::Window(window) => Ok(SumStats {
+                elements_processed: window.add(contribution)?,
+                result_dense: false,
+                switched_to_dense: false,
+            }),
+            Accumulator::Dense(sum) => match contribution.sparse_view() {
+                Some(view) => sum.add_assign_view(view, policy),
+                None => sum.add_assign_with(contribution, policy),
+            },
+        }
+    }
+
+    /// The raw sum as a stream.
+    fn total(&self) -> SparseStream<f32> {
+        match &self.sum {
+            Accumulator::Window(window) => window.to_stream(),
+            Accumulator::Dense(sum) => sum.clone(),
+        }
+    }
+
+    /// Entries in the raw sum: stored pairs (explicit zeros included)
+    /// while sparse, non-zero values once dense.
+    pub fn nnz(&self) -> usize {
+        match &self.sum {
+            Accumulator::Window(window) => window.len(),
+            Accumulator::Dense(sum) => sum.nnz(),
+        }
     }
 
     /// The state a client is served: the raw sum, or the average for
     /// [`AggregationMode::Average`] models.
     pub fn render(&self) -> SparseStream<f32> {
-        let mut out = self.sum.clone();
+        let mut out = self.total();
         if self.spec.mode == AggregationMode::Average && self.generation > 0 {
             out.scale(1.0 / self.generation as f32);
         }
         out
     }
 
-    /// Serializes the served state into `out` (cleared first). A Sum model
-    /// is encoded straight from its accumulator, without a copy.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self.spec.mode {
-            AggregationMode::Sum => self.sum.encode_into(out),
-            AggregationMode::Average => self.render().encode_into(out),
+    /// Appends the served state's wire frame to `out`. A Sum model is
+    /// encoded straight from its accumulator, without a copy.
+    pub fn encode_append(&self, out: &mut Vec<u8>) {
+        match (self.spec.mode, &self.sum) {
+            (AggregationMode::Sum, Accumulator::Window(window)) => window.encode_append(out),
+            (AggregationMode::Sum, Accumulator::Dense(sum)) => sum.encode_append(out),
+            (AggregationMode::Average, _) => self.render().encode_append(out),
         }
     }
 }
@@ -151,6 +215,9 @@ pub(crate) struct Gauges {
     pub sessions_reaped: AtomicU64,
     pub sessions_disconnected: AtomicU64,
     pub applied_contributions: AtomicU64,
+    /// Element operations the applies did ([`ModelState::apply`]'s
+    /// `elements_processed`): a window's scattered entries, a dense sum's
+    /// touched values.
     pub applied_elements: AtomicU64,
     pub shard_syncs: AtomicU64,
 }
@@ -190,6 +257,81 @@ mod tests {
         assert_eq!(state.render().get(7), 4.0);
     }
 
+    /// The accumulator against the slab sum it replaces, driven by the
+    /// same contributions: after every one, the served frame, `render()`
+    /// and the health endpoint's nnz must be the slab sum's, byte for
+    /// byte. The sequence crosses δ and holds empty slices, explicit ±0
+    /// and (unsharded only) a dense contribution.
+    #[test]
+    fn every_form_serves_the_slab_sums_frame() {
+        use sparcml_stream::{random_sparse, XorShift64};
+        let dim = 4096;
+        let policy = DensityPolicy::default();
+        // (shards, whether a dense contribution arrives once the sum has
+        // been a window for three steps)
+        for (shards, dense_part) in [(1, false), (1, true), (2, false)] {
+            for mode in [AggregationMode::Sum, AggregationMode::Average] {
+                for shard in 0..shards {
+                    let range = partition_range(dim, shards, shard);
+                    let spec = ModelSpec {
+                        name: "m".into(),
+                        dim,
+                        mode,
+                    };
+                    let mut state = ModelState::new(spec, range);
+                    let mut oracle = SparseStream::<f32>::zeros(dim);
+                    let mut rng = XorShift64::new(7 + shard as u64);
+                    let (mut window_steps, mut dense) = (0, false);
+                    for step in 0..90 {
+                        let k = [0, 40, 250, 600][rng.next_below(4) as usize];
+                        let part = random_sparse::<f32>(dim, k, rng.next_u64());
+                        let (indices, mut values) = part
+                            .restrict(range.lo, range.hi)
+                            .into_sparse()
+                            .unwrap()
+                            .into_slabs();
+                        for (j, v) in values.iter_mut().enumerate() {
+                            match (step + j) % 11 {
+                                0 => *v = 0.0,
+                                1 => *v = -0.0,
+                                _ => {}
+                            }
+                        }
+                        let mut part = SparseStream::from_slabs(dim, indices, values).unwrap();
+                        if dense_part && window_steps == 3 && !oracle.is_dense() {
+                            assert!(matches!(state.sum, Accumulator::Window(_)));
+                            part.densify();
+                        }
+                        state.apply(&part, &policy).unwrap();
+                        match part.sparse_view() {
+                            Some(view) => oracle.add_assign_view(view, &policy),
+                            None => oracle.add_assign_with(&part, &policy),
+                        }
+                        .unwrap();
+                        if matches!(state.sum, Accumulator::Window(_)) {
+                            window_steps += 1;
+                        }
+                        dense |= oracle.is_dense();
+
+                        let mut served = oracle.clone();
+                        if mode == AggregationMode::Average {
+                            served.scale(1.0 / state.generation as f32);
+                        }
+                        let what = format!("{shards} shards, {mode:?}, shard {shard}, step {step}");
+                        // Behind a header, as the STATE frame carries it.
+                        let mut frame = vec![0xEE; 5];
+                        state.encode_append(&mut frame);
+                        assert_eq!(frame[..5], [0xEE; 5], "{what}");
+                        assert_eq!(frame[5..], served.encode()[..], "{what}");
+                        assert_eq!(state.render().encode(), served.encode(), "{what}");
+                        assert_eq!(state.nnz(), oracle.nnz(), "{what}");
+                    }
+                    assert!(window_steps >= 3 && dense, "{shards} shards, shard {shard}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn average_mode_scales_by_contributions() {
         let mut state = ModelState::new(spec(AggregationMode::Average), partition_range(100, 1, 0));
@@ -200,6 +342,6 @@ mod tests {
         }
         assert_eq!(state.render().get(5), 2.0); // (1 + 3) / 2
                                                 // The raw sum is untouched by rendering.
-        assert_eq!(state.sum.get(5), 4.0);
+        assert_eq!(state.total().get(5), 4.0);
     }
 }

@@ -99,16 +99,25 @@ impl FusedLayout {
     }
 }
 
+/// Appends `indices` and `values` to `out` in bulk, with `shift` applied
+/// to every index: one copy of the value slab and one mapped pass over the
+/// index slab.
+fn extend_mapped<V: Scalar>(
+    out: &mut SparseVec<V>,
+    indices: &[u32],
+    values: &[V],
+    shift: impl Fn(u32) -> u32,
+) {
+    let (out_indices, out_values) = out.slabs_mut();
+    out_indices.extend(indices.iter().map(|&idx| shift(idx)));
+    out_values.extend_from_slice(values);
+}
+
 /// Collects a part's entries into `out` with `offset` added to every
 /// index.
 fn append_shifted<V: Scalar>(out: &mut SparseVec<V>, part: &SparseStream<V>, offset: u32) {
     match part.repr() {
-        Repr::Sparse(sv) => {
-            out.reserve(sv.len());
-            for (idx, val) in sv.iter() {
-                out.push(offset + idx, val);
-            }
-        }
+        Repr::Sparse(sv) => extend_mapped(out, sv.indices(), sv.values(), |idx| idx + offset),
         Repr::Dense(values) => {
             for (i, v) in values.iter().enumerate() {
                 if !v.is_zero() {
@@ -166,9 +175,9 @@ pub fn split_fused<V: Scalar>(
                 let r = layout.range_of(i);
                 let window = view.range(r.lo, r.hi);
                 let mut part: SparseVec<V> = SparseVec::with_capacity(window.len());
-                for (idx, val) in window.iter() {
-                    part.push(idx - r.lo, val);
-                }
+                extend_mapped(&mut part, window.indices(), window.values(), |idx| {
+                    idx - r.lo
+                });
                 out.push(SparseStream::from_sorted(layout.dim_of(i), part)?);
             }
         }

@@ -15,7 +15,8 @@
 //!   into dense accumulators — slice loops the compiler can vectorize.
 //! * **Split-phase sums** ([`WindowSum`]) scatter the sub-ranges of one
 //!   partition once into a dense window with an occupancy bitmap, and
-//!   write the sum as a wire frame straight from the bitmap.
+//!   write the sum as a wire frame straight from the bitmap. The serve
+//!   accumulator keeps its sum this way up to δ.
 //! * **Splitting** ([`SparseView::range`]) is two binary searches plus
 //!   two slice borrows; the split collectives encode a partition straight
 //!   from a borrowed view ([`SparseStream::encode_sparse_slice_into`])

@@ -15,11 +15,18 @@
 //! visited, not the window's width.
 //!
 //! Every slot sums its entries in the order the sub-ranges were added, so
-//! adding them in rank order gives the sequential sum, bit for bit.
+//! adding them in rank order gives the sequential sum, bit for bit. A slot
+//! an entry lands in first takes its value as it is, as a merge copies an
+//! entry only one side holds.
+//!
+//! The serve daemon keeps a shard's running sum in a window too, up to δ:
+//! a contribution then costs its own entries, not a merge into a copy of
+//! the whole sum.
 
 use crate::error::StreamError;
 use crate::partition::PartRange;
 use crate::scalar::Scalar;
+use crate::soa::SparseVec;
 use crate::stream::{Repr, SparseStream};
 use crate::wire::{
     begin_sparse_frame, bitmap_wins, gap_slab_len, put_bitmap_index, write_gap_slab, BEFORE_FIRST,
@@ -96,9 +103,14 @@ impl<V: Scalar> WindowSum<V> {
             ..
         } = self;
         scatter_checked(part, dim, range, |at, v| {
-            values[at] = values[at].add(v);
             let (word, bit) = (at / WORD_BITS, 1u64 << (at % WORD_BITS));
-            *len += usize::from(occupied[word] & bit == 0);
+            let fresh = occupied[word] & bit == 0;
+            // A fresh slot takes `v` itself, as a merge copies an entry
+            // only one side holds (`0 + -0` would be `+0`); an occupied
+            // one sums in arrival order. Which one lands is an index, not
+            // a branch.
+            values[at] = [values[at].add(v), v][usize::from(fresh)];
+            *len += usize::from(fresh);
             occupied[word] |= bit;
             summary[word / WORD_BITS] |= 1 << (word % WORD_BITS);
         })
@@ -129,7 +141,14 @@ impl<V: Scalar> WindowSum<V> {
     /// bitmap index wins, it is the occupancy words shifted to the first
     /// entry.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        begin_sparse_frame::<V>(self.dim, self.len, out);
+        out.clear();
+        self.encode_append(out);
+    }
+
+    /// [`WindowSum::encode_into`] appended to whatever `out` holds, so the
+    /// frame can follow a header of the caller's in one buffer.
+    pub fn encode_append(&self, out: &mut Vec<u8>) {
+        let frame = begin_sparse_frame::<V>(self.dim, self.len, out);
         let mut values = [V::zero(); WORD_BITS];
         for word in set_bits(&self.summary) {
             let mut n = 0;
@@ -145,7 +164,7 @@ impl<V: Scalar> WindowSum<V> {
         if bitmap_wins(self.len, first, last, || gap_slab_len(self.indices())) {
             let start = (first - self.range.lo) as usize;
             let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
-            put_bitmap_index(out, first, last, |words| {
+            put_bitmap_index(out, frame, first, last, |words| {
                 for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
                     let next = self
                         .occupied
@@ -166,6 +185,22 @@ impl<V: Scalar> WindowSum<V> {
             }
             prev = write_gap_slab(prev, &indices[..n], out);
         }
+    }
+
+    /// The sum as a sparse stream, the window left as it is: what
+    /// [`WindowSum::drain_into`] would give, for a reader that keeps
+    /// adding afterwards.
+    pub fn to_stream(&self) -> SparseStream<V> {
+        let indices: Vec<u32> = self.indices().collect();
+        let values = indices
+            .iter()
+            .map(|&i| self.values[(i - self.range.lo) as usize])
+            .collect();
+        let mut stream = SparseStream::zeros(self.dim);
+        // The bitmap walk yields increasing indices inside the window.
+        stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
+        debug_assert!(stream.check_invariants().is_ok());
+        stream
     }
 
     /// The indices in the sum, in increasing order.
@@ -464,13 +499,47 @@ mod tests {
             assert_eq!(percent, fill as f64, "dim {dim} k {k}");
             let mut frame = Vec::new();
             sum.encode_into(&mut frame);
+            // Appended behind a header of the caller's, the same bytes.
+            let mut behind = vec![0xAB; 7];
+            sum.encode_append(&mut behind);
+            assert_eq!(behind[..7], [0xAB; 7]);
+            assert_eq!(behind[7..], frame[..], "dim {dim} k {k}");
+            let kept = sum.to_stream();
             let (got, _) = drained(&mut sum);
+            assert_eq!(kept, got, "dim {dim} k {k}");
             assert_eq!(frame, got.encode().as_ref(), "dim {dim} k {k}");
             assert_eq!(SparseStream::<f32>::decode(&frame).unwrap(), got);
             // And the empty window is the empty stream's frame.
             sum.encode_into(&mut frame);
             assert_eq!(frame, SparseStream::<f32>::zeros(dim).encode().as_ref());
         }
+    }
+
+    #[test]
+    fn a_fresh_slot_keeps_the_bits_a_merge_keeps() {
+        // -0 alone in its slot stays -0, as the merge copies it; a second
+        // entry in the slot sums in arrival order.
+        let (dim, range) = (256, PartRange { lo: 0, hi: 256 });
+        let mut sum = WindowSum::new(dim, range);
+        let mut merged = SparseStream::zeros(dim);
+        let policy = DensityPolicy::never_densify();
+        for part in [
+            SparseStream::from_slabs(dim, vec![3, 70], vec![-0.0f32, 1.5]).unwrap(),
+            SparseStream::from_slabs(dim, vec![70, 71], vec![-0.0f32, -0.0]).unwrap(),
+        ] {
+            sum.add(&part).unwrap();
+            merged.add_assign_with(&part, &policy).unwrap();
+            let bits = |s: &SparseStream<f32>| -> Vec<u32> {
+                s.sparse_view()
+                    .unwrap()
+                    .values()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&sum.to_stream()), bits(&merged));
+        }
+        assert_eq!(sum.to_stream().get(3).to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -335,19 +335,21 @@ pub(crate) fn bitmap_wins(
     bitmap < gap_slab()
 }
 
-/// Turns the sparse frame `out` holds, header and value slab written, into
-/// one with a bitmap index over `[first, last]`: sets its tag and appends
-/// base, span and the bitmap. `fill` sets its bits in a zeroed run of
-/// whole little-endian 64-slot words — slot `j` is bit `j % 64` of word
-/// `j / 64` — of which the bytes the span covers are kept.
+/// Turns the sparse frame that starts at `out[frame]`, header and value
+/// slab written, into one with a bitmap index over `[first, last]`: sets
+/// its tag and appends base, span and the bitmap. `fill` sets its bits in
+/// a zeroed run of whole little-endian 64-slot words — slot `j` is bit
+/// `j % 64` of word `j / 64` — of which the bytes the span covers are
+/// kept.
 pub(crate) fn put_bitmap_index(
     out: &mut Vec<u8>,
+    frame: usize,
     first: u32,
     last: u32,
     fill: impl FnOnce(&mut [u8]),
 ) {
     let span = bitmap_span(first, last);
-    out[3] = TAG_BITMAP;
+    out[frame + 3] = TAG_BITMAP;
     out.extend_from_slice(&(first as u64).to_le_bytes());
     out.extend_from_slice(&(span as u64).to_le_bytes());
     let at = out.len();
@@ -356,17 +358,17 @@ pub(crate) fn put_bitmap_index(
     out.truncate(at + span.div_ceil(8));
 }
 
-/// Appends the index of a strictly increasing index slab to a sparse frame
-/// whose header and value slab `out` holds: a bitmap where it is strictly
-/// smaller, else the gap slab.
-fn write_index(indices: &[u32], out: &mut Vec<u8>) {
+/// Appends the index of a strictly increasing index slab to the sparse
+/// frame that starts at `out[frame]`, header and value slab written: a
+/// bitmap where it is strictly smaller, else the gap slab.
+fn write_index(indices: &[u32], frame: usize, out: &mut Vec<u8>) {
     match (indices.first(), indices.last()) {
         (Some(&first), Some(&last))
             if bitmap_wins(indices.len(), first, last, || {
                 gap_slab_len(indices.iter().copied())
             }) =>
         {
-            put_bitmap_index(out, first, last, |words| {
+            put_bitmap_index(out, frame, first, last, |words| {
                 // A word is built in a register and stored whole after
                 // every entry: no branch on where a word ends, and no
                 // store read back.
@@ -491,13 +493,29 @@ fn put_header(out: &mut Vec<u8>, width: u8, tag: u8, dim: usize) {
     out.extend_from_slice(&(dim as u64).to_le_bytes());
 }
 
-/// Clears `out` and writes the 20-byte header of a sparse frame of `nnz`
-/// entries; the value slab and then the index follow.
-pub(crate) fn begin_sparse_frame<V: Scalar>(dim: usize, nnz: usize, out: &mut Vec<u8>) {
-    out.clear();
+/// Appends the 20-byte header of a sparse frame of `nnz` entries to `out`
+/// and returns where the frame starts; the value slab and then the index
+/// follow.
+pub(crate) fn begin_sparse_frame<V: Scalar>(dim: usize, nnz: usize, out: &mut Vec<u8>) -> usize {
+    let frame = out.len();
     out.reserve(SPARSE_HEADER_LEN + nnz * (V::BYTES + 1));
     put_header(out, V::BYTES as u8, TAG_SPARSE, dim);
     out.extend_from_slice(&(nnz as u64).to_le_bytes());
+    frame
+}
+
+/// Appends the sparse frame of `view` in a `dim`-dimensional space.
+fn append_sparse<V: Scalar>(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
+    let frame = begin_sparse_frame::<V>(dim, view.len(), out);
+    V::write_slab_le(view.values(), out);
+    write_index(view.indices(), frame, out);
+}
+
+/// Appends the dense frame of `values`.
+fn append_dense<V: Scalar>(values: &[V], out: &mut Vec<u8>) {
+    out.reserve(HEADER_LEN + values.len() * V::BYTES);
+    put_header(out, V::BYTES as u8, TAG_DENSE, values.len());
+    V::write_slab_le(values, out);
 }
 
 impl<V: Scalar> SparseStream<V> {
@@ -513,13 +531,17 @@ impl<V: Scalar> SparseStream<V> {
 
     /// Serializes the stream into `out` (cleared first, capacity reused).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        self.encode_append(out);
+    }
+
+    /// Appends the stream's frame to whatever `out` holds, so a frame can
+    /// follow a header of the caller's in one buffer. The frame is the
+    /// bytes [`SparseStream::encode`] writes.
+    pub fn encode_append(&self, out: &mut Vec<u8>) {
         match self.repr() {
-            Repr::Sparse(sv) => {
-                Self::encode_sparse_slice_into(self.dim(), sv.as_view(), out);
-            }
-            Repr::Dense(values) => {
-                Self::encode_dense_slice_into(values, out);
-            }
+            Repr::Sparse(sv) => append_sparse(self.dim(), sv.as_view(), out),
+            Repr::Dense(values) => append_dense(values, out),
         }
     }
 
@@ -530,9 +552,8 @@ impl<V: Scalar> SparseStream<V> {
     /// stream. The view's indices must be strictly increasing (a stream
     /// invariant), or the frame will not decode to them.
     pub fn encode_sparse_slice_into(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
-        begin_sparse_frame::<V>(dim, view.len(), out);
-        V::write_slab_le(view.values(), out);
-        write_index(view.indices(), out);
+        out.clear();
+        append_sparse(dim, view, out);
     }
 
     /// Encodes a dense value block as a full wire frame with
@@ -540,9 +561,7 @@ impl<V: Scalar> SparseStream<V> {
     /// used for partition blocks in the dense collectives.
     pub fn encode_dense_slice_into(values: &[V], out: &mut Vec<u8>) {
         out.clear();
-        out.reserve(HEADER_LEN + values.len() * V::BYTES);
-        put_header(out, V::BYTES as u8, TAG_DENSE, values.len());
-        V::write_slab_le(values, out);
+        append_dense(values, out);
     }
 
     /// Exact byte length [`SparseStream::encode`] will produce (one pass
