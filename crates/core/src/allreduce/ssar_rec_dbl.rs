@@ -27,6 +27,8 @@
 //! instead of `α + β·L + merge` where the merge is the longer part, and
 //! the result is the same to the bit as the one-frame round's.
 
+use std::borrow::Cow;
+
 use sparcml_net::Transport;
 use sparcml_stream::{partition_range, DensityPolicy, Scalar, SparseStream};
 
@@ -268,7 +270,7 @@ impl Agreement {
     fn absorb<T: Transport, V: Scalar>(
         &mut self,
         ep: &mut T,
-        acc: &mut Option<SparseStream<V>>,
+        acc: &mut Option<Cow<'_, SparseStream<V>>>,
         src: usize,
         t: u64,
         dim: usize,
@@ -479,7 +481,9 @@ pub(crate) fn rec_dbl_agree<T: Transport, V: Scalar>(
         }
         return Ok(settled(agreed, result, Some(op_id)));
     }
-    let mut acc = eager.then(|| input.clone());
+    // The input is the accumulator until the first sum, which only reads
+    // it: it is borrowed, not copied.
+    let mut acc = eager.then_some(Cow::Borrowed(input));
     if folds {
         speculate(ep, pool)?;
         let fold = tag(op_id, subtag::FOLD);
@@ -488,10 +492,10 @@ pub(crate) fn rec_dbl_agree<T: Transport, V: Scalar>(
     for t in 0..rounds {
         let peer = rank ^ (1 << t);
         let round = tag(op_id, subtag::ROUND + t);
-        if acc.as_ref().is_some_and(SparseStream::is_dense) {
+        if acc.as_deref().is_some_and(SparseStream::is_dense) {
             ep.stats_mut().switch_rounds += 1;
         }
-        send_frames(ep, peer, round, acc.as_ref(), mine.word(), pool)?;
+        send_frames(ep, peer, round, acc.as_deref(), mine.word(), pool)?;
         speculate(ep, pool)?;
         mine.absorb(ep, &mut acc, peer, round, dim, &cfg.policy, pool)?;
     }
@@ -500,12 +504,12 @@ pub(crate) fn rec_dbl_agree<T: Transport, V: Scalar>(
             ep,
             rank + p2,
             tag(op_id, subtag::UNFOLD),
-            acc.as_ref(),
+            acc.as_deref(),
             mine.word(),
             pool,
         )?;
     }
-    Ok(settled(mine, acc, Some(op_id)))
+    Ok(settled(mine, acc.map(Cow::into_owned), Some(op_id)))
 }
 
 #[cfg(test)]
@@ -627,7 +631,7 @@ mod tests {
             assert!(o.total <= dim);
             let range = partition_range(dim, o.segments, 0);
             let mut sum = SegmentSum::new(
-                SparseStream::zeros(dim),
+                Cow::Owned(SparseStream::zeros(dim)),
                 o.segments,
                 o.total,
                 o.first.is_dense(),
@@ -877,7 +881,7 @@ mod tests {
             let mut bytes = bytes.clone();
             mutate(&mut bytes);
             let mut sum = SegmentSum::new(
-                stream.clone(),
+                Cow::Borrowed(&stream),
                 3,
                 dim,
                 first.is_dense(),

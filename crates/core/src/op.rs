@@ -11,6 +11,7 @@
 //! its accumulator as it lands ([`SegmentSum`]), so the merge of one
 //! overlaps the transfer of the next.
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use bytes::Bytes;
@@ -465,7 +466,7 @@ impl<V: Scalar> Segment<V> {
 /// [`RangeSum`], so the result is the same to the bit as one
 /// `add_assign_with` of the whole stream, and every segment is charged
 /// what that sum charges for its range.
-pub(crate) struct SegmentSum<V> {
+pub(crate) struct SegmentSum<'a, V: Scalar> {
     dim: usize,
     segments: usize,
     /// The segment [`SegmentSum::add`] takes next.
@@ -475,14 +476,14 @@ pub(crate) struct SegmentSum<V> {
     received: usize,
     /// Whether the partner's stream is dense (segment 0 says).
     dense: bool,
-    sum: RangeSum<V>,
+    sum: RangeSum<'a, V>,
 }
 
-impl<V: Scalar> SegmentSum<V> {
+impl<'a, V: Scalar> SegmentSum<'a, V> {
     /// Starts adding a stream of `total` stored entries that arrives as
     /// `segments` segments, dense or sparse as `dense`, into `acc`.
     pub(crate) fn new(
-        acc: SparseStream<V>,
+        acc: Cow<'a, SparseStream<V>>,
         segments: usize,
         total: usize,
         dense: bool,
@@ -553,13 +554,14 @@ impl<V: Scalar> SegmentSum<V> {
 /// `acc`: `first` is segment 0, already received with the frame that
 /// announced the layout; each later one is received, decoded and added
 /// before the next, so on the virtual clock its merge overlaps the
-/// transfer of those behind it.
+/// transfer of those behind it. A borrowed `acc` is read, not copied, and
+/// comes back owned: the sum.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn add_segments<T: Transport, V: Scalar>(
     ep: &mut T,
     src: usize,
     t: u64,
-    acc: &mut SparseStream<V>,
+    acc: &mut Cow<'_, SparseStream<V>>,
     mut seg: Segment<V>,
     segments: usize,
     total: usize,
@@ -567,7 +569,7 @@ pub(crate) fn add_segments<T: Transport, V: Scalar>(
     pool: &mut BufferPool,
 ) -> Result<(), CollError> {
     let dim = acc.dim();
-    let taken = std::mem::replace(acc, SparseStream::zeros(dim));
+    let taken = std::mem::replace(acc, Cow::Owned(SparseStream::zeros(dim)));
     let mut sum = SegmentSum::new(taken, segments, total, seg.is_dense(), policy);
     for j in 0..segments {
         if j > 0 {
@@ -576,7 +578,7 @@ pub(crate) fn add_segments<T: Transport, V: Scalar>(
         }
         sum_charged(ep, || sum.add(&seg).map(|stats| ((), stats)))?;
     }
-    *acc = sum.finish()?;
+    *acc = Cow::Owned(sum.finish()?);
     Ok(())
 }
 

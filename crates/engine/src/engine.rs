@@ -22,11 +22,13 @@
 //!    kind, logical dimension, and the agreed nnz/fill from step 1. The
 //!    density guard stops fusing once a bucket's projected union density
 //!    passes 0.5 and turns bandwidth-bound, so every rank still derives
-//!    the identical schedule.
+//!    the identical schedule. A bucket of several jobs never passes
+//!    [`FusionPolicy::max_chunk_elements`].
 //! 3. **Execute** — buckets run in submission order. A multi-job
 //!    bucket fuses its streams into one concatenated index space,
-//!    reduces them as a single collective (chunked when oversized),
-//!    splits the result, and resolves each ticket.
+//!    reduces them as a single collective, splits the result, and
+//!    resolves each ticket. A single job larger than the chunk cap is
+//!    reduced in even index chunks instead.
 //!
 //! # Contract
 //!
@@ -89,7 +91,8 @@ pub struct EngineStats {
     pub buckets: u64,
     /// Jobs that shared a bucket with at least one other job.
     pub fused_jobs: u64,
-    /// Buckets whose fused index space was split into chunks.
+    /// Buckets split into chunks: singletons whose job is larger than
+    /// [`FusionPolicy::max_chunk_elements`] (a fused bucket never is).
     pub chunked_buckets: u64,
     /// Total chunks executed across chunked buckets.
     pub chunks: u64,
@@ -619,8 +622,8 @@ fn run_bucket<T: Transport + Send + 'static, V: Scalar>(
     run_allreduce_bucket(comm, cfg, jobs, sink)
 }
 
-/// Executes a bucket of allreduce jobs: fuse → (chunked) reduce → split
-/// → resolve tickets.
+/// Executes a bucket of allreduce jobs: fuse → reduce → split → resolve
+/// tickets (a singleton is reduced as it is, chunked when oversized).
 fn run_allreduce_bucket<T: Transport + Send + 'static, V: Scalar>(
     comm: &mut Communicator<T>,
     cfg: &EngineConfig,
@@ -648,9 +651,12 @@ fn run_allreduce_bucket<T: Transport + Send + 'static, V: Scalar>(
         let refs: Vec<&SparseStream<V>> = inputs.iter().map(|s| s.as_ref()).collect();
         let (fused, layout) = fuse_streams(&refs)?;
         drop(fuse_span);
+        // The planner closes a bucket before it passes the chunk cap, so
+        // a fused stream is reduced whole.
+        debug_assert!(fused.dim() <= cfg.fusion.max_chunk_elements);
         let fused_result = {
             let _exec = obs::span_with(obs::Category::Engine, "execute", fused.dim() as u64);
-            run_chunked_allreduce(comm, cfg, &fused, sink)?
+            allreduce_once(comm, cfg, &fused)?
         };
         let _split_span = obs::span_with(obs::Category::Engine, "split", layout.parts() as u64);
         Ok(split_fused(&fused_result, &layout)?)
@@ -680,30 +686,37 @@ fn run_allreduce_bucket<T: Transport + Send + 'static, V: Scalar>(
     }
 }
 
-/// Reduces one stream, splitting it into even index chunks when its
-/// dimension exceeds the chunking threshold (bounds peak frame size of
-/// oversized fused buckets).
+/// Reduces one stream as one collective under the engine's schedule and
+/// options.
+fn allreduce_once<T: Transport + Send + 'static, V: Scalar>(
+    comm: &mut Communicator<T>,
+    cfg: &EngineConfig,
+    stream: &SparseStream<V>,
+) -> Result<SparseStream<V>, CollError> {
+    comm.allreduce(stream)
+        .algorithm(cfg.algorithm)
+        .config(cfg.allreduce)
+        .launch()
+        .and_then(|h| h.wait())
+}
+
+/// Reduces a singleton bucket's stream, splitting it into even index
+/// chunks when its dimension exceeds the chunking threshold (bounds peak
+/// frame size of an oversized job).
 fn run_chunked_allreduce<T: Transport + Send + 'static, V: Scalar>(
     comm: &mut Communicator<T>,
     cfg: &EngineConfig,
     input: &SparseStream<V>,
     sink: &StatsSink<'_>,
 ) -> Result<SparseStream<V>, CollError> {
-    let one_shot = |comm: &mut Communicator<T>, stream: &SparseStream<V>| {
-        comm.allreduce(stream)
-            .algorithm(cfg.algorithm)
-            .config(cfg.allreduce)
-            .launch()
-            .and_then(|h| h.wait())
-    };
     if input.dim() <= cfg.fusion.max_chunk_elements {
-        return one_shot(comm, input);
+        return allreduce_once(comm, cfg, input);
     }
     let layout = FusedLayout::even_chunks(input.dim(), cfg.fusion.max_chunk_elements)?;
     let chunks = split_fused(input, &layout)?;
     let mut results = Vec::with_capacity(chunks.len());
     for chunk in &chunks {
-        results.push(one_shot(comm, chunk)?);
+        results.push(allreduce_once(comm, cfg, chunk)?);
     }
     {
         let mut s = sink.stats.lock().expect("engine stats lock");

@@ -16,13 +16,13 @@
 pub struct FusionPolicy {
     /// Whether consecutive fusable allreduce jobs may share a bucket.
     pub enabled: bool,
-    /// Cap on a bucket's cumulative logical dimension (the fused index
-    /// space). Also implicitly capped at `u32::MAX`, the index width.
-    pub max_fused_elements: usize,
     /// Cap on the number of jobs per bucket.
     pub max_fused_jobs: usize,
-    /// Fused buckets whose index space exceeds this are reduced in even
-    /// chunks of at most this many indices (bounds peak frame size).
+    /// Cap on a multi-job bucket's cumulative logical dimension (the
+    /// fused index space; also capped at `u32::MAX`, the index width): a
+    /// job that would take the bucket past it starts the next one. A
+    /// single job larger than this is reduced in even chunks of at most
+    /// this many indices (bounds peak frame size).
     pub max_chunk_elements: usize,
 }
 
@@ -38,7 +38,6 @@ impl Default for FusionPolicy {
     fn default() -> Self {
         FusionPolicy {
             enabled: true,
-            max_fused_elements: 1 << 26,
             max_fused_jobs: 1024,
             max_chunk_elements: 1 << 22,
         }
@@ -71,15 +70,17 @@ pub(crate) struct JobMeta {
 /// Groups the batch (given in submission order) into buckets of job
 /// positions, in submission order. Consecutive fusable jobs share a
 /// bucket up to the policy's element/job/density caps; everything else
-/// is a singleton. `fill` is the measured fill factor (expected union
-/// nnz over a single rank's nnz, in `[1, P]`) scaling the density
-/// projection. Identical on every rank for an identical batch and fill.
+/// is a singleton. The element cap is `max_chunk_elements`, so a bucket
+/// of several jobs never needs chunking: only a singleton can pass it.
+/// `fill` is the measured fill factor (expected union nnz over a single
+/// rank's nnz, in `[1, P]`) scaling the density projection. Identical on
+/// every rank for an identical batch and fill.
 pub(crate) fn plan_buckets(batch: &[JobMeta], policy: &FusionPolicy, fill: f64) -> Vec<Vec<usize>> {
     let mut buckets: Vec<Vec<usize>> = Vec::new();
     let mut open: Vec<usize> = Vec::new();
     let mut open_dim: usize = 0;
     let mut open_nnz: usize = 0;
-    let fused_cap = policy.max_fused_elements.min(u32::MAX as usize);
+    let fused_cap = policy.max_chunk_elements.min(u32::MAX as usize);
     for (pos, meta) in batch.iter().enumerate() {
         if !policy.enabled || !meta.fusable {
             if !open.is_empty() {
@@ -162,7 +163,7 @@ mod tests {
     #[test]
     fn element_cap_closes_buckets() {
         let policy = FusionPolicy {
-            max_fused_elements: 25,
+            max_chunk_elements: 25,
             ..FusionPolicy::default()
         };
         let batch = vec![ar(10), ar(10), ar(10), ar(10)];
@@ -172,6 +173,18 @@ mod tests {
         // handles it downstream).
         let big = plan_buckets(&[ar(100)], &policy, 1.0);
         assert_eq!(big, vec![vec![0]]);
+    }
+
+    #[test]
+    fn a_bucket_closes_before_the_chunk_cap() {
+        // Eleven small layers then a big one, four times over: the first
+        // 47 layers fit 2^22 indices, the 48th would pass it and so goes
+        // alone, and no bucket of several jobs is chunked.
+        let batch: Vec<JobMeta> = (0..48)
+            .map(|l| ar(if (l + 1) % 12 == 0 { 1 << 20 } else { 1 << 14 }))
+            .collect();
+        let buckets = plan_buckets(&batch, &FusionPolicy::default(), 1.0);
+        assert_eq!(buckets, vec![(0..47).collect::<Vec<_>>(), vec![47]]);
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //! * **In-order execution.** Buckets execute in submission order, so a
 //!   caller that waits its tickets in submission order consumes each
 //!   result as it lands.
-//! * **Chunked pipelining.** A fused bucket larger than
-//!   [`FusionPolicy::max_chunk_elements`] is split into even index chunks
-//!   reduced back to back, bounding peak frame sizes.
+//! * **Chunked pipelining.** A bucket closes before its fused index
+//!   space would pass [`FusionPolicy::max_chunk_elements`], so a bucket of
+//!   several jobs never chunks. A single job larger than the cap is split
+//!   into even index chunks reduced back to back, bounding peak frame
+//!   sizes.
 //! * **Cross-rank lockstep without global barriers.** Before executing,
 //!   engines agree on the common submitted-job prefix — and on the
 //!   density facts the planner needs, measured by the engine on its own

@@ -260,9 +260,8 @@ fn render_report(report: &ClusterReport, trace: &TraceSummary, delta: f64) -> St
                     let _ = writeln!(
                         out,
                         "  WARNING rank {}: avg message {:.0} KiB — fused collectives look \
-                         bandwidth-bound; shrink FusionPolicy::max_fused_elements \
-                         or max_chunk_elements, or run these layers with \
-                         FusionPolicy::disabled()",
+                         bandwidth-bound; shrink FusionPolicy::max_chunk_elements, \
+                         or run these layers with FusionPolicy::disabled()",
                         f.rank,
                         avg / 1024.0
                     );
@@ -480,7 +479,8 @@ mod tests {
             DEFAULT_DELTA_DENSITY,
         );
         assert!(text.contains("WARNING"), "{text}");
-        assert!(text.contains("FusionPolicy::max_fused_elements"), "{text}");
+        assert!(text.contains("FusionPolicy::max_chunk_elements"), "{text}");
+        assert!(text.contains("FusionPolicy::disabled()"), "{text}");
     }
 
     #[test]

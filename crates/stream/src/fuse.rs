@@ -9,7 +9,10 @@
 //! progress engine (and in DDP-style trainers generally). The same
 //! machinery, applied to *even* partitions of one dimension
 //! ([`FusedLayout::even_chunks`]), yields the chunk split used to bound
-//! peak frame sizes of oversized buckets.
+//! peak frame sizes of an oversized job. The engine closes a bucket
+//! before it reaches the chunk size, so a bucket of several jobs is never
+//! chunked: its parts are copied once into the fused stream and once out
+//! of the result.
 //!
 //! The SoA slab layout keeps both directions cheap: fusion is a bulk copy
 //! of each part's slabs with an offset added to the index slab, and the

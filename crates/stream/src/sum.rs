@@ -40,6 +40,8 @@
 //! lie in one index window — a split owner's sub-ranges — are summed with
 //! one scatter per entry in a [`crate::WindowSum`] instead.
 
+use std::borrow::Cow;
+
 use crate::error::StreamError;
 use crate::partition::PartRange;
 use crate::scalar::Scalar;
@@ -197,20 +199,24 @@ fn add_values<V: Scalar>(a: &mut [V], b: &[V]) {
 /// `|acc|` and the addend's announced stored total, and each range runs
 /// the kernel the whole sum runs there — a merge appended to one slab,
 /// a scatter into dense values, or dense + dense.
+///
+/// The accumulator may be borrowed: a sparse one is only read, ranges of
+/// it merged into a fresh output, so a caller whose first sum starts from
+/// its own input need not copy it first.
 #[derive(Debug)]
-pub struct RangeSum<V> {
+pub struct RangeSum<'a, V: Scalar> {
     dim: usize,
-    out: RangeOut<V>,
+    out: RangeOut<'a, V>,
     /// Whether the sum switches to dense; reported with the first part.
     switched: bool,
 }
 
 #[derive(Debug)]
-enum RangeOut<V> {
+enum RangeOut<'a, V: Scalar> {
     /// Both sides sparse and under δ: each range of the accumulator's
     /// entries merged with its part, appended to `out`.
     Merge {
-        acc: SparseVec<V>,
+        acc: Cow<'a, SparseVec<V>>,
         out: SparseVec<V>,
     },
     /// A dense result. `acc` holds a sparse accumulator's entries when the
@@ -219,28 +225,45 @@ enum RangeOut<V> {
     /// `add_assign_with` commutes that sum.
     Dense {
         values: Vec<V>,
-        acc: Option<SparseVec<V>>,
+        acc: Option<Cow<'a, SparseVec<V>>>,
     },
 }
 
-impl<V: Scalar> RangeSum<V> {
+/// The entries of a sparse accumulator, borrowed where it is.
+fn sparse_entries<V: Scalar>(acc: Cow<'_, SparseStream<V>>) -> Cow<'_, SparseVec<V>> {
+    match acc {
+        Cow::Borrowed(stream) => match stream.repr() {
+            Repr::Sparse(sv) => Cow::Borrowed(sv),
+            Repr::Dense(_) => unreachable!("a sparse accumulator"),
+        },
+        Cow::Owned(stream) => Cow::Owned(stream.into_sparse().expect("a sparse accumulator")),
+    }
+}
+
+impl<'a, V: Scalar> RangeSum<'a, V> {
     /// Starts `acc + addend` for an addend that holds `total` stored
     /// entries, dense (`N` values) or sparse as `dense` says.
-    pub fn new(acc: SparseStream<V>, total: usize, dense: bool, policy: &DensityPolicy) -> Self {
+    pub fn new(
+        acc: Cow<'a, SparseStream<V>>,
+        total: usize,
+        dense: bool,
+        policy: &DensityPolicy,
+    ) -> Self {
         let dim = acc.dim();
         let switched = !acc.is_dense() && (dense || crosses_delta(&acc, total, policy));
         let out = if dense && !acc.is_dense() {
             RangeOut::Dense {
                 values: Vec::with_capacity(dim),
-                acc: acc.into_sparse(),
+                acc: Some(sparse_entries(acc)),
             }
         } else if acc.is_dense() || switched {
-            RangeOut::Dense {
-                values: acc.into_dense_vec(),
-                acc: None,
-            }
+            let values = match acc {
+                Cow::Borrowed(stream) => stream.to_dense_vec(),
+                Cow::Owned(stream) => stream.into_dense_vec(),
+            };
+            RangeOut::Dense { values, acc: None }
         } else {
-            let acc = acc.into_sparse().expect("a sparse accumulator");
+            let acc = sparse_entries(acc);
             RangeOut::Merge {
                 out: SparseVec::with_capacity(acc.len() + total),
                 acc,
@@ -619,11 +642,35 @@ mod tests {
         assert_eq!(acc.nnz(), 1);
     }
 
-    #[test]
-    fn a_range_sum_is_the_whole_sum() {
-        // dim 64 → δ = 32: under δ, across it, into a dense accumulator,
-        // a dense addend on either accumulator. Four ranges each.
-        use crate::{partition_range, random_sparse};
+    /// `acc + addend` by a [`RangeSum`] over four ranges of `[0, dim)`,
+    /// with each range's stats.
+    fn sum_in_ranges(
+        acc: Cow<'_, SparseStream<f32>>,
+        addend: &SparseStream<f32>,
+    ) -> (SparseStream<f32>, Vec<SumStats>) {
+        use crate::partition_range;
+        let dim = addend.dim();
+        let policy = DensityPolicy::default();
+        let mut sum = RangeSum::new(acc, addend.stored_len(), addend.is_dense(), &policy);
+        let stats = (0..4)
+            .map(|j| {
+                let range = partition_range(dim, 4, j);
+                match addend.sparse_view() {
+                    Some(view) => sum.add_sparse(range, view.range(range.lo, range.hi)),
+                    None => {
+                        let values = addend.to_dense_vec();
+                        sum.add_dense(range, &values[range.lo as usize..range.hi as usize])
+                    }
+                }
+            })
+            .collect();
+        (sum.finish(), stats)
+    }
+
+    /// dim 64 → δ = 32: `(acc, addend)` pairs under δ, across it, into a
+    /// dense accumulator, and a dense addend on either accumulator.
+    fn range_sum_cases() -> Vec<(SparseStream<f32>, SparseStream<f32>)> {
+        use crate::random_sparse;
         let dim = 64;
         let dense = |s: &SparseStream<f32>| {
             let mut d = s.clone();
@@ -635,36 +682,56 @@ mod tests {
             random_sparse::<f32>(dim, 12, 2),
             random_sparse::<f32>(dim, 30, 3),
         );
-        for (acc, addend) in [
-            (&a, &b),
-            (&a, &big),
-            (&dense(&a), &b),
-            (&a, &dense(&b)),
-            (&dense(&a), &dense(&b)),
-        ] {
+        vec![
+            (a.clone(), b.clone()),
+            (a.clone(), big),
+            (dense(&a), b.clone()),
+            (a.clone(), dense(&b)),
+            (dense(&a), dense(&b)),
+        ]
+    }
+
+    #[test]
+    fn a_range_sum_is_the_whole_sum() {
+        for (acc, addend) in range_sum_cases() {
             let mut whole = acc.clone();
-            let whole_stats = whole.add_assign(addend).unwrap();
-            let policy = DensityPolicy::default();
-            let mut sum =
-                RangeSum::new(acc.clone(), addend.stored_len(), addend.is_dense(), &policy);
-            let (mut processed, mut switched) = (0, false);
-            for j in 0..4 {
-                let range = partition_range(dim, 4, j);
-                let stats = match addend.sparse_view() {
-                    Some(view) => sum.add_sparse(range, view.range(range.lo, range.hi)),
-                    None => {
-                        let values = addend.to_dense_vec();
-                        sum.add_dense(range, &values[range.lo as usize..range.hi as usize])
-                    }
-                };
-                assert_eq!(stats.result_dense, whole_stats.result_dense);
-                processed += stats.elements_processed;
-                switched |= stats.switched_to_dense;
+            let whole_stats = whole.add_assign(&addend).unwrap();
+            let (sum, stats) = sum_in_ranges(Cow::Owned(acc), &addend);
+            for step in &stats {
+                assert_eq!(step.result_dense, whole_stats.result_dense);
             }
+            let processed: usize = stats.iter().map(|s| s.elements_processed).sum();
             assert_eq!(processed, whole_stats.elements_processed);
+            let switched = stats.iter().any(|s| s.switched_to_dense);
             assert_eq!(switched, whole_stats.switched_to_dense);
-            assert_eq!(sum.finish(), whole);
+            assert_eq!(sum, whole);
         }
+    }
+
+    #[test]
+    fn a_range_sum_over_a_borrowed_accumulator_is_the_owned_one() {
+        // The merge form, the δ switch to dense, a dense accumulator and a
+        // dense addend: the same index slab, value bits and stats.
+        let bits = |s: &SparseStream<f32>| match s.repr() {
+            Repr::Sparse(sv) => (
+                sv.indices().to_vec(),
+                sv.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            ),
+            Repr::Dense(values) => (Vec::new(), values.iter().map(|v| v.to_bits()).collect()),
+        };
+        let cases = range_sum_cases();
+        for (acc, addend) in &cases {
+            let (borrowed, borrowed_stats) = sum_in_ranges(Cow::Borrowed(acc), addend);
+            let (owned, owned_stats) = sum_in_ranges(Cow::Owned(acc.clone()), addend);
+            assert_eq!(borrowed.is_dense(), owned.is_dense());
+            assert_eq!(bits(&borrowed), bits(&owned));
+            assert_eq!(borrowed_stats, owned_stats);
+        }
+        let forms: Vec<bool> = cases
+            .iter()
+            .map(|(acc, addend)| sum_in_ranges(Cow::Borrowed(acc), addend).0.is_dense())
+            .collect();
+        assert_eq!(forms, [false, true, true, true, true], "every form covered");
     }
 
     #[test]

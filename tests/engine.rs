@@ -275,9 +275,10 @@ fn tag_blocks_isolate_traffic_on_socket_transport() {
 
 #[test]
 fn chunked_pipelining_stays_exact() {
-    // Force chunking: a fused bucket of 8 × 4096 = 32768 indices with a
-    // 1024-index chunk cap → 32 chunks, still element-exact.
-    let (p, layers, dim, nnz) = (3, 8, 4096, 32);
+    // Force chunking: one 32768-index layer with a 1024-index chunk cap →
+    // 32 chunks, still element-exact. (Only a single job past the cap is
+    // chunked; a fused bucket closes before it.)
+    let (p, layers, dim, nnz) = (3, 1, 32_768, 256);
     let expect = layer_references(p, layers, dim, nnz);
     let outs = run_communicators(p, CostModel::zero(), |comm| {
         let cfg = EngineConfig {
@@ -300,11 +301,67 @@ fn chunked_pipelining_stays_exact() {
     });
     for (results, stats) in outs {
         assert_eq!(stats.chunked_buckets, 1);
-        assert_eq!(stats.chunks, (layers * dim / 1024) as u64);
+        assert_eq!(stats.chunks, (dim / 1024) as u64);
         for (l, out) in results.iter().enumerate() {
+            assert_eq!(out.dim(), dim);
             assert_eq!(out.to_dense_vec(), expect[l], "chunked layer {l}");
         }
     }
+}
+
+/// Eight 4096-index layers under a 10 000-index chunk cap: Σdim = 32 768
+/// passes it, so the planner must close buckets of at most two layers
+/// (8 192 indices) rather than fuse all eight and chunk the result.
+/// Returns each layer's result and the engine's stats.
+fn capped_group_program<T: Transport + Send + 'static>(
+    comm: &mut Communicator<T>,
+) -> (Vec<Vec<f32>>, sparcml::engine::EngineStats) {
+    let (layers, dim, nnz) = (8, 4096, 32);
+    let cfg = EngineConfig {
+        algorithm: Algorithm::SsarRecDbl,
+        fusion: FusionPolicy {
+            max_chunk_elements: 10_000,
+            ..FusionPolicy::default()
+        },
+        ..EngineConfig::default()
+    };
+    let mut engine = comm.engine::<f32>(cfg);
+    let grads = per_layer_inputs(engine.rank(), layers, dim, nnz);
+    let refs: Vec<&SparseStream<f32>> = grads.iter().collect();
+    let tickets = engine.submit_allreduce_group(&refs);
+    let results = tickets
+        .into_iter()
+        .map(|t| t.wait().unwrap().to_dense_vec())
+        .collect();
+    let stats = engine.stats();
+    engine.finish_into(comm).unwrap();
+    (results, stats)
+}
+
+fn check_capped_group(outs: Vec<(Vec<Vec<f32>>, sparcml::engine::EngineStats)>, p: usize) {
+    let (layers, dim, nnz, cap) = (8, 4096, 32, 10_000);
+    let expect = layer_references(p, layers, dim, nnz);
+    for (results, stats) in outs {
+        assert_eq!(stats.chunked_buckets, 0, "a fused bucket must not chunk");
+        assert_eq!(stats.chunks, 0);
+        // Four buckets, every job in one of several: each holds at least
+        // two of the eight layers, so exactly two — 8 192 ≤ 10 000 indices.
+        assert_eq!(stats.buckets, layers.div_ceil(cap / dim) as u64);
+        assert_eq!(stats.fused_jobs, layers as u64);
+        for (l, out) in results.iter().enumerate() {
+            assert_eq!(out, &expect[l], "layer {l} must be element-exact");
+        }
+    }
+}
+
+#[test]
+fn a_group_past_the_chunk_cap_plans_buckets_that_fit() {
+    let p = 3;
+    check_capped_group(
+        run_communicators(p, CostModel::zero(), capped_group_program),
+        p,
+    );
+    check_capped_group(run_thread_communicators(p, capped_group_program), p);
 }
 
 #[test]
