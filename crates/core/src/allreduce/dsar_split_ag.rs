@@ -52,7 +52,7 @@ pub(crate) fn dsar_split_allgather<T: Transport, V: Scalar>(
     }
     let op_id = ep.next_op_id();
     // The split-phase sends are `SSAR_Split_allgather`'s, frame for frame.
-    send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+    send_split_steps(ep, input, op_id, 1..p, pool)?;
     dsar_receive_half(ep, input, cfg, op_id, op_id, pool)
 }
 
@@ -265,7 +265,7 @@ mod tests {
             dsar_split_allgather(ep, &mk(ep.rank()), &cfg, &mut BufferPool::new()).unwrap();
         });
         let t_ssar = max_virtual_time(p, cost, |ep| {
-            ssar_split_allgather(ep, &mk(ep.rank()), &cfg, &mut BufferPool::new()).unwrap();
+            ssar_split_allgather(ep, &mk(ep.rank()), &mut BufferPool::new()).unwrap();
         });
         assert!(
             t_dsar < t_ssar,
@@ -306,7 +306,7 @@ mod tests {
                 if dsar {
                     dsar_split_allgather(ep, input, &cfg, pool).unwrap();
                 } else {
-                    ssar_split_allgather(ep, input, &cfg, pool).unwrap();
+                    ssar_split_allgather(ep, input, pool).unwrap();
                 }
             }) * 1e6
         };

@@ -111,9 +111,6 @@ pub struct AllreduceConfig {
     pub quant: Option<QsgdConfig>,
     /// Seed for stochastic quantization; each rank derives `seed + rank`.
     pub quant_seed: u64,
-    /// Whether the split phase uses blocking sends (charging the paper's
-    /// full `(P−1)α` to the sender) or non-blocking isends.
-    pub blocking_split_sends: bool,
 }
 
 impl Default for AllreduceConfig {
@@ -122,7 +119,6 @@ impl Default for AllreduceConfig {
             policy: DensityPolicy::default(),
             quant: None,
             quant_seed: 0x005b_ac31,
-            blocking_split_sends: true,
         }
     }
 }
@@ -192,7 +188,7 @@ fn resolve_auto<T: Transport, V: Scalar>(
     let split_op = match pass.op_id {
         Some(op_id) if algo.is_split() => {
             if !speculated {
-                send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+                send_split_steps(ep, input, op_id, 1..p, pool)?;
             }
             Some(op_id)
         }
@@ -264,7 +260,7 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
             dsar_receive_half(ep, input, cfg, split_op, gather_op, pool)
         }
         (Algorithm::SsarRecDbl, _) => ssar_recursive_double(ep, input, cfg, pool),
-        (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, cfg, pool),
+        (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, pool),
         (Algorithm::DsarSplitAllgather, None) => dsar_split_allgather(ep, input, cfg, pool),
         (Algorithm::DenseRabenseifner, _) => dense_rabenseifner(ep, input, cfg, pool),
     };

@@ -360,8 +360,8 @@ pub(crate) struct Pass<V: Scalar> {
 /// send points — after its word of each round, before the fold receive
 /// (an active rank with a parked partner), between fold-send and
 /// unfold-receive (a parked rank) — it sends its next even share of the
-/// split-phase steps `1..P`, tagged `SPLIT` under the pass's op id, as
-/// blocking as [`AllreduceConfig::blocking_split_sends`] says. A peer the
+/// split-phase steps `1..P`, tagged `SPLIT` under the pass's op id,
+/// blocking like every split-phase send. A peer the
 /// pass still owes a word — a later round's partner, the unfold partner —
 /// gets its split frame in a share after that word: the virtual link
 /// carries one frame at a time, and a word queued behind a split frame
@@ -453,7 +453,7 @@ pub(crate) fn rec_dbl_agree<T: Transport, V: Scalar>(
         let from = (p - 1) * passed / points;
         passed += 1;
         let to = (p - 1) * passed / points;
-        send_split_steps(ep, input, cfg, op_id, order[from..to].iter().copied(), pool)
+        send_split_steps(ep, input, op_id, order[from..to].iter().copied(), pool)
     };
     if rank >= p2 {
         // Parked (§A): hand the input to the fold partner, take the

@@ -38,7 +38,6 @@ use sparcml_stream::{
     partition_range, Scalar, SparseStream, SparseVec, StreamError, SumStats, WindowSum, WireFrame,
 };
 
-use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
 use crate::op::{
     allgather_bytes_with, recv_stream, recv_tracked, send_stream_range, subtag, sum_charged, tag,
@@ -55,7 +54,6 @@ use crate::op::{
 pub(crate) fn send_split_steps<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
     op_id: u64,
     steps: impl IntoIterator<Item = usize>,
     pool: &mut BufferPool,
@@ -64,15 +62,7 @@ pub(crate) fn send_split_steps<T: Transport, V: Scalar>(
     for step in steps {
         let dst = (rank + step) % p;
         let range = partition_range(input.dim(), p, dst);
-        send_stream_range(
-            ep,
-            dst,
-            tag(op_id, subtag::SPLIT),
-            input,
-            range,
-            cfg.blocking_split_sends,
-            pool,
-        )?;
+        send_stream_range(ep, dst, tag(op_id, subtag::SPLIT), input, range, pool)?;
     }
     Ok(())
 }
@@ -137,7 +127,6 @@ pub(crate) fn reduce_partition<T: Transport, V: Scalar>(
 pub(crate) fn ssar_split_allgather<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
     let p = ep.size();
@@ -145,7 +134,7 @@ pub(crate) fn ssar_split_allgather<T: Transport, V: Scalar>(
         return Ok(input.clone());
     }
     let op_id = ep.next_op_id();
-    send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+    send_split_steps(ep, input, op_id, 1..p, pool)?;
     ssar_receive_half(ep, input, op_id, op_id, pool)
 }
 
@@ -311,13 +300,12 @@ mod tests {
     use sparcml_stream::random_sparse;
 
     fn check(p: usize, dim: usize, nnz: usize) {
-        let cfg = AllreduceConfig::default();
         let ins: Vec<SparseStream<f32>> = (0..p)
             .map(|r| random_sparse(dim, nnz, 7 + r as u64))
             .collect();
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_split_allgather(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap()
+            ssar_split_allgather(ep, &ins[ep.rank()], &mut BufferPool::new()).unwrap()
         });
         // Every slot sums in rank order, as the reference does: the
         // results are its sums bit for bit.
@@ -339,14 +327,13 @@ mod tests {
 
     #[test]
     fn correct_overlapping_supports() {
-        let cfg = AllreduceConfig::default();
         // All ranks share the same support: K = k.
         let p = 8;
         let dim = 1 << 14;
         let base = random_sparse::<f32>(dim, 100, 42);
         let expect = reference_sum(&vec![base.clone(); p]);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            ssar_split_allgather(ep, &base, &cfg, &mut BufferPool::new()).unwrap()
+            ssar_split_allgather(ep, &base, &mut BufferPool::new()).unwrap()
         });
         for out in outs {
             assert_eq!(out.nnz(), 100);
@@ -359,7 +346,6 @@ mod tests {
 
     #[test]
     fn fill_in_past_delta_stays_sparse_and_exact() {
-        let cfg = AllreduceConfig::default();
         // Rank 0's partition fills in past δ during the reduce (300 + 300
         // stored > 512, where a merge goes dense); the window keeps it
         // sparse for the concatenating allgather, and nothing densifies.
@@ -371,7 +357,7 @@ mod tests {
             let (lo, hi) = supports[ep.rank()];
             let pairs: Vec<(u32, f32)> = (lo..hi).map(|i| (i, 1.0f32)).collect();
             let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-            let out = ssar_split_allgather(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
+            let out = ssar_split_allgather(ep, &input, &mut BufferPool::new()).unwrap();
             (out, ep.stats().snapshot().adaptive_densified)
         });
         for (rank, (out, densified)) in outs.into_iter().enumerate() {
@@ -392,7 +378,6 @@ mod tests {
 
     #[test]
     fn latency_matches_l2() {
-        let cfg = AllreduceConfig::default();
         // Empty inputs isolate latency: (P−1)α for the split (blocking
         // sends) + log2(P)α for the allgather.
         let cost = CostModel {
@@ -404,7 +389,7 @@ mod tests {
         let p = 8;
         let t = max_virtual_time(p, cost, |ep| {
             let input = SparseStream::<f32>::zeros(1 << 16);
-            ssar_split_allgather(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
+            ssar_split_allgather(ep, &input, &mut BufferPool::new()).unwrap();
         });
         let l2 = (p - 1) as f64 + (p as f64).log2();
         assert!((t - l2).abs() < 1e-9, "t = {t}, L2 = {l2}");
@@ -417,40 +402,12 @@ mod tests {
         // while the allgather flies, the schedule takes ≈ 605 virtual µs.
         // Summing them in a 6-level merge tournament read ≈ 651, a left
         // fold 1 096 before the gather overlapped its assembly.
-        let cfg = AllreduceConfig::default();
         let (p, dim, k) = (64, 1 << 20, 10_000);
         let t = max_virtual_time(p, CostModel::aries(), |ep| {
             let input = random_sparse::<f32>(dim, k, 7 + ep.rank() as u64);
-            ssar_split_allgather(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
+            ssar_split_allgather(ep, &input, &mut BufferPool::new()).unwrap();
         });
         assert!(t <= 615e-6, "t = {t} s");
-    }
-
-    #[test]
-    fn nonblocking_split_reduces_latency() {
-        let cost = CostModel {
-            alpha: 1.0,
-            beta: 0.0,
-            gamma: 0.0,
-            isend_alpha_fraction: 0.1,
-        };
-        let p = 8;
-        let blocking = AllreduceConfig {
-            blocking_split_sends: true,
-            ..Default::default()
-        };
-        let nonblocking = AllreduceConfig {
-            blocking_split_sends: false,
-            ..Default::default()
-        };
-        let zeros = SparseStream::<f32>::zeros(1 << 16);
-        let time = |cfg: &AllreduceConfig| {
-            max_virtual_time(p, cost, |ep| {
-                ssar_split_allgather(ep, &zeros, cfg, &mut BufferPool::new()).unwrap();
-            })
-        };
-        let (t_b, t_nb) = (time(&blocking), time(&nonblocking));
-        assert!(t_nb < t_b, "nonblocking {t_nb} should beat blocking {t_b}");
     }
 
     /// An assembly of P = 4 partitions of `dim` with room for `counts`.
@@ -576,7 +533,7 @@ mod tests {
         // ends in Ok or a typed error, never a panic or a hang, and an Ok
         // is a valid stream. The valid frames are a sparse sub-range and a
         // dense one, non-zero only inside the window.
-        let (dim, cfg) = (1024, AllreduceConfig::default());
+        let dim = 1024;
         let ins = [
             random_sparse::<f32>(dim, 200, 3),
             random_sparse::<f32>(dim, 200, 4),
@@ -603,7 +560,7 @@ mod tests {
             let mut outs = run_cluster(2, CostModel::zero(), |ep| {
                 let pool = &mut BufferPool::new();
                 if ep.rank() == 1 {
-                    return Some(ssar_split_allgather(ep, &ins[1], &cfg, pool));
+                    return Some(ssar_split_allgather(ep, &ins[1], pool));
                 }
                 let op_id = ep.next_op_id();
                 let split = tag(op_id, subtag::SPLIT);

@@ -23,12 +23,15 @@
 //! assert_eq!(results[0].get(999_999), 2.0);
 //! ```
 //!
-//! Every `launch()` returns a [`CollectiveHandle`]. Blocking launches
-//! resolve eagerly and `wait()` just hands the value over; after
-//! `.nonblocking()` the transport and the session's buffer pool move to
-//! a helper thread, `compute()` accounts overlapped work, and `wait()`
-//! reinstalls both into the communicator before returning the result
-//! (ideal-overlap clock merge, §7).
+//! Every `launch()` runs the collective on the caller's thread, over the
+//! session's transport and buffer pool, and returns a resolved
+//! [`CollectiveHandle`]. [`Allreduce::nonblocking`] is §7's overlap on
+//! the session clock: the handle remembers the clock before the run,
+//! `compute()` accounts overlapped work against it, and `wait()` merges
+//! the two as `max(communication, computation)`. Running a collective in
+//! the background on the wall clock is the progress engine's job
+//! (`sparcml_engine`: `comm.engine()` → `submit_allreduce` →
+//! `Ticket::wait`); `sparcml-core` starts no thread.
 
 use sparcml_net::{
     run_cluster, run_reactor_loopback_cluster, run_thread_cluster, CommStats, CostModel, Endpoint,
@@ -37,12 +40,10 @@ use sparcml_net::{
 use sparcml_obs as obs;
 use sparcml_quant::QsgdConfig;
 use sparcml_stream::{DensityPolicy, Scalar, SparseStream};
-use std::borrow::Borrow;
 
 use crate::allgather::{dense_allgather, sparse_allgather, sparse_allgather_sum};
 use crate::allreduce::{dispatch, Algorithm, AllreduceConfig};
 use crate::error::CollError;
-use crate::nonblocking::Request;
 use crate::op::BufferPool;
 use crate::rooted::{sparse_broadcast, sparse_reduce, sparse_reduce_scatter};
 use crate::telemetry::TelemetryExchange;
@@ -55,18 +56,10 @@ use crate::telemetry::TelemetryExchange;
 /// to implement [`Transport`].
 pub struct Communicator<T: Transport = Endpoint> {
     transport: T,
-    /// Set when a non-blocking helper thread panicked and took the
-    /// transport with it: the session then holds only the inert
-    /// placeholder from `detach()`, and silently running collectives on
-    /// it would return local-only results. Every later `launch()` fails
-    /// loudly instead.
-    transport_lost: bool,
     /// Persistent message-buffer pool shared by every collective this
     /// session launches, so encode/receive buffers survive from one call
-    /// to the next instead of being re-allocated per collective. A
-    /// non-blocking launch sends it to the helper thread with the
-    /// transport and `wait()` brings both back. Reuse is observable via
-    /// [`Communicator::stats_snapshot`].
+    /// to the next instead of being re-allocated per collective. Reuse is
+    /// observable via [`Communicator::stats_snapshot`].
     pool: BufferPool,
     /// Control-tag allocator + sequence state for
     /// [`Communicator::cluster_report`] telemetry exchanges. Fresh per
@@ -76,79 +69,30 @@ pub struct Communicator<T: Transport = Endpoint> {
     telemetry: TelemetryExchange,
 }
 
-impl<T: Transport + Send + 'static> Communicator<T> {
+impl<T: Transport> Communicator<T> {
     /// Wraps a transport session in a communicator.
     pub fn new(transport: T) -> Self {
         Communicator {
             transport,
-            transport_lost: false,
             pool: BufferPool::new(),
             telemetry: TelemetryExchange::new(),
         }
     }
 
-    fn ensure_attached(&self) -> Result<(), CollError> {
-        if self.transport_lost {
-            return Err(CollError::Invalid(
-                "communicator lost its transport: a non-blocking collective panicked; \
-                 rebuild the session with Communicator::new"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The one launch path behind every builder: runs `op` on the
-    /// session's transport and persistent buffer pool. Blocking, it runs
-    /// here on the borrowed `input` and the handle is already resolved;
-    /// non-blocking, transport and pool move to a helper thread with an
-    /// owned copy of `input`, and the handle reinstalls both on `wait()`
-    /// (or drop).
-    fn launch<'a, I, R, F>(
-        &'a mut self,
-        nonblocking: bool,
-        input: &I,
-        op: F,
-    ) -> Result<CollectiveHandle<'a, T, R>, CollError>
-    where
-        I: ToOwned + ?Sized,
-        I::Owned: Send + 'static,
-        R: Send + 'static,
-        F: FnOnce(&mut T, &I, &mut BufferPool) -> Result<R, CollError> + Send + 'static,
-    {
-        self.ensure_attached()?;
-        let state = if nonblocking {
-            let input = input.to_owned();
-            HandleState::InFlight(Some(Request::spawn(
-                self.transport.detach(),
-                std::mem::take(&mut self.pool),
-                move |tp, pool| op(tp, input.borrow(), pool),
-            )))
-        } else {
-            HandleState::Ready(Some(op(&mut self.transport, input, &mut self.pool)?))
-        };
-        Ok(CollectiveHandle { comm: self, state })
-    }
-
-    /// Takes back what a joined non-blocking helper returned. A helper
-    /// that panicked took transport and pool with it: poison the session
-    /// so later collectives fail loudly instead of running on the
-    /// placeholder.
-    fn reinstall<R>(
+    /// The one launch path behind every builder: runs `op` on `input`
+    /// here, on the session's transport and persistent buffer pool, and
+    /// hands back a resolved, blocking handle.
+    fn launch<I: ?Sized, R>(
         &mut self,
-        joined: Result<(T, BufferPool, Result<R, CollError>), CollError>,
-    ) -> Result<R, CollError> {
-        match joined {
-            Ok((transport, pool, result)) => {
-                self.transport = transport;
-                self.pool = pool;
-                result
-            }
-            Err(e) => {
-                self.transport_lost = true;
-                Err(e)
-            }
-        }
+        input: &I,
+        op: impl FnOnce(&mut T, &I, &mut BufferPool) -> Result<R, CollError>,
+    ) -> Result<CollectiveHandle<'_, T, R>, CollError> {
+        let result = op(&mut self.transport, input, &mut self.pool)?;
+        Ok(CollectiveHandle {
+            comm: self,
+            result,
+            overlap: None,
+        })
     }
 
     /// This rank's id in `[0, size)`.
@@ -226,7 +170,6 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     /// input: a malformed or impossible frame fails with
     /// [`CollError::Invalid`] rather than producing a wrong report.
     pub fn cluster_report(&mut self) -> Result<obs::ClusterReport, CollError> {
-        self.ensure_attached()?;
         obs::telemetry::enable();
         obs::telemetry::set_counters(
             self.stats_snapshot()
@@ -246,8 +189,8 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     /// subgroup and each caller's session becomes a communicator over its
     /// subgroup (ranks renumbered `0..group_size` by ascending parent
     /// rank, message tags scoped so concurrent collectives on sibling
-    /// groups never collide). All collectives — including non-blocking
-    /// launches and engine submission — work unchanged on the subgroup;
+    /// groups never collide). All collectives — including engine
+    /// submission — work unchanged on the subgroup;
     /// [`Communicator::into_parent`] dissolves the view and returns the
     /// original session.
     ///
@@ -256,14 +199,12 @@ impl<T: Transport + Send + 'static> Communicator<T> {
     /// rank fails the same way and the job should rebuild its sessions
     /// rather than limp on with a half-split cluster.
     pub fn split(self, color: u64) -> Result<Communicator<GroupTransport<T>>, CollError> {
-        self.ensure_attached()?;
         let Communicator {
             transport, pool, ..
         } = self;
         let group = GroupTransport::split(transport, color)?;
         Ok(Communicator {
             transport: group,
-            transport_lost: false,
             pool,
             telemetry: TelemetryExchange::new(),
         })
@@ -328,7 +269,6 @@ impl<T: Transport + Send + 'static> Communicator<T> {
             input,
             root,
             cfg: AllreduceConfig::default(),
-            nonblocking: false,
         }
     }
 
@@ -343,7 +283,6 @@ impl<T: Transport + Send + 'static> Communicator<T> {
             comm: self,
             input,
             root,
-            nonblocking: false,
         }
     }
 
@@ -353,12 +292,7 @@ impl<T: Transport + Send + 'static> Communicator<T> {
         &'a mut self,
         input: &'a SparseStream<V>,
     ) -> ReduceScatter<'a, T, V> {
-        ReduceScatter {
-            comm: self,
-            input,
-            cfg: AllreduceConfig::default(),
-            nonblocking: false,
-        }
+        ReduceScatter { comm: self, input }
     }
 
     /// Gathers every rank's sparse stream to every rank (streams returned
@@ -367,11 +301,7 @@ impl<T: Transport + Send + 'static> Communicator<T> {
         &'a mut self,
         input: &'a SparseStream<V>,
     ) -> Allgather<'a, T, V> {
-        Allgather {
-            comm: self,
-            input,
-            nonblocking: false,
-        }
+        Allgather { comm: self, input }
     }
 
     /// Gathers and sums sparse streams (pure concatenation when supports
@@ -380,11 +310,7 @@ impl<T: Transport + Send + 'static> Communicator<T> {
         &'a mut self,
         input: &'a SparseStream<V>,
     ) -> AllgatherSum<'a, T, V> {
-        AllgatherSum {
-            comm: self,
-            input,
-            nonblocking: false,
-        }
+        AllgatherSum { comm: self, input }
     }
 
     /// Dense allgather of raw value blocks, returned in rank order — the
@@ -393,28 +319,20 @@ impl<T: Transport + Send + 'static> Communicator<T> {
         &'a mut self,
         block: &'a [V],
     ) -> DenseAllgather<'a, T, V> {
-        DenseAllgather {
-            comm: self,
-            block,
-            nonblocking: false,
-        }
+        DenseAllgather { comm: self, block }
     }
 }
 
-impl<T: Transport + Send + 'static> Communicator<GroupTransport<T>> {
+impl<T: Transport> Communicator<GroupTransport<T>> {
     /// Dissolves a subgroup session created by [`Communicator::split`],
-    /// returning the parent communicator (its persistent buffer pool —
-    /// and any lost-transport poisoning — carry over).
+    /// returning the parent communicator (its persistent buffer pool
+    /// carries over).
     pub fn into_parent(self) -> Communicator<T> {
         let Communicator {
-            transport,
-            transport_lost,
-            pool,
-            ..
+            transport, pool, ..
         } = self;
         Communicator {
             transport: transport.into_parent(),
-            transport_lost,
             pool,
             telemetry: TelemetryExchange::new(),
         }
@@ -429,70 +347,47 @@ impl<T: Transport + std::fmt::Debug> std::fmt::Debug for Communicator<T> {
     }
 }
 
-enum HandleState<T, R> {
-    /// Blocking launch: the result is already here.
-    Ready(Option<R>),
-    /// Non-blocking launch: the transport is on a helper thread.
-    InFlight(Option<Request<T, R>>),
-}
-
-/// The single completion handle unifying blocking and non-blocking
-/// collectives: blocking launches are already resolved and `wait()` just
-/// returns the value; non-blocking launches are joined, their transport is
-/// reinstalled into the communicator, and overlapped work accounted via
-/// [`CollectiveHandle::compute`] merges into the clock as
-/// `max(communication, computation)`.
-///
-/// Dropping an in-flight handle without waiting joins it (discarding the
-/// result) so the communicator always gets its transport back.
+/// The completion handle every `launch()` returns. The collective has
+/// already run; `wait()` hands its result over. After
+/// [`Allreduce::nonblocking`] the handle is §7's overlap on the session
+/// clock: work accounted through [`CollectiveHandle::compute`] counts
+/// from the clock reading before the collective ran, and `wait()` merges
+/// the two as `max(communication, computation)`.
 #[must_use = "a collective handle must be waited on"]
-pub struct CollectiveHandle<'a, T: Transport + Send + 'static, R: Send + 'static> {
+pub struct CollectiveHandle<'a, T: Transport, R> {
     comm: &'a mut Communicator<T>,
-    state: HandleState<T, R>,
+    result: R,
+    /// `(fork clock, overlapped seconds)` of a non-blocking launch;
+    /// `None` when blocking, where handle work is serial.
+    overlap: Option<(f64, f64)>,
 }
 
-impl<T: Transport + Send + 'static, R: Send + 'static> CollectiveHandle<'_, T, R> {
+impl<T: Transport, R> CollectiveHandle<'_, T, R> {
     /// Accounts local computation of `elements` element-ops: overlapped
     /// with the collective when non-blocking, serial when blocking.
     pub fn compute(&mut self, elements: usize) {
-        match &mut self.state {
-            HandleState::Ready(_) => self.comm.compute(elements),
-            HandleState::InFlight(Some(req)) => req.compute(elements),
-            HandleState::InFlight(None) => {}
+        match &mut self.overlap {
+            Some((_, seconds)) => *seconds += self.comm.cost().gamma * elements as f64,
+            None => self.comm.compute(elements),
         }
     }
 
     /// Accounts `seconds` of local wall work (overlapped when
     /// non-blocking).
     pub fn charge_seconds(&mut self, seconds: f64) {
-        match &mut self.state {
-            HandleState::Ready(_) => self.comm.charge_seconds(seconds),
-            HandleState::InFlight(Some(req)) => req.charge_seconds(seconds),
-            HandleState::InFlight(None) => {}
+        match &mut self.overlap {
+            Some((_, overlapped)) => *overlapped += seconds,
+            None => self.comm.charge_seconds(seconds),
         }
     }
 
-    /// Completes the collective and returns its result. For non-blocking
-    /// launches this joins the helper thread and reinstalls the transport
-    /// into the communicator (even if the collective failed).
-    pub fn wait(mut self) -> Result<R, CollError> {
-        match &mut self.state {
-            HandleState::Ready(slot) => Ok(slot.take().expect("blocking handle waited on twice")),
-            HandleState::InFlight(slot) => {
-                let req = slot.take().expect("in-flight handle waited on twice");
-                self.comm.reinstall(req.finish())
-            }
+    /// Returns the collective's result, first advancing a non-blocking
+    /// launch's clock to `fork + overlapped` when that is later.
+    pub fn wait(self) -> Result<R, CollError> {
+        if let Some((fork, overlapped)) = self.overlap {
+            self.comm.transport.advance_clock_to(fork + overlapped);
         }
-    }
-}
-
-impl<T: Transport + Send + 'static, R: Send + 'static> Drop for CollectiveHandle<'_, T, R> {
-    fn drop(&mut self) {
-        if let HandleState::InFlight(slot) = &mut self.state {
-            if let Some(req) = slot.take() {
-                let _discarded = self.comm.reinstall(req.finish());
-            }
-        }
+        Ok(self.result)
     }
 }
 
@@ -500,7 +395,7 @@ impl<T: Transport + Send + 'static, R: Send + 'static> Drop for CollectiveHandle
 /// defaults: [`Algorithm::Auto`], no quantization, default δ policy,
 /// blocking.
 #[must_use = "collective builders do nothing until `launch()`"]
-pub struct Allreduce<'a, T: Transport + Send + 'static, V: Scalar> {
+pub struct Allreduce<'a, T: Transport, V: Scalar> {
     comm: &'a mut Communicator<T>,
     input: &'a SparseStream<V>,
     algorithm: Algorithm,
@@ -508,7 +403,7 @@ pub struct Allreduce<'a, T: Transport + Send + 'static, V: Scalar> {
     nonblocking: bool,
 }
 
-impl<'a, T: Transport + Send + 'static, V: Scalar> Allreduce<'a, T, V> {
+impl<'a, T: Transport, V: Scalar> Allreduce<'a, T, V> {
     /// Selects the collective schedule ([`Algorithm::Auto`] = adaptive).
     pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
@@ -540,195 +435,130 @@ impl<'a, T: Transport + Send + 'static, V: Scalar> Allreduce<'a, T, V> {
         self
     }
 
-    /// Whether the split phase uses blocking sends (full `(P−1)α`) or
-    /// non-blocking isends (§5.3.2 latency mitigation).
-    pub fn blocking_split_sends(mut self, blocking: bool) -> Self {
-        self.cfg.blocking_split_sends = blocking;
-        self
-    }
-
-    /// Runs the collective on a helper thread; the returned handle
-    /// overlaps local compute and reinstalls the transport on `wait()`.
+    /// §7's overlap on the session clock. The collective still runs at
+    /// `launch()`, on this thread; the handle's
+    /// [`compute`](CollectiveHandle::compute) and
+    /// [`charge_seconds`](CollectiveHandle::charge_seconds) then count
+    /// from the clock before it ran instead of after, and `wait()` ends
+    /// on `max(communication, computation)`. Overlap on the wall clock
+    /// needs a background collective: submit it to the progress engine
+    /// (`sparcml_engine`).
     pub fn nonblocking(mut self) -> Self {
         self.nonblocking = true;
         self
     }
 
-    /// Launches the collective.
+    /// Launches the collective. A non-blocking launch first reads the
+    /// clock: the fork point its handle's overlapped work counts from.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let (algorithm, cfg) = (self.algorithm, self.cfg);
-        self.comm
-            .launch(self.nonblocking, self.input, move |tp, input, pool| {
-                dispatch(tp, input, algorithm, &cfg, pool)
-            })
+        let fork = self.nonblocking.then(|| self.comm.clock());
+        let mut handle = self.comm.launch(self.input, |tp, input, pool| {
+            dispatch(tp, input, self.algorithm, &self.cfg, pool)
+        })?;
+        handle.overlap = fork.map(|clock| (clock, 0.0));
+        Ok(handle)
     }
 }
 
 /// Fluent builder for the rooted reduce. Created by
 /// [`Communicator::reduce`].
 #[must_use = "collective builders do nothing until `launch()`"]
-pub struct Reduce<'a, T: Transport + Send + 'static, V: Scalar> {
+pub struct Reduce<'a, T: Transport, V: Scalar> {
     comm: &'a mut Communicator<T>,
     input: &'a SparseStream<V>,
     root: usize,
     cfg: AllreduceConfig,
-    nonblocking: bool,
 }
 
-impl<'a, T: Transport + Send + 'static, V: Scalar> Reduce<'a, T, V> {
+impl<'a, T: Transport, V: Scalar> Reduce<'a, T, V> {
     /// Sparse→dense switching policy (δ scaling, §5.1).
     pub fn policy(mut self, policy: DensityPolicy) -> Self {
         self.cfg.policy = policy;
         self
     }
 
-    /// Runs the collective on a helper thread (see
-    /// [`Allreduce::nonblocking`]).
-    pub fn nonblocking(mut self) -> Self {
-        self.nonblocking = true;
-        self
-    }
-
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let (root, cfg) = (self.root, self.cfg);
-        self.comm
-            .launch(self.nonblocking, self.input, move |tp, input, pool| {
-                sparse_reduce(tp, input, root, &cfg, pool)
-            })
+        self.comm.launch(self.input, |tp, input, pool| {
+            sparse_reduce(tp, input, self.root, &self.cfg, pool)
+        })
     }
 }
 
 /// Fluent builder for broadcast. Created by [`Communicator::broadcast`].
 #[must_use = "collective builders do nothing until `launch()`"]
-pub struct Broadcast<'a, T: Transport + Send + 'static, V: Scalar> {
+pub struct Broadcast<'a, T: Transport, V: Scalar> {
     comm: &'a mut Communicator<T>,
     input: &'a SparseStream<V>,
     root: usize,
-    nonblocking: bool,
 }
 
-impl<'a, T: Transport + Send + 'static, V: Scalar> Broadcast<'a, T, V> {
-    /// Runs the collective on a helper thread (see
-    /// [`Allreduce::nonblocking`]).
-    pub fn nonblocking(mut self) -> Self {
-        self.nonblocking = true;
-        self
-    }
-
+impl<'a, T: Transport, V: Scalar> Broadcast<'a, T, V> {
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let root = self.root;
-        self.comm
-            .launch(self.nonblocking, self.input, move |tp, input, pool| {
-                sparse_broadcast(tp, input, root, pool)
-            })
+        self.comm.launch(self.input, |tp, input, pool| {
+            sparse_broadcast(tp, input, self.root, pool)
+        })
     }
 }
 
 /// Fluent builder for reduce-scatter. Created by
 /// [`Communicator::reduce_scatter`].
 #[must_use = "collective builders do nothing until `launch()`"]
-pub struct ReduceScatter<'a, T: Transport + Send + 'static, V: Scalar> {
+pub struct ReduceScatter<'a, T: Transport, V: Scalar> {
     comm: &'a mut Communicator<T>,
     input: &'a SparseStream<V>,
-    cfg: AllreduceConfig,
-    nonblocking: bool,
 }
 
-impl<'a, T: Transport + Send + 'static, V: Scalar> ReduceScatter<'a, T, V> {
-    /// Sparse→dense switching policy (δ scaling, §5.1).
-    pub fn policy(mut self, policy: DensityPolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Runs the collective on a helper thread (see
-    /// [`Allreduce::nonblocking`]).
-    pub fn nonblocking(mut self) -> Self {
-        self.nonblocking = true;
-        self
-    }
-
+impl<'a, T: Transport, V: Scalar> ReduceScatter<'a, T, V> {
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        let cfg = self.cfg;
-        self.comm
-            .launch(self.nonblocking, self.input, move |tp, input, pool| {
-                sparse_reduce_scatter(tp, input, &cfg, pool)
-            })
+        self.comm.launch(self.input, sparse_reduce_scatter)
     }
 }
 
 /// Fluent builder for sparse allgather. Created by
 /// [`Communicator::allgather`].
 #[must_use = "collective builders do nothing until `launch()`"]
-pub struct Allgather<'a, T: Transport + Send + 'static, V: Scalar> {
+pub struct Allgather<'a, T: Transport, V: Scalar> {
     comm: &'a mut Communicator<T>,
     input: &'a SparseStream<V>,
-    nonblocking: bool,
 }
 
-impl<'a, T: Transport + Send + 'static, V: Scalar> Allgather<'a, T, V> {
-    /// Runs the collective on a helper thread (see
-    /// [`Allreduce::nonblocking`]).
-    pub fn nonblocking(mut self) -> Self {
-        self.nonblocking = true;
-        self
-    }
-
+impl<'a, T: Transport, V: Scalar> Allgather<'a, T, V> {
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, Vec<SparseStream<V>>>, CollError> {
-        self.comm
-            .launch(self.nonblocking, self.input, sparse_allgather)
+        self.comm.launch(self.input, sparse_allgather)
     }
 }
 
 /// Fluent builder for the summing sparse allgather. Created by
 /// [`Communicator::allgather_sum`].
 #[must_use = "collective builders do nothing until `launch()`"]
-pub struct AllgatherSum<'a, T: Transport + Send + 'static, V: Scalar> {
+pub struct AllgatherSum<'a, T: Transport, V: Scalar> {
     comm: &'a mut Communicator<T>,
     input: &'a SparseStream<V>,
-    nonblocking: bool,
 }
 
-impl<'a, T: Transport + Send + 'static, V: Scalar> AllgatherSum<'a, T, V> {
-    /// Runs the collective on a helper thread (see
-    /// [`Allreduce::nonblocking`]).
-    pub fn nonblocking(mut self) -> Self {
-        self.nonblocking = true;
-        self
-    }
-
+impl<'a, T: Transport, V: Scalar> AllgatherSum<'a, T, V> {
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, SparseStream<V>>, CollError> {
-        self.comm
-            .launch(self.nonblocking, self.input, sparse_allgather_sum)
+        self.comm.launch(self.input, sparse_allgather_sum)
     }
 }
 
 /// Fluent builder for the dense block allgather. Created by
 /// [`Communicator::allgather_dense`].
 #[must_use = "collective builders do nothing until `launch()`"]
-pub struct DenseAllgather<'a, T: Transport + Send + 'static, V: Scalar> {
+pub struct DenseAllgather<'a, T: Transport, V: Scalar> {
     comm: &'a mut Communicator<T>,
     block: &'a [V],
-    nonblocking: bool,
 }
 
-impl<'a, T: Transport + Send + 'static, V: Scalar> DenseAllgather<'a, T, V> {
-    /// Runs the collective on a helper thread (see
-    /// [`Allreduce::nonblocking`]).
-    pub fn nonblocking(mut self) -> Self {
-        self.nonblocking = true;
-        self
-    }
-
+impl<'a, T: Transport, V: Scalar> DenseAllgather<'a, T, V> {
     /// Launches the collective.
     pub fn launch(self) -> Result<CollectiveHandle<'a, T, Vec<Vec<V>>>, CollError> {
-        self.comm
-            .launch(self.nonblocking, self.block, dense_allgather)
+        self.comm.launch(self.block, dense_allgather)
     }
 }
 
@@ -903,76 +733,124 @@ mod tests {
     }
 
     #[test]
-    fn dropped_in_flight_handle_returns_the_transport() {
-        let p = 2;
-        let clocks = run_communicators(p, CostModel::zero(), |comm| {
-            let input = random_sparse::<f32>(256, 8, comm.rank() as u64);
-            let handle = comm.allreduce(&input).nonblocking().launch().unwrap();
-            drop(handle); // joins + reinstalls, result discarded
-                          // The communicator must still be usable for a second round.
-            comm.allreduce(&input)
+    fn nonblocking_matches_blocking_result() {
+        let p = 8;
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| random_sparse(2048, 64, 500 + r as u64))
+            .collect();
+        let expect = reference_sum(&ins);
+        let outs = run_communicators(p, CostModel::zero(), |comm| {
+            comm.allreduce(&ins[comm.rank()])
                 .algorithm(Algorithm::SsarRecDbl)
                 .launch()
                 .and_then(|h| h.wait())
-                .unwrap();
-            comm.size()
+                .unwrap()
         });
-        assert_eq!(clocks, vec![2, 2]);
-    }
-
-    #[test]
-    fn poisoned_session_fails_every_entry_point() {
-        let mut comm = Communicator::new(sparcml_net::standalone_thread_transport());
-        let err = comm
-            .launch(true, &(), |_tp, _: &(), _pool| -> Result<(), CollError> {
-                panic!("helper thread dies")
-            })
-            .and_then(|h| h.wait())
-            .unwrap_err();
-        assert!(matches!(err, CollError::WorkerPanicked { .. }), "{err}");
-
-        // Transport and pool are gone with the helper thread: every entry
-        // point must fail with the typed error, not run on the P=1
-        // placeholder and report a local-only success.
-        fn assert_lost(what: &str, err: Option<CollError>) {
-            match err {
-                Some(CollError::Invalid(msg)) => {
-                    assert!(msg.contains("lost its transport"), "{what}: {msg}")
-                }
-                other => panic!("{what}: expected the lost-transport error, got {other:?}"),
+        for out in &outs {
+            for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
+                assert!((g - e).abs() < 1e-4);
             }
         }
-        macro_rules! both_modes {
-            ($what:literal, $builder:expr) => {
-                assert_lost($what, $builder.launch().err());
-                assert_lost(
-                    concat!($what, " nonblocking"),
-                    $builder.nonblocking().launch().err(),
-                );
-            };
-        }
-        let x = SparseStream::<f32>::zeros(8);
-        let block = [1.0f32; 4];
-        both_modes!("allreduce", comm.allreduce(&x));
-        both_modes!("reduce", comm.reduce(&x, 0));
-        both_modes!("broadcast", comm.broadcast(&x, 0));
-        both_modes!("reduce_scatter", comm.reduce_scatter(&x));
-        both_modes!("allgather", comm.allgather(&x));
-        both_modes!("allgather_sum", comm.allgather_sum(&x));
-        both_modes!("allgather_dense", comm.allgather_dense(&block));
-        assert_lost("cluster_report", comm.cluster_report().err());
-        assert_lost("split", comm.split(0).err());
     }
 
     #[test]
-    fn max_communicator_time_reports_slowest_rank() {
-        let cost = CostModel {
+    fn nonblocking_result_agrees_with_reference() {
+        let p = 4;
+        let ins: Vec<SparseStream<f32>> = (0..p)
+            .map(|r| random_sparse(1024, 32, 300 + r as u64))
+            .collect();
+        let expect = reference_sum(&ins);
+        let outs = run_communicators(p, CostModel::zero(), |comm| {
+            comm.allreduce(&ins[comm.rank()])
+                .algorithm(Algorithm::SsarSplitAllgather)
+                .nonblocking()
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap()
+        });
+        for out in outs {
+            for (g, e) in out.to_dense_vec().iter().zip(expect.iter()) {
+                assert!((g - e).abs() < 1e-4);
+            }
+        }
+    }
+
+    #[test]
+    fn nonblocking_runs_on_thread_transport_too() {
+        let outs = run_thread_communicators(2, |comm| {
+            let input = random_sparse::<f32>(512, 16, comm.rank() as u64);
+            comm.allreduce(&input)
+                .algorithm(Algorithm::SsarRecDbl)
+                .nonblocking()
+                .launch()
+                .and_then(|h| h.wait())
+                .unwrap()
+                .nnz()
+        });
+        assert_eq!(outs[0], outs[1]);
+    }
+
+    /// γ = 1 s/element and free messages: a collective costs only the
+    /// γ its merges charge, and handle work is easy to read off.
+    fn gamma_only() -> CostModel {
+        CostModel {
             alpha: 0.0,
             beta: 0.0,
             gamma: 1.0,
             isend_alpha_fraction: 0.0,
-        };
-        let t = max_communicator_time(4, cost, |comm| {
+        }
+    }
+
+    /// Runs one recursive-doubling allreduce on two ranks, accounting
+    /// `elements` of handle work, and returns each rank's final clock.
+    fn clocks_after(cost: CostModel, nonblocking: bool, elements: usize) -> Vec<f64> {
+        run_communicators(2, cost, |comm| {
+            let input = random_sparse::<f32>(256, 8, comm.rank() as u64);
+            let mut call = comm.allreduce(&input).algorithm(Algorithm::SsarRecDbl);
+            if nonblocking {
+                call = call.nonblocking();
+            }
+            let mut handle = call.launch().unwrap();
+            handle.compute(elements);
+            handle.wait().unwrap();
+            comm.clock()
+        })
+    }
+
+    #[test]
+    fn overlap_merges_clocks_as_max() {
+        // 100 elements of overlapped compute dominate the few the merge
+        // charges: the clock ends on fork (0) + overlapped time.
+        assert_eq!(clocks_after(gamma_only(), true, 100), [100.0; 2]);
+    }
+
+    #[test]
+    fn overlap_dominated_by_communication_ends_on_the_blocking_clock() {
+        // On GigE the exchange takes far longer than 1 element of
+        // compute: the overlapped work hides entirely, and the clock is
+        // the blocking launch's without any handle work, to the bit.
+        let cost = CostModel::gige();
+        let bits = |clocks: Vec<f64>| clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let blocking = clocks_after(cost, false, 0);
+        assert!(blocking.iter().all(|&c| c > cost.gamma), "{blocking:?}");
+        assert_eq!(bits(clocks_after(cost, true, 1)), bits(blocking));
+    }
+
+    #[test]
+    fn handle_compute_charges_serial_time_when_blocking() {
+        let clocks = run_communicators(1, gamma_only(), |comm| {
+            let input = SparseStream::<f32>::zeros(16);
+            let mut handle = comm.allreduce(&input).launch().unwrap();
+            handle.compute(7); // blocking handle: serial work
+            handle.wait().unwrap();
+            comm.clock()
+        });
+        assert!((clocks[0] - 7.0).abs() < 1e-9, "clock {}", clocks[0]);
+    }
+
+    #[test]
+    fn max_communicator_time_reports_slowest_rank() {
+        let t = max_communicator_time(4, gamma_only(), |comm| {
             comm.compute(comm.rank());
         });
         assert_eq!(t, 3.0);

@@ -12,10 +12,9 @@ pub enum CollError {
     Comm(CommError),
     /// Stream validation / decoding failure.
     Stream(StreamError),
-    /// A helper thread (a non-blocking collective worker or a progress
-    /// engine) panicked and took its transport with it.
+    /// A progress-engine thread panicked and took its transport with it.
     WorkerPanicked {
-        /// Name of the dead thread (e.g. `sparcml-nb-3`).
+        /// Name of the dead thread (e.g. `sparcml-engine-3`).
         thread: String,
         /// The panic payload, when it was a string.
         message: String,
@@ -93,16 +92,16 @@ mod tests {
 
     #[test]
     fn worker_panicked_extracts_string_payloads() {
-        let e = CollError::worker_panicked("sparcml-nb-2", &"boom");
+        let e = CollError::worker_panicked("sparcml-engine-2", &"boom");
         assert_eq!(
             e,
             CollError::WorkerPanicked {
-                thread: "sparcml-nb-2".into(),
+                thread: "sparcml-engine-2".into(),
                 message: "boom".into(),
             }
         );
         assert!(e.to_string().contains("panicked"));
-        assert!(e.to_string().contains("sparcml-nb-2"));
+        assert!(e.to_string().contains("sparcml-engine-2"));
         let e = CollError::worker_panicked("t", &String::from("owned"));
         assert!(e.to_string().contains("owned"));
         let e = CollError::worker_panicked("t", &42usize);

@@ -14,8 +14,10 @@
 //!   `DSAR_Split_allgather`) and Rabenseifner's dense baseline;
 //! * optional QSGD low-precision allgather inside DSAR (§6) via
 //!   `.quantized(..)`;
-//! * non-blocking launches with ideal-overlap clock merging (§7) via
-//!   `.nonblocking()`;
+//! * §7's overlap on the session clock via the allreduce's
+//!   `.nonblocking()`: the handle's compute merges with the collective
+//!   as `max(communication, computation)` (background progress on the
+//!   wall clock is `sparcml-engine`'s; this crate starts no thread);
 //! * rooted and gather collectives ([`Communicator::reduce`],
 //!   [`Communicator::broadcast`], [`Communicator::reduce_scatter`],
 //!   [`Communicator::allgather`], …) behind the same
@@ -47,10 +49,10 @@
 //! ```
 //!
 //! The builders are the only way to run a collective: each schedule is
-//! one crate-private function, and every launch — blocking or
-//! non-blocking — routes its O(P) message frames through the session's
-//! own [`BufferPool`], so encode and receive buffers survive from one
-//! call to the next instead of being allocated per message.
+//! one crate-private function, and every launch routes its O(P) message
+//! frames through the session's own [`BufferPool`], so encode and
+//! receive buffers survive from one call to the next instead of being
+//! allocated per message.
 
 #![warn(missing_docs)]
 
@@ -59,7 +61,6 @@ mod allreduce;
 pub mod bounds;
 mod communicator;
 mod error;
-mod nonblocking;
 mod op;
 pub mod reference;
 mod rooted;

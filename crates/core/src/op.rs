@@ -54,11 +54,10 @@ const MAX_POOLED: usize = 16;
 ///
 /// Every collective routes the O(P) message frames of its schedule
 /// through the pool its caller hands it, and the only caller is the
-/// [`crate::Communicator`], which passes its *persistent session pool* —
-/// to a non-blocking launch's helper thread too — so the steady state of
-/// a training loop allocates nothing per message: buffers survive from
-/// one collective call to the next (`CommStats::reuse_rate` approaches
-/// 1).
+/// [`crate::Communicator`], which passes its *persistent session pool*,
+/// so the steady state of a training loop allocates nothing per message:
+/// buffers survive from one collective call to the next
+/// (`CommStats::reuse_rate` approaches 1).
 ///
 ///
 /// 1. [`BufferPool::acquire`] hands out a cleared `Vec<u8>` (retaining the
@@ -198,25 +197,23 @@ pub(crate) fn send_stream<T: Transport, V: Scalar>(
 
 /// Encodes the index range of `stream` straight onto the wire — for
 /// sparse streams this borrows the slab sub-range with no intermediate
-/// stream — and sends it. The workhorse of the split phases.
+/// stream — and sends it, blocking (full α charge). The workhorse of the
+/// split phases.
 pub(crate) fn send_stream_range<T: Transport, V: Scalar>(
     ep: &mut T,
     dst: usize,
     t: u64,
     stream: &SparseStream<V>,
     range: sparcml_stream::PartRange,
-    blocking: bool,
     pool: &mut BufferPool,
 ) -> Result<(), CollError> {
-    send_encoded(ep, dst, t, blocking, pool, |buf| {
-        match stream.sparse_view() {
-            Some(view) => SparseStream::encode_sparse_slice_into(
-                stream.dim(),
-                view.range(range.lo, range.hi),
-                buf,
-            ),
-            None => stream.restrict(range.lo, range.hi).encode_into(buf),
-        }
+    send_encoded(ep, dst, t, true, pool, |buf| match stream.sparse_view() {
+        Some(view) => SparseStream::encode_sparse_slice_into(
+            stream.dim(),
+            view.range(range.lo, range.hi),
+            buf,
+        ),
+        None => stream.restrict(range.lo, range.hi).encode_into(buf),
     })
 }
 
@@ -1061,8 +1058,8 @@ mod tests {
             dense.densify();
             let window = sparcml_stream::PartRange { lo: 5, hi: 41 };
             if ep.rank() == 0 {
-                send_stream_range(ep, 1, 1, &sparse, window, true, &mut pool).unwrap();
-                send_stream_range(ep, 1, 2, &dense, window, true, &mut pool).unwrap();
+                send_stream_range(ep, 1, 1, &sparse, window, &mut pool).unwrap();
+                send_stream_range(ep, 1, 2, &dense, window, &mut pool).unwrap();
                 None
             } else {
                 let a = recv_stream::<_, f32>(ep, 0, 1, &mut pool).unwrap();

@@ -144,7 +144,6 @@ pub(crate) fn sparse_broadcast<T: Transport, V: Scalar>(
 pub(crate) fn sparse_reduce_scatter<T: Transport, V: Scalar>(
     ep: &mut T,
     input: &SparseStream<V>,
-    cfg: &AllreduceConfig,
     pool: &mut BufferPool,
 ) -> Result<SparseStream<V>, CollError> {
     let p = ep.size();
@@ -152,7 +151,7 @@ pub(crate) fn sparse_reduce_scatter<T: Transport, V: Scalar>(
         return Ok(input.clone());
     }
     let op_id = ep.next_op_id();
-    send_split_steps(ep, input, cfg, op_id, 1..p, pool)?;
+    send_split_steps(ep, input, op_id, 1..p, pool)?;
     let mut window = reduce_partition(ep, input, op_id, pool)?;
     let (mut indices, mut values) = (vec![0; window.len()], vec![V::zero(); window.len()]);
     window.drain_into(&mut indices, &mut values);
@@ -221,14 +220,12 @@ mod tests {
 
     #[test]
     fn reduce_scatter_partitions_the_sum() {
-        let cfg = AllreduceConfig::default();
         let p = 4;
         let dim = 1000;
         let ins = inputs(p, dim, 100);
         let expect = reference_sum(&ins);
         let outs = run_cluster(p, CostModel::zero(), |ep| {
-            let mine =
-                sparse_reduce_scatter(ep, &ins[ep.rank()], &cfg, &mut BufferPool::new()).unwrap();
+            let mine = sparse_reduce_scatter(ep, &ins[ep.rank()], &mut BufferPool::new()).unwrap();
             (ep.rank(), mine)
         });
         for (rank, mine) in outs {
@@ -253,7 +250,6 @@ mod tests {
         // result — inside the k·⌈log2 P⌉ a merge tournament could take. A
         // left fold re-walks its accumulator P−1 times — ≈ k·P/2, i.e.
         // k·32 at P = 64.
-        let cfg = AllreduceConfig::default();
         let (dim, k) = (1usize << 16, 512usize);
         for p in [2usize, 3, 5, 8, 16, 64] {
             let stride = dim / (p * k);
@@ -263,7 +259,7 @@ mod tests {
                     .map(|i| (((i * p + r) * stride) as u32, 1.0))
                     .collect();
                 let input = SparseStream::from_pairs(dim, &pairs).unwrap();
-                let mine = sparse_reduce_scatter(ep, &input, &cfg, &mut BufferPool::new()).unwrap();
+                let mine = sparse_reduce_scatter(ep, &input, &mut BufferPool::new()).unwrap();
                 assert!(mine.is_sparse());
                 (mine.nnz() as u64, ep.stats().snapshot().compute_elements)
             });

@@ -393,7 +393,7 @@ impl<T: Transport + Send + 'static, V: Scalar> std::fmt::Debug for Engine<T, V> 
 pub trait CommunicatorEngineExt<T: Transport + Send + 'static> {
     /// Detaches the session's transport onto a new [`Engine`]'s progress
     /// thread. While the engine runs, this communicator holds only an
-    /// inert placeholder (exactly as during a non-blocking collective) —
+    /// inert placeholder —
     /// do not launch collectives on it until
     /// [`Engine::finish_into`] reinstalls the transport.
     fn engine<V: Scalar>(&mut self, cfg: EngineConfig) -> Engine<T, V>;

@@ -6,15 +6,15 @@
 //! [`Ticket`] handles — the layer that turns per-layer sparse gradient
 //! exchanges into overlapped, fused, in-order traffic (the §8.3
 //! execution style of the paper: "communication is done layer-wise using
-//! non-blocking calls", generalized from one helper thread per call to a
-//! persistent engine).
+//! non-blocking calls"). It is the one way to run a collective in the
+//! background on the wall clock: `sparcml-core` starts no thread, and its
+//! `.nonblocking()` only accounts overlap on the session clock.
 //!
 //! What the engine adds over [`sparcml_core::Communicator`] alone:
 //!
 //! * **Concurrent in-flight collectives.** `submit_*` never blocks; each
-//!   job resolves through its [`Ticket`]. The old non-blocking path
-//!   spawned one thread per request and could keep only one collective in
-//!   flight; the engine queues arbitrarily many.
+//!   job resolves through its [`Ticket`], and the engine queues
+//!   arbitrarily many.
 //! * **Bucketing & fusion.** Consecutive small allreduce jobs are fused —
 //!   their streams packed into one concatenated index space via
 //!   [`sparcml_stream::fuse_streams`] — and reduced as a *single*

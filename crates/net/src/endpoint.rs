@@ -221,7 +221,7 @@ impl Transport for Endpoint {
 }
 
 /// Creates a disconnected single-rank endpoint with a free cost model.
-/// Useful as a placeholder during non-blocking hand-off and in unit tests.
+/// Useful as a placeholder during an engine hand-off and in unit tests.
 pub fn standalone_endpoint() -> Endpoint {
     Endpoint::connect(1, CostModel::zero())
         .pop()

@@ -117,8 +117,8 @@ pub trait Transport {
     }
 
     /// Replaces `self` with an inert single-rank placeholder and returns
-    /// the real transport — the hand-off pattern used by non-blocking
-    /// collectives, which run on a helper thread owning the transport.
+    /// the real transport — the hand-off pattern of the progress engine,
+    /// whose thread owns the transport while it runs.
     ///
     /// After detaching, `self.rank()`/`self.size()` report the placeholder
     /// (rank 0 of 1): read any rank-dependent state *before* calling this.

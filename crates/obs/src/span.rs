@@ -451,8 +451,8 @@ fn record(cat: Category, name: &'static str, start_ns: u64, dur_ns: u64, arg: u6
 /// recorder, capturing the thread's name for the trace `thread_name`
 /// metadata even if the thread never records a span itself. Call this
 /// at the top of named worker threads (`sparcml-engine-{rank}`,
-/// `sparcml-reactor-{rank}`, `sparcml-nb-{rank}`) so Perfetto lanes are
-/// labeled. No-op when no recorder is installed.
+/// `sparcml-reactor-{rank}`) so Perfetto lanes are labeled. No-op when
+/// no recorder is installed.
 pub fn register_thread() {
     if !enabled() {
         return;

@@ -20,10 +20,10 @@
 //!
 //! The collector is **thread-local** on purpose: the in-process test
 //! harnesses run every rank of a cluster as a thread of one process, so
-//! a process-global accumulator would blend ranks together. Worker
-//! threads (engine progress loop, nonblocking helpers) snapshot their
-//! local state and hand it back to the owning rank's thread, which
-//! merges it via [`adopt`].
+//! a process-global accumulator would blend ranks together. A worker
+//! thread (the engine progress loop) snapshots its local state and
+//! hands it back to the owning rank's thread, which merges it via
+//! [`adopt`].
 
 use crate::histo::HISTO_BUCKETS;
 use crate::json::{self, Value};
@@ -720,8 +720,8 @@ pub fn snapshot_local() -> LocalTelemetry {
     LOCAL.with(|l| l.borrow().clone())
 }
 
-/// Merge a snapshot from another thread (engine progress loop,
-/// nonblocking helper) into this thread's collector.
+/// Merge a snapshot from another thread (the engine progress loop) into
+/// this thread's collector.
 pub fn adopt(other: &LocalTelemetry) {
     LOCAL.with(|l| l.borrow_mut().merge(other));
 }

@@ -6,8 +6,8 @@
 //! shutdown, the launcher merges the traces into one Chrome trace — and
 //! this binary then re-opens the merged file and asserts it is valid
 //! JSON carrying spans from *every* rank, flow-event arrows between
-//! ranks, and named lanes for the engine / reactor / non-blocking
-//! worker threads.
+//! ranks, named lanes for the engine and reactor threads, and the
+//! non-blocking allreduce on the rank's own lane.
 //!
 //! Run it:
 //!
@@ -16,12 +16,12 @@
 //! ```
 //!
 //! then load `target/trace-demo/trace-merged.json` at <https://ui.perfetto.dev>
-//! (or `chrome://tracing`). One process track per rank; engine,
-//! reactor, and non-blocking helper threads appear as labeled rows, and
+//! (or `chrome://tracing`). One process track per rank; engine and
+//! reactor threads appear as labeled rows beside the rank's own, and
 //! enabling "Flow events" draws the send→recv arrows. `sparcml-doctor
 //! target/trace-demo` turns the same directory into a cluster report.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -76,9 +76,9 @@ fn main() {
             .and_then(|h| h.wait())
             .expect("dense-ish allreduce");
 
-        // One non-blocking collective: the transport hops to a
-        // `sparcml-nb-{rank}` helper thread, which must appear as its
-        // own labeled lane in the trace.
+        // One non-blocking collective: it runs on this thread (the
+        // handle only accounts overlap on the session clock), so its
+        // spans land on the rank's own lane.
         comm.allreduce(&input)
             .algorithm(Algorithm::SsarRecDbl)
             .nonblocking()
@@ -122,6 +122,9 @@ fn main() {
     let mut pids = BTreeSet::new();
     let mut names = BTreeSet::new();
     let mut threads = BTreeSet::new();
+    // Lane names by (pid, tid), and rank 0's spans as (start, lane, name).
+    let mut lanes = BTreeMap::new();
+    let mut rank0_spans = Vec::new();
     let (mut flow_starts, mut flow_finishes) = (0usize, 0usize);
     for e in events {
         match e.get("ph").and_then(|v| v.as_str()) {
@@ -129,6 +132,11 @@ fn main() {
                 let pid = e.get("pid").and_then(|v| v.as_f64()).expect("X event pid") as usize;
                 pids.insert(pid);
                 if let Some(name) = e.get("name").and_then(|v| v.as_str()) {
+                    if pid == 0 {
+                        let ts = e.get("ts").and_then(|v| v.as_f64()).expect("X event ts");
+                        let tid = e.get("tid").and_then(|v| v.as_f64()).map(|t| t as u64);
+                        rank0_spans.push((ts, tid, name.to_string()));
+                    }
                     names.insert(name.to_string());
                 }
             }
@@ -138,6 +146,9 @@ fn main() {
                     .and_then(|a| a.get("name"))
                     .and_then(|v| v.as_str())
                 {
+                    let lane =
+                        ["pid", "tid"].map(|k| e.get(k).and_then(|v| v.as_f64()).map(|v| v as u64));
+                    lanes.insert(lane, n.to_string());
                     threads.insert(n.to_string());
                 }
             }
@@ -167,15 +178,39 @@ fn main() {
             "merged trace is missing '{required}' spans; have {names:?}"
         );
     }
-    // Worker-thread lanes are labeled: engine progress threads,
-    // reactor event loops, and non-blocking helpers registered their
-    // names even where they recorded few spans of their own.
-    for lane in ["sparcml-engine-0", "sparcml-reactor-0", "sparcml-nb-0"] {
+    // Worker-thread lanes are labeled: engine progress threads and
+    // reactor event loops registered their names even where they
+    // recorded few spans of their own.
+    for lane in ["sparcml-engine-0", "sparcml-reactor-0"] {
         assert!(
             threads.contains(lane),
             "merged trace is missing the '{lane}' thread lane; have {threads:?}"
         );
     }
+    // The non-blocking allreduce ran on the caller's thread. Rank 0's
+    // own lane is the one its first span (the first direct call) sits
+    // on; the non-blocking allreduce is its last recursive-doubling
+    // collective to start before the first engine `submit`.
+    rank0_spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let own = rank0_spans.first().expect("rank 0 spans").1;
+    let first_submit = rank0_spans
+        .iter()
+        .find(|(_, _, name)| name == "submit")
+        .expect("rank 0 submit span")
+        .0;
+    let nonblocking = rank0_spans
+        .iter()
+        .rev()
+        .find(|(ts, _, name)| *ts < first_submit && name == "SSAR_Recursive_double")
+        .expect("rank 0 non-blocking allreduce span")
+        .1;
+    let lane = |tid| lanes.get(&[Some(0), tid]).map(String::as_str);
+    assert!(
+        nonblocking == own && !lane(own).is_some_and(|n| n.starts_with("sparcml-")),
+        "rank 0's non-blocking allreduce ran on lane {:?}, not its own {:?}",
+        lane(nonblocking),
+        lane(own)
+    );
     // Cross-rank correlation: send spans opened flow arrows and recv
     // spans terminated them.
     assert!(flow_starts > 0, "no flow-start events in the merged trace");

@@ -185,8 +185,8 @@ fn mixed_blocking_and_nonblocking_collectives() {
             .launch()
             .and_then(|handle| handle.wait())
             .unwrap();
-        // …then a non-blocking one over the *result*; the handle returns
-        // the transport to the communicator on wait.
+        // …then a non-blocking one over the *result*, on the same
+        // session.
         comm.allreduce(&first)
             .algorithm(Algorithm::SsarSplitAllgather)
             .nonblocking()
@@ -205,9 +205,8 @@ fn mixed_blocking_and_nonblocking_collectives() {
 
 #[test]
 fn nonblocking_launches_reuse_the_session_pool() {
-    // The session's buffer pool rides to the helper thread with the
-    // transport and comes back with it: the second non-blocking launch
-    // must find the buffers the first one left.
+    // Every launch runs on the session's own buffer pool: the second
+    // non-blocking launch must find the buffers the first one left.
     let outs = run_communicators(4, CostModel::zero(), |comm| {
         let input = random_sparse::<f32>(1024, 32, comm.rank() as u64);
         let mut acquires = [0u64; 2];

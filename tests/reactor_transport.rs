@@ -201,9 +201,8 @@ fn rooted_collectives() {
 
 #[test]
 fn quantized_and_nonblocking() {
-    // DSAR + QSGD rides the same frames, and a non-blocking launch moves
-    // the whole ReactorTransport (sockets, loop thread handle) onto a
-    // helper thread and back.
+    // DSAR + QSGD rides the same frames, and a non-blocking launch runs
+    // on the caller's thread over the same ReactorTransport.
     let p = 4;
     let dim = 4096;
     let ins: Vec<SparseStream<f32>> = (0..p)

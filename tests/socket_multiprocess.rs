@@ -98,9 +98,8 @@ fn all_allreduce_algorithms_across_processes() {
 
 #[test]
 fn allgather_rooted_and_nonblocking_across_processes() {
-    // Non-pow2 world exercises the fold/ring paths; the non-blocking
-    // launch moves the whole transport (loop thread included) onto a
-    // helper thread and back — across real processes.
+    // Non-pow2 world exercises the fold/ring paths, and a non-blocking
+    // launch accounts overlapped work — across real processes.
     let world = 5;
     let dim = 1024;
     let Some(results) = run_socket_cluster(
