@@ -39,6 +39,7 @@ impl Criterion {
         println!("group {name}");
         BenchmarkGroup {
             sample_size: self.sample_size,
+            elements: None,
             _c: self,
         }
     }
@@ -65,13 +66,27 @@ impl BenchmarkId {
     }
 }
 
+/// What one iteration processes, for a per-element time next to the
+/// per-iteration one.
+pub enum Throughput {
+    /// Elements per iteration.
+    Elements(u64),
+}
+
 /// A group of benchmarks sharing configuration.
 pub struct BenchmarkGroup<'a> {
     sample_size: usize,
+    elements: Option<u64>,
     _c: &'a Criterion,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Sets what each iteration of the benchmarks that follow processes.
+    pub fn throughput(&mut self, throughput: Throughput) {
+        let Throughput::Elements(n) = throughput;
+        self.elements = Some(n);
+    }
+
     /// Runs a benchmark that closes over `input`.
     pub fn bench_with_input<I: ?Sized, F>(&mut self, id: BenchmarkId, input: &I, mut f: F)
     where
@@ -83,7 +98,7 @@ impl BenchmarkGroup<'_> {
             mean_ns: 0.0,
         };
         f(&mut b, input);
-        b.report(&id.label);
+        b.report(&id.label, self.elements);
     }
 
     /// Runs a benchmark with no extra input.
@@ -97,7 +112,7 @@ impl BenchmarkGroup<'_> {
             mean_ns: 0.0,
         };
         f(&mut b);
-        b.report(&name.to_string());
+        b.report(&name.to_string(), self.elements);
     }
 
     /// Ends the group.
@@ -126,7 +141,7 @@ impl Bencher {
         self.mean_ns = total / self.sample_size as f64;
     }
 
-    fn report(&self, label: &str) {
+    fn report(&self, label: &str, elements: Option<u64>) {
         let fmt = |ns: f64| {
             if ns < 1e3 {
                 format!("{ns:.0} ns")
@@ -138,8 +153,11 @@ impl Bencher {
                 format!("{:.2} s", ns / 1e9)
             }
         };
+        let per_element = elements.map_or(String::new(), |n| {
+            format!("   min {:.2} ns/elem", self.min_ns / n.max(1) as f64)
+        });
         println!(
-            "  {label:<40} min {:>10}   mean {:>10}",
+            "  {label:<40} min {:>10}   mean {:>10}{per_element}",
             fmt(self.min_ns),
             fmt(self.mean_ns)
         );

@@ -592,13 +592,15 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(events.iter().next().unwrap().token, u64::MAX);
+        // Both wakes are in before the drain: the helper's second one
+        // cannot land after it and leave the waker readable again.
+        handle.join().unwrap();
         waker.drain();
         // Drained: the next bounded wait is empty again.
         let n = poller
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
-        handle.join().unwrap();
     }
 
     #[test]

@@ -832,7 +832,8 @@ mod tests {
         let stream = random_sparse::<f32>(dim, 24, 5);
         let mut dense = stream.clone();
         dense.densify();
-        // 39 % dense: its frames and segments carry a bitmap index.
+        // 39 % dense: its frames and segments carry an Elias–Fano index
+        // of no low bits, a bitmap.
         let wide = random_sparse::<f32>(dim, 200, 6);
         let opening = |s: &SparseStream<f32>, k: u64| {
             segment(s, 3, 0, seg_word(3, s.stored_len() as u64), k | EAGER_BIT)

@@ -484,10 +484,11 @@ mod tests {
     #[test]
     fn mutated_blocks_never_panic_the_placement() {
         let (dim, p) = (1024, 4);
-        // A gap-coded block and two bitmap-indexed ones, 20 % and 55 %
-        // dense.
+        // A run and one far entry, gap-coded, and blocks at 20 % and 55 %
+        // density: Elias–Fano indices of 2 and 0 low bits.
+        let run = [(300, 1.0f32), (301, -2.0), (302, 0.5), (500, 4.0)];
         let parts = [
-            random_sparse::<f32>(dim, 100, 9).restrict(256, 512),
+            SparseStream::from_pairs(dim, &run).unwrap(),
             random_sparse::<f32>(dim, 200, 9).restrict(256, 512),
             random_sparse::<f32>(dim, 564, 10).restrict(256, 512),
         ];

@@ -4,12 +4,12 @@
 //! message, β per *byte*, so the paper's `βd` per dense word becomes
 //! `β·isize` and its `βs` per sparse pair becomes β times what a pair
 //! weighs on the wire. The paper fixes that at `c + isize` with a 4-byte
-//! index; the wire format gap-codes the index slab or, past a density of
-//! 1/8, sends it as a bitmap, so a pair weighs `isize` plus an index whose
-//! expected length falls with the density of the stream it travels in
-//! ([`Workload::pair_bytes`]: one byte at every density where bandwidth
-//! matters up to 1/8, `1/(8d)` past it). Each term is priced at the density
-//! its pairs travel at: a rank's input at `k/N`, reduced data at `K/N`.
+//! index; the wire format sends the index as an Elias–Fano index, or as a
+//! gap slab where that is smaller, so a pair weighs `isize` plus an index
+//! whose expected length falls with the density of the stream it travels
+//! in ([`Workload::pair_bytes`]: `⌊log2(1/d)⌋ + ≤ 2` bits, about a byte at
+//! 1 % and one bit past 1/2). Each term is priced at the density its pairs
+//! travel at: a rank's input at `k/N`, reduced data at `K/N`.
 //! These formulas power the adaptive algorithm selector and the
 //! `tests/paper_claims.rs` check that measured virtual times fall
 //! inside their analytic envelopes.
@@ -42,7 +42,7 @@ pub struct Workload {
 impl Workload {
     /// Expected wire bytes of one sparse index–value pair (the paper's
     /// `βs` unit) travelling in a stream of `entries` non-zeros: the value
-    /// plus its index — gap varint or bitmap bits — at density `entries / N`
+    /// plus its index — Elias–Fano bits or gap varint — at density `entries / N`
     /// ([`expected_entry_bytes`], the wire format's own figure). An empty
     /// dimension prices like a full one: no pair travels either way.
     #[inline]

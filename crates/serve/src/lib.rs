@@ -29,8 +29,8 @@
 //! `TransportConfig::max_frame_len` *before* any allocation. Servers
 //! default to the deliberately small
 //! [`sparcml_net::SERVER_MAX_FRAME_LEN`] cap. CONTRIBUTE/STATE/UPDATE
-//! payloads embed stream wire-v4 frames verbatim, gap-coded or with a
-//! bitmap index.
+//! payloads embed stream wire-v5 frames verbatim, with an Elias–Fano
+//! index or gap-coded.
 
 #![warn(missing_docs)]
 

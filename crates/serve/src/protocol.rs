@@ -5,8 +5,8 @@
 //! counts only the payload, and the receiver checks it against its
 //! `max_frame_len` *before* allocating (servers default to the small
 //! [`sparcml_net::SERVER_MAX_FRAME_LEN`] cap). CONTRIBUTE, STATE and
-//! UPDATE payloads embed a stream wire-v4 frame verbatim — gap-coded or
-//! with a bitmap index, whichever is smaller — so the stream codec, and
+//! UPDATE payloads embed a stream wire-v5 frame verbatim — with an
+//! Elias–Fano index or gap-coded, whichever is smaller — so the stream codec, and
 //! all of its peer-untrusting validation, is reused unchanged.
 //!
 //! ```text
@@ -753,10 +753,11 @@ mod tests {
     #[test]
     fn mutated_state_and_update_frames_never_panic_the_decoder() {
         use sparcml_stream::{random_sparse, SparseStream, XorShift64};
-        // A shard's state in each index coding: 2 % dense (gap-coded) and
-        // 40 % dense (bitmap-indexed).
+        // A shard's state in each index coding: two runs of 20 (gap-coded)
+        // and 40 % dense (an Elias–Fano index of no low bits, a bitmap).
+        let runs: Vec<(u32, f32)> = (100..120).chain(3000..3020).map(|i| (i, 1.0)).collect();
         let streams = [
-            random_sparse::<f32>(4096, 80, 1),
+            SparseStream::from_pairs(4096, &runs).unwrap(),
             random_sparse::<f32>(4096, 1600, 2),
         ];
         let payloads = streams.each_ref().map(|s| s.encode().to_vec());

@@ -17,7 +17,7 @@ use crate::config::{AggregationMode, ModelSpec};
 ///
 /// The sum takes the form its STATE frame has on the wire. Up to δ it is
 /// a [`WindowSum`] over the range — a dense value window plus the
-/// occupancy bitmap that is the frame's index — and a contribution is
+/// occupancy bitmap the frame's index is written from — and a contribution is
 /// scattered in, one store per entry, instead of being merged into a copy
 /// of the whole sum. Past δ it is dense. Both forms hold the values a
 /// sorted-slab sum would, to the bit, so every frame is the one the slabs

@@ -76,10 +76,31 @@ pub fn uniform_indices(dim: usize, nnz: usize, rng: &mut XorShift64) -> Vec<u32>
         let mut picked = all[..nnz].to_vec();
         picked.sort_unstable();
         picked
+    } else if dim / BITMAP_SPAN_PER_INDEX <= nnz {
+        // Rejection sampling: each *new* index is uniform, so the final
+        // k-subset is uniform (unlike draw-sort-truncate, which would bias
+        // towards small indices). A bitmap over the range is the set, and
+        // walking its set bits emits the subset sorted.
+        let mut set = vec![0u64; dim.div_ceil(64)];
+        let mut found = 0;
+        while found < nnz {
+            let idx = rng.next_below(dim as u64) as usize;
+            let (word, bit) = (idx / 64, 1 << (idx % 64));
+            found += usize::from(set[word] & bit == 0);
+            set[word] |= bit;
+        }
+        let mut picked = Vec::with_capacity(nnz);
+        for (word, &bits) in set.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                picked.push((64 * word) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        picked
     } else {
-        // Rejection sampling into a set: each *new* index is uniform, so
-        // the final k-subset is uniform (unlike draw-sort-truncate, which
-        // would bias towards small indices).
+        // The same draws into a hash set, where a bitmap over the range
+        // would be mostly zeros.
         let mut set = std::collections::HashSet::with_capacity(nnz * 2);
         while set.len() < nnz {
             set.insert(rng.next_below(dim as u64) as u32);
@@ -89,6 +110,10 @@ pub fn uniform_indices(dim: usize, nnz: usize, rng: &mut XorShift64) -> Vec<u32>
         picked
     }
 }
+
+/// Slots of the range per index drawn past which [`uniform_indices`]
+/// keeps its set in a hash set rather than a bitmap over the range.
+const BITMAP_SPAN_PER_INDEX: usize = 1 << 10;
 
 /// A sparse stream with `nnz` uniformly random support and standard-normal
 /// values — the synthetic workload of the paper's micro-benchmarks (§8.1).
@@ -195,6 +220,41 @@ mod tests {
                 (mean - expect).abs() < expect * 0.08,
                 "nnz={nnz}: mean index {mean} vs expected {expect}"
             );
+        }
+    }
+
+    #[test]
+    fn uniform_indices_draw_what_the_hash_set_drew() {
+        // The sampler before the bitmap, kept as the oracle: the same
+        // draws and the same accept rule give the same set.
+        let oracle = |dim: usize, nnz: usize, rng: &mut XorShift64| {
+            let mut set = std::collections::HashSet::new();
+            while set.len() < nnz {
+                set.insert(rng.next_below(dim as u64) as u32);
+            }
+            let mut picked: Vec<u32> = set.into_iter().collect();
+            picked.sort_unstable();
+            picked
+        };
+        for (dim, nnz, seed) in [
+            (1 << 20, 100_000, 1),
+            (1 << 20, 256, 2),
+            (1 << 20, 1_024, 3),
+            (3_866_624, 31_408, 4),
+            (1 << 18, 8_192, 5),
+            (1_000, 1, 6),
+            (1_000, 333, 7),
+            (1 << 30, 100, 8),
+            (64, 21, 9),
+        ] {
+            let (mut a, mut b) = (XorShift64::new(seed), XorShift64::new(seed));
+            assert_eq!(
+                uniform_indices(dim, nnz, &mut a),
+                oracle(dim, nnz, &mut b),
+                "dim {dim} nnz {nnz} seed {seed}"
+            );
+            // And the generator is left where the oracle left it.
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

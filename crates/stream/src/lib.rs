@@ -21,11 +21,11 @@
 //!   two slice borrows; the split collectives encode a partition straight
 //!   from a borrowed view ([`SparseStream::encode_sparse_slice_into`])
 //!   without materializing an intermediate stream.
-//! * **The wire codec** (frame layout v4, see [`SparseStream::encode`])
+//! * **The wire codec** (frame layout v5, see [`SparseStream::encode`])
 //!   writes one contiguous little-endian value block — a `memcpy` on
-//!   little-endian targets — followed by the index: gap-coded as varints,
-//!   one byte per entry, or past a density of 1/8 a bitmap of one bit per
-//!   slot, whichever is smaller ([`expected_entry_bytes`]); `decode` validates every frame (lengths
+//!   little-endian targets — followed by the index: an Elias–Fano index of
+//!   `⌊log2(N/nnz)⌋ + ≤ 2` bits per entry, or gap-coded as varints where
+//!   that is smaller ([`expected_entry_bytes`]); `decode` validates every frame (lengths
 //!   before allocation, in-bounds indices that are strictly increasing by
 //!   construction) instead of trusting the peer, reporting malformed
 //!   frames as typed [`StreamError`]s. [`WireFrame`] is that check on its

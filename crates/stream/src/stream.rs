@@ -503,14 +503,14 @@ mod tests {
 
     #[test]
     fn below_delta_the_sparse_frame_is_never_the_larger_one() {
-        // At δ = N/2 entries exactly: 4 bytes a value plus a 29-byte
-        // bitmap index (base, span, 99 bits) against 4 bytes a word.
+        // At δ = N/2 entries exactly: 4 bytes a value plus an 18-byte
+        // Elias–Fano index (L, base, 99 upper bits) against 4 bytes a word.
         let pairs: Vec<(u32, f32)> = (0..50).map(|i| (2 * i, 1.0)).collect();
         let v = s(100, &pairs);
         assert_eq!(v.stored_len(), crate::threshold::delta_raw::<f32>(100));
         let mut d = v.clone();
         d.densify();
-        assert_eq!(v.encoded_len(), 20 + 50 * 4 + 16 + 13);
+        assert_eq!(v.encoded_len(), 20 + 50 * 4 + 5 + 13);
         assert_eq!(v.encode().len(), v.encoded_len());
         assert_eq!(d.encoded_len(), 12 + 100 * 4);
         assert!(v.encoded_len() <= d.encoded_len());

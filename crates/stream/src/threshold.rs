@@ -10,8 +10,8 @@
 //! That is the paper's volume model and, here, the *in-memory* equality:
 //! the SoA payload really is a `u32` next to every value, and it is also
 //! about where a sparse merge stops being cheaper than a dense scatter.
-//! It is no longer the wire's equality. Past a density of 1/8 the frame
-//! indexes its entries with a bitmap (see [`crate::SparseStream::encode`]),
+//! It is no longer the wire's equality. Past a density of 1/2 the frame's
+//! Elias–Fano index is a bitmap (see [`crate::SparseStream::encode`]),
 //! so near δ an entry travels in `isize + 1/4` bytes and a sparse frame
 //! whose entries spread over all `N` slots stays the smaller one up to
 //! `nnz ≈ N · (1 − 1/(8·isize))` — `0.97·N` for `f32`. The switch
@@ -26,9 +26,9 @@
 use crate::scalar::Scalar;
 
 /// Width in bytes of an index as stored in memory (`c` in the paper,
-/// which fixes indices to unsigned int, §8). On the wire an index is a
-/// gap varint, usually one byte, or past a density of 1/8 a bit of a
-/// bitmap.
+/// which fixes indices to unsigned int, §8). On the wire an index is
+/// `⌊log2(1/d)⌋ + ≤ 2` bits of an Elias–Fano index at density `d`, or a
+/// gap varint where those are fewer.
 pub const INDEX_BYTES: usize = 4;
 
 /// Policy controlling when summation switches a stream to the dense

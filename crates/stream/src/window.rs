@@ -29,7 +29,8 @@ use crate::scalar::Scalar;
 use crate::soa::SparseVec;
 use crate::stream::{Repr, SparseStream};
 use crate::wire::{
-    begin_sparse_frame, bitmap_wins, gap_slab_len, put_bitmap_index, write_gap_slab, BEFORE_FIRST,
+    begin_sparse_frame, gap_slab_len, pick_index, put_ef_index, write_ef_bits, write_gap_slab,
+    BEFORE_FIRST, EF_BLOCK,
 };
 
 /// Slots per occupancy word, and occupancy words per summary word.
@@ -137,9 +138,9 @@ impl<V: Scalar> WindowSum<V> {
 
     /// Writes the sum as one sparse wire frame into `out` (cleared first,
     /// capacity reused), straight from the bitmap: byte for byte what
-    /// [`SparseStream::encode`] writes for the drained stream. Where a
-    /// bitmap index wins, it is the occupancy words shifted to the first
-    /// entry.
+    /// [`SparseStream::encode`] writes for the drained stream. Where an
+    /// Elias–Fano index of no low bits wins, its bits are the occupancy
+    /// words shifted to the first entry.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         self.encode_append(out);
@@ -161,20 +162,40 @@ impl<V: Scalar> WindowSum<V> {
         let Some((first, last)) = self.ends() else {
             return;
         };
-        if bitmap_wins(self.len, first, last, || gap_slab_len(self.indices())) {
-            let start = (first - self.range.lo) as usize;
-            let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
-            put_bitmap_index(out, frame, first, last, |words| {
-                for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
-                    let next = self
-                        .occupied
-                        .get(at + 1)
-                        .and_then(|w| w.checked_shl((WORD_BITS - shift) as u32));
-                    let bits = self.occupied[at] >> shift | next.unwrap_or(0);
-                    bytes.copy_from_slice(&bits.to_le_bytes());
-                }
-            });
-            return;
+        let support = (self.len, first, last);
+        match pick_index(self.len, first, last, || gap_slab_len(self.indices())) {
+            (Some(0), _) => {
+                let start = (first - self.range.lo) as usize;
+                let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
+                put_ef_index(out, frame, support, 0, |(_, words)| {
+                    for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
+                        let next = self
+                            .occupied
+                            .get(at + 1)
+                            .and_then(|w| w.checked_shl((WORD_BITS - shift) as u32));
+                        let bits = self.occupied[at] >> shift | next.unwrap_or(0);
+                        bytes.copy_from_slice(&bits.to_le_bytes());
+                    }
+                });
+                return;
+            }
+            (Some(l), _) => {
+                put_ef_index(out, frame, support, l, |bits| {
+                    write_ef_bits(bits, first, l, |put| {
+                        let (mut block, mut n) = ([0; EF_BLOCK], 0);
+                        for idx in self.indices() {
+                            (block[n], n) = (idx, n + 1);
+                            if n == EF_BLOCK {
+                                put(&block);
+                                n = 0;
+                            }
+                        }
+                        put(&block[..n]);
+                    })
+                });
+                return;
+            }
+            (None, _) => {}
         }
         let (mut prev, mut indices) = (BEFORE_FIRST, [0u32; WORD_BITS]);
         for word in set_bits(&self.summary) {
@@ -475,10 +496,28 @@ mod tests {
     }
 
     #[test]
+    fn a_window_of_far_runs_writes_their_gap_coded_frame() {
+        // Two runs of 40: a byte a gap beats 11 low bits an entry.
+        let (dim, range) = (1 << 20, partition_range(1 << 20, 2, 1));
+        let runs: Vec<(u32, f32)> = (600_000..600_040)
+            .chain(900_000..900_040)
+            .map(|i| (i, 1.0))
+            .collect();
+        let part = SparseStream::from_pairs(dim, &runs).unwrap();
+        let mut sum = WindowSum::new(dim, range);
+        sum.add(&part).unwrap();
+        let mut frame = Vec::new();
+        sum.encode_into(&mut frame);
+        assert_eq!(frame[3], 0, "gap-coded");
+        assert_eq!(frame, part.encode().as_ref());
+    }
+
+    #[test]
     fn the_frame_is_the_drained_stream_encoded() {
         // (dim, P, owner, entries per rank, the window's fill in percent):
-        // gap-coded at 1 %, bitmap-coded from 30 % up, and windows whose
-        // first entry sits anywhere in its occupancy word.
+        // Elias–Fano indices of 6 low bits at 1 %, of none (a bitmap) from
+        // 55 % up, of 11 over several writer blocks at 0 %, and windows
+        // whose first entry sits anywhere in its occupancy word.
         for (dim, p, rank, k, fill) in [
             (1 << 16, 8, 5, 100, 1),
             (1 << 16, 8, 5, 3_400, 30),
@@ -488,6 +527,7 @@ mod tests {
             (1000, 3, 2, 40, 6),
             (1000, 3, 1, 300, 52),
             (1 << 22, 2, 1, 50, 0),
+            (1 << 22, 2, 1, 400, 0),
         ] {
             let range = partition_range(dim, p, rank);
             let mut sum = WindowSum::new(dim, range);

@@ -1,21 +1,22 @@
-//! Wire encoding of sparse streams — frame layout **v4** (gap-coded or
-//! bitmap index).
+//! Wire encoding of sparse streams — frame layout **v5** (gap-coded or
+//! Elias–Fano index).
 //!
 //! Layout (all little-endian):
 //!
 //! ```text
 //! [0]        magic 0xSC (0xC5)
-//! [1]        format version (4)
+//! [1]        format version (5)
 //! [2]        value width in bytes (4 = f32, 8 = f64)
 //! [3]        representation tag: 0 = sparse with gap bytes, 1 = dense,
-//!            2 = sparse with a bitmap index
+//!            2 = sparse with an Elias–Fano index
 //! [4..12]    dim  (u64)
 //! [12..20]   nnz  (u64, sparse only; dense payload length is dim)
 //! payload    tag 0: nnz × value slab, then the gap bytes to the end of
 //!                   the frame
 //!            tag 1: dim × value slab
-//!            tag 2: nnz × value slab, then base (u64) and span (u64), then
-//!                   ⌈span / 8⌉ bitmap bytes
+//!            tag 2: nnz × value slab, then L (u8) and base (u32), then
+//!                   ⌈nnz·L / 8⌉ bytes of low bits, then the upper
+//!                   bitvector to the end of the frame
 //! ```
 //!
 //! The gap-coded index slab holds the first index, then
@@ -24,39 +25,46 @@
 //! but the last): one byte below 128, two below 16 384, at most five. The
 //! gap bytes run to the end of the frame, so the frame needs no length
 //! field for them and a trailer a schedule appends after the frame still
-//! splits off as `frame[..len − trailer]`. Wherever the next index is less
-//! than 128 away a sparse entry costs `isize + 1` bytes instead of the
-//! `isize + 4` of a `u32` slab.
+//! splits off as `frame[..len − trailer]`.
 //!
-//! Past a density of 1/8 one bit per slot is less than one byte per entry.
-//! The bitmap index covers the slots `[base, base + span)` from the first
-//! index to the last, bit `j` (bit `j % 8` of byte `j / 8`) standing for
-//! index `base + j`; its length follows from the span, so a trailer still
-//! splits off. The encoder takes the bitmap exactly when it is strictly
-//! smaller than the gap slab. A gap costs at least a byte and at most one
-//! more per 128 slots it skips, so lengths alone decide below a density of
-//! about 0.117 and above about 1/8; only in between is the gap slab
-//! measured. [`expected_entry_bytes`] is the price of an
-//! entry as a function of density and [`SparseStream::encoded_len`] the
-//! exact size of one stream. The in-memory layout is untouched
-//! (`Vec<u32>` ∥ `Vec<V>`), and so is δ — see [`crate::DensityPolicy`].
+//! The Elias–Fano index (Elias, JACM 1974; Vigna, "Quasi-succinct
+//! indices", WSDM 2013) codes the `n` indices from `base`, the first, as
+//! `x_i = index_i − base − i`, which never decreases; an index is then
+//! `base + x_i + i`, strictly increasing by construction. The low `L` bits
+//! of every `x_i` are packed little-endian, entry `i` at bit `i·L`; the
+//! upper bitvector sets bit `(x_i >> L) + i` for each entry and ends with
+//! the byte of the last one, so a trailer still splits off. An entry costs
+//! `L + 1` bits and one per `2^L` its `x` grows: `⌊log2(U/n)⌋ + ≤ 2` bits
+//! over `U` slots. `L` is the smaller-sized of `⌊log2((x_last + 1) / n)⌋`
+//! and one more, ties to the lower. At `L = 0` the upper bitvector is a
+//! bitmap of the slots from the first index to the last.
+//!
+//! The encoder takes the Elias–Fano index unless the gap slab is strictly
+//! smaller, which only clustered runs make it. Both lengths follow from
+//! `(n, first, last)` but for the gap slab's: it is measured only where
+//! the index costs more than a byte an entry, the least a gap takes.
+//! [`expected_entry_bytes`] is the price of an entry as a function of
+//! density and [`SparseStream::encoded_len`] the exact size of one stream.
+//! The in-memory layout is untouched (`Vec<u32>` ∥ `Vec<V>`), and so is δ —
+//! see [`crate::DensityPolicy`].
 //!
 //! The value slab stays one contiguous little-endian block (a `memcpy` on
 //! little-endian targets). The representation tag is the paper's "extra
 //! value at the beginning of each vector that indicates whether the vector
 //! is dense or sparse" (§5.1).
 //!
-//! Decoding never trusts the peer. The declared entry count is checked
-//! against the bytes that remain before anything is allocated, and the
-//! indices are valid by construction. A gap cannot step backwards, every
-//! varint is as short as its value allows and ends within five bytes, the
-//! running index stays below `dim`, and the gap bytes must be consumed
-//! exactly. A bitmap must lie inside `dim`, fill the frame exactly, hold
-//! `nnz` set bits with the first and last bit of its span set and none
-//! past it. Each support then has one encoding: a frame in the coding the
-//! encoder would not have picked is rejected too. Every failure is a typed
-//! [`StreamError`]; a frame of any other version — v3, which had no bitmap
-//! index, included — is a [`StreamError::VersionMismatch`].
+//! Decoding never trusts the peer. Every declared count is checked against
+//! the bytes that remain before anything is allocated. A gap cannot step
+//! backwards, every varint is as short as its value allows and ends within
+//! five bytes, the running index stays below `dim`, and the gap bytes must
+//! be consumed exactly. An Elias–Fano index must have `L ≤ 31`, zero
+//! padding after its low bits, exactly `n` ones in its upper bitvector with
+//! the last in its final byte, a first entry at its base, `x` that never
+//! decrease and a last index below `dim`. Each support then has one
+//! encoding: a frame in a coding or with an `L` the encoder would not have
+//! picked is rejected too. Every failure is a typed [`StreamError`]; a
+//! frame of any other version — v4, whose tag 2 was a bitmap index,
+//! included — is a [`StreamError::VersionMismatch`].
 
 use std::marker::PhantomData;
 
@@ -68,11 +76,11 @@ use crate::soa::{SparseVec, SparseView};
 use crate::stream::{Repr, SparseStream};
 
 const MAGIC: u8 = 0xC5;
-/// Current wire format version (gap-coded or bitmap index).
-pub const WIRE_VERSION: u8 = 4;
+/// Current wire format version (gap-coded or Elias–Fano index).
+pub const WIRE_VERSION: u8 = 5;
 const TAG_SPARSE: u8 = 0;
 const TAG_DENSE: u8 = 1;
-const TAG_BITMAP: u8 = 2;
+const TAG_ELIAS_FANO: u8 = 2;
 
 const HEADER_LEN: usize = 12;
 const SPARSE_HEADER_LEN: usize = 20;
@@ -94,11 +102,14 @@ const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
 
 /// Expected wire bytes of one sparse entry — its value plus its index —
 /// in a stream whose support is uniform with the given `density`
-/// (`nnz / dim`): the smaller of its gap varint and its share of a bitmap,
-/// `1 / (8·density)` bytes. Gaps are geometric, `P(gap ≥ g) = (1 − d)^g`,
-/// and a varint grows by one byte at each of 2^7, 2^14, 2^21 and 2^28.
-/// This is what the cost model prices a pair at; the exact size of a given
-/// stream is [`SparseStream::encoded_len`].
+/// (`nnz / dim`): the smaller of its gap varint and its share of an
+/// Elias–Fano index. Gaps are geometric, `P(gap ≥ g) = (1 − d)^g`, and a
+/// varint grows by one byte at each of 2^7, 2^14, 2^21 and 2^28. An
+/// Elias–Fano entry's `x` grows by `g = 1/d − 1` on average, so it costs
+/// `L + 1 + g / 2^L` bits, `L` the smaller-sized of `⌊log2 g⌋` and one
+/// more; at full density that is the one bit of a bitmap. This is what the
+/// cost model prices a pair at; the exact size of a given stream is
+/// [`SparseStream::encoded_len`].
 pub fn expected_entry_bytes(value_bytes: usize, density: f64) -> f64 {
     let density = density.clamp(0.0, 1.0);
     let gap_bytes: f64 = 1.0
@@ -106,7 +117,10 @@ pub fn expected_entry_bytes(value_bytes: usize, density: f64) -> f64 {
             .map(|bits| (1.0 - density).powi(1 << bits))
             .iter()
             .sum::<f64>();
-    value_bytes as f64 + gap_bytes.min(1.0 / (8.0 * density))
+    let g = 1.0 / density - 1.0;
+    let l = g.max(1.0).log2().floor().min(30.0);
+    let ef_bits = |l: f64| l + 1.0 + g / l.exp2();
+    value_bytes as f64 + gap_bytes.min(ef_bits(l).min(ef_bits(l + 1.0)) / 8.0)
 }
 
 /// "Previous index" of the first entry: one before zero, so that the first
@@ -211,8 +225,8 @@ pub(crate) fn write_gap_slab(prev: u32, indices: &[u32], out: &mut Vec<u8>) -> u
 }
 
 /// Decodes exactly `indices.len()` gap-coded indices from `slab`, which
-/// must hold nothing else, into `indices`, and checks that a bitmap index
-/// would not have been smaller. `frame_len` only labels a truncation
+/// must hold nothing else, into `indices`, and checks that an Elias–Fano
+/// index would have been larger. `frame_len` only labels a truncation
 /// error.
 fn read_gap_slab_into(
     slab: &[u8],
@@ -285,10 +299,8 @@ fn read_gap_slab_into(
         return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
     }
     if let (Some(&first), Some(&last)) = (indices.first(), indices.last()) {
-        if bitmap_wins(nnz, first, last, || slab.len()) {
-            return Err(StreamError::Corrupt(
-                "gap slab where a bitmap index is smaller",
-            ));
+        if pick_index(nnz, first, last, || slab.len()).0.is_some() {
+            return Err(StreamError::Corrupt("gap slab no smaller than Elias–Fano"));
         }
     }
     Ok(())
@@ -331,192 +343,332 @@ pub(crate) fn gap_slab_len(indices: impl IntoIterator<Item = u32>) -> usize {
         .sum()
 }
 
-/// Bytes ahead of a bitmap index's bits: its base and its span.
-const BITMAP_HEADER_LEN: usize = 16;
+/// Bytes ahead of an Elias–Fano index's bits: `L`, then the base.
+const EF_HEAD_LEN: usize = 5;
+/// Most low bits an entry takes: past one entry `(x_last + 1) / n < 2^31`.
+const MAX_LOW_BITS: u32 = 31;
 
-/// Slots of the bitmap index of a support from `first` to `last`.
+/// `x_last` of `n` strictly increasing indices from `first` to `last`.
 #[inline]
-fn bitmap_span(first: u32, last: u32) -> usize {
-    (last - first) as usize + 1
+fn ef_top(n: usize, first: u32, last: u32) -> u64 {
+    u64::from(last - first) + 1 - n as u64
 }
 
-/// Bytes of the bitmap index of a support from `first` to `last`.
+/// Bytes of the low bits and of the upper bitvector of `n` entries of `l`
+/// low bits whose last `x` is `top`.
 #[inline]
-fn bitmap_len(first: u32, last: u32) -> usize {
-    BITMAP_HEADER_LEN + bitmap_span(first, last).div_ceil(8)
+fn ef_parts(n: usize, top: u64, l: u32) -> (usize, usize) {
+    let upper = (top >> l) as usize + n;
+    ((n * l as usize).div_ceil(8), upper.div_ceil(8))
 }
 
-/// Whether the `nnz` indices from `first` to `last` travel with a bitmap
-/// index: exactly when it is strictly smaller than their gap slab, whose
-/// length `gap_slab` measures — asked for only where the lengths cannot
-/// decide on their own. The encoder's choice and the decoder's check.
-pub(crate) fn bitmap_wins(
-    nnz: usize,
+/// The canonical `L` of `n` entries whose last `x` is `top`.
+fn ef_low_bits(n: usize, top: u64) -> u32 {
+    let l = ((top + 1) / n as u64).checked_ilog2().unwrap_or(0);
+    let size = |l| {
+        let (low, upper) = ef_parts(n, top, l);
+        low + upper
+    };
+    l + u32::from(size(l + 1) < size(l))
+}
+
+/// The index coding of `n ≥ 1` strictly increasing indices from `first`
+/// to `last`, and its length in bytes: `Some(L)` for the Elias–Fano index,
+/// `None` for the gap slab, which `gap_slab` measures — asked for only
+/// where the Elias–Fano index is longer than the first varint and a byte
+/// per later entry, the least a gap slab takes. The encoder's choice and
+/// the decoder's check.
+pub(crate) fn pick_index(
+    n: usize,
     first: u32,
     last: u32,
     gap_slab: impl FnOnce() -> usize,
-) -> bool {
-    let bitmap = bitmap_len(first, last);
-    // Every gap takes a byte, so a bitmap shorter than `nnz` wins…
-    if bitmap < nnz {
-        return true;
-    }
-    // …and the slab takes at most `nnz` bytes plus 4 more for the first
-    // index and one more per 128 slots of the span for the rest (a gap of
-    // g ≥ 128 takes at most `1 + (g + 1) / 128` bytes), so a bitmap that
-    // long loses.
-    if nnz + 4 + (bitmap_span(first, last) - 1) / 128 <= bitmap {
-        return false;
-    }
-    bitmap < gap_slab()
+) -> (Option<u32>, usize) {
+    let top = ef_top(n, first, last);
+    let l = ef_low_bits(n, top);
+    let (low, upper) = ef_parts(n, top, l);
+    let ef = EF_HEAD_LEN + low + upper;
+    let gaps = (ef >= gap_len(first) + n).then(gap_slab).unwrap_or(ef);
+    ((gaps >= ef).then_some(l), gaps.min(ef))
 }
 
-/// Turns the sparse frame that starts at `out[frame]`, header and value
-/// slab written, into one with a bitmap index over `[first, last]`: sets
-/// its tag and appends base, span and the bitmap. `fill` sets its bits in
-/// a zeroed run of whole little-endian 64-slot words — slot `j` is bit
-/// `j % 64` of word `j / 64` — of which the bytes the span covers are
-/// kept.
-pub(crate) fn put_bitmap_index(
+/// Turns the sparse frame at `out[frame]`, header and values written, into
+/// one with the Elias–Fano index of `n` indices from `first` to `last`, `l`
+/// low bits each. `fill` writes into zeroed low bits with 8 bytes to spare
+/// and whole little-endian upper words (bit `p` is bit `p % 64` of word
+/// `p / 64`), whose bytes up to the last one then move down.
+pub(crate) fn put_ef_index(
     out: &mut Vec<u8>,
     frame: usize,
-    first: u32,
-    last: u32,
-    fill: impl FnOnce(&mut [u8]),
+    (n, first, last): (usize, u32, u32),
+    l: u32,
+    fill: impl FnOnce((&mut [u8], &mut [u8])),
 ) {
-    let span = bitmap_span(first, last);
-    out[frame + 3] = TAG_BITMAP;
-    out.extend_from_slice(&(first as u64).to_le_bytes());
-    out.extend_from_slice(&(span as u64).to_le_bytes());
+    let (low, upper) = ef_parts(n, ef_top(n, first, last), l);
+    // Exactly: a pooled buffer keeps what it grew to.
+    out.reserve_exact(EF_HEAD_LEN + low + 8 + 8 * upper.div_ceil(8));
+    out[frame + 3] = TAG_ELIAS_FANO;
+    out.push(l as u8);
+    out.extend_from_slice(&first.to_le_bytes());
     let at = out.len();
-    out.resize(at + 8 * span.div_ceil(64), 0);
-    fill(&mut out[at..]);
-    out.truncate(at + span.div_ceil(8));
+    out.resize(at + low + 8 + 8 * upper.div_ceil(8), 0);
+    fill(out[at..].split_at_mut(low + 8));
+    out.copy_within(at + low + 8..at + low + 8 + upper, at + low);
+    out.truncate(at + low + upper);
+}
+
+/// The low byte of each 16-bit lane of a word, and the low half of each
+/// 32-bit lane.
+const BYTES16: u64 = 0x00FF_00FF_00FF_00FF;
+const HALVES32: u64 = 0x0000_FFFF_0000_FFFF;
+
+/// The 8 entries of `l ≤ 8` bits in the byte lanes of `x`, packed into
+/// the bottom of a word: pairs, then quads, then all eight.
+#[inline]
+fn pack8(x: u64, l: u32) -> u64 {
+    let y = (x & BYTES16) | ((x >> 8) & BYTES16) << l;
+    let z = (y & HALVES32) | ((y >> 16) & HALVES32) << (2 * l);
+    (z & 0xFFFF_FFFF) | (z >> 32) << (4 * l)
+}
+
+/// [`pack8`] undone: halves, then quarters, then eighths.
+#[inline]
+fn unpack8(w: u64, l: u32) -> [u8; 8] {
+    let ones = |bits: u32| (1u64 << bits) - 1;
+    let z = (w & ones(4 * l)) | (w >> (4 * l) & ones(4 * l)) << 32;
+    let (halves, eighths) = (ones(2 * l) * 0x1_0000_0001, ones(l) * 0x1_0001_0001_0001);
+    let y = (z & halves) | ((z >> (2 * l)) & halves) << 16;
+    ((y & eighths) | ((y >> l) & eighths) << 8).to_le_bytes()
+}
+
+/// Entries the Elias–Fano writer takes at a time.
+pub(crate) const EF_BLOCK: usize = 256;
+
+/// Fills [`put_ef_index`]'s regions with the bits of the strictly
+/// increasing indices from `first` that `blocks` hands its sink, all but
+/// the last [`EF_BLOCK`] long. Up to 8 low bits, 8 entries' are `L` bytes
+/// built as one word the next 8 overwrite past their own; wider ones are
+/// packed in a register. An upper word is built in a register, 4 at a time.
+pub(crate) fn write_ef_bits(
+    (low, upper): (&mut [u8], &mut [u8]),
+    first: u32,
+    l: u32,
+    blocks: impl FnOnce(&mut dyn FnMut(&[u32])),
+) {
+    let mask = (1u64 << l) - 1;
+    let store = |words: &mut [u8], at: usize, word: u64| {
+        words[8 * at..8 * at + 8].copy_from_slice(&word.to_le_bytes());
+    };
+    let (mut done, mut at, mut word) = (0, 0, 0u64);
+    let (mut low_at, mut pending, mut fill) = (0, 0u64, 0);
+    blocks(&mut |block| {
+        let mut x = [0u32; EF_BLOCK];
+        let x = &mut x[..block.len()];
+        for ((x, &idx), i) in x.iter_mut().zip(block).zip(done..) {
+            *x = idx - first - i;
+        }
+        if l > 8 {
+            for &x in x.iter() {
+                let bits = u64::from(x) & mask;
+                (pending, fill) = (pending | bits << fill, fill + l);
+                if fill >= 64 {
+                    store(low, low_at, pending);
+                    (low_at, fill) = (low_at + 1, fill - 64);
+                    pending = bits >> (l - fill);
+                }
+            }
+        } else if l > 0 {
+            let mut lanes = [0u8; EF_BLOCK];
+            for (lane, &x) in lanes.iter_mut().zip(x.iter()) {
+                *lane = x as u8 & mask as u8;
+            }
+            let bytes = (done as usize / 8 * l as usize..).step_by(l as usize);
+            for (group, byte) in lanes[..x.len().next_multiple_of(8)].chunks(8).zip(bytes) {
+                let eight = pack8(u64::from_le_bytes(group.try_into().expect("8 lanes")), l);
+                low[byte..byte + 8].copy_from_slice(&eight.to_le_bytes());
+            }
+        }
+        for (x, i) in x.iter_mut().zip(done..) {
+            *x = (*x >> l) + i;
+        }
+        let bit = |pos: u32| 1u64 << (pos % 64);
+        let mut j = 0;
+        while let Some(&pos) = x.get(j) {
+            let end = 64 * (at as u32 + 1);
+            if pos >= end {
+                store(upper, at, word);
+                (at, word) = (pos as usize / 64, 0);
+            }
+            while let Some(&[a, b, c, d]) = x.get(j..j + 4).filter(|four| four[3] < end) {
+                word |= bit(a) | bit(b) | bit(c) | bit(d);
+                j += 4;
+            }
+            while let Some(&p) = x.get(j).filter(|&&p| p < end) {
+                word |= bit(p);
+                j += 1;
+            }
+        }
+        store(upper, at, word);
+        done += x.len() as u32;
+    });
+    if fill > 0 {
+        store(low, low_at, pending);
+    }
 }
 
 /// Appends the index of a strictly increasing index slab to the sparse
-/// frame that starts at `out[frame]`, header and value slab written: a
-/// bitmap where it is strictly smaller, else the gap slab.
+/// frame that starts at `out[frame]`, header and value slab written: the
+/// Elias–Fano index unless the gap slab is strictly smaller.
 fn write_index(indices: &[u32], frame: usize, out: &mut Vec<u8>) {
-    match (indices.first(), indices.last()) {
-        (Some(&first), Some(&last))
-            if bitmap_wins(indices.len(), first, last, || gap_slab_len_of(indices)) =>
-        {
-            put_bitmap_index(out, frame, first, last, |words| {
-                // A word is built in a register and stored whole after
-                // every entry: no branch on where a word ends, and no
-                // store read back.
-                let (mut word, mut bits) = (0, 0u64);
-                for &idx in indices {
-                    let slot = (idx - first) as usize;
-                    bits = if slot / 64 == word { bits } else { 0 } | 1 << (slot % 64);
-                    word = slot / 64;
-                    words[8 * word..8 * word + 8].copy_from_slice(&bits.to_le_bytes());
-                }
-            });
-        }
-        _ => {
+    let (Some(&first), Some(&last)) = (indices.first(), indices.last()) else {
+        return;
+    };
+    let n = indices.len();
+    match pick_index(n, first, last, || gap_slab_len_of(indices)) {
+        (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |bits| {
+            write_ef_bits(bits, first, l, |put| indices.chunks(EF_BLOCK).for_each(put))
+        }),
+        (None, _) => {
             write_gap_slab(BEFORE_FIRST, indices, out);
         }
     }
 }
 
-/// The positions of the set bits of every byte value, lowest first, the
-/// rest of the eight zero.
-const BYTE_BITS: [[u8; 8]; 256] = {
-    let mut table = [[0u8; 8]; 256];
-    let mut byte = 0;
-    while byte < 256 {
-        let (mut bit, mut found) = (0, 0);
-        while bit < 8 {
-            if byte & 1 << bit != 0 {
-                table[byte][found] = bit as u8;
-                found += 1;
-            }
-            bit += 1;
+/// The little-endian word of up to 8 bytes, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    match bytes.get(..8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("slice of 8")),
+        None => {
+            let mut word = [0u8; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(word)
         }
-        byte += 1;
-    }
-    table
-};
-
-/// Writes the index of every set bit of a bitmap index based at `base`
-/// into `indices`, in increasing order: one per set bit, exactly as many
-/// as `indices` holds.
-fn read_bitmap_into(base: u32, bits: &[u8], indices: &mut [u32]) {
-    let mut n = 0;
-    for (byte, &set) in bits.iter().enumerate() {
-        let at = base.wrapping_add(8 * byte as u32);
-        let offsets = &BYTE_BITS[set as usize];
-        let found = set.count_ones() as usize;
-        // All eight go out, branch-free, wherever the slab has room for
-        // them; the entries after this byte's then overwrite the extra.
-        if n + 8 <= indices.len() {
-            let slots: &mut [u32; 8] = (&mut indices[n..n + 8]).try_into().expect("eight slots");
-            for (slot, &bit) in slots.iter_mut().zip(offsets) {
-                *slot = at.wrapping_add(bit as u32);
-            }
-        } else {
-            for (slot, &bit) in indices[n..n + found].iter_mut().zip(offsets) {
-                *slot = at + bit as u32;
-            }
-        }
-        n += found;
     }
 }
 
-/// Checks the bitmap index `bits`, of `span` slots from `base`, against a
-/// frame of `nnz` entries in dimension `dim` (see the module docs).
-fn check_bitmap(
-    nnz: usize,
-    dim: usize,
-    base: u64,
-    span: u64,
-    bits: &[u8],
+/// The low bits of entry `i` of an Elias–Fano index with `l` low bits,
+/// from `bits`, the index's low bits and the bytes after them.
+#[inline]
+fn low_bits_of(bits: &[u8], l: u32, i: usize) -> u32 {
+    let at = i * l as usize;
+    ((le_word(&bits[at / 8..]) >> (at % 8)) & ((1 << l) - 1)) as u32
+}
+
+/// Decodes the index [`check_ef`] passed (`l` low bits from `base`, upper
+/// bits from byte `low_len` of `bits`) into `indices`, its exact length:
+/// each upper word's set bits by `tzcnt`, the low bits 8 entries a word,
+/// then a check that they rise, which the parse could not see.
+fn read_ef_into(
+    (l, base, bits, low_len): (u32, u32, &[u8], usize),
+    indices: &mut [u32],
 ) -> Result<(), StreamError> {
-    if span == 0 {
-        return Err(StreamError::Corrupt("empty bitmap index"));
-    }
-    let end = base
-        .checked_add(span)
-        .ok_or(StreamError::Corrupt("bitmap index overflows"))?;
-    if end > dim as u64 || end > 1 << 32 {
-        return Err(StreamError::Corrupt("bitmap index runs past the dimension"));
-    }
-    let ones: usize = bits.iter().map(|byte| byte.count_ones() as usize).sum();
-    if ones != nnz {
-        return Err(StreamError::Corrupt(
-            "bitmap index holds another entry count",
-        ));
-    }
-    let last = span as usize - 1;
-    let (lead, tail) = (bits[0], bits[last / 8]);
-    if lead & 1 == 0 || tail & (1 << (last % 8)) == 0 {
-        return Err(StreamError::Corrupt(
-            "bitmap index does not start and end on an entry",
-        ));
-    }
-    if tail >> (last % 8) > 1 {
-        return Err(StreamError::Corrupt("bitmap index sets bits past its span"));
-    }
-    let (first, last) = (base as u32, (end - 1) as u32);
-    let gap_slab = || {
-        let (mut prev, mut len) = (BEFORE_FIRST, 0);
-        for (byte, &set) in bits.iter().enumerate() {
-            for &bit in &BYTE_BITS[set as usize][..set.count_ones() as usize] {
-                let idx = first + 8 * byte as u32 + bit as u32;
-                len += gap_len(gap_after(prev, idx));
-                prev = idx;
-            }
+    let mut rest = &mut indices[..];
+    for (w, word) in bits[low_len..].chunks(8).enumerate() {
+        let mut word = le_word(word);
+        let ones = (word.count_ones() as usize).min(rest.len());
+        let (now, later) = std::mem::take(&mut rest).split_at_mut(ones);
+        for slot in now {
+            *slot = ((64 * w) as u32).wrapping_add(word.trailing_zeros());
+            word &= word - 1;
         }
-        len
-    };
-    if !bitmap_wins(nnz, first, last, gap_slab) {
-        return Err(StreamError::Corrupt(
-            "bitmap index where the gap slab is no larger",
-        ));
+        rest = later;
+    }
+    if l == 0 {
+        indices.iter_mut().for_each(|idx| *idx += base);
+        return Ok(());
+    }
+    // Each position less its entry's rank, above its low bits: `x`, below
+    // `2^32` as the parse bounded the last one's upper bits.
+    for (b, block) in indices.chunks_mut(64).enumerate() {
+        let at = 64 * b as u32;
+        if l > 8 {
+            for (x, i) in block.iter_mut().zip(at..) {
+                *x = (*x - i) << l | low_bits_of(bits, l, i as usize);
+            }
+            continue;
+        }
+        let mut lows = [0u8; 64];
+        let groups = lows.chunks_exact_mut(8).take(block.len().div_ceil(8));
+        for (g, lows) in groups.enumerate() {
+            lows.copy_from_slice(&unpack8(le_word(&bits[(8 * b + g) * l as usize..]), l));
+        }
+        for ((x, &low), i) in block.iter_mut().zip(&lows).zip(at..) {
+            *x = (*x - i) << l | u32::from(low);
+        }
+    }
+    if indices
+        .windows(2)
+        .fold(false, |falls, w| falls | (w[1] < w[0]))
+    {
+        return Err(StreamError::Corrupt("Elias–Fano index steps backwards"));
+    }
+    // Every `x` is now at most the last, so no index passes the last.
+    for (idx, i) in indices.iter_mut().zip(0..) {
+        *idx += base + i;
     }
     Ok(())
+}
+
+/// Checks the Elias–Fano index `index` (`L`, base and bits) of a frame of
+/// `nnz ≥ 1` entries in dimension `dim` (see the module docs), all but
+/// its order; returns what [`read_ef_into`] takes.
+fn check_ef(
+    nnz: usize,
+    dim: usize,
+    index: &[u8],
+    frame_len: usize,
+) -> Result<(u32, u32, &[u8], usize), StreamError> {
+    let corrupt = |what| Err(StreamError::Corrupt(what));
+    let (l, bits) = (u32::from(index[0]), &index[EF_HEAD_LEN..]);
+    let base = u32::from_le_bytes(index[1..EF_HEAD_LEN].try_into().expect("4 bytes"));
+    if l > MAX_LOW_BITS {
+        return corrupt("Elias–Fano index of more than 31 low bits");
+    }
+    let low_len = (nnz * l as usize).div_ceil(8);
+    // The low bits, then a bit per entry at least: fewer ones is a cut.
+    let (low, upper) = bits.split_at(low_len.min(bits.len()));
+    let ones: usize = upper
+        .chunks(8)
+        .map(|w| le_word(w).count_ones() as usize)
+        .sum();
+    if low.len() < low_len || ones < nnz {
+        let got = frame_len;
+        return Err(StreamError::Truncated {
+            needed: got + 1,
+            got,
+        });
+    }
+    let top_byte = upper[upper.len() - 1];
+    if ones > nnz || top_byte == 0 {
+        return corrupt("trailing bits after the Elias–Fano index");
+    }
+    if low
+        .last()
+        .is_some_and(|&b| u32::from(b) >> ((nnz * l as usize - 1) % 8 + 1) != 0)
+    {
+        return corrupt("Elias–Fano low bits padded with ones");
+    }
+    if upper[0] & 1 == 0 || low_bits_of(bits, l, 0) != 0 {
+        return corrupt("Elias–Fano index does not start at its base");
+    }
+    let last_pos = 8 * upper.len() - 1 - top_byte.leading_zeros() as usize;
+    let high = (last_pos - (nnz - 1)) as u64;
+    let top = (high.min(1 << 32) << l) | u64::from(low_bits_of(bits, l, nnz - 1));
+    let last = u64::from(base) + top + (nnz - 1) as u64;
+    if last > u64::from(u32::MAX) {
+        return corrupt("Elias–Fano index runs past the u32 index range");
+    }
+    if last >= dim as u64 {
+        return Err(StreamError::IndexOutOfBounds {
+            idx: last as u32,
+            dim,
+        });
+    }
+    if ef_low_bits(nnz, top) != l {
+        return corrupt("Elias–Fano index with low bits the encoder would not pick");
+    }
+    Ok((l, base, bits, low_len))
 }
 
 fn put_header(out: &mut Vec<u8>, width: u8, tag: u8, dim: usize) {
@@ -598,16 +750,18 @@ impl<V: Scalar> SparseStream<V> {
         append_dense(values, out);
     }
 
-    /// Exact byte length [`SparseStream::encode`] will produce (one
-    /// vectorized pass over the index slab when sparse).
+    /// Exact byte length [`SparseStream::encode`] will produce: from the
+    /// entry count and the first and last index, and a vectorized pass
+    /// over the index slab only where the gap slab may be the smaller.
     pub fn encoded_len(&self) -> usize {
         match self.repr() {
             Repr::Sparse(sv) => {
                 let indices = sv.indices();
-                let gap_bytes = gap_slab_len_of(indices);
                 let index_bytes = match (indices.first(), indices.last()) {
-                    (Some(&first), Some(&last)) => gap_bytes.min(bitmap_len(first, last)),
-                    _ => gap_bytes,
+                    (Some(&first), Some(&last)) => {
+                        pick_index(indices.len(), first, last, || gap_slab_len_of(indices)).1
+                    }
+                    _ => 0,
                 };
                 SPARSE_HEADER_LEN + sv.len() * V::BYTES + index_bytes
             }
@@ -631,7 +785,7 @@ impl<V: Scalar> SparseStream<V> {
         let mut values = vec![V::zero(); frame.stored_len()];
         let mut stream = SparseStream::zeros(frame.dim);
         match frame.body {
-            Body::Sparse { .. } | Body::Bitmap { .. } => {
+            Body::Sparse { .. } | Body::EliasFano { .. } => {
                 let mut indices = vec![0u32; values.len()];
                 frame.read_sparse_into(&mut indices, &mut values)?;
                 stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
@@ -645,8 +799,8 @@ impl<V: Scalar> SparseStream<V> {
     }
 }
 
-/// The payload of a [`WireFrame`], its lengths already checked — and a
-/// bitmap index all of it.
+/// The payload of a [`WireFrame`], its lengths already checked — and an
+/// Elias–Fano index all of it but its order.
 #[derive(Debug, Clone, Copy)]
 enum Body<'a> {
     Sparse {
@@ -654,11 +808,10 @@ enum Body<'a> {
         values: &'a [u8],
         gaps: &'a [u8],
     },
-    Bitmap {
+    EliasFano {
         nnz: usize,
         values: &'a [u8],
-        base: u32,
-        bits: &'a [u8],
+        index: (u32, u32, &'a [u8], usize),
     },
     Dense {
         values: &'a [u8],
@@ -681,19 +834,21 @@ pub struct WireFrame<'a, V: Scalar> {
     value: PhantomData<V>,
 }
 
-/// The body of a bitmap-indexed frame of `nnz` entries in a `dim`-dim
-/// space, from `buf`, the `frame_len`-byte frame's bytes after its sparse
-/// header: the value slab, base and span, and exactly the bitmap bytes the
-/// span needs, which [`check_bitmap`] then checks.
-fn bitmap_body<V: Scalar>(
+/// The body of an Elias–Fano-indexed frame of `nnz` entries in a
+/// `dim`-dim space, from `buf`, the `frame_len`-byte frame's bytes after
+/// its sparse header: the value slab, then the index [`check_ef`] checks.
+fn ef_body<V: Scalar>(
     nnz: usize,
     dim: usize,
     buf: &[u8],
     frame_len: usize,
 ) -> Result<Body<'_>, StreamError> {
+    if nnz == 0 {
+        return Err(StreamError::Corrupt("Elias–Fano index of no entries"));
+    }
     let head = nnz
         .checked_mul(V::BYTES)
-        .and_then(|values| values.checked_add(BITMAP_HEADER_LEN))
+        .and_then(|values| values.checked_add(EF_HEAD_LEN))
         .ok_or(StreamError::Corrupt("payload length overflow"))?;
     if buf.len() < head {
         return Err(StreamError::Truncated {
@@ -701,33 +856,17 @@ fn bitmap_body<V: Scalar>(
             got: frame_len,
         });
     }
-    let (values, mut rest) = buf.split_at(head - BITMAP_HEADER_LEN);
-    let (base, span) = (rest.get_u64_le(), rest.get_u64_le());
-    let bytes = span.div_ceil(8);
-    if (rest.len() as u64) < bytes {
-        return Err(StreamError::Truncated {
-            needed: (frame_len - rest.len()).saturating_add(bytes as usize),
-            got: frame_len,
-        });
-    }
-    if rest.len() as u64 > bytes {
-        return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
-    }
-    check_bitmap(nnz, dim, base, span, rest)?;
-    Ok(Body::Bitmap {
-        nnz,
-        values,
-        base: base as u32,
-        bits: rest,
-    })
+    let (values, index) = buf.split_at(head - EF_HEAD_LEN);
+    let index = check_ef(nnz, dim, index, frame_len)?;
+    Ok(Body::EliasFano { nnz, values, index })
 }
 
 impl<'a, V: Scalar> WireFrame<'a, V> {
     /// Checks `bytes` as one frame: magic, version, value width,
     /// representation tag, and payload length against the declared counts
     /// (a sparse entry is a value and one to five gap bytes, or a value
-    /// and its bit of a bitmap the span sizes). A bitmap index is checked
-    /// in full.
+    /// and its bits of an Elias–Fano index). An Elias–Fano index is
+    /// checked in full but for its order, which the read checks.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, StreamError> {
         let mut buf = bytes;
         if buf.remaining() < HEADER_LEN {
@@ -757,7 +896,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         let dim = buf.get_u64_le();
         let dim = usize::try_from(dim).map_err(|_| StreamError::Corrupt("dimension overflow"))?;
         let body = match tag {
-            TAG_SPARSE | TAG_BITMAP => {
+            TAG_SPARSE | TAG_ELIAS_FANO => {
                 if buf.remaining() < 8 {
                     return Err(StreamError::Truncated {
                         needed: SPARSE_HEADER_LEN,
@@ -770,8 +909,8 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
                 if nnz > dim {
                     return Err(StreamError::Corrupt("entry count exceeds dimension"));
                 }
-                if tag == TAG_BITMAP {
-                    bitmap_body::<V>(nnz, dim, buf, bytes.len())?
+                if tag == TAG_ELIAS_FANO {
+                    ef_body::<V>(nnz, dim, buf, bytes.len())?
                 } else {
                     // Every entry is a value and at least one gap byte, at
                     // most five: both ends are checked on lengths alone.
@@ -830,7 +969,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
     /// dense — already covered by the frame's bytes.
     pub fn stored_len(&self) -> usize {
         match self.body {
-            Body::Sparse { nnz, .. } | Body::Bitmap { nnz, .. } => nnz,
+            Body::Sparse { nnz, .. } | Body::EliasFano { nnz, .. } => nnz,
             Body::Dense { .. } => self.dim,
         }
     }
@@ -849,7 +988,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
             values: value_slab,
             ..
         }
-        | Body::Bitmap {
+        | Body::EliasFano {
             nnz,
             values: value_slab,
             ..
@@ -867,9 +1006,16 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
             Body::Sparse { gaps, .. } => {
                 read_gap_slab_into(gaps, indices, self.dim, self.frame_len)?;
             }
-            // The parse checked the bitmap: `nnz` bits, all below `dim`.
-            Body::Bitmap { base, bits, .. } => {
-                read_bitmap_into(base, bits, indices);
+            Body::EliasFano { index, .. } => {
+                read_ef_into(index, indices)?;
+                // `nnz ≥ 1`: the parse rejects an empty index.
+                let (first, last) = (indices[0], indices[nnz - 1]);
+                let (coding, _) = pick_index(nnz, first, last, || gap_slab_len_of(indices));
+                if coding.is_none() {
+                    return Err(StreamError::Corrupt(
+                        "Elias–Fano where the gap slab is smaller",
+                    ));
+                }
             }
             Body::Dense { .. } => unreachable!("matched above"),
         }
@@ -897,7 +1043,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{random_sparse, uniform_indices, XorShift64};
+    use crate::gen::{clustered_sparse, random_sparse, uniform_indices, XorShift64};
 
     /// A sparse f32 frame built by hand: header, value slab, raw gap bytes.
     fn raw_frame(dim: u64, nnz: u64, gap_bytes: &[u8]) -> Vec<u8> {
@@ -939,7 +1085,7 @@ mod tests {
             SparseStream::from_pairs(1000, &[(1, 1.0f32), (2, 2.0), (7, 3.0), (300, 4.0)]).unwrap();
         let bytes = v.encode();
         assert_eq!(bytes[1], WIRE_VERSION);
-        assert_eq!(WIRE_VERSION, 4);
+        assert_eq!(WIRE_VERSION, 5);
         let val_slab = &bytes[SPARSE_HEADER_LEN..SPARSE_HEADER_LEN + 16];
         assert_eq!(f32::read_slab_le(val_slab), vec![1.0, 2.0, 3.0, 4.0]);
         // First index 1, then 2−1−1 = 0, 7−2−1 = 4, 300−7−1 = 292 = 0x124
@@ -980,21 +1126,29 @@ mod tests {
         round_trip(&SparseStream::from_pairs(dim, &[(dim as u32 - 1, 1.0f64)]).unwrap());
         // The largest index a stream can hold, in the largest dimension.
         round_trip(&SparseStream::from_pairs(1 << 32, &[(u32::MAX, 1.0f32)]).unwrap());
-        // Full density in sparse form: a bitmap of all ones, base and span
-        // ahead of it.
+        // Full density in sparse form: an Elias–Fano index of no low bits,
+        // a bitmap of all ones, with L and the base ahead of it.
         let full: Vec<(u32, f32)> = (0..dim as u32).map(|i| (i, i as f32)).collect();
         let full = SparseStream::from_pairs(dim, &full).unwrap();
         assert!(full.is_sparse());
-        assert_eq!(round_trip(&full).len(), 20 + dim * 4 + 16 + dim / 8);
-        // Mixed runs: single-byte stretches (the 8-at-a-time path) broken
-        // by multi-byte gaps at every alignment, f32 and f64.
+        assert_eq!(round_trip(&full).len(), 20 + dim * 4 + 5 + dim / 8);
+        // Uniform supports of every low-bit width, and clustered runs: one-byte
+        // gap stretches broken by multi-byte gaps at every alignment.
         for seed in 0..32 {
+            let nnz = 37 + 11 * seed as usize;
+            round_trip(&random_sparse::<f32>(1 << 12, nnz, seed));
+            round_trip(&random_sparse::<f64>(1 << 20, 300 + seed as usize, seed));
             round_trip(&random_sparse::<f32>(
-                1 << 12,
-                37 + 11 * seed as usize,
+                1 << (seed % 32),
+                1 << (seed % 8),
                 seed,
             ));
-            round_trip(&random_sparse::<f64>(1 << 20, 300 + seed as usize, seed));
+            round_trip(&clustered_sparse::<f32>(
+                1 << 20,
+                nnz,
+                1 + seed as usize,
+                seed,
+            ));
         }
     }
 
@@ -1087,38 +1241,43 @@ mod tests {
     }
 
     #[test]
-    fn gap_slab_costs_about_one_byte_per_entry_where_bandwidth_matters() {
-        // Seeded uniform supports in 2^20, f32, header excluded; v2 paid 8.
+    fn an_index_costs_about_a_byte_per_entry_or_less_where_bandwidth_matters() {
+        // Seeded uniform supports in 2^20, f32, header excluded; v2 paid 8,
+        // the v4 gap slab 5.00, 5.35 and 6.05.
         let dim = 1 << 20;
-        for (k, max_bytes_per_entry) in [(100_000usize, 5.01), (10_000, 5.35), (256, 6.05)] {
+        for (k, want) in [(100_000usize, 4.65), (10_000, 5.08), (256, 5.77)] {
             let indices = uniform_indices(dim, k, &mut XorShift64::new(1));
             let v = SparseStream::from_slabs(dim, indices, vec![1.0f32; k]).unwrap();
             let per_entry = (v.encoded_len() - SPARSE_HEADER_LEN) as f64 / k as f64;
-            assert!(per_entry <= max_bytes_per_entry, "k={k}: {per_entry}");
-            assert!(per_entry >= 5.0, "k={k}: {per_entry}");
+            assert!((per_entry - want).abs() < 0.01, "k={k}: {per_entry}");
         }
     }
 
     #[test]
     fn expected_entry_bytes_follows_the_varint_boundaries() {
-        // A full support is a bitmap of one bit an entry.
+        // A full support is a bitmap of one bit an entry, and so is any
+        // support past 1/2: no low bits, `1 + g` upper bits.
         assert_eq!(expected_entry_bytes(4, 1.0), 4.125);
-        assert_eq!(expected_entry_bytes(8, 0.0), 13.0);
-        // Past 1/8 the bitmap's 1/(8d) undercuts the one gap byte.
-        assert_eq!(expected_entry_bytes(4, 0.125), 5.0);
-        assert_eq!(expected_entry_bytes(4, 0.25), 4.5);
         assert!((expected_entry_bytes(4, 0.55) - (4.0 + 1.0 / 4.4)).abs() < 1e-12);
-        // Mean gap 100: mostly one byte, (0.99)^128 of the time two.
+        // An empty one is the five-byte varint.
+        assert_eq!(expected_entry_bytes(8, 0.0), 13.0);
+        // g = 3 and 7: L = 1 and 2, 3.5 and 4.75 bits.
+        assert_eq!(expected_entry_bytes(4, 0.25), 4.4375);
+        assert_eq!(expected_entry_bytes(4, 0.125), 4.59375);
+        // Mean gap 100: L = 6, 6 + 1 + 99/64 bits, under the gap's
+        // 1 + (0.99)^128 bytes.
         let e = expected_entry_bytes(4, 0.01);
-        assert!((e - (5.0 + 0.99f64.powi(128))).abs() < 1e-9, "{e}");
-        // Monotone: sparser streams never weigh less per entry.
+        assert!((e - (4.0 + (7.0 + 99.0 / 64.0) / 8.0)).abs() < 1e-9, "{e}");
+        assert!(e < 5.0 + 0.99f64.powi(128));
+        // Monotone: sparser streams never weigh less per entry, nor more
+        // than a five-byte varint.
         let mut last = 0.0;
         for exp in 0..12 {
             let e = expected_entry_bytes(4, 0.5f64.powi(3 * exp));
             assert!(e >= last, "{e} after {last}");
             last = e;
         }
-        assert!(last > 8.9, "{last}");
+        assert!(last > 8.4 && last <= 9.0, "{last}");
     }
 
     #[test]
@@ -1150,13 +1309,13 @@ mod tests {
     #[test]
     fn decode_rejects_other_versions() {
         let v = SparseStream::from_pairs(10, &[(1, 1.0f32)]).unwrap();
-        for old in [1u8, 2, 3] {
+        for old in [1u8, 2, 3, 4] {
             let mut bytes = v.encode().to_vec();
             bytes[1] = old;
             assert_eq!(
                 SparseStream::<f32>::decode(&bytes).unwrap_err(),
                 StreamError::VersionMismatch {
-                    expected: 4,
+                    expected: 5,
                     actual: old
                 }
             );
@@ -1279,38 +1438,183 @@ mod tests {
         }
     }
 
-    /// A sparse f32 frame with a bitmap index, built by hand.
-    fn raw_bitmap_frame(dim: u64, nnz: u64, base: u64, span: u64, bits: &[u8]) -> Vec<u8> {
-        let mut out = raw_frame(dim, nnz, &[]);
-        out[3] = TAG_BITMAP;
+    /// A sparse f32 frame with an Elias–Fano index, built by hand.
+    fn raw_ef_frame(dim: u64, nnz: u64, l: u8, base: u32, bits: &[u8]) -> Vec<u8> {
+        let mut out = raw_frame(dim, nnz, &[l]);
+        out[3] = TAG_ELIAS_FANO;
         out.extend_from_slice(&base.to_le_bytes());
-        out.extend_from_slice(&span.to_le_bytes());
         out.extend_from_slice(bits);
         out
     }
 
+    /// The Elias–Fano bits of `indices` with `l` low bits, set one at a
+    /// time.
+    fn ef_oracle(indices: &[u32], l: u32) -> Vec<u8> {
+        let n = indices.len();
+        let top = u64::from(indices[n - 1] - indices[0]) + 1 - n as u64;
+        let low_len = (n * l as usize).div_ceil(8);
+        let mut bits = vec![0u8; low_len + ((top >> l) as usize + n).div_ceil(8)];
+        for (i, &idx) in indices.iter().enumerate() {
+            let x = u64::from(idx - indices[0]) - i as u64;
+            for b in 0..l as usize {
+                let at = i * l as usize + b;
+                bits[at / 8] |= (((x >> b) & 1) as u8) << (at % 8);
+            }
+            let at = (x >> l) as usize + i;
+            bits[low_len + at / 8] |= 1 << (at % 8);
+        }
+        bits
+    }
+
     #[test]
-    fn frame_layout_of_a_bitmap_index() {
-        // Every other slot of [200, 259): 30 entries in a 59-slot span.
-        let pairs: Vec<(u32, f32)> = (0..30).map(|i| (200 + 2 * i, i as f32)).collect();
+    fn frame_layout_of_an_elias_fano_index() {
+        // Every 4th slot from 200: x_i = 3i, 48 slots for 16 entries, so
+        // L = 1 (7 bytes of bits; L = 2 takes 8). The low bits alternate;
+        // the upper bits sit at (3i >> 1) + i = 0, 2, 5, 7, 10, …, 37.
+        let pairs: Vec<(u32, f32)> = (0..16).map(|i| (200 + 4 * i, i as f32)).collect();
         let v = SparseStream::from_pairs(1000, &pairs).unwrap();
         let bytes = round_trip(&v);
-        assert_eq!(bytes[3], TAG_BITMAP);
-        let index = &bytes[SPARSE_HEADER_LEN + 30 * 4..];
-        assert_eq!(&index[..8], &200u64.to_le_bytes());
-        assert_eq!(&index[8..16], &59u64.to_le_bytes());
-        // Bits 0, 2, …, 58, low bit first: seven bytes of 0b0101_0101
-        // and bits 56 and 58 in the eighth.
+        let bits = [0xAA, 0xAA, 0xA5, 0x94, 0x52, 0x4A, 0x29];
+        assert_eq!(bytes.as_ref(), raw_ef_frame(1000, 16, 1, 200, &bits));
+        // 12 index bytes against 17 gap bytes.
+        assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 16 * 4 + 12);
+        // Every other slot of [200, 259): no low bits, and the upper bits
+        // are v4's bitmap of the span, bit j for index 200 + j.
+        let pairs: Vec<(u32, f32)> = (0..30).map(|i| (200 + 2 * i, i as f32)).collect();
+        let bytes = round_trip(&SparseStream::from_pairs(1000, &pairs).unwrap());
+        let bitmap = [0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x05];
+        assert_eq!(bytes.as_ref(), raw_ef_frame(1000, 30, 0, 200, &bitmap));
+        // Every index is the oracle's bits, which at L = 0 set bit `idx −
+        // first` for each entry: that bitmap.
+        let mut widths = [0usize; 32];
+        for (case, nnz) in (1..=4096).step_by(37).enumerate() {
+            let v = random_sparse::<f32>(1 << (12 + case % 12), nnz, case as u64);
+            let bytes = round_trip(&v);
+            let indices = v.sparse_view().unwrap().indices();
+            if bytes[3] != TAG_ELIAS_FANO {
+                continue;
+            }
+            let index = &bytes[SPARSE_HEADER_LEN + 4 * nnz..];
+            let l = u32::from(index[0]);
+            widths[l as usize] += 1;
+            assert_eq!(&index[1..5], &indices[0].to_le_bytes());
+            assert_eq!(&index[5..], ef_oracle(indices, l), "nnz {nnz}, L {l}");
+        }
+        assert!(widths[..10].iter().all(|&n| n > 0), "{widths:?}");
+    }
+
+    #[test]
+    fn the_index_is_the_smaller_coding_ties_to_elias_fano() {
+        let check = |v: &SparseStream<f32>| {
+            let bytes = round_trip(v);
+            let indices = v.sparse_view().unwrap().indices();
+            let (n, gaps) = (indices.len(), gap_slab_len(indices.iter().copied()));
+            let top = ef_top(n, indices[0], indices[n - 1]);
+            let (low, upper) = ef_parts(n, top, ef_low_bits(n, top));
+            let ef = EF_HEAD_LEN + low + upper;
+            assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 4 * n + gaps.min(ef));
+            assert_eq!(bytes[3] == TAG_SPARSE, gaps < ef);
+            bytes[3]
+        };
+        for nnz in (1..=4096).step_by(97) {
+            check(&random_sparse::<f32>(4096, nnz, nnz as u64));
+        }
+        // Clustered runs are where a gap slab wins: a byte per entry in
+        // a run, against L ≈ log2 of the mean distance.
+        let mut gap_coded = 0;
+        for seed in 0..64 {
+            let v = clustered_sparse::<f32>(1 << 20, 40 + 7 * seed, 1 + seed / 4, seed as u64);
+            gap_coded += usize::from(check(&v) == TAG_SPARSE);
+        }
+        assert!(gap_coded > 16, "{gap_coded}");
+        // Eight entries 166 apart: a 15-byte gap slab and a 15-byte
+        // Elias–Fano index (L = 7) tie, and the tie goes to Elias–Fano.
+        let pairs: Vec<(u32, f32)> = (0..8).map(|i| (166 * i, 1.0)).collect();
+        let v = SparseStream::from_pairs(1 << 20, &pairs).unwrap();
+        assert_eq!(v.encoded_len(), SPARSE_HEADER_LEN + 32 + 15);
+        assert_eq!(check(&v), TAG_ELIAS_FANO);
+        assert_eq!(v.encode()[SPARSE_HEADER_LEN + 32], 7);
+    }
+
+    #[test]
+    fn hostile_elias_fano_frames_are_typed_errors() {
+        // The frame of `frame_layout_of_an_elias_fano_index`, and frames
+        // with its bits but for the last upper byte.
+        let (low, upper) = ([0xAA, 0xAA], [0xA5, 0x94, 0x52, 0x4A, 0x29]);
+        let ef = |l, base, low: &[u8], upper: &[u8]| {
+            raw_ef_frame(1000, 16, l, base, &[low, upper].concat())
+        };
+        let ending = |last: &[u8]| ef(1, 200, &low, &[&upper[..4], last].concat());
+        let honest = ef(1, 200, &low, &upper);
+        let decoded = SparseStream::<f32>::decode(&honest).unwrap();
+        assert_eq!(decoded.encode().as_ref(), honest);
+        let bits = &honest[SPARSE_HEADER_LEN + 64 + EF_HEAD_LEN..];
+        let err = |frame: &[u8]| SparseStream::<f32>::decode(frame).unwrap_err();
+        // 15 entries: 15 low bits and one bit of padding, which must be 0.
+        let support: Vec<u32> = (0..16).map(|i| 200 + 4 * i).collect();
+        let fifteen = SparseStream::from_slabs(1000, support[..15].to_vec(), vec![1.0f32; 15]);
+        let mut padded = fifteen.unwrap().encode().to_vec();
+        padded[SPARSE_HEADER_LEN + 60 + 6] |= 0x80;
+        let mut gaps = vec![0xC8, 0x01];
+        gaps.extend([3; 15]);
+        for (what, frame) in [
+            ("more than 31 low bits", ef(32, 200, &low, &upper)),
+            (
+                "L = 0",
+                raw_ef_frame(1000, 16, 0, 200, &ef_oracle(&support, 0)),
+            ),
+            (
+                "L = 2",
+                raw_ef_frame(1000, 16, 2, 200, &ef_oracle(&support, 2)),
+            ),
+            ("x_0 = 1", ef(1, 200, &[0xAB, 0xAA], &upper)),
+            (
+                "no entry at the base",
+                ef(1, 200, &low, &[0xA4, 0x94, 0x52, 0x4A, 0x29, 1]),
+            ),
+            (
+                "an extra one",
+                ef(1, 200, &low, &[0xA7, 0x94, 0x52, 0x4A, 0x29]),
+            ),
+            ("a one past the last", ending(&[0xA9])),
+            ("a spare byte", ending(&[0x29, 0])),
+            (
+                "past u32",
+                raw_ef_frame(1 << 40, 16, 1, u32::MAX - 50, bits),
+            ),
+            ("low bits padded with a one", padded),
+            // x = 0, 9, 8: L = 1 is canonical for x_last = 8, but the last
+            // two share their upper bits and their low bits fall.
+            (
+                "x stepping back",
+                raw_ef_frame(1000, 3, 1, 100, &[0x02, 0x61]),
+            ),
+            // The coding that is larger, or no smaller: two adjacent
+            // entries take 2 gap bytes; the support above 17.
+            ("the longer coding", raw_ef_frame(1000, 2, 0, 100, &[0x03])),
+            ("a gap slab no smaller", raw_frame(1000, 16, &gaps)),
+            ("no entries", raw_ef_frame(1000, 0, 0, 0, &[])),
+        ] {
+            assert!(
+                matches!(err(&frame), StreamError::Corrupt(_)),
+                "{what}: {:?}",
+                err(&frame)
+            );
+        }
+        let past_dim = raw_ef_frame(260, 16, 1, 200, bits);
         assert_eq!(
-            &index[16..],
-            &[0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x05]
+            err(&past_dim),
+            StreamError::IndexOutOfBounds { idx: 260, dim: 260 }
         );
-        // 24 index bytes against 30 gap bytes.
-        assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 30 * 4 + 24);
-        assert_eq!(
-            bytes.as_ref(),
-            raw_bitmap_frame(1000, 30, 200, 59, &index[16..])
-        );
+        // A dropped one, and every proper prefix, read as an index cut
+        // short.
+        let cuts = (0..honest.len()).map(|cut| honest[..cut].to_vec());
+        for frame in cuts.chain([ending(&[0x09])]) {
+            assert!(
+                matches!(err(&frame), StreamError::Truncated { .. }),
+                "{frame:?}"
+            );
+        }
     }
 
     #[test]
@@ -1369,152 +1673,28 @@ mod tests {
     }
 
     #[test]
-    fn the_index_is_the_smaller_coding_at_every_density() {
-        // Exactly the shorter of the two, ties to the gap slab.
-        let check = |v: &SparseStream<f32>| {
-            let bytes = round_trip(v);
-            let view = v.sparse_view().unwrap();
-            let gaps = gap_slab_len(view.indices().iter().copied());
-            let index = match (view.indices().first(), view.indices().last()) {
-                (Some(&first), Some(&last)) => gaps.min(bitmap_len(first, last)),
-                _ => gaps,
-            };
-            assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 4 * v.nnz() + index);
-            assert_eq!(bytes[3] == TAG_BITMAP, index < gaps);
-        };
-        for nnz in (0..=4096).step_by(97) {
-            check(&random_sparse::<f32>(4096, nnz, nnz as u64));
-        }
-        // Where the lengths alone cannot decide: every gap 0 or 128, so
-        // the gap slab is a byte an entry and one more per long gap.
-        let support = |long: u32, short_per_long: u32| {
-            let mut at = 0u32;
-            let mut pairs = vec![(at, 1.0f32)];
-            for _ in 0..long {
-                for _ in 0..short_per_long {
-                    at += 1;
-                    pairs.push((at, 1.0));
-                }
-                at += 129;
-                pairs.push((at, 1.0));
-            }
-            SparseStream::from_pairs(1 << 20, &pairs).unwrap()
-        };
-        // 100 long gaps and 1 700 short: 1 801 entries, a 1 901-byte gap
-        // slab and a 1 842-byte bitmap index.
-        let v = support(100, 17);
-        assert_eq!((v.nnz(), bitmap_len(0, 14_600)), (1_801, 1_842));
-        check(&v);
-        assert_eq!(v.encode()[3], TAG_BITMAP);
-        // 2 000 long gaps and 16 short ones to each: 34 001 entries, a
-        // 36 001-byte gap slab and a 36 267-byte bitmap index.
-        let v = support(2_000, 16);
-        assert_eq!((v.nnz(), bitmap_len(0, 290_000)), (34_001, 36_267));
-        check(&v);
-        assert_eq!(v.encode()[3], TAG_SPARSE);
-        // Its bitmap form is the longer coding, which only the measured
-        // gap slab shows: the decoder rejects it.
-        let mut bits = vec![0u8; 290_001usize.div_ceil(8)];
-        for &idx in v.sparse_view().unwrap().indices() {
-            bits[idx as usize / 8] |= 1 << (idx % 8);
-        }
-        let frame = raw_bitmap_frame(1 << 20, 34_001, 0, 290_001, &bits);
-        assert_eq!(
-            SparseStream::<f32>::decode(&frame),
-            Err(StreamError::Corrupt(
-                "bitmap index where the gap slab is no larger"
-            ))
-        );
-    }
-
-    #[test]
-    fn hostile_bitmap_frames_are_typed_errors() {
-        // 40 entries in the 40 slots from 100: the frame the encoder
-        // writes for them is the first one here.
-        let full = [0xFF; 5];
-        let honest = raw_bitmap_frame(1000, 40, 100, 40, &full);
-        let v = SparseStream::<f32>::decode(&honest).unwrap();
-        assert_eq!(v.encode().as_ref(), &honest[..]);
-        let corrupt = |what: &str, frame: Vec<u8>| {
-            let err = SparseStream::<f32>::decode(&frame).unwrap_err();
-            assert!(matches!(err, StreamError::Corrupt(_)), "{what}: {err:?}");
-        };
-        corrupt("an empty span", raw_bitmap_frame(1000, 40, 100, 0, &[]));
-        corrupt("past dim", raw_bitmap_frame(130, 40, 100, 40, &full));
-        let huge = raw_bitmap_frame(u64::MAX, 40, u64::MAX - 4, 40, &full);
-        corrupt("base + span overflowing", huge);
-        let wide = raw_bitmap_frame(1 << 40, 40, (1 << 32) - 8, 40, &full);
-        corrupt("past the u32 index range", wide);
-        let short = [0xFF, 0xFF, 0xFB, 0xFF, 0xFF];
-        corrupt("one bit short", raw_bitmap_frame(1000, 40, 100, 40, &short));
-        corrupt("one bit over", raw_bitmap_frame(1000, 39, 100, 40, &full));
-        let first_clear = [0xFE, 0xFF, 0xFF, 0xFF, 0xFF];
-        corrupt(
-            "first bit clear",
-            raw_bitmap_frame(1000, 39, 100, 40, &first_clear),
-        );
-        let last_clear = [0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
-        corrupt(
-            "last bit clear",
-            raw_bitmap_frame(1000, 39, 100, 40, &last_clear),
-        );
-        corrupt(
-            "a bit past the span",
-            raw_bitmap_frame(1000, 40, 100, 39, &full),
-        );
-        let mut trailing = honest.clone();
-        trailing.push(0);
-        corrupt("trailing bytes", trailing);
-        // A bitmap no shorter than the gap slab: 12 bytes of gaps for 12
-        // entries in 20 slots, 19 bytes of bitmap index.
-        corrupt(
-            "the longer coding",
-            raw_bitmap_frame(1000, 12, 100, 20, &[0xFF, 0x07, 0x08]),
-        );
-        // And a gap slab the bitmap undercuts: 30 one-byte gaps against
-        // 20 bytes of index.
-        corrupt("a gap slab", raw_frame(1000, 30, &[0; 30]));
-        // Every proper prefix is a truncation.
-        for cut in 0..honest.len() {
-            let err = SparseStream::<f32>::decode(&honest[..cut]).unwrap_err();
-            assert!(
-                matches!(err, StreamError::Truncated { .. }),
-                "cut {cut}: {err:?}"
-            );
-        }
-        // A span too wide for the frame truncates before anything is read.
-        let err = SparseStream::<f32>::decode(&raw_bitmap_frame(1000, 12, 0, 1 << 40, &[1]));
-        assert!(matches!(err, Err(StreamError::Truncated { .. })), "{err:?}");
-    }
-
-    #[test]
     fn mutated_frames_never_panic_the_decoder() {
+        let full = (u32::MAX - 39..=u32::MAX).collect();
         let valid = [
-            // One-byte runs long enough for the 8-at-a-time path.
-            random_sparse::<f32>(512, 200, 5).encode().to_vec(),
-            // Two- and three-byte gaps.
-            random_sparse::<f32>(1 << 22, 40, 6).encode().to_vec(),
+            // Gap-coded clustered runs: one-byte stretches long enough for
+            // the 8-at-a-time path, broken by two- and three-byte gaps.
+            clustered_sparse::<f32>(1 << 20, 200, 4, 5),
+            clustered_sparse(1 << 22, 40, 20, 6),
             // The top of the index space.
-            SparseStream::from_pairs(1 << 32, &[(7, 1.0f32), (u32::MAX, 2.0)])
-                .unwrap()
-                .encode()
-                .to_vec(),
-            SparseStream::<f32>::zeros(64).encode().to_vec(),
-            SparseStream::from_dense(vec![1.0f32; 16]).encode().to_vec(),
-            // Bitmap-coded: 30 % and 55 % dense, and full at the top of
-            // the index space.
-            random_sparse::<f32>(512, 154, 7).encode().to_vec(),
-            random_sparse::<f32>(300, 165, 8).encode().to_vec(),
-            SparseStream::from_slabs(
-                1 << 32,
-                (u32::MAX - 39..=u32::MAX).collect(),
-                vec![1.0f32; 40],
-            )
-            .unwrap()
-            .encode()
-            .to_vec(),
-        ];
-        assert!(valid[5..].iter().all(|frame| frame[3] == TAG_BITMAP));
+            SparseStream::from_pairs(1 << 32, &[(7, 1.0f32), (u32::MAX, 2.0)]).unwrap(),
+            SparseStream::zeros(64),
+            SparseStream::from_dense(vec![1.0f32; 16]),
+            // Elias–Fano: 55 % (L = 0), 30 % (L = 1), 4 % (L = 4) and
+            // 10^-5 (L = 16) dense, and full at the top of the index space.
+            random_sparse(300, 165, 8),
+            random_sparse(512, 154, 7),
+            random_sparse(4096, 160, 9),
+            random_sparse(1 << 22, 40, 6),
+            SparseStream::from_slabs(1 << 32, full, vec![1.0f32; 40]).unwrap(),
+        ]
+        .map(|stream| stream.encode().to_vec());
+        assert!(valid[..3].iter().all(|frame| frame[3] == TAG_SPARSE));
+        assert!(valid[5..].iter().all(|frame| frame[3] == TAG_ELIAS_FANO));
         let check = |bytes: &[u8]| {
             // Ok or a typed error — and an Ok upholds the invariants and
             // is the one encoding of what it decoded to.
@@ -1544,11 +1724,31 @@ mod tests {
             }
         }
         let mut rng = XorShift64::new(0x5eed);
-        for i in 0..4000 {
+        for i in 0..8000 {
             let mut bytes = valid[i % valid.len()].clone();
-            match rng.next_u64() % 4 {
+            // Where an Elias–Fano index starts: L, then the base.
+            let index = SPARSE_HEADER_LEN
+                + 4 * u64::from_le_bytes(bytes[12..20].try_into().unwrap_or([0; 8])) as usize;
+            let ef = bytes[3] == TAG_ELIAS_FANO;
+            match rng.next_u64() % 8 {
                 0 => bytes.truncate(rng.next_u64() as usize % (bytes.len() + 1)),
                 1 => bytes.extend((0..rng.next_u64() % 9).map(|_| rng.next_u64() as u8)),
+                // Lie about the entry count, L or the base.
+                2 => {
+                    bytes[12] = bytes[12]
+                        .wrapping_add(rng.next_u64() as u8 % 5)
+                        .wrapping_sub(2)
+                }
+                3 if ef => bytes[index] = (rng.next_u64() % 40) as u8,
+                4 if ef => {
+                    bytes[index + 1 + rng.next_u64() as usize % 4] ^= 1 << (rng.next_u64() % 8)
+                }
+                // Add or drop an upper one, or a byte.
+                5 if ef => {
+                    let at = index + 5 + rng.next_u64() as usize % (bytes.len() - index - 5);
+                    bytes[at] ^= 1 << (rng.next_u64() % 8);
+                }
+                6 if ef => bytes.push(1 << (rng.next_u64() % 8)),
                 _ => {}
             }
             for _ in 0..rng.next_u64() % 4 {
@@ -1560,6 +1760,6 @@ mod tests {
             check(&bytes);
             cases += 1;
         }
-        assert!(cases >= 4000, "{cases}");
+        assert!(cases >= 8000, "{cases}");
     }
 }

@@ -8,8 +8,8 @@
 //! bootstrap), with `Algorithm::Auto` — the paper's §5.3 adaptive
 //! selector — as the default schedule. Sparse payloads use a
 //! structure-of-arrays layout (index slab + value slab) in memory, a wire
-//! codec that copies the value slab in bulk and gap-codes the index slab
-//! (or, past a density of 1/8, sends it as a bitmap),
+//! codec that copies the value slab in bulk and sends the index slab as
+//! an Elias–Fano index (or gap-coded, where that is smaller),
 //! and pooled message buffers; see the README's architecture section for
 //! the layout and the buffer-pool lifecycle.
 //!

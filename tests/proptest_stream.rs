@@ -354,12 +354,12 @@ fn malformed_frames_never_decode() {
         }
     };
     let mut rng = XorShift64::new(44);
-    let mut bitmaps = 0;
+    let mut elias_fano = 0;
     for _ in 0..CASES {
         let (dim, pairs) = stream_inputs(&mut rng);
         let s = SparseStream::from_pairs(dim, &pairs).unwrap();
         let bytes = s.encode().to_vec();
-        bitmaps += usize::from(bytes[3] == 2);
+        elias_fano += usize::from(bytes[3] == 2);
         for _ in 0..8 {
             let mut corrupted = bytes.clone();
             let pos = rng.next_below(corrupted.len() as u64) as usize;
@@ -370,7 +370,62 @@ fn malformed_frames_never_decode() {
             accepted(&corrupted[..cut]);
         }
     }
-    assert!(bitmaps >= CASES / 4, "{bitmaps} bitmap-indexed frames");
+    assert!(
+        elias_fano >= CASES / 4,
+        "{elias_fano} Elias–Fano-indexed frames"
+    );
+}
+
+#[test]
+fn no_support_encodes_larger_than_under_wire_v4() {
+    // Wire v4's index: the gap slab, or a 16-byte base and span and a
+    // bitmap of the span where that is strictly smaller.
+    let varint_len = |gap: u32| {
+        1 + (gap >= 1 << 7) as usize
+            + (gap >= 1 << 14) as usize
+            + (gap >= 1 << 21) as usize
+            + (gap >= 1 << 28) as usize
+    };
+    let v4_index = |indices: &[u32]| {
+        let gaps: usize = indices
+            .iter()
+            .enumerate()
+            .map(|(i, &idx)| {
+                varint_len(if i == 0 {
+                    idx
+                } else {
+                    idx - indices[i - 1] - 1
+                })
+            })
+            .sum();
+        match (indices.first(), indices.last()) {
+            (Some(&first), Some(&last)) => gaps.min(16 + (last - first) as usize / 8 + 1),
+            _ => gaps,
+        }
+    };
+    let mut rng = XorShift64::new(52);
+    let (mut smaller, mut gap_coded) = (0, 0);
+    for case in 0..600 {
+        let dim = 1usize << (4 + 4 * (case % 7));
+        let nnz = (rng.next_below(4_000) as usize).min(dim) >> (case % 5);
+        let s: SparseStream<f32> = match case % 3 {
+            0 => sparcml::stream::random_sparse(dim, nnz, rng.next_u64()),
+            // Clustered runs, few and long to many and short.
+            _ => {
+                let runs = 1 + rng.next_below(nnz.max(1) as u64) as usize % 64;
+                sparcml::stream::clustered_sparse(dim, nnz, runs, rng.next_u64())
+            }
+        };
+        let indices = s.sparse_view().unwrap().indices();
+        let v4 = 20 + 4 * s.nnz() + v4_index(indices);
+        assert!(s.encoded_len() <= v4, "case {case}: dim {dim} nnz {nnz}");
+        smaller += usize::from(s.encoded_len() < v4);
+        gap_coded += usize::from(s.nnz() > 0 && s.encode()[3] == 0);
+    }
+    assert!(
+        smaller > 300 && gap_coded > 30,
+        "{smaller} smaller, {gap_coded} gap-coded"
+    );
 }
 
 #[test]
