@@ -119,6 +119,13 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
+/// How many set-up inputs [`Bencher::iter_batched`] makes at a time:
+/// this harness makes one per sample.
+pub enum BatchSize {
+    /// Inputs too large to hold many of.
+    LargeInput,
+}
+
 /// Times a closure over the configured number of samples.
 pub struct Bencher {
     sample_size: usize,
@@ -135,6 +142,27 @@ impl Bencher {
             let t0 = Instant::now();
             black_box(routine());
             let ns = t0.elapsed().as_secs_f64() * 1e9;
+            self.min_ns = self.min_ns.min(ns);
+            total += ns;
+        }
+        self.mean_ns = total / self.sample_size as f64;
+    }
+
+    /// Measures `routine` on a fresh input from `setup` each time, timing
+    /// the routine alone: neither the set-up nor dropping the output.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        black_box(routine(setup())); // warm-up
+        let mut total = 0.0f64;
+        for _ in 0..self.sample_size {
+            let input = setup();
+            let t0 = Instant::now();
+            let output = black_box(routine(input));
+            let ns = t0.elapsed().as_secs_f64() * 1e9;
+            drop(output);
             self.min_ns = self.min_ns.min(ns);
             total += ns;
         }

@@ -309,24 +309,20 @@ impl ServeClient {
             };
         let sliceable = sparse_fallback.as_ref().unwrap_or(contribution);
 
-        let mut payload = Vec::new();
         for &slot in targets {
-            match sliceable.sparse_view() {
-                Some(view) => {
-                    let range = partition_range(dim, shards, slot);
-                    let slice = view.range(range.lo, range.hi);
-                    SparseStream::<f32>::encode_sparse_slice_into(dim, slice, &mut payload);
-                }
-                // Dense and unsharded: ship as-is.
-                None => sliceable.encode_into(&mut payload),
-            }
-            let frame = Frame::Contribute {
-                model,
-                seq,
-                payload: payload.clone(),
-            };
             let conn = &mut self.conns[slot];
-            frame.encode_into(&mut conn.scratch);
+            // The slice is encoded once, behind the frame's header.
+            Frame::encode_contribute_into(&mut conn.scratch, model, seq, |out| {
+                match sliceable.sparse_view() {
+                    Some(view) => {
+                        let range = partition_range(dim, shards, slot);
+                        let slice = view.range(range.lo, range.hi);
+                        SparseStream::<f32>::encode_sparse_slice_append(dim, slice, out);
+                    }
+                    // Dense and unsharded: ship as-is.
+                    None => sliceable.encode_append(out),
+                }
+            });
             let buf = std::mem::take(&mut conn.scratch);
             conn.stream.write_all(&buf)?;
             conn.scratch = buf;

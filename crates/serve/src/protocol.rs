@@ -324,6 +324,20 @@ impl Frame {
         end_frame(out);
     }
 
+    /// [`Frame::encode_state_into`] for a CONTRIBUTE frame.
+    pub(crate) fn encode_contribute_into(
+        out: &mut Vec<u8>,
+        model: u16,
+        seq: u64,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) {
+        begin_frame(out, KIND_CONTRIBUTE);
+        out.extend_from_slice(&model.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+        payload(out);
+        end_frame(out);
+    }
+
     /// [`Frame::encode_state_into`] for an UPDATE frame.
     pub(crate) fn encode_update_into(
         out: &mut Vec<u8>,
@@ -339,7 +353,15 @@ impl Frame {
 
     /// Decodes a payload previously produced by [`Frame::encode_into`].
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Frame, ServeError> {
-        let mut cur = Cur(payload);
+        let (head, stream) = payload.split_at(stream_head_len(kind, payload.len()));
+        Frame::decode_parts(kind, head, stream.to_vec())
+    }
+
+    /// Decodes a payload split at [`stream_head_len`]: the fields in
+    /// `head`, and the stream frame a CONTRIBUTE, STATE or UPDATE payload
+    /// carries, handed over as it is (empty for the other kinds).
+    fn decode_parts(kind: u8, head: &[u8], stream: Vec<u8>) -> Result<Frame, ServeError> {
+        let mut cur = Cur(head);
         let frame = match kind {
             KIND_HELLO => {
                 check_magic(&mut cur)?;
@@ -350,7 +372,7 @@ impl Frame {
             KIND_CONTRIBUTE => Frame::Contribute {
                 model: cur.take_u16()?,
                 seq: cur.take_u64()?,
-                payload: cur.take_rest(),
+                payload: stream,
             },
             KIND_FETCH => Frame::Fetch {
                 model: cur.take_u16()?,
@@ -395,12 +417,12 @@ impl Frame {
                 model: cur.take_u16()?,
                 generation: cur.take_u64()?,
                 contributions: cur.take_u64()?,
-                payload: cur.take_rest(),
+                payload: stream,
             },
             KIND_UPDATE => Frame::Update {
                 model: cur.take_u16()?,
                 generation: cur.take_u64()?,
-                payload: cur.take_rest(),
+                payload: stream,
             },
             KIND_ERROR => {
                 let code = ErrorCode::from_u8(cur.take_u8()?)
@@ -418,6 +440,19 @@ impl Frame {
         };
         Ok(frame)
     }
+}
+
+/// Bytes of a `kind` payload of `len` bytes that [`Frame::decode_parts`]
+/// reads as fields: those ahead of the stream frame a CONTRIBUTE, STATE or
+/// UPDATE payload carries (at most `len`, so a short one reads as
+/// truncated), the whole payload for the other kinds.
+fn stream_head_len(kind: u8, len: usize) -> usize {
+    let head = match kind {
+        KIND_CONTRIBUTE | KIND_UPDATE => 10,
+        KIND_STATE => 18,
+        _ => len,
+    };
+    head.min(len)
 }
 
 /// Clears `out` and writes a frame header of `kind`, its length word left
@@ -512,10 +547,6 @@ impl<'a> Cur<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| ServeError::Protocol("string field is not UTF-8".into()))
     }
-
-    fn take_rest(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.0).to_vec()
-    }
 }
 
 /// Why [`read_frame`] stopped without a frame.
@@ -579,10 +610,14 @@ pub fn read_frame_counted(
             other => FrameReadError::Malformed(other.to_string()),
         },
     )?;
-    let mut payload = vec![0u8; len];
-    read_exact_frame(r, &mut payload)?;
-    let frame =
-        Frame::decode(kind, &payload).map_err(|e| FrameReadError::Malformed(e.to_string()))?;
+    // A carried stream frame is read into a buffer of its own, which the
+    // frame then owns: the payload is never copied.
+    let mut head = vec![0u8; stream_head_len(kind, len)];
+    read_exact_frame(r, &mut head)?;
+    let mut stream = vec![0u8; len - head.len()];
+    read_exact_frame(r, &mut stream)?;
+    let frame = Frame::decode_parts(kind, &head, stream)
+        .map_err(|e| FrameReadError::Malformed(e.to_string()))?;
     Ok((frame, FRAME_HEADER_LEN + len))
 }
 
@@ -700,6 +735,49 @@ mod tests {
             code: ErrorCode::OutOfRange,
             detail: "index 9 beyond shard range".into(),
         });
+    }
+
+    #[test]
+    fn a_carried_stream_frame_is_handed_over_and_a_short_head_is_malformed() {
+        let payload = vec![0xC5, 5, 4, 1, 7, 7, 7];
+        for frame in [
+            Frame::Contribute {
+                model: 3,
+                seq: 42,
+                payload: payload.clone(),
+            },
+            Frame::State {
+                model: 2,
+                generation: 5,
+                contributions: 6,
+                payload: payload.clone(),
+            },
+            Frame::Update {
+                model: 2,
+                generation: 6,
+                payload: payload.clone(),
+            },
+        ] {
+            let mut buf = Vec::new();
+            frame.encode_into(&mut buf);
+            let (got, bytes) = read_frame_counted(&mut &buf[..], 1 << 20).expect("decode");
+            assert_eq!((got, bytes), (frame.clone(), buf.len()));
+            // Every declared length that ends inside the fields ahead of
+            // the stream frame is a typed error, as it was before the
+            // stream bytes got a buffer of their own.
+            let head = buf.len() - FRAME_HEADER_LEN - payload.len();
+            for len in 0..head {
+                let mut cut = buf[..FRAME_HEADER_LEN + len].to_vec();
+                cut[..4].copy_from_slice(&(len as u32).to_le_bytes());
+                assert!(
+                    matches!(
+                        read_frame(&mut &cut[..], 1 << 20),
+                        Err(FrameReadError::Malformed(_))
+                    ),
+                    "{frame:?} cut to {len}"
+                );
+            }
+        }
     }
 
     #[test]

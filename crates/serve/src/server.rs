@@ -280,8 +280,8 @@ impl ServerHandle {
     /// Server counters in [`CommStats`] form: accepted frames/bytes map
     /// to the recv counters, shipped frames/bytes to the send counters,
     /// applied contribution elements to `compute_elements` (the entries
-    /// scattered into a sum's window, the values touched once it is
-    /// dense), plus the buffer-pool and inter-shard collective counters.
+    /// a ranked sum added, the values touched once it is dense), plus the
+    /// buffer-pool and inter-shard collective counters.
     pub fn stats_snapshot(&self) -> CommStats {
         self.shared.stats_snapshot()
     }

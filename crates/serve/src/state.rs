@@ -1,5 +1,11 @@
 //! Server-side mutable state: per-model accumulators, the session
 //! registry, and the gauge counters the health endpoint reports.
+//!
+//! A model's running sum is a [`RankedSum`] up to δ — its values packed
+//! in index order and found by rank, so it holds 4 B per entry rather
+//! than per index of the shard's range — and dense past δ (see
+//! [`ModelState`]). Either form writes the STATE and UPDATE frames the
+//! sorted-slab sum would, byte for byte.
 
 use std::collections::{HashMap, HashSet};
 use std::net::TcpStream;
@@ -7,7 +13,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use sparcml_stream::{DensityPolicy, PartRange, SparseStream, StreamError, SumStats, WindowSum};
+use sparcml_stream::{DensityPolicy, PartRange, RankedSum, SparseStream, StreamError, SumStats};
 
 use crate::config::{AggregationMode, ModelSpec};
 
@@ -16,12 +22,14 @@ use crate::config::{AggregationMode, ModelSpec};
 /// per applied contribution.
 ///
 /// The sum takes the form its STATE frame has on the wire. Up to δ it is
-/// a [`WindowSum`] over the range — a dense value window plus the
-/// occupancy bitmap the frame's index is written from — and a contribution is
-/// scattered in, one store per entry, instead of being merged into a copy
-/// of the whole sum. Past δ it is dense. Both forms hold the values a
-/// sorted-slab sum would, to the bit, so every frame is the one the slabs
-/// would encode.
+/// a [`RankedSum`] over the range: the occupancy bitmap the frame's index
+/// is written from, a rank directory over it, and the values packed in
+/// index order, which are the frame's value slab as they stand. A
+/// contribution on the sum's support adds in place at its ranks, and one
+/// with new indices merges into the values once, from the back — never
+/// into a copy of the whole sum. Past δ it is dense. Both forms hold the
+/// values a sorted-slab sum would, to the bit, so every frame is the one
+/// the slabs would encode.
 pub(crate) struct ModelState {
     /// The declared spec (full logical dimension, not the shard slice).
     pub spec: ModelSpec,
@@ -37,21 +45,20 @@ pub(crate) struct ModelState {
 
 /// The forms of a running sum (see [`ModelState`]).
 enum Accumulator {
-    /// The occupied slots of the range, up to δ.
-    Window(WindowSum<f32>),
+    /// The occupied slots of the range, packed by rank, up to δ.
+    Ranked(RankedSum<f32>),
     /// Dense values past δ.
     Dense(SparseStream<f32>),
 }
 
 impl ModelState {
-    /// An empty accumulator. Its window is allocated zeroed, so only the
-    /// pages that entries land on are touched.
+    /// An empty accumulator.
     pub fn new(spec: ModelSpec, range: PartRange) -> Self {
         let dim = spec.dim;
         ModelState {
             spec,
             range,
-            sum: Accumulator::Window(WindowSum::new(dim, range)),
+            sum: Accumulator::Ranked(RankedSum::new(dim, range)),
             generation: 0,
         }
     }
@@ -59,10 +66,10 @@ impl ModelState {
     /// Folds a validated contribution into the accumulator and advances
     /// the generation.
     ///
-    /// The window goes dense, once, when `stored + |contribution|` crosses
-    /// δ — the test every sum makes — or a dense contribution arrives.
-    /// The returned stats count what the call did: a window's scattered
-    /// entries, a dense sum's touched values.
+    /// The ranked sum goes dense, once, when `stored + |contribution|`
+    /// crosses δ — the test every sum makes — or a dense contribution
+    /// arrives. The returned stats count what the call did: the entries a
+    /// ranked sum added, a dense sum's touched values.
     pub fn apply(
         &mut self,
         contribution: &SparseStream<f32>,
@@ -78,17 +85,17 @@ impl ModelState {
         contribution: &SparseStream<f32>,
         policy: &DensityPolicy,
     ) -> Result<SumStats, StreamError> {
-        if let Accumulator::Window(window) = &self.sum {
+        if let Accumulator::Ranked(ranked) = &self.sum {
             let delta = policy.delta::<f32>(self.spec.dim);
-            if !contribution.is_sparse() || window.len() + contribution.stored_len() > delta {
-                // Leaving the window through slabs: their δ-switch below
-                // builds the dense sum a slab sum would have.
-                self.sum = Accumulator::Dense(window.to_stream());
+            if !contribution.is_sparse() || ranked.len() + contribution.stored_len() > delta {
+                // Leaving the ranked form through slabs: their δ-switch
+                // below builds the dense sum a slab sum would have.
+                self.sum = Accumulator::Dense(ranked.to_stream());
             }
         }
         match &mut self.sum {
-            Accumulator::Window(window) => Ok(SumStats {
-                elements_processed: window.add(contribution)?,
+            Accumulator::Ranked(ranked) => Ok(SumStats {
+                elements_processed: ranked.add(contribution)?,
                 result_dense: false,
                 switched_to_dense: false,
             }),
@@ -102,7 +109,7 @@ impl ModelState {
     /// The raw sum as a stream.
     fn total(&self) -> SparseStream<f32> {
         match &self.sum {
-            Accumulator::Window(window) => window.to_stream(),
+            Accumulator::Ranked(ranked) => ranked.to_stream(),
             Accumulator::Dense(sum) => sum.clone(),
         }
     }
@@ -111,7 +118,7 @@ impl ModelState {
     /// while sparse, non-zero values once dense.
     pub fn nnz(&self) -> usize {
         match &self.sum {
-            Accumulator::Window(window) => window.len(),
+            Accumulator::Ranked(ranked) => ranked.len(),
             Accumulator::Dense(sum) => sum.nnz(),
         }
     }
@@ -130,7 +137,7 @@ impl ModelState {
     /// encoded straight from its accumulator, without a copy.
     pub fn encode_append(&self, out: &mut Vec<u8>) {
         match (self.spec.mode, &self.sum) {
-            (AggregationMode::Sum, Accumulator::Window(window)) => window.encode_append(out),
+            (AggregationMode::Sum, Accumulator::Ranked(ranked)) => ranked.encode_append(out),
             (AggregationMode::Sum, Accumulator::Dense(sum)) => sum.encode_append(out),
             (AggregationMode::Average, _) => self.render().encode_append(out),
         }
@@ -216,8 +223,8 @@ pub(crate) struct Gauges {
     pub sessions_disconnected: AtomicU64,
     pub applied_contributions: AtomicU64,
     /// Element operations the applies did ([`ModelState::apply`]'s
-    /// `elements_processed`): a window's scattered entries, a dense sum's
-    /// touched values.
+    /// `elements_processed`): the entries a ranked sum added, a dense
+    /// sum's touched values.
     pub applied_elements: AtomicU64,
     pub shard_syncs: AtomicU64,
 }
@@ -299,7 +306,7 @@ mod tests {
                         }
                         let mut part = SparseStream::from_slabs(dim, indices, values).unwrap();
                         if dense_part && window_steps == 3 && !oracle.is_dense() {
-                            assert!(matches!(state.sum, Accumulator::Window(_)));
+                            assert!(matches!(state.sum, Accumulator::Ranked(_)));
                             part.densify();
                         }
                         state.apply(&part, &policy).unwrap();
@@ -308,7 +315,7 @@ mod tests {
                             None => oracle.add_assign_with(&part, &policy),
                         }
                         .unwrap();
-                        if matches!(state.sum, Accumulator::Window(_)) {
+                        if matches!(state.sum, Accumulator::Ranked(_)) {
                             window_steps += 1;
                         }
                         dense |= oracle.is_dense();

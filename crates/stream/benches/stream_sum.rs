@@ -1,9 +1,9 @@
 //! Criterion: sparse stream summation kernels (§5.1).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use sparcml_stream::{
-    random_sparse, uniform_indices, DensityPolicy, PartRange, SparseStream, SparseVec, WindowSum,
-    XorShift64,
+    random_sparse, uniform_indices, DensityPolicy, PartRange, RankedSum, SparseStream, SparseVec,
+    WindowSum, XorShift64,
 };
 
 fn bench_sum(c: &mut Criterion) {
@@ -87,18 +87,20 @@ fn bench_lopsided(c: &mut Criterion) {
 /// What one owner of a split phase sums: 8 operands holding 10 000
 /// entries in total, each restricted to the same `N/8` partition, summed
 /// as the split phase runs it: a fresh window per iteration, every
-/// operand scattered into it, then drained into fresh slabs.
+/// operand scattered into it, then drained into fresh slabs. Then the
+/// owner's frame of that sum, written from the bitmap (≈ 7.6 % of the
+/// window, an Elias–Fano index of 3 low bits), per entry.
 fn bench_fold_many(c: &mut Criterion) {
     let mut group = c.benchmark_group("fold-many");
-    let dim = 1 << 20;
-    group.bench_with_input(BenchmarkId::new("window_sum", 8), &8, |b, &m| {
-        let range = PartRange {
-            lo: 0,
-            hi: (dim / m) as u32,
-        };
-        let parts: Vec<SparseStream<f32>> = (0..m)
-            .map(|r| random_sparse::<f32>(dim, 10_000, 10 + r as u64).restrict(range.lo, range.hi))
-            .collect();
+    let (dim, m) = (1 << 20, 8);
+    let range = PartRange {
+        lo: 0,
+        hi: (dim / m) as u32,
+    };
+    let parts: Vec<SparseStream<f32>> = (0..m)
+        .map(|r| random_sparse::<f32>(dim, 10_000, 10 + r as u64).restrict(range.lo, range.hi))
+        .collect();
+    group.bench_with_input(BenchmarkId::new("window_sum", m), &m, |b, _| {
         b.iter(|| {
             let mut sum = WindowSum::new(dim, range);
             for part in &parts {
@@ -108,12 +110,121 @@ fn bench_fold_many(c: &mut Criterion) {
             sum.drain_into(&mut indices, &mut values).0
         });
     });
+    let mut sum = WindowSum::new(dim, range);
+    for part in &parts {
+        sum.add(part).unwrap();
+    }
+    group.throughput(Throughput::Elements(sum.len() as u64));
+    let mut frame = Vec::new();
+    group.bench_with_input(BenchmarkId::new("window_encode", m), &m, |b, _| {
+        b.iter(|| {
+            sum.encode_into(&mut frame);
+            frame.len()
+        });
+    });
+    group.finish();
+}
+
+/// The serve daemon's sparse accumulator in the `serve-mixed` shape, a
+/// one-shard sum of 167 432 entries on every 4th index of 2^20, as a
+/// [`RankedSum`] and as a [`WindowSum`]. All present: 8 192-entry
+/// contributions whose indices the sum holds, 16 of them in turn as the
+/// workload's pooled inputs come round, added to one sum. All new: one such
+/// contribution into a fresh copy of the sum without its indices. Then the
+/// sum's STATE frame. Per entry: of the contribution, then of the sum.
+fn bench_serve_sum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve_sum");
+    let (dim, k, pool) = (1 << 20, 8192, 16);
+    let range = PartRange {
+        lo: 0,
+        hi: dim as u32,
+    };
+    let mut rng = XorShift64::new(24);
+    let held: Vec<u32> = uniform_indices(dim / 4, 167_432, &mut rng)
+        .into_iter()
+        .map(|i| 4 * i)
+        .collect();
+    let stream = |keep: &dyn Fn(usize) -> bool| {
+        let pairs: Vec<(u32, f32)> = (0..held.len())
+            .filter(|&at| keep(at))
+            .map(|at| (held[at], 1.0 + at as f32))
+            .collect();
+        SparseStream::from_pairs(dim, &pairs).unwrap()
+    };
+    let parts: Vec<SparseStream<f32>> = (0..pool)
+        .map(|_| {
+            let mut picked = vec![false; held.len()];
+            for at in uniform_indices(held.len(), k, &mut rng) {
+                picked[at as usize] = true;
+            }
+            stream(&|at| picked[at])
+        })
+        .collect();
+    let (all, part) = (stream(&|_| true), &parts[0]);
+    let rest = {
+        let picked = part.sparse_view().unwrap().indices();
+        stream(&|at| picked.binary_search(&held[at]).is_err())
+    };
+    let windows = [&all, &rest].map(|base| {
+        let mut sum = WindowSum::new(dim, range);
+        sum.add(base).unwrap();
+        sum
+    });
+    let ranked = [&all, &rest].map(|base| {
+        let mut sum = RankedSum::new(dim, range);
+        sum.add(base).unwrap();
+        sum
+    });
+    group.throughput(Throughput::Elements(k as u64));
+    let (mut window, mut turn) = (windows[0].clone(), parts.iter().cycle());
+    group.bench_function("window/all-present", |b| {
+        b.iter(|| window.add(turn.next().unwrap()).unwrap())
+    });
+    let mut sum = ranked[0].clone();
+    group.bench_function("ranked/all-present", |b| {
+        b.iter(|| sum.add(turn.next().unwrap()).unwrap())
+    });
+    group.bench_function("window/all-new", |b| {
+        b.iter_batched(
+            || windows[1].clone(),
+            |mut sum| {
+                sum.add(part).unwrap();
+                sum
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("ranked/all-new", |b| {
+        b.iter_batched(
+            || ranked[1].clone(),
+            |mut sum| {
+                sum.add(part).unwrap();
+                sum
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.throughput(Throughput::Elements(all.nnz() as u64));
+    let mut frame = Vec::new();
+    group.bench_function("window/state-encode", |b| {
+        b.iter(|| {
+            windows[0].encode_into(&mut frame);
+            frame.len()
+        })
+    });
+    group.bench_function("ranked/state-encode", |b| {
+        b.iter(|| {
+            frame.clear();
+            ranked[0].encode_append(&mut frame);
+            frame.len()
+        })
+    });
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sum, bench_lopsided, bench_fold_many
+    targets = bench_sum, bench_lopsided, bench_fold_many, bench_serve_sum
 }
 criterion_main!(benches);

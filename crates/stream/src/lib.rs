@@ -15,8 +15,11 @@
 //!   into dense accumulators — slice loops the compiler can vectorize.
 //! * **Split-phase sums** ([`WindowSum`]) scatter the sub-ranges of one
 //!   partition once into a dense window with an occupancy bitmap, and
-//!   write the sum as a wire frame straight from the bitmap. The serve
-//!   accumulator keeps its sum this way up to δ.
+//!   write the sum as a wire frame straight from the bitmap.
+//! * **Running sums** ([`RankedSum`]) keep the same bitmap, a rank
+//!   directory over it and only the occupied slots' values, packed in
+//!   index order: a part on the sum's support adds in place at its ranks.
+//!   The serve accumulator keeps its sum this way up to δ.
 //! * **Splitting** ([`SparseView::range`]) is two binary searches plus
 //!   two slice borrows; the split collectives encode a partition straight
 //!   from a borrowed view ([`SparseStream::encode_sparse_slice_into`])
@@ -55,6 +58,7 @@ mod error;
 mod fuse;
 mod gen;
 mod partition;
+mod ranked;
 mod scalar;
 mod soa;
 mod stream;
@@ -67,6 +71,7 @@ pub use error::StreamError;
 pub use fuse::{fuse_streams, split_fused, FusedLayout};
 pub use gen::{clustered_sparse, random_sparse, uniform_indices, XorShift64};
 pub use partition::{owner_of, partition_range, PartRange};
+pub use ranked::RankedSum;
 pub use scalar::Scalar;
 pub use soa::{SparseVec, SparseView};
 pub use stream::{Repr, SparseStream};

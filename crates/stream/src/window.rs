@@ -19,9 +19,9 @@
 //! an entry lands in first takes its value as it is, as a merge copies an
 //! entry only one side holds.
 //!
-//! The serve daemon keeps a shard's running sum in a window too, up to δ:
-//! a contribution then costs its own entries, not a merge into a copy of
-//! the whole sum.
+//! A running sum that is added to many times, mostly on its own support,
+//! keeps its values packed instead: see [`crate::RankedSum`], which shares
+//! this module's bitmap, its checks and its index writer.
 
 use crate::error::StreamError;
 use crate::partition::PartRange;
@@ -30,11 +30,11 @@ use crate::soa::SparseVec;
 use crate::stream::{Repr, SparseStream};
 use crate::wire::{
     begin_sparse_frame, gap_slab_len, pick_index, put_ef_index, write_ef_bits, write_gap_slab,
-    BEFORE_FIRST, EF_BLOCK,
+    BEFORE_FIRST, EF_BLOCK, SPARSE_HEADER_LEN,
 };
 
 /// Slots per occupancy word, and occupancy words per summary word.
-const WORD_BITS: usize = u64::BITS as usize;
+pub(crate) const WORD_BITS: usize = u64::BITS as usize;
 
 /// The sum of streams supported inside one index window `[lo, hi)` of a
 /// `dim`-dimensional space, kept as a dense value window plus an occupancy
@@ -66,13 +66,13 @@ impl<V: Scalar> WindowSum<V> {
     /// If `range` does not lie inside `[0, dim)`.
     pub fn new(dim: usize, range: PartRange) -> Self {
         assert_inside(dim, range);
-        let words = range.len().div_ceil(WORD_BITS);
+        let (occupied, summary) = empty_bitmap(range);
         WindowSum {
             dim,
             range,
             values: vec![V::zero(); range.len()],
-            occupied: vec![0; words],
-            summary: vec![0; words.div_ceil(WORD_BITS)],
+            occupied,
+            summary,
             len: 0,
         }
     }
@@ -104,16 +104,13 @@ impl<V: Scalar> WindowSum<V> {
             ..
         } = self;
         scatter_checked(part, dim, range, |at, v| {
-            let (word, bit) = (at / WORD_BITS, 1u64 << (at % WORD_BITS));
-            let fresh = occupied[word] & bit == 0;
+            let fresh = set_bit(occupied, summary, at);
             // A fresh slot takes `v` itself, as a merge copies an entry
             // only one side holds (`0 + -0` would be `+0`); an occupied
             // one sums in arrival order. Which one lands is an index, not
             // a branch.
             values[at] = [values[at].add(v), v][usize::from(fresh)];
             *len += usize::from(fresh);
-            occupied[word] |= bit;
-            summary[word / WORD_BITS] |= 1 << (word % WORD_BITS);
         })
     }
 
@@ -147,98 +144,43 @@ impl<V: Scalar> WindowSum<V> {
     }
 
     /// [`WindowSum::encode_into`] appended to whatever `out` holds, so the
-    /// frame can follow a header of the caller's in one buffer.
+    /// frame can follow a header of the caller's in one buffer. One walk
+    /// over the bitmap writes the index and places the values it names.
     pub fn encode_append(&self, out: &mut Vec<u8>) {
         let frame = begin_sparse_frame::<V>(self.dim, self.len, out);
-        let mut values = [V::zero(); WORD_BITS];
-        for word in set_bits(&self.summary) {
-            let mut n = 0;
-            for at in set_bits_of(word, self.occupied[word]) {
-                values[n] = self.values[at];
-                n += 1;
+        out.resize(out.len() + self.len * V::BYTES, 0);
+        let (lo, mut bytes) = (self.range.lo, Vec::with_capacity(EF_BLOCK * V::BYTES));
+        let mut place = |values: &mut [u8], done: usize, block: &[u32]| {
+            let mut gathered = [V::zero(); EF_BLOCK];
+            for (v, &idx) in gathered.iter_mut().zip(block) {
+                *v = self.values[(idx - lo) as usize];
             }
-            V::write_slab_le(&values[..n], out);
-        }
-        let Some((first, last)) = self.ends() else {
-            return;
+            bytes.clear();
+            V::write_slab_le(&gathered[..block.len()], &mut bytes);
+            values[done * V::BYTES..][..bytes.len()].copy_from_slice(&bytes);
         };
-        let support = (self.len, first, last);
-        match pick_index(self.len, first, last, || gap_slab_len(self.indices())) {
-            (Some(0), _) => {
-                let start = (first - self.range.lo) as usize;
-                let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
-                put_ef_index(out, frame, support, 0, |(_, words)| {
-                    for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
-                        let next = self
-                            .occupied
-                            .get(at + 1)
-                            .and_then(|w| w.checked_shl((WORD_BITS - shift) as u32));
-                        let bits = self.occupied[at] >> shift | next.unwrap_or(0);
-                        bytes.copy_from_slice(&bits.to_le_bytes());
-                    }
-                });
-                return;
-            }
-            (Some(l), _) => {
-                put_ef_index(out, frame, support, l, |bits| {
-                    write_ef_bits(bits, first, l, |put| {
-                        let (mut block, mut n) = ([0; EF_BLOCK], 0);
-                        for idx in self.indices() {
-                            (block[n], n) = (idx, n + 1);
-                            if n == EF_BLOCK {
-                                put(&block);
-                                n = 0;
-                            }
-                        }
-                        put(&block[..n]);
-                    })
-                });
-                return;
-            }
-            (None, _) => {}
-        }
-        let (mut prev, mut indices) = (BEFORE_FIRST, [0u32; WORD_BITS]);
-        for word in set_bits(&self.summary) {
-            let mut n = 0;
-            for at in set_bits_of(word, self.occupied[word]) {
-                indices[n] = self.range.lo + at as u32;
-                n += 1;
-            }
-            prev = write_gap_slab(prev, &indices[..n], out);
-        }
+        self.bitmap()
+            .append_index(out, frame, self.len, Some(&mut place));
     }
 
     /// The sum as a sparse stream, the window left as it is: what
     /// [`WindowSum::drain_into`] would give, for a reader that keeps
     /// adding afterwards.
     pub fn to_stream(&self) -> SparseStream<V> {
-        let indices: Vec<u32> = self.indices().collect();
+        let indices = self.bitmap().indices(self.len);
         let values = indices
             .iter()
             .map(|&i| self.values[(i - self.range.lo) as usize])
             .collect();
-        let mut stream = SparseStream::zeros(self.dim);
-        // The bitmap walk yields increasing indices inside the window.
-        stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
-        debug_assert!(stream.check_invariants().is_ok());
-        stream
+        sparse_stream(self.dim, indices, values)
     }
 
-    /// The indices in the sum, in increasing order.
-    fn indices(&self) -> impl Iterator<Item = u32> + '_ {
-        set_bits(&self.summary).flat_map(|word| {
-            set_bits_of(word, self.occupied[word]).map(|at| self.range.lo + at as u32)
-        })
-    }
-
-    /// The smallest and the largest index in the sum, if it has any.
-    fn ends(&self) -> Option<(u32, u32)> {
-        let first = set_bits(&self.summary).next()?;
-        let first = set_bits_of(first, self.occupied[first]).next()?;
-        let top = self.summary.iter().rposition(|&bits| bits != 0)?;
-        let last = top_bit(top, self.summary[top]);
-        let last = top_bit(last, self.occupied[last]);
-        Some((self.range.lo + first as u32, self.range.lo + last as u32))
+    fn bitmap(&self) -> Bitmap<'_> {
+        Bitmap {
+            occupied: &self.occupied,
+            summary: &self.summary,
+            lo: self.range.lo,
+        }
     }
 
     /// Moves the sum into `indices` and `values` in increasing index order
@@ -272,7 +214,7 @@ impl<V: Scalar> WindowSum<V> {
 }
 
 /// Panics unless `range` lies inside `[0, dim)`.
-fn assert_inside(dim: usize, range: PartRange) {
+pub(crate) fn assert_inside(dim: usize, range: PartRange) {
     assert!(
         range.lo <= range.hi && range.hi as usize <= dim,
         "window [{}, {}) outside a {dim}-dim space",
@@ -281,11 +223,174 @@ fn assert_inside(dim: usize, range: PartRange) {
     );
 }
 
+/// The zeroed occupancy words and summary words of a window over `range`.
+pub(crate) fn empty_bitmap(range: PartRange) -> (Vec<u64>, Vec<u64>) {
+    let words = range.len().div_ceil(WORD_BITS);
+    (vec![0; words], vec![0; words.div_ceil(WORD_BITS)])
+}
+
+/// Marks slot `at` occupied and returns whether it was free.
+#[inline]
+pub(crate) fn set_bit(occupied: &mut [u64], summary: &mut [u64], at: usize) -> bool {
+    let (word, bit) = (at / WORD_BITS, 1u64 << (at % WORD_BITS));
+    let fresh = occupied[word] & bit == 0;
+    occupied[word] |= bit;
+    summary[word / WORD_BITS] |= 1 << (word % WORD_BITS);
+    fresh
+}
+
+/// A stream of `dim` dimensions from slabs the bitmap walk produced: the
+/// indices strictly increase inside the window.
+pub(crate) fn sparse_stream<V: Scalar>(
+    dim: usize,
+    indices: Vec<u32>,
+    values: Vec<V>,
+) -> SparseStream<V> {
+    let mut stream = SparseStream::zeros(dim);
+    stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
+    debug_assert!(stream.check_invariants().is_ok());
+    stream
+}
+
+/// A writer of a frame's values, one block of indices at a time: handed
+/// the frame's value bytes, the entries before the block and the block.
+pub(crate) type Place<'a> = dyn FnMut(&mut [u8], usize, &[u32]) + 'a;
+
+/// The occupancy bitmap of a window whose first slot is index `lo`, and
+/// its summary words: the support of [`WindowSum`] and of
+/// [`crate::RankedSum`], and the one writer of their frames' index.
+#[derive(Clone, Copy)]
+pub(crate) struct Bitmap<'a> {
+    pub(crate) occupied: &'a [u64],
+    pub(crate) summary: &'a [u64],
+    pub(crate) lo: u32,
+}
+
+impl Bitmap<'_> {
+    /// Hands the occupied indices to `put` in increasing order, in blocks
+    /// of [`EF_BLOCK`] but the last, which is shorter and not empty.
+    pub(crate) fn blocks(self, mut put: impl FnMut(&[u32])) {
+        // A word's bits are taken sixteen at a time, a fixed run of
+        // extractions whose loop exit a stable density predicts, so a block
+        // has room for a whole word past its end and fifteen spare slots.
+        let (mut block, mut n) = ([0u32; EF_BLOCK + WORD_BITS + 15], 0);
+        for (group, &touched) in self.summary.iter().enumerate() {
+            let mut touched = touched;
+            while touched != 0 {
+                let word = group * WORD_BITS + touched.trailing_zeros() as usize;
+                touched &= touched - 1;
+                let (mut bits, base) = (self.occupied[word], self.lo + (word * WORD_BITS) as u32);
+                let count = bits.count_ones() as usize;
+                for run in block[n..n + count.next_multiple_of(16)].chunks_exact_mut(16) {
+                    for slot in run {
+                        *slot = base.wrapping_add(bits.trailing_zeros());
+                        bits &= bits.wrapping_sub(1);
+                    }
+                }
+                n += count;
+                if n >= EF_BLOCK {
+                    put(&block[..EF_BLOCK]);
+                    block.copy_within(EF_BLOCK..n, 0);
+                    n -= EF_BLOCK;
+                }
+            }
+        }
+        if n > 0 {
+            put(&block[..n]);
+        }
+    }
+
+    /// The `n` occupied indices, in increasing order.
+    pub(crate) fn indices(self, n: usize) -> Vec<u32> {
+        let mut indices = Vec::with_capacity(n);
+        self.blocks(|block| indices.extend_from_slice(block));
+        indices
+    }
+
+    /// The smallest and the largest occupied index, if any slot is.
+    fn ends(self) -> Option<(u32, u32)> {
+        let first = set_bits(self.summary).next()?;
+        let first = set_bits_of(first, self.occupied[first]).next()?;
+        let top = self.summary.iter().rposition(|&bits| bits != 0)?;
+        let last = top_bit(top, self.summary[top]);
+        let last = top_bit(last, self.occupied[last]);
+        Some((self.lo + first as u32, self.lo + last as u32))
+    }
+
+    /// Appends the index of the `n` occupied slots to the sparse frame
+    /// that starts at `out[frame]`, its header and its value bytes (or room
+    /// for them) written: byte for byte what [`SparseStream::encode`]
+    /// writes. Where `place` is given, the walk that writes the index hands
+    /// it the frame's value bytes, the entries before each block and the
+    /// block. Where an Elias–Fano index of no low bits wins, its bits are
+    /// the occupancy words shifted to the first entry.
+    pub(crate) fn append_index(
+        self,
+        out: &mut Vec<u8>,
+        frame: usize,
+        n: usize,
+        mut place: Option<&mut Place<'_>>,
+    ) {
+        let Some((first, last)) = self.ends() else {
+            return;
+        };
+        let (values, placing, mut done) = (frame + SPARSE_HEADER_LEN, place.is_some(), 0);
+        let mut walk = |ahead: &mut [u8], block: &[u32]| {
+            if let Some(place) = place.as_deref_mut() {
+                place(&mut ahead[values..], done, block);
+            }
+            done += block.len();
+        };
+        let gap_slab = || {
+            let (mut len, mut prev) = (0, BEFORE_FIRST);
+            self.blocks(|block| {
+                len += gap_slab_len(prev, block.iter().copied());
+                prev = block[block.len() - 1];
+            });
+            len
+        };
+        match pick_index(n, first, last, gap_slab) {
+            (Some(0), _) => {
+                if placing {
+                    self.blocks(|block| walk(out, block));
+                }
+                let start = (first - self.lo) as usize;
+                let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
+                put_ef_index(out, frame, (n, first, last), 0, |_, (_, words)| {
+                    for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
+                        let next = self
+                            .occupied
+                            .get(at + 1)
+                            .and_then(|w| w.checked_shl((WORD_BITS - shift) as u32));
+                        let bits = self.occupied[at] >> shift | next.unwrap_or(0);
+                        bytes.copy_from_slice(&bits.to_le_bytes());
+                    }
+                });
+            }
+            (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |ahead, bits| {
+                write_ef_bits(bits, first, l, |put| {
+                    self.blocks(|block| {
+                        put(block);
+                        walk(ahead, block);
+                    })
+                })
+            }),
+            (None, _) => {
+                let mut prev = BEFORE_FIRST;
+                self.blocks(|block| {
+                    walk(out, block);
+                    prev = write_gap_slab(prev, block, out);
+                });
+            }
+        }
+    }
+}
+
 /// The one split-phase scatter loop: checks `part` against the window
 /// `range` of a `dim`-dimensional space (see [`WindowSum::add`]), then
 /// hands every entry inside it to `put` as (offset in the window, value).
 /// Returns the entries handed over.
-fn scatter_checked<V: Scalar>(
+pub(crate) fn scatter_checked<V: Scalar>(
     part: &SparseStream<V>,
     dim: usize,
     range: PartRange,

@@ -83,7 +83,7 @@ const TAG_DENSE: u8 = 1;
 const TAG_ELIAS_FANO: u8 = 2;
 
 const HEADER_LEN: usize = 12;
-const SPARSE_HEADER_LEN: usize = 20;
+pub(crate) const SPARSE_HEADER_LEN: usize = 20;
 
 /// Bytes of a frame's header: a dense frame's, or a sparse frame's with
 /// its stored count — what a frame costs on top of its entries.
@@ -333,10 +333,11 @@ pub(crate) fn gap_slab_len_of(indices: &[u32]) -> usize {
     len
 }
 
-/// Exact length of the gap slab of a strictly increasing index slab,
-/// taken one index at a time (for indices that are not in one slice).
-pub(crate) fn gap_slab_len(indices: impl IntoIterator<Item = u32>) -> usize {
-    let mut prev = BEFORE_FIRST;
+/// Exact length of the gap slab of strictly increasing indices that
+/// follow `prev` ([`BEFORE_FIRST`] for a frame's first entry), taken one
+/// index at a time (for indices that are not in one slice).
+pub(crate) fn gap_slab_len(prev: u32, indices: impl IntoIterator<Item = u32>) -> usize {
+    let mut prev = prev;
     indices
         .into_iter()
         .map(|idx| gap_len(gap_after(std::mem::replace(&mut prev, idx), idx)))
@@ -396,13 +397,15 @@ pub(crate) fn pick_index(
 /// one with the Elias–Fano index of `n` indices from `first` to `last`, `l`
 /// low bits each. `fill` writes into zeroed low bits with 8 bytes to spare
 /// and whole little-endian upper words (bit `p` is bit `p % 64` of word
-/// `p / 64`), whose bytes up to the last one then move down.
+/// `p / 64`), whose bytes up to the last one then move down; it is handed
+/// the bytes ahead of the index too, for a caller that places the values
+/// in the same pass.
 pub(crate) fn put_ef_index(
     out: &mut Vec<u8>,
     frame: usize,
     (n, first, last): (usize, u32, u32),
     l: u32,
-    fill: impl FnOnce((&mut [u8], &mut [u8])),
+    fill: impl FnOnce(&mut [u8], (&mut [u8], &mut [u8])),
 ) {
     let (low, upper) = ef_parts(n, ef_top(n, first, last), l);
     // Exactly: a pooled buffer keeps what it grew to.
@@ -412,7 +415,8 @@ pub(crate) fn put_ef_index(
     out.extend_from_slice(&first.to_le_bytes());
     let at = out.len();
     out.resize(at + low + 8 + 8 * upper.div_ceil(8), 0);
-    fill(out[at..].split_at_mut(low + 8));
+    let (ahead, index) = out.split_at_mut(at);
+    fill(ahead, index.split_at_mut(low + 8));
     out.copy_within(at + low + 8..at + low + 8 + upper, at + low);
     out.truncate(at + low + upper);
 }
@@ -525,7 +529,7 @@ fn write_index(indices: &[u32], frame: usize, out: &mut Vec<u8>) {
     };
     let n = indices.len();
     match pick_index(n, first, last, || gap_slab_len_of(indices)) {
-        (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |bits| {
+        (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |_, bits| {
             write_ef_bits(bits, first, l, |put| indices.chunks(EF_BLOCK).for_each(put))
         }),
         (None, _) => {
@@ -739,6 +743,13 @@ impl<V: Scalar> SparseStream<V> {
     /// invariant), or the frame will not decode to them.
     pub fn encode_sparse_slice_into(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
         out.clear();
+        Self::encode_sparse_slice_append(dim, view, out);
+    }
+
+    /// [`SparseStream::encode_sparse_slice_into`] appended to whatever
+    /// `out` holds, so the frame can follow a header of the caller's in
+    /// one buffer.
+    pub fn encode_sparse_slice_append(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
         append_sparse(dim, view, out);
     }
 
@@ -1508,7 +1519,10 @@ mod tests {
         let check = |v: &SparseStream<f32>| {
             let bytes = round_trip(v);
             let indices = v.sparse_view().unwrap().indices();
-            let (n, gaps) = (indices.len(), gap_slab_len(indices.iter().copied()));
+            let (n, gaps) = (
+                indices.len(),
+                gap_slab_len(BEFORE_FIRST, indices.iter().copied()),
+            );
             let top = ef_top(n, indices[0], indices[n - 1]);
             let (low, upper) = ef_parts(n, top, ef_low_bits(n, top));
             let ef = EF_HEAD_LEN + low + upper;
@@ -1665,7 +1679,7 @@ mod tests {
             let head = &slab[..slab.len().min(8)];
             assert_eq!(gap_slab_len_of(slab), written.len(), "{head:?}…");
             assert_eq!(
-                gap_slab_len(slab.iter().copied()),
+                gap_slab_len(BEFORE_FIRST, slab.iter().copied()),
                 written.len(),
                 "{head:?}…"
             );
