@@ -236,8 +236,7 @@ impl Frame {
                 seq,
                 payload,
             } => {
-                out.extend_from_slice(&model.to_le_bytes());
-                out.extend_from_slice(&seq.to_le_bytes());
+                put_contribute_head(out, *model, *seq);
                 out.extend_from_slice(payload);
             }
             Frame::Fetch { model } | Frame::Subscribe { model } => {
@@ -332,8 +331,7 @@ impl Frame {
         payload: impl FnOnce(&mut Vec<u8>),
     ) {
         begin_frame(out, KIND_CONTRIBUTE);
-        out.extend_from_slice(&model.to_le_bytes());
-        out.extend_from_slice(&seq.to_le_bytes());
+        put_contribute_head(out, model, seq);
         payload(out);
         end_frame(out);
     }
@@ -448,8 +446,9 @@ impl Frame {
 /// truncated), the whole payload for the other kinds.
 fn stream_head_len(kind: u8, len: usize) -> usize {
     let head = match kind {
-        KIND_CONTRIBUTE | KIND_UPDATE => 10,
-        KIND_STATE => 18,
+        KIND_CONTRIBUTE => CONTRIBUTE_HEAD_LEN,
+        KIND_STATE => STATE_HEAD_LEN,
+        KIND_UPDATE => UPDATE_HEAD_LEN,
         _ => len,
     };
     head.min(len)
@@ -469,16 +468,35 @@ fn end_frame(out: &mut [u8]) {
     out[..4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The fields of a STATE payload ahead of its stream frame.
+/// Bytes of the fields ahead of the stream frame a payload carries: a
+/// CONTRIBUTE's model and sequence number, an UPDATE's model and
+/// generation, and a STATE's model, generation and contribution count.
+const CONTRIBUTE_HEAD_LEN: usize = 2 + 8;
+const UPDATE_HEAD_LEN: usize = 2 + 8;
+const STATE_HEAD_LEN: usize = UPDATE_HEAD_LEN + 8;
+
+/// The fields of a CONTRIBUTE payload ahead of its stream frame, written
+/// behind the frame header.
+fn put_contribute_head(out: &mut Vec<u8>, model: u16, seq: u64) {
+    out.extend_from_slice(&model.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    debug_assert_eq!(out.len(), FRAME_HEADER_LEN + CONTRIBUTE_HEAD_LEN);
+}
+
+/// The fields of a STATE payload ahead of its stream frame, written
+/// behind the frame header.
 fn put_state_head(out: &mut Vec<u8>, model: u16, generation: u64, contributions: u64) {
     put_update_head(out, model, generation);
     out.extend_from_slice(&contributions.to_le_bytes());
+    debug_assert_eq!(out.len(), FRAME_HEADER_LEN + STATE_HEAD_LEN);
 }
 
-/// The fields of an UPDATE payload ahead of its stream frame.
+/// The fields of an UPDATE payload ahead of its stream frame, written
+/// behind the frame header.
 fn put_update_head(out: &mut Vec<u8>, model: u16, generation: u64) {
     out.extend_from_slice(&model.to_le_bytes());
     out.extend_from_slice(&generation.to_le_bytes());
+    debug_assert_eq!(out.len(), FRAME_HEADER_LEN + UPDATE_HEAD_LEN);
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {

@@ -2,8 +2,8 @@
 //! registry, and the gauge counters the health endpoint reports.
 //!
 //! A model's running sum is a [`RankedSum`] up to δ — its values packed
-//! in index order and found by rank, so it holds 4 B per entry rather
-//! than per index of the shard's range — and dense past δ (see
+//! in index order and found by rank, so a sparsely filled range costs
+//! 4 B per entry rather than per index — and dense past δ (see
 //! [`ModelState`]). Either form writes the STATE and UPDATE frames the
 //! sorted-slab sum would, byte for byte.
 
@@ -23,13 +23,13 @@ use crate::config::{AggregationMode, ModelSpec};
 ///
 /// The sum takes the form its STATE frame has on the wire. Up to δ it is
 /// a [`RankedSum`] over the range: the occupancy bitmap the frame's index
-/// is written from, a rank directory over it, and the values packed in
-/// index order, which are the frame's value slab as they stand. A
-/// contribution on the sum's support adds in place at its ranks, and one
-/// with new indices merges into the values once, from the back — never
-/// into a copy of the whole sum. Past δ it is dense. Both forms hold the
-/// values a sorted-slab sum would, to the bit, so every frame is the one
-/// the slabs would encode.
+/// is written from, a rank directory over it, and the values in blocks of
+/// the range, packed in index order while a block is at most a quarter
+/// full and one per slot past that. A contribution on the sum's support
+/// adds in place, and one with new indices merges into each block it
+/// grows — never into a copy of the whole sum. Past δ it is dense. Both
+/// forms hold the values a sorted-slab sum would, to the bit, so every
+/// frame is the one the slabs would encode.
 pub(crate) struct ModelState {
     /// The declared spec (full logical dimension, not the shard slice).
     pub spec: ModelSpec,
@@ -45,7 +45,7 @@ pub(crate) struct ModelState {
 
 /// The forms of a running sum (see [`ModelState`]).
 enum Accumulator {
-    /// The occupied slots of the range, packed by rank, up to δ.
+    /// The occupied slots of the range, found by rank, up to δ.
     Ranked(RankedSum<f32>),
     /// Dense values past δ.
     Dense(SparseStream<f32>),

@@ -129,9 +129,12 @@ fn bench_fold_many(c: &mut Criterion) {
 /// one-shard sum of 167 432 entries on every 4th index of 2^20, as a
 /// [`RankedSum`] and as a [`WindowSum`]. All present: 8 192-entry
 /// contributions whose indices the sum holds, 16 of them in turn as the
-/// workload's pooled inputs come round, added to one sum. All new: one such
-/// contribution into a fresh copy of the sum without its indices. Then the
-/// sum's STATE frame. Per entry: of the contribution, then of the sum.
+/// workload's pooled inputs come round, added to one sum. Then one such
+/// contribution into a fresh copy of the sum that lacks all its indices,
+/// every 128th of them (0.8 % new), and a one-entry contribution at the
+/// sum's lowest index into a copy that lacks it: a ranked sum pays for the
+/// blocks it grows, never for the whole sum. Then the sum's STATE frame.
+/// Per entry: of the contribution, then of the sum.
 fn bench_serve_sum(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_sum");
     let (dim, k, pool) = (1 << 20, 8192, 16);
@@ -161,16 +164,19 @@ fn bench_serve_sum(c: &mut Criterion) {
         })
         .collect();
     let (all, part) = (stream(&|_| true), &parts[0]);
-    let rest = {
-        let picked = part.sparse_view().unwrap().indices();
-        stream(&|at| picked.binary_search(&held[at]).is_err())
+    let picked = part.sparse_view().unwrap().indices();
+    let lacking = |step: usize| {
+        let gone: Vec<u32> = picked.iter().step_by(step).copied().collect();
+        stream(&|at| gone.binary_search(&held[at]).is_err())
     };
-    let windows = [&all, &rest].map(|base| {
+    let first = SparseStream::from_pairs(dim, &[(held[0], 1.0)]).unwrap();
+    let bases = [all.clone(), lacking(1), lacking(128), stream(&|at| at > 0)];
+    let windows = bases.each_ref().map(|base| {
         let mut sum = WindowSum::new(dim, range);
         sum.add(base).unwrap();
         sum
     });
-    let ranked = [&all, &rest].map(|base| {
+    let ranked = bases.each_ref().map(|base| {
         let mut sum = RankedSum::new(dim, range);
         sum.add(base).unwrap();
         sum
@@ -184,26 +190,33 @@ fn bench_serve_sum(c: &mut Criterion) {
     group.bench_function("ranked/all-present", |b| {
         b.iter(|| sum.add(turn.next().unwrap()).unwrap())
     });
-    group.bench_function("window/all-new", |b| {
-        b.iter_batched(
-            || windows[1].clone(),
-            |mut sum| {
-                sum.add(part).unwrap();
-                sum
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("ranked/all-new", |b| {
-        b.iter_batched(
-            || ranked[1].clone(),
-            |mut sum| {
-                sum.add(part).unwrap();
-                sum
-            },
-            BatchSize::LargeInput,
-        )
-    });
+    for (name, base, added) in [
+        ("all-new", 1, part),
+        ("0.8%-new", 2, part),
+        ("one-new", 3, &first),
+    ] {
+        group.throughput(Throughput::Elements(added.nnz() as u64));
+        group.bench_function(format!("window/{name}"), |b| {
+            b.iter_batched(
+                || windows[base].clone(),
+                |mut sum| {
+                    sum.add(added).unwrap();
+                    sum
+                },
+                BatchSize::LargeInput,
+            )
+        });
+        group.bench_function(format!("ranked/{name}"), |b| {
+            b.iter_batched(
+                || ranked[base].clone(),
+                |mut sum| {
+                    sum.add(added).unwrap();
+                    sum
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
     group.throughput(Throughput::Elements(all.nnz() as u64));
     let mut frame = Vec::new();
     group.bench_function("window/state-encode", |b| {

@@ -14,25 +14,45 @@
 //! lower bits (Vigna, "Broadword implementation of rank/select queries",
 //! WEA 2008).
 //!
-//! A part whose indices are all occupied adds in place at their ranks. A
-//! part with new indices is merged into the values once, from the back:
-//! the values grow once, the held runs move right past the new entries,
-//! and the directory is refreshed from the first word that changed. The
-//! sums are [`crate::WindowSum`]'s to the bit, and so is the wire frame,
-//! whose value slab is the packed values as they are.
+//! The values are kept in blocks of [`BLOCK_SLOTS`] slots, each in a
+//! buffer of its own, and the directory counts from the block's start. A
+//! part whose indices are all occupied adds in place at their ranks. A
+//! part with new indices is merged into each block it brings one to, once,
+//! from the back: the block's values grow once, its held runs move right
+//! past the new entries, and its directory is refreshed from the first
+//! word that changed. So a part costs its own entries plus the blocks it
+//! grows, never a pass over the whole sum. A block past [`PACKED_MAX`]
+//! entries keeps a value for each of its slots instead, as a window does,
+//! and an entry new to it is one store. The sums are
+//! [`crate::WindowSum`]'s to the bit, and so is the wire frame, whose
+//! value slab is the blocks' entries, one block after the other.
+
+use std::ops::Range;
 
 use crate::error::StreamError;
 use crate::partition::PartRange;
 use crate::scalar::Scalar;
 use crate::stream::SparseStream;
 use crate::window::{
-    assert_inside, empty_bitmap, scatter_checked, set_bit, sparse_stream, Bitmap, WORD_BITS,
+    assert_inside, empty_bitmap, scatter_checked, set_bit, set_bits_of, sparse_stream, Bitmap,
+    WORD_BITS,
 };
 use crate::wire::begin_sparse_frame;
 
+/// Slots per block: what an insert moves at most, in values, and
+/// refreshes, in directory entries (one per occupancy word).
+const BLOCK_SLOTS: usize = 1 << 12;
+const BLOCK_WORDS: usize = BLOCK_SLOTS / WORD_BITS;
+
+/// Entries a block packs at most. Past a quarter of its slots a packed
+/// block saves less than three quarters of a slotted one's memory, while
+/// each insert into it moves up to a quarter of a block of values; a
+/// slotted block takes an insert as one store.
+const PACKED_MAX: usize = BLOCK_SLOTS / 4;
+
 /// The sum of streams supported inside one index window `[lo, hi)` of a
 /// `dim`-dimensional space, kept as an occupancy bitmap plus the occupied
-/// slots' values in index order (see the module docs).
+/// slots' values (see the module docs).
 ///
 /// A slot is occupied once any added stream stores an entry there, even a
 /// zero one, so the support is the union of the added supports — what a
@@ -41,14 +61,19 @@ use crate::wire::begin_sparse_frame;
 pub struct RankedSum<V: Scalar> {
     dim: usize,
     range: PartRange,
-    /// The occupied slots' values, in index order.
-    values: Vec<V>,
+    /// Each block's values: its occupied slots' values in index order
+    /// while it holds at most [`PACKED_MAX`] entries, else one value per
+    /// slot (zero where the slot is free).
+    blocks: Vec<Vec<V>>,
+    /// Occupied slots.
+    len: usize,
     /// One bit per slot.
     occupied: Vec<u64>,
     /// One bit per occupancy word: set when the word has any bit set.
     summary: Vec<u64>,
-    /// Occupied slots in the occupancy words before each one.
-    ranks: Vec<u32>,
+    /// Occupied slots of a packed block in its occupancy words before
+    /// each one.
+    ranks: Vec<u16>,
 }
 
 impl<V: Scalar> RankedSum<V> {
@@ -62,7 +87,8 @@ impl<V: Scalar> RankedSum<V> {
         RankedSum {
             dim,
             range,
-            values: Vec::new(),
+            blocks: vec![Vec::new(); range.len().div_ceil(BLOCK_SLOTS)],
+            len: 0,
             ranks: vec![0; occupied.len()],
             occupied,
             summary,
@@ -71,12 +97,12 @@ impl<V: Scalar> RankedSum<V> {
 
     /// Entries in the sum: the occupied slots.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// `true` when no entry has been added.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// Adds `part` into the sum and returns its entries: its stored pairs
@@ -105,81 +131,124 @@ impl<V: Scalar> RankedSum<V> {
     /// Adds `values[i]` at the strictly increasing in-window `indices[i]`.
     fn add_sorted(&mut self, indices: &[u32], values: &[V]) {
         let lo = self.range.lo;
-        let slot = |idx: u32| (idx - lo) as usize;
         // A held slot adds where it stands; its run carries it if it moves.
-        let (mut new, mut first_new) = (0, usize::MAX);
+        // The new slots wait for the held ones.
+        let mut new = Vec::new();
         for (&idx, &v) in indices.iter().zip(values) {
-            let at = slot(idx);
-            if self.held(at) {
-                let r = self.rank(at);
-                self.values[r] = self.values[r].add(v);
+            let at = (idx - lo) as usize;
+            if held(&self.occupied, at) {
+                let block = &mut self.blocks[at / BLOCK_SLOTS];
+                let i = match block.len() > PACKED_MAX {
+                    true => at % BLOCK_SLOTS,
+                    false => rank(&self.occupied, &self.ranks, at),
+                };
+                block[i] = block[i].add(v);
             } else {
-                first_new = first_new.min(at);
-                new += 1;
+                new.push((at, v));
             }
         }
-        if new == 0 {
+        for run in new.chunk_by(|a, b| a.0 / BLOCK_SLOTS == b.0 / BLOCK_SLOTS) {
+            self.insert(run);
+        }
+    }
+
+    /// Inserts `(slot, value)` pairs whose slots are free, in increasing
+    /// slot order and all in one block.
+    fn insert(&mut self, run: &[(usize, V)]) {
+        let (first, block) = (run[0].0, run[0].0 / BLOCK_SLOTS);
+        let (start, words) = (block * BLOCK_SLOTS, self.words(block));
+        let sum = &mut self.blocks[block];
+        let (old, new) = (sum.len(), run.len());
+        self.len += new;
+        if old <= PACKED_MAX && old + new > PACKED_MAX {
+            // The block leaves its packed form: each held value goes to its
+            // slot, in the bits' order.
+            let mut slots = vec![V::zero(); (self.range.len() - start).min(BLOCK_SLOTS)];
+            let taken = words.clone().flat_map(|w| set_bits_of(w, self.occupied[w]));
+            for (at, &v) in taken.zip(sum.iter()) {
+                slots[at - start] = v;
+            }
+            *sum = slots;
+        }
+        if sum.len() > PACKED_MAX {
+            // A slotted block takes each pair where it lies, and needs no
+            // ranks.
+            for &(at, v) in run {
+                sum[at - start] = v;
+                set_bit(&mut self.occupied, &mut self.summary, at);
+            }
             return;
         }
-        // New slots merge in from the back, against the bits and ranks as
-        // they were: `shift` new entries lie at or below the current one,
-        // and the values below `top` have not moved yet.
-        let old = self.values.len();
-        self.values.resize(old + new, V::zero());
-        let (mut shift, mut top) = (new, old);
-        for (&idx, &v) in indices.iter().zip(values).rev() {
-            let at = slot(idx);
-            if !self.held(at) {
-                let r = self.rank(at);
-                self.values.copy_within(r..top, r + shift);
-                shift -= 1;
-                self.values[r + shift] = v;
-                top = r;
+        // The block grows as a `Vec` does, by doubling, so one that keeps
+        // growing is not copied every time.
+        sum.resize(old + new, V::zero());
+        // The pairs merge in from the back, against the bits and ranks as
+        // they were: the held values from `r` up to `top` move past the new
+        // ones at or below them, and the ones below `r` have not moved.
+        let mut top = old;
+        for (shift, &(at, v)) in run.iter().enumerate().rev() {
+            let r = rank(&self.occupied, &self.ranks, at);
+            sum.copy_within(r..top, r + shift + 1);
+            sum[r + shift] = v;
+            top = r;
+        }
+        // Then the bits, and the block's ranks past the first new slot's
+        // word.
+        for &(at, _) in run {
+            set_bit(&mut self.occupied, &mut self.summary, at);
+        }
+        let words = first / WORD_BITS..words.end;
+        let mut at = self.ranks[words.start];
+        for (next, bits) in self.ranks[words.start + 1..words.end]
+            .iter_mut()
+            .zip(&self.occupied[words])
+        {
+            at += bits.count_ones() as u16;
+            *next = at;
+        }
+    }
+
+    /// Hands the sum's values to `put` in index order: a packed block's
+    /// whole, a slotted one's an occupancy word at a time.
+    fn slabs(&self, mut put: impl FnMut(&[V])) {
+        let mut gathered = [V::zero(); WORD_BITS];
+        for (block, values) in self.blocks.iter().enumerate() {
+            if values.len() <= PACKED_MAX {
+                put(values);
+                continue;
+            }
+            let start = block * BLOCK_SLOTS;
+            for w in self.words(block) {
+                let mut n = 0;
+                for at in set_bits_of(w, self.occupied[w]) {
+                    (gathered[n], n) = (values[at - start], n + 1);
+                }
+                put(&gathered[..n]);
             }
         }
-        // Then the bits, and the ranks past the first new slot's word.
-        for &idx in indices {
-            set_bit(&mut self.occupied, &mut self.summary, slot(idx));
-        }
-        let from = first_new / WORD_BITS;
-        let mut rank = self.ranks[from];
-        for (next, bits) in self.ranks[from + 1..]
-            .iter_mut()
-            .zip(&self.occupied[from..])
-        {
-            rank += bits.count_ones();
-            *next = rank;
-        }
-    }
-
-    /// Whether slot `at` is occupied.
-    #[inline]
-    fn held(&self, at: usize) -> bool {
-        self.occupied[at / WORD_BITS] >> (at % WORD_BITS) & 1 == 1
-    }
-
-    /// Occupied slots before slot `at`: where its value is, or goes.
-    #[inline]
-    fn rank(&self, at: usize) -> usize {
-        let (word, bit) = (at / WORD_BITS, at % WORD_BITS);
-        let below = self.occupied[word] & ((1u64 << bit) - 1);
-        self.ranks[word] as usize + below.count_ones() as usize
     }
 
     /// Appends the sum's sparse wire frame to `out`, so the frame can
-    /// follow a header of the caller's in one buffer: the packed values as
-    /// one slab, then the index written from the bitmap — byte for byte
-    /// what [`SparseStream::encode`] writes for [`RankedSum::to_stream`].
+    /// follow a header of the caller's in one buffer: the blocks' values,
+    /// then the index written from the bitmap — byte for byte what
+    /// [`SparseStream::encode`] writes for [`RankedSum::to_stream`].
     pub fn encode_append(&self, out: &mut Vec<u8>) {
-        let frame = begin_sparse_frame::<V>(self.dim, self.len(), out);
-        V::write_slab_le(&self.values, out);
-        self.bitmap().append_index(out, frame, self.len(), None);
+        let frame = begin_sparse_frame::<V>(self.dim, self.len, out);
+        self.slabs(|values| V::write_slab_le(values, out));
+        self.bitmap().append_index(out, frame, self.len);
     }
 
     /// The sum as a sparse stream.
     pub fn to_stream(&self) -> SparseStream<V> {
-        let indices = self.bitmap().indices(self.len());
-        sparse_stream(self.dim, indices, self.values.clone())
+        let indices = self.bitmap().indices(self.len);
+        let mut values = Vec::with_capacity(self.len);
+        self.slabs(|slab| values.extend_from_slice(slab));
+        sparse_stream(self.dim, indices, values)
+    }
+
+    /// The occupancy words of block `block`.
+    fn words(&self, block: usize) -> Range<usize> {
+        block * BLOCK_WORDS..self.occupied.len().min((block + 1) * BLOCK_WORDS)
     }
 
     fn bitmap(&self) -> Bitmap<'_> {
@@ -189,6 +258,21 @@ impl<V: Scalar> RankedSum<V> {
             lo: self.range.lo,
         }
     }
+}
+
+/// Whether slot `at` is occupied.
+#[inline]
+fn held(occupied: &[u64], at: usize) -> bool {
+    occupied[at / WORD_BITS] >> (at % WORD_BITS) & 1 == 1
+}
+
+/// Occupied slots of its packed block before slot `at`: where the slot's
+/// value is in the block, or goes.
+#[inline]
+fn rank(occupied: &[u64], ranks: &[u16], at: usize) -> usize {
+    let (word, bit) = (at / WORD_BITS, at % WORD_BITS);
+    let below = occupied[word] & ((1u64 << bit) - 1);
+    ranks[word] as usize + below.count_ones() as usize
 }
 
 #[cfg(test)]
@@ -217,8 +301,8 @@ mod tests {
     }
 
     /// The sum's own state, for "left untouched" checks.
-    fn snapshot(sum: &RankedSum<f32>) -> (Vec<u32>, Vec<u64>, Vec<u64>, Vec<u32>) {
-        let values = sum.values.iter().map(|v| v.to_bits()).collect();
+    fn snapshot(sum: &RankedSum<f32>) -> (Vec<u32>, Vec<u64>, Vec<u64>, Vec<u16>) {
+        let values = sum.blocks.concat().iter().map(|v| v.to_bits()).collect();
         (
             values,
             sum.occupied.clone(),
@@ -250,7 +334,8 @@ mod tests {
     fn a_seeded_oracle_sums_as_the_window_and_the_slabs_do() {
         const WHOLE_STEP: usize = 40;
         const DENSE_STEP: usize = 45;
-        let dim = 3000;
+        // Several blocks, and shard windows that do not start at one.
+        let dim = 3 * BLOCK_SLOTS + 700;
         let (never, policy) = (DensityPolicy::never_densify(), DensityPolicy::default());
         let delta = policy.delta::<f32>(dim);
         for (shards, shard) in [(1, 0), (2, 0), (2, 1)] {
@@ -261,7 +346,7 @@ mod tests {
             let (mut slabs, mut served) = (SparseStream::zeros(dim), SparseStream::zeros(dim));
             // The serve daemon's form past δ, and the step it left at.
             let mut dense: Option<(SparseStream<f32>, usize)> = None;
-            let mut kinds = [0; 5];
+            let (mut kinds, mut slotted_early) = ([0; 5], false);
             for step in 0..60 {
                 let mut held = vec![false; dim];
                 for &i in &ranked.bitmap().indices(ranked.len()) {
@@ -303,6 +388,9 @@ mod tests {
                     dense = Some((ranked.to_stream(), step));
                 }
                 let n = ranked.add(&part).unwrap();
+                if step < WHOLE_STEP && ranked.blocks.iter().any(|b| b.len() > PACKED_MAX) {
+                    slotted_early = true;
+                }
                 assert_eq!(window.add(&part).unwrap(), n, "{what}");
                 // A dense part adds its non-zeros.
                 let added = match part.is_sparse() {
@@ -350,6 +438,10 @@ mod tests {
                 }
             }
             assert!(kinds.iter().all(|&k| k > 0), "{shards} shards: {kinds:?}");
+            // Blocks left the packed form both as parts filled them and at
+            // the whole window.
+            assert!(slotted_early, "{shards} shards, shard {shard}");
+            assert!(ranked.blocks.iter().any(|b| b.len() > PACKED_MAX));
             let left = dense.map(|(_, step)| step);
             assert!(
                 left < Some(DENSE_STEP),
@@ -443,8 +535,9 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(full.len(), range.len());
-        let ranks: Vec<u32> = (0..full.ranks.len() as u32).map(|w| 64 * w).collect();
-        assert_eq!(full.ranks, ranks);
+        // The first block is slotted; the packed one past it has ranks.
+        assert_eq!(full.blocks[0].len(), BLOCK_SLOTS);
+        assert_eq!(full.ranks[BLOCK_WORDS..], [0]);
         let sum = full.to_stream();
         assert_eq!(sum.get(range.lo), 1.0);
         assert_eq!(sum.get(range.lo + 1), 2.0);
@@ -453,5 +546,83 @@ mod tests {
         frame.clear();
         full.encode_append(&mut frame);
         assert_eq!(frame, sum.encode().as_ref());
+    }
+
+    /// An entry new to the sum moves only its own block's values and
+    /// rewrites only its own block's directory, however large the sum: a
+    /// part costs its entries plus the blocks it grows.
+    #[test]
+    fn a_new_entry_moves_only_its_own_block() {
+        let dim = 16 * BLOCK_SLOTS;
+        let range = PartRange {
+            lo: 0,
+            hi: dim as u32,
+        };
+        let mut sum = RankedSum::new(dim, range);
+        let mut window = WindowSum::new(dim, range);
+        // An eighth of every block, packed.
+        let base: Vec<(u32, f32)> = (1..dim as u32).step_by(8).map(|i| (i, 0.5)).collect();
+        let base = SparseStream::from_pairs(dim, &base).unwrap();
+        sum.add(&base).unwrap();
+        window.add(&base).unwrap();
+        let mut rng = XorShift64::new(0xB10C);
+        for round in 0..64 {
+            // A new index, unless an earlier round drew it, beside one that
+            // is held.
+            let idx = 8 * rng.next_below(dim as u64 / 8) as u32;
+            let part = SparseStream::from_pairs(dim, &[(idx, 1.0), (idx + 1, 2.0)]).unwrap();
+            let block = idx as usize / BLOCK_SLOTS;
+            let before: Vec<(*const f32, Vec<f32>)> = sum
+                .blocks
+                .iter()
+                .map(|values| (values.as_ptr(), values.clone()))
+                .collect();
+            let ranks = sum.ranks.clone();
+            sum.add(&part).unwrap();
+            window.add(&part).unwrap();
+            for (b, (ptr, values)) in before.iter().enumerate() {
+                if b != block {
+                    assert_eq!(sum.blocks[b].as_ptr(), *ptr, "round {round}, block {b}");
+                    assert_eq!(&sum.blocks[b], values, "round {round}, block {b}");
+                }
+            }
+            let mine = block * BLOCK_WORDS..(block + 1) * BLOCK_WORDS;
+            let untouched = |r: &[u16]| [&r[..mine.start], &r[mine.end..]].concat();
+            assert_eq!(untouched(&sum.ranks), untouched(&ranks), "round {round}");
+            assert_eq!(sum.to_stream(), window.to_stream(), "round {round}");
+            assert!(sum.blocks[block].len() <= PACKED_MAX, "round {round}");
+        }
+    }
+
+    /// A block packs up to [`PACKED_MAX`] entries, and the part that takes
+    /// it past them leaves it slotted, one new entry or several, beside a
+    /// held one.
+    #[test]
+    fn a_block_is_slotted_past_its_packed_bound() {
+        let dim = 2 * BLOCK_SLOTS;
+        let range = PartRange {
+            lo: 0,
+            hi: dim as u32,
+        };
+        for (held, new) in [(PACKED_MAX - 1, 1), (PACKED_MAX, 1), (PACKED_MAX - 1, 2)] {
+            let mut sum = RankedSum::new(dim, range);
+            let mut window = WindowSum::new(dim, range);
+            let base: Vec<(u32, f32)> = (0..held as u32).map(|i| (3 * i, 1.0)).collect();
+            let mut part = vec![(0, 2.0)];
+            part.extend((0..new as u32).map(|i| (3 * i + 1, 4.0)));
+            for pairs in [base, part] {
+                let stream = SparseStream::from_pairs(dim, &pairs).unwrap();
+                sum.add(&stream).unwrap();
+                window.add(&stream).unwrap();
+            }
+            let slotted = held + new > PACKED_MAX;
+            let want = if slotted { BLOCK_SLOTS } else { held + new };
+            assert_eq!(sum.blocks[0].len(), want, "{held} + {new}");
+            assert_eq!(sum.to_stream(), window.to_stream(), "{held} + {new}");
+            let (mut frame, mut window_frame) = (Vec::new(), Vec::new());
+            sum.encode_append(&mut frame);
+            window.encode_into(&mut window_frame);
+            assert_eq!(frame, window_frame, "{held} + {new}");
+        }
     }
 }

@@ -30,7 +30,7 @@ use crate::soa::SparseVec;
 use crate::stream::{Repr, SparseStream};
 use crate::wire::{
     begin_sparse_frame, gap_slab_len, pick_index, put_ef_index, write_ef_bits, write_gap_slab,
-    BEFORE_FIRST, EF_BLOCK, SPARSE_HEADER_LEN,
+    BEFORE_FIRST, EF_BLOCK,
 };
 
 /// Slots per occupancy word, and occupancy words per summary word.
@@ -144,23 +144,18 @@ impl<V: Scalar> WindowSum<V> {
     }
 
     /// [`WindowSum::encode_into`] appended to whatever `out` holds, so the
-    /// frame can follow a header of the caller's in one buffer. One walk
-    /// over the bitmap writes the index and places the values it names.
+    /// frame can follow a header of the caller's in one buffer.
     pub fn encode_append(&self, out: &mut Vec<u8>) {
         let frame = begin_sparse_frame::<V>(self.dim, self.len, out);
-        out.resize(out.len() + self.len * V::BYTES, 0);
-        let (lo, mut bytes) = (self.range.lo, Vec::with_capacity(EF_BLOCK * V::BYTES));
-        let mut place = |values: &mut [u8], done: usize, block: &[u32]| {
-            let mut gathered = [V::zero(); EF_BLOCK];
-            for (v, &idx) in gathered.iter_mut().zip(block) {
-                *v = self.values[(idx - lo) as usize];
+        let bitmap = self.bitmap();
+        let mut values = [V::zero(); EF_BLOCK];
+        bitmap.blocks(|block| {
+            for (v, &idx) in values.iter_mut().zip(block) {
+                *v = self.values[(idx - self.range.lo) as usize];
             }
-            bytes.clear();
-            V::write_slab_le(&gathered[..block.len()], &mut bytes);
-            values[done * V::BYTES..][..bytes.len()].copy_from_slice(&bytes);
-        };
-        self.bitmap()
-            .append_index(out, frame, self.len, Some(&mut place));
+            V::write_slab_le(&values[..block.len()], out);
+        });
+        bitmap.append_index(out, frame, self.len);
     }
 
     /// The sum as a sparse stream, the window left as it is: what
@@ -252,10 +247,6 @@ pub(crate) fn sparse_stream<V: Scalar>(
     stream
 }
 
-/// A writer of a frame's values, one block of indices at a time: handed
-/// the frame's value bytes, the entries before the block and the block.
-pub(crate) type Place<'a> = dyn FnMut(&mut [u8], usize, &[u32]) + 'a;
-
 /// The occupancy bitmap of a window whose first slot is index `lo`, and
 /// its summary words: the support of [`WindowSum`] and of
 /// [`crate::RankedSum`], and the one writer of their frames' index.
@@ -318,28 +309,13 @@ impl Bitmap<'_> {
     }
 
     /// Appends the index of the `n` occupied slots to the sparse frame
-    /// that starts at `out[frame]`, its header and its value bytes (or room
-    /// for them) written: byte for byte what [`SparseStream::encode`]
-    /// writes. Where `place` is given, the walk that writes the index hands
-    /// it the frame's value bytes, the entries before each block and the
-    /// block. Where an Elias–Fano index of no low bits wins, its bits are
-    /// the occupancy words shifted to the first entry.
-    pub(crate) fn append_index(
-        self,
-        out: &mut Vec<u8>,
-        frame: usize,
-        n: usize,
-        mut place: Option<&mut Place<'_>>,
-    ) {
+    /// that starts at `out[frame]`, its header and its values written:
+    /// byte for byte what [`SparseStream::encode`] writes. Where an
+    /// Elias–Fano index of no low bits wins, its bits are the occupancy
+    /// words shifted to the first entry.
+    pub(crate) fn append_index(self, out: &mut Vec<u8>, frame: usize, n: usize) {
         let Some((first, last)) = self.ends() else {
             return;
-        };
-        let (values, placing, mut done) = (frame + SPARSE_HEADER_LEN, place.is_some(), 0);
-        let mut walk = |ahead: &mut [u8], block: &[u32]| {
-            if let Some(place) = place.as_deref_mut() {
-                place(&mut ahead[values..], done, block);
-            }
-            done += block.len();
         };
         let gap_slab = || {
             let (mut len, mut prev) = (0, BEFORE_FIRST);
@@ -351,12 +327,9 @@ impl Bitmap<'_> {
         };
         match pick_index(n, first, last, gap_slab) {
             (Some(0), _) => {
-                if placing {
-                    self.blocks(|block| walk(out, block));
-                }
                 let start = (first - self.lo) as usize;
                 let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
-                put_ef_index(out, frame, (n, first, last), 0, |_, (_, words)| {
+                put_ef_index(out, frame, (n, first, last), 0, |(_, words)| {
                     for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
                         let next = self
                             .occupied
@@ -367,20 +340,12 @@ impl Bitmap<'_> {
                     }
                 });
             }
-            (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |ahead, bits| {
-                write_ef_bits(bits, first, l, |put| {
-                    self.blocks(|block| {
-                        put(block);
-                        walk(ahead, block);
-                    })
-                })
+            (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |bits| {
+                write_ef_bits(bits, first, l, |put| self.blocks(put))
             }),
             (None, _) => {
                 let mut prev = BEFORE_FIRST;
-                self.blocks(|block| {
-                    walk(out, block);
-                    prev = write_gap_slab(prev, block, out);
-                });
+                self.blocks(|block| prev = write_gap_slab(prev, block, out));
             }
         }
     }
@@ -461,7 +426,7 @@ fn top_bit(word: usize, bits: u64) -> usize {
 }
 
 /// Positions of the set bits of `bits`, word `word` of a bitmap.
-fn set_bits_of(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn set_bits_of(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (bits != 0).then(|| {
             let bit = bits.trailing_zeros() as usize;

@@ -83,7 +83,7 @@ const TAG_DENSE: u8 = 1;
 const TAG_ELIAS_FANO: u8 = 2;
 
 const HEADER_LEN: usize = 12;
-pub(crate) const SPARSE_HEADER_LEN: usize = 20;
+const SPARSE_HEADER_LEN: usize = 20;
 
 /// Bytes of a frame's header: a dense frame's, or a sparse frame's with
 /// its stored count — what a frame costs on top of its entries.
@@ -397,15 +397,13 @@ pub(crate) fn pick_index(
 /// one with the Elias–Fano index of `n` indices from `first` to `last`, `l`
 /// low bits each. `fill` writes into zeroed low bits with 8 bytes to spare
 /// and whole little-endian upper words (bit `p` is bit `p % 64` of word
-/// `p / 64`), whose bytes up to the last one then move down; it is handed
-/// the bytes ahead of the index too, for a caller that places the values
-/// in the same pass.
+/// `p / 64`), whose bytes up to the last one then move down.
 pub(crate) fn put_ef_index(
     out: &mut Vec<u8>,
     frame: usize,
     (n, first, last): (usize, u32, u32),
     l: u32,
-    fill: impl FnOnce(&mut [u8], (&mut [u8], &mut [u8])),
+    fill: impl FnOnce((&mut [u8], &mut [u8])),
 ) {
     let (low, upper) = ef_parts(n, ef_top(n, first, last), l);
     // Exactly: a pooled buffer keeps what it grew to.
@@ -415,8 +413,7 @@ pub(crate) fn put_ef_index(
     out.extend_from_slice(&first.to_le_bytes());
     let at = out.len();
     out.resize(at + low + 8 + 8 * upper.div_ceil(8), 0);
-    let (ahead, index) = out.split_at_mut(at);
-    fill(ahead, index.split_at_mut(low + 8));
+    fill(out[at..].split_at_mut(low + 8));
     out.copy_within(at + low + 8..at + low + 8 + upper, at + low);
     out.truncate(at + low + upper);
 }
@@ -529,7 +526,7 @@ fn write_index(indices: &[u32], frame: usize, out: &mut Vec<u8>) {
     };
     let n = indices.len();
     match pick_index(n, first, last, || gap_slab_len_of(indices)) {
-        (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |_, bits| {
+        (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |bits| {
             write_ef_bits(bits, first, l, |put| indices.chunks(EF_BLOCK).for_each(put))
         }),
         (None, _) => {
