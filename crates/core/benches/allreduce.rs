@@ -11,12 +11,7 @@ fn bench_allreduce(c: &mut Criterion) {
     let n = 1 << 18;
     let k = 1 << 10;
     let p = 8;
-    for algo in [
-        Algorithm::SsarRecDbl,
-        Algorithm::SsarSplitAllgather,
-        Algorithm::DsarSplitAllgather,
-        Algorithm::DenseRabenseifner,
-    ] {
+    for algo in Algorithm::ALL {
         group.bench_with_input(BenchmarkId::new(algo.name(), p), &algo, |b, &algo| {
             b.iter(|| {
                 run_communicators(p, CostModel::zero(), |comm| {

@@ -4,7 +4,7 @@
 //! is `SSAR_Recursive_double`, whose merges run dense past δ.)
 
 use sparcml_net::Transport;
-use sparcml_stream::{Scalar, SparseStream};
+use sparcml_stream::{Scalar, SparseStream, WireFrame};
 
 use crate::allreduce::AllreduceConfig;
 use crate::error::CollError;
@@ -18,17 +18,16 @@ fn encode_block<V: Scalar>(values: &[V], pool: &mut BufferPool) -> bytes::Bytes 
     bytes::Bytes::from(buf)
 }
 
-/// Decodes a dense value block, checking its length.
-fn decode_block<V: Scalar>(bytes: &[u8], expect_len: usize) -> Result<Vec<V>, CollError> {
-    let stream = SparseStream::<V>::decode(bytes)?;
-    let values = stream.into_dense_vec();
-    if values.len() != expect_len {
+/// Parses a dense value block, checking its length, so its values can be
+/// read straight off the frame.
+fn dense_block<V: Scalar>(bytes: &[u8], expect_len: usize) -> Result<WireFrame<'_, V>, CollError> {
+    let frame = WireFrame::parse(bytes)?;
+    if !frame.is_dense() || frame.dim() != expect_len {
         return Err(CollError::Invalid(format!(
-            "dense block length {} != expected {expect_len}",
-            values.len()
+            "block is not the {expect_len} dense values expected"
         )));
     }
-    Ok(values)
+    Ok(frame)
 }
 
 /// Rabenseifner's allreduce \[44\]: recursive-halving reduce-scatter followed
@@ -42,16 +41,16 @@ pub(crate) fn dense_rabenseifner<T: Transport, V: Scalar>(
 ) -> Result<SparseStream<V>, CollError> {
     let p = ep.size();
     let dim = input.dim();
-    let mut dense_input = input.clone();
-    if dense_input.is_sparse() {
-        ep.compute(dense_input.stored_len());
-        dense_input.densify();
+    // The one N-sized copy: the fold takes it, and the rounds work in it.
+    if input.is_sparse() {
+        ep.compute(input.stored_len());
     }
+    let dense_input = SparseStream::from_dense(input.to_dense_vec());
     if p == 1 {
         return Ok(dense_input);
     }
     let op_id = ep.next_op_id();
-    let role = fold_to_pow2(ep, op_id, &dense_input, &cfg.policy, pool)?;
+    let role = fold_to_pow2(ep, op_id, dense_input, &cfg.policy, pool)?;
     let result = match role {
         FoldRole::Active(acc) => {
             let p2 = pow2_below(p);
@@ -78,11 +77,9 @@ pub(crate) fn dense_rabenseifner<T: Transport, V: Scalar>(
                 let payload = encode_block(&vals[send.0..send.1], pool);
                 ep.send(peer, tag(op_id, subtag::ROUND + t as u64), payload)?;
                 let incoming = ep.recv(peer, tag(op_id, subtag::ROUND + t as u64))?;
-                let theirs: Vec<V> = decode_block(&incoming, keep.1 - keep.0)?;
+                dense_block(&incoming, keep.1 - keep.0)?
+                    .add_dense_into(&mut vals[keep.0..keep.1])?;
                 pool.recycle(incoming);
-                for (slot, v) in vals[keep.0..keep.1].iter_mut().zip(theirs) {
-                    *slot = slot.add(v);
-                }
                 ep.compute(keep.1 - keep.0);
                 lo = keep.0;
                 hi = keep.1;
@@ -102,9 +99,9 @@ pub(crate) fn dense_rabenseifner<T: Transport, V: Scalar>(
                 } else {
                     (combined_lo, lo)
                 };
-                let theirs: Vec<V> = decode_block(&incoming, their_hi - their_lo)?;
+                dense_block(&incoming, their_hi - their_lo)?
+                    .read_dense_into(&mut vals[their_lo..their_hi])?;
                 pool.recycle(incoming);
-                vals[their_lo..their_hi].copy_from_slice(&theirs);
                 lo = combined_lo;
                 hi = combined_hi;
             }

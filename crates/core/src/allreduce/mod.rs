@@ -6,25 +6,21 @@
 //!
 //! | algorithm | schedule | intended regime |
 //! |---|---|---|
-//! | [`Algorithm::Auto`] | adaptive (§5.3 selector); agrees on `k` inside recursive doubling's own frames, with a split pick's split-phase frames sent between its rounds | the default: picks one of the below per call, at no extra round where the pick is recursive doubling and `⌊log2 P⌋·0.1α` where it is a split schedule (powers of two, Aries' isend fraction) |
+//! | [`Algorithm::Auto`] | adaptive (§5.3 selector); agrees on `k` inside recursive doubling's own frames, with a split pick's split-phase frames sent between its rounds | the default: picks one of the below per call, at no extra round where the pick is recursive doubling and `⌊log2 P⌋·0.1α` where it is the split schedule (powers of two, Aries' isend fraction) |
 //! | [`Algorithm::SsarRecDbl`] | recursive doubling on sparse streams, every frame ending in the 8-byte agreement word; on a dense input its frames are dense from the first round | small data, latency-bound (§5.3.1) |
-//! | [`Algorithm::SsarSplitAllgather`] | dimension split + sparse allgather | large sparse data (§5.3.2) |
-//! | [`Algorithm::DsarSplitAllgather`] | dimension split + dense (optionally quantized) allgather | dense final result (§5.3.3, §6) |
+//! | [`Algorithm::SsarSplitAllgather`] | dimension split + allgather of each block in its wire coding; the result stays dense past δ, and the gather is quantized under `.quantized()` | large sparse data (§5.3.2) and dense final results (§5.3.3, §6) |
 //! | [`Algorithm::DenseRabenseifner`] | recursive halving + doubling on dense vectors | the dense baseline of §8 [44] |
 
 mod dense;
-mod dsar_split_ag;
 mod ssar_rec_dbl;
 mod ssar_split_ag;
 
 pub(crate) use dense::dense_rabenseifner;
-pub(crate) use dsar_split_ag::dsar_split_allgather;
 pub(crate) use ssar_rec_dbl::ssar_recursive_double;
 // The split phase of SSAR_Split_allgather doubles as the crate's
 // reduce-scatter (see `rooted::sparse_reduce_scatter`).
 pub(crate) use ssar_split_ag::{reduce_partition, send_split_steps, ssar_split_allgather};
 
-use dsar_split_ag::dsar_receive_half;
 use ssar_rec_dbl::Stance;
 use ssar_split_ag::ssar_receive_half;
 
@@ -47,18 +43,17 @@ pub enum Algorithm {
     /// so a call that resolves to that schedule spends no round on
     /// agreement (`CommStats::auto_fused`); any other runs one pass of
     /// 8-byte frames first (`CommStats::auto_fallback`). A rank whose own
-    /// `k` picks a split schedule sends its split-phase frames between
-    /// that pass's rounds, so where the agreed pick is a split schedule
+    /// `k` picks the split schedule sends its split-phase frames between
+    /// that pass's rounds, so where the agreed pick is the split schedule
     /// the pass costs one isend per round (`⌊log2 P⌋·isend_alpha_fraction·α`
     /// at powers of two) instead of a round trip; where it is not, the
     /// speculated frames are drained before the pick runs.
     Auto,
     /// Sparse recursive doubling (`SSAR_Recursive_double`).
     SsarRecDbl,
-    /// Sparse split + sparse allgather (`SSAR_Split_allgather`).
+    /// Sparse split + allgather (`SSAR_Split_allgather`): sparse blocks,
+    /// and a result that stays dense past δ.
     SsarSplitAllgather,
-    /// Sparse split + dense allgather (`DSAR_Split_allgather`).
-    DsarSplitAllgather,
     /// Dense Rabenseifner baseline (reduce-scatter + allgather).
     DenseRabenseifner,
 }
@@ -67,10 +62,9 @@ impl Algorithm {
     /// All concrete algorithms, for sweeps ([`Algorithm::Auto`] resolves to
     /// one of these). The order only breaks ties in the selector's sweep:
     /// the earlier member wins.
-    pub const ALL: [Algorithm; 4] = [
+    pub const ALL: [Algorithm; 3] = [
         Algorithm::SsarRecDbl,
         Algorithm::SsarSplitAllgather,
-        Algorithm::DsarSplitAllgather,
         Algorithm::DenseRabenseifner,
     ];
 
@@ -80,7 +74,6 @@ impl Algorithm {
             Algorithm::Auto => "Auto",
             Algorithm::SsarRecDbl => "SSAR_Recursive_double",
             Algorithm::SsarSplitAllgather => "SSAR_Split_allgather",
-            Algorithm::DsarSplitAllgather => "DSAR_Split_allgather",
             Algorithm::DenseRabenseifner => "Dense_Rabenseifner",
         }
     }
@@ -90,15 +83,6 @@ impl Algorithm {
     pub fn is_auto(&self) -> bool {
         matches!(self, Algorithm::Auto)
     }
-
-    /// Whether this is one of the two split schedules, whose split phases
-    /// send the same frames.
-    pub(crate) fn is_split(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
-        )
-    }
 }
 
 /// Options shared by all allreduce variants.
@@ -106,8 +90,9 @@ impl Algorithm {
 pub struct AllreduceConfig {
     /// Sparse→dense switching policy (δ scaling, §5.1).
     pub policy: DensityPolicy,
-    /// When set, `DSAR_Split_allgather` quantizes the dense partition
-    /// results before the allgather stage (§6).
+    /// When set, `SSAR_Split_allgather` QSGD-quantizes each partition's
+    /// dense values before the allgather stage (§6), and the result is
+    /// dense at any fill-in.
     pub quant: Option<QsgdConfig>,
     /// Seed for stochastic quantization; each rank derives `seed + rank`.
     pub quant_seed: u64,
@@ -130,7 +115,7 @@ enum AutoPass<V: Scalar> {
     Reduced(SparseStream<V>),
     /// Some rank was not: the pass agreed on `k` only, and `algo` is the
     /// schedule the selector picks for it, still to be run. `split_op` is
-    /// set when `algo` is a split schedule whose split-phase frames every
+    /// set when `algo` is the split schedule, whose split-phase frames every
     /// rank has already sent under that op id (the pass's): only its
     /// receive half is left.
     Resolved {
@@ -147,7 +132,7 @@ enum AutoPass<V: Scalar> {
 /// ([`ssar_rec_dbl::rec_dbl_agree`]). A rank's own `k` sets how it enters
 /// the pass: a rank whose own pick is
 /// `SSAR_Recursive_double` is *eager*, reducing as it agrees; one whose
-/// own pick is a split schedule *speculates*, sending its split-phase
+/// own pick is the split schedule *speculates*, sending its split-phase
 /// frames between the rounds. If every rank was eager, the pass already
 /// produced the result and no round was spent on agreement. Otherwise the
 /// agreed `k` goes through the §5.3 selector, and:
@@ -173,7 +158,7 @@ fn resolve_auto<T: Transport, V: Scalar>(
     let own = crate::selector::select_algorithm::<V>(p, n, input.stored_len().max(1), ep.cost());
     let stance = match own {
         Algorithm::SsarRecDbl => Stance::Eager,
-        own if own.is_split() => Stance::Speculative,
+        Algorithm::SsarSplitAllgather => Stance::Speculative,
         _ => Stance::Bare,
     };
     let pass = ssar_rec_dbl::rec_dbl_agree(ep, input, stance, cfg, pool)?;
@@ -186,7 +171,7 @@ fn resolve_auto<T: Transport, V: Scalar>(
     let algo = crate::selector::select_algorithm::<V>(p, n, pass.k, ep.cost());
     let speculated = stance == Stance::Speculative;
     let split_op = match pass.op_id {
-        Some(op_id) if algo.is_split() => {
+        Some(op_id) if algo == Algorithm::SsarSplitAllgather => {
             if !speculated {
                 send_split_steps(ep, input, op_id, 1..p, pool)?;
             }
@@ -253,15 +238,10 @@ pub(crate) fn dispatch<T: Transport, V: Scalar>(
         (Algorithm::Auto, _) => unreachable!("Auto resolves to a concrete algorithm"),
         (Algorithm::SsarSplitAllgather, Some(split_op)) => {
             let gather_op = ep.next_op_id();
-            ssar_receive_half(ep, input, split_op, gather_op, pool)
-        }
-        (Algorithm::DsarSplitAllgather, Some(split_op)) => {
-            let gather_op = ep.next_op_id();
-            dsar_receive_half(ep, input, cfg, split_op, gather_op, pool)
+            ssar_receive_half(ep, input, cfg, split_op, gather_op, pool)
         }
         (Algorithm::SsarRecDbl, _) => ssar_recursive_double(ep, input, cfg, pool),
-        (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, pool),
-        (Algorithm::DsarSplitAllgather, None) => dsar_split_allgather(ep, input, cfg, pool),
+        (Algorithm::SsarSplitAllgather, None) => ssar_split_allgather(ep, input, cfg, pool),
         (Algorithm::DenseRabenseifner, _) => dense_rabenseifner(ep, input, cfg, pool),
     };
     run.finish(ep, k, input, &result);

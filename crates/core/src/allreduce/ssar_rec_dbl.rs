@@ -87,9 +87,9 @@ pub(crate) enum Stance {
     /// Its own pick is recursive doubling (the pinned schedule always
     /// is): its frames carry its stream, reducing as it agrees.
     Eager,
-    /// Its own pick is `SSAR_Split_allgather` or `DSAR_Split_allgather`,
-    /// whose split-phase frames are the same: it sends them between the
-    /// pass's rounds, under the pass's op id, while the words fly.
+    /// Its own pick is `SSAR_Split_allgather`: it sends its split-phase
+    /// frames between the pass's rounds, under the pass's op id, while the
+    /// words fly.
     Speculative,
     /// Any other pick: its frames are the bare word.
     Bare,

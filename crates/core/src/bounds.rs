@@ -100,18 +100,6 @@ pub fn ssar_split_ag(w: &Workload, c: &CostModel) -> Envelope {
     }
 }
 
-/// `DSAR_Split_allgather`:
-/// `L2 + (P−1)/P·N·βd ≤ T ≤ L2 + k·βs + (P−1)/P·N·βd` (§5.3.3).
-pub fn dsar_split_ag(w: &Workload, c: &CostModel) -> Envelope {
-    let (p, n, k) = (w.p as f64, w.n as f64, w.k as f64);
-    let bs = c.beta * w.pair_bytes(k);
-    let bd = c.beta * w.word_bytes();
-    Envelope {
-        lower: l2(w, c) + (p - 1.0) / p * n * bd,
-        upper: l2(w, c) + k * bs + (p - 1.0) / p * n * bd,
-    }
-}
-
 /// Rabenseifner: `T = 2·log2(P)·α + 2·(P−1)/P·N·βd` (§5.3.2).
 pub fn dense_rabenseifner(w: &Workload, c: &CostModel) -> Envelope {
     let (p, n) = (w.p as f64, w.n as f64);
@@ -169,11 +157,7 @@ mod tests {
 
     #[test]
     fn envelopes_are_ordered() {
-        for env in [
-            ssar_rec_dbl(&w(), &c()),
-            ssar_split_ag(&w(), &c()),
-            dsar_split_ag(&w(), &c()),
-        ] {
+        for env in [ssar_rec_dbl(&w(), &c()), ssar_split_ag(&w(), &c())] {
             assert!(env.lower <= env.upper, "{env:?}");
             assert!(env.lower > 0.0);
         }

@@ -416,8 +416,10 @@ impl<'a, T: Transport, V: Scalar> Allreduce<'a, T, V> {
         self
     }
 
-    /// Quantizes the dense stage with QSGD (§6; effective for
-    /// [`Algorithm::DsarSplitAllgather`]).
+    /// Quantizes the allgather stage with QSGD (§6; effective for
+    /// [`Algorithm::SsarSplitAllgather`], pinned or `Auto`'s pick): each
+    /// partition travels as its quantized dense values, and the result is
+    /// dense at any fill-in.
     pub fn quantized(mut self, quant: QsgdConfig) -> Self {
         self.cfg.quant = Some(quant);
         self

@@ -9,11 +9,12 @@
 //! builders, with the §5.3 adaptive selector ([`Algorithm::Auto`]) as the
 //! default schedule:
 //!
-//! * [`Communicator::allreduce`] with the paper's three sparse schedules
-//!   (`SSAR_Recursive_double`, `SSAR_Split_allgather`,
-//!   `DSAR_Split_allgather`) and Rabenseifner's dense baseline;
-//! * optional QSGD low-precision allgather inside DSAR (§6) via
-//!   `.quantized(..)`;
+//! * [`Communicator::allreduce`] with the paper's sparse schedules
+//!   (`SSAR_Recursive_double`, and `SSAR_Split_allgather`, whose result
+//!   stays dense past δ — §5.3.3's DSAR instance) and Rabenseifner's dense
+//!   baseline;
+//! * optional QSGD low-precision allgather inside the split schedule (§6)
+//!   via `.quantized(..)`;
 //! * §7's overlap on the session clock via the allreduce's
 //!   `.nonblocking()`: the handle's compute merges with the collective
 //!   as `max(communication, computation)` (background progress on the

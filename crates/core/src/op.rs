@@ -634,11 +634,12 @@ pub(crate) enum FoldRole<V: Scalar> {
 }
 
 /// Pre-step: ranks `>= p2` send their input to `rank - p2`; receivers fold
-/// it into their own. Returns each rank's role.
+/// it into their own, which becomes their accumulator with no copy.
+/// Returns each rank's role.
 pub(crate) fn fold_to_pow2<T: Transport, V: Scalar>(
     ep: &mut T,
     op_id: u64,
-    input: &SparseStream<V>,
+    input: SparseStream<V>,
     policy: &DensityPolicy,
     pool: &mut BufferPool,
 ) -> Result<FoldRole<V>, CollError> {
@@ -647,10 +648,10 @@ pub(crate) fn fold_to_pow2<T: Transport, V: Scalar>(
     let rank = ep.rank();
     if rank >= p2 {
         let partner = rank - p2;
-        send_stream(ep, partner, tag(op_id, subtag::FOLD), input, true, pool)?;
+        send_stream(ep, partner, tag(op_id, subtag::FOLD), &input, true, pool)?;
         return Ok(FoldRole::Parked);
     }
-    let mut acc = input.clone();
+    let mut acc = input;
     if rank + p2 < p {
         let extra = recv_stream::<_, V>(ep, rank + p2, tag(op_id, subtag::FOLD), pool)?;
         add_charged(ep, &mut acc, &extra, policy)?;
@@ -1032,7 +1033,7 @@ mod tests {
             let input = SparseStream::from_pairs(64, &[(ep.rank() as u32, 1.0f32)]).unwrap();
             let policy = DensityPolicy::default();
             let mut pool = BufferPool::new();
-            let role = fold_to_pow2(ep, op, &input, &policy, &mut pool).unwrap();
+            let role = fold_to_pow2(ep, op, input, &policy, &mut pool).unwrap();
 
             match role {
                 FoldRole::Active(acc) => unfold_result(ep, op, Some(acc), &mut pool).unwrap(),

@@ -152,7 +152,7 @@ pub(crate) fn sparse_reduce_scatter<T: Transport, V: Scalar>(
     }
     let op_id = ep.next_op_id();
     send_split_steps(ep, input, op_id, 1..p, pool)?;
-    let mut window = reduce_partition(ep, input, op_id, pool)?;
+    let mut window = reduce_partition(ep, input, op_id, false, pool)?;
     let (mut indices, mut values) = (vec![0; window.len()], vec![V::zero(); window.len()]);
     window.drain_into(&mut indices, &mut values);
     Ok(SparseStream::from_slabs(input.dim(), indices, values)?)

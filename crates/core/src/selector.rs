@@ -10,14 +10,16 @@
 //! charges; recursive doubling round by round along the clock's own
 //! chains, each round's frames as the segments `op::segments` cuts them,
 //! merged as they land, with its fold and unfold hops off powers of two;
-//! Rabenseifner's with its fold and unfold; the two split schedules phase
-//! by phase, their gather round by round with its assembly overlapping
-//! the frames in flight — and takes the cheapest of the four. A sparse
+//! Rabenseifner's with its fold and unfold; the split schedule phase by
+//! phase, its gather round by round with its assembly overlapping the
+//! frames in flight, in the result's form past δ — and takes the cheapest
+//! of the three. A sparse
 //! pair is priced at what the wire format makes it weigh at the density
 //! it travels at ([`Workload::pair_bytes`]: a rank's input at `k/N`,
 //! reduced data at `E[K]/N`), not at a fixed `4 + isize`. The δ threshold
-//! is not a gate in front of the sweep: just past it a sparse schedule can
-//! still beat DSAR, and just before it DSAR can beat the dense baseline.
+//! is not a gate in front of the sweep: past it the split schedule's
+//! result is dense but its blocks stay sparse, and it can beat the dense
+//! baseline as well as recursive doubling.
 
 use sparcml_net::CostModel;
 use sparcml_stream::{header_len, DensityPolicy, Scalar};
@@ -54,23 +56,24 @@ pub(crate) fn expected_cost<V: Scalar>(
             // Each node scatters the ≈ k entries of its P incoming
             // sub-ranges into its window; its partition count goes to
             // every peer as an isent word; then E[K]/P-entry sparse blocks
-            // are gathered, each placed for γ per entry. The own block's
-            // placement is the window's drain, pending behind round 0: its
-            // entries are counted there, once, and the bitmap words it
-            // visits with the scatter.
+            // are gathered, each placed for γ per entry. Up to δ the own
+            // block's placement is the window's drain, pending behind
+            // round 0: its entries are counted there, once, and the bitmap
+            // words it visits with the scatter. Past δ the result is the
+            // dense vector the window wrote: the own block is in place.
             let entries = ek / p;
             let bytes = entries * w.pair_bytes(ek);
-            split_phase(w, c, c.gamma * (k + window_words(w, ek)))
-                + (p - 1.0) * c.isend_alpha_fraction * c.alpha
-                + pipelined_gather(w.p, c, bytes, c.gamma * entries, c.gamma * entries)
-        }
-        Algorithm::DsarSplitAllgather => {
-            // Scatter ≈ k pairs into the own window of the dense result,
-            // then gather N/P-value dense blocks, each peer's placed for γ
-            // per value; the own block is already in place.
-            let values = n / p;
-            let bytes = values * w.word_bytes();
-            split_phase(w, c, c.gamma * k) + pipelined_gather(w.p, c, bytes, c.gamma * values, 0.0)
+            let isends = (p - 1.0) * c.isend_alpha_fraction * c.alpha;
+            let place = c.gamma * entries;
+            if ek > DensityPolicy::default().delta::<V>(w.n) as f64 {
+                split_phase(w, c, c.gamma * k)
+                    + isends
+                    + pipelined_gather(w.p, c, bytes, place, 0.0)
+            } else {
+                split_phase(w, c, c.gamma * (k + window_words(w, ek)))
+                    + isends
+                    + pipelined_gather(w.p, c, bytes, place, place)
+            }
         }
         Algorithm::DenseRabenseifner => {
             // Densify the input (γ·k), then run the core on the largest
@@ -203,8 +206,8 @@ fn rec_dbl_round(c: &CostModel, bytes: f64, elements: f64, ready_at: f64, sent_a
     (ready_at + merge).max(sent_at + c.alpha + piece + last.max(merge))
 }
 
-/// The split phase both split schedules share, as the virtual clock
-/// charges it: `P − 1` blocking sends of a `k/P`-pair sub-range, the last
+/// The split schedule's split phase, as the virtual clock charges it:
+/// `P − 1` blocking sends of a `k/P`-pair sub-range, the last
 /// of which is still in flight when the sends are done, then the owner's
 /// reduction work `reduce` (seconds).
 fn split_phase(w: &Workload, c: &CostModel, reduce: f64) -> f64 {
@@ -224,7 +227,7 @@ fn window_words(w: &Workload, ek: f64) -> f64 {
     touched + (slots / 4096.0).ceil()
 }
 
-/// The split schedules' gather (`crate::op::allgather_bytes_with`):
+/// The split schedule's gather (`crate::op::allgather_bytes_with`):
 /// `P` blocks of `bytes` each, which take `place` seconds each to put in
 /// place — `own` for this rank's — placed one round late. Round by round
 /// that is `α` plus the larger of the frame's transfer and the placement
@@ -293,8 +296,8 @@ impl Algorithm {
 /// pass's rounds, each round's bare word going out with an isend: at a
 /// power of two that is `⌊log2 P⌋` isend charges, and off one a parked
 /// rank also waits out the latency of its partner's unfold word (the
-/// virtual clock reads 1.80 µs at P=5 and 1.95 µs at P=12 on Aries for
-/// `DSAR_Split_allgather`). Any other pick pays one pass of bare 8-byte
+/// virtual clock read 1.80 µs at P=5 and 1.95 µs at P=12 on Aries for a
+/// dense-result split pick). Any other pick pays one pass of bare 8-byte
 /// frames first — `⌊log2 P⌋` rounds, plus the fold and unfold hops off
 /// powers of two — before the schedule starts.
 fn auto_agreement_cost(pick: Algorithm, p: usize, c: &CostModel) -> f64 {
@@ -304,7 +307,7 @@ fn auto_agreement_cost(pick: Algorithm, p: usize, c: &CostModel) -> f64 {
     let rounds = p.ilog2() as f64;
     let word = c.alpha + 8.0 * c.beta;
     let folded = !p.is_power_of_two();
-    if pick.is_split() {
+    if pick == Algorithm::SsarSplitAllgather {
         rounds * c.isend_alpha_fraction * c.alpha + if folded { word } else { 0.0 }
     } else {
         (rounds + if folded { 2.0 } else { 0.0 }) * word
@@ -315,7 +318,7 @@ fn auto_agreement_cost(pick: Algorithm, p: usize, c: &CostModel) -> f64 {
 /// under the uniform-support fill-in model of Appendix B.
 /// [`Algorithm::Auto`] is priced as its resolved concrete choice plus
 /// what its k-agreement costs that choice: nothing when it resolves to
-/// recursive doubling, one isend per round when it resolves to a split
+/// recursive doubling, one isend per round when it resolves to the split
 /// schedule (whose split-phase frames the pass carries), one pass of
 /// 8-byte frames otherwise.
 pub fn estimate_time<V: Scalar>(
@@ -394,7 +397,7 @@ mod tests {
         assert!(
             matches!(
                 algo,
-                Algorithm::DsarSplitAllgather | Algorithm::DenseRabenseifner
+                Algorithm::SsarSplitAllgather | Algorithm::DenseRabenseifner
             ),
             "got {algo:?}"
         );
@@ -429,7 +432,7 @@ mod tests {
             (12, 3.0 * isend + word),
         ] {
             let (resolved, extra) = gap(p, 1 << 20, 1 << 18);
-            assert!(resolved.is_split(), "P={p}: {resolved:?}");
+            assert_eq!(resolved, Algorithm::SsarSplitAllgather, "P={p}");
             assert!(
                 (extra - extra_expected).abs() < 1e-9 * word,
                 "P={p}: {extra} vs {extra_expected}"
@@ -458,13 +461,15 @@ mod tests {
 
     #[test]
     fn selection_does_not_gate_on_delta() {
-        // P=8, N=2^20 on Aries, either side of E[K] = δ. Just past it the
-        // sparse split still beats DSAR; further on DSAR beats the dense
-        // baselines, which pay γ·k to densify their input.
+        // P=8, N=2^20 on Aries, either side of E[K] = δ (k ≈ 85 000): the
+        // split schedule wins on both, its result sparse below δ and dense
+        // past it, and beats the dense baseline, which pays γ·k to densify
+        // its input.
         let cost = CostModel::aries();
         let pick = |k| select_algorithm::<f32>(8, 1 << 20, k, &cost);
-        assert_eq!(pick(100_000), Algorithm::SsarSplitAllgather);
-        assert_eq!(pick(300_000), Algorithm::DsarSplitAllgather);
+        for k in [50_000, 100_000, 300_000] {
+            assert_eq!(pick(k), Algorithm::SsarSplitAllgather, "k={k}");
+        }
     }
 
     #[test]

@@ -33,12 +33,13 @@ pub enum Compression {
 
 impl Compression {
     /// Default collective for the mode: dense → Rabenseifner; Top-k →
-    /// sparse recursive doubling; quantized → DSAR split-allgather.
+    /// sparse recursive doubling; quantized → the split schedule, whose
+    /// gather `.quantized()` makes low-precision and dense (§6).
     pub fn default_algorithm(&self) -> Algorithm {
         match self {
             Compression::Dense => Algorithm::DenseRabenseifner,
             Compression::TopK(_) => Algorithm::SsarRecDbl,
-            Compression::TopKQuant(..) => Algorithm::DsarSplitAllgather,
+            Compression::TopKQuant(..) => Algorithm::SsarSplitAllgather,
         }
     }
 }

@@ -75,7 +75,7 @@ pub struct QuantizedVec {
 
 impl QuantizedVec {
     /// On-wire size in bytes: scales + packed codes (header excluded); this
-    /// is the quantity that shrinks the dense allgather stage of DSAR.
+    /// is the quantity that shrinks the quantized dense allgather stage.
     pub fn wire_bytes(&self) -> usize {
         self.scales.len() * 4 + self.packed.len()
     }

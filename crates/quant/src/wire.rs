@@ -1,5 +1,5 @@
 //! Wire encoding for quantized vectors (the payload of the quantized dense
-//! allgather stage in `DSAR_Split_allgather`, §6).
+//! allgather stage of `SSAR_Split_allgather` under `.quantized()`, §6).
 //!
 //! Layout (little-endian):
 //!

@@ -155,7 +155,7 @@ impl<V: Scalar> RankedSum<V> {
     /// Inserts `(slot, value)` pairs whose slots are free, in increasing
     /// slot order and all in one block.
     fn insert(&mut self, run: &[(usize, V)]) {
-        let (first, block) = (run[0].0, run[0].0 / BLOCK_SLOTS);
+        let block = run[0].0 / BLOCK_SLOTS;
         let (start, words) = (block * BLOCK_SLOTS, self.words(block));
         let sum = &mut self.blocks[block];
         let (old, new) = (sum.len(), run.len());
@@ -184,28 +184,32 @@ impl<V: Scalar> RankedSum<V> {
         sum.resize(old + new, V::zero());
         // The pairs merge in from the back, against the bits and ranks as
         // they were: the held values from `r` up to `top` move past the new
-        // ones at or below them, and the ones below `r` have not moved.
+        // ones at or below them, and the ones below `r` have not moved. A
+        // word's bits and rank change once the pairs in it are in: its
+        // rank gains the pairs below it, counted off the run.
         let mut top = old;
+        let mut word = run[new - 1].0 / WORD_BITS;
+        let mut fresh = 0u64;
+        for rank in &mut self.ranks[word + 1..words.end] {
+            *rank += new as u16;
+        }
         for (shift, &(at, v)) in run.iter().enumerate().rev() {
+            if at / WORD_BITS != word {
+                self.occupied[word] |= fresh;
+                self.summary[word / WORD_BITS] |= 1 << (word % WORD_BITS);
+                for rank in &mut self.ranks[at / WORD_BITS + 1..=word] {
+                    *rank += shift as u16 + 1;
+                }
+                (word, fresh) = (at / WORD_BITS, 0);
+            }
             let r = rank(&self.occupied, &self.ranks, at);
             sum.copy_within(r..top, r + shift + 1);
             sum[r + shift] = v;
+            fresh |= 1 << (at % WORD_BITS);
             top = r;
         }
-        // Then the bits, and the block's ranks past the first new slot's
-        // word.
-        for &(at, _) in run {
-            set_bit(&mut self.occupied, &mut self.summary, at);
-        }
-        let words = first / WORD_BITS..words.end;
-        let mut at = self.ranks[words.start];
-        for (next, bits) in self.ranks[words.start + 1..words.end]
-            .iter_mut()
-            .zip(&self.occupied[words])
-        {
-            at += bits.count_ones() as u16;
-            *next = at;
-        }
+        self.occupied[word] |= fresh;
+        self.summary[word / WORD_BITS] |= 1 << (word % WORD_BITS);
     }
 
     /// Hands the sum's values to `put` in index order: a packed block's

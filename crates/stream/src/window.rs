@@ -47,7 +47,8 @@ pub(crate) const WORD_BITS: usize = u64::BITS as usize;
 pub struct WindowSum<V: Scalar> {
     dim: usize,
     range: PartRange,
-    /// Slot `i` holds index `lo + i`; zero where unoccupied.
+    /// The dense values of the whole space, index `i` at slot `i`: zero
+    /// outside the window and where unoccupied.
     values: Vec<V>,
     /// One bit per slot.
     occupied: Vec<u64>,
@@ -58,9 +59,11 @@ pub struct WindowSum<V: Scalar> {
 }
 
 impl<V: Scalar> WindowSum<V> {
-    /// An empty sum over `range` of a `dim`-dimensional space. The window
-    /// is allocated zeroed, so only the pages that entries land on are
-    /// ever touched.
+    /// An empty sum over `range` of a `dim`-dimensional space. Its values
+    /// sit in a zeroed vector of the whole space, at their own indices, so
+    /// only the pages that entries land on are ever touched, and
+    /// [`WindowSum::into_dense`] hands the sum over as a dense vector
+    /// without moving a value.
     ///
     /// # Panics
     /// If `range` does not lie inside `[0, dim)`.
@@ -70,7 +73,7 @@ impl<V: Scalar> WindowSum<V> {
         WindowSum {
             dim,
             range,
-            values: vec![V::zero(); range.len()],
+            values: vec![V::zero(); dim],
             occupied,
             summary,
             len: 0,
@@ -103,6 +106,7 @@ impl<V: Scalar> WindowSum<V> {
             len,
             ..
         } = self;
+        let values = &mut values[range.lo as usize..range.hi as usize];
         scatter_checked(part, dim, range, |at, v| {
             let fresh = set_bit(occupied, summary, at);
             // A fresh slot takes `v` itself, as a merge copies an entry
@@ -112,25 +116,6 @@ impl<V: Scalar> WindowSum<V> {
             values[at] = [values[at].add(v), v][usize::from(fresh)];
             *len += usize::from(fresh);
         })
-    }
-
-    /// [`WindowSum::add`]'s scatter loop and checks without the bitmap, for
-    /// a caller whose window is its result: adds `part` into `window`, the
-    /// dense values of `range` in a `dim`-dimensional space, and returns
-    /// the entries scattered.
-    ///
-    /// # Panics
-    /// If `range` does not lie inside `[0, dim)`, or `window` is not
-    /// `range.len()` long.
-    pub fn add_to_slice(
-        window: &mut [V],
-        dim: usize,
-        range: PartRange,
-        part: &SparseStream<V>,
-    ) -> Result<usize, StreamError> {
-        assert_inside(dim, range);
-        assert_eq!(window.len(), range.len(), "window length");
-        scatter_checked(part, dim, range, |at, v| window[at] = window[at].add(v))
     }
 
     /// Writes the sum as one sparse wire frame into `out` (cleared first,
@@ -151,7 +136,7 @@ impl<V: Scalar> WindowSum<V> {
         let mut values = [V::zero(); EF_BLOCK];
         bitmap.blocks(|block| {
             for (v, &idx) in values.iter_mut().zip(block) {
-                *v = self.values[(idx - self.range.lo) as usize];
+                *v = self.values[idx as usize];
             }
             V::write_slab_le(&values[..block.len()], out);
         });
@@ -163,10 +148,7 @@ impl<V: Scalar> WindowSum<V> {
     /// adding afterwards.
     pub fn to_stream(&self) -> SparseStream<V> {
         let indices = self.bitmap().indices(self.len);
-        let values = indices
-            .iter()
-            .map(|&i| self.values[(i - self.range.lo) as usize])
-            .collect();
+        let values = indices.iter().map(|&i| self.values[i as usize]).collect();
         sparse_stream(self.dim, indices, values)
     }
 
@@ -194,17 +176,25 @@ impl<V: Scalar> WindowSum<V> {
             values.len()
         );
         let (mut n, mut words) = (0, self.summary.len());
+        let window = &mut self.values[self.range.lo as usize..self.range.hi as usize];
         for word in set_bits(&self.summary) {
             words += 1;
             for at in set_bits_of(word, std::mem::take(&mut self.occupied[word])) {
                 indices[n] = self.range.lo + at as u32;
-                values[n] = std::mem::replace(&mut self.values[at], V::zero());
+                values[n] = std::mem::replace(&mut window[at], V::zero());
                 n += 1;
             }
         }
         self.summary.fill(0);
         self.len = 0;
         (n, words)
+    }
+
+    /// The sum as the dense vector of the whole space, zero outside the
+    /// window and at its unoccupied slots: the values where they lie, with
+    /// no drain.
+    pub fn into_dense(self) -> Vec<V> {
+        self.values
     }
 }
 
@@ -547,14 +537,7 @@ mod tests {
                 },
             ),
         ] {
-            assert_eq!(sum.add(&part), Err(err.clone()), "{what}");
-            let mut slice = vec![0.0f32; range.len()];
-            assert_eq!(
-                WindowSum::add_to_slice(&mut slice, dim, range, &part),
-                Err(err),
-                "{what}"
-            );
-            assert!(slice.iter().all(|v| *v == 0.0), "{what}");
+            assert_eq!(sum.add(&part), Err(err), "{what}");
         }
         assert_eq!(sum.len(), 2);
         // A dense part whose non-zeros all lie inside scatters them.
@@ -676,27 +659,18 @@ mod tests {
     }
 
     #[test]
-    fn add_to_slice_is_the_same_sum() {
+    fn into_dense_is_the_sum_in_place() {
         let (dim, range) = (1 << 12, PartRange { lo: 1024, hi: 2048 });
         let parts: Vec<SparseStream<f32>> = (0..4)
             .map(|r| crate::random_sparse::<f32>(dim, 500, 40 + r).restrict(range.lo, range.hi))
             .collect();
         let mut sum = WindowSum::new(dim, range);
-        let mut slice = vec![0.0f32; range.len()];
         for part in &parts {
-            let n = sum.add(part).unwrap();
-            assert_eq!(
-                WindowSum::add_to_slice(&mut slice, dim, range, part).unwrap(),
-                n
-            );
+            sum.add(part).unwrap();
         }
-        let (got, _) = drained(&mut sum);
-        for (i, v) in got.iter_nonzero() {
-            assert_eq!(slice[(i - range.lo) as usize], v);
-        }
-        assert_eq!(
-            slice.iter().filter(|v| **v != 0.0).count(),
-            got.iter_nonzero().count()
-        );
+        let kept = sum.to_stream();
+        let dense = sum.into_dense();
+        assert_eq!(dense.len(), dim);
+        assert_eq!(dense, kept.to_dense_vec());
     }
 }

@@ -991,30 +991,65 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         indices: &mut [u32],
         values: &mut [V],
     ) -> Result<(), StreamError> {
-        let (Body::Sparse {
-            nnz,
-            values: value_slab,
-            ..
-        }
-        | Body::EliasFano {
-            nnz,
-            values: value_slab,
-            ..
-        }) = self.body
-        else {
-            return Err(StreamError::Corrupt("expected a sparse frame"));
-        };
-        if indices.len() != nnz || values.len() != nnz {
+        let value_slab = self.value_slab()?;
+        if indices.len() != self.stored_len() || values.len() != self.stored_len() {
             return Err(StreamError::SlabLengthMismatch {
                 indices: indices.len(),
                 values: values.len(),
             });
         }
+        self.read_index_into(indices)?;
+        V::read_slab_le_into(value_slab, values);
+        Ok(())
+    }
+
+    /// Decodes a sparse frame's entries into `window`, the dense values of
+    /// the `window.len()` indices from `lo`: each value overwrites the slot
+    /// of its index less `lo`. `indices` is scratch for the decoded index,
+    /// its capacity reused. An index outside the window is
+    /// [`StreamError::OutsideWindow`] and leaves `window` untouched.
+    /// Returns the entries read.
+    pub fn read_sparse_scatter(
+        &self,
+        lo: u32,
+        window: &mut [V],
+        indices: &mut Vec<u32>,
+    ) -> Result<usize, StreamError> {
+        let value_slab = self.value_slab()?;
+        indices.clear();
+        indices.resize(self.stored_len(), 0);
+        self.read_index_into(indices)?;
+        let hi = u32::try_from(lo as usize + window.len()).unwrap_or(u32::MAX);
+        // Indices strictly increase: the ends bound the rest.
+        for &idx in [indices.first(), indices.last()].into_iter().flatten() {
+            if idx < lo || idx >= hi {
+                return Err(StreamError::OutsideWindow { idx, lo, hi });
+            }
+        }
+        for (&idx, value) in indices.iter().zip(value_slab.chunks_exact(V::BYTES)) {
+            window[(idx - lo) as usize] = V::read_le(value);
+        }
+        Ok(indices.len())
+    }
+
+    /// A sparse frame's value slab.
+    fn value_slab(&self) -> Result<&'a [u8], StreamError> {
+        match self.body {
+            Body::Sparse { values, .. } | Body::EliasFano { values, .. } => Ok(values),
+            Body::Dense { .. } => Err(StreamError::Corrupt("expected a sparse frame")),
+        }
+    }
+
+    /// Decodes a sparse frame's index into `indices`, which is
+    /// [`WireFrame::stored_len`] long: strictly increasing and below
+    /// [`WireFrame::dim`], each support in the one coding the encoder
+    /// picks for it.
+    fn read_index_into(&self, indices: &mut [u32]) -> Result<(), StreamError> {
         match self.body {
             Body::Sparse { gaps, .. } => {
-                read_gap_slab_into(gaps, indices, self.dim, self.frame_len)?;
+                read_gap_slab_into(gaps, indices, self.dim, self.frame_len)
             }
-            Body::EliasFano { index, .. } => {
+            Body::EliasFano { nnz, index, .. } => {
                 read_ef_into(index, indices)?;
                 // `nnz ≥ 1`: the parse rejects an empty index.
                 let (first, last) = (indices[0], indices[nnz - 1]);
@@ -1024,26 +1059,42 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
                         "Elias–Fano where the gap slab is smaller",
                     ));
                 }
+                Ok(())
             }
-            Body::Dense { .. } => unreachable!("matched above"),
+            Body::Dense { .. } => Err(StreamError::Corrupt("expected a sparse frame")),
         }
-        V::read_slab_le_into(value_slab, values);
+    }
+
+    /// Adds a dense frame's values into `values`, which must be
+    /// [`WireFrame::dim`] long: each slot becomes `slot + value`, read
+    /// straight off the frame.
+    pub fn add_dense_into(&self, values: &mut [V]) -> Result<(), StreamError> {
+        let value_slab = self.dense_slab(values.len())?;
+        for (slot, value) in values.iter_mut().zip(value_slab.chunks_exact(V::BYTES)) {
+            *slot = slot.add(V::read_le(value));
+        }
         Ok(())
+    }
+
+    /// A dense frame's value slab, checked against the `len` values it is
+    /// read into.
+    fn dense_slab(&self, len: usize) -> Result<&'a [u8], StreamError> {
+        let Body::Dense { values } = self.body else {
+            return Err(StreamError::Corrupt("expected a dense frame"));
+        };
+        if len != self.dim {
+            return Err(StreamError::LengthMismatch {
+                expected: self.dim,
+                actual: len,
+            });
+        }
+        Ok(values)
     }
 
     /// Decodes a dense frame's values into `values`, which must be
     /// [`WireFrame::dim`] long.
     pub fn read_dense_into(&self, values: &mut [V]) -> Result<(), StreamError> {
-        let Body::Dense { values: value_slab } = self.body else {
-            return Err(StreamError::Corrupt("expected a dense frame"));
-        };
-        if values.len() != self.dim {
-            return Err(StreamError::LengthMismatch {
-                expected: self.dim,
-                actual: values.len(),
-            });
-        }
-        V::read_slab_le_into(value_slab, values);
+        V::read_slab_le_into(self.dense_slab(values.len())?, values);
         Ok(())
     }
 }

@@ -68,9 +68,9 @@ fn main() {
                 .and_then(|h| h.wait())
                 .expect("allreduce");
         }
-        // A full input resolves to DSAR_Split_allgather: that pass only
-        // agrees on k, and shows up as an `auto-resolve` agreement span
-        // ahead of the picked schedule's collective span.
+        // A full input: where its pick is not recursive doubling, the pass
+        // only agrees on k, and shows up as an `auto-resolve` agreement
+        // span ahead of the picked schedule's collective span.
         comm.allreduce(&random_sparse::<f32>(DIM, DIM, 77 + rank as u64))
             .launch()
             .and_then(|h| h.wait())

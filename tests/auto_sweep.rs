@@ -5,9 +5,9 @@
 //! points straddle the boundaries where the pick changes, which is where a
 //! mispriced schedule shows: both sides of rec-dbl → `SSAR_Split_allgather`
 //! at P=8, the split regime off powers of two (a ring allgather, and a
-//! recursive doubling that folds and unfolds) at P=3, 5 and 12, SSAR
-//! against DSAR from past δ (k = 1.5e5) to DSAR's side of the crossing
-//! (k = 3e5) at P=8 — all at N = 2^20 — and, at N = 2^14, Rabenseifner's
+//! recursive doubling that folds and unfolds) at P=3, 5 and 12, the
+//! split schedule's sparse and dense results either side of δ (k = 1.5e5
+//! to 3e5) at P=8 — all at N = 2^20 — and, at N = 2^14, Rabenseifner's
 //! folded core at P=12, recursive doubling's segmented rounds edging it
 //! out at P=16 and 10 % density, and its win at P=16 and 15 %. Integer
 //! values keep every schedule's sum exact, so the runs are checked against

@@ -179,7 +179,7 @@ fn every_schedule() -> Vec<Case> {
 
 /// `Auto` at every P where the Aries model has a split regime for an
 /// N = 2^15 reduction: the first k on a 1/64 grid of N whose pick is
-/// `SSAR_Split_allgather` or `DSAR_Split_allgather`, one index per
+/// `SSAR_Split_allgather`, one index per
 /// bucket of width N/k and integer values. P = 2 has none (its picks run
 /// from recursive doubling straight to the dense baseline) and is
 /// skipped.
@@ -189,10 +189,8 @@ fn auto_in_the_split_regime() -> Vec<Case> {
         .into_iter()
         .filter_map(|p| {
             let k = (1..=32).map(|i| dim * i / 64).find(|&k| {
-                matches!(
-                    select_algorithm::<f32>(p, dim, k, &CostModel::aries()),
-                    Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
-                )
+                select_algorithm::<f32>(p, dim, k, &CostModel::aries())
+                    == Algorithm::SsarSplitAllgather
             });
             if k.is_none() {
                 println!("P={p}: no split regime, skipped");

@@ -155,7 +155,7 @@ fn quantized_dsar_is_within_qsgd_error_bound() {
     };
     let outs = run_communicators(p, CostModel::zero(), |comm| {
         comm.allreduce(&ins[comm.rank()])
-            .algorithm(Algorithm::DsarSplitAllgather)
+            .algorithm(Algorithm::SsarSplitAllgather)
             .quantized(quant)
             .launch()
             .and_then(|handle| handle.wait())
@@ -394,10 +394,7 @@ fn bucketed_sparse(dim: usize, k: usize, seed: u64) -> SparseStream<f32> {
 }
 
 fn is_split(algo: Algorithm) -> bool {
-    matches!(
-        algo,
-        Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
-    )
+    algo == Algorithm::SsarSplitAllgather
 }
 
 /// Runs `algo` on `ins` over a virtual cluster; per rank: the result, the
@@ -618,7 +615,7 @@ fn selector_prices_pairs_as_the_wire_weighs_them() {
     // The picks at the benchmark's own shapes (Aries, N = 2^20), which the
     // price of a pair decides: the wire's figure for it, not a fixed
     // 4 + isize, keeps them on the schedules the virtual clock ranks best.
-    use Algorithm::{DsarSplitAllgather, SsarRecDbl, SsarSplitAllgather};
+    use Algorithm::{SsarRecDbl, SsarSplitAllgather};
     let cost = CostModel::aries();
     let n = 1 << 20;
     for (p, k, best) in [
@@ -629,7 +626,7 @@ fn selector_prices_pairs_as_the_wire_weighs_them() {
         // which would save Auto its agreement: that is only 0.45 µs on
         // the split pick, whose split frames fly during the pass.
         (8, 100_000, &[SsarSplitAllgather]),
-        (8, 300_000, &[DsarSplitAllgather]),
+        (8, 300_000, &[SsarSplitAllgather]),
         (2, 256, &[SsarRecDbl]),
         (2, 100_000, &[SsarRecDbl]),
     ] {

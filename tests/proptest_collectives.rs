@@ -111,11 +111,7 @@ fn ranks_agree_bitwise() {
             .iter()
             .map(|pairs| SparseStream::from_pairs(dim, pairs).unwrap())
             .collect();
-        for algo in [
-            Algorithm::SsarRecDbl,
-            Algorithm::SsarSplitAllgather,
-            Algorithm::DsarSplitAllgather,
-        ] {
+        for algo in [Algorithm::SsarRecDbl, Algorithm::SsarSplitAllgather] {
             let outs = run_communicators(p, CostModel::zero(), |comm| {
                 comm.allreduce(&ins[comm.rank()])
                     .algorithm(algo)
@@ -475,10 +471,7 @@ fn against_villain_frames(
             }
         }
         let own_pick = select_algorithm::<f32>(p, input.dim(), input.stored_len(), tp.cost());
-        let speculates = matches!(
-            own_pick,
-            Algorithm::SsarSplitAllgather | Algorithm::DsarSplitAllgather
-        );
+        let speculates = own_pick == Algorithm::SsarSplitAllgather;
         if algo.is_auto() && speculates {
             allow_departure(tp.recv(honest, block.tag(SUBTAG_SPLIT)), honest);
         }
@@ -610,8 +603,13 @@ struct Gather {
 
 impl Gather {
     fn new(dim: usize) -> Gather {
-        let mine = integer_stream(dim, 300, 31);
-        let theirs = integer_stream(dim, 300, 32);
+        Gather::with_k(dim, 300)
+    }
+
+    /// Both ranks' inputs hold `k` entries.
+    fn with_k(dim: usize, k: usize) -> Gather {
+        let mine = integer_stream(dim, k, 31);
+        let theirs = integer_stream(dim, k, 32);
         let half = (dim / 2) as u32;
         let split = theirs.restrict(half, dim as u32).encode().to_vec();
         let sum = SparseStream::sparse_from_slice(&reference_sum(&[mine.clone(), theirs]));
@@ -766,6 +764,97 @@ fn malformed_gather_frames_are_typed_errors_on_the_receiver() {
 }
 
 #[test]
+fn the_split_result_is_dense_exactly_past_delta() {
+    // N = 2^16 on Aries, δ = 2^15: K = δ and δ + 1 entries spread over the
+    // index space, entry j on rank j mod P, with small integer values.
+    // Pinned, the split schedule's result is the reference sum bit for bit
+    // and dense exactly when K > δ. `Auto` picks it at P ≥ 3; at P = 2 it
+    // runs recursive doubling, whose one merge crosses δ at the same K,
+    // the supports being disjoint.
+    let dim = 1 << 16;
+    let delta = DensityPolicy::default().delta::<f32>(dim);
+    let bits = |values: Vec<f32>| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for p in [2, 3, 5, 8] {
+        for total in [delta, delta + 1] {
+            let ins: Vec<SparseStream<f32>> = (0..p)
+                .map(|rank| {
+                    let pairs: Vec<(u32, f32)> = (rank..total)
+                        .step_by(p)
+                        .map(|j| ((j * dim / total) as u32, (1 + j % 7) as f32))
+                        .collect();
+                    SparseStream::from_pairs(dim, &pairs).unwrap()
+                })
+                .collect();
+            let k = total.div_ceil(p);
+            let pick = Algorithm::Auto.resolve_for::<f32>(p, dim, k, &CostModel::aries());
+            assert_eq!(
+                pick == Algorithm::SsarSplitAllgather,
+                p > 2,
+                "P={p}: {pick:?}"
+            );
+            let expect = bits(reference_sum(&ins));
+            for algo in [Algorithm::SsarSplitAllgather, Algorithm::Auto] {
+                let outs = run_communicators(p, CostModel::aries(), |comm| {
+                    comm.allreduce(&ins[comm.rank()])
+                        .algorithm(algo)
+                        .launch()
+                        .and_then(|h| h.wait())
+                        .unwrap()
+                });
+                for (rank, out) in outs.into_iter().enumerate() {
+                    let what = format!("{algo:?} P={p} K={total} rank {rank}");
+                    assert_eq!(out.is_dense(), total > delta, "{what}");
+                    assert!(bits(out.to_dense_vec()) == expect, "{what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn hostile_blocks_on_the_dense_path_are_typed_errors() {
+    // 1 800 entries a rank of 4 096: K ≈ 2 800 > δ = 2 048, so the honest
+    // rank's result is dense and each gathered block is read straight into
+    // its partition. A block that is not what its count word announced is
+    // rejected there as it was on the sparse path.
+    let dim = 1 << 12;
+    let g = Gather::with_k(dim, 1_800);
+    let expect = reference_sum(&[g.mine.clone(), integer_stream(dim, 1_800, 32)]);
+    let out = g.run(&g.count, &g.group).unwrap();
+    assert!(out.is_dense(), "K past δ leaves the result dense");
+    assert_eq!(
+        out.to_dense_vec(),
+        expect,
+        "the honest frames reduce exactly"
+    );
+
+    let n = g.block.nnz() as u64;
+    let encoded = g.block.encode();
+    // A block reaching into the honest rank's own partition.
+    let outside = {
+        let mut pairs: Vec<(u32, f32)> = g.block.iter_nonzero().skip(1).collect();
+        pairs.push((dim as u32 / 2 + 3, 1.0));
+        SparseStream::from_pairs(dim, &pairs).unwrap().encode()
+    };
+    let truncated = &encoded[..encoded.len() - 1];
+    for (what, count_word, group) in [
+        ("a count one short", n - 1, g.group.clone()),
+        ("a count one over", n + 1, g.group.clone()),
+        (
+            "an index outside the partition",
+            n,
+            group_frame(0, &[&outside]),
+        ),
+        ("a truncated block", n, group_frame(0, &[truncated])),
+    ] {
+        match g.run(&count_word.to_le_bytes(), &group) {
+            Err(CollError::Invalid(_)) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn malformed_split_frames_are_typed_errors_on_the_owner() {
     // The honest rank owns [dim/2, dim). Its owner's window takes a split
     // frame only in its dimension and inside its partition, sparse or
@@ -808,13 +897,12 @@ fn malformed_split_frames_are_typed_errors_on_the_owner() {
             stray_dense.encode(),
         ),
     ] {
-        for algo in [Algorithm::SsarSplitAllgather, Algorithm::DsarSplitAllgather] {
-            // The villain takes the honest rank's split frame and leaves.
-            let frames = [(SUBTAG_SPLIT, frame.to_vec())];
-            match against_villain_frames(2, &g.mine, algo, &frames, &[SUBTAG_SPLIT]) {
-                Err(CollError::Invalid(_)) => {}
-                other => panic!("{algo:?}, {what}: {other:?}"),
-            }
+        // The villain takes the honest rank's split frame and leaves.
+        let frames = [(SUBTAG_SPLIT, frame.to_vec())];
+        let algo = Algorithm::SsarSplitAllgather;
+        match against_villain_frames(2, &g.mine, algo, &frames, &[SUBTAG_SPLIT]) {
+            Err(CollError::Invalid(_)) => {}
+            other => panic!("{what}: {other:?}"),
         }
     }
 }

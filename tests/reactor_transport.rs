@@ -201,7 +201,8 @@ fn rooted_collectives() {
 
 #[test]
 fn quantized_and_nonblocking() {
-    // DSAR + QSGD rides the same frames, and a non-blocking launch runs
+    // The split schedule's QSGD gather rides the same frames, and a
+    // non-blocking launch runs
     // on the caller's thread over the same ReactorTransport.
     let p = 4;
     let dim = 4096;
@@ -217,7 +218,7 @@ fn quantized_and_nonblocking() {
     let outs = run_reactor_communicators(p, |comm| {
         let mut handle = comm
             .allreduce(&ins[comm.rank()])
-            .algorithm(Algorithm::DsarSplitAllgather)
+            .algorithm(Algorithm::SsarSplitAllgather)
             .quantized(quant)
             .nonblocking()
             .launch()
