@@ -29,8 +29,8 @@
 //! `TransportConfig::max_frame_len` *before* any allocation. Servers
 //! default to the deliberately small
 //! [`sparcml_net::SERVER_MAX_FRAME_LEN`] cap. CONTRIBUTE/STATE/UPDATE
-//! payloads embed stream wire-v5 frames verbatim, with an Elias–Fano
-//! index or gap-coded.
+//! payloads embed stream wire-v6 frames verbatim: dense, or sparse with
+//! an Elias–Fano index.
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
-//! Criterion: wire codec throughput of the v5 frame (value slab + gap-coded
-//! or Elias–Fano index), in ns per entry for encode, decode and
+//! Criterion: wire codec throughput of the v6 frame (value slab +
+//! Elias–Fano index), in ns per entry for encode, decode and
 //! `encoded_len`.
 //!
 //! The three sparse sizes in dim 2^24 are Elias–Fano indices of L = 14
@@ -9,11 +9,12 @@
 //! workloads send most: the fused `engine-step` bucket (31 408 of
 //! 3 866 624, L = 6), a serve contribution (every 4th of 2^20, 8 192
 //! entries, L = 4) and an `ar-bandwidth` segment (12 500 of 2^17, L = 3).
-//! Clustered runs, where the gap slab wins, are the last case. The dense
+//! The last case is clustered: two runs of 1 000 at the two ends of 2^20
+//! (L = 9, 2 761 index bytes, where v5's gap slab took 2 002). The dense
 //! frame is the bulk value-slab path all of them share.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sparcml_stream::{clustered_sparse, random_sparse, uniform_indices, SparseStream, XorShift64};
+use sparcml_stream::{random_sparse, uniform_indices, SparseStream, XorShift64};
 
 fn bench_wire_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
@@ -28,6 +29,8 @@ fn bench_wire_codec(c: &mut Criterion) {
         let indices = indices.into_iter().map(|i| 4 * i).collect();
         SparseStream::from_slabs(1 << 20, indices, vec![1.0f32; 8_192]).expect("sorted")
     };
+    let runs = (0..1_000).chain((1 << 20) - 1_000..1 << 20).collect();
+    let runs = SparseStream::from_slabs(1 << 20, runs, vec![1.0f32; 2_000]).expect("sorted");
     let cases = [
         uniform(1 << 24, 1_000),
         uniform(1 << 24, 100_000),
@@ -40,10 +43,7 @@ fn bench_wire_codec(c: &mut Criterion) {
             "ar_bandwidth_segment".into(),
             random_sparse(1 << 17, 12_500, 7),
         ),
-        (
-            "clustered_64_runs".into(),
-            clustered_sparse(1 << 24, 100_000, 64, 7),
-        ),
+        ("two_far_runs".into(), runs),
     ];
     for (case, stream) in cases {
         let stream: SparseStream<f32> = stream;

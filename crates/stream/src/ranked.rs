@@ -237,9 +237,9 @@ impl<V: Scalar> RankedSum<V> {
     /// then the index written from the bitmap — byte for byte what
     /// [`SparseStream::encode`] writes for [`RankedSum::to_stream`].
     pub fn encode_append(&self, out: &mut Vec<u8>) {
-        let frame = begin_sparse_frame::<V>(self.dim, self.len, out);
+        begin_sparse_frame::<V>(self.dim, self.len, out);
         self.slabs(|values| V::write_slab_le(values, out));
-        self.bitmap().append_index(out, frame, self.len);
+        self.bitmap().append_index(out, self.len);
     }
 
     /// The sum as a sparse stream.

@@ -19,16 +19,15 @@
 //! sparse merge charged where a dense scatter was, which costs more
 //! compute than the bytes buy back (pinned `SSAR_Recursive_double` at
 //! `P = 8`, `N = 2^20`, `k = 10^5` on the Aries model: 1 206 → 1 439
-//! virtual µs with δ moved to `0.8·N`, the equality of the gap-coded
-//! frame alone; `k = 3·10^5`: 3 390 → 2 908). Where that trade pays is a question for a density sweep, and
+//! virtual µs with δ moved to `0.8·N`; `k = 3·10^5`: 3 390 → 2 908).
+//! Where that trade pays is a question for a density sweep, and
 //! [`DensityPolicy::factor`] is the lever it would turn.
 
 use crate::scalar::Scalar;
 
 /// Width in bytes of an index as stored in memory (`c` in the paper,
 /// which fixes indices to unsigned int, §8). On the wire an index is
-/// `⌊log2(1/d)⌋ + ≤ 2` bits of an Elias–Fano index at density `d`, or a
-/// gap varint where those are fewer.
+/// `⌊log2(1/d)⌋ + ≤ 2` bits of an Elias–Fano index at density `d`.
 pub const INDEX_BYTES: usize = 4;
 
 /// Policy controlling when summation switches a stream to the dense

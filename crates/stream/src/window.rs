@@ -28,10 +28,7 @@ use crate::partition::PartRange;
 use crate::scalar::Scalar;
 use crate::soa::SparseVec;
 use crate::stream::{Repr, SparseStream};
-use crate::wire::{
-    begin_sparse_frame, gap_slab_len, pick_index, put_ef_index, write_ef_bits, write_gap_slab,
-    BEFORE_FIRST, EF_BLOCK,
-};
+use crate::wire::{begin_sparse_frame, pick_index, put_ef_index, write_ef_bits, EF_BLOCK};
 
 /// Slots per occupancy word, and occupancy words per summary word.
 pub(crate) const WORD_BITS: usize = u64::BITS as usize;
@@ -120,9 +117,9 @@ impl<V: Scalar> WindowSum<V> {
 
     /// Writes the sum as one sparse wire frame into `out` (cleared first,
     /// capacity reused), straight from the bitmap: byte for byte what
-    /// [`SparseStream::encode`] writes for the drained stream. Where an
-    /// Elias–Fano index of no low bits wins, its bits are the occupancy
-    /// words shifted to the first entry.
+    /// [`SparseStream::encode`] writes for the drained stream. Where the
+    /// Elias–Fano index has no low bits, its bits are the occupancy words
+    /// shifted to the first entry.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         self.encode_append(out);
@@ -131,7 +128,7 @@ impl<V: Scalar> WindowSum<V> {
     /// [`WindowSum::encode_into`] appended to whatever `out` holds, so the
     /// frame can follow a header of the caller's in one buffer.
     pub fn encode_append(&self, out: &mut Vec<u8>) {
-        let frame = begin_sparse_frame::<V>(self.dim, self.len, out);
+        begin_sparse_frame::<V>(self.dim, self.len, out);
         let bitmap = self.bitmap();
         let mut values = [V::zero(); EF_BLOCK];
         bitmap.blocks(|block| {
@@ -140,7 +137,7 @@ impl<V: Scalar> WindowSum<V> {
             }
             V::write_slab_le(&values[..block.len()], out);
         });
-        bitmap.append_index(out, frame, self.len);
+        bitmap.append_index(out, self.len);
     }
 
     /// The sum as a sparse stream, the window left as it is: what
@@ -298,28 +295,20 @@ impl Bitmap<'_> {
         Some((self.lo + first as u32, self.lo + last as u32))
     }
 
-    /// Appends the index of the `n` occupied slots to the sparse frame
-    /// that starts at `out[frame]`, its header and its values written:
-    /// byte for byte what [`SparseStream::encode`] writes. Where an
-    /// Elias–Fano index of no low bits wins, its bits are the occupancy
-    /// words shifted to the first entry.
-    pub(crate) fn append_index(self, out: &mut Vec<u8>, frame: usize, n: usize) {
+    /// Appends the index of the `n` occupied slots to a sparse frame, its
+    /// header and its values written: byte for byte what
+    /// [`SparseStream::encode`] writes. Where the Elias–Fano index has no
+    /// low bits, its bits are the occupancy words shifted to the first
+    /// entry.
+    pub(crate) fn append_index(self, out: &mut Vec<u8>, n: usize) {
         let Some((first, last)) = self.ends() else {
             return;
         };
-        let gap_slab = || {
-            let (mut len, mut prev) = (0, BEFORE_FIRST);
-            self.blocks(|block| {
-                len += gap_slab_len(prev, block.iter().copied());
-                prev = block[block.len() - 1];
-            });
-            len
-        };
-        match pick_index(n, first, last, gap_slab) {
-            (Some(0), _) => {
+        match pick_index(n, first, last) {
+            (0, _) => {
                 let start = (first - self.lo) as usize;
                 let (word, shift) = (start / WORD_BITS, start % WORD_BITS);
-                put_ef_index(out, frame, (n, first, last), 0, |(_, words)| {
+                put_ef_index(out, (n, first, last), 0, |(_, words)| {
                     for (bytes, at) in words.chunks_exact_mut(8).zip(word..) {
                         let next = self
                             .occupied
@@ -330,13 +319,9 @@ impl Bitmap<'_> {
                     }
                 });
             }
-            (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |bits| {
+            (l, _) => put_ef_index(out, (n, first, last), l, |bits| {
                 write_ef_bits(bits, first, l, |put| self.blocks(put))
             }),
-            (None, _) => {
-                let mut prev = BEFORE_FIRST;
-                self.blocks(|block| prev = write_gap_slab(prev, block, out));
-            }
         }
     }
 }
@@ -549,8 +534,9 @@ mod tests {
     }
 
     #[test]
-    fn a_window_of_far_runs_writes_their_gap_coded_frame() {
-        // Two runs of 40: a byte a gap beats 11 low bits an entry.
+    fn a_window_of_far_runs_writes_their_elias_fano_frame() {
+        // Two runs of 40 300 000 apart: an index of 11 low bits an entry,
+        // written from the blocks, not the occupancy words.
         let (dim, range) = (1 << 20, partition_range(1 << 20, 2, 1));
         let runs: Vec<(u32, f32)> = (600_000..600_040)
             .chain(900_000..900_040)
@@ -561,7 +547,7 @@ mod tests {
         sum.add(&part).unwrap();
         let mut frame = Vec::new();
         sum.encode_into(&mut frame);
-        assert_eq!(frame[3], 0, "gap-coded");
+        assert_eq!((frame[3], frame[20 + 80 * 4]), (2, 11), "tag and L");
         assert_eq!(frame, part.encode().as_ref());
     }
 

@@ -1,52 +1,40 @@
-//! Wire encoding of sparse streams — frame layout **v5** (gap-coded or
-//! Elias–Fano index).
+//! Wire encoding of sparse streams — frame layout **v6** (Elias–Fano
+//! index).
 //!
 //! Layout (all little-endian):
 //!
 //! ```text
 //! [0]        magic 0xSC (0xC5)
-//! [1]        format version (5)
+//! [1]        format version (6)
 //! [2]        value width in bytes (4 = f32, 8 = f64)
-//! [3]        representation tag: 0 = sparse with gap bytes, 1 = dense,
-//!            2 = sparse with an Elias–Fano index
+//! [3]        representation tag: 1 = dense, 2 = sparse
 //! [4..12]    dim  (u64)
 //! [12..20]   nnz  (u64, sparse only; dense payload length is dim)
-//! payload    tag 0: nnz × value slab, then the gap bytes to the end of
-//!                   the frame
-//!            tag 1: dim × value slab
+//! payload    tag 1: dim × value slab
 //!            tag 2: nnz × value slab, then L (u8) and base (u32), then
 //!                   ⌈nnz·L / 8⌉ bytes of low bits, then the upper
-//!                   bitvector to the end of the frame
+//!                   bitvector to the end of the frame; nothing at all
+//!                   when nnz = 0
 //! ```
 //!
-//! The gap-coded index slab holds the first index, then
-//! `index − previous − 1` for every later entry, each as an LEB128 varint
-//! (7 payload bits per byte, low bits first, high bit set on every byte
-//! but the last): one byte below 128, two below 16 384, at most five. The
-//! gap bytes run to the end of the frame, so the frame needs no length
-//! field for them and a trailer a schedule appends after the frame still
-//! splits off as `frame[..len − trailer]`.
+//! A sparse frame's index is Elias–Fano (Elias, JACM 1974; Vigna,
+//! "Quasi-succinct indices", WSDM 2013). It codes the `n` indices from
+//! `base`, the first, as `x_i = index_i − base − i`, which never decreases;
+//! an index is then `base + x_i + i`, strictly increasing by construction.
+//! The low `L` bits of every `x_i` are packed little-endian, entry `i` at
+//! bit `i·L`; the upper bitvector sets bit `(x_i >> L) + i` for each entry
+//! and ends with the byte of the last one, so a trailer a schedule appends
+//! after the frame still splits off as `frame[..len − trailer]`. An entry
+//! costs `L + 1` bits and one per `2^L` its `x` grows: `⌊log2(U/n)⌋ + ≤ 2`
+//! bits over `U` slots. `L` is the smaller-sized of `⌊log2((x_last + 1) /
+//! n)⌋` and one more, ties to the lower. At `L = 0` the upper bitvector is
+//! a bitmap of the slots from the first index to the last.
 //!
-//! The Elias–Fano index (Elias, JACM 1974; Vigna, "Quasi-succinct
-//! indices", WSDM 2013) codes the `n` indices from `base`, the first, as
-//! `x_i = index_i − base − i`, which never decreases; an index is then
-//! `base + x_i + i`, strictly increasing by construction. The low `L` bits
-//! of every `x_i` are packed little-endian, entry `i` at bit `i·L`; the
-//! upper bitvector sets bit `(x_i >> L) + i` for each entry and ends with
-//! the byte of the last one, so a trailer still splits off. An entry costs
-//! `L + 1` bits and one per `2^L` its `x` grows: `⌊log2(U/n)⌋ + ≤ 2` bits
-//! over `U` slots. `L` is the smaller-sized of `⌊log2((x_last + 1) / n)⌋`
-//! and one more, ties to the lower. At `L = 0` the upper bitvector is a
-//! bitmap of the slots from the first index to the last.
-//!
-//! The encoder takes the Elias–Fano index unless the gap slab is strictly
-//! smaller, which only clustered runs make it. Both lengths follow from
-//! `(n, first, last)` but for the gap slab's: it is measured only where
-//! the index costs more than a byte an entry, the least a gap takes.
+//! The index's length follows from `(n, first, last)` alone, so
+//! [`SparseStream::encoded_len`] is exact without a pass over the entries.
 //! [`expected_entry_bytes`] is the price of an entry as a function of
-//! density and [`SparseStream::encoded_len`] the exact size of one stream.
-//! The in-memory layout is untouched (`Vec<u32>` ∥ `Vec<V>`), and so is δ —
-//! see [`crate::DensityPolicy`].
+//! density. The in-memory layout is untouched (`Vec<u32>` ∥ `Vec<V>`), and
+//! so is δ — see [`crate::DensityPolicy`].
 //!
 //! The value slab stays one contiguous little-endian block (a `memcpy` on
 //! little-endian targets). The representation tag is the paper's "extra
@@ -54,17 +42,16 @@
 //! is dense or sparse" (§5.1).
 //!
 //! Decoding never trusts the peer. Every declared count is checked against
-//! the bytes that remain before anything is allocated. A gap cannot step
-//! backwards, every varint is as short as its value allows and ends within
-//! five bytes, the running index stays below `dim`, and the gap bytes must
-//! be consumed exactly. An Elias–Fano index must have `L ≤ 31`, zero
-//! padding after its low bits, exactly `n` ones in its upper bitvector with
-//! the last in its final byte, a first entry at its base, `x` that never
-//! decrease and a last index below `dim`. Each support then has one
-//! encoding: a frame in a coding or with an `L` the encoder would not have
-//! picked is rejected too. Every failure is a typed [`StreamError`]; a
-//! frame of any other version — v4, whose tag 2 was a bitmap index,
-//! included — is a [`StreamError::VersionMismatch`].
+//! the bytes that remain before anything is allocated. An Elias–Fano index
+//! must have `L ≤ 31`, zero padding after its low bits, exactly `n` ones in
+//! its upper bitvector with the last in its final byte, a first entry at
+//! its base, `x` that never decrease and a last index below `dim`; a frame
+//! of no entries holds nothing past its header. Each support then has one
+//! encoding: a frame with an `L` the encoder would not have picked is
+//! rejected too. Every failure is a typed [`StreamError`]. Tag 0, v5's
+//! gap-coded index, is an unknown tag; a frame of any other version — v5
+//! and v4, whose tag 2 was a bitmap index, included — is a
+//! [`StreamError::VersionMismatch`].
 
 use std::marker::PhantomData;
 
@@ -76,9 +63,8 @@ use crate::soa::{SparseVec, SparseView};
 use crate::stream::{Repr, SparseStream};
 
 const MAGIC: u8 = 0xC5;
-/// Current wire format version (gap-coded or Elias–Fano index).
-pub const WIRE_VERSION: u8 = 5;
-const TAG_SPARSE: u8 = 0;
+/// Current wire format version (Elias–Fano index).
+pub const WIRE_VERSION: u8 = 6;
 const TAG_DENSE: u8 = 1;
 const TAG_ELIAS_FANO: u8 = 2;
 
@@ -95,253 +81,23 @@ pub fn header_len(dense: bool) -> usize {
     }
 }
 
-/// Longest varint a `u32` gap needs.
-const MAX_GAP_BYTES: usize = 5;
-/// The continuation bit of each byte of an 8-byte word.
-const CONTINUATION_BITS: u64 = 0x8080_8080_8080_8080;
+/// The sparsest density a `u32` index space holds: one entry in `2^32`.
+const SPARSEST: f64 = 1.0 / 4_294_967_296.0;
 
-/// Expected wire bytes of one sparse entry — its value plus its index —
-/// in a stream whose support is uniform with the given `density`
-/// (`nnz / dim`): the smaller of its gap varint and its share of an
-/// Elias–Fano index. Gaps are geometric, `P(gap ≥ g) = (1 − d)^g`, and a
-/// varint grows by one byte at each of 2^7, 2^14, 2^21 and 2^28. An
-/// Elias–Fano entry's `x` grows by `g = 1/d − 1` on average, so it costs
-/// `L + 1 + g / 2^L` bits, `L` the smaller-sized of `⌊log2 g⌋` and one
-/// more; at full density that is the one bit of a bitmap. This is what the
-/// cost model prices a pair at; the exact size of a given stream is
+/// Expected wire bytes of one sparse entry — its value plus its share of
+/// an Elias–Fano index — in a stream whose support is uniform with the
+/// given `density` (`nnz / dim`). An entry's `x` grows by `g = 1/d − 1` on
+/// average, so it costs `L + 1 + g / 2^L` bits, `L` the smaller-sized of
+/// `⌊log2 g⌋` and one more; at full density that is the one bit of a
+/// bitmap. A density below `2^-32` prices as `2^-32`, so the price stays
+/// finite at 0, where no entry pays it. This is what the cost model prices
+/// a pair at; the exact size of a given stream is
 /// [`SparseStream::encoded_len`].
 pub fn expected_entry_bytes(value_bytes: usize, density: f64) -> f64 {
-    let density = density.clamp(0.0, 1.0);
-    let gap_bytes: f64 = 1.0
-        + [7, 14, 21, 28]
-            .map(|bits| (1.0 - density).powi(1 << bits))
-            .iter()
-            .sum::<f64>();
-    let g = 1.0 / density - 1.0;
+    let g = 1.0 / density.clamp(SPARSEST, 1.0) - 1.0;
     let l = g.max(1.0).log2().floor().min(30.0);
     let ef_bits = |l: f64| l + 1.0 + g / l.exp2();
-    value_bytes as f64 + gap_bytes.min(ef_bits(l).min(ef_bits(l + 1.0)) / 8.0)
-}
-
-/// "Previous index" of the first entry: one before zero, so that the first
-/// gap is the index itself.
-pub(crate) const BEFORE_FIRST: u32 = u32::MAX;
-
-/// The gap that codes `idx` after `prev`: `idx − prev − 1`.
-#[inline]
-fn gap_after(prev: u32, idx: u32) -> u32 {
-    idx.wrapping_sub(prev).wrapping_sub(1)
-}
-
-/// Bytes of the varint encoding `gap`.
-#[inline]
-fn gap_len(gap: u32) -> usize {
-    1 + gap_extra_bytes(gap) as usize
-}
-
-/// Bytes the varint of `gap` takes past its first: one per 7-bit group
-/// above the lowest. Shifts and `!= 0`, not `>=`: baseline x86-64 (SSE2)
-/// has no unsigned vector compare, and a loop of these vectorizes.
-#[inline]
-fn gap_extra_bytes(gap: u32) -> u32 {
-    u32::from(gap >> 7 != 0)
-        + u32::from(gap >> 14 != 0)
-        + u32::from(gap >> 21 != 0)
-        + u32::from(gap >> 28 != 0)
-}
-
-/// The varint of `gap` in the low bytes of a little-endian word, and its
-/// length. Branch-free: where one- and two-byte gaps interleave (densities
-/// around 1 %) a byte-at-a-time loop mispredicts on every other entry.
-#[inline]
-fn gap_varint(gap: u32) -> (u64, usize) {
-    let len = gap_len(gap);
-    let gap = gap as u64;
-    // Spread the five 7-bit groups over five bytes…
-    let groups = (gap & 0x7F)
-        | (gap & 0x7F << 7) << 1
-        | (gap & 0x7F << 14) << 2
-        | (gap & 0x7F << 21) << 3
-        | (gap & 0x7F << 28) << 4;
-    // …and set the continuation bit on all but the last one used.
-    let continued = CONTINUATION_BITS & ((1 << (8 * (len - 1))) - 1);
-    (groups | continued, len)
-}
-
-/// Gaps the encoder takes at a time: a run of this many single-byte gaps
-/// is narrowed and stored as one 16-byte block.
-const GAP_RUN: usize = 16;
-
-/// Appends the varints of up to [`GAP_RUN`] gaps.
-fn put_varints(gaps: &[u32], out: &mut Vec<u8>) {
-    // Each varint is stored as a whole word and the next one overwrites
-    // what it did not use, hence the last store's 3 spare bytes.
-    let mut bytes = [0u8; GAP_RUN * MAX_GAP_BYTES + 3];
-    let mut len = 0;
-    for &gap in gaps {
-        let (word, word_len) = gap_varint(gap);
-        bytes[len..len + 8].copy_from_slice(&word.to_le_bytes());
-        len += word_len;
-    }
-    out.extend_from_slice(&bytes[..len]);
-}
-
-/// Appends the gap-coded form of a strictly increasing index slab whose
-/// entries follow `prev` ([`BEFORE_FIRST`] for a frame's first entry), so
-/// a slab may be written a piece at a time. Returns the last index written
-/// (`prev` when there was none).
-pub(crate) fn write_gap_slab(prev: u32, indices: &[u32], out: &mut Vec<u8>) -> u32 {
-    debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-    // One byte per gap is the floor and, wherever bandwidth matters, the
-    // whole slab; sparser slabs grow the buffer once and a pooled buffer
-    // keeps what it grew to. Reserving the 5-byte worst case would charge
-    // every frame's footprint for a shape that does not occur.
-    out.reserve(indices.len());
-    let mut prev = prev;
-    let mut chunks = indices.chunks_exact(GAP_RUN);
-    for chunk in &mut chunks {
-        // Fixed-size and free of a carried `prev`, so the gaps, their OR
-        // and the narrowing below all vectorize.
-        let chunk: &[u32; GAP_RUN] = chunk.try_into().expect("chunk of GAP_RUN");
-        let mut run = [gap_after(prev, chunk[0]); GAP_RUN];
-        for j in 1..GAP_RUN {
-            run[j] = gap_after(chunk[j - 1], chunk[j]);
-        }
-        prev = chunk[GAP_RUN - 1];
-        if run.iter().fold(0, |all, &gap| all | gap) < 0x80 {
-            out.extend_from_slice(&run.map(|gap| gap as u8));
-        } else {
-            put_varints(&run, out);
-        }
-    }
-    let rest = chunks.remainder();
-    let mut tail = [0u32; GAP_RUN];
-    for (gap, &idx) in tail.iter_mut().zip(rest) {
-        *gap = gap_after(prev, idx);
-        prev = idx;
-    }
-    put_varints(&tail[..rest.len()], out);
-    prev
-}
-
-/// Decodes exactly `indices.len()` gap-coded indices from `slab`, which
-/// must hold nothing else, into `indices`, and checks that an Elias–Fano
-/// index would have been larger. `frame_len` only labels a truncation
-/// error.
-fn read_gap_slab_into(
-    slab: &[u8],
-    indices: &mut [u32],
-    dim: usize,
-    frame_len: usize,
-) -> Result<(), StreamError> {
-    let nnz = indices.len();
-    // The index a zero gap lands on next; u64 so that neither a 5-byte
-    // varint nor index `u32::MAX` + 1 can overflow it.
-    let mut next: u64 = 0;
-    let mut pos = 0usize;
-    let mut filled = 0usize;
-    while filled < nnz {
-        // Eight single-byte gaps at a time: no continuation bit in the
-        // next 8 bytes and at least 8 entries still to come.
-        if let (Some(word), true) = (slab.get(pos..pos + 8), nnz - filled >= 8) {
-            let word: [u8; 8] = word.try_into().expect("slice of 8");
-            if u64::from_le_bytes(word) & CONTINUATION_BITS == 0 {
-                let mut run = [0u32; 8];
-                let mut after = next;
-                for (idx, gap) in run.iter_mut().zip(word) {
-                    *idx = (after + gap as u64) as u32;
-                    after += gap as u64 + 1;
-                }
-                // Indices only grow, so the last one in bounds means all
-                // eight are; otherwise the varint path below names the
-                // first offender.
-                if after <= dim as u64 && after <= 1 << 32 {
-                    indices[filled..filled + 8].copy_from_slice(&run);
-                    filled += 8;
-                    next = after;
-                    pos += 8;
-                    continue;
-                }
-            }
-        }
-        let mut gap: u64 = 0;
-        for byte_no in 0.. {
-            let Some(&byte) = slab.get(pos) else {
-                return Err(StreamError::Truncated {
-                    needed: frame_len + 1,
-                    got: frame_len,
-                });
-            };
-            pos += 1;
-            gap |= ((byte & 0x7F) as u64) << (7 * byte_no);
-            if byte & 0x80 == 0 {
-                if byte == 0 && byte_no > 0 {
-                    return Err(StreamError::Corrupt(
-                        "index gap varint longer than its value",
-                    ));
-                }
-                break;
-            }
-            if byte_no + 1 == MAX_GAP_BYTES {
-                return Err(StreamError::Corrupt("index gap varint longer than 5 bytes"));
-            }
-        }
-        let idx = u32::try_from(next + gap)
-            .map_err(|_| StreamError::Corrupt("index gap runs past the u32 index range"))?;
-        if idx as usize >= dim {
-            return Err(StreamError::IndexOutOfBounds { idx, dim });
-        }
-        indices[filled] = idx;
-        filled += 1;
-        next = idx as u64 + 1;
-    }
-    if pos != slab.len() {
-        return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
-    }
-    if let (Some(&first), Some(&last)) = (indices.first(), indices.last()) {
-        if pick_index(nnz, first, last, || slab.len()).0.is_some() {
-            return Err(StreamError::Corrupt("gap slab no smaller than Elias–Fano"));
-        }
-    }
-    Ok(())
-}
-
-/// Pairs whose extra bytes are summed in one `u32` (at most 4 each, so no
-/// chunk can overflow it).
-const GAP_COUNT_CHUNK: usize = 1 << 16;
-
-/// Exact length of the gap slab of a strictly increasing index slab: one
-/// byte per entry plus [`gap_extra_bytes`] of each gap, summed over
-/// adjacent pairs in `u32` chunks so the loop vectorizes. The same length
-/// as [`gap_slab_len`], which takes the indices one at a time.
-pub(crate) fn gap_slab_len_of(indices: &[u32]) -> usize {
-    let Some(&first) = indices.first() else {
-        return 0;
-    };
-    let mut len = indices.len() + gap_extra_bytes(first) as usize;
-    for (prev, next) in indices
-        .chunks(GAP_COUNT_CHUNK)
-        .zip(indices[1..].chunks(GAP_COUNT_CHUNK))
-    {
-        let extra: u32 = prev
-            .iter()
-            .zip(next)
-            .map(|(&prev, &idx)| gap_extra_bytes(gap_after(prev, idx)))
-            .sum();
-        len += extra as usize;
-    }
-    len
-}
-
-/// Exact length of the gap slab of strictly increasing indices that
-/// follow `prev` ([`BEFORE_FIRST`] for a frame's first entry), taken one
-/// index at a time (for indices that are not in one slice).
-pub(crate) fn gap_slab_len(prev: u32, indices: impl IntoIterator<Item = u32>) -> usize {
-    let mut prev = prev;
-    indices
-        .into_iter()
-        .map(|idx| gap_len(gap_after(std::mem::replace(&mut prev, idx), idx)))
-        .sum()
+    value_bytes as f64 + ef_bits(l).min(ef_bits(l + 1.0)) / 8.0
 }
 
 /// Bytes ahead of an Elias–Fano index's bits: `L`, then the base.
@@ -363,44 +119,27 @@ fn ef_parts(n: usize, top: u64, l: u32) -> (usize, usize) {
     ((n * l as usize).div_ceil(8), upper.div_ceil(8))
 }
 
-/// The canonical `L` of `n` entries whose last `x` is `top`.
-fn ef_low_bits(n: usize, top: u64) -> u32 {
-    let l = ((top + 1) / n as u64).checked_ilog2().unwrap_or(0);
+/// The Elias–Fano index of `n ≥ 1` strictly increasing indices from
+/// `first` to `last`: its canonical `L` and its length in bytes. The
+/// encoder's choice, the decoder's check and [`SparseStream::encoded_len`].
+pub(crate) fn pick_index(n: usize, first: u32, last: u32) -> (u32, usize) {
+    let top = ef_top(n, first, last);
     let size = |l| {
         let (low, upper) = ef_parts(n, top, l);
-        low + upper
+        EF_HEAD_LEN + low + upper
     };
-    l + u32::from(size(l + 1) < size(l))
+    let l = ((top + 1) / n as u64).checked_ilog2().unwrap_or(0);
+    let l = l + u32::from(size(l + 1) < size(l));
+    (l, size(l))
 }
 
-/// The index coding of `n ≥ 1` strictly increasing indices from `first`
-/// to `last`, and its length in bytes: `Some(L)` for the Elias–Fano index,
-/// `None` for the gap slab, which `gap_slab` measures — asked for only
-/// where the Elias–Fano index is longer than the first varint and a byte
-/// per later entry, the least a gap slab takes. The encoder's choice and
-/// the decoder's check.
-pub(crate) fn pick_index(
-    n: usize,
-    first: u32,
-    last: u32,
-    gap_slab: impl FnOnce() -> usize,
-) -> (Option<u32>, usize) {
-    let top = ef_top(n, first, last);
-    let l = ef_low_bits(n, top);
-    let (low, upper) = ef_parts(n, top, l);
-    let ef = EF_HEAD_LEN + low + upper;
-    let gaps = (ef >= gap_len(first) + n).then(gap_slab).unwrap_or(ef);
-    ((gaps >= ef).then_some(l), gaps.min(ef))
-}
-
-/// Turns the sparse frame at `out[frame]`, header and values written, into
-/// one with the Elias–Fano index of `n` indices from `first` to `last`, `l`
-/// low bits each. `fill` writes into zeroed low bits with 8 bytes to spare
-/// and whole little-endian upper words (bit `p` is bit `p % 64` of word
-/// `p / 64`), whose bytes up to the last one then move down.
+/// Appends to a sparse frame, header and values written, the Elias–Fano
+/// index of `n` indices from `first` to `last`, `l` low bits each. `fill`
+/// writes into zeroed low bits with 8 bytes to spare and whole
+/// little-endian upper words (bit `p` is bit `p % 64` of word `p / 64`),
+/// whose bytes up to the last one then move down.
 pub(crate) fn put_ef_index(
     out: &mut Vec<u8>,
-    frame: usize,
     (n, first, last): (usize, u32, u32),
     l: u32,
     fill: impl FnOnce((&mut [u8], &mut [u8])),
@@ -408,7 +147,6 @@ pub(crate) fn put_ef_index(
     let (low, upper) = ef_parts(n, ef_top(n, first, last), l);
     // Exactly: a pooled buffer keeps what it grew to.
     out.reserve_exact(EF_HEAD_LEN + low + 8 + 8 * upper.div_ceil(8));
-    out[frame + 3] = TAG_ELIAS_FANO;
     out.push(l as u8);
     out.extend_from_slice(&first.to_le_bytes());
     let at = out.len();
@@ -517,23 +255,22 @@ pub(crate) fn write_ef_bits(
     }
 }
 
-/// Appends the index of a strictly increasing index slab to the sparse
-/// frame that starts at `out[frame]`, header and value slab written: the
-/// Elias–Fano index unless the gap slab is strictly smaller.
-fn write_index(indices: &[u32], frame: usize, out: &mut Vec<u8>) {
+/// Appends the Elias–Fano index of a strictly increasing index slab to a
+/// sparse frame, header and value slab written.
+fn write_index(indices: &[u32], out: &mut Vec<u8>) {
     let (Some(&first), Some(&last)) = (indices.first(), indices.last()) else {
         return;
     };
     let n = indices.len();
-    match pick_index(n, first, last, || gap_slab_len_of(indices)) {
-        (Some(l), _) => put_ef_index(out, frame, (n, first, last), l, |bits| {
-            write_ef_bits(bits, first, l, |put| indices.chunks(EF_BLOCK).for_each(put))
-        }),
-        (None, _) => {
-            write_gap_slab(BEFORE_FIRST, indices, out);
-        }
-    }
+    let (l, _) = pick_index(n, first, last);
+    put_ef_index(out, (n, first, last), l, |bits| {
+        write_ef_bits(bits, first, l, |put| indices.chunks(EF_BLOCK).for_each(put))
+    });
 }
+
+/// A checked Elias–Fano index: `L`, the base, the low bits and the bytes
+/// after them, and where the upper bits start.
+type EfIndex<'a> = (u32, u32, &'a [u8], usize);
 
 /// The little-endian word of up to 8 bytes, zero-padded.
 #[inline]
@@ -561,7 +298,7 @@ fn low_bits_of(bits: &[u8], l: u32, i: usize) -> u32 {
 /// each upper word's set bits by `tzcnt`, the low bits 8 entries a word,
 /// then a check that they rise, which the parse could not see.
 fn read_ef_into(
-    (l, base, bits, low_len): (u32, u32, &[u8], usize),
+    (l, base, bits, low_len): EfIndex<'_>,
     indices: &mut [u32],
 ) -> Result<(), StreamError> {
     let mut rest = &mut indices[..];
@@ -619,7 +356,7 @@ fn check_ef(
     dim: usize,
     index: &[u8],
     frame_len: usize,
-) -> Result<(u32, u32, &[u8], usize), StreamError> {
+) -> Result<EfIndex<'_>, StreamError> {
     let corrupt = |what| Err(StreamError::Corrupt(what));
     let (l, bits) = (u32::from(index[0]), &index[EF_HEAD_LEN..]);
     let base = u32::from_le_bytes(index[1..EF_HEAD_LEN].try_into().expect("4 bytes"));
@@ -666,7 +403,7 @@ fn check_ef(
             dim,
         });
     }
-    if ef_low_bits(nnz, top) != l {
+    if pick_index(nnz, base, last as u32).0 != l {
         return corrupt("Elias–Fano index with low bits the encoder would not pick");
     }
     Ok((l, base, bits, low_len))
@@ -680,22 +417,19 @@ fn put_header(out: &mut Vec<u8>, width: u8, tag: u8, dim: usize) {
     out.extend_from_slice(&(dim as u64).to_le_bytes());
 }
 
-/// Appends the 20-byte header of a sparse frame of `nnz` entries to `out`
-/// and returns where the frame starts; the value slab and then the index
-/// follow.
-pub(crate) fn begin_sparse_frame<V: Scalar>(dim: usize, nnz: usize, out: &mut Vec<u8>) -> usize {
-    let frame = out.len();
+/// Appends the 20-byte header of a sparse frame of `nnz` entries to `out`;
+/// the value slab and then the index follow.
+pub(crate) fn begin_sparse_frame<V: Scalar>(dim: usize, nnz: usize, out: &mut Vec<u8>) {
     out.reserve(SPARSE_HEADER_LEN + nnz * (V::BYTES + 1));
-    put_header(out, V::BYTES as u8, TAG_SPARSE, dim);
+    put_header(out, V::BYTES as u8, TAG_ELIAS_FANO, dim);
     out.extend_from_slice(&(nnz as u64).to_le_bytes());
-    frame
 }
 
 /// Appends the sparse frame of `view` in a `dim`-dimensional space.
 fn append_sparse<V: Scalar>(dim: usize, view: SparseView<'_, V>, out: &mut Vec<u8>) {
-    let frame = begin_sparse_frame::<V>(dim, view.len(), out);
+    begin_sparse_frame::<V>(dim, view.len(), out);
     V::write_slab_le(view.values(), out);
-    write_index(view.indices(), frame, out);
+    write_index(view.indices(), out);
 }
 
 /// Appends the dense frame of `values`.
@@ -759,16 +493,13 @@ impl<V: Scalar> SparseStream<V> {
     }
 
     /// Exact byte length [`SparseStream::encode`] will produce: from the
-    /// entry count and the first and last index, and a vectorized pass
-    /// over the index slab only where the gap slab may be the smaller.
+    /// entry count and the first and last index.
     pub fn encoded_len(&self) -> usize {
         match self.repr() {
             Repr::Sparse(sv) => {
                 let indices = sv.indices();
                 let index_bytes = match (indices.first(), indices.last()) {
-                    (Some(&first), Some(&last)) => {
-                        pick_index(indices.len(), first, last, || gap_slab_len_of(indices)).1
-                    }
+                    (Some(&first), Some(&last)) => pick_index(indices.len(), first, last).1,
                     _ => 0,
                 };
                 SPARSE_HEADER_LEN + sv.len() * V::BYTES + index_bytes
@@ -784,7 +515,7 @@ impl<V: Scalar> SparseStream<V> {
     /// magic/version/width, payload length against the declared counts
     /// (before any allocation), and — for sparse frames — an index that
     /// decodes to exactly `nnz` in-bounds indices with nothing left over
-    /// (strictly increasing by construction), in the coding the encoder
+    /// (strictly increasing by construction), with the `L` the encoder
     /// picks for them. Malformed frames yield typed
     /// [`StreamError`]s; a peer can never hand us a stream that violates
     /// the invariants.
@@ -792,16 +523,13 @@ impl<V: Scalar> SparseStream<V> {
         let frame = WireFrame::<V>::parse(bytes)?;
         let mut values = vec![V::zero(); frame.stored_len()];
         let mut stream = SparseStream::zeros(frame.dim);
-        match frame.body {
-            Body::Sparse { .. } | Body::EliasFano { .. } => {
-                let mut indices = vec![0u32; values.len()];
-                frame.read_sparse_into(&mut indices, &mut values)?;
-                stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
-            }
-            Body::Dense { .. } => {
-                frame.read_dense_into(&mut values)?;
-                stream.set_repr(Repr::Dense(values));
-            }
+        if frame.is_dense() {
+            frame.read_dense_into(&mut values)?;
+            stream.set_repr(Repr::Dense(values));
+        } else {
+            let mut indices = vec![0u32; values.len()];
+            frame.read_sparse_into(&mut indices, &mut values)?;
+            stream.set_repr(Repr::Sparse(SparseVec::from_slabs(indices, values)));
         }
         Ok(stream)
     }
@@ -811,15 +539,10 @@ impl<V: Scalar> SparseStream<V> {
 /// Elias–Fano index all of it but its order.
 #[derive(Debug, Clone, Copy)]
 enum Body<'a> {
-    Sparse {
-        nnz: usize,
-        values: &'a [u8],
-        gaps: &'a [u8],
-    },
     EliasFano {
         nnz: usize,
         values: &'a [u8],
-        index: (u32, u32, &'a [u8], usize),
+        index: EfIndex<'a>,
     },
     Dense {
         values: &'a [u8],
@@ -838,13 +561,13 @@ enum Body<'a> {
 pub struct WireFrame<'a, V: Scalar> {
     dim: usize,
     body: Body<'a>,
-    frame_len: usize,
     value: PhantomData<V>,
 }
 
 /// The body of an Elias–Fano-indexed frame of `nnz` entries in a
 /// `dim`-dim space, from `buf`, the `frame_len`-byte frame's bytes after
 /// its sparse header: the value slab, then the index [`check_ef`] checks.
+/// A frame of no entries has neither.
 fn ef_body<V: Scalar>(
     nnz: usize,
     dim: usize,
@@ -852,7 +575,15 @@ fn ef_body<V: Scalar>(
     frame_len: usize,
 ) -> Result<Body<'_>, StreamError> {
     if nnz == 0 {
-        return Err(StreamError::Corrupt("Elias–Fano index of no entries"));
+        if !buf.is_empty() {
+            return Err(StreamError::Corrupt("trailing bytes after an empty frame"));
+        }
+        let index = (0, 0, buf, 0);
+        return Ok(Body::EliasFano {
+            nnz,
+            values: buf,
+            index,
+        });
     }
     let head = nnz
         .checked_mul(V::BYTES)
@@ -872,9 +603,8 @@ fn ef_body<V: Scalar>(
 impl<'a, V: Scalar> WireFrame<'a, V> {
     /// Checks `bytes` as one frame: magic, version, value width,
     /// representation tag, and payload length against the declared counts
-    /// (a sparse entry is a value and one to five gap bytes, or a value
-    /// and its bits of an Elias–Fano index). An Elias–Fano index is
-    /// checked in full but for its order, which the read checks.
+    /// (a sparse entry is a value and its bits of an Elias–Fano index). The
+    /// index is checked in full but for its order, which the read checks.
     pub fn parse(bytes: &'a [u8]) -> Result<Self, StreamError> {
         let mut buf = bytes;
         if buf.remaining() < HEADER_LEN {
@@ -904,7 +634,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         let dim = buf.get_u64_le();
         let dim = usize::try_from(dim).map_err(|_| StreamError::Corrupt("dimension overflow"))?;
         let body = match tag {
-            TAG_SPARSE | TAG_ELIAS_FANO => {
+            TAG_ELIAS_FANO => {
                 if buf.remaining() < 8 {
                     return Err(StreamError::Truncated {
                         needed: SPARSE_HEADER_LEN,
@@ -917,26 +647,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
                 if nnz > dim {
                     return Err(StreamError::Corrupt("entry count exceeds dimension"));
                 }
-                if tag == TAG_ELIAS_FANO {
-                    ef_body::<V>(nnz, dim, buf, bytes.len())?
-                } else {
-                    // Every entry is a value and at least one gap byte, at
-                    // most five: both ends are checked on lengths alone.
-                    let shortest = nnz
-                        .checked_mul(V::BYTES + 1)
-                        .ok_or(StreamError::Corrupt("payload length overflow"))?;
-                    if buf.remaining() < shortest {
-                        return Err(StreamError::Truncated {
-                            needed: SPARSE_HEADER_LEN + shortest,
-                            got: bytes.len(),
-                        });
-                    }
-                    if buf.remaining() - shortest > nnz * (MAX_GAP_BYTES - 1) {
-                        return Err(StreamError::Corrupt("trailing bytes after sparse payload"));
-                    }
-                    let (values, gaps) = buf.split_at(nnz * V::BYTES);
-                    Body::Sparse { nnz, values, gaps }
-                }
+                ef_body::<V>(nnz, dim, buf, bytes.len())?
             }
             TAG_DENSE => {
                 let payload = dim
@@ -958,7 +669,6 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         Ok(WireFrame {
             dim,
             body,
-            frame_len: bytes.len(),
             value: PhantomData,
         })
     }
@@ -977,7 +687,7 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
     /// dense — already covered by the frame's bytes.
     pub fn stored_len(&self) -> usize {
         match self.body {
-            Body::Sparse { nnz, .. } | Body::EliasFano { nnz, .. } => nnz,
+            Body::EliasFano { nnz, .. } => nnz,
             Body::Dense { .. } => self.dim,
         }
     }
@@ -991,14 +701,14 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         indices: &mut [u32],
         values: &mut [V],
     ) -> Result<(), StreamError> {
-        let value_slab = self.value_slab()?;
+        let (value_slab, index) = self.sparse()?;
         if indices.len() != self.stored_len() || values.len() != self.stored_len() {
             return Err(StreamError::SlabLengthMismatch {
                 indices: indices.len(),
                 values: values.len(),
             });
         }
-        self.read_index_into(indices)?;
+        read_ef_into(index, indices)?;
         V::read_slab_le_into(value_slab, values);
         Ok(())
     }
@@ -1015,10 +725,10 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         window: &mut [V],
         indices: &mut Vec<u32>,
     ) -> Result<usize, StreamError> {
-        let value_slab = self.value_slab()?;
+        let (value_slab, index) = self.sparse()?;
         indices.clear();
         indices.resize(self.stored_len(), 0);
-        self.read_index_into(indices)?;
+        read_ef_into(index, indices)?;
         let hi = u32::try_from(lo as usize + window.len()).unwrap_or(u32::MAX);
         // Indices strictly increase: the ends bound the rest.
         for &idx in [indices.first(), indices.last()].into_iter().flatten() {
@@ -1032,35 +742,10 @@ impl<'a, V: Scalar> WireFrame<'a, V> {
         Ok(indices.len())
     }
 
-    /// A sparse frame's value slab.
-    fn value_slab(&self) -> Result<&'a [u8], StreamError> {
+    /// A sparse frame's value slab and its checked index.
+    fn sparse(&self) -> Result<(&'a [u8], EfIndex<'a>), StreamError> {
         match self.body {
-            Body::Sparse { values, .. } | Body::EliasFano { values, .. } => Ok(values),
-            Body::Dense { .. } => Err(StreamError::Corrupt("expected a sparse frame")),
-        }
-    }
-
-    /// Decodes a sparse frame's index into `indices`, which is
-    /// [`WireFrame::stored_len`] long: strictly increasing and below
-    /// [`WireFrame::dim`], each support in the one coding the encoder
-    /// picks for it.
-    fn read_index_into(&self, indices: &mut [u32]) -> Result<(), StreamError> {
-        match self.body {
-            Body::Sparse { gaps, .. } => {
-                read_gap_slab_into(gaps, indices, self.dim, self.frame_len)
-            }
-            Body::EliasFano { nnz, index, .. } => {
-                read_ef_into(index, indices)?;
-                // `nnz ≥ 1`: the parse rejects an empty index.
-                let (first, last) = (indices[0], indices[nnz - 1]);
-                let (coding, _) = pick_index(nnz, first, last, || gap_slab_len_of(indices));
-                if coding.is_none() {
-                    return Err(StreamError::Corrupt(
-                        "Elias–Fano where the gap slab is smaller",
-                    ));
-                }
-                Ok(())
-            }
+            Body::EliasFano { values, index, .. } => Ok((values, index)),
             Body::Dense { .. } => Err(StreamError::Corrupt("expected a sparse frame")),
         }
     }
@@ -1104,16 +789,16 @@ mod tests {
     use super::*;
     use crate::gen::{clustered_sparse, random_sparse, uniform_indices, XorShift64};
 
-    /// A sparse f32 frame built by hand: header, value slab, raw gap bytes.
-    fn raw_frame(dim: u64, nnz: u64, gap_bytes: &[u8]) -> Vec<u8> {
-        let mut out = vec![MAGIC, WIRE_VERSION, 4, TAG_SPARSE];
+    /// A sparse f32 frame built by hand: header, value slab, raw index.
+    fn raw_frame(dim: u64, nnz: u64, index: &[u8]) -> Vec<u8> {
+        let mut out = vec![MAGIC, WIRE_VERSION, 4, TAG_ELIAS_FANO];
         out.extend_from_slice(&dim.to_le_bytes());
         out.extend_from_slice(&nnz.to_le_bytes());
         // As many values as the frame can honestly hold.
         for i in 0..nnz.min(1 << 16) {
             out.extend_from_slice(&(i as f32).to_le_bytes());
         }
-        out.extend_from_slice(gap_bytes);
+        out.extend_from_slice(index);
         out
     }
 
@@ -1128,8 +813,24 @@ mod tests {
     #[test]
     fn sparse_round_trip_f32() {
         let v = SparseStream::from_pairs(1000, &[(3, 1.5f32), (999, -2.0)]).unwrap();
-        // 20 header + 2 × 4 values + gaps 3 (one byte) and 995 (two).
-        assert_eq!(round_trip(&v).len(), 20 + 8 + 1 + 2);
+        // 20 header + 2 × 4 values + L and base, then x = 0 and 995 at
+        // L = 8: two bytes of low bits and the upper bits 0 and 4.
+        assert_eq!(round_trip(&v).len(), 20 + 8 + 5 + 2 + 1);
+    }
+
+    #[test]
+    fn an_empty_sparse_frame_is_its_header() {
+        // Tag 2 and nnz = 0, and no value or index byte.
+        let empty = round_trip(&SparseStream::<f32>::zeros(1000));
+        assert_eq!(empty.as_ref(), raw_frame(1000, 0, &[]));
+        assert_eq!(empty.len(), 20);
+        let frame = WireFrame::<f32>::parse(&empty).unwrap();
+        assert_eq!((frame.is_dense(), frame.stored_len()), (false, 0));
+        frame.read_sparse_into(&mut [], &mut []).unwrap();
+        let mut window = [1.0f32; 4];
+        let read = frame.read_sparse_scatter(0, &mut window, &mut Vec::new());
+        assert_eq!((read, window), (Ok(0), [1.0; 4]));
+        assert_eq!(round_trip(&SparseStream::<f64>::zeros(7)).len(), 20);
     }
 
     #[test]
@@ -1139,48 +840,33 @@ mod tests {
     }
 
     #[test]
-    fn frame_layout_is_values_then_gap_bytes() {
-        let v =
-            SparseStream::from_pairs(1000, &[(1, 1.0f32), (2, 2.0), (7, 3.0), (300, 4.0)]).unwrap();
-        let bytes = v.encode();
-        assert_eq!(bytes[1], WIRE_VERSION);
-        assert_eq!(WIRE_VERSION, 5);
-        let val_slab = &bytes[SPARSE_HEADER_LEN..SPARSE_HEADER_LEN + 16];
-        assert_eq!(f32::read_slab_le(val_slab), vec![1.0, 2.0, 3.0, 4.0]);
-        // First index 1, then 2−1−1 = 0, 7−2−1 = 4, 300−7−1 = 292 = 0x124
-        // as the two-byte varint [0x24 | 0x80, 0x02].
-        assert_eq!(&bytes[SPARSE_HEADER_LEN + 16..], &[1, 0, 4, 0xA4, 0x02]);
-    }
-
-    #[test]
-    fn round_trips_on_both_sides_of_every_varint_boundary() {
-        // Entry 0 sits at index 0, so the gap of entry 1 is `second − 1`.
-        for (gap, len) in [
-            (0u32, 1usize),
-            (127, 1),
-            (128, 2),
-            (16_383, 2),
-            (16_384, 3),
-            ((1 << 21) - 1, 3),
-            (1 << 21, 4),
-            ((1 << 28) - 1, 4),
-            (1 << 28, 5),
-            (u32::MAX - 1, 5),
-        ] {
-            let v = SparseStream::from_pairs(1 << 32, &[(0, 1.0f32), (gap + 1, 2.0)]).unwrap();
-            assert_eq!(round_trip(&v).len(), 20 + 8 + 1 + len, "gap {gap}");
-            let w = SparseStream::from_pairs(1 << 32, &[(0, 1.0f64), (gap + 1, 2.0)]).unwrap();
-            assert_eq!(round_trip(&w).len(), 20 + 16 + 1 + len, "gap {gap}");
-            // The same boundaries for the first index, which is its own gap.
-            let first = SparseStream::from_pairs(1 << 32, &[(gap, 1.0f32)]).unwrap();
-            assert_eq!(round_trip(&first).len(), 20 + 4 + len, "first {gap}");
+    fn round_trips_at_every_distance_and_low_bit_width() {
+        // Two entries `d + 1` apart for distances across the u32 range, the
+        // top of it included: every L from 0 to 30, each index the oracle's.
+        let mut widths = [0usize; 32];
+        for d in (0..32)
+            .flat_map(|b| [(1u32 << b) - 1, 1 << b])
+            .chain([u32::MAX - 1])
+        {
+            let v = SparseStream::from_pairs(1 << 32, &[(0, 1.0f32), (d + 1, 2.0)]).unwrap();
+            let bytes = round_trip(&v);
+            let index = &bytes[SPARSE_HEADER_LEN + 8..];
+            let l = u32::from(index[0]);
+            widths[l as usize] += 1;
+            assert_eq!(&index[5..], ef_oracle(&[0, d + 1], l), "d {d}");
+            let w = SparseStream::from_pairs(1 << 32, &[(0, 1.0f64), (d + 1, 2.0)]).unwrap();
+            assert_eq!(round_trip(&w).len(), bytes.len() + 8, "d {d}");
+            // One entry anywhere: L = 0, the base and one upper byte.
+            let one = SparseStream::from_pairs(1 << 32, &[(d, 1.0f32)]).unwrap();
+            assert_eq!(round_trip(&one).len(), 20 + 4 + EF_HEAD_LEN + 1, "at {d}");
         }
+        assert!(widths[..31].iter().all(|&n| n > 0), "{widths:?}");
     }
 
     #[test]
     fn round_trips_at_the_edges_of_the_index_space() {
         let dim = 1000;
-        round_trip(&SparseStream::<f32>::zeros(dim));
+        assert_eq!(round_trip(&SparseStream::<f32>::zeros(dim)).len(), 20);
         round_trip(&SparseStream::from_pairs(dim, &[(0, 1.0f32)]).unwrap());
         round_trip(&SparseStream::from_pairs(dim, &[(dim as u32 - 1, 1.0f64)]).unwrap());
         // The largest index a stream can hold, in the largest dimension.
@@ -1191,8 +877,9 @@ mod tests {
         let full = SparseStream::from_pairs(dim, &full).unwrap();
         assert!(full.is_sparse());
         assert_eq!(round_trip(&full).len(), 20 + dim * 4 + 5 + dim / 8);
-        // Uniform supports of every low-bit width, and clustered runs: one-byte
-        // gap stretches broken by multi-byte gaps at every alignment.
+        // Uniform supports of every low-bit width, and clustered runs:
+        // stretches of adjacent entries broken by far jumps at every
+        // alignment.
         for seed in 0..32 {
             let nnz = 37 + 11 * seed as usize;
             round_trip(&random_sparse::<f32>(1 << 12, nnz, seed));
@@ -1221,7 +908,7 @@ mod tests {
         v.encode_into(&mut buf);
         assert_eq!(buf, first);
         assert_eq!(buf.capacity(), cap);
-        // A buffer that grew for multi-byte gaps keeps what it grew to.
+        // A buffer that grew for a wide index keeps what it grew to.
         let wide = random_sparse::<f32>(1 << 24, 500, 3);
         let mut buf = Vec::new();
         wide.encode_into(&mut buf);
@@ -1313,30 +1000,31 @@ mod tests {
     }
 
     #[test]
-    fn expected_entry_bytes_follows_the_varint_boundaries() {
+    fn expected_entry_bytes_is_the_elias_fano_price() {
         // A full support is a bitmap of one bit an entry, and so is any
         // support past 1/2: no low bits, `1 + g` upper bits.
         assert_eq!(expected_entry_bytes(4, 1.0), 4.125);
         assert!((expected_entry_bytes(4, 0.55) - (4.0 + 1.0 / 4.4)).abs() < 1e-12);
-        // An empty one is the five-byte varint.
-        assert_eq!(expected_entry_bytes(8, 0.0), 13.0);
         // g = 3 and 7: L = 1 and 2, 3.5 and 4.75 bits.
         assert_eq!(expected_entry_bytes(4, 0.25), 4.4375);
         assert_eq!(expected_entry_bytes(4, 0.125), 4.59375);
-        // Mean gap 100: L = 6, 6 + 1 + 99/64 bits, under the gap's
-        // 1 + (0.99)^128 bytes.
+        // Mean gap 100: L = 6, 6 + 1 + 99/64 bits.
         let e = expected_entry_bytes(4, 0.01);
         assert!((e - (4.0 + (7.0 + 99.0 / 64.0) / 8.0)).abs() < 1e-9, "{e}");
-        assert!(e < 5.0 + 0.99f64.powi(128));
-        // Monotone: sparser streams never weigh less per entry, nor more
-        // than a five-byte varint.
+        // One entry in 2^32, the sparsest a u32 index holds: g = 2^32 − 1,
+        // L = 31, 32 + g/2^31 bits. An empty stream prices the same, and
+        // finitely, though no entry pays it.
+        let sparsest = expected_entry_bytes(8, 0.5f64.powi(32));
+        assert!((sparsest - (8.0 + 34.0 / 8.0)).abs() < 1e-9, "{sparsest}");
+        assert_eq!(expected_entry_bytes(8, 0.0), sparsest);
+        // Monotone: sparser streams never weigh less per entry.
         let mut last = 0.0;
         for exp in 0..12 {
             let e = expected_entry_bytes(4, 0.5f64.powi(3 * exp));
             assert!(e >= last, "{e} after {last}");
             last = e;
         }
-        assert!(last > 8.4 && last <= 9.0, "{last}");
+        assert_eq!(last, sparsest - 4.0);
     }
 
     #[test]
@@ -1351,8 +1039,8 @@ mod tests {
     fn decode_rejects_truncation_and_garbage() {
         let v = SparseStream::from_pairs(1000, &[(1, 1.0f32), (500, 2.0)]).unwrap();
         let bytes = v.encode();
-        // Every proper prefix, the one that ends inside the last varint
-        // included.
+        // Every proper prefix, those that end inside the low bits or
+        // before the last upper byte included.
         for cut in 0..bytes.len() {
             let err = SparseStream::<f32>::decode(&bytes[..cut]).unwrap_err();
             assert!(
@@ -1368,13 +1056,13 @@ mod tests {
     #[test]
     fn decode_rejects_other_versions() {
         let v = SparseStream::from_pairs(10, &[(1, 1.0f32)]).unwrap();
-        for old in [1u8, 2, 3, 4] {
+        for old in [1u8, 2, 3, 4, 5] {
             let mut bytes = v.encode().to_vec();
             bytes[1] = old;
             assert_eq!(
                 SparseStream::<f32>::decode(&bytes).unwrap_err(),
                 StreamError::VersionMismatch {
-                    expected: 5,
+                    expected: 6,
                     actual: old
                 }
             );
@@ -1382,74 +1070,18 @@ mod tests {
     }
 
     #[test]
-    fn a_gap_cannot_step_backwards_or_repeat_an_index() {
-        // Unsorted and duplicate indices have no encoding: the smallest
-        // gap, 0, is the next index up. Whatever the gap bytes say, the
-        // decoded indices are strictly increasing.
-        let frame = raw_frame(10, 3, &[4, 0, 0]);
-        let v = SparseStream::<f32>::decode(&frame).unwrap();
-        assert_eq!(v.sparse_view().unwrap().indices(), &[4, 5, 6]);
-        // A varint padded with a zero continuation group would decode to
-        // the same gap, so it is a second encoding of one support: the
-        // decoder takes only the shortest.
-        let err = SparseStream::<f32>::decode(&raw_frame(10, 2, &[0x81, 0x00, 0x02]));
-        assert!(matches!(err, Err(StreamError::Corrupt(_))), "{err:?}");
-        let v = SparseStream::<f32>::decode(&raw_frame(10, 2, &[0x01, 0x02])).unwrap();
-        assert_eq!(v.sparse_view().unwrap().indices(), &[1, 4]);
-    }
-
-    #[test]
-    fn decode_rejects_a_gap_that_reaches_or_passes_dim() {
-        // To `dim` exactly, on the varint path and on the 8-at-a-time path.
-        let err = SparseStream::<f32>::decode(&raw_frame(10, 2, &[1, 8])).unwrap_err();
-        assert_eq!(err, StreamError::IndexOutOfBounds { idx: 10, dim: 10 });
-        let err = SparseStream::<f32>::decode(&raw_frame(15, 8, &[0, 0, 0, 0, 0, 0, 0, 8]));
-        assert_eq!(
-            err.unwrap_err(),
-            StreamError::IndexOutOfBounds { idx: 15, dim: 15 }
-        );
-        let err = SparseStream::<f32>::decode(&raw_frame(16, 9, &[0, 0, 0, 0, 0, 0, 0, 8, 0]));
-        assert_eq!(
-            err.unwrap_err(),
-            StreamError::IndexOutOfBounds { idx: 16, dim: 16 }
-        );
-        // Past `dim`.
-        let err = SparseStream::<f32>::decode(&raw_frame(10, 2, &[1, 0xFF, 0x7F])).unwrap_err();
-        assert!(
-            matches!(err, StreamError::IndexOutOfBounds { dim: 10, .. }),
-            "{err:?}"
-        );
-        // Past `u32::MAX`: a 5-byte varint holds 35 bits, and two gaps of
-        // 2^31 sum past the index type even when each fits.
-        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
-        let err = SparseStream::<f32>::decode(&raw_frame(1 << 40, 1, &max)).unwrap_err();
-        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
-        let half = [0x80, 0x80, 0x80, 0x80, 0x08];
-        let two = [half, half].concat();
-        let err = SparseStream::<f32>::decode(&raw_frame(1 << 40, 2, &two)).unwrap_err();
-        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
-    }
-
-    #[test]
-    fn decode_rejects_overlong_varints() {
-        // Six bytes.
-        let six = [0x80, 0x80, 0x80, 0x80, 0x80, 0x00];
-        let err = SparseStream::<f32>::decode(&raw_frame(1 << 32, 2, &six)).unwrap_err();
-        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
-        // A continuation bit on the frame's final byte.
-        let err = SparseStream::<f32>::decode(&raw_frame(1 << 32, 2, &[1, 0x85])).unwrap_err();
-        assert!(matches!(err, StreamError::Truncated { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn decode_rejects_leftover_gap_bytes() {
-        // Within the 5-bytes-per-entry length bound, so only consuming the
-        // slab finds them.
-        let err = SparseStream::<f32>::decode(&raw_frame(100, 2, &[1, 2, 3])).unwrap_err();
-        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
-        // `nnz = 0` owns no bytes at all.
-        let err = SparseStream::<f32>::decode(&raw_frame(100, 0, &[0])).unwrap_err();
-        assert!(matches!(err, StreamError::Corrupt(_)), "{err:?}");
+    fn decode_rejects_a_tag_0_frame_and_other_unknown_tags() {
+        // Tag 0 was v5's gap-coded index; v6 has no such frame.
+        let v = SparseStream::from_pairs(10, &[(1, 1.0f32), (2, 2.0)]).unwrap();
+        for tag in [0u8, 3, 0xFF] {
+            let mut bytes = v.encode().to_vec();
+            bytes[3] = tag;
+            assert_eq!(
+                SparseStream::<f32>::decode(&bytes).unwrap_err(),
+                StreamError::Corrupt("unknown representation tag"),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -1488,8 +1120,8 @@ mod tests {
     fn decode_rejects_trailing_bytes() {
         let v = SparseStream::from_pairs(10, &[(1, 1.0f32)]).unwrap();
         let mut bytes = v.encode().to_vec();
-        // One stray byte passes the length bounds and is found by the gap
-        // decoder; five cannot belong to one entry.
+        // Stray bytes past the last upper byte: ones the count does not
+        // allow.
         for extra in [1, 5] {
             bytes.extend(std::iter::repeat_n(0xFF, extra));
             let err = SparseStream::<f32>::decode(&bytes).unwrap_err();
@@ -1499,11 +1131,7 @@ mod tests {
 
     /// A sparse f32 frame with an Elias–Fano index, built by hand.
     fn raw_ef_frame(dim: u64, nnz: u64, l: u8, base: u32, bits: &[u8]) -> Vec<u8> {
-        let mut out = raw_frame(dim, nnz, &[l]);
-        out[3] = TAG_ELIAS_FANO;
-        out.extend_from_slice(&base.to_le_bytes());
-        out.extend_from_slice(bits);
-        out
+        raw_frame(dim, nnz, &[&[l], &base.to_le_bytes()[..], bits].concat())
     }
 
     /// The Elias–Fano bits of `indices` with `l` low bits, set one at a
@@ -1533,9 +1161,9 @@ mod tests {
         let pairs: Vec<(u32, f32)> = (0..16).map(|i| (200 + 4 * i, i as f32)).collect();
         let v = SparseStream::from_pairs(1000, &pairs).unwrap();
         let bytes = round_trip(&v);
+        assert_eq!((bytes[1], WIRE_VERSION), (6, 6));
         let bits = [0xAA, 0xAA, 0xA5, 0x94, 0x52, 0x4A, 0x29];
         assert_eq!(bytes.as_ref(), raw_ef_frame(1000, 16, 1, 200, &bits));
-        // 12 index bytes against 17 gap bytes.
         assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 16 * 4 + 12);
         // Every other slot of [200, 259): no low bits, and the upper bits
         // are v4's bitmap of the span, bit j for index 200 + j.
@@ -1544,58 +1172,29 @@ mod tests {
         let bitmap = [0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x05];
         assert_eq!(bytes.as_ref(), raw_ef_frame(1000, 30, 0, 200, &bitmap));
         // Every index is the oracle's bits, which at L = 0 set bit `idx −
-        // first` for each entry: that bitmap.
+        // first` for each entry: that bitmap. Uniform supports, and
+        // clustered runs few and long to many and short.
         let mut widths = [0usize; 32];
-        for (case, nnz) in (1..=4096).step_by(37).enumerate() {
-            let v = random_sparse::<f32>(1 << (12 + case % 12), nnz, case as u64);
+        let uniform = (1..=4096)
+            .step_by(37)
+            .enumerate()
+            .map(|(case, nnz)| random_sparse::<f32>(1 << (12 + case % 12), nnz, case as u64));
+        let clustered = (0..64)
+            .map(|seed| clustered_sparse::<f32>(1 << 20, 40 + 7 * seed, 1 + seed / 4, seed as u64));
+        for v in uniform.chain(clustered) {
             let bytes = round_trip(&v);
             let indices = v.sparse_view().unwrap().indices();
-            if bytes[3] != TAG_ELIAS_FANO {
-                continue;
-            }
-            let index = &bytes[SPARSE_HEADER_LEN + 4 * nnz..];
+            assert_eq!(bytes[3], TAG_ELIAS_FANO);
+            let index = &bytes[SPARSE_HEADER_LEN + 4 * indices.len()..];
             let l = u32::from(index[0]);
             widths[l as usize] += 1;
             assert_eq!(&index[1..5], &indices[0].to_le_bytes());
-            assert_eq!(&index[5..], ef_oracle(indices, l), "nnz {nnz}, L {l}");
+            let oracle = ef_oracle(indices, l);
+            assert_eq!(&index[5..], oracle, "nnz {}, L {l}", indices.len());
+            let (n, first, last) = (indices.len(), indices[0], indices[indices.len() - 1]);
+            assert_eq!(pick_index(n, first, last), (l, EF_HEAD_LEN + oracle.len()));
         }
         assert!(widths[..10].iter().all(|&n| n > 0), "{widths:?}");
-    }
-
-    #[test]
-    fn the_index_is_the_smaller_coding_ties_to_elias_fano() {
-        let check = |v: &SparseStream<f32>| {
-            let bytes = round_trip(v);
-            let indices = v.sparse_view().unwrap().indices();
-            let (n, gaps) = (
-                indices.len(),
-                gap_slab_len(BEFORE_FIRST, indices.iter().copied()),
-            );
-            let top = ef_top(n, indices[0], indices[n - 1]);
-            let (low, upper) = ef_parts(n, top, ef_low_bits(n, top));
-            let ef = EF_HEAD_LEN + low + upper;
-            assert_eq!(bytes.len(), SPARSE_HEADER_LEN + 4 * n + gaps.min(ef));
-            assert_eq!(bytes[3] == TAG_SPARSE, gaps < ef);
-            bytes[3]
-        };
-        for nnz in (1..=4096).step_by(97) {
-            check(&random_sparse::<f32>(4096, nnz, nnz as u64));
-        }
-        // Clustered runs are where a gap slab wins: a byte per entry in
-        // a run, against L ≈ log2 of the mean distance.
-        let mut gap_coded = 0;
-        for seed in 0..64 {
-            let v = clustered_sparse::<f32>(1 << 20, 40 + 7 * seed, 1 + seed / 4, seed as u64);
-            gap_coded += usize::from(check(&v) == TAG_SPARSE);
-        }
-        assert!(gap_coded > 16, "{gap_coded}");
-        // Eight entries 166 apart: a 15-byte gap slab and a 15-byte
-        // Elias–Fano index (L = 7) tie, and the tie goes to Elias–Fano.
-        let pairs: Vec<(u32, f32)> = (0..8).map(|i| (166 * i, 1.0)).collect();
-        let v = SparseStream::from_pairs(1 << 20, &pairs).unwrap();
-        assert_eq!(v.encoded_len(), SPARSE_HEADER_LEN + 32 + 15);
-        assert_eq!(check(&v), TAG_ELIAS_FANO);
-        assert_eq!(v.encode()[SPARSE_HEADER_LEN + 32], 7);
     }
 
     #[test]
@@ -1617,8 +1216,6 @@ mod tests {
         let fifteen = SparseStream::from_slabs(1000, support[..15].to_vec(), vec![1.0f32; 15]);
         let mut padded = fifteen.unwrap().encode().to_vec();
         padded[SPARSE_HEADER_LEN + 60 + 6] |= 0x80;
-        let mut gaps = vec![0xC8, 0x01];
-        gaps.extend([3; 15]);
         for (what, frame) in [
             ("more than 31 low bits", ef(32, 200, &low, &upper)),
             (
@@ -1646,16 +1243,19 @@ mod tests {
             ),
             ("low bits padded with a one", padded),
             // x = 0, 9, 8: L = 1 is canonical for x_last = 8, but the last
-            // two share their upper bits and their low bits fall.
+            // two share their upper bits and their low bits fall by one,
+            // so index 110 repeats.
             (
-                "x stepping back",
+                "a repeated index",
                 raw_ef_frame(1000, 3, 1, 100, &[0x02, 0x61]),
             ),
-            // The coding that is larger, or no smaller: two adjacent
-            // entries take 2 gap bytes; the support above 17.
-            ("the longer coding", raw_ef_frame(1000, 2, 0, 100, &[0x03])),
-            ("a gap slab no smaller", raw_frame(1000, 16, &gaps)),
-            ("no entries", raw_ef_frame(1000, 0, 0, 0, &[])),
+            // x = 0, 15, 12 at the canonical L = 2: indices 100, 116, 114.
+            (
+                "an index that steps back",
+                raw_ef_frame(1000, 3, 2, 100, &[0x0C, 0x31]),
+            ),
+            ("no entries but an index", raw_ef_frame(1000, 0, 0, 0, &[])),
+            ("no entries but a byte", raw_frame(1000, 0, &[0])),
         ] {
             assert!(
                 matches!(err(&frame), StreamError::Corrupt(_)),
@@ -1663,11 +1263,16 @@ mod tests {
                 err(&frame)
             );
         }
-        let past_dim = raw_ef_frame(260, 16, 1, 200, bits);
-        assert_eq!(
-            err(&past_dim),
-            StreamError::IndexOutOfBounds { idx: 260, dim: 260 }
-        );
+        // The last index at `dim`, and past it.
+        for dim in [260, 250] {
+            assert_eq!(
+                err(&raw_ef_frame(dim, 16, 1, 200, bits)),
+                StreamError::IndexOutOfBounds {
+                    idx: 260,
+                    dim: dim as usize
+                }
+            );
+        }
         // A dropped one, and every proper prefix, read as an index cut
         // short.
         let cuts = (0..honest.len()).map(|cut| honest[..cut].to_vec());
@@ -1680,66 +1285,11 @@ mod tests {
     }
 
     #[test]
-    fn the_slice_count_is_the_length_the_gap_slab_writes() {
-        let mut rng = XorShift64::new(0x6a95);
-        let mut slabs: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![0],
-            vec![u32::MAX - 1],
-            vec![u32::MAX - 1, u32::MAX],
-            vec![0, u32::MAX - 1],
-            // Past the count's u32 chunks, every gap a byte but one.
-            (0..2 * GAP_COUNT_CHUNK as u32 + 3)
-                .map(|i| 3 * i + u32::from(i > GAP_COUNT_CHUNK as u32) * 200)
-                .collect(),
-        ];
-        // Seeded supports whose gaps — and first indices — sit on both
-        // sides of each varint boundary 2^7, 2^14, 2^21 and 2^28.
-        let straddle = |rng: &mut XorShift64| {
-            let bits = [7, 14, 21, 28][rng.next_u64() as usize % 4];
-            match rng.next_u64() % 3 {
-                0 => (1u32 << bits) - 1,
-                1 => 1 << bits,
-                _ => rng.next_u64() as u32 % 128,
-            }
-        };
-        for case in 0..2_000 {
-            let first = match case % 4 {
-                0 => 0,
-                1 => u32::MAX - 1,
-                2 => straddle(&mut rng),
-                _ => rng.next_u64() as u32,
-            };
-            let mut slab = Vec::new();
-            let mut next = Some(first);
-            for _ in 0..rng.next_u64() % 80 {
-                let Some(idx) = next else { break };
-                slab.push(idx);
-                next = idx
-                    .checked_add(straddle(&mut rng))
-                    .and_then(|i| i.checked_add(1));
-            }
-            slabs.push(slab);
-        }
-        for slab in &slabs {
-            let mut written = Vec::new();
-            write_gap_slab(BEFORE_FIRST, slab, &mut written);
-            let head = &slab[..slab.len().min(8)];
-            assert_eq!(gap_slab_len_of(slab), written.len(), "{head:?}…");
-            assert_eq!(
-                gap_slab_len(BEFORE_FIRST, slab.iter().copied()),
-                written.len(),
-                "{head:?}…"
-            );
-        }
-    }
-
-    #[test]
     fn mutated_frames_never_panic_the_decoder() {
         let full = (u32::MAX - 39..=u32::MAX).collect();
         let valid = [
-            // Gap-coded clustered runs: one-byte stretches long enough for
-            // the 8-at-a-time path, broken by two- and three-byte gaps.
+            // Clustered runs: stretches of adjacent entries broken by far
+            // jumps.
             clustered_sparse::<f32>(1 << 20, 200, 4, 5),
             clustered_sparse(1 << 22, 40, 20, 6),
             // The top of the index space.
@@ -1755,7 +1305,6 @@ mod tests {
             SparseStream::from_slabs(1 << 32, full, vec![1.0f32; 40]).unwrap(),
         ]
         .map(|stream| stream.encode().to_vec());
-        assert!(valid[..3].iter().all(|frame| frame[3] == TAG_SPARSE));
         assert!(valid[5..].iter().all(|frame| frame[3] == TAG_ELIAS_FANO));
         let check = |bytes: &[u8]| {
             // Ok or a typed error — and an Ok upholds the invariants and
@@ -1791,7 +1340,8 @@ mod tests {
             // Where an Elias–Fano index starts: L, then the base.
             let index = SPARSE_HEADER_LEN
                 + 4 * u64::from_le_bytes(bytes[12..20].try_into().unwrap_or([0; 8])) as usize;
-            let ef = bytes[3] == TAG_ELIAS_FANO;
+            // The empty frame has no index to mutate.
+            let ef = bytes[3] == TAG_ELIAS_FANO && bytes.len() > index + EF_HEAD_LEN;
             match rng.next_u64() % 8 {
                 0 => bytes.truncate(rng.next_u64() as usize % (bytes.len() + 1)),
                 1 => bytes.extend((0..rng.next_u64() % 9).map(|_| rng.next_u64() as u8)),

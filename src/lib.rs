@@ -9,8 +9,7 @@
 //! selector — as the default schedule. Sparse payloads use a
 //! structure-of-arrays layout (index slab + value slab) in memory, a wire
 //! codec that copies the value slab in bulk and sends the index slab as
-//! an Elias–Fano index (or gap-coded, where that is smaller),
-//! and pooled message buffers; see the README's architecture section for
+//! an Elias–Fano index, and pooled message buffers; see the README's architecture section for
 //! the layout and the buffer-pool lifecycle.
 //!
 //! The [`serve`] module is the other deployment shape: a long-running

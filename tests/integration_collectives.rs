@@ -634,8 +634,8 @@ fn selector_prices_pairs_as_the_wire_weighs_them() {
         assert!(best.contains(&pick), "P={p} k={k}: picked {pick:?}");
     }
     // And that figure is the codec's: the expectation the selector prices
-    // with against the exact frame size of a uniform support — gap-coded
-    // up to k = 1e5, bitmap-indexed at k = 3e5 (29 % dense) and in one of
+    // with against the exact frame size of a uniform support — an
+    // Elias–Fano index at every k, and a bitmap (no low bits) in one of
     // P = 8 partition blocks of a 55 %-dense gathered sum, whose density
     // is its share of the block's N/8 slots.
     let block = n / 8;

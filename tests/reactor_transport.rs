@@ -364,25 +364,28 @@ fn oversized_frame_declaration_is_rejected() {
 }
 
 #[test]
-fn malformed_wire_v3_frames_surface_typed_stream_errors() {
+fn malformed_wire_frames_surface_typed_stream_errors() {
     // Frames arrive intact over TCP but their wire payload is bad: the
     // existing typed StreamErrors must surface, exactly as in-process.
     let results = run_reactor_loopback_cluster(2, CostModel::zero(), quick_config(), |tp| {
         if tp.rank() == 1 {
             // 20-byte sparse header (magic, version, width, repr tag, dim
-            // u64, nnz u64), 16 × f32 values, then 16 single-byte gaps.
+            // u64, nnz u64), 16 × f32 values, then the Elias–Fano index:
+            // L = 3 and the base (index 5) at byte 84, 6 bytes of low bits
+            // and 6 of upper bits, the last one bit 4 of the final byte.
             let good = random_sparse::<f32>(256, 16, 42).encode();
-            assert_eq!(good.len(), 20 + 16 * 4 + 16);
+            assert_eq!(good.len(), 20 + 16 * 4 + 5 + 6 + 6);
+            assert_eq!((good[3], good[84], good[85]), (2, 3, 5));
             // (a) truncated: drop the tail of a valid frame.
             tp.send(0, 1, good.slice(0..good.len() - 5)).unwrap();
-            // (b) two gaps of 127 carry the running index past dim = 256
-            // (an unsorted index slab has no encoding to send).
+            // (b) a base of 10 carries the last index, 252, to 257, past
+            // dim = 256 (an unsorted index slab has no encoding to send).
             let mut bad = good.to_vec();
-            bad[84..86].fill(0x7F);
+            bad[85..89].copy_from_slice(&10u32.to_le_bytes());
             tp.send(0, 2, Bytes::from(bad)).unwrap();
-            // (c) a varint that never ends: continuation bits throughout.
+            // (c) a 17th one in the upper bitvector, past the last entry.
             let mut bad = good.to_vec();
-            bad[84..].fill(0x80);
+            bad[100] |= 0x80;
             tp.send(0, 3, Bytes::from(bad)).unwrap();
             let _ = tp.recv(0, 4).unwrap();
             Vec::new()
@@ -394,7 +397,7 @@ fn malformed_wire_v3_frames_surface_typed_stream_errors() {
             errors
         }
     });
-    let [truncated, out_of_bounds, overlong] = &results[0][..] else {
+    let [truncated, out_of_bounds, extra_one] = &results[0][..] else {
         panic!("got {:?}", results[0]);
     };
     assert!(
@@ -409,8 +412,8 @@ fn malformed_wire_v3_frames_surface_typed_stream_errors() {
         "got {out_of_bounds:?}"
     );
     assert!(
-        matches!(overlong, StreamError::Corrupt(_)),
-        "got {overlong:?}"
+        matches!(extra_one, StreamError::Corrupt(_)),
+        "got {extra_one:?}"
     );
 }
 
